@@ -8,11 +8,14 @@
 package gallery
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"fpinterop/internal/index"
@@ -100,18 +103,35 @@ func (s *Store) Enroll(id, deviceID string, tpl *minutiae.Template) error {
 	if err := tpl.Validate(); err != nil {
 		return fmt.Errorf("gallery: enroll %q: %w", id, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[id]; ok {
+	s.mu.RLock()
+	_, dup := s.entries[id]
+	indexed := s.idx != nil
+	s.mu.RUnlock()
+	if dup {
 		return fmt.Errorf("enroll %q: %w", id, ErrDuplicate)
 	}
+	// Everything derived from the template alone — the clone, the
+	// matcher's preparation, the index keys — is computed before the
+	// write lock, so searches wait for a map insert, not for them.
 	clone := tpl.Clone()
 	var prep *match.Prepared
 	if s.hough != nil {
 		prep = s.hough.Prepare(clone)
 	}
+	var keys []uint64
+	if indexed {
+		keys = index.Keys(clone)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.entries[id]; ok {
+		return fmt.Errorf("enroll %q: %w", id, ErrDuplicate)
+	}
 	if s.idx != nil {
-		if err := s.idx.Add(id, clone); err != nil {
+		if !indexed { // enabled since the check above
+			keys = index.Keys(clone)
+		}
+		if err := s.idx.AddKeys(id, keys); err != nil {
 			return fmt.Errorf("gallery: enroll %q: %w", id, err)
 		}
 	}
@@ -251,6 +271,9 @@ type Candidate struct {
 	Score    float64
 }
 
+// shortlistPool recycles the index shortlist buffer of an identify.
+var shortlistPool = sync.Pool{New: func() any { return new([]index.Candidate) }}
+
 // IndexOptions configures indexed candidate retrieval on a Store.
 type IndexOptions struct {
 	// Index tunes the triplet index (zero value for defaults).
@@ -271,17 +294,28 @@ func (s *Store) EnableIndex(opt IndexOptions) error {
 	if opt.MinCandidates <= 0 {
 		opt.MinCandidates = 8
 	}
-	idx := index.New(opt.Index)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range s.order {
-		if err := idx.Add(id, s.entries[id].Template); err != nil {
-			return fmt.Errorf("gallery: index build: %w", err)
-		}
+	idx, err := buildIndex(opt.Index, s.order, s.entries)
+	if err != nil {
+		return err
 	}
 	s.idx = idx
 	s.minCandidates = opt.MinCandidates
 	return nil
+}
+
+// buildIndex bulk-builds a retrieval index over entries, in order.
+func buildIndex(opt index.Options, order []string, entries map[string]*Entry) (*index.Index, error) {
+	tpls := make([]*minutiae.Template, len(order))
+	for i, id := range order {
+		tpls[i] = entries[id].Template
+	}
+	idx, err := index.Build(opt, order, tpls)
+	if err != nil {
+		return nil, fmt.Errorf("gallery: index build: %w", err)
+	}
+	return idx, nil
 }
 
 // DisableIndex detaches the retrieval index; Identify reverts to the
@@ -389,20 +423,7 @@ func (s *Store) IdentifyDetailedContext(ctx context.Context, probe *minutiae.Tem
 		if k > fanout {
 			fanout = k
 		}
-		shortlist := idx.Candidates(probe, fanout)
-		stats.Shortlist = len(shortlist)
-		if len(shortlist) >= minCand && len(shortlist) >= k {
-			entries := make([]*Entry, 0, len(shortlist))
-			s.mu.RLock()
-			for _, c := range shortlist {
-				// An entry may have been removed between the index
-				// lookup and this snapshot; skip it.
-				if e, ok := s.entries[c.ID]; ok {
-					entries = append(entries, e)
-				}
-			}
-			stats.GallerySize = len(s.order)
-			s.mu.RUnlock()
+		if entries, ok := s.shortlistEntries(idx, probe, fanout, max(minCand, k), &stats); ok {
 			out, err := s.scoreEntries(ctx, entries, probe)
 			if err != nil {
 				return nil, stats, err
@@ -438,6 +459,33 @@ func (s *Store) IdentifyDetailedContext(ctx context.Context, probe *minutiae.Tem
 	return out, stats, nil
 }
 
+// shortlistEntries retrieves the index shortlist for probe and resolves
+// it to enrolled entries, recording its size and the gallery size in
+// stats; ok is false when it holds fewer than need candidates, the
+// recall guard. The shortlist itself lives in a pooled buffer and does
+// not outlive the call.
+func (s *Store) shortlistEntries(idx *index.Index, probe *minutiae.Template, fanout, need int, stats *IdentifyStats) (entries []*Entry, ok bool) {
+	buf := shortlistPool.Get().(*[]index.Candidate)
+	shortlist := idx.CandidatesAppend((*buf)[:0], probe, fanout)
+	stats.Shortlist = len(shortlist)
+	if ok = len(shortlist) >= need; ok {
+		entries = make([]*Entry, 0, len(shortlist))
+		s.mu.RLock()
+		for _, c := range shortlist {
+			// An entry may have been removed between the index
+			// lookup and this snapshot; skip it.
+			if e, ok := s.entries[c.ID]; ok {
+				entries = append(entries, e)
+			}
+		}
+		stats.GallerySize = len(s.order)
+		s.mu.RUnlock()
+	}
+	*buf = shortlist[:0]
+	shortlistPool.Put(buf)
+	return entries, ok
+}
+
 // scoreEntries runs the full matcher for the probe against every entry
 // across a bounded worker pool and returns candidates ordered by
 // descending score with ID tie-breaks. Workers write only their own
@@ -452,11 +500,11 @@ func (s *Store) scoreEntries(ctx context.Context, entries []*Entry, probe *minut
 	for i, e := range entries {
 		out[i] = Candidate{ID: e.ID, DeviceID: e.DeviceID, Score: scores[i]}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 	return out, nil
 }

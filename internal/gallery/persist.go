@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"fpinterop/internal/atomicio"
+	"fpinterop/internal/index"
 	"fpinterop/internal/minutiae"
 )
 
@@ -232,18 +233,32 @@ func (s *Store) ReplaceAll(entries []Export) error {
 		byID[e.ID] = e
 		order[i] = e.ID
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.idx != nil {
-		// The retrieval index must mirror the enrolled set exactly;
-		// rebuild it once from the new entries.
-		s.idx.Reset()
-		for _, id := range order {
-			if err := s.idx.Add(id, byID[id].Template); err != nil {
-				return fmt.Errorf("gallery: index rebuild: %w", err)
-			}
+	// The retrieval index must mirror the enrolled set exactly: its
+	// replacement is bulk-built before the write lock, so searches
+	// keep running on the old contents meanwhile.
+	s.mu.RLock()
+	old := s.idx
+	s.mu.RUnlock()
+	var idx *index.Index
+	if old != nil {
+		var err error
+		if idx, err = buildIndex(old.Options(), order, byID); err != nil {
+			return err
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.idx == nil:
+		idx = nil
+	case s.idx != old:
+		// Enabled or re-enabled meanwhile; its options may differ.
+		var err error
+		if idx, err = buildIndex(s.idx.Options(), order, byID); err != nil {
+			return err
+		}
+	}
+	s.idx = idx
 	s.entries = byID
 	s.order = order
 	s.met.setEnrollments(len(s.entries))

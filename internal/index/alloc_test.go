@@ -9,38 +9,80 @@ import (
 
 // TestCandidatesAppendZeroAllocs is the asserting form of the PR-4 vote
 // benchmarks: once the pooled accumulators and the caller's candidate
-// buffer are warm, one full vote accumulation — probe key extraction,
-// dense voting, shortlist collection, and the final sort — performs
-// zero heap allocations. Candidate IDs are string headers copied out of
-// the index's id table, not fresh strings, so the collection pass is
-// covered too.
+// buffer are warm, one full vote — probe key extraction, weights and
+// delta scores under the read lock, the base's posting stream, and the
+// bounded selection — performs zero heap allocations, whether the
+// templates sit in the delta or in the base. Candidate IDs are string
+// headers copied out of the index's id tables, not fresh strings, so
+// the collection pass is covered too.
 func TestCandidatesAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; asserted in non-race builds")
 	}
 	cohort := population.NewCohort(rng.New(21), population.CohortOptions{Size: 12})
 	tpls := captureGallery(t, cohort, "D0")
-	ix := New(Options{})
-	for i, tpl := range tpls {
-		if err := ix.Add(subjectID(i), tpl); err != nil {
+	ids := make([]string, len(tpls))
+	for i := range tpls {
+		ids[i] = subjectID(i)
+	}
+	inDelta := New(Options{})
+	for i, tpl := range tpls[:8] {
+		if err := inDelta.Add(ids[i], tpl); err != nil {
 			t.Fatal(err)
 		}
 	}
-	probe := tpls[0]
-	dst := make([]Candidate, 0, 32)
-
-	lookup := func() {
-		dst = ix.CandidatesAppend(dst[:0], probe, 8)
-		if len(dst) == 0 {
-			t.Fatal("probe retrieved no candidates")
+	inBase, err := Build(Options{}, ids[:8], tpls[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A base with a delta over it and a tombstone in it.
+	for i := 8; i < len(tpls); i++ {
+		if err := inBase.Add(ids[i], tpls[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	// Warm the vote pool and let dst reach its steady-state capacity.
-	for i := 0; i < 10; i++ {
-		lookup()
+	if err := inBase.Remove(ids[1]); err != nil {
+		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
-		t.Fatalf("vote accumulation allocates %.1f times per run; want 0", allocs)
+	for name, ix := range map[string]*Index{"delta": inDelta, "base+delta": inBase} {
+		probe := tpls[0]
+		dst := make([]Candidate, 0, 32)
+		lookup := func() {
+			dst = ix.CandidatesAppend(dst[:0], probe, 8)
+			if len(dst) == 0 {
+				t.Fatal("probe retrieved no candidates")
+			}
+		}
+		// Warm the vote pool and let dst reach its steady-state capacity.
+		for i := 0; i < 10; i++ {
+			lookup()
+		}
+		if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+			t.Fatalf("%s: vote allocates %.1f times per run; want 0", name, allocs)
+		}
+	}
+}
+
+// TestTemplateKeysZeroAllocs holds Add's key extraction — neighbour
+// selection, triplet dedup, quantization, key dedup — to zero
+// allocations once its scratch is warm; the one allocation an Add keeps
+// is the exact-size key list the index retains.
+func TestTemplateKeysZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; asserted in non-race builds")
+	}
+	cohort := population.NewCohort(rng.New(22), population.CohortOptions{Size: 4})
+	tpls := captureGallery(t, cohort, "D0")
+	var ks keyScratch
+	extract := func() {
+		for _, tpl := range tpls {
+			if len(ks.templateKeys(tpl.Minutiae)) == 0 {
+				t.Fatal("template produced no keys")
+			}
+		}
+	}
+	extract()
+	if allocs := testing.AllocsPerRun(50, extract); allocs != 0 {
+		t.Fatalf("key extraction allocates %.1f times per run; want 0", allocs)
 	}
 }

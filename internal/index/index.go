@@ -13,8 +13,8 @@
 // window: the three side lengths of the triangle, and at each vertex
 // the angle between the minutia ridge direction and the direction to
 // the triangle centroid. Quantizing those six features yields a hash
-// key; the index is a multimap from key to the templates containing
-// such a triplet. A probe votes with its own triplet keys — probing
+// key; the index maps each key to the templates containing such a
+// triplet. A probe votes with its own triplet keys — probing
 // neighbouring quantization bins near bin boundaries to absorb sensor
 // noise — and the most-voted templates form the candidate shortlist.
 // Votes are weighted by key rarity (1/bucket size): a triplet shape
@@ -27,10 +27,10 @@ package index
 import (
 	"errors"
 	"fmt"
-	"math"
+	"runtime"
 	"slices"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"fpinterop/internal/minutiae"
 )
@@ -42,124 +42,115 @@ var (
 	ErrNotFound = errors.New("index: template ID not indexed")
 )
 
-// Options tunes triplet extraction, quantization, and retrieval. The
-// zero value gives production defaults calibrated for 500-dpi templates
-// (≈50–70 minutiae) from the study's sensor models.
+// Options configures retrieval. Triplet extraction and quantization are
+// fixed (see keys.go).
 type Options struct {
-	// NeighborK is how many nearest neighbours each minutia pairs with
-	// to form triplets (default 6 → up to C(6,2)=15 triplets seeded per
-	// minutia before deduplication).
-	NeighborK int
-	// MaxTriplets caps the triplets indexed per template (default 800).
-	MaxTriplets int
-	// MinSide rejects near-degenerate triangles whose shortest side is
-	// below this many pixels (default 10).
-	MinSide float64
-	// MaxSide rejects spread-out triangles whose longest side exceeds
-	// this many pixels (default 200); local triplets survive the
-	// device-characteristic distortion fields far better than global
-	// structure.
-	MaxSide float64
-	// SideBin is the side-length quantization step in pixels
-	// (default 16).
-	SideBin float64
-	// AngleBins is how many bins the vertex angle features quantize
-	// into over [0, 2π) (default 8, i.e. 45° bins).
-	AngleBins int
-	// BoundaryMargin is the fraction of a bin within which a probe
-	// feature also votes into the neighbouring bin (default 0.3).
-	// Larger margins raise recall and lookup cost.
-	BoundaryMargin float64
 	// Fanout is the default shortlist size returned by Candidates when
 	// the caller passes fanout <= 0 (default 64).
 	Fanout int
-	// MinVotes drops templates with fewer raw bucket hits than this
-	// from the shortlist (default 1; rarity weighting already pushes
-	// incidental collisions to the bottom of the ranking).
-	MinVotes int
-	// MaxBucket skips buckets holding more postings than this during
-	// lookup (default 4096): keys shared by that many templates carry
-	// almost no identity information but dominate voting cost.
-	MaxBucket int
 }
 
-func (o Options) withDefaults() Options {
-	if o.NeighborK == 0 {
-		o.NeighborK = 6
-	}
-	if o.MaxTriplets == 0 {
-		o.MaxTriplets = 800
-	}
-	if o.MinSide == 0 {
-		o.MinSide = 10
-	}
-	if o.MaxSide == 0 {
-		o.MaxSide = 200
-	}
-	if o.SideBin == 0 {
-		o.SideBin = 16
-	}
-	if o.AngleBins == 0 {
-		o.AngleBins = 8
-	}
-	if o.BoundaryMargin == 0 {
-		o.BoundaryMargin = 0.3
-	}
-	if o.Fanout == 0 {
-		o.Fanout = 64
-	}
-	if o.MinVotes == 0 {
-		o.MinVotes = 1
-	}
-	if o.MaxBucket == 0 {
-		o.MaxBucket = 4096
-	}
-	// Keep packed fields in range: 8 bits per side bin, 6 per angle bin.
-	if o.AngleBins > 64 {
-		o.AngleBins = 64
-	}
-	if max := 255 * o.SideBin; o.MaxSide > max {
-		o.MaxSide = max
-	}
-	return o
-}
-
-// posting records that a template (by dense ref) contains count
-// triplets quantizing to a bucket's key.
-type posting struct {
-	ref   uint32
-	count uint32
-}
+const (
+	// maxBucket skips keys held by more templates than this during
+	// lookup: they carry almost no identity information but dominate
+	// voting cost. There is no matching floor on hits: one hit makes a
+	// template eligible, and rarity weighting already pushes incidental
+	// collisions to the bottom of the ranking.
+	maxBucket = 4096
+	// mergeFloor is the least number of postings written to the delta
+	// or tombstoned in the base before a merge: below it a merge would
+	// run on nearly every Add to a small index.
+	mergeFloor = 4096
+	// deltaRef tags a template location as a delta ref.
+	deltaRef = 1 << 31
+)
 
 // Index is a concurrent-safe triplet index. The zero value is NOT
-// ready; use New.
+// ready; use New or Build.
+//
+// Storage is an immutable base segment plus a small mutable delta, over
+// one key table whose slots carry, per key, the base bucket, the delta
+// postings and a live count: how many templates, base or delta, hold
+// the key now. Add writes the delta; Remove deletes from the delta or
+// tombstones the base; both keep the live counts exact, so a bucket's
+// weight is always 1/(templates currently holding the key), what an
+// index built from scratch over the live set computes. Once the
+// postings added or tombstoned since the last merge pass an eighth of
+// the base, the mutation that crossed the line folds both into a new
+// base. A vote takes its weights and scores the delta under the read
+// lock, then streams the base's postings with no lock held.
 type Index struct {
-	mu  sync.RWMutex
 	opt Options
-	// buckets maps a quantized triplet key to the templates containing
-	// such a triplet, each bucket sorted by ref for deterministic scans.
-	buckets map[uint64][]posting
-	// ids maps dense refs to template IDs ("" = free slot).
-	ids []string
-	// refs maps template IDs back to their dense ref.
-	refs map[string]uint32
-	// keys holds, per ref, every key the template was inserted under
-	// (with multiplicity), so Remove can unwind its postings.
+
+	mu sync.RWMutex
+	// tab maps every key some template was enrolled under since the
+	// last merge to its entry in slots.
+	tab   keyTable
+	slots []slot
+	base  *segment
+	delta delta
+	// loc maps a template ID to its ref: a base ref, or a delta ref
+	// tagged with deltaRef.
+	loc map[string]uint32
+	// postings counts live (key, template) pairs, distinct the keys
+	// with at least one.
+	postings, distinct int
+	// churn counts postings written to the delta or tombstoned in the
+	// base since the last merge.
+	churn int
+}
+
+// delta holds the templates added since the last merge; their postings
+// hang off the key slots. Refs are local to it and reusable at once:
+// votes read it only under Index.mu.
+type delta struct {
+	// ids maps a delta ref to its template ID ("" = free), keys to the
+	// template's key list; free lists reusable refs.
+	ids  []string
 	keys [][]uint64
-	// free lists reusable ref slots.
 	free []uint32
-	// postings counts live (key, template) pairs across all buckets.
-	postings int
 }
 
 // New returns an empty index with the given options (zero value for
 // defaults).
 func New(opt Options) *Index {
-	return &Index{
-		opt:     opt.withDefaults(),
-		buckets: make(map[uint64][]posting),
-		refs:    make(map[string]uint32),
+	if opt.Fanout <= 0 {
+		opt.Fanout = 64
 	}
+	return &Index{opt: opt, base: emptySegment, loc: make(map[string]uint32)}
+}
+
+// Build returns an index over the given templates (tpls[i] under
+// ids[i]), equal to Adding them to New(opt) one by one: keys are
+// extracted on all CPUs and the base segment is laid out once, with no
+// merges on the way.
+func Build(opt Options, ids []string, tpls []*minutiae.Template) (*Index, error) {
+	ix := New(opt)
+	for i, id := range ids {
+		if tpls[i] == nil {
+			return nil, fmt.Errorf("index: add %q: nil template", id)
+		}
+	}
+	keys := make([][]uint64, len(ids))
+	workers := min(runtime.GOMAXPROCS(0), len(ids))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(ids); i += workers {
+				keys[i] = Keys(tpls[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, id := range ids {
+		if err := ix.add(id, keys[i]); err != nil {
+			return nil, err
+		}
+	}
+	ix.merge()
+	return ix, nil
 }
 
 // Options returns the resolved option set the index runs with.
@@ -169,7 +160,19 @@ func (ix *Index) Options() Options { return ix.opt }
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.refs)
+	return len(ix.loc)
+}
+
+var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
+
+// Keys extracts the keys AddKeys enrolls tpl under. It depends on no
+// index, so callers that serialize their own writers run it before
+// taking their lock.
+func Keys(tpl *minutiae.Template) []uint64 {
+	ks := keyPool.Get().(*keyScratch)
+	keys := slices.Clone(ks.templateKeys(tpl.Minutiae))
+	keyPool.Put(ks)
+	return keys
 }
 
 // Add indexes a template under id. Templates with fewer than three
@@ -180,87 +183,185 @@ func (ix *Index) Add(id string, tpl *minutiae.Template) error {
 	if tpl == nil {
 		return fmt.Errorf("index: add %q: nil template", id)
 	}
-	tripletKeys := ix.opt.templateKeys(tpl.Minutiae)
+	return ix.AddKeys(id, Keys(tpl))
+}
+
+// AddKeys is Add with the key extraction already done: keys must come
+// from Keys, and the index keeps the slice.
+func (ix *Index) AddKeys(id string, keys []uint64) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, ok := ix.refs[id]; ok {
-		return fmt.Errorf("add %q: %w", id, ErrDuplicate)
+	if err := ix.add(id, keys); err != nil {
+		return err
 	}
-	var ref uint32
-	if n := len(ix.free); n > 0 {
-		ref = ix.free[n-1]
-		ix.free = ix.free[:n-1]
-		ix.ids[ref] = id
-		ix.keys[ref] = tripletKeys
-	} else {
-		ref = uint32(len(ix.ids))
-		ix.ids = append(ix.ids, id)
-		ix.keys = append(ix.keys, tripletKeys)
-	}
-	ix.refs[id] = ref
-	for _, key := range tripletKeys {
-		ix.insertPosting(key, ref)
-	}
+	ix.maybeMerge()
 	return nil
 }
 
-// insertPosting merges one (key, ref) occurrence into its bucket,
-// keeping the bucket sorted by ref.
-func (ix *Index) insertPosting(key uint64, ref uint32) {
-	bucket := ix.buckets[key]
-	i := sort.Search(len(bucket), func(i int) bool { return bucket[i].ref >= ref })
-	if i < len(bucket) && bucket[i].ref == ref {
-		bucket[i].count++
-		return
+// add enrolls id into the delta.
+func (ix *Index) add(id string, keys []uint64) error {
+	if _, ok := ix.loc[id]; ok {
+		return fmt.Errorf("add %q: %w", id, ErrDuplicate)
 	}
-	bucket = append(bucket, posting{})
-	copy(bucket[i+1:], bucket[i:])
-	bucket[i] = posting{ref: ref, count: 1}
-	ix.buckets[key] = bucket
-	ix.postings++
+	d := &ix.delta
+	var ref uint32
+	if n := len(d.free); n > 0 {
+		ref = d.free[n-1]
+		d.free = d.free[:n-1]
+		d.ids[ref], d.keys[ref] = id, keys
+	} else {
+		ref = uint32(len(d.ids))
+		d.ids = append(d.ids, id)
+		d.keys = append(d.keys, keys)
+	}
+	ix.loc[id] = ref | deltaRef
+	for _, key := range keys {
+		s, added := ix.tab.findOrAdd(key)
+		if added {
+			ix.slots = append(ix.slots, slot{})
+		}
+		sl := &ix.slots[s]
+		if sl.live == 0 {
+			ix.distinct++
+		}
+		sl.live++
+		sl.delta = append(sl.delta, ref)
+	}
+	ix.postings += len(keys)
+	ix.churn += len(keys)
+	return nil
 }
 
 // Remove drops a template from the index.
 func (ix *Index) Remove(id string) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ref, ok := ix.refs[id]
+	ref, ok := ix.loc[id]
 	if !ok {
 		return fmt.Errorf("remove %q: %w", id, ErrNotFound)
 	}
-	for _, key := range ix.keys[ref] {
-		bucket := ix.buckets[key]
-		i := sort.Search(len(bucket), func(i int) bool { return bucket[i].ref >= ref })
-		if i >= len(bucket) || bucket[i].ref != ref {
-			continue // defensive; every inserted key has a posting
+	delete(ix.loc, id)
+	if ref&deltaRef != 0 {
+		ref &^= deltaRef
+		d := &ix.delta
+		for _, key := range d.keys[ref] {
+			sl := ix.release(key)
+			i := slices.Index(sl.delta, ref)
+			sl.delta[i] = sl.delta[len(sl.delta)-1]
+			sl.delta = sl.delta[:len(sl.delta)-1]
 		}
-		if bucket[i].count--; bucket[i].count > 0 {
+		ix.postings -= len(d.keys[ref])
+		d.ids[ref], d.keys[ref] = "", nil
+		d.free = append(d.free, ref)
+		return nil
+	}
+	// A base template's postings stay until the next merge; it stops
+	// counting towards its keys' weights now.
+	base := ix.base
+	for _, key := range base.keys[ref] {
+		ix.release(key)
+	}
+	ix.postings -= len(base.keys[ref])
+	ix.churn += len(base.keys[ref])
+	base.keys[ref] = nil
+	base.removed++
+	base.gone[ref].Store(base.removed)
+	ix.maybeMerge()
+	return nil
+}
+
+// release records one template fewer holding key and returns the key's
+// slot.
+func (ix *Index) release(key uint64) *slot {
+	s, _ := ix.tab.find(key)
+	sl := &ix.slots[s]
+	if sl.live--; sl.live == 0 {
+		ix.distinct--
+	}
+	return sl
+}
+
+// maybeMerge merges once the postings written to the delta or
+// tombstoned in the base pass an eighth of the base's: merge cost is
+// linear in the base, so each posting is rewritten a bounded number of
+// times however large the index grows.
+func (ix *Index) maybeMerge() {
+	if ix.churn >= max(len(ix.base.refs)/8, mergeFloor) {
+		ix.merge()
+	}
+}
+
+// merge folds the delta and the base's tombstones into a new base:
+// templates are renumbered densely (base survivors in order, then the
+// delta's), each live key's bucket is the base's surviving refs
+// followed by the delta's, and keys nobody holds any more are dropped.
+func (ix *Index) merge() {
+	old, d := ix.base, &ix.delta
+	n := len(ix.loc)
+	seg := &segment{
+		refs: make([]uint32, ix.postings),
+		ids:  make([]string, 0, n),
+		keys: make([][]uint64, 0, n),
+		gone: make([]atomic.Uint32, n),
+	}
+	keep := func(id string, keys []uint64) uint32 {
+		ref := uint32(len(seg.ids))
+		ix.loc[id] = ref
+		seg.ids = append(seg.ids, id)
+		seg.keys = append(seg.keys, keys)
+		return ref
+	}
+	baseRemap := make([]uint32, len(old.ids))
+	for ref, id := range old.ids {
+		if old.gone[ref].Load() != 0 {
+			baseRemap[ref] = deadRef
+		} else {
+			baseRemap[ref] = keep(id, old.keys[ref])
+		}
+	}
+	deltaRemap := make([]uint32, len(d.ids))
+	for ref, id := range d.ids {
+		if id != "" {
+			deltaRemap[ref] = keep(id, d.keys[ref])
+		}
+	}
+
+	tab := newKeyTable(ix.distinct)
+	slots := make([]slot, 0, ix.distinct)
+	at := uint32(0)
+	for _, c := range ix.tab.cells {
+		if c.key == 0 {
 			continue
 		}
-		if len(bucket) == 1 {
-			delete(ix.buckets, key)
-		} else {
-			ix.buckets[key] = append(bucket[:i], bucket[i+1:]...)
+		sl := &ix.slots[c.slot]
+		if sl.live == 0 {
+			continue
 		}
-		ix.postings--
+		lo := at
+		for _, ref := range old.refs[sl.lo:sl.hi] {
+			if nr := baseRemap[ref]; nr != deadRef {
+				seg.refs[at] = nr
+				at++
+			}
+		}
+		for _, ref := range sl.delta {
+			seg.refs[at] = deltaRemap[ref]
+			at++
+		}
+		tab.findOrAdd(c.key - 1)
+		slots = append(slots, slot{lo: lo, hi: at, live: sl.live})
 	}
-	delete(ix.refs, id)
-	ix.ids[ref] = ""
-	ix.keys[ref] = nil
-	ix.free = append(ix.free, ref)
-	return nil
+	ix.tab, ix.slots, ix.base, ix.delta = tab, slots, seg, delta{}
+	ix.churn = 0
 }
 
 // Reset empties the index, keeping its options.
 func (ix *Index) Reset() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.buckets = make(map[uint64][]posting)
-	ix.ids = ix.ids[:0]
-	ix.keys = ix.keys[:0]
-	ix.free = ix.free[:0]
-	ix.refs = make(map[string]uint32)
-	ix.postings = 0
+	ix.tab, ix.slots, ix.base, ix.delta = keyTable{}, nil, emptySegment, delta{}
+	ix.loc = make(map[string]uint32)
+	ix.postings, ix.distinct, ix.churn = 0, 0, 0
 }
 
 // Candidate is one retrieved template.
@@ -271,30 +372,42 @@ type Candidate struct {
 	// bucket) hit contributes 1/bucketSize, so matching a rare triplet
 	// shape counts for far more than a generic one.
 	Score float64
-	// Hits is the raw number of bucket hits behind the score.
-	Hits int
 }
 
-// voteScratch recycles the dense per-lookup vote accumulators, which
-// are sized by the gallery, not the probe: without pooling a 50k-
-// template index allocates (and zeroes) ~600 KiB per identification.
-// The all-zero invariant is restored via the touched list before a
-// scratch returns to the pool.
+// span is one base bucket a vote streams, with the weight of its key.
+type span struct {
+	lo, hi uint32
+	w      float64
+}
+
+// voteScratch recycles what one lookup needs. The dense accumulators
+// are sized by the gallery, not the probe — without pooling a 50k-
+// template index allocates (and zeroes) ~400 KiB per identification —
+// and are all zero whenever the scratch sits in the pool.
 type voteScratch struct {
-	scores  []float64
-	hits    []int32
-	touched []uint32
-	keys    []uint64       // probe key scratch, reused across lookups
-	trip    tripletScratch // triplet enumeration scratch, reused likewise
+	keyScratch
+	spans  []span
+	scores []float64 // per base ref
+	delta  []float64 // per delta ref
 }
 
 var votePool = sync.Pool{New: func() any { return new(voteScratch) }}
 
+// zeroed returns buf resliced to n zeros, reallocating when it is too
+// short; buf must be all zero already.
+func zeroed(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
 // Candidates retrieves the shortlist for a probe: the fanout
 // highest-scoring templates (Options.Fanout when fanout <= 0), ordered
 // by descending score with deterministic ID tie-breaks. Safe for
-// concurrent use with other lookups; a nil or tiny probe returns no
-// candidates.
+// concurrent use with other lookups and with mutation: the shortlist is
+// the one the index held at one instant during the call. A nil or tiny
+// probe returns no candidates.
 func (ix *Index) Candidates(probe *minutiae.Template, fanout int) []Candidate {
 	if probe == nil {
 		return nil
@@ -315,52 +428,117 @@ func (ix *Index) CandidatesAppend(dst []Candidate, probe *minutiae.Template, fan
 	if probe == nil {
 		return dst
 	}
-	vs := votePool.Get().(*voteScratch)
-	vs.keys = ix.opt.appendProbeKeysScratch(vs.keys[:0], probe.Minutiae, &vs.trip)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if fanout <= 0 {
 		fanout = ix.opt.Fanout
 	}
-	// Dense accumulators keep the hot voting loop branch-free; the
-	// touched list bounds the collection pass by the number of
-	// templates actually hit, not the gallery size.
-	if cap(vs.scores) < len(ix.ids) {
-		vs.scores = make([]float64, len(ix.ids))
-		vs.hits = make([]int32, len(ix.ids))
-	}
-	scores := vs.scores[:cap(vs.scores)]
-	hits := vs.hits[:cap(vs.hits)]
-	touched := vs.touched[:0]
-	for _, key := range vs.keys {
-		bucket := ix.buckets[key]
-		if len(bucket) == 0 || len(bucket) > ix.opt.MaxBucket {
+	vs := votePool.Get().(*voteScratch)
+	keys := vs.extract(probe.Minutiae, true)
+	spans := vs.spans[:0]
+	start := len(dst)
+
+	// Under the read lock: fix every probe key's weight from the live
+	// bucket sizes and score the delta. Weights, the delta's scores and
+	// the removal count all belong to this one instant, which is the
+	// state the shortlist reports.
+	ix.mu.RLock()
+	base, d := ix.base, &ix.delta
+	removed := base.removed
+	dscores := zeroed(vs.delta, len(d.ids))
+	for _, key := range keys {
+		s, ok := ix.tab.find(key)
+		if !ok {
 			continue
 		}
-		w := 1 / float64(len(bucket))
-		for _, p := range bucket {
-			if hits[p.ref] == 0 {
-				touched = append(touched, p.ref)
-			}
-			scores[p.ref] += w
-			hits[p.ref]++
+		sl := &ix.slots[s]
+		if sl.live == 0 || sl.live > maxBucket {
+			continue
+		}
+		w := 1 / float64(sl.live)
+		if sl.hi > sl.lo {
+			spans = append(spans, span{lo: sl.lo, hi: sl.hi, w: w})
+		}
+		for _, ref := range sl.delta {
+			dscores[ref] += w
 		}
 	}
-	start := len(dst)
-	for _, ref := range touched {
-		if int(hits[ref]) >= ix.opt.MinVotes {
-			dst = append(dst, Candidate{ID: ix.ids[ref], Score: scores[ref], Hits: int(hits[ref])})
+	for ref, score := range dscores {
+		if score > 0 {
+			dscores[ref] = 0
+			dst = keepBest(dst, start, fanout, d.ids[ref], score)
+		}
+	}
+	ix.mu.RUnlock()
+	vs.delta = dscores
+
+	// No lock: the base's postings never change. Each ref's additions
+	// happen in probe-key order, so its sum does not depend on how the
+	// buckets are laid out or on which segment holds the template.
+	scores := zeroed(vs.scores, len(base.ids))
+	for _, sp := range spans {
+		w := sp.w
+		for _, ref := range base.refs[sp.lo:sp.hi] {
+			scores[ref] += w
+		}
+	}
+	for ref, score := range scores {
+		if score == 0 {
+			continue
 		}
 		scores[ref] = 0
-		hits[ref] = 0
+		// Templates removed before the weights were taken are dead;
+		// one removed since still counts, as its postings did.
+		if g := base.gone[ref].Load(); g != 0 && g <= removed {
+			continue
+		}
+		dst = keepBest(dst, start, fanout, base.ids[ref], score)
 	}
-	vs.touched = touched[:0]
+	vs.spans, vs.scores = spans[:0], scores
 	votePool.Put(vs)
-	out := dst[start:]
-	slices.SortFunc(out, compareCandidates)
-	if len(out) > fanout {
-		dst = dst[:start+fanout]
+	slices.SortFunc(dst[start:], compareCandidates)
+	return dst
+}
+
+// keepBest offers (id, score) to the bounded selection held in
+// dst[start:]: a heap of at most fanout candidates with the worst at
+// its root, so the fanout best survive without sorting everything hit.
+//
+//fpvet:hotpath
+func keepBest(dst []Candidate, start, fanout int, id string, score float64) []Candidate {
+	heap := dst[start:]
+	c := Candidate{ID: id, Score: score}
+	if len(heap) < fanout {
+		dst = append(dst, c)
+		heap = dst[start:]
+		i := len(heap) - 1
+		for i > 0 {
+			parent := (i - 1) / 2
+			if compareCandidates(heap[i], heap[parent]) <= 0 {
+				break
+			}
+			heap[i], heap[parent] = heap[parent], heap[i]
+			i = parent
+		}
+		return dst
 	}
+	if score < heap[0].Score || compareCandidates(c, heap[0]) >= 0 {
+		return dst
+	}
+	i := 0
+	for {
+		worst := 2*i + 1
+		if worst >= len(heap) {
+			break
+		}
+		if r := worst + 1; r < len(heap) && compareCandidates(heap[r], heap[worst]) > 0 {
+			worst = r
+		}
+		if compareCandidates(heap[worst], c) <= 0 {
+			break
+		}
+		heap[i] = heap[worst]
+		i = worst
+	}
+	heap[i] = c
 	return dst
 }
 
@@ -399,295 +577,8 @@ func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return Stats{
-		Templates:    len(ix.refs),
-		DistinctKeys: len(ix.buckets),
+		Templates:    len(ix.loc),
+		DistinctKeys: ix.distinct,
 		Postings:     ix.postings,
 	}
-}
-
-// --- Triplet extraction and quantization -------------------------------
-
-// triplet holds the canonical invariant features of one minutia
-// triangle: side lengths in descending order and, per canonical vertex,
-// the angle between the ridge direction and the direction to the
-// triangle centroid.
-type triplet struct {
-	sides [3]float64
-	betas [3]float64
-}
-
-// features computes the canonical triplet features, rejecting
-// degenerate or over-spread triangles. Vertices are ordered by the
-// length of their opposite side (descending), which is invariant to
-// rotation, translation, and input order.
-// vertexBefore reports whether vertex x sorts before vertex y under
-// the canonical triplet order: descending opposite side, ascending
-// vertex index on ties.
-//
-//fpvet:hotpath
-func vertexBefore(opp [3]float64, x, y int) bool {
-	if opp[x] != opp[y] {
-		return opp[x] > opp[y]
-	}
-	return x < y
-}
-
-func (o Options) features(a, b, c minutiae.Minutia) (triplet, bool) {
-	dab := a.Dist(b)
-	dac := a.Dist(c)
-	dbc := b.Dist(c)
-	// opp[i] is the side opposite vertex i of (a, b, c).
-	v := [3]minutiae.Minutia{a, b, c}
-	opp := [3]float64{dbc, dac, dab}
-	// Descending opposite side with index tie-breaks, via a fixed
-	// three-element sorting network: sort.Slice here would put its
-	// reflect machinery on the heap once per enumerated triplet.
-	order := [3]int{0, 1, 2}
-	if vertexBefore(opp, order[1], order[0]) {
-		order[0], order[1] = order[1], order[0]
-	}
-	if vertexBefore(opp, order[2], order[1]) {
-		order[1], order[2] = order[2], order[1]
-		if vertexBefore(opp, order[1], order[0]) {
-			order[0], order[1] = order[1], order[0]
-		}
-	}
-	var t triplet
-	for i, vi := range order {
-		t.sides[i] = opp[vi]
-	}
-	if t.sides[2] < o.MinSide || t.sides[0] > o.MaxSide {
-		return triplet{}, false
-	}
-	cx := (a.X + b.X + c.X) / 3
-	cy := (a.Y + b.Y + c.Y) / 3
-	for i, vi := range order {
-		m := v[vi]
-		dir := math.Atan2(cy-m.Y, cx-m.X)
-		t.betas[i] = minutiae.NormalizeAngle(m.Angle - dir)
-	}
-	return t, true
-}
-
-// packKey packs six quantized features into one uint64: three 8-bit
-// side bins and three 6-bit angle bins.
-func packKey(qs [3]int, qb [3]int) uint64 {
-	return uint64(qs[0])<<34 | uint64(qs[1])<<26 | uint64(qs[2])<<18 |
-		uint64(qb[0])<<12 | uint64(qb[1])<<6 | uint64(qb[2])
-}
-
-// key quantizes a triplet to its primary hash key.
-func (o Options) key(t triplet) uint64 {
-	var qs, qb [3]int
-	angleStep := 2 * math.Pi / float64(o.AngleBins)
-	for i := 0; i < 3; i++ {
-		qs[i] = clampInt(int(t.sides[i]/o.SideBin), 0, 255)
-		qb[i] = clampInt(int(t.betas[i]/angleStep), 0, o.AngleBins-1)
-	}
-	return packKey(qs, qb)
-}
-
-// probeKeysFor expands one probe triplet into its multi-probed key set:
-// each feature near a bin boundary (within BoundaryMargin of it) also
-// tries the neighbouring bin, so quantization noise between enrollment
-// and probe does not silently drop the vote. At most 2⁶ keys; typically
-// a handful.
-func (o Options) probeKeysFor(t triplet, dst []uint64) []uint64 {
-	var sideOpts, angleOpts [3][2]int
-	var sideN, angleN [3]int
-	angleStep := 2 * math.Pi / float64(o.AngleBins)
-	for i := 0; i < 3; i++ {
-		sideN[i] = binOptions(t.sides[i], o.SideBin, o.BoundaryMargin, &sideOpts[i])
-		for j := 0; j < sideN[i]; j++ {
-			sideOpts[i][j] = clampInt(sideOpts[i][j], 0, 255)
-		}
-		angleN[i] = binOptions(t.betas[i], angleStep, o.BoundaryMargin, &angleOpts[i])
-		for j := 0; j < angleN[i]; j++ {
-			// Angle bins wrap around.
-			angleOpts[i][j] = (angleOpts[i][j] + o.AngleBins) % o.AngleBins
-		}
-	}
-	for a := 0; a < sideN[0]; a++ {
-		for b := 0; b < sideN[1]; b++ {
-			for c := 0; c < sideN[2]; c++ {
-				qs := [3]int{sideOpts[0][a], sideOpts[1][b], sideOpts[2][c]}
-				for d := 0; d < angleN[0]; d++ {
-					for e := 0; e < angleN[1]; e++ {
-						for f := 0; f < angleN[2]; f++ {
-							dst = append(dst, packKey(qs,
-								[3]int{angleOpts[0][d], angleOpts[1][e], angleOpts[2][f]}))
-						}
-					}
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// binOptions quantizes v by step and, when the value sits within
-// margin·step of a bin boundary, adds the neighbouring bin. It returns
-// the number of options written (1 or 2); options may be negative
-// (callers clamp or wrap).
-func binOptions(v, step, margin float64, out *[2]int) int {
-	scaled := v / step
-	bin := int(math.Floor(scaled))
-	out[0] = bin
-	frac := scaled - math.Floor(scaled)
-	switch {
-	case frac < margin:
-		out[1] = bin - 1
-		return 2
-	case frac > 1-margin:
-		out[1] = bin + 1
-		return 2
-	default:
-		return 1
-	}
-}
-
-// triplets enumerates the template's local triplets in deterministic
-// order: each minutia combined with pairs of its NeighborK nearest
-// neighbours, deduplicated, capped at MaxTriplets.
-// tripletScratch holds the buffers one triplet enumeration needs, so
-// hot probe paths can reuse them across calls instead of reallocating
-// the neighbor table and the dedup set per probe.
-type tripletScratch struct {
-	neigh []tripletNeighbor
-	seen  map[uint64]struct{}
-}
-
-// tripletNeighbor is one candidate neighbor in the K-nearest scan.
-type tripletNeighbor struct {
-	d   float64
-	idx int
-}
-
-// compareNeighbors orders by ascending distance with index tie-breaks.
-//
-//fpvet:hotpath
-func compareNeighbors(a, b tripletNeighbor) int {
-	if a.d != b.d {
-		if a.d < b.d {
-			return -1
-		}
-		return 1
-	}
-	return a.idx - b.idx
-}
-
-func (o Options) triplets(ms []minutiae.Minutia, ts *tripletScratch, visit func(a, b, c minutiae.Minutia) bool) {
-	o = o.withDefaults()
-	n := len(ms)
-	if n < 3 {
-		return
-	}
-	k := o.NeighborK
-	if ts == nil {
-		ts = &tripletScratch{}
-	}
-	neigh := ts.neigh[:0]
-	if ts.seen == nil {
-		ts.seen = make(map[uint64]struct{}, n*k*(k-1)/2)
-	} else {
-		clear(ts.seen)
-	}
-	seen := ts.seen
-	emitted := 0
-	for i := 0; i < n && emitted < o.MaxTriplets; i++ {
-		neigh = neigh[:0]
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			dx := ms[i].X - ms[j].X
-			dy := ms[i].Y - ms[j].Y
-			neigh = append(neigh, tripletNeighbor{d: dx*dx + dy*dy, idx: j})
-		}
-		slices.SortFunc(neigh, compareNeighbors)
-		kk := k
-		if kk > len(neigh) {
-			kk = len(neigh)
-		}
-		for x := 0; x < kk && emitted < o.MaxTriplets; x++ {
-			for y := x + 1; y < kk && emitted < o.MaxTriplets; y++ {
-				a, b, c := i, neigh[x].idx, neigh[y].idx
-				// Canonical sorted indices for deduplication.
-				if a > b {
-					a, b = b, a
-				}
-				if b > c {
-					b, c = c, b
-				}
-				if a > b {
-					a, b = b, a
-				}
-				id := uint64(a)<<32 | uint64(b)<<16 | uint64(c)
-				if _, dup := seen[id]; dup {
-					continue
-				}
-				seen[id] = struct{}{}
-				if visit(ms[a], ms[b], ms[c]) {
-					emitted++
-				}
-			}
-		}
-	}
-	ts.neigh = neigh
-}
-
-// templateKeys computes the primary keys a template is indexed under.
-func (o Options) templateKeys(ms []minutiae.Minutia) []uint64 {
-	o = o.withDefaults()
-	keys := make([]uint64, 0, o.MaxTriplets)
-	o.triplets(ms, nil, func(a, b, c minutiae.Minutia) bool {
-		t, ok := o.features(a, b, c)
-		if !ok {
-			return false
-		}
-		keys = append(keys, o.key(t))
-		return true
-	})
-	return keys
-}
-
-// probeKeys computes the multi-probed key set a probe votes with.
-func (o Options) probeKeys(ms []minutiae.Minutia) []uint64 {
-	return o.appendProbeKeys(nil, ms)
-}
-
-// appendProbeKeys appends the probe's lookup keys to dst, reusing its
-// capacity; CandidatesAppend feeds it the pooled key scratch so the
-// enumeration stays off the heap in the steady state.
-func (o Options) appendProbeKeys(dst []uint64, ms []minutiae.Minutia) []uint64 {
-	return o.appendProbeKeysScratch(dst, ms, nil)
-}
-
-// appendProbeKeysScratch is appendProbeKeys reusing a caller-owned
-// triplet enumeration scratch, so pooled lookup paths stay
-// allocation-free.
-func (o Options) appendProbeKeysScratch(dst []uint64, ms []minutiae.Minutia, ts *tripletScratch) []uint64 {
-	o = o.withDefaults()
-	if dst == nil {
-		dst = make([]uint64, 0, 4*o.MaxTriplets)
-	}
-	o.triplets(ms, ts, func(a, b, c minutiae.Minutia) bool {
-		t, ok := o.features(a, b, c)
-		if !ok {
-			return false
-		}
-		dst = o.probeKeysFor(t, dst)
-		return true
-	})
-	return dst
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

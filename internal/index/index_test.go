@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"fpinterop/internal/minutiae"
@@ -12,8 +11,8 @@ import (
 	"fpinterop/internal/sensor"
 )
 
-// captureGallery builds n gallery impressions on deviceID (sample 0).
-func captureGallery(t testing.TB, cohort *population.Cohort, deviceID string) []*minutiae.Template {
+// captureSample captures one impression per cohort subject on deviceID.
+func captureSample(t testing.TB, cohort *population.Cohort, deviceID string, sample int) []*minutiae.Template {
 	t.Helper()
 	dev, ok := sensor.ProfileByID(deviceID)
 	if !ok {
@@ -21,13 +20,19 @@ func captureGallery(t testing.TB, cohort *population.Cohort, deviceID string) []
 	}
 	out := make([]*minutiae.Template, len(cohort.Subjects))
 	for i, s := range cohort.Subjects {
-		imp, err := dev.CaptureSubject(s, 0, sensor.CaptureOptions{})
+		imp, err := dev.CaptureSubject(s, sample, sensor.CaptureOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[i] = imp.Template
 	}
 	return out
+}
+
+// captureGallery builds the gallery impressions (sample 0) on deviceID.
+func captureGallery(t testing.TB, cohort *population.Cohort, deviceID string) []*minutiae.Template {
+	t.Helper()
+	return captureSample(t, cohort, deviceID, 0)
 }
 
 func subjectID(i int) string { return fmt.Sprintf("subject-%04d", i) }
@@ -52,12 +57,11 @@ func TestTripletFeaturesRigidInvariance(t *testing.T) {
 		t.Fatalf("capture produced only %d minutiae", tpl.Count())
 	}
 	moved := transformTemplate(tpl, 0.7, 31.5, -12.25)
-	opt := Options{}.withDefaults()
 	ms, mt := tpl.Minutiae, moved.Minutiae
 	checked := 0
 	for i := 0; i+2 < len(ms) && checked < 50; i += 3 {
-		f1, ok1 := opt.features(ms[i], ms[i+1], ms[i+2])
-		f2, ok2 := opt.features(mt[i], mt[i+1], mt[i+2])
+		f1, ok1 := features(ms[i], ms[i+1], ms[i+2])
+		f2, ok2 := features(mt[i], mt[i+1], mt[i+2])
 		if ok1 != ok2 {
 			t.Fatalf("triplet %d validity changed under rigid motion", i)
 		}
@@ -84,16 +88,15 @@ func TestTripletFeaturesRigidInvariance(t *testing.T) {
 }
 
 func TestFeaturesInputOrderInvariance(t *testing.T) {
-	opt := Options{}.withDefaults()
 	a := minutiae.Minutia{X: 10, Y: 20, Angle: 1, Kind: minutiae.Ending}
 	b := minutiae.Minutia{X: 60, Y: 25, Angle: 2, Kind: minutiae.Ending}
 	c := minutiae.Minutia{X: 30, Y: 70, Angle: 3, Kind: minutiae.Ending}
-	ref, ok := opt.features(a, b, c)
+	ref, ok := features(a, b, c)
 	if !ok {
 		t.Fatal("reference triplet rejected")
 	}
 	for _, perm := range [][3]minutiae.Minutia{{a, c, b}, {b, a, c}, {b, c, a}, {c, a, b}, {c, b, a}} {
-		f, ok := opt.features(perm[0], perm[1], perm[2])
+		f, ok := features(perm[0], perm[1], perm[2])
 		if !ok {
 			t.Fatal("permuted triplet rejected")
 		}
@@ -104,15 +107,14 @@ func TestFeaturesInputOrderInvariance(t *testing.T) {
 }
 
 func TestFeaturesRejectDegenerate(t *testing.T) {
-	opt := Options{}.withDefaults()
 	a := minutiae.Minutia{X: 10, Y: 10, Angle: 1}
 	near := minutiae.Minutia{X: 11, Y: 10, Angle: 1} // 1px away: under MinSide
 	far := minutiae.Minutia{X: 500, Y: 500, Angle: 1}
 	ok1 := false
-	if _, ok1 = opt.features(a, near, minutiae.Minutia{X: 60, Y: 60, Angle: 2}); ok1 {
+	if _, ok1 = features(a, near, minutiae.Minutia{X: 60, Y: 60, Angle: 2}); ok1 {
 		t.Fatal("near-degenerate triangle accepted")
 	}
-	if _, ok := opt.features(a, far, minutiae.Minutia{X: 60, Y: 60, Angle: 2}); ok {
+	if _, ok := features(a, far, minutiae.Minutia{X: 60, Y: 60, Angle: 2}); ok {
 		t.Fatal("over-spread triangle accepted")
 	}
 }
@@ -161,7 +163,7 @@ func TestAddRemoveLifecycle(t *testing.T) {
 }
 
 func TestRemoveRestoresBuckets(t *testing.T) {
-	cohort := population.NewCohort(rng.New(13), population.CohortOptions{Size: 4})
+	cohort := population.NewCohort(rng.New(13), population.CohortOptions{Size: 40})
 	tpls := captureGallery(t, cohort, "D0")
 	ix := New(Options{})
 	for i := 0; i < 3; i++ {
@@ -170,11 +172,21 @@ func TestRemoveRestoresBuckets(t *testing.T) {
 		}
 	}
 	before := ix.Stats()
-	if err := ix.Add(subjectID(3), tpls[3]); err != nil {
-		t.Fatal(err)
+	// Enough templates to fold the first three into a base segment, so
+	// the removals below hit delta postings and base tombstones alike.
+	base := ix.base
+	for i := 3; i < len(tpls); i++ {
+		if err := ix.Add(subjectID(i), tpls[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := ix.Remove(subjectID(3)); err != nil {
-		t.Fatal(err)
+	if ix.base == base {
+		t.Fatal("no merge happened; the test no longer covers the base segment")
+	}
+	for i := 3; i < len(tpls); i++ {
+		if err := ix.Remove(subjectID(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	after := ix.Stats()
 	if before != after {
@@ -299,58 +311,6 @@ func TestShortlistRecallSyntheticPopulation(t *testing.T) {
 		if recall < min {
 			t.Fatalf("%s shortlist recall %.3f below %.2f", probeDev, recall, min)
 		}
-	}
-}
-
-func TestConcurrentLookupsAndMutation(t *testing.T) {
-	cohort := population.NewCohort(rng.New(18), population.CohortOptions{Size: 24})
-	tpls := captureGallery(t, cohort, "D0")
-	ix := New(Options{})
-	for i := 0; i < 12; i++ {
-		if err := ix.Add(subjectID(i), tpls[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for rep := 0; rep < 20; rep++ {
-				ix.Candidates(tpls[(w+rep)%12], 8)
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 12; i < 24; i++ {
-			if err := ix.Add(subjectID(i), tpls[i]); err != nil {
-				panic(err)
-			}
-		}
-		for i := 12; i < 24; i++ {
-			if err := ix.Remove(subjectID(i)); err != nil {
-				panic(err)
-			}
-		}
-	}()
-	wg.Wait()
-	if ix.Len() != 12 {
-		t.Fatalf("Len after churn = %d", ix.Len())
-	}
-}
-
-func TestOptionsDefaultsClamped(t *testing.T) {
-	o := Options{AngleBins: 1000, SideBin: 1, MaxSide: 1e6}.withDefaults()
-	if o.AngleBins > 64 {
-		t.Fatalf("AngleBins %d exceeds packed field", o.AngleBins)
-	}
-	if o.MaxSide > 255*o.SideBin {
-		t.Fatalf("MaxSide %v exceeds packed side bins", o.MaxSide)
-	}
-	if New(Options{}).Options().Fanout == 0 {
-		t.Fatal("defaults not resolved at construction")
 	}
 }
 

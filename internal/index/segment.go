@@ -1,0 +1,136 @@
+package index
+
+import (
+	"math/bits"
+	"sync/atomic"
+)
+
+// keyTable is an open-addressing map from a uint64 key to a dense slot
+// number, handed out in insertion order. It is kept at most half full
+// and never deletes a single key: the index's table is rebuilt at every
+// merge, and key extraction resets its dedup set per template.
+type keyTable struct {
+	cells []keyCell
+	shift uint
+	n     int
+}
+
+type keyCell struct {
+	key  uint64 // key+1; 0 marks an empty cell
+	slot uint32
+}
+
+// newKeyTable returns a table that holds n keys without growing.
+func newKeyTable(n int) keyTable {
+	size := 64
+	for size < 2*n {
+		size <<= 1
+	}
+	return keyTable{cells: make([]keyCell, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+}
+
+// hashKey spreads a key over 64 bits (Fibonacci hashing); callers keep
+// the top bits.
+func hashKey(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 }
+
+// reset empties the table, keeping its capacity.
+func (t *keyTable) reset() {
+	clear(t.cells)
+	t.n = 0
+}
+
+// find returns the slot of key.
+//
+//fpvet:hotpath
+func (t *keyTable) find(key uint64) (uint32, bool) {
+	if len(t.cells) == 0 {
+		return 0, false
+	}
+	key++
+	mask := uint64(len(t.cells) - 1)
+	for i := hashKey(key) >> t.shift; ; i = (i + 1) & mask {
+		switch c := &t.cells[i]; c.key {
+		case key:
+			return c.slot, true
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// findOrAdd returns the slot of key, assigning the next free slot when
+// the key is new.
+func (t *keyTable) findOrAdd(key uint64) (slot uint32, added bool) {
+	if 2*(t.n+1) > len(t.cells) {
+		t.grow()
+	}
+	key++
+	mask := uint64(len(t.cells) - 1)
+	for i := hashKey(key) >> t.shift; ; i = (i + 1) & mask {
+		switch c := &t.cells[i]; c.key {
+		case key:
+			return c.slot, false
+		case 0:
+			c.key, c.slot = key, uint32(t.n)
+			t.n++
+			return c.slot, true
+		}
+	}
+}
+
+func (t *keyTable) grow() {
+	old := t.cells
+	*t = newKeyTable(2 * t.n)
+	t.n = 0
+	mask := uint64(len(t.cells) - 1)
+	for _, c := range old {
+		if c.key == 0 {
+			continue
+		}
+		i := hashKey(c.key) >> t.shift
+		for t.cells[i].key != 0 {
+			i = (i + 1) & mask
+		}
+		t.cells[i] = c
+		t.n++
+	}
+}
+
+// slot is what the index knows about one key.
+type slot struct {
+	// lo:hi bounds the key's bucket in the base segment's refs (empty
+	// for a key first seen since the last merge). The bucket may hold
+	// removed templates; live does not count them.
+	lo, hi uint32
+	// live counts the templates, base or delta, holding the key now:
+	// the bucket size a freshly built index would have.
+	live uint32
+	// delta lists the delta refs holding the key.
+	delta []uint32
+}
+
+// segment is the index's base: every posting of the templates merged so
+// far, as one flat array of template refs grouped by key. refs and ids
+// never change once the segment is published, so a vote streams them
+// holding no lock; keys and removed (guarded by Index.mu) and gone
+// (atomic) record the removals since.
+type segment struct {
+	refs []uint32
+	// ids maps a ref to its template ID. A removed template keeps its
+	// entry: a vote that began before the removal still reports it.
+	ids []string
+	// keys holds each live template's key list, so Remove can find its
+	// buckets.
+	keys [][]uint64
+	// gone[ref] is 0 while the template is live, else its 1-based
+	// position in this segment's removal order. A vote that saw
+	// removed == n when it took its weights treats refs with
+	// gone in [1, n] as dead and every other as live.
+	gone    []atomic.Uint32
+	removed uint32
+}
+
+var emptySegment = &segment{}
+
+// deadRef marks a removed template in a merge's ref remapping.
+const deadRef = ^uint32(0)

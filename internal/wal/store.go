@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -159,12 +160,12 @@ func Open(dir string, store *gallery.Store, opt Options) (*Store, error) {
 				entries = append(entries, e)
 			}
 		case OpRemove:
+			// Tombstone in place (a nil template) and compact once after
+			// replay: splicing here would renumber byID for every later
+			// entry, once per replayed removal.
 			if i, ok := byID[rec.ID]; ok {
-				entries = append(entries[:i], entries[i+1:]...)
+				entries[i].Template = nil
 				delete(byID, rec.ID)
-				for j := i; j < len(entries); j++ {
-					byID[entries[j].ID] = j
-				}
 			}
 		}
 		return nil
@@ -173,6 +174,7 @@ func Open(dir string, store *gallery.Store, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	entries = slices.DeleteFunc(entries, func(e gallery.Export) bool { return e.Template == nil })
 	if err := store.ReplaceAll(entries); err != nil {
 		log.Close()
 		return nil, err

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -326,6 +328,78 @@ func TestReplayIdempotentAndOrderPreserving(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// insertionOrder returns the store's IDs in insertion order: the order
+// SaveTo writes, snapshots keep, and exhaustive scans visit.
+func insertionOrder(t *testing.T, s *Store) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := gallery.ReadEntries(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		out[i] = e.ID
+	}
+	return out
+}
+
+// TestReplayRemovesKeepInsertionOrder pins the order recovery rebuilds
+// when the log removes entries from the head, the middle and the tail
+// of what the snapshot and the earlier records hold, and re-enrolls
+// some of them: survivors keep their relative order, and a re-enrolled
+// ID moves to the end, exactly as in the store that wrote the log.
+func TestReplayRemovesKeepInsertionOrder(t *testing.T) {
+	fx := fixtures(t, 8)
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	enroll := func(i int) {
+		t.Helper()
+		if err := s.Enroll(fx[i].ID, fx[i].DeviceID, fx[i].Template); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remove := func(i int) {
+		t.Helper()
+		if err := s.Remove(fx[i].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		enroll(i)
+	}
+	if err := s.Compact(); err != nil { // snapshot holds 0..5; the rest replays from the log
+		t.Fatal(err)
+	}
+	enroll(6)
+	enroll(7)
+	remove(0) // head
+	remove(3) // middle
+	remove(7) // tail
+	enroll(3) // back, at the end
+	remove(6) // the new middle
+	enroll(7)
+	remove(1) // the new head
+	want := []string{fx[2].ID, fx[4].ID, fx[5].ID, fx[3].ID, fx[7].ID}
+	if got := insertionOrder(t, s); !slices.Equal(got, want) {
+		t.Fatalf("live order = %v, want %v", got, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openStore(t, dir, Options{})
+	defer s2.Close()
+	if rs := s2.Recovery(); rs.SnapshotEntries != 6 || rs.Replayed != 9 {
+		t.Fatalf("recovery = %+v, want 6 snapshot entries and 9 replayed records", rs)
+	}
+	if got := insertionOrder(t, s2); !slices.Equal(got, want) {
+		t.Fatalf("recovered order = %v, want %v", got, want)
 	}
 }
 
