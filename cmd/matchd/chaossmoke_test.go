@@ -104,7 +104,7 @@ func TestChaosProxySmokeAgainstRealMatchd(t *testing.T) {
 			}
 		case 3:
 			var cands []gallery.Candidate
-			if cands, err = cli.Identify(ctx, probe, 3); err == nil && len(cands) == 0 {
+			if cands, _, err = cli.IdentifyEx(ctx, probe, 3); err == nil && len(cands) == 0 {
 				t.Fatalf("op %d: identify over a %d-subject gallery found nothing", i, preload)
 			}
 		}

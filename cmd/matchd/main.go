@@ -25,9 +25,8 @@
 // folds the log into a snapshot after every N mutations, bounding
 // replay work at the next startup; the log is also compacted on clean
 // shutdown. Each shard of a -local-shards deployment logs into its own
-// subdirectory of DIR. -wal-dir supersedes -store (continuous
-// durability versus a shutdown-time snapshot); the two are mutually
-// exclusive.
+// subdirectory of DIR. The WAL is the only persistence: without
+// -wal-dir the gallery lives in memory and is gone at exit.
 //
 // Sharding: -local-shards N partitions the gallery across N in-process
 // stores behind a consistent-hash router (each shard indexed when
@@ -35,7 +34,7 @@
 // over remote matchd shards, routing enrollments by subject ID and
 // fanning every identification out to all healthy shards. The two are
 // mutually exclusive; a remote front leaves indexing (-index) and
-// persistence (-store) to the shard processes that own the data.
+// durability (-wal-dir) to the shard processes that own the data.
 //
 // Replication: -replica-of ADDR runs this instance as a read replica of
 // a WAL-backed primary matchd at ADDR: it bootstraps from a snapshot
@@ -108,7 +107,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("matchd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
 	preload := fs.Int("preload", 0, "enroll N synthetic subjects at startup")
-	storePath := fs.String("store", "", "gallery file: loaded at startup if present, saved on shutdown")
 	seed := fs.Uint64("seed", 2013, "seed for preloaded subjects")
 	deviceID := fs.String("device", "D0", "device used for preloaded enrollments")
 	useIndex := fs.Bool("index", false, "serve identification from a minutia-triplet candidate index")
@@ -145,9 +143,6 @@ func run(args []string) error {
 	if *shardAddrs != "" && *useIndex {
 		return fmt.Errorf("-index belongs on the shard processes, not the -shards front")
 	}
-	if *shardAddrs != "" && *storePath != "" {
-		return fmt.Errorf("-store belongs on the shard processes, not the -shards front")
-	}
 	if *shardTimeout != 0 && *localShards == 0 && *shardAddrs == "" {
 		return fmt.Errorf("-shard-timeout requires -local-shards or -shards")
 	}
@@ -172,9 +167,6 @@ func run(args []string) error {
 	if *compactEvery > 0 && *walDir == "" {
 		return fmt.Errorf("-compact-every requires -wal-dir")
 	}
-	if *walDir != "" && *storePath != "" {
-		return fmt.Errorf("-wal-dir and -store are mutually exclusive persistence mechanisms")
-	}
 	if *walDir != "" && *shardAddrs != "" {
 		return fmt.Errorf("-wal-dir belongs on the shard processes, not the -shards front")
 	}
@@ -182,8 +174,8 @@ func run(args []string) error {
 		switch {
 		case *localShards > 0 || *shardAddrs != "":
 			return fmt.Errorf("-replica-of runs a single-store replica; it excludes -local-shards and -shards")
-		case *walDir != "" || *storePath != "":
-			return fmt.Errorf("-replica-of replicates the primary's state; it excludes -wal-dir and -store")
+		case *walDir != "":
+			return fmt.Errorf("-replica-of replicates the primary's state; it excludes -wal-dir")
 		case *preload > 0:
 			return fmt.Errorf("-replica-of refuses writes; it excludes -preload")
 		}
@@ -366,7 +358,7 @@ func run(args []string) error {
 				if err != nil {
 					return err
 				}
-				backends[i] = shard.NewDurableLocal(name, ws)
+				backends[i] = shard.NewLocal(name, ws)
 				continue
 			}
 			backends[i] = shard.NewLocal(name, st)
@@ -401,23 +393,6 @@ func run(args []string) error {
 		}
 	}
 
-	if *storePath != "" {
-		if f, err := os.Open(*storePath); err == nil {
-			var loadErr error
-			if router != nil {
-				loadErr = router.LoadFrom(f)
-			} else {
-				loadErr = store.LoadFrom(f)
-			}
-			f.Close()
-			if loadErr != nil {
-				return fmt.Errorf("load gallery %s: %w", *storePath, loadErr)
-			}
-			logger.Info("loaded gallery", "path", *storePath, "enrollments", backend.Len())
-		} else if !os.IsNotExist(err) {
-			return fmt.Errorf("open gallery %s: %w", *storePath, err)
-		}
-	}
 	if *preload > 0 {
 		dev, ok := sensor.ProfileByID(*deviceID)
 		if !ok {
@@ -593,20 +568,6 @@ func run(args []string) error {
 	}
 	if err := srv.Serve(ctx); err != nil {
 		return err
-	}
-	if *storePath != "" {
-		// Staged in a temp file and renamed into place, so a crash
-		// mid-save can never clobber the previous good snapshot.
-		var err error
-		if router != nil {
-			err = router.SaveFile(*storePath)
-		} else {
-			err = store.SaveFile(*storePath)
-		}
-		if err != nil {
-			return fmt.Errorf("save gallery %s: %w", *storePath, err)
-		}
-		logger.Info("saved gallery", "path", *storePath, "enrollments", backend.Len())
 	}
 	for _, ws := range walStores {
 		// A clean shutdown leaves only a snapshot behind, so the next

@@ -35,9 +35,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-shards", "127.0.0.1:1", "-index"}); err == nil {
 		t.Fatal("expected -index on a -shards front to be rejected")
 	}
-	if err := run([]string{"-shards", "127.0.0.1:1", "-store", "/tmp/x"}); err == nil {
-		t.Fatal("expected -store on a -shards front to be rejected")
-	}
 	if err := run([]string{"-shard-timeout", "5s"}); err == nil {
 		t.Fatal("expected -shard-timeout without sharding to be rejected")
 	}

@@ -138,7 +138,7 @@ func TestMetricsSurfaceServesPopulatedMetrics(t *testing.T) {
 		}
 	}
 	for _, probe := range probes {
-		if _, err := cli.Identify(ctx, probe, 3); err != nil {
+		if _, _, err := cli.IdentifyEx(ctx, probe, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,9 +165,9 @@ func TestMetricsSurfaceServesPopulatedMetrics(t *testing.T) {
 	// gallery search counters, WAL append+fsync detail.
 	for _, re := range []string{
 		`matchsvc_server_requests_total\{op="enroll"\} 12`,
-		`matchsvc_server_requests_total\{op="identify"\} 3`,
+		`matchsvc_server_requests_total\{op="identify_ex"\} 3`,
 		`matchsvc_server_latency_ns_count\{op="enroll"\} 12`,
-		`matchsvc_server_latency_ns_count\{op="identify"\} 3`,
+		`matchsvc_server_latency_ns_count\{op="identify_ex"\} 3`,
 		`matchsvc_server_connections [1-9]`,
 		`shard_degraded\{shard="shard-0"\} 0`,
 		`shard_degraded\{shard="shard-1"\} 0`,

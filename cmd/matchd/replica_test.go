@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -154,8 +155,7 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	waitHas(r2, ids[n-1])
 
 	// Writes are refused with a remote error; state is untouched.
-	if err := r1.Enroll(ctx, "intruder", dev.ID, tpls[0]); err == nil ||
-		!strings.Contains(err.Error(), "read-only replica") {
+	if err := r1.Enroll(ctx, "intruder", dev.ID, tpls[0]); !errors.Is(err, matchsvc.ErrReadOnly) {
 		t.Fatalf("replica accepted a write: %v", err)
 	}
 	if ok, _ := r1.Has(ctx, "intruder"); ok {
@@ -165,12 +165,12 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	// Identify on each replica is bit-identical to the primary's answer
 	// over the same recovered population.
 	for pi, probe := range probes {
-		want, err := pcli.Identify(ctx, probe, 3)
+		want, _, err := pcli.IdentifyEx(ctx, probe, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for ri, cli := range []*matchsvc.Client{r1, r2} {
-			got, err := cli.Identify(ctx, probe, 3)
+			got, _, err := cli.IdentifyEx(ctx, probe, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +213,7 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	pcmd.Process.Kill()
 	pcmd.Wait()
 	primaryUp = false
-	got, err := r2.Identify(ctx, probes[0], 1)
+	got, _, err := r2.IdentifyEx(ctx, probes[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,6 @@ func TestReplicaFlagValidation(t *testing.T) {
 		{"-replica-of", "127.0.0.1:1", "-local-shards", "2"},
 		{"-replica-of", "127.0.0.1:1", "-shards", "127.0.0.1:2"},
 		{"-replica-of", "127.0.0.1:1", "-wal-dir", "x"},
-		{"-replica-of", "127.0.0.1:1", "-store", "y"},
 		{"-replica-of", "127.0.0.1:1", "-preload", "5"},
 		{"-replica-sync-interval", "50ms"},
 		{"-replica-sync-interval", "-1s", "-replica-of", "127.0.0.1:1"},

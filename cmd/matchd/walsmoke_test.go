@@ -239,11 +239,11 @@ func TestKillNineRecoversAcknowledgedEnrollments(t *testing.T) {
 			recovered, len(acked))
 	}
 	for pi, probe := range probes {
-		got, err := cli2.Identify(ctx, probe, 1)
+		got, _, err := cli2.IdentifyEx(ctx, probe, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.Identify(probe, 1)
+		want, err := ref.IdentifyContext(ctx, probe, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,6 @@ func TestKillNineRecoversAcknowledgedEnrollments(t *testing.T) {
 func TestWALFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-compact-every", "8"},
-		{"-wal-dir", "x", "-store", "y"},
 		{"-wal-dir", "x", "-shards", "127.0.0.1:1"},
 		{"-compact-every", "-1", "-wal-dir", "x"},
 	}

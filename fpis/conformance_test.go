@@ -185,7 +185,7 @@ func golden(t *testing.T, gal []*Template, probe *Template, removed map[string]b
 			t.Fatal(err)
 		}
 	}
-	out, err := store.Identify(probe, 0)
+	out, err := store.IdentifyContext(context.Background(), probe, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

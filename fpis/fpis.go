@@ -55,8 +55,8 @@ type Candidate = gallery.Candidate
 type Enrollment = shard.Enrollment
 
 // Sentinel errors, matchable with errors.Is on every implementation —
-// remote backends map the server's reported failure onto the same
-// values.
+// the wire protocol's status byte carries them across any number of
+// hops.
 var (
 	// ErrNotFound reports an unknown enrollment ID.
 	ErrNotFound = gallery.ErrNotFound

@@ -5,16 +5,20 @@ import (
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/index"
+	"fpinterop/internal/shard"
 	"fpinterop/internal/wal"
 )
 
 // localService serves the facade from one in-process gallery store,
 // optionally made durable by a write-ahead log.
 type localService struct {
-	store *gallery.Store
-	// wal is non-nil when the service was built with WithWAL; every
-	// mutation then routes through it so acknowledgements imply
-	// durability. Reads go straight to the store either way.
+	// backend is the store behind the same adapter a local shard uses:
+	// the plain gallery, or — built with WithWAL — the WAL-backed store
+	// whose mutations are durable before they are acknowledged.
+	backend *shard.Local
+	store   *gallery.Store
+	// wal is the WAL-backed store when there is one; Close owns it and
+	// Stats reports its recovery and log state.
 	wal *wal.Store
 }
 
@@ -38,7 +42,7 @@ func newLocal(cfg config) (Service, error) {
 	if cfg.metrics != nil {
 		store.SetMetrics(cfg.metrics, "local")
 	}
-	svc := &localService{store: store}
+	svc := &localService{backend: shard.NewLocal("local", store), store: store}
 	if cfg.walDir != "" {
 		ws, err := wal.Open(cfg.walDir, store, wal.Options{
 			CompactEvery: cfg.compactEvery,
@@ -48,65 +52,34 @@ func newLocal(cfg config) (Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		svc.wal = ws
+		svc.backend, svc.wal = shard.NewLocal("local", ws), ws
 	}
 	return svc, nil
 }
 
 func (s *localService) Enroll(ctx context.Context, id, deviceID string, tpl *Template) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if s.wal != nil {
-		return s.wal.Enroll(id, deviceID, tpl)
-	}
-	return s.store.Enroll(id, deviceID, tpl)
+	return s.backend.Enroll(ctx, id, deviceID, tpl)
 }
 
 func (s *localService) EnrollBatch(ctx context.Context, items []Enrollment) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if s.wal != nil {
-		// The WAL's group commit makes the whole batch one fsync — and,
-		// unlike the plain path, atomic.
-		exports := make([]gallery.Export, len(items))
-		for i, it := range items {
-			exports[i] = gallery.Export{ID: it.ID, DeviceID: it.DeviceID, Template: it.Template}
-		}
-		return s.wal.EnrollBatch(exports)
-	}
-	for _, it := range items {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := s.store.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.backend.EnrollBatch(ctx, items)
 }
 
 func (s *localService) Remove(ctx context.Context, id string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if s.wal != nil {
-		return s.wal.Remove(id)
-	}
-	return s.store.Remove(id)
+	return s.backend.Remove(ctx, id)
 }
 
 func (s *localService) Verify(ctx context.Context, id string, probe *Template) (MatchResult, error) {
-	return s.store.VerifyContext(ctx, id, probe)
+	return s.backend.Verify(ctx, id, probe)
 }
 
 func (s *localService) Identify(ctx context.Context, probe *Template, k int) ([]Candidate, error) {
-	return s.store.IdentifyContext(ctx, probe, k)
+	out, _, err := s.IdentifyDetailed(ctx, probe, k)
+	return out, err
 }
 
 func (s *localService) IdentifyDetailed(ctx context.Context, probe *Template, k int) ([]Candidate, IdentifyStats, error) {
-	cands, st, err := s.store.IdentifyDetailedContext(ctx, probe, k)
+	cands, st, err := s.backend.IdentifyDetailed(ctx, probe, k)
 	if err != nil {
 		return nil, IdentifyStats{}, err
 	}

@@ -2,9 +2,6 @@ package fpis
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"strings"
 
 	"fpinterop/internal/matchsvc"
 )
@@ -57,49 +54,30 @@ func configureClient(cli *matchsvc.Client, cfg config) {
 	}
 }
 
-// remoteService serves the facade over one matchsvc connection.
+// remoteService serves the facade over one matchsvc connection. The
+// wire client already returns the facade's sentinels (the response
+// status byte names them), so errors pass through untouched.
 type remoteService struct {
 	cli *matchsvc.Client
 }
 
-// mapRemoteErr lifts server-reported failures onto the facade's
-// sentinel errors, so errors.Is(err, fpis.ErrNotFound) behaves
-// identically across local and remote implementations. The server
-// reports errors as strings; the gallery layer always wraps a sentinel
-// as the final error in the chain, so the sentinel text is the message
-// suffix — matched as such, because enrollment IDs (quoted mid-string)
-// could embed sentinel text and fool a substring match.
-func mapRemoteErr(err error) error {
-	if err == nil || !errors.Is(err, matchsvc.ErrRemote) {
-		return err
-	}
-	msg := err.Error()
-	switch {
-	case strings.HasSuffix(msg, ErrNotFound.Error()):
-		return fmt.Errorf("%w (%w)", ErrNotFound, err)
-	case strings.HasSuffix(msg, ErrDuplicate.Error()):
-		return fmt.Errorf("%w (%w)", ErrDuplicate, err)
-	}
-	return err
-}
-
 func (s *remoteService) Enroll(ctx context.Context, id, deviceID string, tpl *Template) error {
-	return mapRemoteErr(s.cli.Enroll(ctx, id, deviceID, tpl))
+	return s.cli.Enroll(ctx, id, deviceID, tpl)
 }
 
 func (s *remoteService) EnrollBatch(ctx context.Context, items []Enrollment) error {
 	_, err := s.cli.EnrollBatch(ctx, items)
-	return mapRemoteErr(err)
+	return err
 }
 
 func (s *remoteService) Remove(ctx context.Context, id string) error {
-	return mapRemoteErr(s.cli.Remove(ctx, id))
+	return s.cli.Remove(ctx, id)
 }
 
 func (s *remoteService) Verify(ctx context.Context, id string, probe *Template) (MatchResult, error) {
 	res, err := s.cli.Verify(ctx, id, probe)
 	if err != nil {
-		return MatchResult{}, mapRemoteErr(err)
+		return MatchResult{}, err
 	}
 	return MatchResult{Score: res.Score, Matched: res.Matched}, nil
 }
@@ -117,7 +95,7 @@ func (s *remoteService) IdentifyDetailed(ctx context.Context, probe *Template, k
 	}
 	cands, st, err := s.cli.IdentifyEx(ctx, probe, k)
 	if err != nil {
-		return nil, IdentifyStats{}, mapRemoteErr(err)
+		return nil, IdentifyStats{}, err
 	}
 	return cands, foldGalleryStats(st), nil
 }
@@ -125,16 +103,7 @@ func (s *remoteService) IdentifyDetailed(ctx context.Context, probe *Template, k
 func (s *remoteService) Stats(ctx context.Context) (Stats, error) {
 	st, err := s.cli.ServiceStats(ctx)
 	if err != nil {
-		if errors.Is(err, matchsvc.ErrRemote) {
-			// A server predating OpStats rejects the opcode; fall back to
-			// the enrollment count it does understand.
-			n, cerr := s.cli.Count(ctx)
-			if cerr != nil {
-				return Stats{}, mapRemoteErr(cerr)
-			}
-			return Stats{Enrollments: n, Shards: 1}, nil
-		}
-		return Stats{}, mapRemoteErr(err)
+		return Stats{}, err
 	}
 	out := Stats{
 		Enrollments:    st.Enrollments,

@@ -1,102 +1,92 @@
 package fpis
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"testing"
+	"time"
 
 	"fpinterop/internal/matchsvc"
+	"fpinterop/internal/shard"
 )
 
-// remoteErr builds the error shape a client-side RPC failure has: the
-// server-reported message wrapped in matchsvc.ErrRemote.
-func remoteErr(msg string) error {
-	return fmt.Errorf("%w: %s", matchsvc.ErrRemote, msg)
+// bootFront runs an in-process scatter-gather front (a matchsvc server
+// over a shard.Front) whose one shard is the matchd at leafAddr, and
+// returns the front's address and its router.
+func bootFront(t *testing.T, leafAddr string) (string, *shard.Router) {
+	t.Helper()
+	cli, err := matchsvc.DialContext(context.Background(), leafAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	router, err := shard.New([]shard.Backend{shard.NewRemote(leafAddr, cli)}, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := matchsvc.NewServer(shard.Front{Router: router}, nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(sctx) }()
+	t.Cleanup(func() {
+		cancel()
+		srv.Close()
+		<-done
+	})
+	return addr, router
 }
 
-// TestMapRemoteErr pins the suffix→sentinel translation against the
-// literal sentinel strings internal/gallery defines. The texts are
-// spelled out rather than derived from ErrNotFound.Error() on purpose:
-// if the gallery messages ever drift, this table breaks loudly instead
-// of the translation silently matching a new suffix.
-func TestMapRemoteErr(t *testing.T) {
+// TestSentinelsSurviveTwoHops: client → front server → shard server.
+// The status byte carries the sentinel across both hops, so errors.Is
+// answers the same as on a local service — including for enrollment IDs
+// that spell out a sentinel's message, which text matching could never
+// tell apart from the real thing.
+func TestSentinelsSurviveTwoHops(t *testing.T) {
+	gal, probes := confFixtures(t)
+	ctx := context.Background()
+	front, router := bootFront(t, bootMatchd(t, false))
+	svc, err := Dial(ctx, front, WithRequestTimeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	notFoundID := "x: " + ErrNotFound.Error()
+	duplicateID := "y: " + ErrDuplicate.Error()
+	for _, id := range []string{notFoundID, duplicateID} {
+		if err := svc.Enroll(ctx, id, "D0", gal[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name string
-		msg  string
-		want error // nil means the error passes through untranslated
+		do   func(id string) error
+		want error
 	}{
-		{
-			name: "bare not-found",
-			msg:  "gallery: enrollment not found",
-			want: ErrNotFound,
-		},
-		{
-			name: "wrapped not-found keeps the sentinel as suffix",
-			msg:  `verify "alice": gallery: enrollment not found`,
-			want: ErrNotFound,
-		},
-		{
-			name: "bare duplicate",
-			msg:  "gallery: enrollment ID already exists",
-			want: ErrDuplicate,
-		},
-		{
-			name: "wrapped duplicate",
-			msg:  `enroll "alice": gallery: enrollment ID already exists`,
-			want: ErrDuplicate,
-		},
-		{
-			name: "sentinel text embedded mid-string must not map",
-			msg:  `enroll "gallery: enrollment not found": invalid template`,
-			want: nil,
-		},
-		{
-			name: "duplicate text embedded mid-string must not map",
-			msg:  `remove "gallery: enrollment ID already exists" failed: busy`,
-			want: nil,
-		},
-		{
-			name: "unrelated server error passes through",
-			msg:  "matchsvc: malformed frame",
-			want: nil,
-		},
+		{"enroll again", func(id string) error { return svc.Enroll(ctx, id, "D0", gal[1]) }, ErrDuplicate},
+		{"batch with a duplicate", func(id string) error {
+			return svc.EnrollBatch(ctx, []Enrollment{{ID: "fresh-" + id, DeviceID: "D0", Template: gal[1]}, {ID: id, DeviceID: "D0", Template: gal[1]}})
+		}, ErrDuplicate},
+		{"verify unknown", func(id string) error { _, err := svc.Verify(ctx, "no-"+id, probes[0]); return err }, ErrNotFound},
+		{"remove unknown", func(id string) error { return svc.Remove(ctx, "no-"+id) }, ErrNotFound},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			in := remoteErr(tc.msg)
-			out := mapRemoteErr(in)
-			if tc.want != nil {
-				if !errors.Is(out, tc.want) {
-					t.Fatalf("mapRemoteErr(%q) = %v; want errors.Is(..., %v)", tc.msg, out, tc.want)
+		for _, id := range []string{notFoundID, duplicateID} {
+			err := tc.do(id)
+			for _, sentinel := range []error{ErrNotFound, ErrDuplicate} {
+				if got := errors.Is(err, sentinel); got != (sentinel == tc.want) {
+					t.Errorf("%s %q: errors.Is(%v, %v) = %v", tc.name, id, err, sentinel, got)
 				}
-				// The original remote diagnostic must survive translation.
-				if !errors.Is(out, matchsvc.ErrRemote) {
-					t.Fatalf("mapRemoteErr(%q) dropped the ErrRemote chain: %v", tc.msg, out)
-				}
-				return
 			}
-			if !errors.Is(out, in) && out != in {
-				t.Fatalf("mapRemoteErr(%q) = %v; want the input unchanged", tc.msg, out)
-			}
-			if errors.Is(out, ErrNotFound) || errors.Is(out, ErrDuplicate) {
-				t.Fatalf("mapRemoteErr(%q) = %v; must not map to a sentinel", tc.msg, out)
-			}
-		})
+		}
 	}
-}
-
-// TestMapRemoteErrPassthrough pins the guards around the translation:
-// nil stays nil, and errors outside the ErrRemote chain are returned
-// untouched even when their text ends in a sentinel message.
-func TestMapRemoteErrPassthrough(t *testing.T) {
-	if got := mapRemoteErr(nil); got != nil {
-		t.Fatalf("mapRemoteErr(nil) = %v; want nil", got)
-	}
-	local := errors.New("local: gallery: enrollment not found")
-	if got := mapRemoteErr(local); got != local {
-		t.Fatalf("mapRemoteErr(non-remote) = %v; want the input unchanged", got)
-	}
-	if errors.Is(mapRemoteErr(local), ErrNotFound) {
-		t.Fatal("non-remote error must not be lifted onto a sentinel")
+	// Eight refusals in a row are answers, not faults: the front still
+	// considers its one shard healthy.
+	if deg := router.Degraded(); len(deg) != 0 {
+		t.Fatalf("application refusals degraded shard(s) %v", deg)
 	}
 }

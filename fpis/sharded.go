@@ -75,7 +75,7 @@ func newLocalSharded(cfg config) (Service, error) {
 				return nil, fmt.Errorf("fpis: open WAL for shard %d: %w", i, err)
 			}
 			walStores = append(walStores, ws)
-			backends[i] = shard.NewDurableLocal(name, ws)
+			backends[i] = shard.NewLocal(name, ws)
 			continue
 		}
 		backends[i] = shard.NewLocal(name, store)
@@ -139,20 +139,19 @@ func newRemoteSharded(ctx context.Context, cfg config) (Service, error) {
 }
 
 func (s *shardedService) Enroll(ctx context.Context, id, deviceID string, tpl *Template) error {
-	return mapRemoteErr(s.router.Enroll(ctx, id, deviceID, tpl))
+	return s.router.Enroll(ctx, id, deviceID, tpl)
 }
 
 func (s *shardedService) EnrollBatch(ctx context.Context, items []Enrollment) error {
-	return mapRemoteErr(s.router.EnrollBatch(ctx, items))
+	return s.router.EnrollBatch(ctx, items)
 }
 
 func (s *shardedService) Remove(ctx context.Context, id string) error {
-	return mapRemoteErr(s.router.Remove(ctx, id))
+	return s.router.Remove(ctx, id)
 }
 
 func (s *shardedService) Verify(ctx context.Context, id string, probe *Template) (MatchResult, error) {
-	res, err := s.router.Verify(ctx, id, probe)
-	return res, mapRemoteErr(err)
+	return s.router.Verify(ctx, id, probe)
 }
 
 func (s *shardedService) Identify(ctx context.Context, probe *Template, k int) ([]Candidate, error) {
@@ -163,7 +162,7 @@ func (s *shardedService) Identify(ctx context.Context, probe *Template, k int) (
 func (s *shardedService) IdentifyDetailed(ctx context.Context, probe *Template, k int) ([]Candidate, IdentifyStats, error) {
 	cands, st, err := s.router.IdentifyDetailed(ctx, probe, k)
 	if err != nil {
-		return nil, IdentifyStats{}, mapRemoteErr(err)
+		return nil, IdentifyStats{}, err
 	}
 	return cands, foldShardStats(st), nil
 }

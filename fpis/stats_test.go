@@ -2,10 +2,6 @@ package fpis
 
 import (
 	"context"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -190,70 +186,5 @@ func TestStatsRemoteDefault(t *testing.T) {
 	}
 	if st.Enrollments != 4 || st.Shards != 1 || st.Indexed || st.WAL != nil {
 		t.Fatalf("default server stats = %+v", st)
-	}
-}
-
-// TestStatsRemoteLegacyFallback pins the compatibility path: against a
-// server that rejects OpStats as unknown (the pre-OpStats protocol),
-// Stats falls back to OpCount.
-func TestStatsRemoteLegacyFallback(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			var hdr [5]byte
-			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-				return
-			}
-			payload := make([]byte, binary.BigEndian.Uint32(hdr[:4]))
-			if _, err := io.ReadFull(conn, payload); err != nil {
-				return
-			}
-			var resp []byte
-			status := byte(matchsvc.StatusOK)
-			switch hdr[4] {
-			case matchsvc.OpCount:
-				resp = binary.BigEndian.AppendUint32(nil, 42)
-			default:
-				// The pre-OpStats server's answer to an opcode it does
-				// not know: a remote error string naming the opcode
-				// (this exact shape is also what tells a muxed client
-				// its hello was not understood, triggering the legacy
-				// downgrade this test exercises).
-				status = matchsvc.StatusError
-				msg := fmt.Sprintf("matchsvc: unknown opcode 0x%02x", hdr[4])
-				resp = binary.BigEndian.AppendUint16(nil, uint16(len(msg)))
-				resp = append(resp, msg...)
-			}
-			binary.BigEndian.PutUint32(hdr[:4], uint32(len(resp)))
-			hdr[4] = status
-			if _, err := conn.Write(hdr[:]); err != nil {
-				return
-			}
-			if _, err := conn.Write(resp); err != nil {
-				return
-			}
-		}
-	}()
-
-	svc, err := Dial(context.Background(), ln.Addr().String(), WithRequestTimeout(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	st, err := svc.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Enrollments != 42 || st.Shards != 1 || st.WAL != nil {
-		t.Fatalf("fallback stats = %+v, want 42 enrollments on 1 shard", st)
 	}
 }

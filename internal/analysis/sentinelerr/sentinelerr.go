@@ -8,12 +8,9 @@
 //     package-level error variable;
 //   - error text is not matched: no strings.Contains/HasPrefix/
 //     HasSuffix/EqualFold/Index over .Error() output, and no
-//     err.Error() == "..." comparisons;
-//   - the legitimate text-matching sites — the remote suffix→sentinel
-//     translations — stay centralized at the wire boundaries on the
-//     AllowIn list (fpis/remote.go for the facade, matchsvc/sync.go
-//     for the replica sync ops), so every other layer sees real
-//     sentinel identity.
+//     err.Error() == "..." comparisons — anywhere: the wire protocol's
+//     status byte carries sentinel identity, so no site needs to
+//     recover it from a message.
 package sentinelerr
 
 import (
@@ -24,10 +21,6 @@ import (
 
 	"fpinterop/internal/analysis"
 )
-
-// DefaultAllowIn are the file suffixes where error-text matching is
-// the designed translation mechanism.
-var DefaultAllowIn = []string{"fpis/remote.go", "internal/matchsvc/sync.go"}
 
 // textMatchers are the strings functions that constitute text matching
 // when fed .Error() output.
@@ -48,50 +41,29 @@ const DefaultSentinelModule = "fpinterop"
 
 // Analyzer is the sentinelerr checker.
 type Analyzer struct {
-	// AllowIn lists file-path suffixes exempt from the text-matching
-	// rules (the centralized suffix→sentinel site); empty means
-	// DefaultAllowIn. Identity (==) comparisons stay banned everywhere.
-	AllowIn []string
 	// SentinelModule is the module path whose package-level error
 	// variables are governed sentinels; empty means
 	// DefaultSentinelModule.
 	SentinelModule string
 }
 
-// New returns the checker with the repository's default exemptions.
+// New returns the checker scoped to this module's sentinels.
 func New() *Analyzer { return &Analyzer{} }
 
 func (a *Analyzer) Name() string { return "sentinelerr" }
-
-func (a *Analyzer) textMatchingAllowed(filename string) bool {
-	allow := a.AllowIn
-	if len(allow) == 0 {
-		allow = DefaultAllowIn
-	}
-	for _, suffix := range allow {
-		if strings.HasSuffix(filename, suffix) {
-			return true
-		}
-	}
-	return false
-}
 
 // Check implements analysis.Analyzer.
 func (a *Analyzer) Check(p *analysis.Pkg) []analysis.Finding {
 	var out []analysis.Finding
 	for _, file := range p.Files {
-		textExempt := a.textMatchingAllowed(p.Position(file.Pos()).Filename)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.BinaryExpr:
-				out = append(out, a.checkCompare(p, node, textExempt)...)
+				out = append(out, a.checkCompare(p, node)...)
 			case *ast.CallExpr:
-				if textExempt {
-					break
-				}
 				if name, bad := a.textMatchCall(p, node); bad {
 					out = append(out, analysis.Findingf(p, a, node.Pos(),
-						"matches error text with strings.%s; translate once at the wire boundary and compare with errors.Is", name))
+						"matches error text with strings.%s; carry a sentinel and compare with errors.Is", name))
 				}
 			}
 			return true
@@ -100,7 +72,7 @@ func (a *Analyzer) Check(p *analysis.Pkg) []analysis.Finding {
 	return out
 }
 
-func (a *Analyzer) checkCompare(p *analysis.Pkg, cmp *ast.BinaryExpr, textExempt bool) []analysis.Finding {
+func (a *Analyzer) checkCompare(p *analysis.Pkg, cmp *ast.BinaryExpr) []analysis.Finding {
 	if cmp.Op != token.EQL && cmp.Op != token.NEQ {
 		return nil
 	}
@@ -112,7 +84,7 @@ func (a *Analyzer) checkCompare(p *analysis.Pkg, cmp *ast.BinaryExpr, textExempt
 				"sentinel %s compared with %s; wrapped errors break identity — use errors.Is", obj.Name(), cmp.Op))
 			break
 		}
-		if !textExempt && isErrorTextCall(p.Info, side) {
+		if isErrorTextCall(p.Info, side) {
 			out = append(out, analysis.Findingf(p, a, cmp.Pos(),
 				"compares error text with %s; translate to a sentinel and use errors.Is", cmp.Op))
 			break

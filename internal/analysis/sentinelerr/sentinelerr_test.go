@@ -7,34 +7,13 @@ import (
 )
 
 // TestTestdataViolations proves the analyzer flags exactly the corpus's
-// marked lines, with translate.go on the AllowIn list standing in for
-// the fpis/remote.go translation site.
+// marked lines.
 func TestTestdataViolations(t *testing.T) {
-	a := &Analyzer{AllowIn: []string{"testdata/src/a/translate.go"}}
-	problems, err := analysis.RunTestdata("./internal/analysis/sentinelerr/testdata/src/a", a)
+	problems, err := analysis.RunTestdata("./internal/analysis/sentinelerr/testdata/src/a", New())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range problems {
 		t.Error(p)
-	}
-}
-
-// TestDefaultAllowInFlagsTestdata proves the exemption is the file
-// list, not the construct: with the default AllowIn (which does not
-// include translate.go), the translation site is flagged.
-func TestDefaultAllowInFlagsTestdata(t *testing.T) {
-	problems, err := analysis.RunTestdata("./internal/analysis/sentinelerr/testdata/src/a", New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, p := range problems {
-		if len(p) >= len("unexpected") && p[:len("unexpected")] == "unexpected" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("default AllowIn produced no finding for translate.go's text matching")
 	}
 }

@@ -141,6 +141,18 @@ func (s *Store) Enroll(id, deviceID string, tpl *minutiae.Template) error {
 	return nil
 }
 
+// EnrollBatch enrolls the items in order. Not atomic: on failure the
+// items before the failing one stay enrolled (a WAL-backed store's
+// EnrollBatch is the atomic, single-fsync version).
+func (s *Store) EnrollBatch(items []Export) error {
+	for _, it := range items {
+		if err := s.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Has reports whether id is enrolled. Sharded routers use it as the
 // duplicate guard on keys whose ownership is mid-migration, where the
 // authoritative copy may still live on the outgoing shard.
@@ -287,8 +299,8 @@ type IndexOptions struct {
 
 // EnableIndex attaches a minutia-triplet retrieval index, building it
 // from the current enrollments; subsequent Enroll/Remove calls keep it
-// incrementally up to date, and LoadFrom rebuilds it. While enabled,
-// Identify with k > 0 searches only the index shortlist unless the
+// incrementally up to date, and ReplaceAll rebuilds it. While enabled,
+// identification with k > 0 searches only the index shortlist unless the
 // recall guard trips.
 func (s *Store) EnableIndex(opt IndexOptions) error {
 	if opt.MinCandidates <= 0 {
@@ -354,31 +366,21 @@ type IdentifyStats struct {
 	Indexed bool
 }
 
-// Identify searches the probe against the gallery and returns the top-k
-// candidates by score (every negative or zero k requests the full
-// ranking), ordered by descending score with deterministic ID
+// IdentifyContext searches the probe against the gallery and returns
+// the top-k candidates by score (every negative or zero k requests the
+// full ranking), ordered by descending score with deterministic ID
 // tie-breaks. k larger than the gallery is clamped to the gallery size;
 // an empty store yields an empty (non-nil) candidate list. With an
 // index enabled and k > 0, only the retrieval shortlist is scored by
 // the full matcher; pass k <= 0 (or disable the index) for an
-// exhaustive ranking.
-//
-// Deprecated: use IdentifyContext so cancellation reaches the
-// exhaustive scan; this wrapper survives only for callers with no
-// context to thread (the matchsvc wire protocol carries no deadline).
-func (s *Store) Identify(probe *minutiae.Template, k int) ([]Candidate, error) {
-	out, _, err := s.IdentifyDetailed(probe, k)
-	return out, err
-}
-
-// IdentifyContext is Identify honoring ctx (see
-// IdentifyDetailedContext).
+// exhaustive ranking. Cancellation behaves as in
+// IdentifyDetailedContext.
 func (s *Store) IdentifyContext(ctx context.Context, probe *minutiae.Template, k int) ([]Candidate, error) {
 	out, _, err := s.IdentifyDetailedContext(ctx, probe, k)
 	return out, err
 }
 
-// IdentifyDetailed is Identify plus retrieval statistics.
+// IdentifyDetailed is IdentifyContext plus retrieval statistics.
 //
 // Deprecated: use IdentifyDetailedContext so cancellation reaches the
 // exhaustive scan; this wrapper survives only for callers with no
@@ -615,21 +617,12 @@ func (s *Store) matchAll(ctx context.Context, entries []*Entry, probe *minutiae.
 	return scores, nil
 }
 
-// Rank returns the 1-based rank at which trueID appears in a full
-// (exhaustive) identification of the probe, or 0 when it is not
-// enrolled.
-//
-// Deprecated: use RankContext so cancellation reaches the exhaustive
-// scan; this wrapper survives only for callers with no context to
-// thread.
-func (s *Store) Rank(probe *minutiae.Template, trueID string) (int, error) {
-	return s.RankContext(context.Background(), probe, trueID) //fpvet:allow ctxflow deprecated non-ctx wrapper is a genuine root
-}
-
-// RankContext is Rank honoring ctx. The rank is computed in one pass —
-// count the enrollments scoring strictly better, with the ID tie-break
-// — without sorting the candidate list; cancellation unblocks the scan
-// within one comparison's latency.
+// RankContext returns the 1-based rank at which trueID appears in a
+// full (exhaustive) identification of the probe, or 0 when it is not
+// enrolled. The rank is computed in one pass — count the enrollments
+// scoring strictly better, with the ID tie-break — without sorting the
+// candidate list; cancellation unblocks the scan within one
+// comparison's latency.
 func (s *Store) RankContext(ctx context.Context, probe *minutiae.Template, trueID string) (int, error) {
 	if probe == nil {
 		return 0, match.ErrNilTemplate
@@ -666,18 +659,9 @@ func (s *Store) RankContext(ctx context.Context, probe *minutiae.Template, trueI
 // probes whose true identity appeared at rank ≤ k.
 type CMC []float64
 
-// ComputeCMC runs identification for every (probe, trueID) pair and
-// accumulates the rank histogram up to maxRank.
-//
-// Deprecated: use ComputeCMCContext so a long study sweep can be
-// cancelled between probes; this wrapper survives only for callers
-// with no context to thread.
-func ComputeCMC(s *Store, probes []*minutiae.Template, trueIDs []string, maxRank int) (CMC, error) {
-	return ComputeCMCContext(context.Background(), s, probes, trueIDs, maxRank) //fpvet:allow ctxflow deprecated non-ctx wrapper is a genuine root
-}
-
-// ComputeCMCContext is ComputeCMC honoring ctx: the context is checked
-// on every probe, so cancellation stops a sweep within one
+// ComputeCMCContext runs identification for every (probe, trueID) pair
+// and accumulates the rank histogram up to maxRank. The context is
+// checked on every probe, so cancellation stops a sweep within one
 // identification's latency.
 func ComputeCMCContext(ctx context.Context, s *Store, probes []*minutiae.Template, trueIDs []string, maxRank int) (CMC, error) {
 	if len(probes) != len(trueIDs) {

@@ -124,7 +124,7 @@ func TestIdentifyFindsTrueIdentityAtRankOne(t *testing.T) {
 	s, probes, ids := enrolledStore(t, 8, "D0", "D0")
 	hits := 0
 	for i, p := range probes {
-		cands, err := s.Identify(p, 3)
+		cands, err := s.IdentifyContext(context.Background(), p, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestIdentifyFindsTrueIdentityAtRankOne(t *testing.T) {
 
 func TestIdentifyKZeroReturnsAll(t *testing.T) {
 	s, probes, _ := enrolledStore(t, 4, "D0", "D0")
-	cands, err := s.Identify(probes[0], 0)
+	cands, err := s.IdentifyContext(context.Background(), probes[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,21 +158,21 @@ func TestIdentifyKZeroReturnsAll(t *testing.T) {
 
 func TestIdentifyNilProbe(t *testing.T) {
 	s, _, _ := enrolledStore(t, 2, "D0", "D0")
-	if _, err := s.Identify(nil, 1); err == nil {
+	if _, err := s.IdentifyContext(context.Background(), nil, 1); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestRank(t *testing.T) {
 	s, probes, ids := enrolledStore(t, 6, "D0", "D0")
-	r, err := s.Rank(probes[2], ids[2])
+	r, err := s.RankContext(context.Background(), probes[2], ids[2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r < 1 || r > 6 {
 		t.Fatalf("rank %d out of range", r)
 	}
-	r, err = s.Rank(probes[2], "not-enrolled")
+	r, err = s.RankContext(context.Background(), probes[2], "not-enrolled")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRank(t *testing.T) {
 
 func TestCMCMonotoneAndCrossDeviceLower(t *testing.T) {
 	same, sameProbes, sameIDs := enrolledStore(t, 10, "D0", "D0")
-	cmcSame, err := ComputeCMC(same, sameProbes, sameIDs, 5)
+	cmcSame, err := ComputeCMCContext(context.Background(), same, sameProbes, sameIDs, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestCMCMonotoneAndCrossDeviceLower(t *testing.T) {
 	// Cross-device identification (probe from the ink cards) cannot beat
 	// same-device.
 	cross, crossProbes, crossIDs := enrolledStore(t, 10, "D0", "D4")
-	cmcCross, err := ComputeCMC(cross, crossProbes, crossIDs, 5)
+	cmcCross, err := ComputeCMCContext(context.Background(), cross, crossProbes, crossIDs, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +210,13 @@ func TestCMCMonotoneAndCrossDeviceLower(t *testing.T) {
 
 func TestComputeCMCErrors(t *testing.T) {
 	s, probes, ids := enrolledStore(t, 2, "D0", "D0")
-	if _, err := ComputeCMC(s, probes, ids[:1], 3); err == nil {
+	if _, err := ComputeCMCContext(context.Background(), s, probes, ids[:1], 3); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
-	if _, err := ComputeCMC(s, probes, ids, 0); err == nil {
+	if _, err := ComputeCMCContext(context.Background(), s, probes, ids, 0); err == nil {
 		t.Fatal("expected maxRank error")
 	}
-	if _, err := ComputeCMC(s, nil, nil, 3); err == nil {
+	if _, err := ComputeCMCContext(context.Background(), s, nil, nil, 3); err == nil {
 		t.Fatal("expected empty error")
 	}
 }
@@ -229,7 +229,7 @@ func TestStoreConcurrentUse(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if _, err := s.Identify(probes[w%len(probes)], 2); err != nil {
+				if _, err := s.IdentifyContext(context.Background(), probes[w%len(probes)], 2); err != nil {
 					panic(err)
 				}
 				if _, err := s.Verify(ids[w%len(ids)], probes[w%len(probes)]); err != nil {
@@ -281,12 +281,12 @@ func (m *errAfterMatcher) Match(g, p *minutiae.Template) (match.Result, error) {
 func TestIdentifyParallelMatchesSerial(t *testing.T) {
 	s, probes, _ := enrolledStore(t, 10, "D0", "D1")
 	s.SetParallelism(1)
-	serial, err := s.Identify(probes[3], 0)
+	serial, err := s.IdentifyContext(context.Background(), probes[3], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetParallelism(4)
-	parallel, err := s.Identify(probes[3], 0)
+	parallel, err := s.IdentifyContext(context.Background(), probes[3], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestIdentifyParallelErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Identify(probe.Template, 0); err == nil {
+	if _, err := s.IdentifyContext(context.Background(), probe.Template, 0); err == nil {
 		t.Fatal("matcher failure swallowed by parallel scan")
 	}
 }
@@ -341,7 +341,7 @@ func TestIdentifyConcurrentMutationRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if _, err := s.Identify(probes[(w+i)%len(probes)], 3); err != nil {
+				if _, err := s.IdentifyContext(context.Background(), probes[(w+i)%len(probes)], 3); err != nil {
 					panic(err)
 				}
 			}
@@ -374,7 +374,7 @@ func TestIdentifyConcurrentMutationRace(t *testing.T) {
 func TestRankMatchesIdentifyOrdering(t *testing.T) {
 	s, probes, ids := enrolledStore(t, 8, "D0", "D1")
 	for p := range probes {
-		cands, err := s.Identify(probes[p], 0)
+		cands, err := s.IdentifyContext(context.Background(), probes[p], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +386,7 @@ func TestRankMatchesIdentifyOrdering(t *testing.T) {
 					break
 				}
 			}
-			got, err := s.Rank(probes[p], trueID)
+			got, err := s.RankContext(context.Background(), probes[p], trueID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -395,10 +395,10 @@ func TestRankMatchesIdentifyOrdering(t *testing.T) {
 			}
 		}
 	}
-	if r, err := s.Rank(probes[0], "not-enrolled"); err != nil || r != 0 {
+	if r, err := s.RankContext(context.Background(), probes[0], "not-enrolled"); err != nil || r != 0 {
 		t.Fatalf("missing identity rank %d err %v", r, err)
 	}
-	if _, err := s.Rank(nil, ids[0]); err == nil {
+	if _, err := s.RankContext(context.Background(), nil, ids[0]); err == nil {
 		t.Fatal("nil probe accepted")
 	}
 }
@@ -407,7 +407,7 @@ func TestIndexedIdentifyAgreesOnTopCandidate(t *testing.T) {
 	s, probes, ids := enrolledStore(t, 30, "D0", "D0")
 	exhaustive := make([]Candidate, len(probes))
 	for i, p := range probes {
-		cands, err := s.Identify(p, 1)
+		cands, err := s.IdentifyContext(context.Background(), p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,7 +507,7 @@ func TestEnrollRemoveKeepIndexInSync(t *testing.T) {
 	if st, _ := s.IndexStats(); st.Templates != 12 {
 		t.Fatalf("index stats after re-enroll: %+v", st)
 	}
-	cands, err = s.Identify(probes[5], 1)
+	cands, err = s.IdentifyContext(context.Background(), probes[5], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestEnrollRemoveKeepIndexInSync(t *testing.T) {
 func TestIdentifyKEdgeCases(t *testing.T) {
 	s, probes, _ := enrolledStore(t, 4, "D0", "D0")
 	// k equal to the gallery size is a full ranking.
-	atLen, err := s.Identify(probes[0], 4)
+	atLen, err := s.IdentifyContext(context.Background(), probes[0], 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestIdentifyKEdgeCases(t *testing.T) {
 	}
 	// k beyond the gallery size clamps to a full ranking rather than
 	// erroring or padding.
-	beyond, err := s.Identify(probes[0], 1000)
+	beyond, err := s.IdentifyContext(context.Background(), probes[0], 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestIdentifyKEdgeCases(t *testing.T) {
 		}
 	}
 	// k=0 is the documented full-ranking path.
-	all, err := s.Identify(probes[0], 0)
+	all, err := s.IdentifyContext(context.Background(), probes[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 
-	"fpinterop/internal/atomicio"
 	"fpinterop/internal/index"
 	"fpinterop/internal/minutiae"
 )
 
-// Persistence container format:
+// Template-set encoding — the one serialized form of a gallery, which
+// the WAL snapshot (FPWS) embeds and replica bootstrap ships:
 //
 //	0   4  magic "FPGD"
 //	4   2  version (1)
@@ -88,19 +87,10 @@ func (s *Store) SaveTo(w io.Writer) error {
 	return nil
 }
 
-// SaveFile serializes the store to path crash-safely: the stream is
-// staged in a temporary file in the same directory and atomically
-// renamed into place, so a crash mid-snapshot can never leave a
-// truncated gallery on disk.
-func (s *Store) SaveFile(path string) error {
-	return atomicio.WriteFile(path, 0o644, s.SaveTo)
-}
-
 // ReadEntries decodes a serialized gallery stream (the SaveTo format)
-// into its entries without touching any store — the decode half of
-// LoadFrom, split out so WAL recovery can merge a snapshot with
-// replayed log records before building a store from the survivors in
-// one pass.
+// into its entries without touching any store, so WAL recovery can
+// merge a snapshot with replayed log records before building a store
+// from the survivors (ReplaceAll) in one pass.
 func ReadEntries(r io.Reader) ([]Export, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -160,19 +150,6 @@ func ReadEntries(r io.Reader) ([]Export, error) {
 		out = append(out, Export{ID: id, DeviceID: dev, Template: tpl})
 	}
 	return out, nil
-}
-
-// LoadFrom replaces the store's contents with the serialized gallery
-// read from r.
-func (s *Store) LoadFrom(r io.Reader) error {
-	entries, err := ReadEntries(r)
-	if err != nil {
-		return err
-	}
-	if err := s.ReplaceAll(entries); err != nil {
-		return fmt.Errorf("gallery: load: %w", err)
-	}
-	return nil
 }
 
 // ReplaceAll swaps the store's contents for the given entries in one
@@ -263,15 +240,4 @@ func (s *Store) ReplaceAll(entries []Export) error {
 	s.order = order
 	s.met.setEnrollments(len(s.entries))
 	return nil
-}
-
-// LoadFile loads a gallery snapshot from path (a file written by
-// SaveFile or SaveTo).
-func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("gallery: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return s.LoadFrom(f)
 }

@@ -2,10 +2,22 @@ package gallery
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
+
+// loadFrom replaces s's contents with a serialized gallery the way WAL
+// recovery and replica bootstrap do: decode, then one bulk ReplaceAll.
+func loadFrom(s *Store, r io.Reader) error {
+	entries, err := ReadEntries(r)
+	if err != nil {
+		return err
+	}
+	return s.ReplaceAll(entries)
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	s, probes, ids := enrolledStore(t, 5, "D0", "D0")
@@ -14,18 +26,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New(nil)
-	if err := restored.LoadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := loadFrom(restored, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != s.Len() {
 		t.Fatalf("restored %d of %d entries", restored.Len(), s.Len())
 	}
 	// Identification behaves identically after the round trip.
-	orig, err := s.Identify(probes[2], 1)
+	orig, err := s.IdentifyContext(context.Background(), probes[2], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := restored.Identify(probes[2], 1)
+	back, err := restored.IdentifyContext(context.Background(), probes[2], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +50,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("score drift %v too large after round trip", d)
 	}
 	// Device metadata survives.
-	cands, _ := restored.Identify(probes[0], 1)
+	cands, _ := restored.IdentifyContext(context.Background(), probes[0], 1)
 	if cands[0].DeviceID != "D0" {
 		t.Fatal("device metadata lost")
 	}
@@ -47,7 +59,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadFromRejectsGarbage(t *testing.T) {
 	s := New(nil)
-	if err := s.LoadFrom(strings.NewReader("not a gallery")); !errors.Is(err, ErrBadStoreFormat) {
+	if err := loadFrom(s, strings.NewReader("not a gallery")); !errors.Is(err, ErrBadStoreFormat) {
 		t.Fatalf("want ErrBadStoreFormat, got %v", err)
 	}
 }
@@ -61,7 +73,7 @@ func TestLoadFromTruncated(t *testing.T) {
 	data := buf.Bytes()
 	for _, n := range []int{3, 6, 10, len(data) / 2, len(data) - 1} {
 		fresh := New(nil)
-		if err := fresh.LoadFrom(bytes.NewReader(data[:n])); err == nil {
+		if err := loadFrom(fresh, bytes.NewReader(data[:n])); err == nil {
 			t.Fatalf("truncation at %d accepted", n)
 		}
 	}
@@ -75,7 +87,7 @@ func TestLoadFromBadVersion(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[5] = 99
-	if err := New(nil).LoadFrom(bytes.NewReader(data)); err == nil {
+	if err := loadFrom(New(nil), bytes.NewReader(data)); err == nil {
 		t.Fatal("bad version accepted")
 	}
 }
@@ -86,7 +98,7 @@ func TestSaveEmptyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New(nil)
-	if err := restored.LoadFrom(&buf); err != nil {
+	if err := loadFrom(restored, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != 0 {
@@ -107,7 +119,7 @@ func TestLoadFromRebuildsIndex(t *testing.T) {
 	if st, _ := restored.IndexStats(); st.Templates != 0 {
 		t.Fatalf("fresh index not empty: %+v", st)
 	}
-	if err := restored.LoadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := loadFrom(restored, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	st, ok := restored.IndexStats()
@@ -125,7 +137,7 @@ func TestLoadFromRebuildsIndex(t *testing.T) {
 			t.Fatalf("probe %d not served by the rebuilt index", i)
 		}
 		restored.DisableIndex()
-		exhaustive, err := restored.Identify(p, 1)
+		exhaustive, err := restored.IdentifyContext(context.Background(), p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +151,7 @@ func TestLoadFromRebuildsIndex(t *testing.T) {
 	}
 	// A second load (e.g. restoring a different snapshot) replaces the
 	// index contents instead of accumulating duplicates.
-	if err := restored.LoadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := loadFrom(restored, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := restored.IndexStats(); st.Templates != 20 {

@@ -7,17 +7,18 @@ import (
 
 // TestFrameRoundTripZeroAllocs is the asserting form of the PR-4 frame
 // benchmarks: once the pooled scratch and the reused transport buffers
-// are warm, building a numeric payload, framing it, reading the frame
-// back, and decoding it performs zero heap allocations. String and
-// template fields are excluded by design — string decoding converts
-// (allocates) and templates go through minutiae.Marshal — so this test
-// covers exactly the //fpvet:hotpath codec surface in protocol.go.
+// are warm, building a numeric payload, sealing it into an enveloped
+// frame, checking the envelope, and decoding the body performs zero heap
+// allocations. String and template fields are excluded by design —
+// string decoding converts (allocates) and templates go through
+// minutiae.Marshal — so this test covers exactly the //fpvet:hotpath
+// codec surface in protocol.go.
 func TestFrameRoundTripZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; asserted in non-race builds")
 	}
 	var wire bytes.Buffer
-	in := make([]byte, 0, 256)
+	var hdr [muxFrameHdrSize]byte
 	raw := []byte{0xde, 0xad, 0xbe, 0xef}
 
 	roundTrip := func() {
@@ -27,21 +28,16 @@ func TestFrameRoundTripZeroAllocs(t *testing.T) {
 		fs.w.bytes(raw)
 
 		wire.Reset()
-		if err := writeFrameHdr(&wire, OpPing, fs.w.buf, &fs.hdr); err != nil {
-			t.Fatalf("writeFrame: %v", err)
+		if err := writeMuxFrame(&wire, OpPing, 7, fs.w.buf, &hdr); err != nil {
+			t.Fatalf("writeMuxFrame: %v", err)
 		}
-		op, payload, err := readFrameIntoHdr(&wire, in[:0], &fs.hdr)
-		if err != nil {
-			t.Fatalf("readFrameInto: %v", err)
-		}
-		if op != OpPing {
-			t.Fatalf("op = %#x, want OpPing", op)
-		}
-		if cap(payload) > cap(in) {
-			in = payload[:0]
+		frame := wire.Bytes()
+		id, body, err := openMuxEnvelope(frame[4], frame[5:])
+		if err != nil || id != 7 {
+			t.Fatalf("openMuxEnvelope = id %d, %v; want 7", id, err)
 		}
 
-		r := payloadReader{buf: payload}
+		r := payloadReader{buf: body}
 		u, err := r.uint32()
 		if err != nil || u != 42 {
 			t.Fatalf("uint32 = %d, %v; want 42", u, err)

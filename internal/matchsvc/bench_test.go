@@ -73,7 +73,7 @@ func BenchmarkIdentifyRPC(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cands, err := cli.Identify(context.Background(), probe, 5)
+		cands, _, err := cli.IdentifyEx(context.Background(), probe, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func benchIdentifyDepth(b *testing.B, depth int) {
 	cli.SetPoolSize(2)
 	probe := testImpressions(b, 1, "D0", 1)[0]
 	benchDepth(b, depth, func() error {
-		cands, err := cli.Identify(context.Background(), probe, 5)
+		cands, _, err := cli.IdentifyEx(context.Background(), probe, 5)
 		if err == nil && len(cands) == 0 {
 			return errors.New("no candidates")
 		}

@@ -154,7 +154,7 @@ func TestChaosSeededFaultsZeroLostOrMisanswered(t *testing.T) {
 				case pick < 60:
 					idx := r.Intn(baseline)
 					var cands []gallery.Candidate
-					cands, err = cli.Identify(octx, probes[idx], 3)
+					cands, _, err = cli.IdentifyEx(octx, probes[idx], 3)
 					if err == nil {
 						if len(cands) > 3 {
 							fatal("MIS-ANSWER: identify k=3 returned %d candidates", len(cands))
@@ -262,7 +262,7 @@ func TestChaosSeededFaultsZeroLostOrMisanswered(t *testing.T) {
 	// wire probe passes through the template codec (which quantizes), so
 	// the direct query must use the same round-tripped template.
 	for i := 0; i < baseline; i += 5 {
-		got, err := cli.Identify(rctx, probes[i], 5)
+		got, _, err := cli.IdentifyEx(rctx, probes[i], 5)
 		if err != nil {
 			t.Fatalf("identify %d after chaos: %v", i, err)
 		}

@@ -22,14 +22,12 @@ const defaultKeepalive = 50 * time.Second
 const keepalivePingTimeout = 5 * time.Second
 
 // Client is a connection pool to the matching service. It is safe for
-// concurrent use. Against a server that understands the multiplexed
-// protocol (negotiated per connection via OpHello) many requests share
-// each connection concurrently, routed back by request ID; against an
-// older server the client transparently falls back to the serialized
-// one-request-at-a-time protocol and the pool's other connections
-// provide the parallelism. After a transport failure — including the
-// server dropping an idle connection at its read deadline — the pool
-// evicts the dead connection and the next request dials a fresh one,
+// concurrent use. Every connection opens with the OpHello handshake and
+// then carries many requests concurrently, each routed back to its
+// caller by request ID; SetPoolSize adds connections on top of that.
+// After a transport failure — including the server dropping an idle
+// connection at its read deadline — the pool evicts the dead
+// connection and the next request dials a fresh one,
 // so a long-lived client (e.g. a shard router front) survives quiet
 // periods and server restarts. A background keepalive additionally
 // pings idle pooled connections (SetKeepalive) so they are not idle
@@ -205,9 +203,8 @@ func (c *Client) Close() error {
 
 // keepaliveLoop pings idle pooled connections so the server's idle
 // deadline never fires on a healthy conn the pool intends to reuse.
-// Only connections whose protocol mode is already negotiated are
-// pinged — the first real request drives negotiation under its own
-// context.
+// Only connections past their handshake are pinged — the first real
+// request drives it under its own context.
 func (c *Client) keepaliveLoop() {
 	defer c.kaWG.Done()
 	for {
@@ -292,8 +289,7 @@ func (c *Client) do(ctx context.Context, op byte, payload []byte, decode func(*p
 // turns out to have been retired before the request was written
 // (errConnStale — e.g. the server idle-dropped it between checkouts)
 // is replaced and the request replayed on a fresh conn: nothing
-// reached the wire, so this is safe even for non-idempotent ops, and
-// it preserves the serialized client's transparent-redial behavior.
+// reached the wire, so this is safe even for non-idempotent ops.
 func (c *Client) callOnce(ctx context.Context, op byte, payload []byte, decode func(*payloadReader) error) error {
 	for stale := 0; ; stale++ {
 		w, err := c.pool.checkout(ctx)
@@ -318,10 +314,7 @@ func (c *Client) callOn(ctx context.Context, w *wireConn, op byte, payload []byt
 		}
 		return err
 	}
-	if w.muxed {
-		return w.muxCall(ctx, op, payload, decode)
-	}
-	return w.legacyCall(ctx, op, payload, decode)
+	return w.muxCall(ctx, op, payload, decode)
 }
 
 // Ping checks liveness.
@@ -381,11 +374,9 @@ func (c *Client) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.
 	return c.roundTrip(ctx, OpEnroll, fs.w.buf, nil)
 }
 
-// Enrollment is one EnrollBatch item.
-type Enrollment struct {
-	ID, DeviceID string
-	Template     *minutiae.Template
-}
+// Enrollment is one EnrollBatch item — the gallery's own export shape,
+// so batches pass between wire, router, WAL and store unconverted.
+type Enrollment = gallery.Export
 
 // enrollBatchBudget leaves headroom under the frame cap for the count
 // prefix and per-item length framing.
@@ -476,29 +467,11 @@ func (c *Client) Verify(ctx context.Context, id string, probe *minutiae.Template
 	return res, err
 }
 
-// Identify searches the gallery and returns the top-k candidates
-// (k <= 0 requests the full ranking).
-func (c *Client) Identify(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, error) {
-	fs := acquireFrameScratch()
-	defer releaseFrameScratch(fs)
-	fs.w.uint32(uint32(k))
-	if err := fs.w.template(probe); err != nil {
-		return nil, err
-	}
-	var cands []gallery.Candidate
-	err := c.roundTripIdem(ctx, OpIdentify, fs.w.buf, func(r *payloadReader) (derr error) {
-		cands, derr = decodeCandidates(r)
-		return derr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cands, nil
-}
-
-// IdentifyEx is Identify plus the server's retrieval statistics: how
-// large the gallery was, how many candidates the triplet index
-// shortlisted, and whether the indexed path served the search.
+// IdentifyEx searches the gallery and returns the top-k candidates
+// (k <= 0 requests the full ranking) with the server's retrieval
+// statistics: how large the gallery was, how many candidates the
+// triplet index shortlisted, and whether the indexed path served the
+// search.
 func (c *Client) IdentifyEx(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
@@ -635,9 +608,7 @@ func (c *Client) Remove(ctx context.Context, id string) error {
 
 // ServiceStats returns the server's service-level summary: topology,
 // index state, and — when the serving process is durable — its WAL
-// recovery and log-size detail. Servers predating the op report it as
-// unknown through ErrRemote; callers wanting to support them can fall
-// back to Count.
+// recovery and log-size detail.
 func (c *Client) ServiceStats(ctx context.Context) (ServiceStats, error) {
 	var st ServiceStats
 	err := c.roundTripIdem(ctx, OpStats, nil, func(r *payloadReader) (derr error) {

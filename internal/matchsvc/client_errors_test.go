@@ -6,54 +6,42 @@ package matchsvc
 // wrong results.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fpinterop/internal/gallery"
+	"fpinterop/internal/obs"
+	"fpinterop/internal/wal"
 )
 
-// fakeServer accepts one connection, reads one request frame, and hands
-// the connection to respond for a scripted reply. It models a server
-// predating the mux: the client's OpHello is refused with a
-// status-error frame on a connection that stays open (exactly what the
-// old unknown-opcode path did), so the client falls back to the
-// serialized legacy protocol and the script answers the real request.
-func fakeServer(t *testing.T, respond func(conn net.Conn)) string {
+// fakeServer completes the hello handshake, reads one enveloped request,
+// and hands the connection plus that request's ID to respond for a
+// scripted reply (built on the scripted v2 helper in mux_test.go).
+func fakeServer(t *testing.T, respond func(conn net.Conn, id uint64)) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
+	return startMuxFake(t, func(conn net.Conn, _ int) {
+		_, id, _, err := readMuxReq(conn)
 		if err != nil {
 			return
 		}
-		defer conn.Close()
-		op, _, err := readFrame(conn)
-		if err != nil {
-			return
-		}
-		if op == OpHello {
-			var w payloadWriter
-			_ = w.string("matchsvc: unknown opcode 0x0d")
-			if err := writeFrame(conn, StatusError, w.buf); err != nil {
-				return
-			}
-			if _, _, err := readFrame(conn); err != nil {
-				return
-			}
-		}
-		respond(conn)
-	}()
-	return ln.Addr().String()
+		respond(conn, id)
+	}).addr()
+}
+
+// reply writes one well-formed enveloped response frame.
+func reply(conn net.Conn, status byte, id uint64, body []byte) {
+	var hdr [muxFrameHdrSize]byte
+	_ = writeMuxFrame(conn, status, id, body, &hdr)
 }
 
 func dialFake(t *testing.T, addr string) *Client {
@@ -68,10 +56,10 @@ func dialFake(t *testing.T, addr string) *Client {
 }
 
 func TestClientServerStatusError(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
+	addr := fakeServer(t, func(conn net.Conn, id uint64) {
 		var w payloadWriter
 		_ = w.string("synthetic failure")
-		_ = writeFrame(conn, StatusError, w.buf)
+		reply(conn, StatusError, id, w.buf)
 	})
 	err := dialFake(t, addr).Ping(context.Background())
 	if !errors.Is(err, ErrRemote) {
@@ -82,11 +70,51 @@ func TestClientServerStatusError(t *testing.T) {
 	}
 }
 
+// TestClientStatusCodesCarrySentinels pins the wire error vocabulary:
+// the status byte alone decides which sentinel the client's error
+// wraps. A message that merely spells a sentinel's text — as an
+// enrollment ID may — under the generic StatusError maps to nothing.
+func TestClientStatusCodesCarrySentinels(t *testing.T) {
+	sentinels := []error{gallery.ErrNotFound, gallery.ErrDuplicate, ErrReadOnly, wal.ErrSnapshotExpired}
+	cases := []struct {
+		status byte
+		msg    string
+		want   error // nil: ErrRemote only
+	}{
+		{StatusNotFound, `verify "alice": gallery: enrollment not found`, gallery.ErrNotFound},
+		{StatusNotFound, "", gallery.ErrNotFound},
+		{StatusDuplicate, `enroll "gallery: enrollment not found": gallery: enrollment ID already exists`, gallery.ErrDuplicate},
+		{StatusReadOnly, "write to the primary", ErrReadOnly},
+		{StatusSnapshotExpired, "wal: sync snapshot expired", wal.ErrSnapshotExpired},
+		{StatusError, `verify "alice": gallery: enrollment not found`, nil},
+		{StatusError, "gallery: enrollment ID already exists", nil},
+	}
+	for _, tc := range cases {
+		addr := fakeServer(t, func(conn net.Conn, id uint64) {
+			var w payloadWriter
+			_ = w.string(tc.msg)
+			reply(conn, tc.status, id, w.buf)
+		})
+		err := dialFake(t, addr).Remove(context.Background(), "alice")
+		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), tc.msg) {
+			t.Fatalf("status 0x%02x %q: want ErrRemote carrying the message, got %v", tc.status, tc.msg, err)
+		}
+		for _, s := range sentinels {
+			if got := errors.Is(err, s); got != (s == tc.want) {
+				t.Fatalf("status 0x%02x %q: errors.Is(%v, %v) = %v", tc.status, tc.msg, err, s, got)
+			}
+		}
+		if got := StatusFor(err); got != tc.status {
+			t.Fatalf("status 0x%02x %q: a server relaying %v would answer 0x%02x", tc.status, tc.msg, err, got)
+		}
+	}
+}
+
 func TestClientMalformedErrorPayload(t *testing.T) {
 	// StatusError whose payload is not a valid string: still ErrRemote,
 	// with a placeholder message instead of a decode panic.
-	addr := fakeServer(t, func(conn net.Conn) {
-		_ = writeFrame(conn, StatusError, []byte{0xff})
+	addr := fakeServer(t, func(conn net.Conn, id uint64) {
+		reply(conn, StatusError, id, []byte{0xff})
 	})
 	err := dialFake(t, addr).Ping(context.Background())
 	if !errors.Is(err, ErrRemote) {
@@ -98,8 +126,8 @@ func TestClientMalformedErrorPayload(t *testing.T) {
 }
 
 func TestClientUnknownStatus(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		_ = writeFrame(conn, 0x7e, nil)
+	addr := fakeServer(t, func(conn net.Conn, id uint64) {
+		reply(conn, 0x7e, id, nil)
 	})
 	err := dialFake(t, addr).Ping(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "unknown status") {
@@ -110,7 +138,7 @@ func TestClientUnknownStatus(t *testing.T) {
 func TestClientOversizeResponseRejected(t *testing.T) {
 	// A frame header claiming more than the 1 MiB cap must be rejected
 	// before the client tries to allocate or read the payload.
-	addr := fakeServer(t, func(conn net.Conn) {
+	addr := fakeServer(t, func(conn net.Conn, _ uint64) {
 		var hdr [5]byte
 		binary.BigEndian.PutUint32(hdr[:4], maxFrame+1)
 		hdr[4] = StatusOK
@@ -124,7 +152,7 @@ func TestClientOversizeResponseRejected(t *testing.T) {
 
 func TestClientTruncatedResponse(t *testing.T) {
 	// Header promises 100 payload bytes but the connection closes after 10.
-	addr := fakeServer(t, func(conn net.Conn) {
+	addr := fakeServer(t, func(conn net.Conn, _ uint64) {
 		var hdr [5]byte
 		binary.BigEndian.PutUint32(hdr[:4], 100)
 		hdr[4] = StatusOK
@@ -138,7 +166,7 @@ func TestClientTruncatedResponse(t *testing.T) {
 }
 
 func TestClientConnClosedMidResponse(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
+	addr := fakeServer(t, func(net.Conn, uint64) {
 		// Close without replying at all.
 	})
 	if _, err := dialFake(t, addr).Count(context.Background()); err == nil {
@@ -148,11 +176,123 @@ func TestClientConnClosedMidResponse(t *testing.T) {
 
 func TestClientShortResultPayload(t *testing.T) {
 	// StatusOK whose payload is too short for the expected result shape.
-	addr := fakeServer(t, func(conn net.Conn) {
-		_ = writeFrame(conn, StatusOK, []byte{0, 0})
+	addr := fakeServer(t, func(conn net.Conn, id uint64) {
+		reply(conn, StatusOK, id, []byte{0, 0})
 	})
 	if _, err := dialFake(t, addr).Count(context.Background()); !errors.Is(err, errShortPayload) {
 		t.Fatalf("want short-payload error, got %v", err)
+	}
+}
+
+// TestClientCorruptHelloReplyRedials: the hello exchange is the one
+// envelope-free (so checksum-free) moment of a connection. Whatever a
+// damaged — or hostile, or pre-v2 — reply looks like, the client must
+// not settle into a session on that connection: the call fails with a
+// typed transport error and the next call redials and handshakes again.
+func TestClientCorruptHelloReplyRedials(t *testing.T) {
+	str := func(msg string) []byte {
+		var w payloadWriter
+		_ = w.string(msg)
+		return w.buf
+	}
+	replies := []struct {
+		name   string
+		status byte
+		body   []byte
+	}{
+		{"v1 server's unknown-opcode refusal", StatusError, str("matchsvc: unknown opcode 0x0d")},
+		{"version refusal", StatusError, str("matchsvc: unsupported protocol version")},
+		{"status bit flipped", 0x80, []byte{0, 0, 0, protoMuxed}},
+		{"version 1", StatusOK, []byte{0, 0, 0, 1}},
+		{"version bits flipped", StatusOK, []byte{0, 0x40, 0, protoMuxed}},
+		{"truncated version", StatusOK, []byte{0, 0}},
+		{"empty", StatusOK, nil},
+	}
+	for _, bad := range replies {
+		t.Run(bad.name, func(t *testing.T) {
+			f := startRawFake(t, func(conn net.Conn, nconn int) {
+				if nconn > 1 {
+					if muxFakeHandshake(conn) == nil {
+						answerPings(conn)
+					}
+					return
+				}
+				if op, _, err := readFrame(conn); err != nil || op != OpHello {
+					return
+				}
+				_ = writeFrame(conn, bad.status, bad.body)
+				// Stay open and answer bare frames the way a v1 server
+				// would: a client that downgraded would get pings through.
+				for {
+					if _, _, err := readFrame(conn); err != nil {
+						return
+					}
+					if writeFrame(conn, StatusOK, nil) != nil {
+						return
+					}
+				}
+			})
+			c := dialMuxFake(t, f)
+			c.SetMetrics(obs.NewRegistry())
+			if err := c.Ping(context.Background()); !errors.Is(err, ErrTransport) {
+				t.Fatalf("ping over a bad hello reply: want ErrTransport, got %v", err)
+			}
+			requireRecovers(t, c)
+			if got := c.metrics().redials.Value(); got != 1 {
+				t.Fatalf("redials = %d, want exactly the one that replaced the bad connection", got)
+			}
+		})
+	}
+}
+
+// TestServerDropsConnectionWithoutV2Hello: the server speaks only to
+// connections that open with a hello proposing version 2 or newer.
+// Anything else gets no reply at all — the connection is closed.
+func TestServerDropsConnectionWithoutV2Hello(t *testing.T) {
+	_, srv := startServer(t)
+	addr := srv.listener.Addr().String()
+	firsts := []struct {
+		name    string
+		op      byte
+		payload []byte
+	}{
+		{"ping", OpPing, nil},
+		{"count", OpCount, nil},
+		{"unknown opcode", 0x7f, nil},
+		{"retired identify", 0x05, nil},
+		{"version-1 hello", OpHello, []byte{0, 0, 0, 1}},
+		{"version-0 hello", OpHello, []byte{0, 0, 0, 0}},
+		{"truncated hello", OpHello, []byte{0, 0}},
+	}
+	for _, first := range firsts {
+		t.Run(first.name, func(t *testing.T) {
+			conn, err := net.DialTimeout("tcp", addr, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := writeFrame(conn, first.op, first.payload); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if status, payload, err := readFrame(conn); !errors.Is(err, io.EOF) {
+				t.Fatalf("want the connection closed without a reply, got status 0x%02x payload %x err %v", status, payload, err)
+			}
+		})
+	}
+	// A newer client proposing a later version is answered with the
+	// version the server speaks.
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, OpHello, []byte{0, 0, 0, 3}); err != nil {
+		t.Fatal(err)
+	}
+	status, payload, err := readFrame(conn)
+	if err != nil || status != StatusOK || !bytes.Equal(payload, []byte{0, 0, 0, protoMuxed}) {
+		t.Fatalf("hello v3: status 0x%02x payload %x err %v, want OK and version %d", status, payload, err, protoMuxed)
 	}
 }
 
@@ -352,7 +492,7 @@ func TestEnrollBatchConcurrentWithIdentify(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if _, err := cli.Identify(context.Background(), probes[i%len(probes)], 1); err != nil {
+			if _, _, err := cli.IdentifyEx(context.Background(), probes[i%len(probes)], 1); err != nil {
 				errs <- err
 				return
 			}

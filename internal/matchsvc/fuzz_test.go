@@ -2,8 +2,13 @@ package matchsvc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
+
+	"fpinterop/internal/gallery"
 )
 
 // readFrame must never panic on arbitrary bytes: the server reads frames
@@ -34,9 +39,127 @@ func TestDispatchNeverPanics(t *testing.T) {
 		}()
 		var w payloadWriter
 		status, _ := srv.dispatch(op, payload, &w)
-		return status == StatusOK || status == StatusError
+		return status <= StatusSnapshotExpired
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sealFrame returns the enveloped payload (everything after the 5-byte
+// frame header) writeMuxFrame puts on the wire.
+func sealFrame(tb testing.TB, op byte, id uint64, body []byte) []byte {
+	tb.Helper()
+	var wire bytes.Buffer
+	var hdr [muxFrameHdrSize]byte
+	if err := writeMuxFrame(&wire, op, id, body, &hdr); err != nil {
+		tb.Fatal(err)
+	}
+	return wire.Bytes()[5:]
+}
+
+// TestMuxCRCIsCRC32COverOpIDBody pins the checksum's definition — the
+// wire format — independently of how muxCRC computes it.
+func TestMuxCRCIsCRC32COverOpIDBody(t *testing.T) {
+	f := func(op byte, id uint64, body []byte) bool {
+		ref := binary.BigEndian.AppendUint64([]byte{op}, id)
+		return muxCRC(op, id, body) == crc32.Checksum(append(ref, body...), crc32.MakeTable(crc32.Castagnoli))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzOpenMuxEnvelope: the envelope check reads bytes straight off the
+// network on both sides of a connection. It must never panic, must
+// refuse anything it did not seal with ErrCorruptFrame, and whatever it
+// accepts must re-seal to the very same bytes. Seeds are the corrupt
+// frames the mux error-path tests inject.
+func FuzzOpenMuxEnvelope(f *testing.F) {
+	sealed := sealFrame(f, OpVerify, 7, []byte("body"))
+	f.Add(byte(OpVerify), sealed)
+	f.Add(byte(OpPing), sealFrame(f, OpPing, 1, nil))
+	f.Add(byte(StatusNotFound), sealFrame(f, StatusNotFound, 1<<40, []byte{0, 1, 'x'}))
+	f.Add(byte(OpEnroll), sealed)                                      // right envelope, wrong opcode
+	f.Add(byte(OpVerify), sealed[:muxEnvelopeSize-1])                  // below envelope size
+	f.Add(byte(OpVerify), sealed[:len(sealed)-1])                      // truncated body
+	f.Add(byte(OpVerify), append(sealed[:len(sealed):len(sealed)], 0)) // trailing byte
+	for _, bit := range []int{0, 63, 64, 95, 96} {                     // request ID, CRC, first body byte
+		flipped := bytes.Clone(sealed)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		f.Add(byte(OpVerify), flipped)
+	}
+	f.Add(byte(0), []byte(nil))
+	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
+		id, body, err := openMuxEnvelope(op, payload)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptFrame) {
+				t.Fatalf("refusal is not ErrCorruptFrame: %v", err)
+			}
+			return
+		}
+		if len(payload) > maxFrame {
+			return // accepted, but too large to re-seal: readFrameHdr caps frames first
+		}
+		if again := sealFrame(t, op, id, body); !bytes.Equal(again, payload) {
+			t.Fatalf("accepted envelope %x re-seals to %x", payload, again)
+		}
+	})
+}
+
+// FuzzDecodeResponse drives the client's response decoder with every
+// status byte over arbitrary payloads (truncated, oversized counts,
+// garbage) through the result decoders with variable-length output. It
+// must never panic; a failure status must always be an error; a coded
+// status must wrap exactly its sentinel — so a relaying server answers
+// the same code — and an unknown status must not pass for a server
+// answer.
+func FuzzDecodeResponse(f *testing.F) {
+	var cands payloadWriter
+	cands.uint32(1)
+	_ = cands.string("subject-0001")
+	_ = cands.string("D0")
+	cands.float64(0.5)
+	var msg payloadWriter
+	_ = msg.string(`verify "gallery: enrollment ID already exists": gallery: enrollment not found`)
+	for status := 0; status <= StatusSnapshotExpired+1; status++ {
+		f.Add(byte(status), cands.buf)
+		f.Add(byte(status), msg.buf)
+		f.Add(byte(status), msg.buf[:len(msg.buf)-1])
+		f.Add(byte(status), []byte{0xff})
+		f.Add(byte(status), []byte(nil))
+	}
+	f.Add(byte(StatusOK), []byte{0xff, 0xff, 0xff, 0xff})               // count far beyond the payload
+	f.Add(byte(StatusOK), append([]byte{0, 0, 0, 2}, cands.buf[4:]...)) // count one beyond the payload
+	f.Add(byte(0x7e), []byte(nil))
+	decoders := []func(*payloadReader) error{
+		nil,
+		func(r *payloadReader) error { _, err := decodeCandidates(r); return err },
+		func(r *payloadReader) error { _, err := decodeServiceStats(r); return err },
+		func(r *payloadReader) error { _, err := decodeMatch(r); return err },
+	}
+	f.Fuzz(func(t *testing.T, status byte, resp []byte) {
+		for _, decode := range decoders {
+			err := decodeResponse(status, resp, decode)
+			switch {
+			case status == StatusOK:
+				if errors.Is(err, ErrRemote) {
+					t.Fatalf("StatusOK reported as a remote error: %v", err)
+				}
+			case err == nil:
+				t.Fatalf("status 0x%02x decoded to success", status)
+			case status > StatusSnapshotExpired:
+				if errors.Is(err, ErrRemote) || StatusFor(err) != StatusError {
+					t.Fatalf("unknown status 0x%02x passed for a server answer: %v", status, err)
+				}
+			default:
+				if !errors.Is(err, ErrRemote) || StatusFor(err) != status {
+					t.Fatalf("status 0x%02x: %v relays as 0x%02x", status, err, StatusFor(err))
+				}
+				if errors.Is(err, gallery.ErrNotFound) != (status == StatusNotFound) {
+					t.Fatalf("status 0x%02x: errors.Is(%v, ErrNotFound) is wrong", status, err)
+				}
+			}
+		}
+	})
 }

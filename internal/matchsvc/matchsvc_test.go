@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +108,7 @@ func TestEnrollVerifyIdentifyRemove(t *testing.T) {
 	if res.Score <= 0 {
 		t.Fatalf("verify score %v", res.Score)
 	}
-	cands, err := cli.Identify(context.Background(), probes[1], 2)
+	cands, _, err := cli.IdentifyEx(context.Background(), probes[1], 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +166,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for i := 0; i < 3; i++ {
-				if _, err := c.Identify(context.Background(), tpls[w], 1); err != nil {
+				if _, _, err := c.IdentifyEx(context.Background(), tpls[w], 1); err != nil {
 					errs <- err
 					return
 				}
@@ -181,53 +180,16 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestUnknownOpcode(t *testing.T) {
-	_, srv := startServer(t)
-	addr := srv.listener.Addr().String()
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeFrame(conn, 0x7f, nil); err != nil {
-		t.Fatal(err)
-	}
-	status, payload, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != StatusError {
-		t.Fatalf("status = 0x%02x, want error", status)
-	}
-	r := &payloadReader{buf: payload}
-	msg, err := r.string()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(msg, "unknown opcode") {
-		t.Fatalf("message %q", msg)
-	}
-}
-
 func TestMalformedPayloadRejected(t *testing.T) {
-	_, srv := startServer(t)
-	addr := srv.listener.Addr().String()
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	cli, _ := startServer(t)
 	// OpMatch with garbage payload must produce a clean error frame, not
 	// a hang or crash.
-	if err := writeFrame(conn, OpMatch, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
+	err := cli.do(context.Background(), OpMatch, []byte{1, 2, 3}, nil, false)
+	if !errors.Is(err, ErrRemote) {
+		t.Fatalf("want ErrRemote, got %v", err)
 	}
-	status, _, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != StatusError {
-		t.Fatalf("status = 0x%02x, want error", status)
+	if err := cli.Ping(context.Background()); err != nil {
+		t.Fatalf("ping after the rejected request: %v", err)
 	}
 }
 

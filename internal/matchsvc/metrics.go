@@ -18,7 +18,6 @@ var opLabels = [OpHello + 1]string{
 	OpMatch:       "match",
 	OpEnroll:      "enroll",
 	OpVerify:      "verify",
-	OpIdentify:    "identify",
 	OpRemove:      "remove",
 	OpCount:       "count",
 	OpIdentifyEx:  "identify_ex",

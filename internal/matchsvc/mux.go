@@ -5,10 +5,8 @@ package matchsvc
 // single demux reader goroutine routes each response frame to the
 // waiter that owns its ID, and a group-flushed buffered writer
 // coalesces frames queued by concurrent callers into fewer syscalls.
-// The mode is negotiated per connection (see OpHello): against a server
-// predating the mux the same wireConn falls back to the serialized v1
-// protocol under a per-call mutex, and the pool's other connections
-// provide the parallelism instead.
+// Every connection opens with the OpHello handshake; a peer that does
+// not answer it with version 2 is not spoken to.
 
 import (
 	"bufio"
@@ -17,7 +15,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +29,7 @@ const muxWriteTimeout = 30 * time.Second
 // errConnStale classifies a request that never reached the wire because
 // its connection had already been retired (server idle drop, another
 // caller's failure). The pool checks out a fresh connection and
-// replays the request once — the transparent-redial behavior the
-// serialized client had.
+// replays the request — nothing reached the wire.
 var errConnStale = fmt.Errorf("%w: connection retired before send", ErrTransport)
 
 // errConnRetired retires a connection without a more specific cause
@@ -50,27 +46,20 @@ type muxResult struct {
 	err    error
 }
 
-// wireConn is one pooled connection in either protocol mode.
+// wireConn is one pooled connection.
 type wireConn struct {
 	nc net.Conn
 	c  *Client
 
-	// Negotiation runs once, driven by the first caller; nego flips
-	// after the mode is known.
+	// The handshake runs once, driven by the first caller; nego flips
+	// when it has finished (successfully or not).
 	negoOnce sync.Once
 	negoErr  error
 	nego     atomic.Bool
-	muxed    bool
 
-	// Legacy mode: one request at a time under lmu; recv and lhdr are
-	// the per-connection scratch the serialized protocol reuses.
-	lmu  sync.Mutex
-	recv []byte
-	lhdr [5]byte
-
-	// Muxed mode: wmu serializes frame writes into bw; queued counts
-	// writers waiting on wmu so the last one in a burst flushes for the
-	// whole group.
+	// wmu serializes frame writes into bw; queued counts writers
+	// waiting on wmu so the last one in a burst flushes for the whole
+	// group.
 	wmu    sync.Mutex
 	bw     *bufio.Writer
 	whdr   [muxFrameHdrSize]byte
@@ -134,16 +123,16 @@ func (w *wireConn) kill(err error) {
 // shutdown or eviction of an already-dead conn).
 func (w *wireConn) close() { w.kill(errConnRetired) }
 
-// armDeadline applies the per-call connection deadline the serialized
-// protocol uses: the context's deadline (padded so the watcher below
-// always outruns it), else the client's fallback request timeout, else
-// a cleared deadline. A cancellable context is watched for the duration
-// of the call; cancellation yanks the deadline to interrupt blocked
-// I/O. The returned disarm must run before the call returns — a watcher
-// that already started may yank the deadline late, so the connection is
-// retired rather than let a later request race it.
+// armDeadline bounds the handshake's blocking I/O: the context's
+// deadline (padded so the watcher below always outruns it), else the
+// client's fallback request timeout, else no deadline. A cancellable
+// context is watched for the duration of the handshake; cancellation
+// yanks the deadline to interrupt blocked I/O. The returned disarm must
+// run before the handshake returns — a watcher that already started may
+// yank the deadline late, so the connection is retired rather than let
+// a later request race it.
 func (w *wireConn) armDeadline(ctx context.Context) (disarm func(), err error) {
-	var deadline time.Time // zero clears any previous call's deadline
+	var deadline time.Time // zero: no deadline
 	if d, ok := ctx.Deadline(); ok {
 		deadline = d.Add(10 * time.Millisecond)
 	} else if t := w.c.requestTimeout(); t > 0 {
@@ -164,9 +153,9 @@ func (w *wireConn) armDeadline(ctx context.Context) (disarm func(), err error) {
 	}, nil
 }
 
-// negotiate establishes the connection's protocol mode, driven by the
-// first caller under its context; concurrent callers wait on the same
-// handshake and share its outcome.
+// negotiate runs the handshake, driven by the first caller under its
+// context; concurrent callers wait on the same handshake and share its
+// outcome.
 func (w *wireConn) negotiate(ctx context.Context) error {
 	w.negoOnce.Do(func() {
 		w.negoErr = w.doHello(ctx)
@@ -176,13 +165,14 @@ func (w *wireConn) negotiate(ctx context.Context) error {
 }
 
 // negotiated reports whether the handshake has completed (the keepalive
-// loop only pings connections whose mode is known).
+// loop leaves it to the first real request).
 func (w *wireConn) negotiated() bool { return w.nego.Load() }
 
-// doHello performs the version handshake. StatusOK upgrades the
-// connection to the mux and starts the demux reader; StatusError is an
-// old server rejecting the opcode while keeping the connection open, so
-// the wireConn speaks the serialized v1 protocol instead.
+// doHello performs the version handshake — the only bare (envelope-free,
+// so checksum-free) exchange on the connection. Only StatusOK carrying
+// version 2 starts the demux reader; any other reply, including one
+// damaged in transit, retires the connection with a transport error and
+// the caller redials.
 func (w *wireConn) doHello(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		w.kill(errConnRetired)
@@ -203,60 +193,33 @@ func (w *wireConn) doHello(ctx context.Context) error {
 		}
 		return err
 	}
-	var version [4]byte
-	version[3] = protoMuxed
-	if err := writeFrameHdr(w.nc, OpHello, version[:], &w.lhdr); err != nil {
+	if err := writeFrame(w.nc, OpHello, helloVersion[:]); err != nil {
 		return fail(err)
 	}
-	status, resp, err := readFrameIntoHdr(w.nc, w.recv, &w.lhdr)
+	status, resp, err := readFrame(w.nc)
 	if err != nil {
 		return fail(fmt.Errorf("matchsvc: read hello response: %w", err))
 	}
-	if cap(resp) > cap(w.recv) {
-		w.recv = resp[:0]
+	r := payloadReader{buf: resp}
+	if v, derr := r.uint32(); status != StatusOK || derr != nil || v != protoMuxed {
+		return fail(fmt.Errorf("matchsvc: hello answered status 0x%02x version %d (%v), want version %d", status, v, derr, protoMuxed))
 	}
-	switch status {
-	case StatusError:
-		// Only two refusals legitimately carry StatusError: a server
-		// predating OpHello rejecting the opcode (it keeps the
-		// connection open), and a current server refusing the proposed
-		// version. Anything else — e.g. a corrupted frame that happens
-		// to parse as an error — must not steer this connection into
-		// the checksum-free legacy mode; retire it and redial.
-		r := payloadReader{buf: resp}
-		msg, derr := r.string()
-		if derr != nil || !(strings.Contains(msg, "unknown opcode 0x0d") ||
-			strings.Contains(msg, "unsupported protocol version")) {
-			return fail(fmt.Errorf("matchsvc: hello rejected unrecognizably: %q", msg))
-		}
-		// Speak the serialized v1 protocol on this connection.
-		return nil
-	case StatusOK:
-		r := payloadReader{buf: resp}
-		v, derr := r.uint32()
-		if derr != nil || v != protoMuxed {
-			return fail(fmt.Errorf("matchsvc: hello negotiated unusable version %d (%v)", v, derr))
-		}
-		// The demux reader owns the read side from here and blocks
-		// freely between responses; per-call bounds move to each
-		// waiter's context, so the handshake deadline must not linger.
-		if err := w.nc.SetDeadline(time.Time{}); err != nil {
-			return fail(fmt.Errorf("matchsvc: clear deadline: %w", err))
-		}
-		w.bw = bufio.NewWriterSize(w.nc, 32*1024)
-		w.pmu.Lock()
-		if w.dead {
-			w.pmu.Unlock()
-			return fail(errors.New("matchsvc: connection retired during handshake"))
-		}
-		w.muxed = true
-		w.pending = make(map[uint64]chan muxResult)
+	// The demux reader owns the read side from here and blocks freely
+	// between responses; per-call bounds move to each waiter's context,
+	// so the handshake deadline must not linger.
+	if err := w.nc.SetDeadline(time.Time{}); err != nil {
+		return fail(fmt.Errorf("matchsvc: clear deadline: %w", err))
+	}
+	w.bw = bufio.NewWriterSize(w.nc, 32*1024)
+	w.pmu.Lock()
+	if w.dead {
 		w.pmu.Unlock()
-		go w.readLoop()
-		return nil
-	default:
-		return fail(fmt.Errorf("matchsvc: unknown hello status 0x%02x", status))
+		return fail(errors.New("matchsvc: connection retired during handshake"))
 	}
+	w.pending = make(map[uint64]chan muxResult)
+	w.pmu.Unlock()
+	go w.readLoop()
+	return nil
 }
 
 // readLoop is the demux reader: it routes each response frame to the
@@ -266,7 +229,7 @@ func (w *wireConn) doHello(ctx context.Context) error {
 func (w *wireConn) readLoop() {
 	var hdr [5]byte
 	for {
-		status, payload, err := readFrameIntoHdr(w.nc, nil, &hdr)
+		status, payload, err := readFrameHdr(w.nc, &hdr)
 		if err != nil {
 			w.kill(transportErr(fmt.Errorf("matchsvc: read response: %w", err)))
 			return
@@ -289,8 +252,7 @@ func (w *wireConn) readLoop() {
 		w.pmu.Unlock()
 		if ch == nil {
 			// A late answer to an abandoned call. Routing by ID makes it
-			// safely discardable — unlike the serialized protocol, the
-			// connection survives.
+			// safely discardable and the connection survives.
 			if m := w.c.metrics(); m != nil {
 				m.late.Inc()
 			}
@@ -353,8 +315,7 @@ func (w *wireConn) writeMux(ctx context.Context, op byte, id uint64, body []byte
 // waiter, seal and send, then wait for the demux reader (or the
 // caller's context, or the fallback request timeout). A caller that
 // gives up deregisters its waiter and leaves the connection healthy —
-// its late response is discarded by ID, which is precisely what the
-// serialized protocol could not do.
+// its late response is discarded by ID.
 func (w *wireConn) muxCall(ctx context.Context, op byte, payload []byte, decode func(*payloadReader) error) error {
 	id := w.nextID.Add(1)
 	ch := make(chan muxResult, 1)
@@ -401,94 +362,56 @@ func (w *wireConn) muxCall(ctx context.Context, op byte, payload []byte, decode 
 	}
 }
 
-// legacyCall runs one serialized v1 round trip under the per-connection
-// mutex — the original client's protocol, kept for servers that predate
-// the mux. Any transport failure (including a deadline expiry, whose
-// late response must not be read as the answer to a later request)
-// retires the connection; the pool replaces it on next checkout.
-func (w *wireConn) legacyCall(ctx context.Context, op byte, payload []byte, decode func(*payloadReader) error) error {
-	w.lmu.Lock()
-	defer w.lmu.Unlock()
-	//fpvet:allow locksafe the v1 protocol is serialized per connection by design; the armed socket deadline bounds the hold
-	return w.legacyCallLocked(ctx, op, payload, decode)
+// remoteError is a failure the server reported: its message for humans,
+// and the sentinel its status byte named (nil for plain StatusError).
+// It reads as ErrRemote plus the message, whatever the status, and
+// matches both ErrRemote and the sentinel under errors.Is — however
+// many hops the failure has crossed.
+type remoteError struct {
+	msg      string
+	sentinel error
 }
 
-func (w *wireConn) legacyCallLocked(ctx context.Context, op byte, payload []byte, decode func(*payloadReader) error) error {
-	if w.isDead() {
-		return w.deadError()
+func (e *remoteError) Error() string { return ErrRemote.Error() + ": " + e.msg }
+
+func (e *remoteError) Unwrap() []error {
+	if e.sentinel == nil {
+		return []error{ErrRemote}
 	}
-	m := w.c.metrics()
-	if m != nil {
-		m.reqBytes.Observe(int64(len(payload)))
-	}
-	disarm, err := w.armDeadline(ctx)
-	if err != nil {
-		err = transportErr(err)
-		w.kill(err)
-		return err
-	}
-	defer disarm()
-	fail := func(err error) error {
-		err = transportErr(err)
-		w.kill(err)
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return err
-	}
-	if err := writeFrameHdr(w.nc, op, payload, &w.lhdr); err != nil {
-		return fail(err)
-	}
-	status, resp, err := readFrameIntoHdr(w.nc, w.recv, &w.lhdr)
-	if err != nil {
-		return fail(fmt.Errorf("matchsvc: read response: %w", err))
-	}
-	if m != nil {
-		m.respBytes.Observe(int64(len(resp)))
-	}
-	if cap(resp) > cap(w.recv) {
-		w.recv = resp[:0]
-	}
-	return decodeResponse(status, resp, decode)
+	return []error{ErrRemote, e.sentinel}
 }
 
-// decodeResponse interprets a response's status and payload — shared by
-// both protocol modes, so error shapes are identical across them.
+// decodeResponse interprets a response's status and payload.
 func decodeResponse(status byte, resp []byte, decode func(*payloadReader) error) error {
 	r := payloadReader{buf: resp}
-	if status == StatusError {
-		msg, err := r.string()
-		if err != nil {
-			msg = "(malformed error payload)"
+	if status == StatusOK {
+		if decode == nil {
+			return nil
 		}
-		return fmt.Errorf("%w: %s", ErrRemote, msg)
+		return decode(&r)
 	}
-	if status != StatusOK {
+	var sentinel error
+	for _, s := range statusSentinels {
+		if s.status == status {
+			sentinel = s.err
+		}
+	}
+	if sentinel == nil && status != StatusError {
 		return fmt.Errorf("matchsvc: unknown status 0x%02x", status)
 	}
-	if decode == nil {
-		return nil
+	msg, err := r.string()
+	if err != nil {
+		msg = "(malformed error payload)"
 	}
-	return decode(&r)
+	return &remoteError{msg: msg, sentinel: sentinel}
 }
 
 // keepalivePing best-effort pings the connection so a server's idle
-// deadline does not silently kill a healthy pooled conn. A legacy
-// connection that is mid-request is by definition not idle, so a
-// contended mutex just skips the round.
+// deadline does not silently kill a healthy pooled conn.
 func (w *wireConn) keepalivePing(ctx context.Context) {
 	if !w.negotiated() || w.isDead() {
 		return
 	}
-	if w.muxed {
-		_ = w.muxCall(ctx, OpPing, nil, nil)
-		w.touch()
-		return
-	}
-	if !w.lmu.TryLock() {
-		return
-	}
-	defer w.lmu.Unlock()
-	_ = w.legacyCallLocked(ctx, OpPing, nil, nil)
+	_ = w.muxCall(ctx, OpPing, nil, nil)
 	w.touch()
 }

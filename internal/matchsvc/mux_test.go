@@ -20,8 +20,7 @@ import (
 	"fpinterop/internal/obs"
 )
 
-// muxFake is a scripted multiplexed server: it accepts connections,
-// answers the hello handshake with StatusOK/protoMuxed, then hands the
+// muxFake is a scripted server: it accepts connections and hands each
 // raw connection to the script along with its 1-based accept number.
 // The script owns the connection from there; returning closes it.
 type muxFake struct {
@@ -29,7 +28,19 @@ type muxFake struct {
 	wg sync.WaitGroup
 }
 
+// startMuxFake is startRawFake with the hello handshake already
+// answered (StatusOK/protoMuxed) when the script takes over.
 func startMuxFake(t *testing.T, script func(conn net.Conn, nconn int)) *muxFake {
+	t.Helper()
+	return startRawFake(t, func(conn net.Conn, nconn int) {
+		if err := muxFakeHandshake(conn); err != nil {
+			return
+		}
+		script(conn, nconn)
+	})
+}
+
+func startRawFake(t *testing.T, script func(conn net.Conn, nconn int)) *muxFake {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -48,9 +59,6 @@ func startMuxFake(t *testing.T, script func(conn net.Conn, nconn int)) *muxFake 
 			go func(conn net.Conn, n int) {
 				defer f.wg.Done()
 				defer conn.Close()
-				if err := muxFakeHandshake(conn); err != nil {
-					return
-				}
 				script(conn, n)
 			}(conn, n)
 		}
@@ -376,9 +384,9 @@ func TestKeepaliveDisabledConnectionIdlesOut(t *testing.T) {
 	}
 }
 
-// TestMuxUnknownOpcodeStatusError is the multiplexed twin of the legacy
-// unknown-opcode test: the server answers a status error naming the
-// opcode, counts it, and keeps the connection serving.
+// TestMuxUnknownOpcodeStatusError: the server answers an unknown opcode
+// with a status error naming it, counts it, and keeps the connection
+// serving.
 func TestMuxUnknownOpcodeStatusError(t *testing.T) {
 	srv := NewServer(nil, nil)
 	sreg := obs.NewRegistry()

@@ -5,8 +5,7 @@ package matchsvc
 // connection, dials into a free slot when every live conn is busy, and
 // shares the least-loaded conn once the pool is at size. Dead
 // connections (demux reader saw EOF, a call hit a transport failure)
-// are evicted at checkout, which is where the serialized client's
-// transparent-redial behavior now lives.
+// are evicted at checkout, which is what makes redialing transparent.
 
 import (
 	"context"

@@ -26,7 +26,9 @@ import (
 	"math"
 	"sync"
 
+	"fpinterop/internal/gallery"
 	"fpinterop/internal/minutiae"
+	"fpinterop/internal/wal"
 )
 
 // Opcodes for requests.
@@ -39,15 +41,16 @@ const (
 	OpEnroll = 0x03
 	// OpVerify compares a probe against one enrollment (1:1).
 	OpVerify = 0x04
-	// OpIdentify searches a probe against the whole gallery (1:N).
-	OpIdentify = 0x05
+	// 0x05 (identify without statistics) is retired and stays unused.
+
 	// OpRemove deletes an enrollment.
 	OpRemove = 0x06
 	// OpCount returns the number of enrollments.
 	OpCount = 0x07
-	// OpIdentifyEx is OpIdentify plus retrieval statistics in the
-	// response (gallery size, index shortlist size, matcher scans, and
-	// whether the indexed path served the search).
+	// OpIdentifyEx searches a probe against the whole gallery (1:N):
+	// uint32 k and the probe in; retrieval statistics (gallery size,
+	// index shortlist size, matcher scans, and whether the indexed path
+	// served the search) then the candidates out.
 	OpIdentifyEx = 0x08
 	// OpEnrollBatch adds many templates in one round trip: uint32 count,
 	// then per item (id, device id, template). The response carries the
@@ -72,14 +75,11 @@ const (
 	// bytes, uint32 torn tails, uint64 log bytes. Servers without a
 	// stats source answer from their gallery alone.
 	OpStats = 0x0C
-	// OpHello negotiates the protocol version for a connection: the
-	// client sends uint32 version; a multiplexing-capable server answers
-	// StatusOK with the uint32 version it accepts, after which every
-	// frame on the connection carries the mux envelope (request ID +
-	// CRC). A server predating OpHello answers its usual unknown-opcode
-	// StatusError and keeps the connection open, which the client takes
-	// as "speak the serialized v1 protocol" — so new clients work
-	// against old servers without configuration.
+	// OpHello opens every connection: the client sends uint32 version
+	// in a bare frame and the server answers StatusOK with the uint32
+	// version it will speak, after which every frame on the connection
+	// carries the mux envelope (request ID + CRC). A first frame that is
+	// not a hello for version 2 or newer gets the connection dropped.
 	OpHello = 0x0D
 	// OpSyncSnapshot ships one chunk of a consistent WAL snapshot to a
 	// catching-up replica: the request carries uint64 resumeLSN (0 asks
@@ -103,23 +103,33 @@ const (
 	OpSyncTail = 0x0F
 )
 
-// Protocol versions negotiated by OpHello.
-const (
-	// protoLegacy is the original one-request-at-a-time protocol: bare
-	// frames, responses in request order.
-	protoLegacy = 1
-	// protoMuxed adds the mux envelope to every post-hello frame, so
-	// responses may return out of order and one connection carries many
-	// concurrent requests.
-	protoMuxed = 2
-)
+// protoMuxed is the one protocol version: every post-hello frame
+// carries the mux envelope, so responses may return out of order and
+// one connection carries many concurrent requests. helloVersion is the
+// hello payload naming it — what the client proposes and the server
+// answers.
+const protoMuxed = 2
 
-// Response status codes.
+var helloVersion = [4]byte{3: protoMuxed}
+
+// Response status codes. Every non-OK status carries an error string
+// payload for humans; the byte itself tells the client which sentinel
+// the failure is, so errors.Is works across any number of wire hops
+// without matching text.
 const (
 	// StatusOK carries a successful result payload.
 	StatusOK = 0x00
-	// StatusError carries an error string payload.
+	// StatusError is any failure without a code of its own.
 	StatusError = 0x01
+	// StatusNotFound is gallery.ErrNotFound: unknown enrollment ID.
+	StatusNotFound = 0x02
+	// StatusDuplicate is gallery.ErrDuplicate: enrollment ID in use.
+	StatusDuplicate = 0x03
+	// StatusReadOnly is ErrReadOnly: a write sent to a read replica.
+	StatusReadOnly = 0x04
+	// StatusSnapshotExpired is wal.ErrSnapshotExpired: a resumed
+	// snapshot transfer whose capture the primary no longer holds.
+	StatusSnapshotExpired = 0x05
 )
 
 // maxFrame bounds a frame payload (1 MiB — a template is ≤ ~32 KiB).
@@ -146,7 +156,39 @@ var (
 	ErrCorruptFrame = errors.New("matchsvc: corrupt frame")
 	// ErrClosed reports a request on a client after Close.
 	ErrClosed = errors.New("matchsvc: client closed")
+	// ErrReadOnly reports a write refused by a server that only applies
+	// its primary's log (a read replica); write to the primary.
+	ErrReadOnly = errors.New("matchsvc: server is a read-only replica; write to the primary")
 )
+
+// statusSentinels pairs each coded status with the sentinel it stands
+// for: the server picks the status with errors.Is, the client wraps the
+// sentinel back onto the error it returns.
+var statusSentinels = [...]struct {
+	status byte
+	err    error
+}{
+	{StatusNotFound, gallery.ErrNotFound},
+	{StatusDuplicate, gallery.ErrDuplicate},
+	{StatusReadOnly, ErrReadOnly},
+	{StatusSnapshotExpired, wal.ErrSnapshotExpired},
+}
+
+// StatusFor returns the response status that reports err: the code of
+// the sentinel err wraps, else StatusError (StatusOK for nil). Anything
+// but StatusError is an answer from a working backend — the health
+// trackers in shard and replica count it as proof of life.
+func StatusFor(err error) byte {
+	if err == nil {
+		return StatusOK
+	}
+	for _, s := range statusSentinels {
+		if errors.Is(err, s.err) {
+			return s.status
+		}
+	}
+	return StatusError
+}
 
 // transportErr classifies err as a retryable transport failure. Context
 // errors pass through unchanged: cancellation is the caller's decision,
@@ -166,7 +208,7 @@ func transportErr(err error) error {
 //
 //	uint64  request ID (client-assigned, echoed by the response)
 //	uint32  CRC-32C over the request ID bytes and the body
-//	bytes   body (the v1 payload, unchanged)
+//	bytes   body (the operation's payload)
 //
 // The CRC is what lets the fault-injection suite promise "zero acked
 // operations mis-answered": a flipped byte anywhere in the envelope or
@@ -186,12 +228,18 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // operation yet answer the right request ID — a mis-answer no caller
 // could detect.
 //
+// The nine prefix bytes go through the table by hand: staging them in a
+// local array for crc32.Update would move that array to the heap, one
+// allocation per frame in each direction.
+//
 //fpvet:hotpath
 func muxCRC(op byte, id uint64, body []byte) uint32 {
-	var pre [9]byte
-	pre[0] = op
-	binary.BigEndian.PutUint64(pre[1:], id)
-	return crc32.Update(crc32.Update(0, crcTable, pre[:]), crcTable, body)
+	crc := ^uint32(0)
+	crc = crcTable[byte(crc)^op] ^ crc>>8
+	for shift := 56; shift >= 0; shift -= 8 {
+		crc = crcTable[byte(crc)^byte(id>>shift)] ^ crc>>8
+	}
+	return crc32.Update(^crc, crcTable, body)
 }
 
 // muxFrameHdrSize is the on-wire prefix of a mux frame: the 5-byte
@@ -239,21 +287,13 @@ func openMuxEnvelope(op byte, payload []byte) (id uint64, body []byte, err error
 	return id, body, nil
 }
 
-// writeFrame emits one frame.
+// writeFrame emits one bare frame. Only the hello exchange uses it;
+// everything after goes through writeMuxFrame.
 func writeFrame(w io.Writer, op byte, payload []byte) error {
-	var hdr [5]byte
-	return writeFrameHdr(w, op, payload, &hdr)
-}
-
-// writeFrameHdr is writeFrame building the header in the caller's
-// buffer: a local header array escapes through the io.Writer call, so
-// steady-state transports (the client under its mutex, the server's
-// per-connection scratch) pass a long-lived buffer to stay off the
-// heap.
-func writeFrameHdr(w io.Writer, op byte, payload []byte, hdr *[5]byte) error {
 	if len(payload) > maxFrame {
 		return ErrFrameTooLarge
 	}
+	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	hdr[4] = op
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -269,20 +309,14 @@ func writeFrameHdr(w io.Writer, op byte, payload []byte, hdr *[5]byte) error {
 
 // readFrame reads one frame into a fresh buffer.
 func readFrame(r io.Reader) (op byte, payload []byte, err error) {
-	return readFrameInto(r, nil)
-}
-
-// readFrameInto reads one frame, reusing buf's backing array when it is
-// large enough. The returned payload aliases the (possibly grown)
-// buffer; callers own its lifecycle.
-func readFrameInto(r io.Reader, buf []byte) (op byte, payload []byte, err error) {
 	var hdr [5]byte
-	return readFrameIntoHdr(r, buf, &hdr)
+	return readFrameHdr(r, &hdr)
 }
 
-// readFrameIntoHdr is readFrameInto with a caller-owned header buffer
-// (see writeFrameHdr).
-func readFrameIntoHdr(r io.Reader, buf []byte, hdr *[5]byte) (op byte, payload []byte, err error) {
+// readFrameHdr is readFrame with a caller-owned header buffer: a local
+// header array escapes through the io.Reader call, so the
+// per-connection read loops pass a long-lived one to stay off the heap.
+func readFrameHdr(r io.Reader, hdr *[5]byte) (op byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err // EOF passes through for clean shutdown
 	}
@@ -290,25 +324,18 @@ func readFrameIntoHdr(r io.Reader, buf []byte, hdr *[5]byte) (op byte, payload [
 	if n > maxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	if uint32(cap(buf)) >= n {
-		payload = buf[:n]
-	} else {
-		payload = make([]byte, n)
-	}
+	payload = make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("matchsvc: read payload: %w", err)
 	}
 	return hdr[4], payload, nil
 }
 
-// frameScratch recycles the per-RPC frame state — an inbound payload
-// buffer and an outbound payload writer — so steady-state request
-// handling and request building stop allocating per message. Servers
-// hold one per connection; clients borrow one per request.
+// frameScratch recycles an outbound payload writer, so steady-state
+// request building and response building stop allocating per message.
+// Clients borrow one per request, servers one per dispatched request.
 type frameScratch struct {
-	in  []byte
-	w   payloadWriter
-	hdr [5]byte // frame header scratch for writeFrameHdr/readFrameIntoHdr
+	w payloadWriter
 }
 
 var framePool = sync.Pool{New: func() any { return new(frameScratch) }}
@@ -319,13 +346,6 @@ func acquireFrameScratch() *frameScratch {
 	fs := framePool.Get().(*frameScratch)
 	fs.w.buf = fs.w.buf[:0]
 	return fs
-}
-
-// keep retains a (possibly regrown) inbound payload buffer for reuse.
-func (fs *frameScratch) keep(payload []byte) {
-	if cap(payload) > cap(fs.in) {
-		fs.in = payload[:0]
-	}
 }
 
 func releaseFrameScratch(fs *frameScratch) {

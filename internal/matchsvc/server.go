@@ -61,7 +61,7 @@ const defaultIdleTimeout = 2 * time.Minute
 
 // Server is the central matching service: it owns a Gallery backend and
 // serves the frame protocol over TCP. Connections are handled
-// concurrently; requests within one connection are processed in order.
+// concurrently, and so are the requests multiplexed on one connection.
 type Server struct {
 	store       Gallery
 	logger      *log.Logger
@@ -228,94 +228,40 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// handle serves one connection until EOF. Each request frame must
-// arrive — completely — within the idle timeout, so neither a silent
-// peer nor one dribbling a byte at a time can hold the handler. Request
-// and response buffers come from the shared frame pool and are reused
-// across the connection's requests, so steady-state serving does not
-// allocate per RPC at the framing layer (decoded templates and result
-// payloads still do).
+// handle serves one connection until EOF. The first frame must be a
+// hello proposing version 2 or newer; it is answered with the version
+// the server speaks and the connection moves to the mux dispatcher.
+// Anything else — another opcode, a version-1 hello, a hello damaged in
+// transit — drops the connection: there is no envelope-free mode to
+// fall back to, and an error reply could not be checksummed.
 func (s *Server) handle(conn net.Conn) error {
-	fs := acquireFrameScratch()
-	defer releaseFrameScratch(fs)
-	for {
-		if s.idleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.idleTimeout)); err != nil {
-				return fmt.Errorf("matchsvc: set read deadline: %w", err)
-			}
-		}
-		op, payload, err := readFrameIntoHdr(conn, fs.in, &fs.hdr)
-		if err != nil {
-			return err
-		}
-		fs.keep(payload)
-		fs.w.buf = fs.w.buf[:0]
-		if op == OpHello {
-			// Version negotiation: a client proposing the multiplexed
-			// protocol (or newer) gets StatusOK plus the version the
-			// server will speak, and the connection switches to the mux
-			// dispatcher. Anything else is refused with a status error —
-			// the connection stays open in legacy mode.
-			var t0 time.Time
-			if s.met != nil {
-				t0 = time.Now()
-			}
-			r := payloadReader{buf: payload}
-			ver, verr := r.uint32()
-			if verr != nil {
-				// An unparseable hello is indistinguishable from a frame
-				// corrupted in transit; a StatusError answer would steer
-				// the client into the checksum-free legacy mode, so drop
-				// the connection and let it redial cleanly instead.
-				return fmt.Errorf("matchsvc: malformed hello payload: %w", verr)
-			}
-			upgrade := ver >= protoMuxed
-			status := byte(StatusOK)
-			if upgrade {
-				fs.w.uint32(protoMuxed)
-			} else {
-				status = StatusError
-				if err := fs.w.string("matchsvc: unsupported protocol version"); err != nil {
-					return err
-				}
-			}
-			if s.met != nil {
-				s.met.observeOp(OpHello, t0)
-			}
-			if s.idleTimeout > 0 {
-				if err := conn.SetWriteDeadline(time.Now().Add(s.idleTimeout)); err != nil {
-					return fmt.Errorf("matchsvc: set write deadline: %w", err)
-				}
-			}
-			if err := writeFrameHdr(conn, status, fs.w.buf, &fs.hdr); err != nil {
-				return err
-			}
-			if upgrade {
-				return s.handleMux(conn)
-			}
-			continue
-		}
-		var t0 time.Time
-		if s.met != nil {
-			t0 = time.Now()
-			s.met.inflight.Inc()
-		}
-		status, resp := s.dispatch(op, payload, &fs.w)
-		if s.met != nil {
-			s.met.observeOp(op, t0)
-			s.met.inflight.Dec()
-		}
-		if s.idleTimeout > 0 {
-			// The response write gets the same bound: a peer that never
-			// drains its receive buffer must not pin the handler either.
-			if err := conn.SetWriteDeadline(time.Now().Add(s.idleTimeout)); err != nil {
-				return fmt.Errorf("matchsvc: set write deadline: %w", err)
-			}
-		}
-		if err := writeFrameHdr(conn, status, resp, &fs.hdr); err != nil {
-			return err
+	if s.idleTimeout > 0 {
+		if err := conn.SetDeadline(time.Now().Add(s.idleTimeout)); err != nil {
+			return fmt.Errorf("matchsvc: set deadline: %w", err)
 		}
 	}
+	op, payload, err := readFrame(conn)
+	if err != nil {
+		return err
+	}
+	var t0 time.Time
+	if s.met != nil {
+		t0 = time.Now()
+	}
+	if op != OpHello {
+		return fmt.Errorf("matchsvc: first frame is opcode 0x%02x, want hello", op)
+	}
+	r := payloadReader{buf: payload}
+	if ver, verr := r.uint32(); verr != nil || ver < protoMuxed {
+		return fmt.Errorf("matchsvc: hello proposes unusable version %d (%v)", ver, verr)
+	}
+	if s.met != nil {
+		s.met.observeOp(OpHello, t0)
+	}
+	if err := writeFrame(conn, StatusOK, helloVersion[:]); err != nil {
+		return err
+	}
+	return s.handleMux(conn)
 }
 
 // dispatch executes one request and builds the response payload into w
@@ -331,10 +277,11 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		if len(msg) > 1024 {
 			msg = msg[:1024]
 		}
+		status := StatusFor(err)
 		if werr := w.string(msg); werr != nil {
-			return StatusError, nil
+			return status, nil
 		}
-		return StatusError, w.buf
+		return status, w.buf
 	}
 	r := &payloadReader{buf: payload}
 	switch op {
@@ -393,7 +340,7 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		w.uint32(uint32(res.Matched))
 		return StatusOK, w.buf
 
-	case OpIdentify, OpIdentifyEx:
+	case OpIdentifyEx:
 		k, err := r.uint32()
 		if err != nil {
 			return fail(err)
@@ -410,16 +357,14 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 			s.logger.Printf("identify: shortlist %d of %d enrollments (scanned %d)",
 				stats.Shortlist, stats.GallerySize, stats.Scanned)
 		}
-		if op == OpIdentifyEx {
-			w.uint32(uint32(stats.GallerySize))
-			w.uint32(uint32(stats.Shortlist))
-			w.uint32(uint32(stats.Scanned))
-			indexed := uint32(0)
-			if stats.Indexed {
-				indexed = 1
-			}
-			w.uint32(indexed)
+		w.uint32(uint32(stats.GallerySize))
+		w.uint32(uint32(stats.Shortlist))
+		w.uint32(uint32(stats.Scanned))
+		indexed := uint32(0)
+		if stats.Indexed {
+			indexed = 1
 		}
+		w.uint32(indexed)
 		w.uint32(uint32(len(cands)))
 		for _, c := range cands {
 			if err := w.string(c.ID); err != nil {
@@ -711,7 +656,7 @@ func (s *Server) handleMux(conn net.Conn) error {
 			}
 		}
 		start := pr.n
-		op, payload, err := readFrameIntoHdr(pr, nil, &hdr)
+		op, payload, err := readFrameHdr(pr, &hdr)
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) && pr.n == start && inflight.Load() > 0 {
 				// Quiet between frames while requests still execute: their

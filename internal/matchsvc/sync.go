@@ -7,9 +7,6 @@ package matchsvc
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"strings"
 
 	"fpinterop/internal/wal"
 )
@@ -31,8 +28,10 @@ type SyncSnapshotChunk struct {
 // SyncSnapshot fetches one snapshot chunk from the primary. resumeLSN
 // 0 starts a fresh transfer (the server captures current state);
 // subsequent chunks pass the LSN of the first response so the whole
-// transfer reads one immutable capture. maxBytes <= 0 lets the server
-// pick the largest chunk the frame cap allows.
+// transfer reads one immutable capture; when the primary no longer
+// holds it the error wraps wal.ErrSnapshotExpired and the transfer
+// restarts at 0. maxBytes <= 0 lets the server pick the largest chunk
+// the frame cap allows.
 func (c *Client) SyncSnapshot(ctx context.Context, resumeLSN uint64, offset int64, maxBytes int) (SyncSnapshotChunk, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
@@ -57,17 +56,7 @@ func (c *Client) SyncSnapshot(ctx context.Context, resumeLSN uint64, offset int6
 		out = SyncSnapshotChunk{LSN: lsn, Total: int64(total), Data: append([]byte(nil), data...)}
 		return nil
 	})
-	if err != nil {
-		// Wire-boundary sentinel translation (on sentinelerr's AllowIn
-		// list): the server reports a stale resume LSN as text, and this
-		// is the one place that string becomes wal.ErrSnapshotExpired so
-		// callers can restart the transfer with errors.Is.
-		if errors.Is(err, ErrRemote) && strings.Contains(err.Error(), "snapshot expired") {
-			return SyncSnapshotChunk{}, fmt.Errorf("%w: %w", wal.ErrSnapshotExpired, err)
-		}
-		return SyncSnapshotChunk{}, err
-	}
-	return out, nil
+	return out, err
 }
 
 // SyncTail fetches WAL records above afterLSN from the primary, up to

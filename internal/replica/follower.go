@@ -20,10 +20,6 @@ import (
 // staleness stays in the tens of milliseconds under steady write load.
 const DefaultSyncInterval = 75 * time.Millisecond
 
-// ErrReadOnlyReplica is returned when a write lands on a replica-mode
-// server: replicas only accept state from their primary's log.
-var ErrReadOnlyReplica = errors.New("replica: store is a read-only replica; write to the primary")
-
 // FollowerOptions configures the catch-up loop.
 type FollowerOptions struct {
 	// Interval between tail polls in Run. 0 means DefaultSyncInterval.
@@ -152,7 +148,7 @@ func (f *Follower) restore(ctx context.Context) error {
 	for int64(len(stream)) < first.Total {
 		chunk, err := f.cli.SyncSnapshot(ctx, first.LSN, int64(len(stream)), f.opt.MaxBytes)
 		if err != nil {
-			if isSnapshotExpired(err) {
+			if errors.Is(err, wal.ErrSnapshotExpired) {
 				// The primary re-captured mid-transfer; start over.
 				return f.restore(ctx)
 			}
@@ -175,12 +171,6 @@ func (f *Follower) restore(ctx context.Context) error {
 	f.restores.Inc()
 	f.publishLag()
 	return nil
-}
-
-// isSnapshotExpired recognizes the primary's capture-expired refusal,
-// translated to the wal sentinel at the wire boundary.
-func isSnapshotExpired(err error) bool {
-	return errors.Is(err, wal.ErrSnapshotExpired)
 }
 
 // Run polls Sync on the configured interval until ctx is done. Errors
@@ -211,10 +201,10 @@ type ReadOnlyGallery struct {
 
 // Enroll refuses: replicas apply primary log records only.
 func (ReadOnlyGallery) Enroll(id, deviceID string, tpl *minutiae.Template) error {
-	return ErrReadOnlyReplica
+	return matchsvc.ErrReadOnly
 }
 
 // Remove refuses: replicas apply primary log records only.
 func (ReadOnlyGallery) Remove(id string) error {
-	return ErrReadOnlyReplica
+	return matchsvc.ErrReadOnly
 }

@@ -264,10 +264,10 @@ func TestReadOnlyGalleryRefusesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	ro := ReadOnlyGallery{Store: store}
-	if err := ro.Enroll("x", "D0", gal[1]); !errors.Is(err, ErrReadOnlyReplica) {
+	if err := ro.Enroll("x", "D0", gal[1]); !errors.Is(err, matchsvc.ErrReadOnly) {
 		t.Fatalf("enroll: %v", err)
 	}
-	if err := ro.Remove(subjectID(0)); !errors.Is(err, ErrReadOnlyReplica) {
+	if err := ro.Remove(subjectID(0)); !errors.Is(err, matchsvc.ErrReadOnly) {
 		t.Fatalf("remove: %v", err)
 	}
 	// Reads pass through to the wrapped store.

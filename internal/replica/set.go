@@ -121,9 +121,10 @@ func (s *Set) Replicas() int { return len(s.members) }
 func (s *Set) Primary() shard.Backend { return s.members[0].backend }
 
 // record folds one read outcome into the member's health. Context
-// errors are the caller giving up, not evidence about the member.
+// errors are the caller giving up, not evidence about the member, and
+// an application-level refusal (shard.Answered) is proof of life.
 func (s *Set) record(m *member, err error) {
-	if err == nil {
+	if shard.Answered(err) {
 		m.consecFails.Store(0)
 		if m.degraded.Swap(false) {
 			m.degGauge.Set(0)

@@ -255,6 +255,25 @@ func TestSetContextErrorDoesNotDegrade(t *testing.T) {
 	}
 }
 
+// TestSetApplicationRefusalDoesNotDegrade: a verify on an unknown ID is
+// answered by every member it fails over to, and an answer is proof of
+// life — the same classifier the router uses (shard.Answered).
+func TestSetApplicationRefusalDoesNotDegrade(t *testing.T) {
+	s := NewSet("slot", shard.NewLocal("p", gallery.New(nil)),
+		[]shard.Backend{shard.NewLocal("r", gallery.New(nil))}, SetOptions{})
+	for i := 0; i < DefaultFailureThreshold; i++ {
+		if _, err := s.Verify(bg, "nobody", &minutiae.Template{}); !errors.Is(err, gallery.ErrNotFound) {
+			t.Fatalf("verify %d: err = %v, want ErrNotFound", i, err)
+		}
+	}
+	for _, m := range s.members {
+		if m.degraded.Load() || m.consecFails.Load() != 0 {
+			t.Fatalf("member %s charged for not-found answers (fails=%d degraded=%v)",
+				m.backend.Name(), m.consecFails.Load(), m.degraded.Load())
+		}
+	}
+}
+
 func TestSetVerifyFailsOver(t *testing.T) {
 	s, members := fakeSet(t, 2)
 	members[0].failing.Store(true)

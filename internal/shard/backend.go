@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"io"
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/match"
@@ -10,10 +9,10 @@ import (
 	"fpinterop/internal/minutiae"
 )
 
-// Enrollment is one batched enrollment item — the same shape the wire
-// protocol batches, aliased so router batches ship to remote shards
-// without a conversion copy.
-type Enrollment = matchsvc.Enrollment
+// Enrollment is one batched enrollment item — the shape the wire
+// protocol, the WAL and the store all batch, so router batches reach
+// any shard without a conversion copy.
+type Enrollment = gallery.Export
 
 // Backend is one shard of the partitioned gallery: a local
 // gallery.Store, or a remote matchd reached through matchsvc.Client.
@@ -49,34 +48,32 @@ type Backend interface {
 	Len(ctx context.Context) (int, error)
 }
 
-// Saver is implemented by backends whose gallery can be serialized
-// (local shards; a remote matchd owns its own persistence).
-type Saver interface {
-	SaveTo(w io.Writer) error
+// Store is what a Local shard needs from its store. *gallery.Store
+// satisfies it, and so does *wal.Store — the same reads, with every
+// mutation routed through the write-ahead log (and an atomic,
+// single-fsync EnrollBatch) — so one adapter serves plain and durable
+// shards alike.
+type Store interface {
+	Enroll(id, deviceID string, tpl *minutiae.Template) error
+	EnrollBatch(items []gallery.Export) error
+	Remove(id string) error
+	Has(id string) bool
+	Scan(afterID string, max int) []gallery.Export
+	VerifyContext(ctx context.Context, id string, probe *minutiae.Template) (match.Result, error)
+	IdentifyDetailedContext(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error)
+	Len() int
 }
 
-// Loader is implemented by backends whose gallery can be replaced from
-// a serialized stream.
-type Loader interface {
-	LoadFrom(r io.Reader) error
-}
-
-// Local adapts a *gallery.Store to the Backend interface.
+// Local adapts an in-process Store to the Backend interface.
 type Local struct {
 	name  string
-	store *gallery.Store
+	store Store
 }
 
 // NewLocal wraps an in-process store as a shard named name.
-func NewLocal(name string, store *gallery.Store) *Local {
-	if store == nil {
-		store = gallery.New(nil)
-	}
+func NewLocal(name string, store Store) *Local {
 	return &Local{name: name, store: store}
 }
-
-// Store exposes the wrapped store (e.g. to enable its index).
-func (l *Local) Store() *gallery.Store { return l.store }
 
 func (l *Local) Name() string { return l.name }
 
@@ -88,15 +85,10 @@ func (l *Local) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.T
 }
 
 func (l *Local) EnrollBatch(ctx context.Context, items []Enrollment) error {
-	for _, it := range items {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := l.store.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
-			return err
-		}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return nil
+	return l.store.EnrollBatch(items)
 }
 
 func (l *Local) Remove(ctx context.Context, id string) error {
@@ -135,13 +127,9 @@ func (l *Local) Len(ctx context.Context) (int, error) {
 	return l.store.Len(), nil
 }
 
-func (l *Local) SaveTo(w io.Writer) error   { return l.store.SaveTo(w) }
-func (l *Local) LoadFrom(r io.Reader) error { return l.store.LoadFrom(r) }
-
 // Remote adapts a matchsvc.Client to the Backend interface. The client
-// serializes requests over one connection, so one Remote sustains one
-// in-flight request; the router's fan-out runs shards in parallel, not
-// requests within a shard.
+// multiplexes concurrent requests over its pooled connections, so one
+// Remote serves any number of in-flight calls (hedges included).
 type Remote struct {
 	name string
 	cli  *matchsvc.Client

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,7 +16,7 @@ func localStores(r *Router) []*gallery.Store {
 	bs := r.Backends()
 	out := make([]*gallery.Store, len(bs))
 	for i, b := range bs {
-		out[i] = b.(*Local).Store()
+		out[i] = b.(*Local).store.(*gallery.Store)
 	}
 	return out
 }
@@ -34,10 +33,6 @@ func TestAddShardValidation(t *testing.T) {
 	if _, err := r.AddShard(NewLocal("shard-4", gallery.New(nil))); !errors.Is(err, ErrMigrationInProgress) {
 		t.Fatalf("second migration: err = %v", err)
 	}
-	var buf bytes.Buffer
-	if err := r.SaveTo(&buf); !errors.Is(err, ErrMigrationInProgress) {
-		t.Fatalf("SaveTo during migration: err = %v", err)
-	}
 	if _, err := rb.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +41,6 @@ func TestAddShardValidation(t *testing.T) {
 	}
 	if _, err := rb.Run(ctx); err == nil {
 		t.Fatal("completed rebalancer ran again")
-	}
-	if err := r.SaveTo(&buf); err != nil {
-		t.Fatalf("SaveTo after cutover: %v", err)
 	}
 }
 
@@ -73,8 +65,8 @@ func TestRebalanceMovesOnlyRingMovedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Moved != join.Store().Len() {
-		t.Fatalf("stats.Moved = %d, joining shard holds %d", stats.Moved, join.Store().Len())
+	if stats.Moved != join.store.Len() {
+		t.Fatalf("stats.Moved = %d, joining shard holds %d", stats.Moved, join.store.Len())
 	}
 	if stats.Moved == 0 {
 		t.Fatal("no keys moved to the joining shard; fixture too small to exercise migration")
@@ -150,7 +142,7 @@ func TestMigrationServingInvariants(t *testing.T) {
 		id := subjectID(i)
 		if rb.newRing.owner(id) == rb.joining {
 			doubled = id
-			if err := join.Store().Enroll(id, "D0", gal[i%len(gal)]); err != nil {
+			if err := join.store.Enroll(id, "D0", gal[i%len(gal)]); err != nil {
 				t.Fatal(err)
 			}
 			break
@@ -164,7 +156,7 @@ func TestMigrationServingInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := single.Identify(probe, 0)
+		want, err := single.IdentifyContext(ctx, probe, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +352,7 @@ func TestGrowFourToEightUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := single.Identify(probe, 0)
+		want, err := single.IdentifyContext(ctx, probe, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,6 +21,7 @@ import (
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/match"
+	"fpinterop/internal/matchsvc"
 	"fpinterop/internal/minutiae"
 	"fpinterop/internal/obs"
 )
@@ -74,10 +75,10 @@ type Options struct {
 	// Policy selects the degraded-shard behavior (default SkipDegraded).
 	Policy Policy
 	// HedgeDelay enables hedged identification: a scatter leg still
-	// unanswered after the delay is re-sent to the same shard (over a
-	// different pooled connection when the backend is remote) and the
-	// first answer wins, taming the tail a single slow replica inflicts
-	// on every search. The delay adapts per shard to the observed p95
+	// unanswered after the delay is re-sent to the same ring slot — to a
+	// different member when the slot is a replica set — and the first
+	// answer wins, taming the tail a single slow replica inflicts on
+	// every search. The delay adapts per shard to the observed p95
 	// identify latency once enough history accumulates (Registry must be
 	// set for that); until then — or without a Registry — HedgeDelay
 	// itself is the static delay. 0 (the default) disables hedging.
@@ -233,15 +234,26 @@ func (r *Router) Migrating() bool {
 	return r.mig != nil
 }
 
+// Answered reports whether a backend call's outcome proves the backend
+// alive: success, or a refusal the application defines — unknown ID,
+// duplicate, write to a read-only replica (the coded wire statuses).
+// Only the remaining failures count toward degradation, here and in
+// replica.Set; three Verify calls on unknown IDs must not hide a
+// healthy shard's subjects from identification.
+func Answered(err error) bool {
+	return matchsvc.StatusFor(err) != matchsvc.StatusError
+}
+
 // record updates a shard's health after one backend call. A failure
 // caused by the caller's own context — cancellation or an expired
 // caller deadline — says nothing about the shard, so it neither counts
 // toward degradation nor resets the failure streak (recordCtx filters
 // those out before delegating here).
 func (r *Router) record(h *health, err error) {
+	answered := Answered(err)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err == nil {
+	if answered {
 		h.consecFails = 0
 		if h.degraded {
 			h.degraded = false

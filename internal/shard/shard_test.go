@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -197,7 +196,7 @@ func TestShardedIdentifyBitIdenticalToSingleStore(t *testing.T) {
 		}
 		for _, k := range []int{1, 5, 0, len(gal) + 10} {
 			for pi, probe := range probes[:6] {
-				want, err := single.Identify(probe, k)
+				want, err := single.IdentifyContext(ctx, probe, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -364,6 +363,68 @@ func TestHealthDegradationSkipAndRecovery(t *testing.T) {
 	}
 }
 
+// TestApplicationRefusalsDoNotDegrade is the regression test for health
+// accounting that charged a shard for application answers: unknown-ID
+// verifies and removes and duplicate enrollments prove the backend
+// alive, so after a failure-threshold's worth of each, no shard is
+// degraded and identification still covers every shard — over local
+// stores and over the wire alike.
+func TestApplicationRefusalsDoNotDegrade(t *testing.T) {
+	gal, probes := fixtures(t)
+	kinds := map[string]func(name string) Backend{
+		"local":  func(name string) Backend { return NewLocal(name, gallery.New(nil)) },
+		"remote": func(name string) Backend { return bootShard(t, name) },
+	}
+	for kind, mk := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			r, err := New([]Backend{mk("a"), mk("b")}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tpl := range gal {
+				if err := r.Enroll(ctx, subjectID(i), "D0", tpl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Aim every refusal at one shard: IDs that all hash to the
+			// owner of subject 0.
+			target := r.Owner(subjectID(0))
+			var unknown []string
+			for i := 0; len(unknown) < 3; i++ {
+				if id := fmt.Sprintf("nobody-%d", i); r.Owner(id) == target {
+					unknown = append(unknown, id)
+				}
+			}
+			refusals := []struct {
+				name string
+				do   func(i int) error
+				want error
+			}{
+				{"verify unknown", func(i int) error { _, err := r.Verify(ctx, unknown[i], probes[0]); return err }, gallery.ErrNotFound},
+				{"remove unknown", func(i int) error { return r.Remove(ctx, unknown[i]) }, gallery.ErrNotFound},
+				{"enroll duplicate", func(int) error { return r.Enroll(ctx, subjectID(0), "D0", gal[0]) }, gallery.ErrDuplicate},
+			}
+			for _, ref := range refusals {
+				for i := 0; i < 3; i++ {
+					if err := ref.do(i); !errors.Is(err, ref.want) {
+						t.Fatalf("%s %d: err = %v, want %v", ref.name, i, err, ref.want)
+					}
+				}
+				if deg := r.Degraded(); len(deg) != 0 {
+					t.Fatalf("after three %s calls: degraded = %v", ref.name, deg)
+				}
+				_, stats, err := r.IdentifyDetailed(ctx, probes[0], 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.ShardsQueried != 2 || stats.ShardsSkipped != 0 || stats.Partial || stats.GallerySize != len(gal) {
+					t.Fatalf("after three %s calls: identify lost coverage: %+v", ref.name, stats)
+				}
+			}
+		})
+	}
+}
+
 func TestFailClosedPolicy(t *testing.T) {
 	gal, probes := fixtures(t)
 	flaky := &flakyBackend{Backend: NewLocal("flaky", gallery.New(nil))}
@@ -456,91 +517,6 @@ func TestVerifyAndRemoveRouting(t *testing.T) {
 	}
 }
 
-func TestRouterPersistenceRoundTrip(t *testing.T) {
-	gal, probes := fixtures(t)
-	mk := func() *Router {
-		backends := make([]Backend, 3)
-		for i := range backends {
-			store := gallery.New(nil)
-			if err := store.EnableIndex(gallery.IndexOptions{MinCandidates: 1}); err != nil {
-				t.Fatal(err)
-			}
-			backends[i] = NewLocal(fmt.Sprintf("shard-%d", i), store)
-		}
-		r, err := New(backends, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	orig := mk()
-	// Normalize fixtures through the codec first: SaveTo/LoadFrom
-	// quantizes minutiae, so only codec-normalized templates make the
-	// pre-save and post-load routers byte-comparable.
-	items := make([]Enrollment, len(gal))
-	for i, tpl := range gal {
-		data, err := minutiae.Marshal(tpl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		norm, err := minutiae.Unmarshal(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items[i] = Enrollment{ID: subjectID(i), DeviceID: "D0", Template: norm}
-	}
-	if err := orig.EnrollBatch(ctx, items); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := orig.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := mk()
-	if err := restored.LoadFrom(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len(ctx) != len(gal) {
-		t.Fatalf("restored Len = %d, want %d", restored.Len(ctx), len(gal))
-	}
-	// Per-shard retrieval indexes must be rebuilt on load.
-	for i, b := range restored.Backends() {
-		st, ok := b.(*Local).Store().IndexStats()
-		n, _ := b.Len(ctx)
-		if !ok || st.Templates != n {
-			t.Fatalf("shard %d index not rebuilt: ok=%v stats=%+v len=%d", i, ok, st, n)
-		}
-	}
-	for _, probe := range probes[:4] {
-		want, _, err := orig.IdentifyDetailed(ctx, probe, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := restored.IdentifyDetailed(ctx, probe, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("restored returned %d candidates, want %d", len(got), len(want))
-		}
-		for c := range want {
-			if got[c] != want[c] {
-				t.Fatalf("restored candidate %d = %+v, want %+v", c, got[c], want[c])
-			}
-		}
-	}
-
-	// Mismatched layouts are rejected.
-	two := localRouter(t, 2, Options{})
-	if err := two.LoadFrom(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrShardMismatch) {
-		t.Fatalf("want ErrShardMismatch, got %v", err)
-	}
-	if err := mk().LoadFrom(bytes.NewReader([]byte("FPGDxxxx"))); !errors.Is(err, ErrBadRouterFormat) {
-		t.Fatalf("want ErrBadRouterFormat, got %v", err)
-	}
-}
-
 func TestRouterConcurrentUse(t *testing.T) {
 	gal, probes := fixtures(t)
 	r := localRouter(t, 3, Options{})
@@ -590,7 +566,7 @@ func TestDegenerateKMatchesSingleStore(t *testing.T) {
 	}
 	for _, k := range []int{-1000, -7, -1, 0, len(gal), len(gal) + 13} {
 		for pi, probe := range probes[:3] {
-			want, err := single.Identify(probe, k)
+			want, err := single.IdentifyContext(ctx, probe, k)
 			if err != nil {
 				t.Fatal(err)
 			}

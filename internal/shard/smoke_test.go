@@ -133,7 +133,7 @@ func TestShardSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		imp.Template = probe
-		want, err := single.Identify(imp.Template, 5)
+		want, err := single.IdentifyContext(ctx, imp.Template, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -63,10 +62,10 @@ type RecoveryStats struct {
 	TornTail       bool
 }
 
-// ErrDirectLoad is returned by the load methods a durable store
-// inherits from the gallery: swapping the in-memory state underneath
-// the log would silently diverge memory from disk. Recovery happens in
-// Open, nowhere else.
+// ErrDirectLoad is returned by the ReplaceAll a durable store inherits
+// from the gallery: swapping the in-memory state underneath the log
+// would silently diverge memory from disk. Recovery happens in Open,
+// nowhere else.
 var ErrDirectLoad = errors.New("wal: direct load would bypass the write-ahead log")
 
 const (
@@ -411,12 +410,6 @@ func (s *Store) Close() error {
 	}
 	return err
 }
-
-// LoadFrom always fails: see ErrDirectLoad.
-func (s *Store) LoadFrom(io.Reader) error { return ErrDirectLoad }
-
-// LoadFile always fails: see ErrDirectLoad.
-func (s *Store) LoadFile(string) error { return ErrDirectLoad }
 
 // ReplaceAll always fails: see ErrDirectLoad.
 func (s *Store) ReplaceAll([]gallery.Export) error { return ErrDirectLoad }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"fpinterop/internal/gallery"
@@ -228,12 +227,6 @@ func TestDuplicateEnrollDoesNotLog(t *testing.T) {
 func TestDirectLoadBlocked(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	defer s.Close()
-	if err := s.LoadFrom(strings.NewReader("x")); !errors.Is(err, ErrDirectLoad) {
-		t.Fatalf("LoadFrom err = %v", err)
-	}
-	if err := s.LoadFile("nope"); !errors.Is(err, ErrDirectLoad) {
-		t.Fatalf("LoadFile err = %v", err)
-	}
 	if err := s.ReplaceAll(nil); !errors.Is(err, ErrDirectLoad) {
 		t.Fatalf("ReplaceAll err = %v", err)
 	}
