@@ -779,7 +779,7 @@ func BenchmarkExtensionIndexedIdentify(b *testing.B) {
 				b.ResetTimer()
 				shortlistSum := 0
 				for i := 0; i < b.N; i++ {
-					cands, stats, err := store.IdentifyDetailed(probes[i%len(probes)], 5)
+					cands, stats, err := store.IdentifyDetailedContext(context.Background(), probes[i%len(probes)], 5)
 					if err != nil {
 						b.Fatal(err)
 					}

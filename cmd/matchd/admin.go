@@ -40,7 +40,7 @@ type adminView struct {
 // The mux is explicit — nothing registers through http.DefaultServeMux,
 // so a library init cannot quietly widen this surface. Returns the
 // bound address; the server drains when ctx is cancelled.
-func startAdmin(ctx context.Context, addr string, reg *obs.Registry, view func() adminView) (string, error) {
+func startAdmin(ctx context.Context, addr string, reg *obs.Registry, view func(context.Context) (adminView, error)) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -55,10 +55,15 @@ func startAdmin(ctx context.Context, addr string, reg *obs.Registry, view func()
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/admin/stats", func(w http.ResponseWriter, r *http.Request) {
+		v, err := view(r.Context())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(view()); err != nil {
+		if err := enc.Encode(v); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

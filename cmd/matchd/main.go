@@ -68,8 +68,14 @@
 //
 // matchd is the serving side of the public identity-service API:
 // consumers reach everything it hosts through fpis.Dial (one matchd)
-// or fpis.New with fpis.WithShards (a fleet of them), with per-request
-// deadlines and cancellation carried by context.Context.
+// or fpis.New with fpis.WithShards (a fleet of them). It builds what it
+// serves through internal/topology, the constructor fpis.New uses, so
+// every flag combination above is a deployment the library can also run
+// in process. Per-request deadlines and cancellation are carried by
+// context.Context across the wire: a request's envelope says how long
+// its caller will still wait, the server runs it under a context that
+// expires then (or when the connection drops), and a front passes what
+// is left on to its shards.
 package main
 
 import (
@@ -79,13 +85,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"fpinterop/internal/gallery"
-	"fpinterop/internal/index"
 	"fpinterop/internal/matchsvc"
 	"fpinterop/internal/obs"
 	"fpinterop/internal/population"
@@ -93,7 +98,7 @@ import (
 	"fpinterop/internal/rng"
 	"fpinterop/internal/sensor"
 	"fpinterop/internal/shard"
-	"fpinterop/internal/wal"
+	"fpinterop/internal/topology"
 )
 
 func main() {
@@ -105,76 +110,78 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("matchd", flag.ContinueOnError)
+	// The deployment flags fill the topology description directly.
+	var cfg topology.Config
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
 	preload := fs.Int("preload", 0, "enroll N synthetic subjects at startup")
 	seed := fs.Uint64("seed", 2013, "seed for preloaded subjects")
 	deviceID := fs.String("device", "D0", "device used for preloaded enrollments")
-	useIndex := fs.Bool("index", false, "serve identification from a minutia-triplet candidate index")
-	indexFanout := fs.Int("index-fanout", 0, "index shortlist size (0 = default)")
+	fs.BoolVar(&cfg.Index, "index", false, "serve identification from a minutia-triplet candidate index")
+	fs.IntVar(&cfg.IndexFanout, "index-fanout", 0, "index shortlist size (0 = default)")
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "drop connections idle (or mid-frame) longer than this; 0 disables")
-	localShards := fs.Int("local-shards", 0, "partition the gallery across N in-process shards")
+	fs.IntVar(&cfg.LocalShards, "local-shards", 0, "partition the gallery across N in-process shards")
 	shardAddrs := fs.String("shards", "", "comma-separated remote matchd addresses to scatter-gather over")
 	replicaAddrs := fs.String("replicas", "", "read replicas per -shards slot: semicolon-separated groups in -shards order, each a comma-separated address list")
 	replicaOf := fs.String("replica-of", "", "run as a read replica of the WAL-backed primary matchd at this address")
 	replicaSyncInterval := fs.Duration("replica-sync-interval", 0, "how often a -replica-of instance polls the primary's log tail (0 = 75ms default)")
-	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard identification deadline (0 = none)")
-	poolSize := fs.Int("pool-size", 1, "connections pooled per remote shard (requires -shards)")
-	retryAttempts := fs.Int("retry", 0, "total attempts for idempotent shard calls after transport failures, 0/1 = no retries (requires -shards)")
-	keepalive := fs.Duration("keepalive", 0, "idle-connection keepalive interval toward remote shards; 0 = client default, negative disables (requires -shards)")
-	hedgeDelay := fs.Duration("hedge-delay", 0, "re-send a shard identify leg still unanswered after this long, 0 = off (requires -local-shards or -shards)")
-	walDir := fs.String("wal-dir", "", "write-ahead-log directory: mutations are durable and replayed at startup")
-	compactEvery := fs.Int("compact-every", 0, "compact the WAL into a snapshot after every N mutations (0 = only on shutdown)")
+	fs.DurationVar(&cfg.ShardTimeout, "shard-timeout", 0, "per-shard identification deadline (0 = none)")
+	fs.IntVar(&cfg.Client.PoolSize, "pool-size", 1, "connections pooled per remote shard (requires -shards)")
+	fs.IntVar(&cfg.Client.Retry.Attempts, "retry", 0, "total attempts for idempotent shard calls after transport failures, 0/1 = no retries (requires -shards)")
+	fs.DurationVar(&cfg.Client.Keepalive, "keepalive", 0, "idle-connection keepalive interval toward remote shards; 0 = client default, negative disables (requires -shards)")
+	fs.DurationVar(&cfg.HedgeDelay, "hedge-delay", 0, "re-send a shard identify leg still unanswered after this long, 0 = off (requires -local-shards or -shards)")
+	fs.StringVar(&cfg.WALDir, "wal-dir", "", "write-ahead-log directory: mutations are durable and replayed at startup")
+	fs.IntVar(&cfg.CompactEvery, "compact-every", 0, "compact the WAL into a snapshot after every N mutations (0 = only on shutdown)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz, /admin/stats and /debug/pprof on this address")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *indexFanout < 0 {
-		return fmt.Errorf("-index-fanout must be >= 0, got %d", *indexFanout)
+	if cfg.IndexFanout < 0 {
+		return fmt.Errorf("-index-fanout must be >= 0, got %d", cfg.IndexFanout)
 	}
-	if *indexFanout > 0 && !*useIndex {
+	if cfg.IndexFanout > 0 && !cfg.Index {
 		return fmt.Errorf("-index-fanout requires -index")
 	}
-	if *localShards < 0 {
-		return fmt.Errorf("-local-shards must be >= 0, got %d", *localShards)
+	if cfg.LocalShards < 0 {
+		return fmt.Errorf("-local-shards must be >= 0, got %d", cfg.LocalShards)
 	}
-	if *localShards > 0 && *shardAddrs != "" {
+	if cfg.LocalShards > 0 && *shardAddrs != "" {
 		return fmt.Errorf("-local-shards and -shards are mutually exclusive")
 	}
-	if *shardAddrs != "" && *useIndex {
+	if *shardAddrs != "" && cfg.Index {
 		return fmt.Errorf("-index belongs on the shard processes, not the -shards front")
 	}
-	if *shardTimeout != 0 && *localShards == 0 && *shardAddrs == "" {
+	if cfg.ShardTimeout != 0 && cfg.LocalShards == 0 && *shardAddrs == "" {
 		return fmt.Errorf("-shard-timeout requires -local-shards or -shards")
 	}
-	if *poolSize < 1 {
-		return fmt.Errorf("-pool-size must be >= 1, got %d", *poolSize)
+	if cfg.Client.PoolSize < 1 {
+		return fmt.Errorf("-pool-size must be >= 1, got %d", cfg.Client.PoolSize)
 	}
-	if *retryAttempts < 0 {
-		return fmt.Errorf("-retry must be >= 0, got %d", *retryAttempts)
+	if cfg.Client.Retry.Attempts < 0 {
+		return fmt.Errorf("-retry must be >= 0, got %d", cfg.Client.Retry.Attempts)
 	}
-	if *shardAddrs == "" && (*poolSize != 1 || *retryAttempts != 0 || *keepalive != 0) {
+	if *shardAddrs == "" && (cfg.Client.PoolSize != 1 || cfg.Client.Retry.Attempts != 0 || cfg.Client.Keepalive != 0) {
 		return fmt.Errorf("-pool-size/-retry/-keepalive configure the remote-shard clients; they require -shards")
 	}
-	if *hedgeDelay < 0 {
-		return fmt.Errorf("-hedge-delay must be >= 0, got %v", *hedgeDelay)
+	if cfg.HedgeDelay < 0 {
+		return fmt.Errorf("-hedge-delay must be >= 0, got %v", cfg.HedgeDelay)
 	}
-	if *hedgeDelay > 0 && *localShards == 0 && *shardAddrs == "" {
+	if cfg.HedgeDelay > 0 && cfg.LocalShards == 0 && *shardAddrs == "" {
 		return fmt.Errorf("-hedge-delay requires -local-shards or -shards")
 	}
-	if *compactEvery < 0 {
-		return fmt.Errorf("-compact-every must be >= 0, got %d", *compactEvery)
+	if cfg.CompactEvery < 0 {
+		return fmt.Errorf("-compact-every must be >= 0, got %d", cfg.CompactEvery)
 	}
-	if *compactEvery > 0 && *walDir == "" {
+	if cfg.CompactEvery > 0 && cfg.WALDir == "" {
 		return fmt.Errorf("-compact-every requires -wal-dir")
 	}
-	if *walDir != "" && *shardAddrs != "" {
+	if cfg.WALDir != "" && *shardAddrs != "" {
 		return fmt.Errorf("-wal-dir belongs on the shard processes, not the -shards front")
 	}
 	if *replicaOf != "" {
 		switch {
-		case *localShards > 0 || *shardAddrs != "":
+		case cfg.LocalShards > 0 || *shardAddrs != "":
 			return fmt.Errorf("-replica-of runs a single-store replica; it excludes -local-shards and -shards")
-		case *walDir != "":
+		case cfg.WALDir != "":
 			return fmt.Errorf("-replica-of replicates the primary's state; it excludes -wal-dir")
 		case *preload > 0:
 			return fmt.Errorf("-replica-of refuses writes; it excludes -preload")
@@ -191,80 +198,57 @@ func run(args []string) error {
 	}
 
 	logger := obs.NewLogger(os.Stderr)
-	indexOpt := gallery.IndexOptions{Index: index.Options{Fanout: *indexFanout}}
 
 	// One registry feeds every layer; nil (no -metrics-addr) keeps all
 	// instrumentation as no-ops.
-	var reg *obs.Registry
 	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
+		cfg.Metrics = obs.NewRegistry()
 	}
+	reg := cfg.Metrics
+	var err error
+	if cfg.Shards, cfg.Replicas, err = parseShards(*shardAddrs, *replicaAddrs); err != nil {
+		return err
+	}
+	// A hung shard must not wedge the front: bound every round trip so
+	// abandoned scatter calls unwind instead of piling up, giving the
+	// router's own deadline generous headroom.
+	cfg.Client.RequestTimeout = 2 * cfg.ShardTimeout
+	if cfg.Client.RequestTimeout <= 0 {
+		cfg.Client.RequestTimeout = 2 * time.Minute
+	}
+	cfg.Client.RedialTimeout = 5 * time.Second
 
-	// The served backend is either a single store or a shard router,
-	// either one optionally fronted by a write-ahead log.
-	var (
-		backend   matchsvc.Gallery
-		store     *gallery.Store
-		router    *shard.Router
-		walStores []*wal.Store
-		follower  *replica.Follower
-	)
-	openWAL := func(dir, name string, st *gallery.Store) (*wal.Store, error) {
-		ws, err := wal.Open(dir, st, wal.Options{
-			CompactEvery: *compactEvery,
-			Metrics:      reg,
-			Shard:        name,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("open WAL %s: %w", dir, err)
-		}
-		walStores = append(walStores, ws)
+	// The one root: start-up work (dialing shards, a replica's first
+	// catch-up, the preload) and serving alike end at SIGINT/SIGTERM.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	dialCtx, dialDone := context.WithTimeout(ctx, 5*time.Second)
+	topo, err := topology.Build(dialCtx, cfg)
+	dialDone()
+	if err != nil {
+		return err
+	}
+	defer topo.Close()
+	router := topo.Router
+	for i, ws := range topo.WALs {
 		rec := ws.Recovery()
-		logger.Info("wal recovery", "dir", dir,
+		logger.Info("wal recovery", "store", i,
 			"snapshot_entries", rec.SnapshotEntries, "replayed", rec.Replayed,
 			"torn_tail", rec.TornTail, "truncated_bytes", rec.TruncatedBytes)
-		return ws, nil
 	}
-	dialRemote := func(a string) (*matchsvc.Client, error) {
-		dialCtx, dialCancel := context.WithTimeout(context.Background(), 5*time.Second)
-		cli, err := matchsvc.DialContext(dialCtx, a)
-		dialCancel()
-		if err != nil {
-			return nil, fmt.Errorf("dial shard %s: %w", a, err)
-		}
-		cli.SetRedialTimeout(5 * time.Second)
-		// A hung shard must not wedge the front: bound every round
-		// trip so abandoned scatter calls unwind instead of piling
-		// up, giving the router's own deadline generous headroom.
-		reqTimeout := 2 * *shardTimeout
-		if reqTimeout <= 0 {
-			reqTimeout = 2 * time.Minute
-		}
-		cli.SetRequestTimeout(reqTimeout)
-		cli.SetMetrics(reg)
-		cli.SetPoolSize(*poolSize)
-		if *retryAttempts > 1 {
-			cli.SetRetry(matchsvc.Retry{Attempts: *retryAttempts})
-		}
-		if *keepalive != 0 {
-			cli.SetKeepalive(*keepalive)
-		}
-		return cli, nil
-	}
+
+	srv := matchsvc.NewBackendServer(topo.Backend, logger.StdLogger("matchsvc"))
+	var follower *replica.Follower
 	switch {
 	case *replicaOf != "":
-		store = gallery.New(nil)
-		if *useIndex {
-			if err := store.EnableIndex(indexOpt); err != nil {
-				return fmt.Errorf("enable index: %w", err)
-			}
-		}
-		if reg != nil {
-			store.SetMetrics(reg, "replica")
-		}
-		cli, err := dialRemote(*replicaOf)
+		// A replica is the single-store topology served with its writes
+		// refused, and a follower feeding the store from the primary's log.
+		store := topo.Stores[0]
+		dialCtx, dialDone := context.WithTimeout(ctx, 5*time.Second)
+		cli, err := topology.Dial(dialCtx, *replicaOf, cfg.Client, reg)
+		dialDone()
 		if err != nil {
-			return fmt.Errorf("replica: %w", err)
+			return fmt.Errorf("replica: dial primary %s: %w", *replicaOf, err)
 		}
 		defer cli.Close()
 		follower = replica.NewFollower(store, cli, replica.FollowerOptions{
@@ -274,123 +258,23 @@ func run(args []string) error {
 		})
 		// Catch up before accepting the first read, so a freshly started
 		// replica never serves an empty gallery against a full primary.
-		syncCtx, syncCancel := context.WithTimeout(context.Background(), 5*time.Minute)
+		syncCtx, syncDone := context.WithTimeout(ctx, 5*time.Minute)
 		err = follower.Sync(syncCtx)
-		syncCancel()
+		syncDone()
 		if err != nil {
 			return fmt.Errorf("replica: initial sync from %s: %w", *replicaOf, err)
 		}
 		logger.Info("replica synced", "primary", *replicaOf,
 			"lsn", follower.LSN(), "enrollments", store.Len())
-		backend = replica.ReadOnlyGallery{Store: store}
-
-	case *shardAddrs != "":
-		var primaries []string
-		for _, a := range strings.Split(*shardAddrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				primaries = append(primaries, a)
-			}
-		}
-		var groups [][]string
-		if *replicaAddrs != "" {
-			raw := strings.Split(*replicaAddrs, ";")
-			if len(raw) != len(primaries) {
-				return fmt.Errorf("-replicas lists %d slot groups, -shards has %d addresses", len(raw), len(primaries))
-			}
-			groups = make([][]string, len(raw))
-			for i, g := range raw {
-				for _, a := range strings.Split(g, ",") {
-					if a = strings.TrimSpace(a); a != "" {
-						groups[i] = append(groups[i], a)
-					}
-				}
-			}
-		}
-		var backends []shard.Backend
+		srv = matchsvc.NewServer(replica.ReadOnlyGallery{Store: store}, logger.StdLogger("matchsvc"))
+	case len(cfg.Shards) > 0:
 		replicaCount := 0
-		for i, a := range primaries {
-			cli, err := dialRemote(a)
-			if err != nil {
-				return err
-			}
-			defer cli.Close()
-			var b shard.Backend = shard.NewRemote(a, cli)
-			if groups != nil && len(groups[i]) > 0 {
-				members := make([]shard.Backend, 0, len(groups[i]))
-				for _, ra := range groups[i] {
-					rcli, err := dialRemote(ra)
-					if err != nil {
-						return fmt.Errorf("replica of %s: %w", a, err)
-					}
-					defer rcli.Close()
-					members = append(members, shard.NewRemote(ra, rcli))
-				}
-				replicaCount += len(members)
-				// The set keeps the primary's address as its ring name, so
-				// attaching replicas to a live deployment moves no keys.
-				b = replica.NewSet(a, b, members, replica.SetOptions{Metrics: reg})
-			}
-			backends = append(backends, b)
+		for _, g := range cfg.Replicas {
+			replicaCount += len(g)
 		}
-		var err error
-		router, err = shard.New(backends, shard.Options{ShardTimeout: *shardTimeout, Registry: reg, HedgeDelay: *hedgeDelay})
-		if err != nil {
-			return err
-		}
-		backend = shard.Front{Router: router}
-		logger.Info("scatter-gather front", "remote_shards", len(backends), "replicas", replicaCount)
-
-	case *localShards > 0:
-		backends := make([]shard.Backend, *localShards)
-		for i := range backends {
-			name := fmt.Sprintf("shard-%d", i)
-			st := gallery.New(nil)
-			if *useIndex {
-				if err := st.EnableIndex(indexOpt); err != nil {
-					return fmt.Errorf("enable index on shard %d: %w", i, err)
-				}
-			}
-			if reg != nil {
-				st.SetMetrics(reg, name)
-			}
-			if *walDir != "" {
-				ws, err := openWAL(filepath.Join(*walDir, name), name, st)
-				if err != nil {
-					return err
-				}
-				backends[i] = shard.NewLocal(name, ws)
-				continue
-			}
-			backends[i] = shard.NewLocal(name, st)
-		}
-		var err error
-		router, err = shard.New(backends, shard.Options{ShardTimeout: *shardTimeout, Registry: reg, HedgeDelay: *hedgeDelay})
-		if err != nil {
-			return err
-		}
-		backend = shard.Front{Router: router}
-		logger.Info("local shards", "count", *localShards)
-
-	default:
-		store = gallery.New(nil)
-		if *useIndex {
-			if err := store.EnableIndex(indexOpt); err != nil {
-				return fmt.Errorf("enable index: %w", err)
-			}
-		}
-		if reg != nil {
-			store.SetMetrics(reg, "local")
-		}
-		backend = store
-		if *walDir != "" {
-			ws, err := openWAL(*walDir, "local", store)
-			if err != nil {
-				return err
-			}
-			// The durable store shadows the mutating methods, so served
-			// enrollments and removals hit the log before they are acked.
-			backend = ws
-		}
+		logger.Info("scatter-gather front", "remote_shards", len(cfg.Shards), "replicas", replicaCount)
+	case cfg.LocalShards > 0:
+		logger.Info("local shards", "count", cfg.LocalShards)
 	}
 
 	if *preload > 0 {
@@ -411,52 +295,32 @@ func run(args []string) error {
 				Template: imp.Template,
 			}
 		}
-		if len(walStores) > 0 {
-			// A durable gallery may already hold recovered subjects; the
-			// preload tops it up to N instead of failing on the overlap.
-			fresh := 0
-			for _, it := range items {
-				var err error
-				if router != nil {
-					err = router.Enroll(context.Background(), it.ID, it.DeviceID, it.Template)
-				} else {
-					err = backend.Enroll(it.ID, it.DeviceID, it.Template)
-				}
-				if errors.Is(err, gallery.ErrDuplicate) {
-					continue
-				}
-				if err != nil {
-					return fmt.Errorf("preload enroll %q: %w", it.ID, err)
-				}
-				fresh++
+		// The gallery may already hold recovered (or, behind a front,
+		// previously loaded) subjects; the preload tops it up to N
+		// instead of failing on the overlap.
+		fresh := 0
+		for _, it := range items {
+			err := topo.Backend.Enroll(ctx, it.ID, it.DeviceID, it.Template)
+			if errors.Is(err, gallery.ErrDuplicate) {
+				continue
 			}
-			logger.Info("preloaded", "enrollments", fresh, "device", dev.Model,
-				"already_recovered", len(items)-fresh)
-		} else {
-			if router != nil {
-				if err := router.EnrollBatch(context.Background(), items); err != nil {
-					return fmt.Errorf("preload: %w", err)
-				}
-			} else {
-				for _, it := range items {
-					if err := store.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
-						return fmt.Errorf("preload enroll %q: %w", it.ID, err)
-					}
-				}
+			if err != nil {
+				return fmt.Errorf("preload enroll %q: %w", it.ID, err)
 			}
-			logger.Info("preloaded", "enrollments", *preload, "device", dev.Model)
+			fresh++
 		}
+		logger.Info("preloaded", "enrollments", fresh, "device", dev.Model,
+			"already_enrolled", len(items)-fresh)
 	}
 
-	if store != nil {
-		if st, ok := store.IndexStats(); ok {
+	if router == nil {
+		if st, ok := topo.Stores[0].IndexStats(); ok {
 			logger.Info("index enabled", "templates", st.Templates,
 				"keys", st.DistinctKeys, "postings", st.Postings)
 		}
-	}
-	if router != nil {
+	} else {
 		for i, b := range router.Backends() {
-			n, err := b.Len(context.Background())
+			n, err := b.Len(ctx)
 			if err != nil {
 				logger.Error("shard unreachable", "shard", b.Name(), "index", i, "err", err)
 				continue
@@ -465,70 +329,33 @@ func run(args []string) error {
 		}
 	}
 
-	// statsFn assembles the service summary OpStats and /admin/stats
-	// serve — the process knows its topology, index state, and WAL in a
-	// way the wire server cannot infer from the Gallery interface.
-	statsFn := func() matchsvc.ServiceStats {
-		st := matchsvc.ServiceStats{Shards: 1}
-		if router != nil {
-			st.Shards = len(router.Backends())
-			st.Enrollments = router.Len(context.Background())
-			for _, i := range router.Degraded() {
-				st.DegradedShards = append(st.DegradedShards, router.Backends()[i].Name())
-			}
-			st.Indexed = *useIndex
-		} else {
-			st.Enrollments = backend.Len()
-			_, st.Indexed = store.IndexStats()
-		}
-		if len(walStores) > 0 {
-			w := &matchsvc.WALServiceStats{}
-			for _, ws := range walStores {
-				rec := ws.Recovery()
-				w.SnapshotEntries += rec.SnapshotEntries
-				w.Replayed += rec.Replayed
-				w.TruncatedBytes += rec.TruncatedBytes
-				if rec.TornTail {
-					w.TornTails++
-				}
-				if size, err := ws.LogSize(); err == nil {
-					w.LogBytes += size
-				}
-			}
-			st.WAL = w
-		}
-		return st
-	}
-
-	srv := matchsvc.NewServer(backend, logger.StdLogger("matchsvc"))
 	srv.SetIdleTimeout(*idleTimeout)
-	srv.SetStatsFunc(statsFn)
+	srv.SetStatsFunc(topo.Stats)
 	srv.SetMetrics(reg)
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		return err
 	}
-	logger.Info("listening", "addr", bound, "enrollments", backend.Len())
+	enrolled, _ := topo.Backend.Len(ctx)
+	logger.Info("listening", "addr", bound, "enrollments", enrolled)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if follower != nil {
 		// Continuous catch-up for the life of the process; stops with
 		// the serve context on shutdown.
 		go follower.Run(ctx)
 	}
 	if *metricsAddr != "" {
-		view := func() adminView {
-			v := adminView{Stats: statsFn()}
+		view := func(ctx context.Context) (adminView, error) {
+			st, err := topo.Stats(ctx)
+			if err != nil {
+				return adminView{}, err
+			}
+			v := adminView{Stats: st}
 			if router != nil {
-				degraded := make(map[int]bool)
-				for _, i := range router.Degraded() {
-					degraded[i] = true
-				}
+				degraded := router.Degraded()
 				for i, b := range router.Backends() {
-					row := adminShard{Name: b.Name(), Degraded: degraded[i]}
-					n, err := b.Len(context.Background())
-					if err != nil {
+					row := adminShard{Name: b.Name(), Degraded: slices.Contains(degraded, i)}
+					if n, err := b.Len(ctx); err != nil {
 						row.Err = err.Error()
 					} else {
 						row.Enrollments = n
@@ -536,7 +363,7 @@ func run(args []string) error {
 					v.Shards = append(v.Shards, row)
 				}
 			}
-			return v
+			return v, nil
 		}
 		mbound, err := startAdmin(ctx, *metricsAddr, reg, view)
 		if err != nil {
@@ -569,19 +396,44 @@ func run(args []string) error {
 	if err := srv.Serve(ctx); err != nil {
 		return err
 	}
-	for _, ws := range walStores {
+	for _, ws := range topo.WALs {
 		// A clean shutdown leaves only a snapshot behind, so the next
 		// startup replays nothing.
 		if err := ws.Compact(); err != nil {
 			return fmt.Errorf("compact WAL: %w", err)
 		}
-		if err := ws.Close(); err != nil {
-			return fmt.Errorf("close WAL: %w", err)
-		}
 	}
-	if len(walStores) > 0 {
-		logger.Info("wal compacted", "stores", len(walStores), "enrollments", backend.Len())
+	if len(topo.WALs) > 0 {
+		logger.Info("wal compacted", "stores", len(topo.WALs))
+	}
+	if err := topo.Close(); err != nil {
+		return fmt.Errorf("close: %w", err)
 	}
 	logger.Info("shut down")
 	return nil
+}
+
+// parseShards splits -shards ("a,b") into addresses and -replicas
+// ("r0a,r0b;;r2a") into one address group per -shards slot.
+func parseShards(shards, replicas string) (primaries []string, groups [][]string, err error) {
+	split := func(list string) (out []string) {
+		for _, a := range strings.Split(list, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	primaries = split(shards)
+	if replicas == "" {
+		return primaries, nil, nil
+	}
+	raw := strings.Split(replicas, ";")
+	if len(raw) != len(primaries) {
+		return nil, nil, fmt.Errorf("-replicas lists %d slot groups, -shards has %d addresses", len(raw), len(primaries))
+	}
+	for _, g := range raw {
+		groups = append(groups, split(g))
+	}
+	return primaries, groups, nil
 }

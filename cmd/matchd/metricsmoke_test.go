@@ -7,13 +7,11 @@ package main
 // that matches the topology it is actually running.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -34,49 +32,8 @@ var metricsRe = regexp.MustCompile(`msg="metrics listening" addr=(\S+)`)
 // command plus both bound addresses: the match port and the admin port.
 func startMatchdWithMetrics(t *testing.T, args ...string) (*exec.Cmd, string, string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), helperEnv+"="+strings.Join(args, "\x1f"))
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	addrCh := make(chan string, 1)
-	metricsCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			t.Logf("matchd[%d]: %s", cmd.Process.Pid, line)
-			if m := listenRe.FindStringSubmatch(line); m != nil {
-				select {
-				case addrCh <- m[1]:
-				default:
-				}
-			}
-			if m := metricsRe.FindStringSubmatch(line); m != nil {
-				select {
-				case metricsCh <- m[1]:
-				default:
-				}
-			}
-		}
-	}()
-	var addr, maddr string
-	deadline := time.After(30 * time.Second)
-	for addr == "" || maddr == "" {
-		select {
-		case addr = <-addrCh:
-		case maddr = <-metricsCh:
-		case <-deadline:
-			cmd.Process.Kill()
-			cmd.Wait()
-			t.Fatalf("matchd helper did not report both addresses (match=%q metrics=%q)", addr, maddr)
-		}
-	}
-	return cmd, addr, maddr
+	cmd, addrs := spawnMatchd(t, args, listenRe, metricsRe)
+	return cmd, addrs[0], addrs[1]
 }
 
 func httpGet(t *testing.T, url string) string {
@@ -101,13 +58,9 @@ func TestMetricsSurfaceServesPopulatedMetrics(t *testing.T) {
 		t.Skip("process-level smoke test")
 	}
 	walDir := filepath.Join(t.TempDir(), "wal")
-	cmd, addr, maddr := startMatchdWithMetrics(t,
+	_, addr, maddr := startMatchdWithMetrics(t,
 		"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
 		"-local-shards", "2", "-wal-dir", walDir)
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
 
 	// Real traffic: enrollments spread across both shards by consistent
 	// hashing, identifications scatter over both.

@@ -29,15 +29,11 @@ import (
 // listener, returning the serve and metrics addresses.
 func startReplicaMatchd(t *testing.T, primary string) (addr, metricsAddr string) {
 	t.Helper()
-	cmd, addr, maddr := startMatchdWithMetrics(t,
+	_, addr, maddr := startMatchdWithMetrics(t,
 		"-addr", "127.0.0.1:0",
 		"-replica-of", primary,
 		"-replica-sync-interval", "5ms",
 		"-metrics-addr", "127.0.0.1:0")
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
 	return addr, maddr
 }
 
@@ -80,13 +76,6 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 
 	walDir := filepath.Join(t.TempDir(), "wal")
 	pcmd, paddr := startMatchd(t, "-addr", "127.0.0.1:0", "-wal-dir", walDir)
-	primaryUp := true
-	defer func() {
-		if primaryUp {
-			pcmd.Process.Kill()
-			pcmd.Wait()
-		}
-	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	pcli, err := matchsvc.DialContext(ctx, paddr)
@@ -161,6 +150,19 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	if ok, _ := r1.Has(ctx, "intruder"); ok {
 		t.Fatal("refused write still mutated the replica")
 	}
+	// A wire batch is one EnrollBatch call on the served backend; the
+	// read-only view must refuse that too, not promote the store's own.
+	before, err := r1.Count(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []matchsvc.Enrollment{{ID: "intruder-a", DeviceID: dev.ID, Template: tpls[0]}, {ID: "intruder-b", DeviceID: dev.ID, Template: tpls[1]}}
+	if _, err := r1.EnrollBatch(ctx, batch); !errors.Is(err, matchsvc.ErrReadOnly) {
+		t.Fatalf("replica accepted a batch write: %v", err)
+	}
+	if after, err := r1.Count(ctx); err != nil || after != before {
+		t.Fatalf("refused batch changed the replica: %d → %d enrollments (%v)", before, after, err)
+	}
 
 	// Identify on each replica is bit-identical to the primary's answer
 	// over the same recovered population.
@@ -212,7 +214,6 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	// answering from local state.
 	pcmd.Process.Kill()
 	pcmd.Wait()
-	primaryUp = false
 	got, _, err := r2.IdentifyEx(ctx, probes[0], 1)
 	if err != nil {
 		t.Fatal(err)

@@ -48,9 +48,12 @@ func TestMain(m *testing.M) {
 
 var listenRe = regexp.MustCompile(`msg=listening addr=(\S+)`)
 
-// startMatchd launches a helper-mode matchd and returns its bound
-// address (parsed from the startup log) and the running command.
-func startMatchd(t *testing.T, args ...string) (*exec.Cmd, string) {
+// spawnMatchd launches a helper-mode matchd and returns the running
+// command plus the first capture of each regexp in want, in order, as
+// they appear in its startup log. The process is killed and reaped
+// when the test ends — whatever the test did to it meanwhile — so no
+// test can leave a child behind.
+func spawnMatchd(t *testing.T, args []string, want ...*regexp.Regexp) (*exec.Cmd, []string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), helperEnv+"="+strings.Join(args, "\x1f"))
@@ -61,29 +64,51 @@ func startMatchd(t *testing.T, args ...string) (*exec.Cmd, string) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	addrCh := make(chan string, 1)
+	type capture struct {
+		i int
+		s string
+	}
+	found := make(chan capture, len(want)) // one send per regexp at most
+	logged := make(chan struct{})
 	go func() {
+		defer close(logged)
+		seen := make([]bool, len(want))
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
 			t.Logf("matchd[%d]: %s", cmd.Process.Pid, line)
-			if m := listenRe.FindStringSubmatch(line); m != nil {
-				select {
-				case addrCh <- m[1]:
-				default:
+			for i, re := range want {
+				if m := re.FindStringSubmatch(line); m != nil && !seen[i] {
+					seen[i] = true
+					found <- capture{i, m[1]}
 				}
 			}
 		}
 	}()
-	select {
-	case addr := <-addrCh:
-		return cmd, addr
-	case <-time.After(30 * time.Second):
+	t.Cleanup(func() {
 		cmd.Process.Kill()
+		<-logged // the pipe must be drained before Wait closes it
 		cmd.Wait()
-		t.Fatal("matchd helper did not report a listen address")
-		return nil, ""
+	})
+	out := make([]string, len(want))
+	deadline := time.After(30 * time.Second)
+	for n := 0; n < len(want); n++ {
+		select {
+		case c := <-found:
+			out[c.i] = c.s
+		case <-deadline:
+			t.Fatalf("matchd helper did not report every address: got %q", out)
+		}
 	}
+	return cmd, out
+}
+
+// startMatchd launches a helper-mode matchd and returns its bound
+// address (parsed from the startup log) and the running command.
+func startMatchd(t *testing.T, args ...string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd, addrs := spawnMatchd(t, args, listenRe)
+	return cmd, addrs[0]
 }
 
 func smokeSubjects(t *testing.T) int {

@@ -17,6 +17,7 @@ import (
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/shard"
+	"fpinterop/internal/topology"
 )
 
 // slowShard wraps a Backend and pins IdentifyDetailed until the
@@ -61,7 +62,7 @@ func TestShardedIdentifyCancellationMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := Service(&shardedService{router: router})
+	svc := Service(topologyService(&topology.Topology{Backend: shard.Front{Router: router}, Router: router}, config{}))
 	defer svc.Close()
 	ctx := context.Background()
 	items := make([]Enrollment, len(gal))

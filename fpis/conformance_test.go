@@ -21,6 +21,7 @@ import (
 	"fpinterop/internal/population"
 	"fpinterop/internal/rng"
 	"fpinterop/internal/sensor"
+	"fpinterop/internal/topology"
 )
 
 const confSubjects = 12
@@ -92,7 +93,13 @@ func bootMatchd(t *testing.T, indexed bool) string {
 			t.Fatal(err)
 		}
 	}
-	srv := matchsvc.NewServer(store, nil)
+	return serveT(t, matchsvc.NewServer(store, nil))
+}
+
+// serveT serves srv on loopback for the life of the test and returns
+// its address.
+func serveT(t *testing.T, srv *matchsvc.Server) string {
+	t.Helper()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +116,10 @@ func bootMatchd(t *testing.T, indexed bool) string {
 }
 
 // implementations enumerates the conformance matrix: every Service
-// construction path, with and without the retrieval index.
+// construction path, with and without the retrieval index, plus the
+// shape matchd -local-shards serves — a Dial client in front of a
+// server over a two-shard router — so the served router is held to the
+// same bit-identical rankings as everything else.
 type implCase struct {
 	name    string
 	indexed bool
@@ -168,6 +178,24 @@ func implementations(t *testing.T) []implCase {
 			},
 		)
 	}
+	cases = append(cases, implCase{
+		// One endpoint from where the client stands: one shard in its
+		// stats, and ("remote") no view of the server's index state.
+		name: "remote-front/exhaustive", shards: 1,
+		build: func(t *testing.T) Service {
+			topo, err := topology.Build(context.Background(), topology.Config{LocalShards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { topo.Close() })
+			svc, err := Dial(context.Background(), serveT(t, matchsvc.NewBackendServer(topo.Backend, nil)),
+				WithRequestTimeout(time.Minute), WithDialTimeout(2*time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return svc
+		},
+	})
 	return cases
 }
 

@@ -4,7 +4,7 @@
 // scatter-gather tier, or a remote matchd instance reached over the
 // wire protocol.
 //
-// The three implementations are constructed from the same package:
+// Every shape is constructed from the same package:
 //
 //	svc, err := fpis.New(ctx)                                  // local store
 //	svc, err := fpis.New(ctx, fpis.WithIndex(0))               // local + triplet index
@@ -17,18 +17,22 @@
 // unblocks an in-flight 1:N identification promptly — the local
 // exhaustive scan polls the context between matcher comparisons, the
 // sharded scatter abandons and cancels its per-shard calls, and the
-// remote client interrupts blocked I/O. All three implementations are
-// behaviorally identical on the non-cancelled paths; the conformance
-// suite in this package holds them to that.
+// remote client interrupts blocked I/O and ships the time left with the
+// request, so the serving process stops too. All shapes are one
+// implementation over one gallery contract and behaviorally identical
+// on the non-cancelled paths; the conformance suite in this package
+// holds them to that.
 package fpis
 
 import (
 	"context"
+	"fmt"
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/match"
+	"fpinterop/internal/matchsvc"
 	"fpinterop/internal/minutiae"
-	"fpinterop/internal/shard"
+	"fpinterop/internal/topology"
 )
 
 // Template is a minutiae template — the unit of enrollment and search.
@@ -52,7 +56,7 @@ type MatchResult = match.Result
 type Candidate = gallery.Candidate
 
 // Enrollment is one batched enrollment item.
-type Enrollment = shard.Enrollment
+type Enrollment = matchsvc.Enrollment
 
 // Sentinel errors, matchable with errors.Is on every implementation —
 // the wire protocol's status byte carries them across any number of
@@ -89,45 +93,20 @@ type IdentifyStats struct {
 	Partial bool
 }
 
-// Stats is a point-in-time service summary.
-type Stats struct {
-	// Enrollments counts enrolled subjects (reachable shards only).
-	Enrollments int
-	// Shards is the number of backends serving the gallery (1 for
-	// local and remote implementations).
-	Shards int
-	// DegradedShards names shards currently excluded from searches.
-	DegradedShards []string
-	// Indexed reports whether a retrieval index is enabled (local and
-	// locally-sharded implementations; remote servers own their index
-	// state and do not expose it).
-	Indexed bool
-	// WAL summarizes write-ahead-log durability for services built with
-	// WithWAL; nil otherwise (including remote connections, whose
-	// durability lives in the serving process).
-	WAL *WALStats
-}
+// Stats is a point-in-time service summary: enrollment count (reachable
+// shards only), shard count (1 for a single store), the names of shards
+// currently excluded from searches, whether a retrieval index serves
+// identifications, and — for durable services — the WAL summary. It is
+// the same value whether the service assembled it in process or a
+// matchd shipped it over the wire.
+type Stats = matchsvc.ServiceStats
 
 // WALStats aggregates write-ahead-log state across every shard of a
-// durable service: what the startup crash recovery found and how much
-// un-compacted log currently sits on disk.
-type WALStats struct {
-	// SnapshotEntries is the number of enrollments restored from
-	// compaction snapshots at startup.
-	SnapshotEntries int
-	// Replayed is the number of log records re-applied past the
-	// snapshots during crash recovery.
-	Replayed int
-	// TruncatedBytes counts torn-tail bytes discarded during recovery —
-	// the unreadable remainder of writes interrupted by the crash.
-	TruncatedBytes int64
-	// TornTails is how many shards' logs ended mid-record (each was
-	// truncated back to its last intact record).
-	TornTails int
-	// LogBytes is the current total log size across shards; compaction
-	// resets it.
-	LogBytes int64
-}
+// durable service: what the startup crash recovery found (snapshot
+// entries restored, records replayed, torn-tail bytes discarded and on
+// how many shards) and how much un-compacted log currently sits on
+// disk.
+type WALStats = matchsvc.WALServiceStats
 
 // Service is the identity-service facade. Every method takes a
 // context.Context first: its deadline bounds the operation end to end
@@ -180,23 +159,9 @@ func New(ctx context.Context, opts ...Option) (Service, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var (
-		svc     Service
-		backend string
-	)
-	switch {
-	case len(cfg.remoteShards) > 0:
-		svc, err = newRemoteSharded(ctx, cfg)
-		backend = "sharded"
-	case cfg.localShards > 0:
-		svc, err = newLocalSharded(cfg)
-		backend = "sharded"
-	default:
-		svc, err = newLocal(cfg)
-		backend = "local"
-	}
+	t, err := topology.Build(ctx, cfg.Config)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fpis: %w", err)
 	}
-	return instrument(svc, backend, cfg), nil
+	return topologyService(t, cfg), nil
 }

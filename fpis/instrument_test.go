@@ -7,27 +7,34 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"fpinterop/internal/gallery"
 	"fpinterop/internal/obs"
+	"fpinterop/internal/topology"
 )
 
-// nopService is an inert Service: the instrumented wrapper around it
-// measures pure instrumentation overhead.
-type nopService struct{}
+// nopBackend is an inert gallery backend: the service over it measures
+// pure facade and instrumentation overhead.
+type nopBackend struct{}
 
-func (nopService) Enroll(context.Context, string, string, *Template) error { return nil }
-func (nopService) EnrollBatch(context.Context, []Enrollment) error         { return nil }
-func (nopService) Remove(context.Context, string) error                    { return nil }
-func (nopService) Verify(context.Context, string, *Template) (MatchResult, error) {
+func (nopBackend) Enroll(context.Context, string, string, *Template) error { return nil }
+func (nopBackend) EnrollBatch(context.Context, []Enrollment) error         { return nil }
+func (nopBackend) Remove(context.Context, string) error                    { return nil }
+func (nopBackend) Has(context.Context, string) (bool, error)               { return false, nil }
+func (nopBackend) Scan(context.Context, string, int) ([]Enrollment, error) { return nil, nil }
+func (nopBackend) Verify(context.Context, string, *Template) (MatchResult, error) {
 	return MatchResult{}, nil
 }
-func (nopService) Identify(context.Context, *Template, int) ([]Candidate, error) {
-	return nil, nil
+func (nopBackend) IdentifyDetailed(context.Context, *Template, int) ([]Candidate, gallery.IdentifyStats, error) {
+	return nil, gallery.IdentifyStats{}, nil
 }
-func (nopService) IdentifyDetailed(context.Context, *Template, int) ([]Candidate, IdentifyStats, error) {
-	return nil, IdentifyStats{}, nil
+func (nopBackend) Len(context.Context) (int, error) { return 0, nil }
+
+// nopService is the facade over nopBackend under cfg.
+func nopService(cfg config) Service {
+	return newService("local", cfg, nopBackend{}, nil,
+		func(context.Context) (Stats, error) { return Stats{}, nil },
+		func() error { return nil })
 }
-func (nopService) Stats(context.Context) (Stats, error) { return Stats{}, nil }
-func (nopService) Close() error                         { return nil }
 
 // TestInstrumentationZeroAllocOverhead pins the tentpole's
 // non-negotiable: with metrics AND hooks enabled, the wrapper adds
@@ -41,7 +48,7 @@ func TestInstrumentationZeroAllocOverhead(t *testing.T) {
 	var afterCalls atomic.Int64
 	hooks.OnBefore(func(op, backend string) {})
 	hooks.OnAfter(func(e obs.Event) { afterCalls.Add(1) })
-	svc := instrument(nopService{}, "local", config{metrics: reg, hooks: hooks})
+	svc := nopService(config{Config: topology.Config{Metrics: reg}, hooks: hooks})
 	ctx := context.Background()
 
 	cases := []struct {

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"fpinterop/internal/matchsvc"
 	"fpinterop/internal/obs"
+	"fpinterop/internal/shard"
+	"fpinterop/internal/topology"
 )
 
 // Option configures Service construction (New and Dial). Options that
@@ -13,48 +16,23 @@ import (
 // construction time rather than silently ignored.
 type Option func(*config) error
 
-// config collects the functional options; set* flags distinguish "left
-// at default" from "explicitly configured" for applicability checks.
+// config collects the functional options: the deployment description
+// itself, plus set* flags that distinguish "left at default" from
+// "explicitly configured" for the applicability checks.
 type config struct {
-	index       bool
-	indexFanout int
+	topology.Config
 
-	localShards    int
-	remoteShards   []string
-	remoteReplicas [][]string
-
-	walDir          string
-	compactEvery    int
-	setCompactEvery bool
-
-	parallelism    int
-	setParallelism bool
-
-	shardTimeout    time.Duration
-	setShardTimeout bool
-
-	requestTimeout    time.Duration
+	setCompactEvery   bool
+	setParallelism    bool
+	setShardTimeout   bool
 	setRequestTimeout bool
+	setDialTimeout    bool
+	setPoolSize       bool
+	setRetry          bool
+	setKeepalive      bool
+	setHedge          bool
 
-	dialTimeout    time.Duration
-	setDialTimeout bool
-
-	poolSize    int
-	setPoolSize bool
-
-	retry    RetryPolicy
-	setRetry bool
-
-	keepalive    time.Duration
-	setKeepalive bool
-
-	hedgeDelay time.Duration
-	setHedge   bool
-
-	failClosed bool
-
-	metrics *obs.Registry
-	hooks   *obs.Hooks
+	hooks *obs.Hooks
 }
 
 // WithIndex enables the minutia-triplet retrieval index, so 1:N
@@ -68,8 +46,8 @@ func WithIndex(fanout int) Option {
 		if fanout < 0 {
 			return fmt.Errorf("fpis: WithIndex fanout must be >= 0, got %d", fanout)
 		}
-		c.index = true
-		c.indexFanout = fanout
+		c.Index = true
+		c.IndexFanout = fanout
 		return nil
 	}
 }
@@ -88,7 +66,7 @@ func WithWAL(dir string) Option {
 		if dir == "" {
 			return errors.New("fpis: WithWAL needs a directory")
 		}
-		c.walDir = dir
+		c.WALDir = dir
 		return nil
 	}
 }
@@ -102,7 +80,7 @@ func WithWALCompactEvery(n int) Option {
 		if n < 0 {
 			n = 0
 		}
-		c.compactEvery = n
+		c.CompactEvery = n
 		c.setCompactEvery = true
 		return nil
 	}
@@ -115,7 +93,7 @@ func WithLocalShards(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("fpis: WithLocalShards needs n > 0, got %d", n)
 		}
-		c.localShards = n
+		c.LocalShards = n
 		return nil
 	}
 }
@@ -129,7 +107,7 @@ func WithShards(addrs ...string) Option {
 		if len(addrs) == 0 {
 			return errors.New("fpis: WithShards needs at least one address")
 		}
-		c.remoteShards = append([]string(nil), addrs...)
+		c.Shards = append([]string(nil), addrs...)
 		return nil
 	}
 }
@@ -151,7 +129,7 @@ func WithReplicas(replicas ...[]string) Option {
 		for i, rs := range replicas {
 			out[i] = append([]string(nil), rs...)
 		}
-		c.remoteReplicas = out
+		c.Replicas = out
 		return nil
 	}
 }
@@ -165,7 +143,7 @@ func WithParallelism(n int) Option {
 		if n < 0 {
 			n = 0
 		}
-		c.parallelism = n
+		c.Parallelism = n
 		c.setParallelism = true
 		return nil
 	}
@@ -180,7 +158,7 @@ func WithShardTimeout(d time.Duration) Option {
 		if d < 0 {
 			return fmt.Errorf("fpis: WithShardTimeout must be >= 0, got %v", d)
 		}
-		c.shardTimeout = d
+		c.ShardTimeout = d
 		c.setShardTimeout = true
 		return nil
 	}
@@ -194,7 +172,7 @@ func WithRequestTimeout(d time.Duration) Option {
 		if d < 0 {
 			return fmt.Errorf("fpis: WithRequestTimeout must be >= 0, got %v", d)
 		}
-		c.requestTimeout = d
+		c.Client.RequestTimeout = d
 		c.setRequestTimeout = true
 		return nil
 	}
@@ -210,7 +188,7 @@ func WithDialTimeout(d time.Duration) Option {
 		if d < 0 {
 			return fmt.Errorf("fpis: WithDialTimeout must be >= 0, got %v", d)
 		}
-		c.dialTimeout = d
+		c.Client.RedialTimeout = d
 		c.setDialTimeout = true
 		return nil
 	}
@@ -221,16 +199,12 @@ func WithDialTimeout(d time.Duration) Option {
 // could double-apply) after transport failures: connection resets, torn
 // frames, corrupt envelopes, a server restarting. Server-reported
 // errors and context cancellation are never retried.
-type RetryPolicy struct {
-	// Attempts is the total number of tries including the first; values
-	// below 2 disable retries.
-	Attempts int
-	// BaseDelay seeds the capped exponential backoff before the second
-	// attempt (default 5ms); each further attempt doubles it, jittered,
-	// up to MaxDelay (default 500ms).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
+//
+// Attempts is the total number of tries including the first; values
+// below 2 disable retries. BaseDelay seeds the capped exponential
+// backoff before the second attempt (default 5ms); each further attempt
+// doubles it, jittered, up to MaxDelay (default 500ms).
+type RetryPolicy = matchsvc.Retry
 
 // WithPoolSize sets how many connections each remote endpoint may pool
 // (default 1). Connections are dialed on demand; against a multiplexed
@@ -243,7 +217,7 @@ func WithPoolSize(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("fpis: WithPoolSize needs n >= 1, got %d", n)
 		}
-		c.poolSize = n
+		c.Client.PoolSize = n
 		c.setPoolSize = true
 		return nil
 	}
@@ -258,7 +232,7 @@ func WithRetry(p RetryPolicy) Option {
 		if p.Attempts < 0 || p.BaseDelay < 0 || p.MaxDelay < 0 {
 			return fmt.Errorf("fpis: WithRetry fields must be >= 0, got %+v", p)
 		}
-		c.retry = p
+		c.Client.Retry = p
 		c.setRetry = true
 		return nil
 	}
@@ -270,7 +244,10 @@ func WithRetry(p RetryPolicy) Option {
 // Applies to remote connections (Dial and WithShards).
 func WithKeepalive(d time.Duration) Option {
 	return func(c *config) error {
-		c.keepalive = d
+		if d <= 0 {
+			d = -1 // topology.Client keeps 0 for "the client default"
+		}
+		c.Client.Keepalive = d
 		c.setKeepalive = true
 		return nil
 	}
@@ -288,7 +265,7 @@ func WithHedging(d time.Duration) Option {
 		if d <= 0 {
 			return fmt.Errorf("fpis: WithHedging needs a positive delay, got %v", d)
 		}
-		c.hedgeDelay = d
+		c.HedgeDelay = d
 		c.setHedge = true
 		return nil
 	}
@@ -308,7 +285,7 @@ func WithMetrics(reg *obs.Registry) Option {
 		if reg == nil {
 			return errors.New("fpis: WithMetrics needs a non-nil registry")
 		}
-		c.metrics = reg
+		c.Metrics = reg
 		return nil
 	}
 }
@@ -335,7 +312,7 @@ func WithHooks(h *obs.Hooks) Option {
 // sharded deployment.
 func WithFailClosed() Option {
 	return func(c *config) error {
-		c.failClosed = true
+		c.Policy = shard.FailClosed
 		return nil
 	}
 }
@@ -353,42 +330,42 @@ func buildConfig(opts []Option) (config, error) {
 // checkNewConfig rejects option combinations meaningless for New's
 // deployment shapes.
 func checkNewConfig(c config) error {
-	if c.localShards > 0 && len(c.remoteShards) > 0 {
+	if c.LocalShards > 0 && len(c.Shards) > 0 {
 		return errors.New("fpis: WithLocalShards and WithShards are mutually exclusive")
 	}
-	if len(c.remoteShards) > 0 && c.index {
+	if len(c.Shards) > 0 && c.Index {
 		return errors.New("fpis: WithIndex belongs on the shard processes, not the WithShards front")
 	}
-	if len(c.remoteShards) > 0 && c.walDir != "" {
+	if len(c.Shards) > 0 && c.WALDir != "" {
 		return errors.New("fpis: WithWAL belongs on the shard processes, not the WithShards front")
 	}
-	if c.setCompactEvery && c.walDir == "" {
+	if c.setCompactEvery && c.WALDir == "" {
 		return errors.New("fpis: WithWALCompactEvery requires WithWAL")
 	}
-	if c.localShards == 0 && len(c.remoteShards) == 0 {
+	if c.LocalShards == 0 && len(c.Shards) == 0 {
 		if c.setShardTimeout {
 			return errors.New("fpis: WithShardTimeout requires WithLocalShards or WithShards")
 		}
-		if c.failClosed {
+		if c.Policy == shard.FailClosed {
 			return errors.New("fpis: WithFailClosed requires WithLocalShards or WithShards")
 		}
 	}
-	if len(c.remoteShards) == 0 && (c.setRequestTimeout || c.setDialTimeout) {
+	if len(c.Shards) == 0 && (c.setRequestTimeout || c.setDialTimeout) {
 		return errors.New("fpis: WithRequestTimeout/WithDialTimeout apply to remote connections only")
 	}
-	if len(c.remoteShards) == 0 && (c.setPoolSize || c.setRetry || c.setKeepalive) {
+	if len(c.Shards) == 0 && (c.setPoolSize || c.setRetry || c.setKeepalive) {
 		return errors.New("fpis: WithPoolSize/WithRetry/WithKeepalive apply to remote connections only")
 	}
-	if c.setHedge && c.localShards == 0 && len(c.remoteShards) == 0 {
+	if c.setHedge && c.LocalShards == 0 && len(c.Shards) == 0 {
 		return errors.New("fpis: WithHedging requires WithLocalShards or WithShards")
 	}
-	if c.remoteReplicas != nil {
-		if len(c.remoteShards) == 0 {
+	if c.Replicas != nil {
+		if len(c.Shards) == 0 {
 			return errors.New("fpis: WithReplicas requires WithShards")
 		}
-		if len(c.remoteReplicas) != len(c.remoteShards) {
+		if len(c.Replicas) != len(c.Shards) {
 			return fmt.Errorf("fpis: WithReplicas lists replicas for %d slots, WithShards has %d",
-				len(c.remoteReplicas), len(c.remoteShards))
+				len(c.Replicas), len(c.Shards))
 		}
 	}
 	return nil
@@ -397,19 +374,19 @@ func checkNewConfig(c config) error {
 // checkDialConfig rejects options meaningless for a single remote
 // connection.
 func checkDialConfig(c config) error {
-	if c.index {
+	if c.Index {
 		return errors.New("fpis: WithIndex belongs on the serving process, not a Dial client")
 	}
-	if c.localShards > 0 || len(c.remoteShards) > 0 {
+	if c.LocalShards > 0 || len(c.Shards) > 0 {
 		return errors.New("fpis: WithLocalShards/WithShards do not apply to Dial; use New")
 	}
 	if c.setShardTimeout {
 		return errors.New("fpis: WithShardTimeout does not apply to Dial")
 	}
-	if c.walDir != "" || c.setCompactEvery {
+	if c.WALDir != "" || c.setCompactEvery {
 		return errors.New("fpis: WithWAL applies to in-process galleries; run matchd with -wal-dir instead")
 	}
-	if c.failClosed {
+	if c.Policy == shard.FailClosed {
 		return errors.New("fpis: WithFailClosed does not apply to Dial")
 	}
 	if c.setParallelism {
@@ -418,7 +395,7 @@ func checkDialConfig(c config) error {
 	if c.setHedge {
 		return errors.New("fpis: WithHedging requires a sharded deployment; a Dial client has no scatter to hedge")
 	}
-	if c.remoteReplicas != nil {
+	if c.Replicas != nil {
 		return errors.New("fpis: WithReplicas requires WithShards; Dial connects to a single endpoint")
 	}
 	return nil

@@ -24,20 +24,7 @@ func bootFront(t *testing.T, leafAddr string) (string, *shard.Router) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := matchsvc.NewServer(shard.Front{Router: router}, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(sctx) }()
-	t.Cleanup(func() {
-		cancel()
-		srv.Close()
-		<-done
-	})
-	return addr, router
+	return serveT(t, matchsvc.NewBackendServer(shard.Front{Router: router}, nil)), router
 }
 
 // TestSentinelsSurviveTwoHops: client → front server → shard server.

@@ -11,6 +11,20 @@ import (
 	"fpinterop/internal/wal"
 )
 
+// dialT connects a test client to addr, bounded so a wedged server
+// fails the test instead of hanging it.
+func dialT(t testing.TB, addr string) *matchsvc.Client {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	cli, err := matchsvc.DialContext(ctx, addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	cli.SetRedialTimeout(2 * time.Second)
+	return cli
+}
+
 func TestWithReplicasValidation(t *testing.T) {
 	ctx := context.Background()
 	rejected := []struct {
@@ -71,10 +85,7 @@ func bootWALMatchd(t *testing.T) (string, *wal.Store) {
 // gallery on its own listener.
 func bootReplicaOf(t *testing.T, primaryAddr string) (string, *replica.Follower) {
 	t.Helper()
-	cli, err := matchsvc.Dial(primaryAddr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialT(t, primaryAddr)
 	t.Cleanup(func() { cli.Close() })
 	store := gallery.New(nil)
 	f := replica.NewFollower(store, cli, replica.FollowerOptions{Interval: 3 * time.Millisecond})

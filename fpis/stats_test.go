@@ -130,7 +130,7 @@ func TestStatsRemoteRoundTrip(t *testing.T) {
 			LogBytes:        8192,
 		},
 	}
-	srv.SetStatsFunc(func() matchsvc.ServiceStats { return want })
+	srv.SetStatsFunc(func(context.Context) (matchsvc.ServiceStats, error) { return want, nil })
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,13 @@
 // Package ctxflow enforces the repository's context-discipline
 // invariant: in the context-aware library packages (the fpis facade and
-// the gallery, shard, and matchsvc layers under it), cancellation must
-// flow from the caller. Concretely:
+// the gallery, shard, replica, matchsvc and topology layers under it),
+// cancellation must flow from the caller. Concretely:
 //
 //  1. No call to context.Background() or context.TODO() — a library
 //     function that fabricates its own root context breaks the
 //     end-to-end cancellation chain PR 5 established. Sites that are
-//     legitimately roots (deprecated non-ctx wrappers, wire fronts
-//     where the protocol carries no deadline) must say so with
-//     //fpvet:allow ctxflow <reason>.
+//     legitimately roots (a background maintenance loop nobody calls)
+//     must say so with //fpvet:allow ctxflow <reason>.
 //  2. Exported functions, methods, and interface methods that take a
 //     context.Context must take it as the first parameter, matching
 //     the fpis.Service convention.
@@ -33,7 +32,9 @@ var DefaultPackages = []string{
 	"fpinterop/fpis",
 	"fpinterop/internal/gallery",
 	"fpinterop/internal/shard",
+	"fpinterop/internal/replica",
 	"fpinterop/internal/matchsvc",
+	"fpinterop/internal/topology",
 }
 
 // Analyzer is the ctxflow checker.

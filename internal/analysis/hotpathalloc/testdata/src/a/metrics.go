@@ -1,6 +1,6 @@
 package a
 
-// Metric-recording shapes. The instrumented request paths record into
+// Metric-recording shapes. The metered request paths record into
 // pre-resolved handles with int64-only methods; these cases pin the
 // shapes that reintroduce allocation at a record site: formatting a
 // series key per call, building a label map, observing through a

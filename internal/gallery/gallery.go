@@ -249,17 +249,9 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Verify performs a 1:1 comparison of the probe against one enrollment.
-//
-// Deprecated: use VerifyContext so cancellation reaches the matcher;
-// this wrapper survives only for callers with no context to thread
-// (the matchsvc wire protocol carries no deadline).
-func (s *Store) Verify(id string, probe *minutiae.Template) (match.Result, error) {
-	return s.VerifyContext(context.Background(), id, probe) //fpvet:allow ctxflow deprecated non-ctx wrapper is a genuine root
-}
-
-// VerifyContext is Verify honoring ctx: a cancelled or expired context
-// fails fast with ctx.Err() before the comparison runs.
+// VerifyContext performs a 1:1 comparison of the probe against one
+// enrollment; a cancelled or expired context fails fast with ctx.Err()
+// before the comparison runs.
 func (s *Store) VerifyContext(ctx context.Context, id string, probe *minutiae.Template) (match.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return match.Result{}, err
@@ -380,19 +372,10 @@ func (s *Store) IdentifyContext(ctx context.Context, probe *minutiae.Template, k
 	return out, err
 }
 
-// IdentifyDetailed is IdentifyContext plus retrieval statistics.
-//
-// Deprecated: use IdentifyDetailedContext so cancellation reaches the
-// exhaustive scan; this wrapper survives only for callers with no
-// context to thread (the matchsvc wire protocol carries no deadline).
-func (s *Store) IdentifyDetailed(probe *minutiae.Template, k int) ([]Candidate, IdentifyStats, error) {
-	return s.IdentifyDetailedContext(context.Background(), probe, k) //fpvet:allow ctxflow deprecated non-ctx wrapper is a genuine root
-}
-
-// IdentifyDetailedContext is IdentifyDetailed honoring ctx: the
-// exhaustive scan polls the context between matcher comparisons, so a
-// cancelled or expired context unblocks an in-flight search within one
-// comparison's latency and returns ctx.Err().
+// IdentifyDetailedContext is IdentifyContext plus retrieval statistics.
+// The exhaustive scan polls the context between matcher comparisons, so
+// a cancelled or expired context unblocks an in-flight search within
+// one comparison's latency and returns ctx.Err().
 func (s *Store) IdentifyDetailedContext(ctx context.Context, probe *minutiae.Template, k int) ([]Candidate, IdentifyStats, error) {
 	if probe == nil {
 		return nil, IdentifyStats{}, match.ErrNilTemplate

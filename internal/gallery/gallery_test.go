@@ -85,7 +85,7 @@ func TestEnrollClonesTemplate(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl.Minutiae[0].X = 99 // caller mutation must not corrupt the store
-	res, err := s.Verify("a", &minutiae.Template{Width: 100, Height: 100, DPI: 500,
+	res, err := s.VerifyContext(context.Background(), "a", &minutiae.Template{Width: 100, Height: 100, DPI: 500,
 		Minutiae: []minutiae.Minutia{{X: 10, Y: 10, Angle: 1, Kind: minutiae.Ending}}})
 	if err != nil {
 		t.Fatal(err)
@@ -108,14 +108,14 @@ func TestRemove(t *testing.T) {
 
 func TestVerifyGenuineAndUnknown(t *testing.T) {
 	s, probes, ids := enrolledStore(t, 4, "D0", "D0")
-	res, err := s.Verify(ids[0], probes[0])
+	res, err := s.VerifyContext(context.Background(), ids[0], probes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Score < 7 {
 		t.Fatalf("genuine verify score %v", res.Score)
 	}
-	if _, err := s.Verify("ghost", probes[0]); !errors.Is(err, ErrNotFound) {
+	if _, err := s.VerifyContext(context.Background(), "ghost", probes[0]); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 }
@@ -232,7 +232,7 @@ func TestStoreConcurrentUse(t *testing.T) {
 				if _, err := s.IdentifyContext(context.Background(), probes[w%len(probes)], 2); err != nil {
 					panic(err)
 				}
-				if _, err := s.Verify(ids[w%len(ids)], probes[w%len(probes)]); err != nil {
+				if _, err := s.VerifyContext(context.Background(), ids[w%len(ids)], probes[w%len(probes)]); err != nil {
 					panic(err)
 				}
 			}
@@ -418,7 +418,7 @@ func TestIndexedIdentifyAgreesOnTopCandidate(t *testing.T) {
 	}
 	agree := 0
 	for i, p := range probes {
-		cands, stats, err := s.IdentifyDetailed(p, 1)
+		cands, stats, err := s.IdentifyDetailedContext(context.Background(), p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func TestIndexedIdentifyRecallGuardFallsBack(t *testing.T) {
 	}
 	// Gallery smaller than MinCandidates: the guard must force the
 	// exhaustive path, and results must still be complete.
-	cands, stats, err := s.IdentifyDetailed(probes[0], 2)
+	cands, stats, err := s.IdentifyDetailedContext(context.Background(), probes[0], 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestIndexedIdentifyRecallGuardFallsBack(t *testing.T) {
 		t.Fatalf("fallback scan incomplete: %d candidates, %d scanned", len(cands), stats.Scanned)
 	}
 	// k <= 0 always takes the exhaustive path (full ranking requested).
-	_, stats, err = s.IdentifyDetailed(probes[0], 0)
+	_, stats, err = s.IdentifyDetailedContext(context.Background(), probes[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestEnrollRemoveKeepIndexInSync(t *testing.T) {
 		t.Fatalf("index stats after remove: %+v", st)
 	}
 	// The removed identity must no longer be retrievable at top-1.
-	cands, _, err := s.IdentifyDetailed(probes[5], 1)
+	cands, _, err := s.IdentifyDetailedContext(context.Background(), probes[5], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func TestIdentifyEmptyStore(t *testing.T) {
 			}
 		}
 		for _, k := range []int{0, 1, 5} {
-			cands, stats, err := s.IdentifyDetailed(probe, k)
+			cands, stats, err := s.IdentifyDetailedContext(context.Background(), probe, k)
 			if err != nil {
 				t.Fatalf("indexed=%v k=%d: %v", idx, k, err)
 			}
@@ -591,7 +591,7 @@ func TestIdentifyClampedKOnIndexedStore(t *testing.T) {
 	if err := s.EnableIndex(IndexOptions{MinCandidates: 1}); err != nil {
 		t.Fatal(err)
 	}
-	cands, stats, err := s.IdentifyDetailed(probes[0], 50)
+	cands, stats, err := s.IdentifyDetailedContext(context.Background(), probes[0], 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,12 +614,12 @@ func TestIdentifyNegativeKMatchesZero(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want, wantStats, err := s.IdentifyDetailed(probes[0], 0)
+		want, wantStats, err := s.IdentifyDetailedContext(context.Background(), probes[0], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{-1, -5, -1000} {
-			got, stats, err := s.IdentifyDetailed(probes[0], k)
+			got, stats, err := s.IdentifyDetailedContext(context.Background(), probes[0], k)
 			if err != nil {
 				t.Fatalf("indexed=%v k=%d: %v", indexed, k, err)
 			}

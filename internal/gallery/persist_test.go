@@ -129,7 +129,7 @@ func TestLoadFromRebuildsIndex(t *testing.T) {
 	// Indexed and exhaustive identification agree on top-1 for the
 	// round-tripped population.
 	for i, p := range probes {
-		indexed, stats, err := restored.IdentifyDetailed(p, 1)
+		indexed, stats, err := restored.IdentifyDetailedContext(context.Background(), p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

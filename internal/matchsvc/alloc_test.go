@@ -28,13 +28,13 @@ func TestFrameRoundTripZeroAllocs(t *testing.T) {
 		fs.w.bytes(raw)
 
 		wire.Reset()
-		if err := writeMuxFrame(&wire, OpPing, 7, fs.w.buf, &hdr); err != nil {
+		if err := writeMuxFrame(&wire, OpPing, 7, 250, fs.w.buf, &hdr); err != nil {
 			t.Fatalf("writeMuxFrame: %v", err)
 		}
 		frame := wire.Bytes()
-		id, body, err := openMuxEnvelope(frame[4], frame[5:])
-		if err != nil || id != 7 {
-			t.Fatalf("openMuxEnvelope = id %d, %v; want 7", id, err)
+		id, budget, body, err := openMuxEnvelope(frame[4], frame[5:])
+		if err != nil || id != 7 || budget != 250 {
+			t.Fatalf("openMuxEnvelope = id %d budget %d, %v; want 7, 250", id, budget, err)
 		}
 
 		r := payloadReader{buf: body}

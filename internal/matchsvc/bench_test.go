@@ -34,10 +34,7 @@ func benchService(b *testing.B, n int) *Client {
 		srv.Close()
 		<-done
 	})
-	cli, err := Dial(addr, 5*time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cli := dialT(b, addr)
 	b.Cleanup(func() { cli.Close() })
 	tpls := testImpressions(b, n, "D0", 0)
 	items := make([]Enrollment, n)

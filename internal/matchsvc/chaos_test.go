@@ -86,10 +86,7 @@ func TestChaosSeededFaultsZeroLostOrMisanswered(t *testing.T) {
 	go func() { defer close(done); srv.Serve(ctx) }()
 	defer func() { srv.Close(); <-done }()
 
-	cli, err := Dial(inner.Addr().String(), 2*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	cli := dialT(t, inner.Addr().String())
 	defer cli.Close()
 	cli.SetPoolSize(4)
 	cli.SetRequestTimeout(2 * time.Second)
@@ -274,7 +271,7 @@ func TestChaosSeededFaultsZeroLostOrMisanswered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unmarshal probe %d: %v", i, err)
 		}
-		want, _, err := srv.Store().IdentifyDetailed(rt, 5)
+		want, _, err := store.IdentifyDetailedContext(rctx, rt, 5)
 		if err != nil {
 			t.Fatalf("store identify %d: %v", i, err)
 		}
@@ -328,10 +325,7 @@ func TestChaosProxyRetriesThrough(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	cli, err := Dial(proxy.Addr(), 2*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	cli := dialT(t, proxy.Addr())
 	defer cli.Close()
 	cli.SetRequestTimeout(2 * time.Second)
 	cli.SetRetry(Retry{Attempts: 5, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond})

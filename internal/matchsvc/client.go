@@ -34,11 +34,13 @@ const keepalivePingTimeout = 5 * time.Second
 // from the server's point of view in the first place.
 //
 // Every request takes a context.Context: its deadline bounds the whole
-// wire round trip, and cancellation interrupts or abandons in-flight
-// I/O. When the context carries no deadline, the SetRequestTimeout
-// fallback applies. With SetRetry, idempotent requests that fail on a
-// transport error are transparently retried with capped jittered
-// exponential backoff; retries are off by default.
+// wire round trip — the time left travels in the request envelope, so
+// the server stops working when it runs out — and cancellation
+// interrupts or abandons in-flight I/O. When the context carries no
+// deadline, the SetRequestTimeout fallback applies, on both ends. With
+// SetRetry, idempotent requests that fail on a transport error are
+// transparently retried with capped jittered exponential backoff;
+// retries are off by default.
 type Client struct {
 	addr string
 
@@ -69,8 +71,8 @@ func (c *Client) SetRequestTimeout(d time.Duration) {
 
 // SetRedialTimeout bounds the reconnects the pool performs after a
 // transport failure, independently of the triggering request's
-// context; zero leaves reconnects bounded by that context alone.
-// Dial seeds it with its own timeout; DialContext leaves it zero.
+// context; zero (the default) leaves reconnects bounded by that context
+// alone.
 func (c *Client) SetRedialTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -141,37 +143,15 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	return c, nil
 }
 
-// Dial connects to a server address with the given timeout (also used
-// to bound later reconnects).
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	ctx := context.Background() //fpvet:allow ctxflow non-ctx constructor is a genuine root; the timeout below is its only bound
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	c, err := DialContext(ctx, addr)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// The expired context is Dial's own timeout, not a caller's:
-			// keep the address in the diagnostic as Dial always has.
-			return nil, fmt.Errorf("matchsvc: dial %s: %w", addr, err)
-		}
-		return nil, err
-	}
-	c.dialTimeout = timeout
-	return c, nil
-}
-
 // dialRaw opens one pool connection, bounded by the redial timeout
 // when set (else the request-timeout fallback) and by ctx.
 func (c *Client) dialRaw(ctx context.Context) (net.Conn, error) {
 	c.mu.Lock()
 	d := net.Dialer{Timeout: c.dialTimeout}
 	if d.Timeout == 0 && c.timeout > 0 {
-		// A DialContext-created client has no redial timeout of its own;
-		// without this, a deadline-free request context would leave the
-		// reconnect bounded only by the OS connect timeout.
+		// No redial timeout was set; without this, a deadline-free
+		// request context would leave the reconnect bounded only by the
+		// OS connect timeout.
 		d.Timeout = c.timeout
 	}
 	c.mu.Unlock()
@@ -362,21 +342,11 @@ func (c *Client) Match(ctx context.Context, g, p *minutiae.Template) (MatchResul
 func (c *Client) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.Template) error {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
-	if err := fs.w.string(id); err != nil {
-		return err
-	}
-	if err := fs.w.string(deviceID); err != nil {
-		return err
-	}
-	if err := fs.w.template(tpl); err != nil {
+	if err := fs.w.enrollment(Enrollment{ID: id, DeviceID: deviceID, Template: tpl}); err != nil {
 		return err
 	}
 	return c.roundTrip(ctx, OpEnroll, fs.w.buf, nil)
 }
-
-// Enrollment is one EnrollBatch item — the gallery's own export shape,
-// so batches pass between wire, router, WAL and store unconverted.
-type Enrollment = gallery.Export
 
 // enrollBatchBudget leaves headroom under the frame cap for the count
 // prefix and per-item length framing.
@@ -384,9 +354,10 @@ const enrollBatchBudget = maxFrame - 4096
 
 // EnrollBatch registers many templates in as few round trips as the
 // 1 MiB frame cap allows, returning how many were enrolled. Batches are
-// not atomic: on error, items from already-shipped chunks (and items
-// preceding the failure inside its chunk, which the server reports)
-// remain enrolled.
+// not atomic: on error, items from already-shipped chunks remain
+// enrolled, and what the failing chunk left behind is up to the
+// server's backend (see OpEnrollBatch) — a prefix on a plain store,
+// nothing on a WAL-backed one, whole per-shard groups behind a front.
 func (c *Client) EnrollBatch(ctx context.Context, items []Enrollment) (int, error) {
 	return c.enrollBatchChunked(ctx, items, enrollBatchBudget)
 }
@@ -426,13 +397,7 @@ func (c *Client) enrollBatchChunked(ctx context.Context, items []Enrollment, bud
 	}
 	for _, it := range items {
 		var w payloadWriter
-		if err := w.string(it.ID); err != nil {
-			return enrolled, err
-		}
-		if err := w.string(it.DeviceID); err != nil {
-			return enrolled, err
-		}
-		if err := w.template(it.Template); err != nil {
+		if err := w.enrollment(it); err != nil {
 			return enrolled, err
 		}
 		if len(w.buf) > budget {

@@ -41,15 +41,12 @@ func fakeServer(t *testing.T, respond func(conn net.Conn, id uint64)) string {
 // reply writes one well-formed enveloped response frame.
 func reply(conn net.Conn, status byte, id uint64, body []byte) {
 	var hdr [muxFrameHdrSize]byte
-	_ = writeMuxFrame(conn, status, id, body, &hdr)
+	_ = writeMuxFrame(conn, status, id, 0, body, &hdr)
 }
 
 func dialFake(t *testing.T, addr string) *Client {
 	t.Helper()
-	cli, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialT(t, addr)
 	t.Cleanup(func() { cli.Close() })
 	cli.SetRequestTimeout(2 * time.Second)
 	return cli
@@ -204,6 +201,7 @@ func TestClientCorruptHelloReplyRedials(t *testing.T) {
 		{"version refusal", StatusError, str("matchsvc: unsupported protocol version")},
 		{"status bit flipped", 0x80, []byte{0, 0, 0, protoMuxed}},
 		{"version 1", StatusOK, []byte{0, 0, 0, 1}},
+		{"version 2", StatusOK, []byte{0, 0, 0, 2}},
 		{"version bits flipped", StatusOK, []byte{0, 0x40, 0, protoMuxed}},
 		{"truncated version", StatusOK, []byte{0, 0}},
 		{"empty", StatusOK, nil},
@@ -246,8 +244,10 @@ func TestClientCorruptHelloReplyRedials(t *testing.T) {
 }
 
 // TestServerDropsConnectionWithoutV2Hello: the server speaks only to
-// connections that open with a hello proposing version 2 or newer.
-// Anything else gets no reply at all — the connection is closed.
+// connections that open with a hello proposing the current version (3,
+// whose envelope carries the budget) or newer. Anything else — a
+// version-2 hello included, there is no downgrade — gets no reply at
+// all: the connection is closed.
 func TestServerDropsConnectionWithoutV2Hello(t *testing.T) {
 	_, srv := startServer(t)
 	addr := srv.listener.Addr().String()
@@ -261,6 +261,7 @@ func TestServerDropsConnectionWithoutV2Hello(t *testing.T) {
 		{"unknown opcode", 0x7f, nil},
 		{"retired identify", 0x05, nil},
 		{"version-1 hello", OpHello, []byte{0, 0, 0, 1}},
+		{"version-2 hello", OpHello, []byte{0, 0, 0, 2}},
 		{"version-0 hello", OpHello, []byte{0, 0, 0, 0}},
 		{"truncated hello", OpHello, []byte{0, 0}},
 	}
@@ -287,12 +288,12 @@ func TestServerDropsConnectionWithoutV2Hello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, OpHello, []byte{0, 0, 0, 3}); err != nil {
+	if err := writeFrame(conn, OpHello, []byte{0, 0, 0, 4}); err != nil {
 		t.Fatal(err)
 	}
 	status, payload, err := readFrame(conn)
 	if err != nil || status != StatusOK || !bytes.Equal(payload, []byte{0, 0, 0, protoMuxed}) {
-		t.Fatalf("hello v3: status 0x%02x payload %x err %v, want OK and version %d", status, payload, err, protoMuxed)
+		t.Fatalf("hello v4: status 0x%02x payload %x err %v, want OK and version %d", status, payload, err, protoMuxed)
 	}
 }
 
@@ -315,10 +316,7 @@ func TestClientRedialsAfterIdleDrop(t *testing.T) {
 		srv.Close()
 		<-done
 	})
-	cli, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialT(t, addr)
 	defer cli.Close()
 	cli.SetRequestTimeout(2 * time.Second)
 	if err := cli.Ping(context.Background()); err != nil {
@@ -379,10 +377,7 @@ func TestServerIdleTimeoutDropsStalledConnection(t *testing.T) {
 	}
 
 	// A live connection with activity inside the timeout keeps working.
-	cli, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialT(t, addr)
 	defer cli.Close()
 	for i := 0; i < 3; i++ {
 		if err := cli.Ping(context.Background()); err != nil {
@@ -393,7 +388,7 @@ func TestServerIdleTimeoutDropsStalledConnection(t *testing.T) {
 }
 
 func TestEnrollBatchChunksUnderFrameBudget(t *testing.T) {
-	cli, srv := startServer(t)
+	cli, _ := startServer(t)
 	tpls := testImpressions(t, 8, "D0", 0)
 	items := make([]Enrollment, len(tpls))
 	for i, tpl := range tpls {
@@ -418,8 +413,8 @@ func TestEnrollBatchChunksUnderFrameBudget(t *testing.T) {
 	if n != len(items) {
 		t.Fatalf("enrolled %d of %d", n, len(items))
 	}
-	if srv.Store().Len() != len(items) {
-		t.Fatalf("server holds %d enrollments", srv.Store().Len())
+	if got, err := cli.Count(context.Background()); err != nil || got != len(items) {
+		t.Fatalf("server holds %d enrollments (%v)", got, err)
 	}
 
 	// One item alone over the budget is rejected up front.
@@ -429,7 +424,7 @@ func TestEnrollBatchChunksUnderFrameBudget(t *testing.T) {
 }
 
 func TestEnrollBatchPartialFailure(t *testing.T) {
-	cli, srv := startServer(t)
+	cli, _ := startServer(t)
 	tpls := testImpressions(t, 4, "D0", 0)
 	items := make([]Enrollment, len(tpls))
 	for i, tpl := range tpls {
@@ -445,8 +440,8 @@ func TestEnrollBatchPartialFailure(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("client-confirmed count = %d, want 0", n)
 	}
-	if got := srv.Store().Len(); got != 2 {
-		t.Fatalf("server enrolled %d, want the 2 preceding the duplicate", got)
+	if got, err := cli.Count(context.Background()); err != nil || got != 2 {
+		t.Fatalf("server enrolled %d (%v), want the 2 preceding the duplicate", got, err)
 	}
 }
 
@@ -475,7 +470,7 @@ func TestEnrollBatchConcurrentWithIdentify(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		c, err := Dial(addr, time.Second)
+		c, err := DialContext(context.Background(), addr)
 		if err != nil {
 			errs <- err
 			return

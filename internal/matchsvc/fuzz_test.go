@@ -2,6 +2,7 @@ package matchsvc
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -38,7 +39,7 @@ func TestDispatchNeverPanics(t *testing.T) {
 			}
 		}()
 		var w payloadWriter
-		status, _ := srv.dispatch(op, payload, &w)
+		status, _ := srv.dispatch(context.Background(), op, payload, &w)
 		return status <= StatusSnapshotExpired
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -48,22 +49,24 @@ func TestDispatchNeverPanics(t *testing.T) {
 
 // sealFrame returns the enveloped payload (everything after the 5-byte
 // frame header) writeMuxFrame puts on the wire.
-func sealFrame(tb testing.TB, op byte, id uint64, body []byte) []byte {
+func sealFrame(tb testing.TB, op byte, id uint64, budget uint32, body []byte) []byte {
 	tb.Helper()
 	var wire bytes.Buffer
 	var hdr [muxFrameHdrSize]byte
-	if err := writeMuxFrame(&wire, op, id, body, &hdr); err != nil {
+	if err := writeMuxFrame(&wire, op, id, budget, body, &hdr); err != nil {
 		tb.Fatal(err)
 	}
 	return wire.Bytes()[5:]
 }
 
 // TestMuxCRCIsCRC32COverOpIDBody pins the checksum's definition — the
-// wire format — independently of how muxCRC computes it.
+// wire format: opcode, request ID, budget, body — independently of how
+// muxCRC computes it.
 func TestMuxCRCIsCRC32COverOpIDBody(t *testing.T) {
-	f := func(op byte, id uint64, body []byte) bool {
+	f := func(op byte, id uint64, budget uint32, body []byte) bool {
 		ref := binary.BigEndian.AppendUint64([]byte{op}, id)
-		return muxCRC(op, id, body) == crc32.Checksum(append(ref, body...), crc32.MakeTable(crc32.Castagnoli))
+		ref = binary.BigEndian.AppendUint32(ref, budget)
+		return muxCRC(op, id, budget, body) == crc32.Checksum(append(ref, body...), crc32.MakeTable(crc32.Castagnoli))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -76,22 +79,25 @@ func TestMuxCRCIsCRC32COverOpIDBody(t *testing.T) {
 // accepts must re-seal to the very same bytes. Seeds are the corrupt
 // frames the mux error-path tests inject.
 func FuzzOpenMuxEnvelope(f *testing.F) {
-	sealed := sealFrame(f, OpVerify, 7, []byte("body"))
+	sealed := sealFrame(f, OpVerify, 7, 250, []byte("body"))
 	f.Add(byte(OpVerify), sealed)
-	f.Add(byte(OpPing), sealFrame(f, OpPing, 1, nil))
-	f.Add(byte(StatusNotFound), sealFrame(f, StatusNotFound, 1<<40, []byte{0, 1, 'x'}))
+	f.Add(byte(OpPing), sealFrame(f, OpPing, 1, 0, nil))
+	f.Add(byte(OpIdentifyEx), sealFrame(f, OpIdentifyEx, 2, 0xFFFFFFFF, []byte("body"))) // the largest budget
+	f.Add(byte(StatusNotFound), sealFrame(f, StatusNotFound, 1<<40, 0, []byte{0, 1, 'x'}))
 	f.Add(byte(OpEnroll), sealed)                                      // right envelope, wrong opcode
 	f.Add(byte(OpVerify), sealed[:muxEnvelopeSize-1])                  // below envelope size
+	f.Add(byte(OpVerify), sealed[:9])                                  // cut inside the budget field
+	f.Add(byte(OpVerify), sealed[:11])                                 // one byte short of the whole budget
 	f.Add(byte(OpVerify), sealed[:len(sealed)-1])                      // truncated body
 	f.Add(byte(OpVerify), append(sealed[:len(sealed):len(sealed)], 0)) // trailing byte
-	for _, bit := range []int{0, 63, 64, 95, 96} {                     // request ID, CRC, first body byte
+	for _, bit := range []int{0, 63, 64, 95, 96, 127, 128} {           // request ID, budget, CRC, first body byte
 		flipped := bytes.Clone(sealed)
 		flipped[bit/8] ^= 1 << (bit % 8)
 		f.Add(byte(OpVerify), flipped)
 	}
 	f.Add(byte(0), []byte(nil))
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
-		id, body, err := openMuxEnvelope(op, payload)
+		id, budget, body, err := openMuxEnvelope(op, payload)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptFrame) {
 				t.Fatalf("refusal is not ErrCorruptFrame: %v", err)
@@ -101,7 +107,7 @@ func FuzzOpenMuxEnvelope(f *testing.F) {
 		if len(payload) > maxFrame {
 			return // accepted, but too large to re-seal: readFrameHdr caps frames first
 		}
-		if again := sealFrame(t, op, id, body); !bytes.Equal(again, payload) {
+		if again := sealFrame(t, op, id, budget, body); !bytes.Equal(again, payload) {
 			t.Fatalf("accepted envelope %x re-seals to %x", payload, again)
 		}
 	})

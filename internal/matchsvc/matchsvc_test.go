@@ -18,6 +18,20 @@ import (
 	"fpinterop/internal/sensor"
 )
 
+// dialT connects a test client, bounded so a wedged server fails the
+// test instead of hanging it.
+func dialT(t testing.TB, addr string) *Client {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	cli, err := DialContext(ctx, addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	cli.SetRedialTimeout(2 * time.Second)
+	return cli
+}
+
 // startServer spins a server on an ephemeral port and returns a connected
 // client; everything shuts down with the test.
 func startServer(t *testing.T) (*Client, *Server) {
@@ -37,10 +51,7 @@ func startServer(t *testing.T) (*Client, *Server) {
 			t.Errorf("serve: %v", err)
 		}
 	})
-	cli, err := Dial(addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialT(t, addr)
 	t.Cleanup(func() { cli.Close() })
 	return cli, srv
 }
@@ -159,7 +170,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(addr, 2*time.Second)
+			c, err := DialContext(context.Background(), addr)
 			if err != nil {
 				errs <- err
 				return
@@ -272,10 +283,7 @@ func TestClientRequestTimeout(t *testing.T) {
 			}
 		}
 	}()
-	cli, err := Dial(ln.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialT(t, ln.Addr().String())
 	defer cli.Close()
 	cli.SetRequestTimeout(100 * time.Millisecond)
 	start := time.Now()
@@ -308,10 +316,7 @@ func TestIdentifyExStatsOverIndexedStore(t *testing.T) {
 		srv.Close()
 		<-done
 	})
-	cli, err := Dial(addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialT(t, addr)
 	t.Cleanup(func() { cli.Close() })
 
 	tpls := testImpressions(t, 20, "D0", 0)

@@ -6,13 +6,14 @@ package matchsvc
 // waiter that owns its ID, and a group-flushed buffered writer
 // coalesces frames queued by concurrent callers into fewer syscalls.
 // Every connection opens with the OpHello handshake; a peer that does
-// not answer it with version 2 is not spoken to.
+// not answer it with version 3 is not spoken to.
 
 import (
 	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -92,13 +93,6 @@ func (w *wireConn) isDead() bool {
 	return w.dead
 }
 
-// deadError is what a call that had not yet sent anything reports when
-// it finds its connection already retired: always errConnStale, so the
-// caller replays on a fresh connection regardless of idempotence.
-func (w *wireConn) deadError() error {
-	return errConnStale
-}
-
 // kill retires the connection with err: the socket closes (unblocking
 // the demux reader and any in-flight I/O) and every pending waiter
 // receives the error promptly. First failure wins.
@@ -170,7 +164,7 @@ func (w *wireConn) negotiated() bool { return w.nego.Load() }
 
 // doHello performs the version handshake — the only bare (envelope-free,
 // so checksum-free) exchange on the connection. Only StatusOK carrying
-// version 2 starts the demux reader; any other reply, including one
+// version 3 starts the demux reader; any other reply, including one
 // damaged in transit, retires the connection with a transport error and
 // the caller redials.
 func (w *wireConn) doHello(ctx context.Context) error {
@@ -234,7 +228,7 @@ func (w *wireConn) readLoop() {
 			w.kill(transportErr(fmt.Errorf("matchsvc: read response: %w", err)))
 			return
 		}
-		id, body, err := openMuxEnvelope(status, payload)
+		id, _, body, err := openMuxEnvelope(status, payload)
 		if err != nil {
 			w.kill(transportErr(err))
 			return
@@ -278,13 +272,13 @@ func (w *wireConn) forget(id uint64) {
 // coalesces into far fewer syscalls than N. A write failure retires the
 // connection — a partial frame may already be on the wire, after which
 // nothing framed can follow it.
-func (w *wireConn) writeMux(ctx context.Context, op byte, id uint64, body []byte) error {
+func (w *wireConn) writeMux(ctx context.Context, op byte, id uint64, budget uint32, body []byte) error {
 	w.queued.Add(1)
 	w.wmu.Lock()
 	w.queued.Add(-1)
 	defer w.wmu.Unlock()
 	if w.isDead() {
-		return w.deadError()
+		return errConnStale
 	}
 	deadline := time.Now().Add(muxWriteTimeout)
 	if d, ok := ctx.Deadline(); ok {
@@ -299,7 +293,7 @@ func (w *wireConn) writeMux(ctx context.Context, op byte, id uint64, body []byte
 		w.kill(err)
 		return err
 	}
-	err := writeMuxFrame(w.bw, op, id, body, &w.whdr)
+	err := writeMuxFrame(w.bw, op, id, budget, body, &w.whdr)
 	if err == nil && w.queued.Load() == 0 {
 		err = w.bw.Flush()
 	}
@@ -311,25 +305,48 @@ func (w *wireConn) writeMux(ctx context.Context, op byte, id uint64, body []byte
 	return nil
 }
 
+// wireBudget is the envelope's budget for a request sent now: the time
+// left to the context's deadline, else the fallback request timeout, in
+// milliseconds rounded up — the server's allowance must not run out
+// before the caller's own clock does, or a hop's health tracker would
+// see a server error where the truth is "the caller gave up". 0 means
+// unbounded, so an already-expired deadline still travels as 1.
+func wireBudget(ctx context.Context, fallback time.Duration) uint32 {
+	left := fallback
+	if d, ok := ctx.Deadline(); ok {
+		left = max(time.Until(d), 1)
+	}
+	if left <= 0 {
+		return 0
+	}
+	return uint32(min((left+time.Millisecond-1)/time.Millisecond, math.MaxUint32))
+}
+
 // muxCall runs one request over the multiplexed connection: register a
-// waiter, seal and send, then wait for the demux reader (or the
-// caller's context, or the fallback request timeout). A caller that
-// gives up deregisters its waiter and leaves the connection healthy —
-// its late response is discarded by ID.
+// waiter, seal and send (the envelope tells the server how long this
+// caller will wait), then wait for the demux reader (or the caller's
+// context, or the fallback request timeout). A caller that gives up
+// deregisters its waiter and leaves the connection healthy — its late
+// response is discarded by ID, and the server has already stopped
+// working on it.
 func (w *wireConn) muxCall(ctx context.Context, op byte, payload []byte, decode func(*payloadReader) error) error {
+	var fallback time.Duration
+	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
+		fallback = w.c.requestTimeout()
+	}
 	id := w.nextID.Add(1)
 	ch := make(chan muxResult, 1)
 	w.pmu.Lock()
 	if w.dead || w.pending == nil {
 		w.pmu.Unlock()
-		return w.deadError()
+		return errConnStale
 	}
 	w.pending[id] = ch
 	w.pmu.Unlock()
 	if m := w.c.metrics(); m != nil {
 		m.reqBytes.Observe(int64(len(payload)))
 	}
-	if err := w.writeMux(ctx, op, id, payload); err != nil {
+	if err := w.writeMux(ctx, op, id, wireBudget(ctx, fallback), payload); err != nil {
 		w.forget(id)
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
@@ -337,28 +354,38 @@ func (w *wireConn) muxCall(ctx context.Context, op byte, payload []byte, decode 
 		return err
 	}
 	var timerC <-chan time.Time
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		if t := w.c.requestTimeout(); t > 0 {
-			timer := time.NewTimer(t)
-			defer timer.Stop()
-			timerC = timer.C
-		}
+	if fallback > 0 {
+		timer := time.NewTimer(fallback)
+		defer timer.Stop()
+		timerC = timer.C
 	}
 	select {
 	case res := <-ch:
-		if res.err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			return res.err
+		err := res.err
+		if err == nil {
+			err = decodeResponse(res.status, res.body, decode)
 		}
-		return decodeResponse(res.status, res.body, decode)
+		if err == nil {
+			return nil
+		}
+		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+			// The server's "budget expired" reply overtook this caller's
+			// own deadline timer, which is due: let it fire, so every
+			// layer above reads the same ctx.Err() this call returns.
+			<-ctx.Done()
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			// The caller gave up, and that outranks whatever the giving-up
+			// provoked (connection loss, the server stopping work).
+			return cerr
+		}
+		return err
 	case <-ctx.Done():
 		w.forget(id)
 		return ctx.Err()
 	case <-timerC:
 		w.forget(id)
-		return fmt.Errorf("matchsvc: request timed out after %v: %w", w.c.requestTimeout(), os.ErrDeadlineExceeded)
+		return fmt.Errorf("matchsvc: request timed out after %v: %w", fallback, os.ErrDeadlineExceeded)
 	}
 }
 

@@ -92,7 +92,7 @@ func readMuxReq(conn net.Conn) (op byte, id uint64, body []byte, err error) {
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	id, body, err = openMuxEnvelope(op, payload)
+	id, _, body, err = openMuxEnvelope(op, payload)
 	return op, id, body, err
 }
 
@@ -105,7 +105,7 @@ func answerPings(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if err := writeMuxFrame(conn, StatusOK, id, nil, &hdr); err != nil {
+		if err := writeMuxFrame(conn, StatusOK, id, 0, nil, &hdr); err != nil {
 			return
 		}
 	}
@@ -113,10 +113,7 @@ func answerPings(conn net.Conn) {
 
 func dialMuxFake(t *testing.T, f *muxFake) *Client {
 	t.Helper()
-	c, err := Dial(f.addr(), 2*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	c := dialT(t, f.addr())
 	t.Cleanup(func() { c.Close() })
 	c.SetRequestTimeout(2 * time.Second)
 	return c
@@ -196,7 +193,7 @@ func TestMuxUnknownRequestIDKillsConnection(t *testing.T) {
 		}
 		// A well-formed response to a request this client never made.
 		var hdr [muxFrameHdrSize]byte
-		writeMuxFrame(conn, StatusOK, id+1000, nil, &hdr)
+		writeMuxFrame(conn, StatusOK, id+1000, 0, nil, &hdr)
 		answerPings(conn)
 	})
 	c := dialMuxFake(t, f)
@@ -225,7 +222,7 @@ func TestMuxCorruptChecksumTypedErrorAndRecovery(t *testing.T) {
 		binary.BigEndian.PutUint32(hdr[:4], muxEnvelopeSize)
 		hdr[4] = StatusOK
 		binary.BigEndian.PutUint64(hdr[5:13], id)
-		binary.BigEndian.PutUint32(hdr[13:17], muxCRC(StatusOK, id, nil)^0xdeadbeef)
+		binary.BigEndian.PutUint32(hdr[17:21], muxCRC(StatusOK, id, 0, nil)^0xdeadbeef)
 		conn.Write(hdr[:])
 	})
 	c := dialMuxFake(t, f)
@@ -282,7 +279,7 @@ func TestMuxLateResponseAfterTimeoutIsDiscarded(t *testing.T) {
 			return
 		}
 		<-release
-		writeMuxFrame(conn, StatusOK, id, nil, &hdr)
+		writeMuxFrame(conn, StatusOK, id, 0, nil, &hdr)
 		answerPings(conn)
 	})
 	c := dialMuxFake(t, f)
@@ -325,10 +322,7 @@ func TestKeepaliveOutlivesServerIdleTimeout(t *testing.T) {
 	go func() { defer close(done); srv.Serve(ctx) }()
 	defer func() { srv.Close(); <-done }()
 
-	c, err := Dial(addr, 2*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	c := dialT(t, addr)
 	defer c.Close()
 	c.SetRequestTimeout(2 * time.Second)
 	c.SetKeepalive(40 * time.Millisecond)
@@ -363,10 +357,7 @@ func TestKeepaliveDisabledConnectionIdlesOut(t *testing.T) {
 	go func() { defer close(done); srv.Serve(ctx) }()
 	defer func() { srv.Close(); <-done }()
 
-	c, err := Dial(addr, 2*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	c := dialT(t, addr)
 	defer c.Close()
 	c.SetRequestTimeout(2 * time.Second)
 	c.SetKeepalive(0)
@@ -401,10 +392,7 @@ func TestMuxUnknownOpcodeStatusError(t *testing.T) {
 	go func() { defer close(done); srv.Serve(ctx) }()
 	defer func() { srv.Close(); <-done }()
 
-	c, err := Dial(addr, 2*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	c := dialT(t, addr)
 	defer c.Close()
 	c.SetRequestTimeout(2 * time.Second)
 	reg := obs.NewRegistry()
@@ -444,7 +432,7 @@ func TestMuxFallbackTimeoutTyped(t *testing.T) {
 			return
 		}
 		<-release
-		writeMuxFrame(conn, StatusOK, id, nil, &hdr)
+		writeMuxFrame(conn, StatusOK, id, 0, nil, &hdr)
 		answerPings(conn)
 	})
 	c := dialMuxFake(t, f)

@@ -12,8 +12,14 @@
 //	uint8   opcode (request) or status (response)
 //	bytes   payload
 //
-// Payload strings are uint16-length-prefixed UTF-8; templates use the
-// minutiae binary codec. Frames are capped at 1 MiB.
+// After the one bare hello exchange, every payload opens with the mux
+// envelope (request ID, the caller's remaining budget in milliseconds,
+// CRC — see muxEnvelopeSize). Payload strings are
+// uint16-length-prefixed UTF-8; templates use the minutiae binary
+// codec. Frames are capped at 1 MiB.
+//
+// The server side dispatches onto one ctx-first contract, Backend
+// (backend.go); a store reaches it through the Local adapter.
 package matchsvc
 
 import (
@@ -54,9 +60,12 @@ const (
 	OpIdentifyEx = 0x08
 	// OpEnrollBatch adds many templates in one round trip: uint32 count,
 	// then per item (id, device id, template). The response carries the
-	// number enrolled. Enrollment is sequential and not atomic — on
-	// failure the server reports an error after having enrolled the
-	// items preceding the failing one.
+	// number enrolled. The whole frame reaches the backend as one
+	// EnrollBatch call, so what a failure leaves behind is the backend's
+	// answer: a plain store keeps the items before the failing one, a
+	// WAL-backed store commits the frame as one group (one fsync) or not
+	// at all, and a router front lands whole per-shard groups in
+	// parallel and names the failing shard in the error.
 	OpEnrollBatch = 0x09
 	// OpScan pages through enrollments in ID order for shard migration:
 	// the request carries a cursor (exclusive lower bound on ID) and a
@@ -78,8 +87,10 @@ const (
 	// OpHello opens every connection: the client sends uint32 version
 	// in a bare frame and the server answers StatusOK with the uint32
 	// version it will speak, after which every frame on the connection
-	// carries the mux envelope (request ID + CRC). A first frame that is
-	// not a hello for version 2 or newer gets the connection dropped.
+	// carries the mux envelope (request ID + budget + CRC). A first
+	// frame that is not a hello for version 3 or newer gets the
+	// connection dropped: version 2's envelope has no budget field, and
+	// there is no downgrade path.
 	OpHello = 0x0D
 	// OpSyncSnapshot ships one chunk of a consistent WAL snapshot to a
 	// catching-up replica: the request carries uint64 resumeLSN (0 asks
@@ -104,11 +115,11 @@ const (
 )
 
 // protoMuxed is the one protocol version: every post-hello frame
-// carries the mux envelope, so responses may return out of order and
-// one connection carries many concurrent requests. helloVersion is the
-// hello payload naming it — what the client proposes and the server
-// answers.
-const protoMuxed = 2
+// carries the mux envelope, so responses may return out of order, one
+// connection carries many concurrent requests, and each request names
+// the time its caller will still wait. helloVersion is the hello
+// payload naming it — what the client proposes and the server answers.
+const protoMuxed = 3
 
 var helloVersion = [4]byte{3: protoMuxed}
 
@@ -207,7 +218,11 @@ func transportErr(err error) error {
 // The mux envelope prefixes every post-hello frame payload:
 //
 //	uint64  request ID (client-assigned, echoed by the response)
-//	uint32  CRC-32C over the request ID bytes and the body
+//	uint32  budget: milliseconds the caller will still wait, 0 = no
+//	        bound (always 0 on responses). Relative, so the two clocks
+//	        need not agree; the server runs the request under a context
+//	        that expires when the budget does.
+//	uint32  CRC-32C over the opcode, request ID, budget and body
 //	bytes   body (the operation's payload)
 //
 // The CRC is what lets the fault-injection suite promise "zero acked
@@ -216,34 +231,38 @@ func transportErr(err error) error {
 // answer, and a flipped length prefix desynchronizes framing into a
 // torn-frame error. Either way the connection is retired and in-flight
 // calls get typed errors.
-const muxEnvelopeSize = 12
+const muxEnvelopeSize = 16
 
 // crcTable is the Castagnoli polynomial (hardware-accelerated on
 // amd64/arm64), matching the WAL's record checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// muxCRC checksums a frame's opcode (or status), request ID, and body
-// exactly as sealed on the wire. Covering the op byte matters: a
+// muxCRC checksums a frame's opcode (or status), request ID, budget and
+// body exactly as sealed on the wire. Covering the op byte matters: a
 // corrupted opcode with an intact envelope would dispatch the wrong
 // operation yet answer the right request ID — a mis-answer no caller
-// could detect.
+// could detect. Covering the budget keeps a flipped bit from turning a
+// bounded request into an unbounded one.
 //
-// The nine prefix bytes go through the table by hand: staging them in a
-// local array for crc32.Update would move that array to the heap, one
-// allocation per frame in each direction.
+// The thirteen prefix bytes go through the table by hand: staging them
+// in a local array for crc32.Update would move that array to the heap,
+// one allocation per frame in each direction.
 //
 //fpvet:hotpath
-func muxCRC(op byte, id uint64, body []byte) uint32 {
+func muxCRC(op byte, id uint64, budget uint32, body []byte) uint32 {
 	crc := ^uint32(0)
 	crc = crcTable[byte(crc)^op] ^ crc>>8
 	for shift := 56; shift >= 0; shift -= 8 {
 		crc = crcTable[byte(crc)^byte(id>>shift)] ^ crc>>8
 	}
+	for shift := 24; shift >= 0; shift -= 8 {
+		crc = crcTable[byte(crc)^byte(budget>>shift)] ^ crc>>8
+	}
 	return crc32.Update(^crc, crcTable, body)
 }
 
 // muxFrameHdrSize is the on-wire prefix of a mux frame: the 5-byte
-// frame header plus the 12-byte envelope.
+// frame header plus the 16-byte envelope.
 const muxFrameHdrSize = 5 + muxEnvelopeSize
 
 // writeMuxFrame emits one enveloped frame: header and envelope are
@@ -251,14 +270,15 @@ const muxFrameHdrSize = 5 + muxEnvelopeSize
 // Write (into the connection's buffered writer), then the body.
 //
 //fpvet:hotpath
-func writeMuxFrame(w io.Writer, op byte, id uint64, body []byte, hdr *[muxFrameHdrSize]byte) error {
+func writeMuxFrame(w io.Writer, op byte, id uint64, budget uint32, body []byte, hdr *[muxFrameHdrSize]byte) error {
 	if len(body)+muxEnvelopeSize > maxFrame {
 		return ErrFrameTooLarge
 	}
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+muxEnvelopeSize))
 	hdr[4] = op
 	binary.BigEndian.PutUint64(hdr[5:13], id)
-	binary.BigEndian.PutUint32(hdr[13:17], muxCRC(op, id, body))
+	binary.BigEndian.PutUint32(hdr[13:17], budget)
+	binary.BigEndian.PutUint32(hdr[17:21], muxCRC(op, id, budget, body))
 	if _, err := w.Write(hdr[:]); err != nil {
 		// Returned raw: the (non-hot) callers add context and classify
 		// it as a transport failure.
@@ -274,17 +294,18 @@ func writeMuxFrame(w io.Writer, op byte, id uint64, body []byte, hdr *[muxFrameH
 
 // openMuxEnvelope validates and splits an enveloped payload arriving
 // under op. The body aliases payload.
-func openMuxEnvelope(op byte, payload []byte) (id uint64, body []byte, err error) {
+func openMuxEnvelope(op byte, payload []byte) (id uint64, budget uint32, body []byte, err error) {
 	if len(payload) < muxEnvelopeSize {
-		return 0, nil, fmt.Errorf("%w: %d-byte payload below envelope size", ErrCorruptFrame, len(payload))
+		return 0, 0, nil, fmt.Errorf("%w: %d-byte payload below envelope size", ErrCorruptFrame, len(payload))
 	}
 	id = binary.BigEndian.Uint64(payload[:8])
-	crc := binary.BigEndian.Uint32(payload[8:12])
+	budget = binary.BigEndian.Uint32(payload[8:12])
+	crc := binary.BigEndian.Uint32(payload[12:16])
 	body = payload[muxEnvelopeSize:]
-	if got := muxCRC(op, id, body); got != crc {
-		return 0, nil, fmt.Errorf("%w: crc %08x, want %08x", ErrCorruptFrame, got, crc)
+	if got := muxCRC(op, id, budget, body); got != crc {
+		return 0, 0, nil, fmt.Errorf("%w: crc %08x, want %08x", ErrCorruptFrame, got, crc)
 	}
-	return id, body, nil
+	return id, budget, body, nil
 }
 
 // writeFrame emits one bare frame. Only the hello exchange uses it;
@@ -390,6 +411,18 @@ func (p *payloadWriter) template(t *minutiae.Template) error {
 	return nil
 }
 
+// enrollment appends one (id, device id, template) item — the unit of
+// OpEnroll and OpEnrollBatch requests and of OpScan responses.
+func (p *payloadWriter) enrollment(e Enrollment) error {
+	if err := p.string(e.ID); err != nil {
+		return err
+	}
+	if err := p.string(e.DeviceID); err != nil {
+		return err
+	}
+	return p.template(e.Template)
+}
+
 //fpvet:hotpath
 func (p *payloadWriter) uint32(v uint32) {
 	var b [4]byte
@@ -456,6 +489,17 @@ func (p *payloadReader) template() (*minutiae.Template, error) {
 		return nil, err
 	}
 	return minutiae.Unmarshal(data)
+}
+
+func (p *payloadReader) enrollment() (e Enrollment, err error) {
+	if e.ID, err = p.string(); err != nil {
+		return e, err
+	}
+	if e.DeviceID, err = p.string(); err != nil {
+		return e, err
+	}
+	e.Template, err = p.template()
+	return e, err
 }
 
 //fpvet:hotpath

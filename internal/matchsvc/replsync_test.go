@@ -10,14 +10,13 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/wal"
 )
 
 // startServerOn is startServer over a caller-provided backend.
-func startServerOn(t *testing.T, store Gallery) (*Client, *Server) {
+func startServerOn(t *testing.T, store Store) (*Client, *Server) {
 	t.Helper()
 	srv := NewServer(store, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -34,10 +33,7 @@ func startServerOn(t *testing.T, store Gallery) (*Client, *Server) {
 			t.Errorf("serve: %v", err)
 		}
 	})
-	cli, err := Dial(addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialT(t, addr)
 	t.Cleanup(func() { cli.Close() })
 	return cli, srv
 }

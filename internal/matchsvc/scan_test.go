@@ -2,6 +2,7 @@ package matchsvc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -78,19 +79,23 @@ func TestScanAndHasRoundTrip(t *testing.T) {
 	}
 }
 
-// scanlessGallery hides the store's Scan/Has so the server's capability
-// detection is what the test sees.
-type scanlessGallery struct{ *gallery.Store }
+// scanlessBackend refuses Scan and Has the way a backend that spans
+// many stores (a router front) does: the contract has the methods, the
+// answer is an error.
+type scanlessBackend struct{ Backend }
 
-func (scanlessGallery) Scan() {}
-func (scanlessGallery) Has()  {}
+func (scanlessBackend) Scan(context.Context, string, int) ([]gallery.Export, error) {
+	return nil, errors.New("no scan here")
+}
+func (scanlessBackend) Has(context.Context, string) (bool, error) {
+	return false, errors.New("no has here")
+}
 
-// TestScanWithoutCapabilityRefused pins that a backend without the
-// Scanner/Haser capabilities refuses the ops instead of panicking or
-// fabricating pages.
+// TestScanWithoutCapabilityRefused pins that a backend which cannot
+// page or probe its enrollments gets its refusal to the client instead
+// of the server panicking or fabricating pages.
 func TestScanWithoutCapabilityRefused(t *testing.T) {
-	store := gallery.New(nil)
-	srv := NewServer(scanlessGallery{store}, nil)
+	srv := NewBackendServer(scanlessBackend{Local{Store: gallery.New(nil)}}, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -108,10 +113,10 @@ func TestScanWithoutCapabilityRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cli.Close() })
-	if _, err := cli.Scan(ctx, "", 8); err == nil {
-		t.Fatal("Scan against a scanless backend succeeded")
+	if _, err := cli.Scan(ctx, "", 8); !errors.Is(err, ErrRemote) {
+		t.Fatalf("Scan against a scanless backend: %v, want ErrRemote", err)
 	}
-	if _, err := cli.Has(ctx, "x"); err == nil {
-		t.Fatal("Has against a haserless backend succeeded")
+	if _, err := cli.Has(ctx, "x"); !errors.Is(err, ErrRemote) {
+		t.Fatalf("Has against a haserless backend: %v, want ErrRemote", err)
 	}
 }

@@ -16,39 +16,14 @@ import (
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/match"
-	"fpinterop/internal/minutiae"
 	"fpinterop/internal/wal"
 )
 
-// Gallery is the enrollment backend a Server fronts. *gallery.Store is
-// the canonical single-node implementation; a shard router satisfies the
-// same contract, so one server binary can serve either a leaf store or a
-// scatter-gather tier.
-type Gallery interface {
-	Enroll(id, deviceID string, tpl *minutiae.Template) error
-	Remove(id string) error
-	Verify(id string, probe *minutiae.Template) (match.Result, error)
-	IdentifyDetailed(probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error)
-	Len() int
-}
-
-// Scanner is the optional capability behind OpScan: backends that can
-// page their enrollments out in ID order (gallery.Store does) let a
-// shard rebalancer stream them to a joining shard. Backends without it
-// simply refuse the op.
-type Scanner interface {
-	Scan(afterID string, max int) []gallery.Export
-}
-
-// Haser is the optional capability behind OpHas.
-type Haser interface {
-	Has(id string) bool
-}
-
-// SyncSource is the optional capability behind OpSyncSnapshot and
+// SyncSource is the one optional capability, behind OpSyncSnapshot and
 // OpSyncTail: a WAL-backed store (wal.Store) can ship a consistent
 // snapshot capture plus its log tail to a catching-up read replica.
-// Backends without a log refuse the ops — there is no history to ship.
+// The constructors look for it once; servers whose backend has no log
+// refuse the ops — there is no history to ship.
 type SyncSource interface {
 	SyncSnapshot(resumeLSN uint64) (lsn uint64, data []byte, err error)
 	SyncTail(afterLSN uint64, maxBytes int) (wal.TailPage, error)
@@ -59,16 +34,20 @@ type SyncSource interface {
 // slow-loris client must not pin a handler goroutine forever.
 const defaultIdleTimeout = 2 * time.Minute
 
-// Server is the central matching service: it owns a Gallery backend and
-// serves the frame protocol over TCP. Connections are handled
-// concurrently, and so are the requests multiplexed on one connection.
+// Server is the central matching service: it owns a Backend and serves
+// the frame protocol over TCP. Connections are handled concurrently,
+// and so are the requests multiplexed on one connection; each request
+// runs under a context that ends when its envelope's budget does or
+// its connection drops.
 type Server struct {
-	store       Gallery
+	backend Backend
+	// sync is the backend's log-shipping capability, nil without one.
+	sync        SyncSource
 	logger      *log.Logger
 	idleTimeout time.Duration
 	// statsFn, when set, answers OpStats with the serving process's
-	// full summary; without it the op falls back to the gallery alone.
-	statsFn func() ServiceStats
+	// full summary; without it the op falls back to the backend's count.
+	statsFn func(context.Context) (ServiceStats, error)
 	// met is non-nil after SetMetrics.
 	met *serverMetrics
 
@@ -79,22 +58,33 @@ type Server struct {
 	closed   bool
 }
 
-// NewServer returns a server backed by the given gallery (a fresh
-// single-node store with the default matcher when nil). logger may be
-// nil to disable logging.
-func NewServer(store Gallery, logger *log.Logger) *Server {
+// NewServer returns a server over an in-process store — a gallery, a
+// WAL-backed store, a read-only replica view — adapted once through
+// Local (a fresh single-node store with the default matcher when nil).
+// logger may be nil to disable logging.
+func NewServer(store Store, logger *log.Logger) *Server {
 	if store == nil {
 		store = gallery.New(nil)
 	}
+	s := NewBackendServer(Local{Store: store}, logger)
+	s.sync, _ = store.(SyncSource)
+	return s
+}
+
+// NewBackendServer returns a server over anything that already speaks
+// the contract: a shard router's front, a replica set, a remote.
+func NewBackendServer(b Backend, logger *log.Logger) *Server {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	return &Server{
-		store:       store,
+	s := &Server{
+		backend:     b,
 		logger:      logger,
 		idleTimeout: defaultIdleTimeout,
 		conns:       make(map[net.Conn]struct{}),
 	}
+	s.sync, _ = b.(SyncSource)
+	return s
 }
 
 // SetIdleTimeout bounds how long the server waits for a complete request
@@ -107,15 +97,12 @@ func (s *Server) SetIdleTimeout(d time.Duration) {
 	s.idleTimeout = d
 }
 
-// Store exposes the underlying gallery (e.g. for pre-enrollment).
-func (s *Server) Store() Gallery { return s.store }
-
 // SetStatsFunc installs the OpStats source: the serving process knows
 // its own topology (shard count, index state, WAL durability) in a way
-// the wire server cannot infer from the Gallery interface. Call before
-// Serve. Without it, OpStats still answers with the gallery's
+// the wire server cannot infer from the Backend contract. Call before
+// Serve. Without it, OpStats still answers with the backend's
 // enrollment count and a shard count of one.
-func (s *Server) SetStatsFunc(fn func() ServiceStats) { s.statsFn = fn }
+func (s *Server) SetStatsFunc(fn func(context.Context) (ServiceStats, error)) { s.statsFn = fn }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
@@ -162,6 +149,10 @@ func (s *Server) Serve(ctx context.Context) error {
 		<-ctx.Done()
 		ln.Close()
 	}()
+	// Connections outlive the accept loop: a shutdown drains the
+	// requests already in flight instead of cancelling them, so request
+	// contexts descend from ctx without its cancellation.
+	connRoot := context.WithoutCancel(ctx)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -199,7 +190,7 @@ func (s *Server) Serve(ctx context.Context) error {
 					s.met.conns.Dec()
 				}
 			}()
-			if err := s.handle(conn); err != nil && !errors.Is(err, io.EOF) {
+			if err := s.handle(connRoot, conn); err != nil && !errors.Is(err, io.EOF) {
 				s.logger.Printf("matchsvc: connection %s: %v", conn.RemoteAddr(), err)
 			}
 		}()
@@ -229,12 +220,12 @@ func (s *Server) Close() error {
 }
 
 // handle serves one connection until EOF. The first frame must be a
-// hello proposing version 2 or newer; it is answered with the version
+// hello proposing version 3 or newer; it is answered with the version
 // the server speaks and the connection moves to the mux dispatcher.
-// Anything else — another opcode, a version-1 hello, a hello damaged in
-// transit — drops the connection: there is no envelope-free mode to
-// fall back to, and an error reply could not be checksummed.
-func (s *Server) handle(conn net.Conn) error {
+// Anything else — another opcode, an older hello, a hello damaged in
+// transit — drops the connection: there is no other envelope to fall
+// back to, and an error reply could not be checksummed.
+func (s *Server) handle(ctx context.Context, conn net.Conn) error {
 	if s.idleTimeout > 0 {
 		if err := conn.SetDeadline(time.Now().Add(s.idleTimeout)); err != nil {
 			return fmt.Errorf("matchsvc: set deadline: %w", err)
@@ -261,13 +252,13 @@ func (s *Server) handle(conn net.Conn) error {
 	if err := writeFrame(conn, StatusOK, helloVersion[:]); err != nil {
 		return err
 	}
-	return s.handleMux(conn)
+	return s.handleMux(ctx, conn)
 }
 
-// dispatch executes one request and builds the response payload into w
-// (arriving empty; dispatch must not retain payload or w.buf past the
-// return — both are connection-scoped scratch).
-func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []byte) {
+// dispatch executes one request under its context and builds the
+// response payload into w (arriving empty; dispatch must not retain
+// payload or w.buf past the return — both are request-scoped scratch).
+func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *payloadWriter) (byte, []byte) {
 	fail := func(err error) (byte, []byte) {
 		// A branch may have written part of a success payload before
 		// failing; the error response starts clean.
@@ -306,19 +297,11 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		return StatusOK, w.buf
 
 	case OpEnroll:
-		id, err := r.string()
+		e, err := r.enrollment()
 		if err != nil {
 			return fail(err)
 		}
-		deviceID, err := r.string()
-		if err != nil {
-			return fail(err)
-		}
-		tpl, err := r.template()
-		if err != nil {
-			return fail(err)
-		}
-		if err := s.store.Enroll(id, deviceID, tpl); err != nil {
+		if err := s.backend.Enroll(ctx, e.ID, e.DeviceID, e.Template); err != nil {
 			return fail(err)
 		}
 		return StatusOK, nil
@@ -332,7 +315,7 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		if err != nil {
 			return fail(err)
 		}
-		res, err := s.store.Verify(id, probe)
+		res, err := s.backend.Verify(ctx, id, probe)
 		if err != nil {
 			return fail(err)
 		}
@@ -349,7 +332,7 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		if err != nil {
 			return fail(err)
 		}
-		cands, stats, err := s.store.IdentifyDetailed(probe, int(k))
+		cands, stats, err := s.backend.IdentifyDetailed(ctx, probe, int(k))
 		if err != nil {
 			return fail(err)
 		}
@@ -382,23 +365,20 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		if err != nil {
 			return fail(err)
 		}
+		// An item occupies at least 8 payload bytes; clamp the
+		// preallocation against malformed counts.
+		items := make([]Enrollment, 0, min(n, uint32(len(r.buf)-r.off)/8))
 		for i := uint32(0); i < n; i++ {
-			id, err := r.string()
+			it, err := r.enrollment()
 			if err != nil {
 				return fail(fmt.Errorf("batch item %d: %w", i, err))
 			}
-			deviceID, err := r.string()
-			if err != nil {
-				return fail(fmt.Errorf("batch item %d: %w", i, err))
-			}
-			tpl, err := r.template()
-			if err != nil {
-				return fail(fmt.Errorf("batch item %d: %w", i, err))
-			}
-			if err := s.store.Enroll(id, deviceID, tpl); err != nil {
-				// Not atomic: items before i are enrolled; say so.
-				return fail(fmt.Errorf("batch item %d (%d enrolled): %w", i, i, err))
-			}
+			items = append(items, it)
+		}
+		// One call: the backend decides what a batch is — one group
+		// commit on a WAL store, parallel per-shard batches on a front.
+		if err := s.backend.EnrollBatch(ctx, items); err != nil {
+			return fail(err)
 		}
 		w.uint32(n)
 		return StatusOK, w.buf
@@ -408,48 +388,52 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		if err != nil {
 			return fail(err)
 		}
-		if err := s.store.Remove(id); err != nil {
+		if err := s.backend.Remove(ctx, id); err != nil {
 			return fail(err)
 		}
 		return StatusOK, nil
 
 	case OpCount:
-		w.uint32(uint32(s.store.Len()))
+		n, err := s.backend.Len(ctx)
+		if err != nil {
+			return fail(err)
+		}
+		w.uint32(uint32(n))
 		return StatusOK, w.buf
 
 	case OpStats:
-		var st ServiceStats
+		st := ServiceStats{Shards: 1}
+		var err error
 		if s.statsFn != nil {
-			st = s.statsFn()
+			st, err = s.statsFn(ctx)
 		} else {
-			st = ServiceStats{Enrollments: s.store.Len(), Shards: 1}
+			st.Enrollments, err = s.backend.Len(ctx)
 		}
-		if err := encodeServiceStats(w, st); err != nil {
+		if err == nil {
+			err = encodeServiceStats(w, st)
+		}
+		if err != nil {
 			return fail(err)
 		}
 		return StatusOK, w.buf
 
 	case OpHas:
-		h, ok := s.store.(Haser)
-		if !ok {
-			return fail(errors.New("matchsvc: backend does not support has"))
-		}
 		id, err := r.string()
 		if err != nil {
 			return fail(err)
 		}
+		has, err := s.backend.Has(ctx, id)
+		if err != nil {
+			return fail(err)
+		}
 		v := uint32(0)
-		if h.Has(id) {
+		if has {
 			v = 1
 		}
 		w.uint32(v)
 		return StatusOK, w.buf
 
 	case OpScan:
-		sc, ok := s.store.(Scanner)
-		if !ok {
-			return fail(errors.New("matchsvc: backend does not support scan"))
-		}
 		afterID, err := r.string()
 		if err != nil {
 			return fail(err)
@@ -458,7 +442,10 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		if err != nil {
 			return fail(err)
 		}
-		exports := sc.Scan(afterID, int(max))
+		exports, err := s.backend.Scan(ctx, afterID, int(max))
+		if err != nil {
+			return fail(err)
+		}
 		// Pack items under the frame budget; the count prefix is
 		// patched once the cut is known. Fewer than max items is a
 		// legal page — the client advances its cursor and asks again —
@@ -468,13 +455,7 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		count := uint32(0)
 		for _, e := range exports {
 			mark := len(w.buf)
-			if err := w.string(e.ID); err != nil {
-				return fail(err)
-			}
-			if err := w.string(e.DeviceID); err != nil {
-				return fail(err)
-			}
-			if err := w.template(e.Template); err != nil {
+			if err := w.enrollment(e); err != nil {
 				return fail(err)
 			}
 			if len(w.buf) > scanBudget {
@@ -490,9 +471,8 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		return StatusOK, w.buf
 
 	case OpSyncSnapshot:
-		src, ok := s.store.(SyncSource)
-		if !ok {
-			return fail(errors.New("matchsvc: backend does not support replica sync"))
+		if s.sync == nil {
+			return fail(errNoSync)
 		}
 		resumeLSN, err := r.uint64()
 		if err != nil {
@@ -506,7 +486,7 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		if err != nil {
 			return fail(err)
 		}
-		lsn, data, err := src.SyncSnapshot(resumeLSN)
+		lsn, data, err := s.sync.SyncSnapshot(resumeLSN)
 		if err != nil {
 			return fail(err)
 		}
@@ -527,9 +507,8 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		return StatusOK, w.buf
 
 	case OpSyncTail:
-		src, ok := s.store.(SyncSource)
-		if !ok {
-			return fail(errors.New("matchsvc: backend does not support replica sync"))
+		if s.sync == nil {
+			return fail(errNoSync)
 		}
 		afterLSN, err := r.uint64()
 		if err != nil {
@@ -543,7 +522,7 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 		if max <= 0 || max > scanBudget {
 			max = scanBudget
 		}
-		page, err := src.SyncTail(afterLSN, max)
+		page, err := s.sync.SyncTail(afterLSN, max)
 		if err != nil {
 			return fail(err)
 		}
@@ -588,6 +567,8 @@ func (s *Server) dispatch(op byte, payload []byte, w *payloadWriter) (byte, []by
 	}
 }
 
+var errNoSync = errors.New("matchsvc: backend does not support replica sync")
+
 // muxServerConcurrency bounds how many requests one multiplexed
 // connection may have executing at once; excess frames queue at the
 // read loop, applying natural backpressure through TCP.
@@ -615,7 +596,15 @@ func (p *posReader) Read(b []byte) (int, error) {
 // the pings queued behind it — the whole point of the mux. Response
 // writes group-flush through a buffered writer, so bursts of small
 // responses coalesce into few syscalls.
-func (s *Server) handleMux(conn net.Conn) error {
+//
+// Requests run under cctx, cancelled the moment this read loop exits —
+// the client hung up, a frame was unreadable, the idle deadline fired —
+// so nobody keeps matching for a caller that can no longer hear the
+// answer. A request whose envelope carries a budget gets a deadline on
+// top; one without (a ping, a verify from a deadline-free caller) runs
+// on cctx itself and allocates nothing for it.
+func (s *Server) handleMux(ctx context.Context, conn net.Conn) error {
+	cctx, cancel := context.WithCancel(ctx)
 	pr := &posReader{r: conn}
 	bw := bufio.NewWriterSize(conn, 32*1024)
 	var (
@@ -627,6 +616,7 @@ func (s *Server) handleMux(conn net.Conn) error {
 		hdr      [5]byte
 	)
 	defer wg.Wait()
+	defer cancel()
 	writeRes := func(id uint64, status byte, resp []byte) {
 		queued.Add(1)
 		wmu.Lock()
@@ -638,7 +628,7 @@ func (s *Server) handleMux(conn net.Conn) error {
 				return
 			}
 		}
-		err := writeMuxFrame(bw, status, id, resp, &whdr)
+		err := writeMuxFrame(bw, status, id, 0, resp, &whdr)
 		if err == nil && queued.Load() == 0 {
 			err = bw.Flush()
 		}
@@ -665,7 +655,7 @@ func (s *Server) handleMux(conn net.Conn) error {
 			}
 			return err
 		}
-		id, body, err := openMuxEnvelope(op, payload)
+		id, budget, body, err := openMuxEnvelope(op, payload)
 		if err != nil {
 			// The envelope (or its checksum) is unreadable, so no error
 			// reply can name the request it answers; drop the conn.
@@ -674,10 +664,16 @@ func (s *Server) handleMux(conn net.Conn) error {
 		sem <- struct{}{}
 		inflight.Add(1)
 		wg.Add(1)
-		go func(op byte, id uint64, body []byte) {
+		go func(op byte, id uint64, budget uint32, body []byte) {
 			defer wg.Done()
 			defer inflight.Add(-1)
 			defer func() { <-sem }()
+			rctx := cctx
+			if budget > 0 {
+				var done context.CancelFunc
+				rctx, done = context.WithTimeout(cctx, time.Duration(budget)*time.Millisecond)
+				defer done()
+			}
 			fs := acquireFrameScratch()
 			defer releaseFrameScratch(fs)
 			fs.w.buf = fs.w.buf[:0]
@@ -686,12 +682,12 @@ func (s *Server) handleMux(conn net.Conn) error {
 				t0 = time.Now()
 				s.met.inflight.Inc()
 			}
-			status, resp := s.dispatch(op, body, &fs.w)
+			status, resp := s.dispatch(rctx, op, body, &fs.w)
 			if s.met != nil {
 				s.met.observeOp(op, t0)
 				s.met.inflight.Dec()
 			}
 			writeRes(id, status, resp)
-		}(op, id, body)
+		}(op, id, budget, body)
 	}
 }

@@ -25,7 +25,7 @@ type Event struct {
 }
 
 // Hooks is a lifecycle bus: callers register functions to run before
-// and after operations (and on errors), and instrumented code
+// and after operations (and on errors), and the code doing the work
 // dispatches without knowing who is listening — the observer idiom.
 // Registration copies-on-write into an atomically swapped set, so
 // dispatch is lock-free: one atomic load plus direct calls. A nil

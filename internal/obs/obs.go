@@ -10,7 +10,7 @@
 //
 //   - every record method (Add, Inc, Set, Observe) is a handful of
 //     atomic operations — no locks, no maps, no interface boxing;
-//   - every handle is nil-receiver safe, so code instrumented against
+//   - every handle is nil-receiver safe, so code recording into
 //     a nil *Registry compiles to near-no-ops and needs no branches
 //     at the call site;
 //   - label resolution (Vec.With) happens once at setup time, never

@@ -38,10 +38,7 @@ type replicaNode struct {
 func startReplicaNode(t *testing.T, primaryAddr string) *replicaNode {
 	t.Helper()
 	store := gallery.New(nil)
-	cli, err := matchsvc.Dial(primaryAddr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialT(t, primaryAddr)
 	n := &replicaNode{
 		store: store,
 		f:     NewFollower(store, cli, FollowerOptions{Interval: 3 * time.Millisecond}),
@@ -98,10 +95,7 @@ func TestChaosKillReplicaMidIdentifyUnderLoad(t *testing.T) {
 	r2 := startReplicaNode(t, paddr)
 
 	dial := func(addr string) *shard.Remote {
-		cli, err := matchsvc.Dial(addr, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cli := dialT(t, addr)
 		t.Cleanup(func() { cli.Close() })
 		return shard.NewRemote(addr, cli)
 	}
@@ -243,11 +237,11 @@ func TestChaosKillReplicaMidIdentifyUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := ref.IdentifyDetailed(probe, 5)
+		want, _, err := ref.IdentifyDetailedContext(context.Background(), probe, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := r2.store.IdentifyDetailed(probe, 5)
+		got, _, err := r2.store.IdentifyDetailedContext(context.Background(), probe, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

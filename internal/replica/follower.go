@@ -191,10 +191,12 @@ func (f *Follower) Run(ctx context.Context) {
 	}
 }
 
-// ReadOnlyGallery adapts a replica's local gallery to the matchsvc
-// Gallery contract with writes refused: a replica-mode server answers
-// Verify/Identify/Has/Scan/Len from local state and tells writers to go
-// to the primary.
+// ReadOnlyGallery is a replica's local gallery as a matchsvc.Store with
+// every write refused: a replica-mode server answers Verify/Identify/
+// Has/Scan/Len from local state and tells writers to go to the primary.
+// All three mutating methods are overridden — one left promoted from
+// the embedded store would let a wire write fork the replica from its
+// primary's log.
 type ReadOnlyGallery struct {
 	*gallery.Store
 }
@@ -203,6 +205,9 @@ type ReadOnlyGallery struct {
 func (ReadOnlyGallery) Enroll(id, deviceID string, tpl *minutiae.Template) error {
 	return matchsvc.ErrReadOnly
 }
+
+// EnrollBatch refuses: replicas apply primary log records only.
+func (ReadOnlyGallery) EnrollBatch([]gallery.Export) error { return matchsvc.ErrReadOnly }
 
 // Remove refuses: replicas apply primary log records only.
 func (ReadOnlyGallery) Remove(id string) error {

@@ -12,7 +12,6 @@ package replica
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -39,16 +38,12 @@ type SetOptions struct {
 	Metrics *obs.Registry
 }
 
-// member is one copy of the shard plus its health state. Health is
-// all-atomic: reads are the hot path and must not serialize on a
-// bookkeeping lock.
+// member is one copy of the shard plus its health state — the same
+// consecutive-failure tracker the router keeps per shard: crossing the
+// threshold degrades the member, any answer readmits it.
 type member struct {
 	backend shard.Backend
-	// consecFails counts consecutive read failures; crossing the
-	// threshold sets degraded. Any success clears both — the readmit
-	// signal, exactly like the router's per-shard machinery.
-	consecFails atomic.Int32
-	degraded    atomic.Bool
+	health  shard.Health
 	// inflight counts identify/verify attempts currently on this
 	// member. The balancer prefers the least-loaded member, which is
 	// also what steers a hedge away from the member a stalled first
@@ -63,9 +58,16 @@ type member struct {
 // Set is a replica group serving one ring slot. Member 0 is the
 // primary; the rest are read replicas.
 type Set struct {
-	name      string
-	members   []*member
-	threshold int32
+	// The primary, embedded: Enroll, EnrollBatch and Remove are its own
+	// methods, so its WAL ack discipline is the set's. So are Has and
+	// Scan — the router's duplicate guard during migration and the
+	// rebalancer's stream — because only the primary's answer is
+	// authoritative: a lagging replica saying "no" could admit a
+	// duplicate enrollment. Reads that can be balanced are overridden
+	// below.
+	shard.Backend
+	name    string
+	members []*member
 	// cursor breaks least-loaded ties round-robin so idle members
 	// share the read load instead of member 0 absorbing it all.
 	cursor    atomic.Uint64
@@ -83,7 +85,7 @@ func NewSet(name string, primary shard.Backend, replicas []shard.Backend, opt Se
 	if threshold <= 0 {
 		threshold = DefaultFailureThreshold
 	}
-	s := &Set{name: name, threshold: int32(threshold)}
+	s := &Set{Backend: primary, name: name}
 	backends := append([]shard.Backend{primary}, replicas...)
 	reg := opt.Metrics
 	if reg == nil {
@@ -102,6 +104,7 @@ func NewSet(name string, primary shard.Backend, replicas []shard.Backend, opt Se
 	for _, b := range backends {
 		m := &member{
 			backend:  b,
+			health:   shard.Health{Threshold: int32(threshold)},
 			reads:    reads.With(name, b.Name()),
 			failures: fails.With(name, b.Name()),
 			degGauge: deg.With(name, b.Name()),
@@ -117,28 +120,17 @@ func (s *Set) Name() string { return s.name }
 // Replicas reports the member count, primary included.
 func (s *Set) Replicas() int { return len(s.members) }
 
-// Primary exposes the write member (e.g. for fpis to reach its WAL).
-func (s *Set) Primary() shard.Backend { return s.members[0].backend }
-
-// record folds one read outcome into the member's health. Context
-// errors are the caller giving up, not evidence about the member, and
-// an application-level refusal (shard.Answered) is proof of life.
-func (s *Set) record(m *member, err error) {
-	if shard.Answered(err) {
-		m.consecFails.Store(0)
-		if m.degraded.Swap(false) {
-			m.degGauge.Set(0)
-		}
-		return
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return
-	}
-	m.failures.Inc()
-	if m.consecFails.Add(1) >= s.threshold {
-		if !m.degraded.Swap(true) {
-			m.degGauge.Set(1)
-		}
+// record folds one read outcome into the member's health and the
+// set's per-member metrics.
+func (s *Set) record(ctx context.Context, m *member, err error) {
+	switch m.health.Record(ctx, err) {
+	case shard.HealthFailed:
+		m.failures.Inc()
+	case shard.HealthDegraded:
+		m.failures.Inc()
+		m.degGauge.Set(1)
+	case shard.HealthReadmitted:
+		m.degGauge.Set(0)
 	}
 }
 
@@ -165,7 +157,7 @@ func (s *Set) pick(avoid int, tried []bool) int {
 			continue
 		}
 		m := s.members[i]
-		if m.degraded.Load() && !degradedToo {
+		if m.health.Degraded() && !degradedToo {
 			continue
 		}
 		if load := m.inflight.Load(); load < bestLoad {
@@ -182,7 +174,7 @@ func (s *Set) pick(avoid int, tried []bool) int {
 
 func (s *Set) allDegraded() bool {
 	for _, m := range s.members {
-		if !m.degraded.Load() {
+		if !m.health.Degraded() {
 			return false
 		}
 	}
@@ -219,7 +211,7 @@ func (s *Set) read(ctx context.Context, avoid int, picked chan<- int, call func(
 			// The caller's deadline fired; no member can answer faster.
 			return err
 		}
-		s.record(m, err)
+		s.record(ctx, m, err)
 		if err == nil {
 			return nil
 		}
@@ -235,35 +227,6 @@ func (s *Set) read(ctx context.Context, avoid int, picked chan<- int, call func(
 		lastErr = fmt.Errorf("replica: set %s has no eligible member", s.name)
 	}
 	return lastErr
-}
-
-// Enroll writes through the primary; the primary's WAL ack discipline
-// is the set's ack discipline.
-func (s *Set) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.Template) error {
-	return s.members[0].backend.Enroll(ctx, id, deviceID, tpl)
-}
-
-// EnrollBatch writes through the primary.
-func (s *Set) EnrollBatch(ctx context.Context, items []shard.Enrollment) error {
-	return s.members[0].backend.EnrollBatch(ctx, items)
-}
-
-// Remove writes through the primary.
-func (s *Set) Remove(ctx context.Context, id string) error {
-	return s.members[0].backend.Remove(ctx, id)
-}
-
-// Has asks the primary: it is the router's duplicate guard during
-// migration, and only the primary's answer is authoritative — a
-// lagging replica saying "no" could admit a duplicate enrollment.
-func (s *Set) Has(ctx context.Context, id string) (bool, error) {
-	return s.members[0].backend.Has(ctx, id)
-}
-
-// Scan pages from the primary: the rebalancer streams subjects out of
-// it, and only the primary is guaranteed complete.
-func (s *Set) Scan(ctx context.Context, afterID string, max int) ([]gallery.Export, error) {
-	return s.members[0].backend.Scan(ctx, afterID, max)
 }
 
 // Verify runs on a balanced healthy member, failing over inside the
@@ -318,7 +281,7 @@ func (s *Set) Len(ctx context.Context) (int, error) {
 		if ctxErr(ctx, lerr) {
 			return 0, lerr
 		}
-		s.record(m, lerr)
+		s.record(ctx, m, lerr)
 		if lerr == nil && count < 0 {
 			count = n
 		}

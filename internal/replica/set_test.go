@@ -173,7 +173,7 @@ func TestSetFailsOverAndDegrades(t *testing.T) {
 func (f *fakeBackend) degraded(s *Set) bool {
 	for _, m := range s.members {
 		if m.backend == f {
-			return m.degraded.Load()
+			return m.health.Degraded()
 		}
 	}
 	return false
@@ -267,9 +267,8 @@ func TestSetApplicationRefusalDoesNotDegrade(t *testing.T) {
 		}
 	}
 	for _, m := range s.members {
-		if m.degraded.Load() || m.consecFails.Load() != 0 {
-			t.Fatalf("member %s charged for not-found answers (fails=%d degraded=%v)",
-				m.backend.Name(), m.consecFails.Load(), m.degraded.Load())
+		if m.health.Degraded() {
+			t.Fatalf("member %s charged for not-found answers", m.backend.Name())
 		}
 	}
 }

@@ -2,9 +2,9 @@ package shard
 
 import (
 	"context"
+	"errors"
 
 	"fpinterop/internal/gallery"
-	"fpinterop/internal/match"
 	"fpinterop/internal/minutiae"
 )
 
@@ -21,39 +21,34 @@ func (s IdentifyStats) Fold() gallery.IdentifyStats {
 	}
 }
 
-// Front adapts a Router to the matchsvc.Gallery interface, letting a
-// matchd process serve a sharded gallery through the same wire protocol
-// as a single store. The wire protocol carries no caller deadline, so
-// the Front is a genuine context root: each call starts from
-// context.Background() (annotated for fpvet). Identification is still
-// bounded on the serving side by the router's ShardTimeout, which caps
-// each shard's scatter leg; enroll, remove, verify, and len legs run
-// unbounded, exactly as they do for a single local store behind the
-// same protocol. Callers that need end-to-end deadlines use the
-// context-aware fpis.Service path instead of the wire front.
-// IdentifyDetailed folds the per-shard statistics into the
-// single-store shape.
+// Front is a Router as one matchsvc.Backend, so a matchd process serves
+// a sharded gallery through the same dispatch as a single store — and
+// a front can itself be a shard of a router further up. Enroll,
+// EnrollBatch, Remove and Verify are the router's own methods; the
+// shim only reshapes what the contract words differently: the
+// per-shard identify statistics fold into the single-store shape, and
+// Len gains the error slot. The caller's context — built by the server
+// from the request's wire budget — reaches every shard leg unchanged.
 type Front struct {
 	*Router
 }
 
-func (f Front) Enroll(id, deviceID string, tpl *minutiae.Template) error {
-	return f.Router.Enroll(context.Background(), id, deviceID, tpl) //fpvet:allow ctxflow wire protocol carries no caller deadline
-}
+var errFrontOp = errors.New("shard: has and scan address one shard; a router front spans many")
 
-func (f Front) Remove(id string) error {
-	return f.Router.Remove(context.Background(), id) //fpvet:allow ctxflow wire protocol carries no caller deadline
-}
-
-func (f Front) Verify(id string, probe *minutiae.Template) (match.Result, error) {
-	return f.Router.Verify(context.Background(), id, probe) //fpvet:allow ctxflow wire protocol carries no caller deadline
-}
-
-func (f Front) IdentifyDetailed(probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
-	cands, st, err := f.Router.IdentifyDetailed(context.Background(), probe, k) //fpvet:allow ctxflow wire protocol carries no caller deadline
+func (f Front) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
+	cands, st, err := f.Router.IdentifyDetailed(ctx, probe, k)
 	return cands, st.Fold(), err
 }
 
-func (f Front) Len() int {
-	return f.Router.Len(context.Background()) //fpvet:allow ctxflow wire protocol carries no caller deadline
+// Len sums the reachable shards; an unreachable one contributes zero
+// rather than an error, as on the router.
+func (f Front) Len(ctx context.Context) (int, error) {
+	n := f.Router.Len(ctx)
+	return n, ctx.Err()
+}
+
+func (f Front) Has(context.Context, string) (bool, error) { return false, errFrontOp }
+
+func (f Front) Scan(context.Context, string, int) ([]gallery.Export, error) {
+	return nil, errFrontOp
 }

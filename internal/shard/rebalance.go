@@ -78,7 +78,7 @@ func (r *Router) AddShard(b Backend) (*Rebalancer, error) {
 	backends = append(backends, b)
 	healths := make([]*health, 0, len(r.health)+1)
 	healths = append(healths, r.health...)
-	healths = append(healths, &health{met: newShardMetrics(r.opt.Registry, name)})
+	healths = append(healths, r.newHealth(name))
 	r.backends = backends
 	r.health = healths
 	r.mig = &migration{joining: len(backends) - 1, newRing: newRing}

@@ -16,7 +16,7 @@ func localStores(r *Router) []*gallery.Store {
 	bs := r.Backends()
 	out := make([]*gallery.Store, len(bs))
 	for i, b := range bs {
-		out[i] = b.(*Local).store.(*gallery.Store)
+		out[i] = b.(*Local).Store.(*gallery.Store)
 	}
 	return out
 }
@@ -65,8 +65,8 @@ func TestRebalanceMovesOnlyRingMovedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Moved != join.store.Len() {
-		t.Fatalf("stats.Moved = %d, joining shard holds %d", stats.Moved, join.store.Len())
+	if stats.Moved != join.Store.Len() {
+		t.Fatalf("stats.Moved = %d, joining shard holds %d", stats.Moved, join.Store.Len())
 	}
 	if stats.Moved == 0 {
 		t.Fatal("no keys moved to the joining shard; fixture too small to exercise migration")
@@ -142,7 +142,7 @@ func TestMigrationServingInvariants(t *testing.T) {
 		id := subjectID(i)
 		if rb.newRing.owner(id) == rb.joining {
 			doubled = id
-			if err := join.store.Enroll(id, "D0", gal[i%len(gal)]); err != nil {
+			if err := join.Store.Enroll(id, "D0", gal[i%len(gal)]); err != nil {
 				t.Fatal(err)
 			}
 			break

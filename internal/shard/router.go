@@ -21,7 +21,6 @@ import (
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/match"
-	"fpinterop/internal/matchsvc"
 	"fpinterop/internal/minutiae"
 	"fpinterop/internal/obs"
 )
@@ -102,15 +101,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// health tracks one backend's consecutive-failure state. It also
-// anchors the shard's metric handles (nil on an unmetered router):
-// request paths already snapshot the health slice, so the handles
-// inherit its replaced-on-write lifecycle.
+// health is one backend's consecutive-failure state. It also anchors
+// the shard's metric handles (nil on an unmetered router): request
+// paths already snapshot the health slice, so the handles inherit its
+// replaced-on-write lifecycle.
 type health struct {
-	mu          sync.Mutex
-	consecFails int
-	degraded    bool
-	met         *shardMetrics
+	Health
+	met *shardMetrics
+}
+
+func (r *Router) newHealth(name string) *health {
+	return &health{
+		Health: Health{Threshold: int32(r.opt.FailureThreshold)},
+		met:    newShardMetrics(r.opt.Registry, name),
+	}
 }
 
 // Router partitions enrollments across backends by consistent hashing
@@ -205,17 +209,17 @@ func New(backends []Backend, opt Options) (*Router, error) {
 		seen[n] = true
 		names[i] = n
 	}
-	hs := make([]*health, len(backends))
-	for i := range hs {
-		hs[i] = &health{met: newShardMetrics(opt.Registry, names[i])}
-	}
-	return &Router{
+	r := &Router{
 		backends: backends,
 		ring:     newRing(names, opt.VirtualNodes),
 		opt:      opt,
-		health:   hs,
+		health:   make([]*health, len(backends)),
 		met:      newRouterMetrics(opt.Registry),
-	}, nil
+	}
+	for i := range r.health {
+		r.health[i] = r.newHealth(names[i])
+	}
+	return r, nil
 }
 
 // Backends returns the shard list in ring-construction order (a
@@ -234,59 +238,21 @@ func (r *Router) Migrating() bool {
 	return r.mig != nil
 }
 
-// Answered reports whether a backend call's outcome proves the backend
-// alive: success, or a refusal the application defines — unknown ID,
-// duplicate, write to a read-only replica (the coded wire statuses).
-// Only the remaining failures count toward degradation, here and in
-// replica.Set; three Verify calls on unknown IDs must not hide a
-// healthy shard's subjects from identification.
-func Answered(err error) bool {
-	return matchsvc.StatusFor(err) != matchsvc.StatusError
-}
-
-// record updates a shard's health after one backend call. A failure
-// caused by the caller's own context — cancellation or an expired
-// caller deadline — says nothing about the shard, so it neither counts
-// toward degradation nor resets the failure streak (recordCtx filters
-// those out before delegating here).
-func (r *Router) record(h *health, err error) {
-	answered := Answered(err)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if answered {
-		h.consecFails = 0
-		if h.degraded {
-			h.degraded = false
-			if h.met != nil {
-				h.met.readmits.Inc()
-				h.met.degraded.Set(0)
-			}
-		}
-		return
-	}
-	h.consecFails++
-	if h.consecFails >= r.opt.FailureThreshold && !h.degraded {
-		h.degraded = true
-		if h.met != nil {
-			h.met.degrades.Inc()
-			h.met.degraded.Set(1)
-		}
-	}
-}
-
-// recordCtx is record unless the failure is the caller's context
-// error.
+// recordCtx updates a shard's health after one backend call made under
+// ctx, and its metrics when that flipped the shard's standing.
 func (r *Router) recordCtx(ctx context.Context, h *health, err error) {
-	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+	ev := h.Record(ctx, err)
+	if h.met == nil {
 		return
 	}
-	r.record(h, err)
-}
-
-func isDegraded(h *health) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.degraded
+	switch ev {
+	case HealthDegraded:
+		h.met.degrades.Inc()
+		h.met.degraded.Set(1)
+	case HealthReadmitted:
+		h.met.readmits.Inc()
+		h.met.degraded.Set(0)
+	}
 }
 
 // Degraded returns the positions of currently degraded shards.
@@ -294,7 +260,7 @@ func (r *Router) Degraded() []int {
 	t := r.topo()
 	var out []int
 	for i := range t.backends {
-		if isDegraded(t.health[i]) {
+		if t.health[i].Degraded() {
 			out = append(out, i)
 		}
 	}
@@ -779,7 +745,7 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 	targets := sc.targets[:0]
 	for i := range t.backends {
 		stats.PerShard[i].Shard = t.backends[i].Name()
-		if isDegraded(t.health[i]) {
+		if t.health[i].Degraded() {
 			if r.opt.Policy == FailClosed {
 				return nil, stats, fmt.Errorf("shard %q: %w", t.backends[i].Name(), ErrDegraded)
 			}

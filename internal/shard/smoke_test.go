@@ -22,6 +22,20 @@ import (
 	"fpinterop/internal/sensor"
 )
 
+// dialT connects a test client to addr, bounded so a wedged server
+// fails the test instead of hanging it.
+func dialT(t testing.TB, addr string) *matchsvc.Client {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	cli, err := matchsvc.DialContext(ctx, addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	cli.SetRedialTimeout(2 * time.Second)
+	return cli
+}
+
 func smokeSubjects() int {
 	if v := os.Getenv("FPINTEROP_SHARD_SMOKE_SUBJECTS"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
@@ -35,7 +49,13 @@ func smokeSubjects() int {
 // remote backend connected to it.
 func bootShard(t *testing.T, name string) *Remote {
 	t.Helper()
-	srv := matchsvc.NewServer(gallery.New(nil), nil)
+	return bootServer(t, name, matchsvc.NewServer(gallery.New(nil), nil))
+}
+
+// bootServer serves srv on loopback for the life of the test and
+// returns a remote backend connected to it.
+func bootServer(t *testing.T, name string, srv *matchsvc.Server) *Remote {
+	t.Helper()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -48,10 +68,7 @@ func bootShard(t *testing.T, name string) *Remote {
 		srv.Close()
 		<-done
 	})
-	cli, err := matchsvc.Dial(addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialT(t, addr)
 	t.Cleanup(func() { cli.Close() })
 	// Identification over a large shard can take a while; no per-request
 	// deadline here (the router's ShardTimeout is the knob for that).

@@ -1,0 +1,274 @@
+// Package topology builds a deployment's serving stack from a plain
+// description: one in-process store, N in-process shards behind a
+// router, or a scatter-gather front over remote matchd shards (each
+// optionally a replica set) — with the index, the write-ahead logs and
+// the metrics registry wired the same way whoever asks. fpis.New and
+// cmd/matchd both construct through it, so a deployment shape exists in
+// one place and the facade and the daemon cannot drift apart.
+package topology
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"time"
+
+	"fpinterop/internal/gallery"
+	"fpinterop/internal/index"
+	"fpinterop/internal/matchsvc"
+	"fpinterop/internal/obs"
+	"fpinterop/internal/replica"
+	"fpinterop/internal/shard"
+	"fpinterop/internal/wal"
+)
+
+// Client is how a deployment's wire clients are set up; the zero value
+// is the matchsvc.Client defaults.
+type Client struct {
+	// RequestTimeout is the fallback round-trip bound for calls whose
+	// context has no deadline (0 = none); RedialTimeout bounds
+	// reconnects after a transport failure (0 = the request's context).
+	RequestTimeout time.Duration
+	RedialTimeout  time.Duration
+	// PoolSize is the connections pooled per endpoint (0 or 1 = one).
+	PoolSize int
+	// Retry re-sends idempotent calls after transport failures.
+	Retry matchsvc.Retry
+	// Keepalive is the idle-connection ping interval: 0 keeps the
+	// client default, negative disables.
+	Keepalive time.Duration
+}
+
+// Dial connects one wire client under ctx and applies the settings.
+func Dial(ctx context.Context, addr string, c Client, reg *obs.Registry) (*matchsvc.Client, error) {
+	cli, err := matchsvc.DialContext(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	cli.SetRequestTimeout(c.RequestTimeout)
+	cli.SetRedialTimeout(c.RedialTimeout)
+	cli.SetPoolSize(c.PoolSize)
+	cli.SetRetry(c.Retry)
+	if c.Keepalive != 0 {
+		cli.SetKeepalive(c.Keepalive)
+	}
+	cli.SetMetrics(reg)
+	return cli, nil
+}
+
+// Config describes one deployment. The zero value is a single
+// in-memory store.
+type Config struct {
+	// Index enables the triplet retrieval index on every in-process
+	// store; IndexFanout is its shortlist size (0 = default).
+	Index       bool
+	IndexFanout int
+	// Parallelism bounds each store's scan workers and the router's
+	// scatter workers (0 = GOMAXPROCS per store, one worker per shard).
+	Parallelism int
+	// LocalShards > 0 partitions the gallery across that many
+	// in-process stores; Shards lists remote matchd addresses to
+	// scatter-gather over instead, Replicas the read replicas of each
+	// Shards slot (nil, or one possibly-empty list per slot). With
+	// neither, the deployment is one store.
+	LocalShards int
+	Shards      []string
+	Replicas    [][]string
+	// WALDir makes every in-process store durable through a write-ahead
+	// log there (one subdirectory per local shard); CompactEvery folds
+	// a log into a snapshot after that many mutations (0 = never).
+	WALDir       string
+	CompactEvery int
+	// ShardTimeout, HedgeDelay and Policy tune the router (see
+	// shard.Options).
+	ShardTimeout time.Duration
+	HedgeDelay   time.Duration
+	Policy       shard.Policy
+	// Client configures the connections to Shards and Replicas.
+	Client Client
+	// Metrics, when non-nil, receives every layer's families.
+	Metrics *obs.Registry
+}
+
+// Topology is a built deployment.
+type Topology struct {
+	// Backend is the gallery contract the deployment serves: the store
+	// behind its Local adapter (shipping its log when it has one), or
+	// the router's Front.
+	Backend matchsvc.Backend
+	// Router is the scatter-gather tier under Backend; nil for a
+	// single store.
+	Router *shard.Router
+	// Stores are the in-process galleries — one, one per local shard,
+	// or none on a remote front — and WALs the durable stores wrapping
+	// them when Config.WALDir was set.
+	Stores []*gallery.Store
+	WALs   []*wal.Store
+
+	indexed bool
+	clients []*matchsvc.Client
+}
+
+// durableLocal is a single WAL-backed store as served: the Local
+// adapter plus the log-shipping capability read replicas bootstrap
+// from.
+type durableLocal struct {
+	*shard.Local
+	matchsvc.SyncSource
+}
+
+// Build constructs the deployment cfg describes. ctx bounds the work
+// (dialing remote shards); on failure everything already opened is
+// closed again.
+func Build(ctx context.Context, cfg Config) (t *Topology, err error) {
+	t = &Topology{indexed: cfg.Index}
+	defer func() {
+		if err != nil {
+			t.Close()
+			t = nil
+		}
+	}()
+	var backends []shard.Backend
+	switch {
+	case len(cfg.Shards) > 0:
+		for i, addr := range cfg.Shards {
+			b, err := t.dial(ctx, cfg, addr)
+			if err != nil {
+				return t, err
+			}
+			// With replicas the ring slot becomes a replica set, still
+			// named by the primary's address so attaching replicas to a
+			// running deployment moves no keys.
+			if cfg.Replicas != nil && len(cfg.Replicas[i]) > 0 {
+				members := make([]shard.Backend, len(cfg.Replicas[i]))
+				for j, raddr := range cfg.Replicas[i] {
+					if members[j], err = t.dial(ctx, cfg, raddr); err != nil {
+						return t, fmt.Errorf("replica of %s: %w", addr, err)
+					}
+				}
+				b = replica.NewSet(addr, b, members, replica.SetOptions{Metrics: cfg.Metrics})
+			}
+			backends = append(backends, b)
+		}
+	case cfg.LocalShards > 0:
+		for i := 0; i < cfg.LocalShards; i++ {
+			name := fmt.Sprintf("shard-%d", i)
+			b, err := t.open(cfg, name, filepath.Join(cfg.WALDir, name))
+			if err != nil {
+				return t, err
+			}
+			backends = append(backends, b)
+		}
+	default:
+		local, err := t.open(cfg, "local", cfg.WALDir)
+		if err != nil {
+			return t, err
+		}
+		t.Backend = local
+		if len(t.WALs) > 0 {
+			t.Backend = durableLocal{local, t.WALs[0]}
+		}
+		return t, nil
+	}
+	if t.Router, err = shard.New(backends, shard.Options{
+		Workers:      cfg.Parallelism,
+		ShardTimeout: cfg.ShardTimeout,
+		HedgeDelay:   cfg.HedgeDelay,
+		Policy:       cfg.Policy,
+		Registry:     cfg.Metrics,
+	}); err != nil {
+		return t, err
+	}
+	t.Backend = shard.Front{Router: t.Router}
+	return t, nil
+}
+
+// dial connects one remote shard (or replica) and keeps the client for
+// Close.
+func (t *Topology) dial(ctx context.Context, cfg Config, addr string) (shard.Backend, error) {
+	cli, err := Dial(ctx, addr, cfg.Client, cfg.Metrics)
+	if err != nil {
+		return nil, fmt.Errorf("dial shard %s: %w", addr, err)
+	}
+	t.clients = append(t.clients, cli)
+	return shard.NewRemote(addr, cli), nil
+}
+
+// open builds one in-process store named name, durable under walDir
+// when cfg asks for a WAL.
+func (t *Topology) open(cfg Config, name, walDir string) (*shard.Local, error) {
+	store := gallery.New(nil)
+	store.SetParallelism(cfg.Parallelism)
+	if cfg.Index {
+		// Enabled before recovery so the WAL replay's bulk load builds
+		// the index once instead of record by record.
+		if err := store.EnableIndex(gallery.IndexOptions{Index: index.Options{Fanout: cfg.IndexFanout}}); err != nil {
+			return nil, fmt.Errorf("enable index on %s: %w", name, err)
+		}
+	}
+	if cfg.Metrics != nil {
+		store.SetMetrics(cfg.Metrics, name)
+	}
+	t.Stores = append(t.Stores, store)
+	if cfg.WALDir == "" {
+		return shard.NewLocal(name, store), nil
+	}
+	ws, err := wal.Open(walDir, store, wal.Options{CompactEvery: cfg.CompactEvery, Metrics: cfg.Metrics, Shard: name})
+	if err != nil {
+		return nil, fmt.Errorf("open WAL %s: %w", walDir, err)
+	}
+	t.WALs = append(t.WALs, ws)
+	return shard.NewLocal(name, ws), nil
+}
+
+// Stats assembles the service summary OpStats, /admin/stats and
+// fpis.Service.Stats all report: the builder knows the topology, index
+// state and WALs in a way nothing can infer from the Backend contract.
+func (t *Topology) Stats(ctx context.Context) (matchsvc.ServiceStats, error) {
+	st := matchsvc.ServiceStats{Shards: 1, Indexed: t.indexed}
+	if t.Router != nil {
+		backends := t.Router.Backends()
+		st.Shards = len(backends)
+		st.Enrollments = t.Router.Len(ctx)
+		for _, i := range t.Router.Degraded() {
+			st.DegradedShards = append(st.DegradedShards, backends[i].Name())
+		}
+	} else {
+		st.Enrollments = t.Stores[0].Len()
+	}
+	if err := ctx.Err(); err != nil {
+		return matchsvc.ServiceStats{}, err
+	}
+	if len(t.WALs) > 0 {
+		st.WAL = &matchsvc.WALServiceStats{}
+	}
+	for _, ws := range t.WALs {
+		rec := ws.Recovery()
+		st.WAL.SnapshotEntries += rec.SnapshotEntries
+		st.WAL.Replayed += rec.Replayed
+		st.WAL.TruncatedBytes += rec.TruncatedBytes
+		if rec.TornTail {
+			st.WAL.TornTails++
+		}
+		size, err := ws.LogSize()
+		if err != nil {
+			return matchsvc.ServiceStats{}, err
+		}
+		st.WAL.LogBytes += size
+	}
+	return st, nil
+}
+
+// Close releases what Build acquired: remote connections, then the
+// write-ahead logs.
+func (t *Topology) Close() error {
+	var errs []error
+	for _, c := range t.clients {
+		errs = append(errs, c.Close())
+	}
+	for _, ws := range t.WALs {
+		errs = append(errs, ws.Close())
+	}
+	return errors.Join(errs...)
+}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -111,7 +112,7 @@ func TestEnrollRemoveSurviveReopen(t *testing.T) {
 		t.Fatalf("unexpected torn tail: %+v", rs)
 	}
 	// Recovered entries must still match: verify one against itself.
-	res, err := s2.Verify(fx[0].ID, fx[0].Template)
+	res, err := s2.VerifyContext(context.Background(), fx[0].ID, fx[0].Template)
 	if err != nil {
 		t.Fatal(err)
 	}
