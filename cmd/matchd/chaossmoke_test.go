@@ -94,7 +94,7 @@ func TestChaosProxySmokeAgainstRealMatchd(t *testing.T) {
 			err = cli.Ping(ctx)
 		case 1:
 			var n int
-			if n, err = cli.Count(ctx); err == nil && n != preload {
+			if n, err = cli.Len(ctx); err == nil && n != preload {
 				t.Fatalf("op %d: count = %d, want %d", i, n, preload)
 			}
 		case 2:
@@ -124,7 +124,7 @@ func TestChaosProxySmokeAgainstRealMatchd(t *testing.T) {
 	if err := cli.Ping(ctx); err != nil {
 		t.Fatalf("ping after faults disabled: %v", err)
 	}
-	n, err := cli.Count(ctx)
+	n, err := cli.Len(ctx)
 	if err != nil || n != preload {
 		t.Fatalf("count after faults disabled: n=%d err=%v", n, err)
 	}

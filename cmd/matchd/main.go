@@ -135,47 +135,13 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if cfg.IndexFanout < 0 {
-		return fmt.Errorf("-index-fanout must be >= 0, got %d", cfg.IndexFanout)
-	}
-	if cfg.IndexFanout > 0 && !cfg.Index {
-		return fmt.Errorf("-index-fanout requires -index")
-	}
-	if cfg.LocalShards < 0 {
-		return fmt.Errorf("-local-shards must be >= 0, got %d", cfg.LocalShards)
-	}
-	if cfg.LocalShards > 0 && *shardAddrs != "" {
-		return fmt.Errorf("-local-shards and -shards are mutually exclusive")
-	}
-	if *shardAddrs != "" && cfg.Index {
-		return fmt.Errorf("-index belongs on the shard processes, not the -shards front")
-	}
-	if cfg.ShardTimeout != 0 && cfg.LocalShards == 0 && *shardAddrs == "" {
-		return fmt.Errorf("-shard-timeout requires -local-shards or -shards")
-	}
+	// Which deployment settings go together is topology.Config.Validate's
+	// to say (Build applies it); what stays here is flag syntax.
 	if cfg.Client.PoolSize < 1 {
 		return fmt.Errorf("-pool-size must be >= 1, got %d", cfg.Client.PoolSize)
 	}
 	if cfg.Client.Retry.Attempts < 0 {
 		return fmt.Errorf("-retry must be >= 0, got %d", cfg.Client.Retry.Attempts)
-	}
-	if *shardAddrs == "" && (cfg.Client.PoolSize != 1 || cfg.Client.Retry.Attempts != 0 || cfg.Client.Keepalive != 0) {
-		return fmt.Errorf("-pool-size/-retry/-keepalive configure the remote-shard clients; they require -shards")
-	}
-	if cfg.HedgeDelay < 0 {
-		return fmt.Errorf("-hedge-delay must be >= 0, got %v", cfg.HedgeDelay)
-	}
-	if cfg.HedgeDelay > 0 && cfg.LocalShards == 0 && *shardAddrs == "" {
-		return fmt.Errorf("-hedge-delay requires -local-shards or -shards")
-	}
-	if cfg.CompactEvery < 0 {
-		return fmt.Errorf("-compact-every must be >= 0, got %d", cfg.CompactEvery)
-	}
-	if cfg.CompactEvery > 0 && cfg.WALDir == "" {
-		return fmt.Errorf("-compact-every requires -wal-dir")
-	}
-	if cfg.WALDir != "" && *shardAddrs != "" {
-		return fmt.Errorf("-wal-dir belongs on the shard processes, not the -shards front")
 	}
 	if *replicaOf != "" {
 		switch {
@@ -193,9 +159,6 @@ func run(args []string) error {
 	if *replicaSyncInterval != 0 && *replicaOf == "" {
 		return fmt.Errorf("-replica-sync-interval requires -replica-of")
 	}
-	if *replicaAddrs != "" && *shardAddrs == "" {
-		return fmt.Errorf("-replicas attaches replicas to -shards slots; it requires -shards")
-	}
 
 	logger := obs.NewLogger(os.Stderr)
 
@@ -209,14 +172,16 @@ func run(args []string) error {
 	if cfg.Shards, cfg.Replicas, err = parseShards(*shardAddrs, *replicaAddrs); err != nil {
 		return err
 	}
-	// A hung shard must not wedge the front: bound every round trip so
-	// abandoned scatter calls unwind instead of piling up, giving the
-	// router's own deadline generous headroom.
-	cfg.Client.RequestTimeout = 2 * cfg.ShardTimeout
-	if cfg.Client.RequestTimeout <= 0 {
-		cfg.Client.RequestTimeout = 2 * time.Minute
+	if len(cfg.Shards) > 0 {
+		// A hung shard must not wedge the front: bound every round trip
+		// so abandoned scatter calls unwind instead of piling up, giving
+		// the router's own deadline generous headroom.
+		cfg.Client.RequestTimeout = 2 * cfg.ShardTimeout
+		if cfg.Client.RequestTimeout <= 0 {
+			cfg.Client.RequestTimeout = 2 * time.Minute
+		}
+		cfg.Client.RedialTimeout = 5 * time.Second
 	}
-	cfg.Client.RedialTimeout = 5 * time.Second
 
 	// The one root: start-up work (dialing shards, a replica's first
 	// catch-up, the preload) and serving alike end at SIGINT/SIGTERM.
@@ -245,7 +210,8 @@ func run(args []string) error {
 		// refused, and a follower feeding the store from the primary's log.
 		store := topo.Stores[0]
 		dialCtx, dialDone := context.WithTimeout(ctx, 5*time.Second)
-		cli, err := topology.Dial(dialCtx, *replicaOf, cfg.Client, reg)
+		cli, err := topology.Dial(dialCtx, *replicaOf,
+			topology.Client{RequestTimeout: 2 * time.Minute, RedialTimeout: 5 * time.Second}, reg)
 		dialDone()
 		if err != nil {
 			return fmt.Errorf("replica: dial primary %s: %w", *replicaOf, err)

@@ -152,15 +152,15 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	}
 	// A wire batch is one EnrollBatch call on the served backend; the
 	// read-only view must refuse that too, not promote the store's own.
-	before, err := r1.Count(ctx)
+	before, err := r1.Len(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := []matchsvc.Enrollment{{ID: "intruder-a", DeviceID: dev.ID, Template: tpls[0]}, {ID: "intruder-b", DeviceID: dev.ID, Template: tpls[1]}}
-	if _, err := r1.EnrollBatch(ctx, batch); !errors.Is(err, matchsvc.ErrReadOnly) {
+	if err := r1.EnrollBatch(ctx, batch); !errors.Is(err, matchsvc.ErrReadOnly) {
 		t.Fatalf("replica accepted a batch write: %v", err)
 	}
-	if after, err := r1.Count(ctx); err != nil || after != before {
+	if after, err := r1.Len(ctx); err != nil || after != before {
 		t.Fatalf("refused batch changed the replica: %d → %d enrollments (%v)", before, after, err)
 	}
 

@@ -29,8 +29,6 @@ type config struct {
 	setDialTimeout    bool
 	setPoolSize       bool
 	setRetry          bool
-	setKeepalive      bool
-	setHedge          bool
 
 	hooks *obs.Hooks
 }
@@ -248,7 +246,6 @@ func WithKeepalive(d time.Duration) Option {
 			d = -1 // topology.Client keeps 0 for "the client default"
 		}
 		c.Client.Keepalive = d
-		c.setKeepalive = true
 		return nil
 	}
 }
@@ -266,7 +263,6 @@ func WithHedging(d time.Duration) Option {
 			return fmt.Errorf("fpis: WithHedging needs a positive delay, got %v", d)
 		}
 		c.HedgeDelay = d
-		c.setHedge = true
 		return nil
 	}
 }
@@ -327,46 +323,17 @@ func buildConfig(opts []Option) (config, error) {
 	return c, nil
 }
 
-// checkNewConfig rejects option combinations meaningless for New's
-// deployment shapes.
+// checkNewConfig rejects what topology.Config.Validate (applied by
+// Build) cannot see: an option given explicitly, even with a value
+// that reads as "unset" there, on a deployment it does not apply to.
 func checkNewConfig(c config) error {
-	if c.LocalShards > 0 && len(c.Shards) > 0 {
-		return errors.New("fpis: WithLocalShards and WithShards are mutually exclusive")
-	}
-	if len(c.Shards) > 0 && c.Index {
-		return errors.New("fpis: WithIndex belongs on the shard processes, not the WithShards front")
-	}
-	if len(c.Shards) > 0 && c.WALDir != "" {
-		return errors.New("fpis: WithWAL belongs on the shard processes, not the WithShards front")
-	}
-	if c.setCompactEvery && c.WALDir == "" {
+	switch {
+	case c.setCompactEvery && c.WALDir == "":
 		return errors.New("fpis: WithWALCompactEvery requires WithWAL")
-	}
-	if c.LocalShards == 0 && len(c.Shards) == 0 {
-		if c.setShardTimeout {
-			return errors.New("fpis: WithShardTimeout requires WithLocalShards or WithShards")
-		}
-		if c.Policy == shard.FailClosed {
-			return errors.New("fpis: WithFailClosed requires WithLocalShards or WithShards")
-		}
-	}
-	if len(c.Shards) == 0 && (c.setRequestTimeout || c.setDialTimeout) {
-		return errors.New("fpis: WithRequestTimeout/WithDialTimeout apply to remote connections only")
-	}
-	if len(c.Shards) == 0 && (c.setPoolSize || c.setRetry || c.setKeepalive) {
-		return errors.New("fpis: WithPoolSize/WithRetry/WithKeepalive apply to remote connections only")
-	}
-	if c.setHedge && c.LocalShards == 0 && len(c.Shards) == 0 {
-		return errors.New("fpis: WithHedging requires WithLocalShards or WithShards")
-	}
-	if c.Replicas != nil {
-		if len(c.Shards) == 0 {
-			return errors.New("fpis: WithReplicas requires WithShards")
-		}
-		if len(c.Replicas) != len(c.Shards) {
-			return fmt.Errorf("fpis: WithReplicas lists replicas for %d slots, WithShards has %d",
-				len(c.Replicas), len(c.Shards))
-		}
+	case c.setShardTimeout && c.LocalShards == 0 && len(c.Shards) == 0:
+		return errors.New("fpis: WithShardTimeout requires WithLocalShards or WithShards")
+	case len(c.Shards) == 0 && (c.setRequestTimeout || c.setDialTimeout || c.setPoolSize || c.setRetry):
+		return errors.New("fpis: WithRequestTimeout/WithDialTimeout/WithPoolSize/WithRetry apply to remote connections only")
 	}
 	return nil
 }
@@ -392,7 +359,7 @@ func checkDialConfig(c config) error {
 	if c.setParallelism {
 		return errors.New("fpis: WithParallelism is a serving-side knob; it does not apply to Dial")
 	}
-	if c.setHedge {
+	if c.HedgeDelay != 0 {
 		return errors.New("fpis: WithHedging requires a sharded deployment; a Dial client has no scatter to hedge")
 	}
 	if c.Replicas != nil {

@@ -2,13 +2,13 @@ package gallery
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"sync"
 
+	"fpinterop/internal/enc"
 	"fpinterop/internal/index"
 	"fpinterop/internal/minutiae"
 )
@@ -19,10 +19,7 @@ import (
 //	0   4  magic "FPGD"
 //	4   2  version (1)
 //	6   4  entry count
-//	then per entry:
-//	    2  id length, id bytes
-//	    2  device-id length, device-id bytes
-//	    4  template length, template bytes (minutiae codec)
+//	then per entry one enrollment tuple (see package enc)
 var (
 	storeMagic = [4]byte{'F', 'P', 'G', 'D'}
 
@@ -32,53 +29,52 @@ var (
 
 const storeVersion = 1
 
+// AppendTo appends the enrollment to w as one tuple, the template in
+// the minutiae codec: an FPGD entry, and the item of the wire's enroll,
+// batch and scan messages.
+func (e Export) AppendTo(w *enc.Writer) error {
+	data, err := minutiae.Marshal(e.Template)
+	if err != nil {
+		return err
+	}
+	return w.Enrollment(e.ID, e.DeviceID, data)
+}
+
+// DecodeExport consumes one enrollment tuple from r.
+func DecodeExport(r *enc.Reader) (Export, error) {
+	id, dev, data := r.Enrollment()
+	if err := r.Err(); err != nil {
+		return Export{}, err
+	}
+	tpl, err := minutiae.Unmarshal(data)
+	if err != nil {
+		return Export{}, fmt.Errorf("decode %q: %w", id, err)
+	}
+	return Export{ID: id, DeviceID: dev, Template: tpl}, nil
+}
+
 // SaveTo serializes every enrollment to w in insertion order.
 func (s *Store) SaveTo(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(storeMagic[:]); err != nil {
-		return fmt.Errorf("gallery: write magic: %w", err)
-	}
-	var u16 [2]byte
-	var u32 [4]byte
-	binary.BigEndian.PutUint16(u16[:], storeVersion)
-	if _, err := bw.Write(u16[:]); err != nil {
-		return fmt.Errorf("gallery: write version: %w", err)
-	}
-	binary.BigEndian.PutUint32(u32[:], uint32(len(s.order)))
-	if _, err := bw.Write(u32[:]); err != nil {
-		return fmt.Errorf("gallery: write count: %w", err)
-	}
-	writeStr := func(v string) error {
-		if len(v) > 1<<16-1 {
-			return fmt.Errorf("gallery: string too long (%d bytes)", len(v))
-		}
-		binary.BigEndian.PutUint16(u16[:], uint16(len(v)))
-		if _, err := bw.Write(u16[:]); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(v)
-		return err
+	// One entry at a time through a reused scratch: the stream is never
+	// held whole.
+	var rec enc.Writer
+	rec.Buf = append(rec.Buf, storeMagic[:]...)
+	rec.Uint16(storeVersion)
+	rec.Uint32(uint32(len(s.order)))
+	if _, err := bw.Write(rec.Buf); err != nil {
+		return fmt.Errorf("gallery: write header: %w", err)
 	}
 	for _, id := range s.order {
 		e := s.entries[id]
-		if err := writeStr(e.ID); err != nil {
-			return fmt.Errorf("gallery: write id: %w", err)
+		rec.Buf = rec.Buf[:0]
+		if err := (Export{ID: e.ID, DeviceID: e.DeviceID, Template: e.Template}).AppendTo(&rec); err != nil {
+			return fmt.Errorf("gallery: encode %q: %w", id, err)
 		}
-		if err := writeStr(e.DeviceID); err != nil {
-			return fmt.Errorf("gallery: write device: %w", err)
-		}
-		data, err := minutiae.Marshal(e.Template)
-		if err != nil {
-			return fmt.Errorf("gallery: marshal %q: %w", e.ID, err)
-		}
-		binary.BigEndian.PutUint32(u32[:], uint32(len(data)))
-		if _, err := bw.Write(u32[:]); err != nil {
-			return fmt.Errorf("gallery: write template length: %w", err)
-		}
-		if _, err := bw.Write(data); err != nil {
-			return fmt.Errorf("gallery: write template: %w", err)
+		if _, err := bw.Write(rec.Buf); err != nil {
+			return fmt.Errorf("gallery: write %q: %w", id, err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -90,64 +86,27 @@ func (s *Store) SaveTo(w io.Writer) error {
 // ReadEntries decodes a serialized gallery stream (the SaveTo format)
 // into its entries without touching any store, so WAL recovery can
 // merge a snapshot with replayed log records before building a store
-// from the survivors (ReplaceAll) in one pass.
-func ReadEntries(r io.Reader) ([]Export, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("gallery: read magic: %w", err)
-	}
-	if magic != storeMagic {
+// from the survivors (ReplaceAll) in one pass. The entries hold no
+// reference to data.
+func ReadEntries(data []byte) ([]Export, error) {
+	r := enc.Reader{Buf: data}
+	if magic := r.Take(len(storeMagic)); r.Err() == nil && [4]byte(magic) != storeMagic {
 		return nil, ErrBadStoreFormat
 	}
-	var u16 [2]byte
-	var u32 [4]byte
-	if _, err := io.ReadFull(br, u16[:]); err != nil {
-		return nil, fmt.Errorf("gallery: read version: %w", err)
-	}
-	if v := binary.BigEndian.Uint16(u16[:]); v != storeVersion {
+	if v := r.Uint16(); r.Err() == nil && v != storeVersion {
 		return nil, fmt.Errorf("gallery: unsupported store version %d", v)
 	}
-	if _, err := io.ReadFull(br, u32[:]); err != nil {
-		return nil, fmt.Errorf("gallery: read count: %w", err)
+	// The stream carries no checksum, so the count is only as good as
+	// the bytes behind it: Count refuses one they cannot hold.
+	out := make([]Export, r.Count(enc.EnrollmentMinSize))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("gallery: read header: %w", err)
 	}
-	count := binary.BigEndian.Uint32(u32[:])
-	readStr := func() (string, error) {
-		if _, err := io.ReadFull(br, u16[:]); err != nil {
-			return "", err
+	for i := range out {
+		var err error
+		if out[i], err = DecodeExport(&r); err != nil {
+			return nil, fmt.Errorf("gallery: entry %d: %w", i, err)
 		}
-		buf := make([]byte, binary.BigEndian.Uint16(u16[:]))
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	out := make([]Export, 0, count)
-	for i := uint32(0); i < count; i++ {
-		id, err := readStr()
-		if err != nil {
-			return nil, fmt.Errorf("gallery: read entry %d id: %w", i, err)
-		}
-		dev, err := readStr()
-		if err != nil {
-			return nil, fmt.Errorf("gallery: read entry %d device: %w", i, err)
-		}
-		if _, err := io.ReadFull(br, u32[:]); err != nil {
-			return nil, fmt.Errorf("gallery: read entry %d length: %w", i, err)
-		}
-		n := binary.BigEndian.Uint32(u32[:])
-		if n > 1<<20 {
-			return nil, fmt.Errorf("gallery: entry %d template of %d bytes exceeds cap", i, n)
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(br, data); err != nil {
-			return nil, fmt.Errorf("gallery: read entry %d template: %w", i, err)
-		}
-		tpl, err := minutiae.Unmarshal(data)
-		if err != nil {
-			return nil, fmt.Errorf("gallery: decode entry %d (%q): %w", i, id, err)
-		}
-		out = append(out, Export{ID: id, DeviceID: dev, Template: tpl})
 	}
 	return out, nil
 }

@@ -12,7 +12,11 @@ import (
 // loadFrom replaces s's contents with a serialized gallery the way WAL
 // recovery and replica bootstrap do: decode, then one bulk ReplaceAll.
 func loadFrom(s *Store, r io.Reader) error {
-	entries, err := ReadEntries(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	entries, err := ReadEntries(data)
 	if err != nil {
 		return err
 	}

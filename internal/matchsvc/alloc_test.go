@@ -3,6 +3,8 @@ package matchsvc
 import (
 	"bytes"
 	"testing"
+
+	"fpinterop/internal/enc"
 )
 
 // TestFrameRoundTripZeroAllocs is the asserting form of the PR-4 frame
@@ -23,12 +25,12 @@ func TestFrameRoundTripZeroAllocs(t *testing.T) {
 
 	roundTrip := func() {
 		fs := acquireFrameScratch()
-		fs.w.uint32(42)
-		fs.w.float64(0.5)
-		fs.w.bytes(raw)
+		fs.w.Uint32(42)
+		fs.w.Float64(0.5)
+		fs.w.Bytes(raw)
 
 		wire.Reset()
-		if err := writeMuxFrame(&wire, OpPing, 7, 250, fs.w.buf, &hdr); err != nil {
+		if err := writeMuxFrame(&wire, OpPing, 7, 250, fs.w.Buf, &hdr); err != nil {
 			t.Fatalf("writeMuxFrame: %v", err)
 		}
 		frame := wire.Bytes()
@@ -37,18 +39,9 @@ func TestFrameRoundTripZeroAllocs(t *testing.T) {
 			t.Fatalf("openMuxEnvelope = id %d budget %d, %v; want 7, 250", id, budget, err)
 		}
 
-		r := payloadReader{buf: body}
-		u, err := r.uint32()
-		if err != nil || u != 42 {
-			t.Fatalf("uint32 = %d, %v; want 42", u, err)
-		}
-		f, err := r.float64()
-		if err != nil || f != 0.5 {
-			t.Fatalf("float64 = %v, %v; want 0.5", f, err)
-		}
-		b, err := r.bytes()
-		if err != nil || !bytes.Equal(b, raw) {
-			t.Fatalf("bytes = %x, %v; want %x", b, err, raw)
+		r := enc.Reader{Buf: body}
+		if u, f, b := r.Uint32(), r.Float64(), r.Bytes(); r.Err() != nil || u != 42 || f != 0.5 || !bytes.Equal(b, raw) {
+			t.Fatalf("read back %d, %v, %x (%v); want 42, 0.5, %x", u, f, b, r.Err(), raw)
 		}
 		releaseFrameScratch(fs)
 	}

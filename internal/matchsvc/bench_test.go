@@ -41,7 +41,7 @@ func benchService(b *testing.B, n int) *Client {
 	for i, tpl := range tpls {
 		items[i] = Enrollment{ID: fmt.Sprintf("subj-%04d", i), DeviceID: "D0", Template: tpl}
 	}
-	if _, err := cli.EnrollBatch(context.Background(), items); err != nil {
+	if err := cli.EnrollBatch(context.Background(), items); err != nil {
 		b.Fatal(err)
 	}
 	return cli

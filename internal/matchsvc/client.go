@@ -8,7 +8,9 @@ import (
 	"sync"
 	"time"
 
+	"fpinterop/internal/enc"
 	"fpinterop/internal/gallery"
+	"fpinterop/internal/match"
 	"fpinterop/internal/minutiae"
 	"fpinterop/internal/rng"
 )
@@ -224,11 +226,11 @@ func (c *Client) keepaliveLoop() {
 
 // roundTrip sends one non-idempotent request; roundTripIdem sends one
 // the Retry policy may transparently replay after a transport failure.
-func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte, decode func(*payloadReader) error) error {
+func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error) error {
 	return c.do(ctx, op, payload, decode, false)
 }
 
-func (c *Client) roundTripIdem(ctx context.Context, op byte, payload []byte, decode func(*payloadReader) error) error {
+func (c *Client) roundTripIdem(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error) error {
 	return c.do(ctx, op, payload, decode, true)
 }
 
@@ -236,7 +238,7 @@ func (c *Client) roundTripIdem(ctx context.Context, op byte, payload []byte, dec
 // failures of idempotent operations are retried; ctx is re-checked
 // between attempts and its error always outranks the transport error
 // that a cancellation provoked.
-func (c *Client) do(ctx context.Context, op byte, payload []byte, decode func(*payloadReader) error, idempotent bool) error {
+func (c *Client) do(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error, idempotent bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -270,7 +272,7 @@ func (c *Client) do(ctx context.Context, op byte, payload []byte, decode func(*p
 // (errConnStale — e.g. the server idle-dropped it between checkouts)
 // is replaced and the request replayed on a fresh conn: nothing
 // reached the wire, so this is safe even for non-idempotent ops.
-func (c *Client) callOnce(ctx context.Context, op byte, payload []byte, decode func(*payloadReader) error) error {
+func (c *Client) callOnce(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error) error {
 	for stale := 0; ; stale++ {
 		w, err := c.pool.checkout(ctx)
 		if err != nil {
@@ -285,7 +287,7 @@ func (c *Client) callOnce(ctx context.Context, op byte, payload []byte, decode f
 	}
 }
 
-func (c *Client) callOn(ctx context.Context, w *wireConn, op byte, payload []byte, decode func(*payloadReader) error) error {
+func (c *Client) callOn(ctx context.Context, w *wireConn, op byte, payload []byte, decode func(*enc.Reader) error) error {
 	if err := w.negotiate(ctx); err != nil {
 		if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			// Another caller's context drove the shared handshake and gave
@@ -302,36 +304,23 @@ func (c *Client) Ping(ctx context.Context) error {
 	return c.roundTripIdem(ctx, OpPing, nil, nil)
 }
 
-// MatchResult is the service-side comparison outcome.
-type MatchResult struct {
-	Score   float64
-	Matched int
+func decodeMatch(r *enc.Reader) (match.Result, error) {
+	return match.Result{Score: r.Float64(), Matched: int(r.Uint32())}, r.Err()
 }
 
-func decodeMatch(r *payloadReader) (MatchResult, error) {
-	score, err := r.float64()
-	if err != nil {
-		return MatchResult{}, err
-	}
-	matched, err := r.uint32()
-	if err != nil {
-		return MatchResult{}, err
-	}
-	return MatchResult{Score: score, Matched: int(matched)}, nil
-}
-
-// Match compares two templates on the server.
-func (c *Client) Match(ctx context.Context, g, p *minutiae.Template) (MatchResult, error) {
+// Match compares two templates on the server. Only the score and the
+// matched-minutiae count cross the wire.
+func (c *Client) Match(ctx context.Context, g, p *minutiae.Template) (match.Result, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
-	if err := fs.w.template(g); err != nil {
-		return MatchResult{}, err
+	if err := putTemplate(&fs.w, g); err != nil {
+		return match.Result{}, err
 	}
-	if err := fs.w.template(p); err != nil {
-		return MatchResult{}, err
+	if err := putTemplate(&fs.w, p); err != nil {
+		return match.Result{}, err
 	}
-	var res MatchResult
-	err := c.roundTrip(ctx, OpMatch, fs.w.buf, func(r *payloadReader) (derr error) {
+	var res match.Result
+	err := c.roundTrip(ctx, OpMatch, fs.w.Buf, func(r *enc.Reader) (derr error) {
 		res, derr = decodeMatch(r)
 		return derr
 	})
@@ -342,10 +331,10 @@ func (c *Client) Match(ctx context.Context, g, p *minutiae.Template) (MatchResul
 func (c *Client) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.Template) error {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
-	if err := fs.w.enrollment(Enrollment{ID: id, DeviceID: deviceID, Template: tpl}); err != nil {
+	if err := (Enrollment{ID: id, DeviceID: deviceID, Template: tpl}).AppendTo(&fs.w); err != nil {
 		return err
 	}
-	return c.roundTrip(ctx, OpEnroll, fs.w.buf, nil)
+	return c.roundTrip(ctx, OpEnroll, fs.w.Buf, nil)
 }
 
 // enrollBatchBudget leaves headroom under the frame cap for the count
@@ -353,20 +342,19 @@ func (c *Client) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.
 const enrollBatchBudget = maxFrame - 4096
 
 // EnrollBatch registers many templates in as few round trips as the
-// 1 MiB frame cap allows, returning how many were enrolled. Batches are
-// not atomic: on error, items from already-shipped chunks remain
-// enrolled, and what the failing chunk left behind is up to the
-// server's backend (see OpEnrollBatch) — a prefix on a plain store,
-// nothing on a WAL-backed one, whole per-shard groups behind a front.
-func (c *Client) EnrollBatch(ctx context.Context, items []Enrollment) (int, error) {
+// 1 MiB frame cap allows. Batches are not atomic: on error, items from
+// already-shipped chunks remain enrolled, and what the failing chunk
+// left behind is up to the server's backend (see OpEnrollBatch) — a
+// prefix on a plain store, nothing on a WAL-backed one, whole per-shard
+// groups behind a front.
+func (c *Client) EnrollBatch(ctx context.Context, items []Enrollment) error {
 	return c.enrollBatchChunked(ctx, items, enrollBatchBudget)
 }
 
 // enrollBatchChunked is EnrollBatch with an explicit per-frame payload
 // budget (separated out so tests can force multi-frame chunking without
 // megabyte fixtures).
-func (c *Client) enrollBatchChunked(ctx context.Context, items []Enrollment, budget int) (int, error) {
-	enrolled := 0
+func (c *Client) enrollBatchChunked(ctx context.Context, items []Enrollment, budget int) error {
 	encoded := make([][]byte, 0, len(items))
 	size := 0
 	flush := func() error {
@@ -375,14 +363,14 @@ func (c *Client) enrollBatchChunked(ctx context.Context, items []Enrollment, bud
 		}
 		fs := acquireFrameScratch()
 		defer releaseFrameScratch(fs)
-		fs.w.uint32(uint32(len(encoded)))
+		fs.w.Uint32(uint32(len(encoded)))
 		for _, e := range encoded {
-			fs.w.buf = append(fs.w.buf, e...)
+			fs.w.Buf = append(fs.w.Buf, e...)
 		}
 		var n uint32
-		err := c.roundTrip(ctx, OpEnrollBatch, fs.w.buf, func(r *payloadReader) (derr error) {
-			n, derr = r.uint32()
-			return derr
+		err := c.roundTrip(ctx, OpEnrollBatch, fs.w.Buf, func(r *enc.Reader) error {
+			n = r.Uint32()
+			return r.Err()
 		})
 		if err != nil {
 			return err
@@ -390,42 +378,42 @@ func (c *Client) enrollBatchChunked(ctx context.Context, items []Enrollment, bud
 		if int(n) != len(encoded) {
 			return fmt.Errorf("matchsvc: batch enrolled %d of %d items", n, len(encoded))
 		}
-		enrolled += int(n)
 		encoded = encoded[:0]
 		size = 0
 		return nil
 	}
 	for _, it := range items {
-		var w payloadWriter
-		if err := w.enrollment(it); err != nil {
-			return enrolled, err
+		var w enc.Writer
+		if err := it.AppendTo(&w); err != nil {
+			return err
 		}
-		if len(w.buf) > budget {
-			return enrolled, fmt.Errorf("matchsvc: batch item %q of %d bytes exceeds frame budget", it.ID, len(w.buf))
+		if len(w.Buf) > budget {
+			return fmt.Errorf("matchsvc: batch item %q of %d bytes exceeds frame budget", it.ID, len(w.Buf))
 		}
-		if size+len(w.buf) > budget {
+		if size+len(w.Buf) > budget {
 			if err := flush(); err != nil {
-				return enrolled, err
+				return err
 			}
 		}
-		encoded = append(encoded, w.buf)
-		size += len(w.buf)
+		encoded = append(encoded, w.Buf)
+		size += len(w.Buf)
 	}
-	return enrolled, flush()
+	return flush()
 }
 
-// Verify compares a probe against one enrollment.
-func (c *Client) Verify(ctx context.Context, id string, probe *minutiae.Template) (MatchResult, error) {
+// Verify compares a probe against one enrollment; like Match, the
+// result carries the score and the matched-minutiae count.
+func (c *Client) Verify(ctx context.Context, id string, probe *minutiae.Template) (match.Result, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
-	if err := fs.w.string(id); err != nil {
-		return MatchResult{}, err
+	if err := fs.w.String(id); err != nil {
+		return match.Result{}, err
 	}
-	if err := fs.w.template(probe); err != nil {
-		return MatchResult{}, err
+	if err := putTemplate(&fs.w, probe); err != nil {
+		return match.Result{}, err
 	}
-	var res MatchResult
-	err := c.roundTripIdem(ctx, OpVerify, fs.w.buf, func(r *payloadReader) (derr error) {
+	var res match.Result
+	err := c.roundTripIdem(ctx, OpVerify, fs.w.Buf, func(r *enc.Reader) (derr error) {
 		res, derr = decodeMatch(r)
 		return derr
 	})
@@ -440,24 +428,17 @@ func (c *Client) Verify(ctx context.Context, id string, probe *minutiae.Template
 func (c *Client) IdentifyEx(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
-	fs.w.uint32(uint32(k))
-	if err := fs.w.template(probe); err != nil {
+	fs.w.Uint32(uint32(k))
+	if err := putTemplate(&fs.w, probe); err != nil {
 		return nil, gallery.IdentifyStats{}, err
 	}
 	var stats gallery.IdentifyStats
 	var cands []gallery.Candidate
-	err := c.roundTripIdem(ctx, OpIdentifyEx, fs.w.buf, func(r *payloadReader) error {
-		var vals [4]uint32
-		for i := range vals {
-			var derr error
-			if vals[i], derr = r.uint32(); derr != nil {
-				return derr
-			}
-		}
-		stats.GallerySize = int(vals[0])
-		stats.Shortlist = int(vals[1])
-		stats.Scanned = int(vals[2])
-		stats.Indexed = vals[3] != 0
+	err := c.roundTripIdem(ctx, OpIdentifyEx, fs.w.Buf, func(r *enc.Reader) error {
+		stats.GallerySize = int(r.Uint32())
+		stats.Shortlist = int(r.Uint32())
+		stats.Scanned = int(r.Uint32())
+		stats.Indexed = r.Uint32() != 0
 		var derr error
 		cands, derr = decodeCandidates(r)
 		return derr
@@ -468,48 +449,27 @@ func (c *Client) IdentifyEx(ctx context.Context, probe *minutiae.Template, k int
 	return cands, stats, nil
 }
 
-func decodeCandidates(r *payloadReader) ([]gallery.Candidate, error) {
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
+func decodeCandidates(r *enc.Reader) ([]gallery.Candidate, error) {
+	// A candidate occupies at least 12 payload bytes (two empty strings
+	// and a float64).
+	out := make([]gallery.Candidate, r.Count(12))
+	for i := range out {
+		out[i] = gallery.Candidate{ID: r.String(), DeviceID: r.String(), Score: r.Float64()}
 	}
-	// A candidate occupies at least 12 payload bytes; clamp the
-	// preallocation so a malformed count cannot demand gigabytes before
-	// the short-payload error surfaces.
-	capHint := n
-	if max := uint32(len(r.buf)-r.off) / 12; capHint > max {
-		capHint = max
-	}
-	out := make([]gallery.Candidate, 0, capHint)
-	for i := uint32(0); i < n; i++ {
-		id, err := r.string()
-		if err != nil {
-			return nil, err
-		}
-		dev, err := r.string()
-		if err != nil {
-			return nil, err
-		}
-		score, err := r.float64()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, gallery.Candidate{ID: id, DeviceID: dev, Score: score})
-	}
-	return out, nil
+	return out, r.Err()
 }
 
 // Has reports whether id is enrolled on the server.
 func (c *Client) Has(ctx context.Context, id string) (bool, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
-	if err := fs.w.string(id); err != nil {
+	if err := fs.w.String(id); err != nil {
 		return false, err
 	}
 	var v uint32
-	err := c.roundTripIdem(ctx, OpHas, fs.w.buf, func(r *payloadReader) (derr error) {
-		v, derr = r.uint32()
-		return derr
+	err := c.roundTripIdem(ctx, OpHas, fs.w.Buf, func(r *enc.Reader) error {
+		v = r.Uint32()
+		return r.Err()
 	})
 	return v != 0, err
 }
@@ -521,39 +481,20 @@ func (c *Client) Has(ctx context.Context, id string) (bool, error) {
 func (c *Client) Scan(ctx context.Context, afterID string, max int) ([]gallery.Export, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
-	if err := fs.w.string(afterID); err != nil {
+	if err := fs.w.String(afterID); err != nil {
 		return nil, err
 	}
-	fs.w.uint32(uint32(max))
+	fs.w.Uint32(uint32(max))
 	var out []gallery.Export
-	err := c.roundTripIdem(ctx, OpScan, fs.w.buf, func(r *payloadReader) error {
-		n, derr := r.uint32()
-		if derr != nil {
-			return derr
-		}
-		// An item occupies at least 8 payload bytes; clamp the
-		// preallocation against malformed counts.
-		capHint := n
-		if max := uint32(len(r.buf)-r.off) / 8; capHint > max {
-			capHint = max
-		}
-		out = make([]gallery.Export, 0, capHint)
-		for i := uint32(0); i < n; i++ {
-			id, derr := r.string()
-			if derr != nil {
+	err := c.roundTripIdem(ctx, OpScan, fs.w.Buf, func(r *enc.Reader) error {
+		out = make([]gallery.Export, r.Count(enc.EnrollmentMinSize))
+		for i := range out {
+			var derr error
+			if out[i], derr = gallery.DecodeExport(r); derr != nil {
 				return derr
 			}
-			dev, derr := r.string()
-			if derr != nil {
-				return derr
-			}
-			tpl, derr := r.template()
-			if derr != nil {
-				return derr
-			}
-			out = append(out, gallery.Export{ID: id, DeviceID: dev, Template: tpl})
 		}
-		return nil
+		return r.Err()
 	})
 	if err != nil {
 		return nil, err
@@ -565,10 +506,10 @@ func (c *Client) Scan(ctx context.Context, afterID string, max int) ([]gallery.E
 func (c *Client) Remove(ctx context.Context, id string) error {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
-	if err := fs.w.string(id); err != nil {
+	if err := fs.w.String(id); err != nil {
 		return err
 	}
-	return c.roundTrip(ctx, OpRemove, fs.w.buf, nil)
+	return c.roundTrip(ctx, OpRemove, fs.w.Buf, nil)
 }
 
 // ServiceStats returns the server's service-level summary: topology,
@@ -576,19 +517,19 @@ func (c *Client) Remove(ctx context.Context, id string) error {
 // recovery and log-size detail.
 func (c *Client) ServiceStats(ctx context.Context) (ServiceStats, error) {
 	var st ServiceStats
-	err := c.roundTripIdem(ctx, OpStats, nil, func(r *payloadReader) (derr error) {
+	err := c.roundTripIdem(ctx, OpStats, nil, func(r *enc.Reader) (derr error) {
 		st, derr = decodeServiceStats(r)
 		return derr
 	})
 	return st, err
 }
 
-// Count returns the number of enrollments.
-func (c *Client) Count(ctx context.Context) (int, error) {
+// Len returns the number of enrollments.
+func (c *Client) Len(ctx context.Context) (int, error) {
 	var n uint32
-	err := c.roundTripIdem(ctx, OpCount, nil, func(r *payloadReader) (derr error) {
-		n, derr = r.uint32()
-		return derr
+	err := c.roundTripIdem(ctx, OpCount, nil, func(r *enc.Reader) error {
+		n = r.Uint32()
+		return r.Err()
 	})
 	if err != nil {
 		return 0, err

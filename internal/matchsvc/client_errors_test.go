@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"fpinterop/internal/enc"
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/obs"
 	"fpinterop/internal/wal"
@@ -54,9 +55,9 @@ func dialFake(t *testing.T, addr string) *Client {
 
 func TestClientServerStatusError(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn, id uint64) {
-		var w payloadWriter
-		_ = w.string("synthetic failure")
-		reply(conn, StatusError, id, w.buf)
+		var w enc.Writer
+		_ = w.String("synthetic failure")
+		reply(conn, StatusError, id, w.Buf)
 	})
 	err := dialFake(t, addr).Ping(context.Background())
 	if !errors.Is(err, ErrRemote) {
@@ -88,9 +89,9 @@ func TestClientStatusCodesCarrySentinels(t *testing.T) {
 	}
 	for _, tc := range cases {
 		addr := fakeServer(t, func(conn net.Conn, id uint64) {
-			var w payloadWriter
-			_ = w.string(tc.msg)
-			reply(conn, tc.status, id, w.buf)
+			var w enc.Writer
+			_ = w.String(tc.msg)
+			reply(conn, tc.status, id, w.Buf)
 		})
 		err := dialFake(t, addr).Remove(context.Background(), "alice")
 		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), tc.msg) {
@@ -166,7 +167,7 @@ func TestClientConnClosedMidResponse(t *testing.T) {
 	addr := fakeServer(t, func(net.Conn, uint64) {
 		// Close without replying at all.
 	})
-	if _, err := dialFake(t, addr).Count(context.Background()); err == nil {
+	if _, err := dialFake(t, addr).Len(context.Background()); err == nil {
 		t.Fatal("count over a closed connection succeeded")
 	}
 }
@@ -176,7 +177,7 @@ func TestClientShortResultPayload(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn, id uint64) {
 		reply(conn, StatusOK, id, []byte{0, 0})
 	})
-	if _, err := dialFake(t, addr).Count(context.Background()); !errors.Is(err, errShortPayload) {
+	if _, err := dialFake(t, addr).Len(context.Background()); !errors.Is(err, enc.ErrShort) {
 		t.Fatalf("want short-payload error, got %v", err)
 	}
 }
@@ -188,9 +189,9 @@ func TestClientShortResultPayload(t *testing.T) {
 // typed transport error and the next call redials and handshakes again.
 func TestClientCorruptHelloReplyRedials(t *testing.T) {
 	str := func(msg string) []byte {
-		var w payloadWriter
-		_ = w.string(msg)
-		return w.buf
+		var w enc.Writer
+		_ = w.String(msg)
+		return w.Buf
 	}
 	replies := []struct {
 		name   string
@@ -330,7 +331,7 @@ func TestClientRedialsAfterIdleDrop(t *testing.T) {
 			t.Fatalf("client did not recover after idle drop: %v", err)
 		}
 	}
-	if _, err := cli.Count(context.Background()); err != nil {
+	if _, err := cli.Len(context.Background()); err != nil {
 		t.Fatalf("count after recovery: %v", err)
 	}
 	// A closed client stays closed — no zombie redials.
@@ -398,27 +399,21 @@ func TestEnrollBatchChunksUnderFrameBudget(t *testing.T) {
 	// every item regardless of how the client splits the frames.
 	var itemSize int // largest encoded item
 	for _, it := range items {
-		var w payloadWriter
-		_ = w.string(it.ID)
-		_ = w.string(it.DeviceID)
-		_ = w.template(it.Template)
-		if len(w.buf) > itemSize {
-			itemSize = len(w.buf)
+		var w enc.Writer
+		_ = it.AppendTo(&w)
+		if len(w.Buf) > itemSize {
+			itemSize = len(w.Buf)
 		}
 	}
-	n, err := cli.enrollBatchChunked(context.Background(), items, itemSize+8)
-	if err != nil {
+	if err := cli.enrollBatchChunked(context.Background(), items, itemSize+8); err != nil {
 		t.Fatal(err)
 	}
-	if n != len(items) {
-		t.Fatalf("enrolled %d of %d", n, len(items))
-	}
-	if got, err := cli.Count(context.Background()); err != nil || got != len(items) {
+	if got, err := cli.Len(context.Background()); err != nil || got != len(items) {
 		t.Fatalf("server holds %d enrollments (%v)", got, err)
 	}
 
 	// One item alone over the budget is rejected up front.
-	if _, err := cli.enrollBatchChunked(context.Background(), items[:1], 16); err == nil {
+	if err := cli.enrollBatchChunked(context.Background(), items[:1], 16); err == nil {
 		t.Fatal("oversized single item accepted")
 	}
 }
@@ -431,25 +426,20 @@ func TestEnrollBatchPartialFailure(t *testing.T) {
 		items[i] = Enrollment{ID: fmt.Sprintf("p-%d", i), DeviceID: "D0", Template: tpl}
 	}
 	items[2].ID = "p-0" // duplicate → server fails at item 2
-	n, err := cli.EnrollBatch(context.Background(), items)
-	if !errors.Is(err, ErrRemote) {
+	if err := cli.EnrollBatch(context.Background(), items); !errors.Is(err, ErrRemote) {
 		t.Fatalf("want ErrRemote, got %v", err)
 	}
-	// The frame-level failure means no chunk completed, so the client
-	// reports zero — but the server kept the items preceding the failure.
-	if n != 0 {
-		t.Fatalf("client-confirmed count = %d, want 0", n)
-	}
-	if got, err := cli.Count(context.Background()); err != nil || got != 2 {
+	// The chunk failed as a whole, but the server (a plain store) kept
+	// the items preceding the failure.
+	if got, err := cli.Len(context.Background()); err != nil || got != 2 {
 		t.Fatalf("server enrolled %d (%v), want the 2 preceding the duplicate", got, err)
 	}
 }
 
 func TestEnrollBatchEmpty(t *testing.T) {
 	cli, _ := startServer(t)
-	n, err := cli.EnrollBatch(context.Background(), nil)
-	if err != nil || n != 0 {
-		t.Fatalf("empty batch: n=%d err=%v", n, err)
+	if err := cli.EnrollBatch(context.Background(), nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
 	}
 }
 
@@ -461,7 +451,7 @@ func TestEnrollBatchConcurrentWithIdentify(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		seed[i] = Enrollment{ID: fmt.Sprintf("s-%d", i), DeviceID: "D0", Template: tpls[i]}
 	}
-	if _, err := cli.EnrollBatch(context.Background(), seed); err != nil {
+	if err := cli.EnrollBatch(context.Background(), seed); err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.listener.Addr().String()
@@ -480,7 +470,7 @@ func TestEnrollBatchConcurrentWithIdentify(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			rest[i] = Enrollment{ID: fmt.Sprintf("t-%d", i), DeviceID: "D0", Template: tpls[3+i]}
 		}
-		if _, err := c.EnrollBatch(context.Background(), rest); err != nil {
+		if err := c.EnrollBatch(context.Background(), rest); err != nil {
 			errs <- err
 		}
 	}()
@@ -498,7 +488,7 @@ func TestEnrollBatchConcurrentWithIdentify(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if n, err := cli.Count(context.Background()); err != nil || n != 6 {
+	if n, err := cli.Len(context.Background()); err != nil || n != 6 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fpinterop/internal/enc"
 	"fpinterop/internal/gallery"
 )
 
@@ -38,7 +39,7 @@ func TestDispatchNeverPanics(t *testing.T) {
 				t.Fatalf("dispatch(0x%02x) panicked: %v", op, r)
 			}
 		}()
-		var w payloadWriter
+		var w enc.Writer
 		status, _ := srv.dispatch(context.Background(), op, payload, &w)
 		return status <= StatusSnapshotExpired
 	}
@@ -121,28 +122,28 @@ func FuzzOpenMuxEnvelope(f *testing.F) {
 // the same code — and an unknown status must not pass for a server
 // answer.
 func FuzzDecodeResponse(f *testing.F) {
-	var cands payloadWriter
-	cands.uint32(1)
-	_ = cands.string("subject-0001")
-	_ = cands.string("D0")
-	cands.float64(0.5)
-	var msg payloadWriter
-	_ = msg.string(`verify "gallery: enrollment ID already exists": gallery: enrollment not found`)
+	var cands enc.Writer
+	cands.Uint32(1)
+	_ = cands.String("subject-0001")
+	_ = cands.String("D0")
+	cands.Float64(0.5)
+	var msg enc.Writer
+	_ = msg.String(`verify "gallery: enrollment ID already exists": gallery: enrollment not found`)
 	for status := 0; status <= StatusSnapshotExpired+1; status++ {
-		f.Add(byte(status), cands.buf)
-		f.Add(byte(status), msg.buf)
-		f.Add(byte(status), msg.buf[:len(msg.buf)-1])
+		f.Add(byte(status), cands.Buf)
+		f.Add(byte(status), msg.Buf)
+		f.Add(byte(status), msg.Buf[:len(msg.Buf)-1])
 		f.Add(byte(status), []byte{0xff})
 		f.Add(byte(status), []byte(nil))
 	}
 	f.Add(byte(StatusOK), []byte{0xff, 0xff, 0xff, 0xff})               // count far beyond the payload
-	f.Add(byte(StatusOK), append([]byte{0, 0, 0, 2}, cands.buf[4:]...)) // count one beyond the payload
+	f.Add(byte(StatusOK), append([]byte{0, 0, 0, 2}, cands.Buf[4:]...)) // count one beyond the payload
 	f.Add(byte(0x7e), []byte(nil))
-	decoders := []func(*payloadReader) error{
+	decoders := []func(*enc.Reader) error{
 		nil,
-		func(r *payloadReader) error { _, err := decodeCandidates(r); return err },
-		func(r *payloadReader) error { _, err := decodeServiceStats(r); return err },
-		func(r *payloadReader) error { _, err := decodeMatch(r); return err },
+		func(r *enc.Reader) error { _, err := decodeCandidates(r); return err },
+		func(r *enc.Reader) error { _, err := decodeServiceStats(r); return err },
+		func(r *enc.Reader) error { _, err := decodeMatch(r); return err },
 	}
 	f.Fuzz(func(t *testing.T, status byte, resp []byte) {
 		for _, decode := range decoders {

@@ -109,7 +109,7 @@ func TestEnrollVerifyIdentifyRemove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, err := cli.Count(context.Background()); err != nil || n != 3 {
+	if n, err := cli.Len(context.Background()); err != nil || n != 3 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
 	res, err := cli.Verify(context.Background(), "alice", probes[0])
@@ -135,7 +135,7 @@ func TestEnrollVerifyIdentifyRemove(t *testing.T) {
 	if err := cli.Remove(context.Background(), "bob"); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := cli.Count(context.Background()); n != 2 {
+	if n, _ := cli.Len(context.Background()); n != 2 {
 		t.Fatalf("count after remove = %d", n)
 	}
 }
@@ -215,33 +215,6 @@ func TestFrameCap(t *testing.T) {
 type deadWriter struct{}
 
 func (deadWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-func TestPayloadRoundTrip(t *testing.T) {
-	var w payloadWriter
-	if err := w.string("hello"); err != nil {
-		t.Fatal(err)
-	}
-	w.uint32(42)
-	w.float64(3.25)
-	w.bytes([]byte{9, 8})
-	r := &payloadReader{buf: w.buf}
-	if s, err := r.string(); err != nil || s != "hello" {
-		t.Fatalf("string: %q %v", s, err)
-	}
-	if v, err := r.uint32(); err != nil || v != 42 {
-		t.Fatalf("uint32: %d %v", v, err)
-	}
-	if f, err := r.float64(); err != nil || f != 3.25 {
-		t.Fatalf("float64: %v %v", f, err)
-	}
-	if b, err := r.bytes(); err != nil || len(b) != 2 || b[0] != 9 {
-		t.Fatalf("bytes: %v %v", b, err)
-	}
-	// Reading past the end fails cleanly.
-	if _, err := r.uint32(); err == nil {
-		t.Fatal("expected short-payload error")
-	}
-}
 
 func TestServeBeforeListen(t *testing.T) {
 	srv := NewServer(nil, nil)

@@ -19,6 +19,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fpinterop/internal/enc"
 )
 
 // muxWriteTimeout bounds a single frame write on a multiplexed
@@ -194,9 +196,9 @@ func (w *wireConn) doHello(ctx context.Context) error {
 	if err != nil {
 		return fail(fmt.Errorf("matchsvc: read hello response: %w", err))
 	}
-	r := payloadReader{buf: resp}
-	if v, derr := r.uint32(); status != StatusOK || derr != nil || v != protoMuxed {
-		return fail(fmt.Errorf("matchsvc: hello answered status 0x%02x version %d (%v), want version %d", status, v, derr, protoMuxed))
+	r := enc.Reader{Buf: resp}
+	if v := r.Uint32(); status != StatusOK || r.Err() != nil || v != protoMuxed {
+		return fail(fmt.Errorf("matchsvc: hello answered status 0x%02x version %d (%v), want version %d", status, v, r.Err(), protoMuxed))
 	}
 	// The demux reader owns the read side from here and blocks freely
 	// between responses; per-call bounds move to each waiter's context,
@@ -329,7 +331,7 @@ func wireBudget(ctx context.Context, fallback time.Duration) uint32 {
 // deregisters its waiter and leaves the connection healthy — its late
 // response is discarded by ID, and the server has already stopped
 // working on it.
-func (w *wireConn) muxCall(ctx context.Context, op byte, payload []byte, decode func(*payloadReader) error) error {
+func (w *wireConn) muxCall(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error) error {
 	var fallback time.Duration
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		fallback = w.c.requestTimeout()
@@ -409,8 +411,8 @@ func (e *remoteError) Unwrap() []error {
 }
 
 // decodeResponse interprets a response's status and payload.
-func decodeResponse(status byte, resp []byte, decode func(*payloadReader) error) error {
-	r := payloadReader{buf: resp}
+func decodeResponse(status byte, resp []byte, decode func(*enc.Reader) error) error {
+	r := enc.Reader{Buf: resp}
 	if status == StatusOK {
 		if decode == nil {
 			return nil
@@ -426,8 +428,8 @@ func decodeResponse(status byte, resp []byte, decode func(*payloadReader) error)
 	if sentinel == nil && status != StatusError {
 		return fmt.Errorf("matchsvc: unknown status 0x%02x", status)
 	}
-	msg, err := r.string()
-	if err != nil {
+	msg := r.String()
+	if r.Err() != nil {
 		msg = "(malformed error payload)"
 	}
 	return &remoteError{msg: msg, sentinel: sentinel}

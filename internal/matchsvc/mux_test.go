@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"fpinterop/internal/enc"
 	"fpinterop/internal/obs"
 )
 
@@ -81,9 +82,9 @@ func muxFakeHandshake(conn net.Conn) error {
 	if op != OpHello {
 		return errors.New("expected hello")
 	}
-	var w payloadWriter
-	w.uint32(protoMuxed)
-	return writeFrame(conn, StatusOK, w.buf)
+	var w enc.Writer
+	w.Uint32(protoMuxed)
+	return writeFrame(conn, StatusOK, w.Buf)
 }
 
 // readMuxReq reads and unseals one enveloped request frame.

@@ -14,9 +14,11 @@
 //
 // After the one bare hello exchange, every payload opens with the mux
 // envelope (request ID, the caller's remaining budget in milliseconds,
-// CRC — see muxEnvelopeSize). Payload strings are
-// uint16-length-prefixed UTF-8; templates use the minutiae binary
-// codec. Frames are capped at 1 MiB.
+// CRC — see muxEnvelopeSize). Payloads are written and read with
+// package enc: strings are uint16-length-prefixed UTF-8, templates the
+// minutiae binary codec under a uint32 length, and an enrollment item
+// (OpEnroll, OpEnrollBatch, OpScan) is enc's enrollment tuple. Frames
+// are capped at 1 MiB.
 //
 // The server side dispatches onto one ctx-first contract, Backend
 // (backend.go); a store reaches it through the Local adapter.
@@ -29,9 +31,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
 
+	"fpinterop/internal/enc"
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/minutiae"
 	"fpinterop/internal/wal"
@@ -59,7 +61,7 @@ const (
 	// served the search) then the candidates out.
 	OpIdentifyEx = 0x08
 	// OpEnrollBatch adds many templates in one round trip: uint32 count,
-	// then per item (id, device id, template). The response carries the
+	// then one enrollment tuple per item. The response carries the
 	// number enrolled. The whole frame reaches the backend as one
 	// EnrollBatch call, so what a failure leaves behind is the backend's
 	// answer: a plain store keeps the items before the failing one, a
@@ -69,8 +71,8 @@ const (
 	OpEnrollBatch = 0x09
 	// OpScan pages through enrollments in ID order for shard migration:
 	// the request carries a cursor (exclusive lower bound on ID) and a
-	// uint32 max. The response holds uint32 count then per item (id,
-	// device id, template); the server may return fewer than max to
+	// uint32 max. The response holds uint32 count then one enrollment
+	// tuple per item; the server may return fewer than max to
 	// respect the frame cap, and an empty page means the scan is done.
 	OpScan = 0x0A
 	// OpHas asks whether an ID is enrolled: string id in, uint32 0/1
@@ -106,8 +108,8 @@ const (
 	// uint64 afterLSN and uint32 max body bytes; the response carries
 	// uint64 primary LSN, uint32 flags (bit 0 = tail truncated by
 	// compaction — restart from a snapshot), uint32 count, then per
-	// record uint64 LSN, uint8 op, string id and, for enrolls, string
-	// device id plus template bytes. The server may return fewer
+	// record a WAL record body exactly as the log holds it
+	// (wal.Record.AppendTo). The server may return fewer
 	// records than the budget allows to respect the frame cap; an empty
 	// un-truncated page means the replica has caught up to the primary
 	// LSN. Only WAL-backed servers implement it.
@@ -356,7 +358,7 @@ func readFrameHdr(r io.Reader, hdr *[5]byte) (op byte, payload []byte, err error
 // request building and response building stop allocating per message.
 // Clients borrow one per request, servers one per dispatched request.
 type frameScratch struct {
-	w payloadWriter
+	w enc.Writer
 }
 
 var framePool = sync.Pool{New: func() any { return new(frameScratch) }}
@@ -365,7 +367,7 @@ var framePool = sync.Pool{New: func() any { return new(frameScratch) }}
 func acquireFrameScratch() *frameScratch {
 	framesOutstanding.Add(1)
 	fs := framePool.Get().(*frameScratch)
-	fs.w.buf = fs.w.buf[:0]
+	fs.w.Buf = fs.w.Buf[:0]
 	return fs
 }
 
@@ -374,157 +376,22 @@ func releaseFrameScratch(fs *frameScratch) {
 	framePool.Put(fs)
 }
 
-// payloadWriter accumulates a request/response payload. The numeric
-// and raw-bytes appenders are hot-path (//fpvet:hotpath): with a
-// pooled frameScratch they reuse the retained buffer and stay off the
-// heap; only string (conversion) and template (marshal) allocate by
-// design.
-type payloadWriter struct {
-	buf []byte
-}
-
-func (p *payloadWriter) string(s string) error {
-	if len(s) > math.MaxUint16 {
-		return fmt.Errorf("matchsvc: string of %d bytes too long", len(s))
-	}
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(s)))
-	p.buf = append(p.buf, l[:]...)
-	p.buf = append(p.buf, s...)
-	return nil
-}
-
-//fpvet:hotpath
-func (p *payloadWriter) bytes(b []byte) {
-	var l [4]byte
-	binary.BigEndian.PutUint32(l[:], uint32(len(b)))
-	p.buf = append(p.buf, l[:]...)
-	p.buf = append(p.buf, b...)
-}
-
-func (p *payloadWriter) template(t *minutiae.Template) error {
+// putTemplate appends a template field: the minutiae codec's bytes
+// under a uint32 length. (Enrollment items go through
+// gallery.Export.AppendTo instead — the tuple is laid out in enc.)
+func putTemplate(w *enc.Writer, t *minutiae.Template) error {
 	data, err := minutiae.Marshal(t)
 	if err != nil {
 		return err
 	}
-	p.bytes(data)
+	w.Bytes(data)
 	return nil
 }
 
-// enrollment appends one (id, device id, template) item — the unit of
-// OpEnroll and OpEnrollBatch requests and of OpScan responses.
-func (p *payloadWriter) enrollment(e Enrollment) error {
-	if err := p.string(e.ID); err != nil {
-		return err
-	}
-	if err := p.string(e.DeviceID); err != nil {
-		return err
-	}
-	return p.template(e.Template)
-}
-
-//fpvet:hotpath
-func (p *payloadWriter) uint32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	p.buf = append(p.buf, b[:]...)
-}
-
-//fpvet:hotpath
-func (p *payloadWriter) uint64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	p.buf = append(p.buf, b[:]...)
-}
-
-//fpvet:hotpath
-func (p *payloadWriter) float64(v float64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-	p.buf = append(p.buf, b[:]...)
-}
-
-// payloadReader consumes a payload.
-type payloadReader struct {
-	buf []byte
-	off int
-}
-
-var errShortPayload = errors.New("matchsvc: short payload")
-
-//fpvet:hotpath
-func (p *payloadReader) take(n int) ([]byte, error) {
-	if p.off+n > len(p.buf) {
-		return nil, errShortPayload
-	}
-	b := p.buf[p.off : p.off+n]
-	p.off += n
-	return b, nil
-}
-
-func (p *payloadReader) string() (string, error) {
-	l, err := p.take(2)
-	if err != nil {
-		return "", err
-	}
-	b, err := p.take(int(binary.BigEndian.Uint16(l)))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-//fpvet:hotpath
-func (p *payloadReader) bytes() ([]byte, error) {
-	l, err := p.take(4)
-	if err != nil {
-		return nil, err
-	}
-	return p.take(int(binary.BigEndian.Uint32(l)))
-}
-
-func (p *payloadReader) template() (*minutiae.Template, error) {
-	data, err := p.bytes()
-	if err != nil {
+func readTemplate(r *enc.Reader) (*minutiae.Template, error) {
+	data := r.Bytes()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return minutiae.Unmarshal(data)
-}
-
-func (p *payloadReader) enrollment() (e Enrollment, err error) {
-	if e.ID, err = p.string(); err != nil {
-		return e, err
-	}
-	if e.DeviceID, err = p.string(); err != nil {
-		return e, err
-	}
-	e.Template, err = p.template()
-	return e, err
-}
-
-//fpvet:hotpath
-func (p *payloadReader) uint32() (uint32, error) {
-	b, err := p.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-//fpvet:hotpath
-func (p *payloadReader) uint64() (uint64, error) {
-	b, err := p.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-//fpvet:hotpath
-func (p *payloadReader) float64() (float64, error) {
-	b, err := p.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
 }

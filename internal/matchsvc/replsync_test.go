@@ -5,7 +5,6 @@ package matchsvc
 // WAL behind them.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -79,7 +78,7 @@ func TestSyncSnapshotChunkedTransfer(t *testing.T) {
 		}
 		stream = append(stream, chunk.Data...)
 	}
-	lsn, entries, err := wal.DecodeSnapshot(bytes.NewReader(stream))
+	lsn, entries, err := wal.DecodeSnapshot(stream)
 	if err != nil {
 		t.Fatal(err)
 	}

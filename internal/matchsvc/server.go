@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fpinterop/internal/enc"
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/match"
 	"fpinterop/internal/wal"
@@ -242,9 +243,9 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) error {
 	if op != OpHello {
 		return fmt.Errorf("matchsvc: first frame is opcode 0x%02x, want hello", op)
 	}
-	r := payloadReader{buf: payload}
-	if ver, verr := r.uint32(); verr != nil || ver < protoMuxed {
-		return fmt.Errorf("matchsvc: hello proposes unusable version %d (%v)", ver, verr)
+	r := enc.Reader{Buf: payload}
+	if ver := r.Uint32(); r.Err() != nil || ver < protoMuxed {
+		return fmt.Errorf("matchsvc: hello proposes unusable version %d (%v)", ver, r.Err())
 	}
 	if s.met != nil {
 		s.met.observeOp(OpHello, t0)
@@ -257,34 +258,34 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) error {
 
 // dispatch executes one request under its context and builds the
 // response payload into w (arriving empty; dispatch must not retain
-// payload or w.buf past the return — both are request-scoped scratch).
-func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *payloadWriter) (byte, []byte) {
+// payload or w.Buf past the return — both are request-scoped scratch).
+func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.Writer) (byte, []byte) {
 	fail := func(err error) (byte, []byte) {
 		// A branch may have written part of a success payload before
 		// failing; the error response starts clean.
-		w.buf = w.buf[:0]
+		w.Buf = w.Buf[:0]
 		// Error strings are bounded by the frame cap; truncate defensively.
 		msg := err.Error()
 		if len(msg) > 1024 {
 			msg = msg[:1024]
 		}
 		status := StatusFor(err)
-		if werr := w.string(msg); werr != nil {
+		if werr := w.String(msg); werr != nil {
 			return status, nil
 		}
-		return status, w.buf
+		return status, w.Buf
 	}
-	r := &payloadReader{buf: payload}
+	r := &enc.Reader{Buf: payload}
 	switch op {
 	case OpPing:
 		return StatusOK, nil
 
 	case OpMatch:
-		g, err := r.template()
+		g, err := readTemplate(r)
 		if err != nil {
 			return fail(err)
 		}
-		p, err := r.template()
+		p, err := readTemplate(r)
 		if err != nil {
 			return fail(err)
 		}
@@ -292,12 +293,12 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *paylo
 		if err != nil {
 			return fail(err)
 		}
-		w.float64(res.Score)
-		w.uint32(uint32(res.Matched))
-		return StatusOK, w.buf
+		w.Float64(res.Score)
+		w.Uint32(uint32(res.Matched))
+		return StatusOK, w.Buf
 
 	case OpEnroll:
-		e, err := r.enrollment()
+		e, err := gallery.DecodeExport(r)
 		if err != nil {
 			return fail(err)
 		}
@@ -307,11 +308,8 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *paylo
 		return StatusOK, nil
 
 	case OpVerify:
-		id, err := r.string()
-		if err != nil {
-			return fail(err)
-		}
-		probe, err := r.template()
+		id := r.String()
+		probe, err := readTemplate(r)
 		if err != nil {
 			return fail(err)
 		}
@@ -319,16 +317,13 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *paylo
 		if err != nil {
 			return fail(err)
 		}
-		w.float64(res.Score)
-		w.uint32(uint32(res.Matched))
-		return StatusOK, w.buf
+		w.Float64(res.Score)
+		w.Uint32(uint32(res.Matched))
+		return StatusOK, w.Buf
 
 	case OpIdentifyEx:
-		k, err := r.uint32()
-		if err != nil {
-			return fail(err)
-		}
-		probe, err := r.template()
+		k := r.Uint32()
+		probe, err := readTemplate(r)
 		if err != nil {
 			return fail(err)
 		}
@@ -340,52 +335,48 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *paylo
 			s.logger.Printf("identify: shortlist %d of %d enrollments (scanned %d)",
 				stats.Shortlist, stats.GallerySize, stats.Scanned)
 		}
-		w.uint32(uint32(stats.GallerySize))
-		w.uint32(uint32(stats.Shortlist))
-		w.uint32(uint32(stats.Scanned))
+		w.Uint32(uint32(stats.GallerySize))
+		w.Uint32(uint32(stats.Shortlist))
+		w.Uint32(uint32(stats.Scanned))
 		indexed := uint32(0)
 		if stats.Indexed {
 			indexed = 1
 		}
-		w.uint32(indexed)
-		w.uint32(uint32(len(cands)))
+		w.Uint32(indexed)
+		w.Uint32(uint32(len(cands)))
 		for _, c := range cands {
-			if err := w.string(c.ID); err != nil {
+			if err := w.String(c.ID); err != nil {
 				return fail(err)
 			}
-			if err := w.string(c.DeviceID); err != nil {
+			if err := w.String(c.DeviceID); err != nil {
 				return fail(err)
 			}
-			w.float64(c.Score)
+			w.Float64(c.Score)
 		}
-		return StatusOK, w.buf
+		return StatusOK, w.Buf
 
 	case OpEnrollBatch:
-		n, err := r.uint32()
-		if err != nil {
+		items := make([]Enrollment, r.Count(enc.EnrollmentMinSize))
+		if err := r.Err(); err != nil {
 			return fail(err)
 		}
-		// An item occupies at least 8 payload bytes; clamp the
-		// preallocation against malformed counts.
-		items := make([]Enrollment, 0, min(n, uint32(len(r.buf)-r.off)/8))
-		for i := uint32(0); i < n; i++ {
-			it, err := r.enrollment()
-			if err != nil {
+		for i := range items {
+			var err error
+			if items[i], err = gallery.DecodeExport(r); err != nil {
 				return fail(fmt.Errorf("batch item %d: %w", i, err))
 			}
-			items = append(items, it)
 		}
 		// One call: the backend decides what a batch is — one group
 		// commit on a WAL store, parallel per-shard batches on a front.
 		if err := s.backend.EnrollBatch(ctx, items); err != nil {
 			return fail(err)
 		}
-		w.uint32(n)
-		return StatusOK, w.buf
+		w.Uint32(uint32(len(items)))
+		return StatusOK, w.Buf
 
 	case OpRemove:
-		id, err := r.string()
-		if err != nil {
+		id := r.String()
+		if err := r.Err(); err != nil {
 			return fail(err)
 		}
 		if err := s.backend.Remove(ctx, id); err != nil {
@@ -398,8 +389,8 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *paylo
 		if err != nil {
 			return fail(err)
 		}
-		w.uint32(uint32(n))
-		return StatusOK, w.buf
+		w.Uint32(uint32(n))
+		return StatusOK, w.Buf
 
 	case OpStats:
 		st := ServiceStats{Shards: 1}
@@ -415,11 +406,11 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *paylo
 		if err != nil {
 			return fail(err)
 		}
-		return StatusOK, w.buf
+		return StatusOK, w.Buf
 
 	case OpHas:
-		id, err := r.string()
-		if err != nil {
+		id := r.String()
+		if err := r.Err(); err != nil {
 			return fail(err)
 		}
 		has, err := s.backend.Has(ctx, id)
@@ -430,60 +421,31 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *paylo
 		if has {
 			v = 1
 		}
-		w.uint32(v)
-		return StatusOK, w.buf
+		w.Uint32(v)
+		return StatusOK, w.Buf
 
 	case OpScan:
-		afterID, err := r.string()
-		if err != nil {
-			return fail(err)
-		}
-		max, err := r.uint32()
-		if err != nil {
+		afterID, max := r.String(), r.Uint32()
+		if err := r.Err(); err != nil {
 			return fail(err)
 		}
 		exports, err := s.backend.Scan(ctx, afterID, int(max))
 		if err != nil {
 			return fail(err)
 		}
-		// Pack items under the frame budget; the count prefix is
-		// patched once the cut is known. Fewer than max items is a
-		// legal page — the client advances its cursor and asks again —
-		// but an empty page with entries pending would end the scan
-		// early, so a first item too large to ship is an error.
-		w.uint32(0)
-		count := uint32(0)
-		for _, e := range exports {
-			mark := len(w.buf)
-			if err := w.enrollment(e); err != nil {
-				return fail(err)
-			}
-			if len(w.buf) > scanBudget {
-				if count == 0 {
-					return fail(fmt.Errorf("matchsvc: scan item %q exceeds frame budget", e.ID))
-				}
-				w.buf = w.buf[:mark]
-				break
-			}
-			count++
+		if err := packPage(w, len(exports), func(i int) (string, error) {
+			return exports[i].ID, exports[i].AppendTo(w)
+		}); err != nil {
+			return fail(err)
 		}
-		binary.BigEndian.PutUint32(w.buf[:4], count)
-		return StatusOK, w.buf
+		return StatusOK, w.Buf
 
 	case OpSyncSnapshot:
 		if s.sync == nil {
 			return fail(errNoSync)
 		}
-		resumeLSN, err := r.uint64()
-		if err != nil {
-			return fail(err)
-		}
-		offset, err := r.uint64()
-		if err != nil {
-			return fail(err)
-		}
-		maxBytes, err := r.uint32()
-		if err != nil {
+		resumeLSN, offset, maxBytes := r.Uint64(), r.Uint64(), r.Uint32()
+		if err := r.Err(); err != nil {
 			return fail(err)
 		}
 		lsn, data, err := s.sync.SyncSnapshot(resumeLSN)
@@ -501,21 +463,17 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *paylo
 		if len(chunk) > max {
 			chunk = chunk[:max]
 		}
-		w.uint64(lsn)
-		w.uint64(uint64(len(data)))
-		w.bytes(chunk)
-		return StatusOK, w.buf
+		w.Uint64(lsn)
+		w.Uint64(uint64(len(data)))
+		w.Bytes(chunk)
+		return StatusOK, w.Buf
 
 	case OpSyncTail:
 		if s.sync == nil {
 			return fail(errNoSync)
 		}
-		afterLSN, err := r.uint64()
-		if err != nil {
-			return fail(err)
-		}
-		maxBytes, err := r.uint32()
-		if err != nil {
+		afterLSN, maxBytes := r.Uint64(), r.Uint32()
+		if err := r.Err(); err != nil {
 			return fail(err)
 		}
 		max := int(maxBytes)
@@ -526,45 +484,52 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *paylo
 		if err != nil {
 			return fail(err)
 		}
-		w.uint64(page.PrimaryLSN)
+		w.Uint64(page.PrimaryLSN)
 		flags := uint32(0)
 		if page.Truncated {
 			flags |= 1
 		}
-		w.uint32(flags)
-		// Count prefix patched once the cut is known, like OpScan: the
-		// byte budget handed to SyncTail is record bodies only, so the
-		// wire framing on top can still overflow the frame cap.
-		w.uint32(0)
-		count := uint32(0)
-		for _, rec := range page.Records {
-			mark := len(w.buf)
-			w.uint64(rec.LSN)
-			w.buf = append(w.buf, rec.Op)
-			if err := w.string(rec.ID); err != nil {
-				return fail(err)
-			}
-			if rec.Op == wal.OpEnroll {
-				if err := w.string(rec.DeviceID); err != nil {
-					return fail(err)
-				}
-				w.bytes(rec.Template)
-			}
-			if len(w.buf) > scanBudget {
-				if count == 0 {
-					return fail(fmt.Errorf("matchsvc: sync record for %q exceeds frame budget", rec.ID))
-				}
-				w.buf = w.buf[:mark]
-				break
-			}
-			count++
+		w.Uint32(flags)
+		// SyncTail's byte budget is approximate (it always ships one
+		// record), so the page is still cut to the frame here.
+		if err := packPage(w, len(page.Records), func(i int) (string, error) {
+			return page.Records[i].ID, page.Records[i].AppendTo(w)
+		}); err != nil {
+			return fail(err)
 		}
-		binary.BigEndian.PutUint32(w.buf[12:16], count)
-		return StatusOK, w.buf
+		return StatusOK, w.Buf
 
 	default:
 		return fail(fmt.Errorf("matchsvc: unknown opcode 0x%02x", op))
 	}
+}
+
+// packPage appends a uint32 item count and then up to n items, each
+// written by put (which names it for the error), to the response in w,
+// cutting the page where the frame budget runs out. Fewer than n items
+// is a legal page — the client advances its cursor and asks again — but
+// an empty page with items pending would end the transfer early, so a
+// first item too large to ship is an error.
+func packPage(w *enc.Writer, n int, put func(i int) (id string, err error)) error {
+	countAt := len(w.Buf)
+	w.Uint32(0) // patched once the cut is known
+	count := 0
+	for ; count < n; count++ {
+		mark := len(w.Buf)
+		id, err := put(count)
+		if err != nil {
+			return err
+		}
+		if len(w.Buf) > scanBudget {
+			if count == 0 {
+				return fmt.Errorf("matchsvc: page item %q exceeds frame budget", id)
+			}
+			w.Buf = w.Buf[:mark]
+			break
+		}
+	}
+	binary.BigEndian.PutUint32(w.Buf[countAt:], uint32(count))
+	return nil
 }
 
 var errNoSync = errors.New("matchsvc: backend does not support replica sync")
@@ -676,7 +641,7 @@ func (s *Server) handleMux(ctx context.Context, conn net.Conn) error {
 			}
 			fs := acquireFrameScratch()
 			defer releaseFrameScratch(fs)
-			fs.w.buf = fs.w.buf[:0]
+			fs.w.Buf = fs.w.Buf[:0]
 			var t0 time.Time
 			if s.met != nil {
 				t0 = time.Now()

@@ -1,5 +1,7 @@
 package matchsvc
 
+import "fpinterop/internal/enc"
+
 // ServiceStats is the OpStats payload: a point-in-time service summary
 // the serving process assembles from whatever it actually runs —
 // shard topology, index state, and write-ahead-log durability — so a
@@ -27,12 +29,12 @@ type WALServiceStats struct {
 	LogBytes        int64
 }
 
-func encodeServiceStats(w *payloadWriter, st ServiceStats) error {
-	w.uint32(uint32(st.Enrollments))
-	w.uint32(uint32(st.Shards))
-	w.uint32(uint32(len(st.DegradedShards)))
+func encodeServiceStats(w *enc.Writer, st ServiceStats) error {
+	w.Uint32(uint32(st.Enrollments))
+	w.Uint32(uint32(st.Shards))
+	w.Uint32(uint32(len(st.DegradedShards)))
 	for _, name := range st.DegradedShards {
-		if err := w.string(name); err != nil {
+		if err := w.String(name); err != nil {
 			return err
 		}
 	}
@@ -40,81 +42,34 @@ func encodeServiceStats(w *payloadWriter, st ServiceStats) error {
 	if st.Indexed {
 		indexed = 1
 	}
-	w.uint32(indexed)
+	w.Uint32(indexed)
 	if st.WAL == nil {
-		w.uint32(0)
+		w.Uint32(0)
 		return nil
 	}
-	w.uint32(1)
-	w.uint32(uint32(st.WAL.SnapshotEntries))
-	w.uint32(uint32(st.WAL.Replayed))
-	w.uint64(uint64(st.WAL.TruncatedBytes))
-	w.uint32(uint32(st.WAL.TornTails))
-	w.uint64(uint64(st.WAL.LogBytes))
+	w.Uint32(1)
+	w.Uint32(uint32(st.WAL.SnapshotEntries))
+	w.Uint32(uint32(st.WAL.Replayed))
+	w.Uint64(uint64(st.WAL.TruncatedBytes))
+	w.Uint32(uint32(st.WAL.TornTails))
+	w.Uint64(uint64(st.WAL.LogBytes))
 	return nil
 }
 
-func decodeServiceStats(r *payloadReader) (ServiceStats, error) {
-	var st ServiceStats
-	enrollments, err := r.uint32()
-	if err != nil {
-		return st, err
+func decodeServiceStats(r *enc.Reader) (ServiceStats, error) {
+	st := ServiceStats{Enrollments: int(r.Uint32()), Shards: int(r.Uint32())}
+	for n := r.Count(2); n > 0; n-- { // a name is at least its length prefix
+		st.DegradedShards = append(st.DegradedShards, r.String())
 	}
-	shards, err := r.uint32()
-	if err != nil {
-		return st, err
-	}
-	st.Enrollments = int(enrollments)
-	st.Shards = int(shards)
-	n, err := r.uint32()
-	if err != nil {
-		return st, err
-	}
-	for i := uint32(0); i < n; i++ {
-		name, err := r.string()
-		if err != nil {
-			return st, err
+	st.Indexed = r.Uint32() != 0
+	if hasWAL := r.Uint32(); hasWAL != 0 {
+		st.WAL = &WALServiceStats{
+			SnapshotEntries: int(r.Uint32()),
+			Replayed:        int(r.Uint32()),
+			TruncatedBytes:  int64(r.Uint64()),
+			TornTails:       int(r.Uint32()),
+			LogBytes:        int64(r.Uint64()),
 		}
-		st.DegradedShards = append(st.DegradedShards, name)
 	}
-	indexed, err := r.uint32()
-	if err != nil {
-		return st, err
-	}
-	st.Indexed = indexed != 0
-	hasWAL, err := r.uint32()
-	if err != nil {
-		return st, err
-	}
-	if hasWAL == 0 {
-		return st, nil
-	}
-	var w WALServiceStats
-	snap, err := r.uint32()
-	if err != nil {
-		return st, err
-	}
-	replayed, err := r.uint32()
-	if err != nil {
-		return st, err
-	}
-	trunc, err := r.uint64()
-	if err != nil {
-		return st, err
-	}
-	torn, err := r.uint32()
-	if err != nil {
-		return st, err
-	}
-	logBytes, err := r.uint64()
-	if err != nil {
-		return st, err
-	}
-	w.SnapshotEntries = int(snap)
-	w.Replayed = int(replayed)
-	w.TruncatedBytes = int64(trunc)
-	w.TornTails = int(torn)
-	w.LogBytes = int64(logBytes)
-	st.WAL = &w
-	return st, nil
+	return st, r.Err()
 }

@@ -8,6 +8,7 @@ package matchsvc
 import (
 	"context"
 
+	"fpinterop/internal/enc"
 	"fpinterop/internal/wal"
 )
 
@@ -35,26 +36,14 @@ type SyncSnapshotChunk struct {
 func (c *Client) SyncSnapshot(ctx context.Context, resumeLSN uint64, offset int64, maxBytes int) (SyncSnapshotChunk, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
-	fs.w.uint64(resumeLSN)
-	fs.w.uint64(uint64(offset))
-	fs.w.uint32(uint32(maxBytes))
+	fs.w.Uint64(resumeLSN)
+	fs.w.Uint64(uint64(offset))
+	fs.w.Uint32(uint32(maxBytes))
 	var out SyncSnapshotChunk
-	err := c.roundTripIdem(ctx, OpSyncSnapshot, fs.w.buf, func(r *payloadReader) error {
-		lsn, derr := r.uint64()
-		if derr != nil {
-			return derr
-		}
-		total, derr := r.uint64()
-		if derr != nil {
-			return derr
-		}
-		data, derr := r.bytes()
-		if derr != nil {
-			return derr
-		}
-		// data aliases the response buffer; the chunk outlives the call.
-		out = SyncSnapshotChunk{LSN: lsn, Total: int64(total), Data: append([]byte(nil), data...)}
-		return nil
+	err := c.roundTripIdem(ctx, OpSyncSnapshot, fs.w.Buf, func(r *enc.Reader) error {
+		// Data aliases the response frame, which is this response's own.
+		out = SyncSnapshotChunk{LSN: r.Uint64(), Total: int64(r.Uint64()), Data: r.Bytes()}
+		return r.Err()
 	})
 	return out, err
 }
@@ -67,57 +56,22 @@ func (c *Client) SyncSnapshot(ctx context.Context, resumeLSN uint64, offset int6
 func (c *Client) SyncTail(ctx context.Context, afterLSN uint64, maxBytes int) (wal.TailPage, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
-	fs.w.uint64(afterLSN)
-	fs.w.uint32(uint32(maxBytes))
+	fs.w.Uint64(afterLSN)
+	fs.w.Uint32(uint32(maxBytes))
 	var page wal.TailPage
-	err := c.roundTripIdem(ctx, OpSyncTail, fs.w.buf, func(r *payloadReader) error {
-		primary, derr := r.uint64()
-		if derr != nil {
-			return derr
-		}
-		flags, derr := r.uint32()
-		if derr != nil {
-			return derr
-		}
-		n, derr := r.uint32()
-		if derr != nil {
-			return derr
-		}
-		page = wal.TailPage{PrimaryLSN: primary, Truncated: flags&1 != 0}
-		// A record occupies at least 11 payload bytes; clamp the
-		// preallocation against malformed counts.
-		capHint := n
-		if max := uint32(len(r.buf)-r.off) / 11; capHint > max {
-			capHint = max
-		}
-		recs := make([]wal.Record, 0, capHint)
-		for i := uint32(0); i < n; i++ {
-			var rec wal.Record
-			if rec.LSN, derr = r.uint64(); derr != nil {
+	err := c.roundTripIdem(ctx, OpSyncTail, fs.w.Buf, func(r *enc.Reader) error {
+		page = wal.TailPage{PrimaryLSN: r.Uint64(), Truncated: r.Uint32()&1 != 0}
+		page.Records = make([]wal.Record, r.Count(wal.RecordMinSize))
+		for i := range page.Records {
+			// A page record is a log record's body, byte for byte. The
+			// templates alias the response frame, which is this
+			// response's own.
+			var derr error
+			if page.Records[i], derr = wal.DecodeRecord(r); derr != nil {
 				return derr
 			}
-			opb, derr := r.take(1)
-			if derr != nil {
-				return derr
-			}
-			rec.Op = opb[0]
-			if rec.ID, derr = r.string(); derr != nil {
-				return derr
-			}
-			if rec.Op == wal.OpEnroll {
-				if rec.DeviceID, derr = r.string(); derr != nil {
-					return derr
-				}
-				tpl, derr := r.bytes()
-				if derr != nil {
-					return derr
-				}
-				rec.Template = append([]byte(nil), tpl...)
-			}
-			recs = append(recs, rec)
 		}
-		page.Records = recs
-		return nil
+		return r.Err()
 	})
 	if err != nil {
 		return wal.TailPage{}, err

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -160,7 +159,7 @@ func (f *Follower) restore(ctx context.Context) error {
 		}
 		stream = append(stream, chunk.Data...)
 	}
-	_, entries, err := wal.DecodeSnapshot(bytes.NewReader(stream))
+	_, entries, err := wal.DecodeSnapshot(stream)
 	if err != nil {
 		return err
 	}

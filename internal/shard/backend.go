@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"fpinterop/internal/gallery"
-	"fpinterop/internal/match"
 	"fpinterop/internal/matchsvc"
 	"fpinterop/internal/minutiae"
 )
@@ -40,49 +39,24 @@ func NewLocal(name string, store matchsvc.Store) *Local {
 
 func (l *Local) Name() string { return l.name }
 
-// Remote adapts a matchsvc.Client to the Backend interface. The client
-// multiplexes concurrent requests over its pooled connections, so one
-// Remote serves any number of in-flight calls (hedges included).
+// Remote is a matchd reached through a matchsvc.Client as a shard: the
+// client already speaks the contract call for call (it multiplexes
+// concurrent requests over its pooled connections, so one Remote
+// serves any number of in-flight calls, hedges included), so Remote
+// adds the ring name and the one method the client spells differently.
 type Remote struct {
+	*matchsvc.Client
 	name string
-	cli  *matchsvc.Client
 }
 
 // NewRemote wraps a connected client as a shard named name (typically
 // the dialed address).
 func NewRemote(name string, cli *matchsvc.Client) *Remote {
-	return &Remote{name: name, cli: cli}
+	return &Remote{Client: cli, name: name}
 }
 
 func (r *Remote) Name() string { return r.name }
 
-func (r *Remote) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.Template) error {
-	return r.cli.Enroll(ctx, id, deviceID, tpl)
-}
-
-func (r *Remote) EnrollBatch(ctx context.Context, items []Enrollment) error {
-	_, err := r.cli.EnrollBatch(ctx, items)
-	return err
-}
-
-func (r *Remote) Remove(ctx context.Context, id string) error { return r.cli.Remove(ctx, id) }
-
-func (r *Remote) Has(ctx context.Context, id string) (bool, error) { return r.cli.Has(ctx, id) }
-
-func (r *Remote) Scan(ctx context.Context, afterID string, max int) ([]gallery.Export, error) {
-	return r.cli.Scan(ctx, afterID, max)
-}
-
-func (r *Remote) Verify(ctx context.Context, id string, probe *minutiae.Template) (match.Result, error) {
-	res, err := r.cli.Verify(ctx, id, probe)
-	if err != nil {
-		return match.Result{}, err
-	}
-	return match.Result{Score: res.Score, Matched: res.Matched}, nil
-}
-
 func (r *Remote) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
-	return r.cli.IdentifyEx(ctx, probe, k)
+	return r.IdentifyEx(ctx, probe, k)
 }
-
-func (r *Remote) Len(ctx context.Context) (int, error) { return r.cli.Count(ctx) }

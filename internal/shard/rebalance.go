@@ -31,21 +31,15 @@ type RebalanceStats struct {
 // rebalancer; the router itself stays safe for concurrent use
 // throughout.
 type Rebalancer struct {
-	r        *Router
-	joining  int
-	newRing  *ring
-	pageSize int
-	done     bool
+	r       *Router
+	joining int
+	newRing *ring
+	done    bool
 }
 
-// SetPageSize tunes how many subjects each Scan page requests
-// (default 256). Remote shards may return fewer per page to respect
-// the wire frame cap.
-func (rb *Rebalancer) SetPageSize(n int) {
-	if n > 0 {
-		rb.pageSize = n
-	}
-}
+// scanPageSize is how many subjects each Scan page requests. Remote
+// shards may return fewer per page to respect the wire frame cap.
+const scanPageSize = 256
 
 // AddShard registers b as a joining shard and starts an online
 // resharding: the new ring (old names plus b's) immediately routes
@@ -70,7 +64,7 @@ func (r *Router) AddShard(b Backend) (*Rebalancer, error) {
 		names = append(names, existing.Name())
 	}
 	names = append(names, name)
-	newRing := newRing(names, r.opt.VirtualNodes)
+	newRing := newRing(names)
 	// Replaced-on-write: request paths hold snapshots of the old
 	// slices, so they must not be appended to in place.
 	backends := make([]Backend, 0, len(r.backends)+1)
@@ -82,7 +76,7 @@ func (r *Router) AddShard(b Backend) (*Rebalancer, error) {
 	r.backends = backends
 	r.health = healths
 	r.mig = &migration{joining: len(backends) - 1, newRing: newRing}
-	return &Rebalancer{r: r, joining: len(backends) - 1, newRing: newRing, pageSize: 256}, nil
+	return &Rebalancer{r: r, joining: len(backends) - 1, newRing: newRing}, nil
 }
 
 // Run streams every subject the new ring assigns to the joining shard
@@ -142,7 +136,7 @@ func (rb *Rebalancer) sweep(ctx context.Context, t topo, join Backend, stats *Re
 			if err := ctx.Err(); err != nil {
 				return moved, err
 			}
-			page, err := b.Scan(ctx, after, rb.pageSize)
+			page, err := b.Scan(ctx, after, scanPageSize)
 			rb.r.recordCtx(ctx, t.health[i], err)
 			if err != nil {
 				return moved, routingErr(b, err)

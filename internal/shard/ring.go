@@ -6,7 +6,11 @@ import (
 	"sort"
 )
 
-// ring is a consistent-hash ring: each shard contributes VirtualNodes
+// virtualNodes is how many ring points each shard contributes: enough
+// to smooth the key distribution without a large ring.
+const virtualNodes = 64
+
+// ring is a consistent-hash ring: each shard contributes virtualNodes
 // points, and an enrollment ID is owned by the shard whose point is the
 // first at or clockwise of the ID's hash. Virtual nodes smooth the
 // per-shard load and bound the fraction of IDs that move when a shard
@@ -38,10 +42,10 @@ func hashKey(s string) uint64 {
 	return x
 }
 
-func newRing(names []string, vnodes int) *ring {
-	pts := make([]ringPoint, 0, len(names)*vnodes)
+func newRing(names []string) *ring {
+	pts := make([]ringPoint, 0, len(names)*virtualNodes)
 	for i, name := range names {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			pts = append(pts, ringPoint{hash: hashKey(fmt.Sprintf("%s#%d", name, v)), shard: i})
 		}
 	}

@@ -55,10 +55,6 @@ const (
 
 // Options tunes the router. The zero value gives production defaults.
 type Options struct {
-	// VirtualNodes is how many ring points each shard contributes
-	// (default 64). More points smooth the key distribution at the cost
-	// of a larger ring.
-	VirtualNodes int
 	// Workers bounds the goroutines fanning a search across shards
 	// (default: one per shard).
 	Workers int
@@ -92,9 +88,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = 64
-	}
 	if o.FailureThreshold <= 0 {
 		o.FailureThreshold = 3
 	}
@@ -211,7 +204,7 @@ func New(backends []Backend, opt Options) (*Router, error) {
 	}
 	r := &Router{
 		backends: backends,
-		ring:     newRing(names, opt.VirtualNodes),
+		ring:     newRing(names),
 		opt:      opt,
 		health:   make([]*health, len(backends)),
 		met:      newRouterMetrics(opt.Registry),

@@ -75,8 +75,8 @@ func localRouter(t *testing.T, n int, opt Options) *Router {
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
-	r1 := newRing(names, 64)
-	r2 := newRing(names, 64)
+	r1 := newRing(names)
+	r2 := newRing(names)
 	counts := make([]int, len(names))
 	for i := 0; i < 10000; i++ {
 		id := subjectID(i)
@@ -94,8 +94,8 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestRingBoundedMovementOnShardAdd(t *testing.T) {
-	before := newRing([]string{"a", "b", "c", "d"}, 64)
-	after := newRing([]string{"a", "b", "c", "d", "e"}, 64)
+	before := newRing([]string{"a", "b", "c", "d"})
+	after := newRing([]string{"a", "b", "c", "d", "e"})
 	moved := 0
 	const keys = 10000
 	for i := 0; i < keys; i++ {

@@ -91,6 +91,38 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// Validate is the one list of which fields go together; Build applies
+// it, so fpis.New and cmd/matchd answer to the same rules and keep only
+// what is syntax on their side (whether an option was given at all,
+// flag ranges, -replica-of's exclusions).
+func (c Config) Validate() error {
+	front := len(c.Shards) > 0
+	sharded := front || c.LocalShards > 0
+	client := c.Client
+	if client.PoolSize == 1 {
+		client.PoolSize = 0 // one connection is the default, spelled out
+	}
+	switch {
+	case c.LocalShards < 0 || c.IndexFanout < 0 || c.CompactEvery < 0 || c.ShardTimeout < 0 || c.HedgeDelay < 0:
+		return errors.New("topology: LocalShards, IndexFanout, CompactEvery, ShardTimeout and HedgeDelay must be >= 0")
+	case front && c.LocalShards > 0:
+		return errors.New("topology: LocalShards and Shards are mutually exclusive")
+	case front && (c.Index || c.WALDir != ""):
+		return errors.New("topology: Index and WALDir belong on the shard processes, not on a Shards front")
+	case c.IndexFanout > 0 && !c.Index:
+		return errors.New("topology: IndexFanout requires Index")
+	case c.CompactEvery > 0 && c.WALDir == "":
+		return errors.New("topology: CompactEvery requires WALDir")
+	case !sharded && (c.ShardTimeout != 0 || c.HedgeDelay != 0 || c.Policy != shard.SkipDegraded):
+		return errors.New("topology: ShardTimeout, HedgeDelay and Policy tune the router; they require LocalShards or Shards")
+	case !front && client != (Client{}):
+		return errors.New("topology: Client (pool size, retry, keepalive, timeouts) configures the connections to Shards; it requires Shards")
+	case c.Replicas != nil && len(c.Replicas) != len(c.Shards):
+		return fmt.Errorf("topology: Replicas lists %d slots, Shards has %d", len(c.Replicas), len(c.Shards))
+	}
+	return nil
+}
+
 // Topology is a built deployment.
 type Topology struct {
 	// Backend is the gallery contract the deployment serves: the store
@@ -122,6 +154,9 @@ type durableLocal struct {
 // (dialing remote shards); on failure everything already opened is
 // closed again.
 func Build(ctx context.Context, cfg Config) (t *Topology, err error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	t = &Topology{indexed: cfg.Index}
 	defer func() {
 		if err != nil {

@@ -17,10 +17,12 @@
 //	    body:
 //	        8  LSN (monotonic, starts at 1)
 //	        1  op (1 = enroll, 2 = remove)
-//	        2  id length, id bytes
-//	        enroll only:
-//	            2  device-id length, device-id bytes
-//	            4  template length, template bytes (minutiae codec)
+//	        enroll: one enrollment tuple (see package enc)
+//	        remove: 2  id length, id bytes
+//
+// The body is also the unit a replica sync page carries (OpSyncTail in
+// matchsvc); Record.AppendTo and DecodeRecord are the only code that
+// knows it.
 //
 // Replay verifies each record's length and checksum. The first record
 // that fails — a torn tail from a crash mid-append, or corruption —
@@ -31,6 +33,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,6 +42,7 @@ import (
 	"os"
 	"time"
 
+	"fpinterop/internal/enc"
 	"fpinterop/internal/obs"
 )
 
@@ -52,8 +56,9 @@ const (
 	OpEnroll byte = 1
 	OpRemove byte = 2
 
-	// maxBody caps a record body: a template is capped at 1 MiB by the
-	// gallery codec, so anything larger is corruption, not data.
+	// maxBody caps a record body, so a rotted length prefix is refused
+	// before it is allocated: the minutiae codec tops out near 32 KiB
+	// and each ID at 64 KiB, so anything larger is corruption, not data.
 	maxBody = 2 << 20
 )
 
@@ -61,7 +66,8 @@ const (
 var ErrBadLogFormat = errors.New("wal: bad log format")
 
 // Record is one logged mutation. Template holds the minutiae-codec
-// bytes and is only set for OpEnroll.
+// bytes and is only set for OpEnroll (as is DeviceID); on a decoded
+// record it aliases the buffer the record was decoded from.
 type Record struct {
 	LSN      uint64
 	Op       byte
@@ -88,7 +94,7 @@ type ReplayInfo struct {
 // Store serialises access.
 type Log struct {
 	f   *os.File
-	buf []byte
+	buf enc.Writer
 	// size mirrors the file size so callers can gauge log growth
 	// without a stat syscall per append.
 	size int64
@@ -98,9 +104,10 @@ type Log struct {
 }
 
 // OpenLog opens (or creates) the log at path and replays every intact
-// record through apply in order. A torn or corrupt tail is truncated
-// away so appends resume from the last good record. If apply returns an
-// error, replay stops and the log is closed.
+// record through apply in order (the record's Template is only valid
+// during the call). A torn or corrupt tail is truncated away so appends
+// resume from the last good record. If apply returns an error, replay
+// stops and the log is closed.
 func OpenLog(path string, apply func(Record) error) (*Log, ReplayInfo, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -151,48 +158,25 @@ func (l *Log) replay(apply func(Record) error) (ReplayInfo, error) {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return info, fmt.Errorf("wal: seek: %w", err)
 	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(l.f, hdr[:]); err != nil {
-		return info, fmt.Errorf("wal: read header: %w", err)
+	lr, err := newLogReader(bufio.NewReaderSize(l.f, 64<<10))
+	if err != nil {
+		return info, err
 	}
-	if [4]byte(hdr[:4]) != logMagic {
-		return info, ErrBadLogFormat
-	}
-	if v := binary.BigEndian.Uint16(hdr[4:]); v != logVersion {
-		return info, fmt.Errorf("wal: unsupported log version %d", v)
-	}
-	good := int64(headerSize)
-	var prefix [8]byte
-	for good < size {
-		if size-good < 8 {
-			break // partial length/crc prefix
+	for {
+		rec, err := lr.next()
+		if err == io.EOF || errors.Is(err, errTornTail) {
+			break
 		}
-		if _, err := io.ReadFull(l.f, prefix[:]); err != nil {
-			return info, fmt.Errorf("wal: read record prefix: %w", err)
-		}
-		bodyLen := int64(binary.BigEndian.Uint32(prefix[:4]))
-		sum := binary.BigEndian.Uint32(prefix[4:])
-		if bodyLen > maxBody || size-good-8 < bodyLen {
-			break // implausible length or partial body
-		}
-		body := make([]byte, bodyLen)
-		if _, err := io.ReadFull(l.f, body); err != nil {
-			return info, fmt.Errorf("wal: read record body: %w", err)
-		}
-		if crc32.ChecksumIEEE(body) != sum {
-			break // bit rot or torn write
-		}
-		rec, err := decodeRecord(body)
 		if err != nil {
-			break // checksummed but malformed: treat as corruption
+			return info, err
 		}
 		if err := apply(rec); err != nil {
 			return info, err
 		}
-		good += 8 + bodyLen
 		info.Records++
 		info.LastLSN = rec.LSN
 	}
+	good := lr.off
 	if good < size {
 		info.TornTail = true
 		info.TruncatedBytes = size - good
@@ -209,93 +193,137 @@ func (l *Log) replay(apply func(Record) error) (ReplayInfo, error) {
 	return info, nil
 }
 
-func decodeRecord(body []byte) (Record, error) {
-	var rec Record
-	if len(body) < 11 {
-		return rec, fmt.Errorf("wal: record body of %d bytes too short", len(body))
+// errTornTail reports log bytes that are not a whole valid record: a
+// torn append, or corruption. Nothing after them can be trusted.
+var errTornTail = errors.New("wal: torn or corrupt log record")
+
+// logReader iterates a log file's records — the one reader replay and
+// the replica tail both use. A record is returned only after its length
+// is within maxBody, its checksum covers the whole body, and the body
+// decodes with nothing left over; no field is looked at before that.
+type logReader struct {
+	r io.Reader
+	// prefix and body are reused from record to record (a local prefix
+	// would escape through the io.Reader call, one allocation per
+	// record); the Template of the record last returned aliases body.
+	prefix [8]byte
+	body   []byte
+	// off is the file offset just past the last record returned (past
+	// the header before the first).
+	off int64
+}
+
+// newLogReader checks the file header at the front of r.
+func newLogReader(r io.Reader) (*logReader, error) {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("wal: read header: %w", err)
 	}
-	rec.LSN = binary.BigEndian.Uint64(body)
-	rec.Op = body[8]
-	rest := body[9:]
-	readStr := func() (string, error) {
-		if len(rest) < 2 {
-			return "", errors.New("wal: truncated string length")
-		}
-		n := int(binary.BigEndian.Uint16(rest))
-		rest = rest[2:]
-		if len(rest) < n {
-			return "", errors.New("wal: truncated string")
-		}
-		s := string(rest[:n])
-		rest = rest[n:]
-		return s, nil
+	if [4]byte(hdr[:4]) != logMagic {
+		return nil, ErrBadLogFormat
 	}
-	id, err := readStr()
+	if v := binary.BigEndian.Uint16(hdr[4:]); v != logVersion {
+		return nil, fmt.Errorf("wal: unsupported log version %d", v)
+	}
+	return &logReader{r: r, off: headerSize}, nil
+}
+
+// next returns the following record, valid until the call after. The
+// error is io.EOF at a clean end of file, wraps errTornTail when the
+// bytes there are not a whole valid record, and is the read failure
+// otherwise.
+func (lr *logReader) next() (Record, error) {
+	if _, err := io.ReadFull(lr.r, lr.prefix[:]); err != nil {
+		if err == io.EOF {
+			return Record{}, io.EOF // not one byte of another record
+		}
+		return Record{}, tornIfEOF(err, "record prefix")
+	}
+	n := binary.BigEndian.Uint32(lr.prefix[:4])
+	if n > maxBody {
+		return Record{}, fmt.Errorf("%w: implausible length %d", errTornTail, n)
+	}
+	if uint32(cap(lr.body)) < n {
+		lr.body = make([]byte, n)
+	}
+	body := lr.body[:n]
+	if _, err := io.ReadFull(lr.r, body); err != nil {
+		return Record{}, tornIfEOF(err, "record body")
+	}
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(lr.prefix[4:]) {
+		return Record{}, fmt.Errorf("%w: checksum mismatch", errTornTail)
+	}
+	r := enc.Reader{Buf: body}
+	rec, err := DecodeRecord(&r)
+	if err == nil && len(r.Buf) != 0 {
+		err = errors.New("trailing bytes")
+	}
 	if err != nil {
-		return rec, err
+		// Checksummed but malformed: treat as corruption.
+		return Record{}, fmt.Errorf("%w: %v", errTornTail, err)
 	}
-	rec.ID = id
+	lr.off += 8 + int64(n)
+	return rec, nil
+}
+
+// tornIfEOF classifies a failed read of part of a record: running out
+// of file mid-record is a torn tail, anything else an I/O error.
+func tornIfEOF(err error, part string) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: partial %s", errTornTail, part)
+	}
+	return fmt.Errorf("wal: read %s: %w", part, err)
+}
+
+// RecordMinSize is the smallest record body: LSN, op and an empty ID.
+const RecordMinSize = 8 + 1 + 2
+
+// DecodeRecord consumes one record body from r — a log record's body,
+// or one record of a replica sync page. Template aliases r's buffer.
+func DecodeRecord(r *enc.Reader) (Record, error) {
+	rec := Record{LSN: r.Uint64(), Op: r.Byte()}
 	switch rec.Op {
-	case OpRemove:
-		if len(rest) != 0 {
-			return rec, errors.New("wal: trailing bytes in remove record")
-		}
 	case OpEnroll:
-		dev, err := readStr()
-		if err != nil {
-			return rec, err
-		}
-		rec.DeviceID = dev
-		if len(rest) < 4 {
-			return rec, errors.New("wal: truncated template length")
-		}
-		n := int(binary.BigEndian.Uint32(rest))
-		rest = rest[4:]
-		if len(rest) != n {
-			return rec, errors.New("wal: template length mismatch")
-		}
-		rec.Template = append([]byte(nil), rest...)
-	default:
-		return rec, fmt.Errorf("wal: unknown op %d", rec.Op)
+		rec.ID, rec.DeviceID, rec.Template = r.Enrollment()
+	case OpRemove:
+		rec.ID = r.String()
+	}
+	switch {
+	case r.Err() != nil:
+		return Record{}, r.Err()
+	case rec.Op != OpEnroll && rec.Op != OpRemove:
+		return Record{}, fmt.Errorf("wal: unknown op %d", rec.Op)
 	}
 	return rec, nil
 }
 
-func appendRecord(buf []byte, rec Record) ([]byte, error) {
-	if len(rec.ID) > 1<<16-1 || len(rec.DeviceID) > 1<<16-1 {
-		return buf, fmt.Errorf("wal: id too long for %q", rec.ID)
-	}
-	bodyLen := 8 + 1 + 2 + len(rec.ID)
+// AppendTo appends the record's body to w.
+func (rec Record) AppendTo(w *enc.Writer) error {
+	w.Uint64(rec.LSN)
+	w.Byte(rec.Op)
 	if rec.Op == OpEnroll {
-		bodyLen += 2 + len(rec.DeviceID) + 4 + len(rec.Template)
+		return w.Enrollment(rec.ID, rec.DeviceID, rec.Template)
 	}
-	if bodyLen > maxBody {
-		return buf, fmt.Errorf("wal: record for %q exceeds %d bytes", rec.ID, maxBody)
+	return w.String(rec.ID)
+}
+
+// appendFramed appends rec as the log stores it: body length, body
+// checksum, body.
+func appendFramed(w *enc.Writer, rec Record) error {
+	start := len(w.Buf)
+	w.Uint64(0) // length and checksum, patched below
+	if err := rec.AppendTo(w); err != nil {
+		w.Buf = w.Buf[:start]
+		return fmt.Errorf("wal: record for %q: %w", rec.ID, err)
 	}
-	start := len(buf)
-	var u16 [2]byte
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(bodyLen))
-	buf = append(buf, u32[:]...)
-	buf = append(buf, 0, 0, 0, 0) // crc placeholder
-	binary.BigEndian.PutUint64(u64[:], rec.LSN)
-	buf = append(buf, u64[:]...)
-	buf = append(buf, rec.Op)
-	binary.BigEndian.PutUint16(u16[:], uint16(len(rec.ID)))
-	buf = append(buf, u16[:]...)
-	buf = append(buf, rec.ID...)
-	if rec.Op == OpEnroll {
-		binary.BigEndian.PutUint16(u16[:], uint16(len(rec.DeviceID)))
-		buf = append(buf, u16[:]...)
-		buf = append(buf, rec.DeviceID...)
-		binary.BigEndian.PutUint32(u32[:], uint32(len(rec.Template)))
-		buf = append(buf, u32[:]...)
-		buf = append(buf, rec.Template...)
+	body := w.Buf[start+8:]
+	if len(body) > maxBody {
+		w.Buf = w.Buf[:start]
+		return fmt.Errorf("wal: record for %q exceeds %d bytes", rec.ID, maxBody)
 	}
-	body := buf[start+8:]
-	binary.BigEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(body))
-	return buf, nil
+	binary.BigEndian.PutUint32(w.Buf[start:], uint32(len(body)))
+	binary.BigEndian.PutUint32(w.Buf[start+4:], crc32.ChecksumIEEE(body))
+	return nil
 }
 
 // Append writes the records to the log in one write call, then fsyncs
@@ -304,18 +332,16 @@ func appendRecord(buf []byte, rec Record) ([]byte, error) {
 // if it tears partway through, recovery truncates back to the record
 // boundary before the batch's first torn record.
 func (l *Log) Append(sync bool, recs ...Record) error {
-	buf := l.buf[:0]
-	var err error
+	l.buf.Buf = l.buf.Buf[:0]
 	for _, rec := range recs {
-		if buf, err = appendRecord(buf, rec); err != nil {
+		if err := appendFramed(&l.buf, rec); err != nil {
 			return err
 		}
 	}
-	l.buf = buf[:0]
-	if _, err := l.f.Write(buf); err != nil {
+	if _, err := l.f.Write(l.buf.Buf); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(len(buf))
+	l.size += int64(len(l.buf.Buf))
 	if sync {
 		var t0 time.Time
 		if l.fsyncLat != nil {

@@ -57,19 +57,19 @@ func writeSnapshot(path string, lsn uint64, save func(io.Writer) error) error {
 // DecodeSnapshot parses a snapshot stream — the on-disk compaction
 // snapshot or the byte-identical capture SyncSnapshot ships to a
 // replica — into the LSN it covers and the gallery entries it holds.
-func DecodeSnapshot(r io.Reader) (lsn uint64, entries []gallery.Export, err error) {
-	var hdr [snapHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("wal: read snapshot header: %w", err)
+// The entries hold no reference to data.
+func DecodeSnapshot(data []byte) (lsn uint64, entries []gallery.Export, err error) {
+	if len(data) < snapHeaderSize {
+		return 0, nil, fmt.Errorf("wal: read snapshot header: %w", io.ErrUnexpectedEOF)
 	}
-	if [4]byte(hdr[:4]) != snapMagic {
+	if [4]byte(data[:4]) != snapMagic {
 		return 0, nil, ErrBadSnapshotFormat
 	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != snapVersion {
+	if v := binary.BigEndian.Uint16(data[4:6]); v != snapVersion {
 		return 0, nil, fmt.Errorf("wal: unsupported snapshot version %d", v)
 	}
-	lsn = binary.BigEndian.Uint64(hdr[6:])
-	entries, err = gallery.ReadEntries(r)
+	lsn = binary.BigEndian.Uint64(data[6:])
+	entries, err = gallery.ReadEntries(data[snapHeaderSize:])
 	if err != nil {
 		return 0, nil, fmt.Errorf("wal: snapshot gallery: %w", err)
 	}
@@ -78,15 +78,14 @@ func DecodeSnapshot(r io.Reader) (lsn uint64, entries []gallery.Export, err erro
 
 // readSnapshot loads the snapshot at path. A missing file is not an
 // error — it is simply an empty gallery at LSN 0, the state before the
-// first compaction.
+// first compaction. The file is read whole and dropped once decoded.
 func readSnapshot(path string) (lsn uint64, entries []gallery.Export, err error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return 0, nil, nil
 		}
-		return 0, nil, fmt.Errorf("wal: open snapshot %s: %w", path, err)
+		return 0, nil, fmt.Errorf("wal: read snapshot %s: %w", path, err)
 	}
-	defer f.Close()
-	return DecodeSnapshot(f)
+	return DecodeSnapshot(data)
 }

@@ -221,31 +221,7 @@ func (s *Store) LSN() uint64 {
 // policy. If the append fails the enrollment is rolled back, so memory
 // and log never diverge.
 func (s *Store) Enroll(id, deviceID string, tpl *minutiae.Template) error {
-	data, err := minutiae.Marshal(tpl)
-	if err != nil {
-		return fmt.Errorf("wal: enroll %q: %w", id, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("wal: enroll %q: store closed", id)
-	}
-	if err := s.Store.Enroll(id, deviceID, tpl); err != nil {
-		return err
-	}
-	rec := Record{LSN: s.lsn + 1, Op: OpEnroll, ID: id, DeviceID: deviceID, Template: data}
-	var t0 time.Time
-	if s.met != nil {
-		t0 = time.Now()
-	}
-	if err := s.log.Append(s.opt.Sync == SyncAlways, rec); err != nil {
-		s.Store.Remove(id)
-		return err
-	}
-	s.observeAppend(t0)
-	s.lsn++
-	s.noteMutations(1)
-	return nil
+	return s.EnrollBatch([]gallery.Export{{ID: id, DeviceID: deviceID, Template: tpl}})
 }
 
 // EnrollBatch applies every enrollment, then logs the whole batch with
@@ -261,21 +237,50 @@ func (s *Store) EnrollBatch(items []gallery.Export) error {
 		}
 		recs[i] = Record{Op: OpEnroll, ID: it.ID, DeviceID: it.DeviceID, Template: data}
 	}
+	return s.commit(recs, func() (func(), error) {
+		rollback := func(n int) {
+			for _, it := range items[:n] {
+				s.Store.Remove(it.ID)
+			}
+		}
+		for i, it := range items {
+			if err := s.Store.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
+				rollback(i)
+				return nil, err
+			}
+		}
+		return func() { rollback(len(items)) }, nil
+	})
+}
+
+// Remove applies the removal and appends it to the log, with the same
+// durability and rollback guarantees as Enroll.
+func (s *Store) Remove(id string) error {
+	return s.commit([]Record{{Op: OpRemove, ID: id}}, func() (func(), error) {
+		prev, _ := s.Store.Get(id)
+		if err := s.Store.Remove(id); err != nil {
+			return nil, err
+		}
+		return func() { s.Store.Enroll(prev.ID, prev.DeviceID, prev.Template) }, nil
+	})
+}
+
+// commit is the one mutation sequence: under the lock, apply changes
+// the in-memory gallery and returns how to undo that; recs, numbered
+// from the next LSN, are then appended under the sync policy. A failed
+// append undoes the change, so memory and log never diverge; a
+// successful one advances the LSN and the compaction counter.
+func (s *Store) commit(recs []Record, apply func() (undo func(), err error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return errors.New("wal: enroll batch: store closed")
+		return errors.New("wal: store closed")
 	}
-	rollback := func(n int) {
-		for i := 0; i < n; i++ {
-			s.Store.Remove(items[i].ID)
-		}
+	undo, err := apply()
+	if err != nil {
+		return err
 	}
-	for i, it := range items {
-		if err := s.Store.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
-			rollback(i)
-			return err
-		}
+	for i := range recs {
 		recs[i].LSN = s.lsn + uint64(i) + 1
 	}
 	var t0 time.Time
@@ -283,41 +288,12 @@ func (s *Store) EnrollBatch(items []gallery.Export) error {
 		t0 = time.Now()
 	}
 	if err := s.log.Append(s.opt.Sync == SyncAlways, recs...); err != nil {
-		rollback(len(items))
+		undo()
 		return err
 	}
 	s.observeAppend(t0)
-	s.lsn += uint64(len(items))
-	s.noteMutations(len(items))
-	return nil
-}
-
-// Remove applies the removal and appends it to the log, with the same
-// durability and rollback guarantees as Enroll.
-func (s *Store) Remove(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("wal: remove %q: store closed", id)
-	}
-	prev, had := s.Store.Get(id)
-	if err := s.Store.Remove(id); err != nil {
-		return err
-	}
-	rec := Record{LSN: s.lsn + 1, Op: OpRemove, ID: id}
-	var t0 time.Time
-	if s.met != nil {
-		t0 = time.Now()
-	}
-	if err := s.log.Append(s.opt.Sync == SyncAlways, rec); err != nil {
-		if had {
-			s.Store.Enroll(prev.ID, prev.DeviceID, prev.Template)
-		}
-		return err
-	}
-	s.observeAppend(t0)
-	s.lsn++
-	s.noteMutations(1)
+	s.lsn += uint64(len(recs))
+	s.noteMutations(len(recs))
 	return nil
 }
 

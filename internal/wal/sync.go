@@ -13,10 +13,8 @@ package wal
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -122,47 +120,28 @@ func (s *Store) SyncTail(afterLSN uint64, maxBytes int) (TailPage, error) {
 		return page, fmt.Errorf("wal: sync tail: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return page, fmt.Errorf("wal: sync tail header: %w", err)
+	lr, err := newLogReader(bufio.NewReaderSize(f, 64<<10))
+	if err != nil {
+		return page, fmt.Errorf("wal: sync tail: %w", err)
 	}
-	if [4]byte(hdr[:4]) != logMagic {
-		return page, ErrBadLogFormat
-	}
-	var (
-		prefix  [8]byte
-		bodyBuf []byte
-		budget  = maxBytes
-	)
-	for budget > 0 {
-		if _, err := io.ReadFull(br, prefix[:]); err != nil {
-			break // end of log (or a partial prefix the lock makes impossible)
+	for budget := int64(maxBytes); budget > 0; {
+		before := lr.off
+		rec, err := lr.next()
+		if err == io.EOF {
+			break
 		}
-		bodyLen := int(binary.BigEndian.Uint32(prefix[:4]))
-		sum := binary.BigEndian.Uint32(prefix[4:])
-		if bodyLen > maxBody {
-			return page, fmt.Errorf("wal: sync tail: implausible record of %d bytes", bodyLen)
-		}
-		if cap(bodyBuf) < bodyLen {
-			bodyBuf = make([]byte, bodyLen)
-		}
-		body := bodyBuf[:bodyLen]
-		if _, err := io.ReadFull(br, body); err != nil {
-			return page, fmt.Errorf("wal: sync tail body: %w", err)
-		}
-		if binary.BigEndian.Uint64(body) <= afterLSN {
-			continue // already applied on the replica; skip without decoding
-		}
-		if crc32.ChecksumIEEE(body) != sum {
-			return page, fmt.Errorf("wal: sync tail: record checksum mismatch")
-		}
-		rec, err := decodeRecord(body)
 		if err != nil {
-			return page, fmt.Errorf("wal: sync tail: %w", err)
+			// The lock rules out an append in flight, so anything but a
+			// clean end is damage — and a page that skipped it would hand
+			// the replica a history with a hole in it.
+			return TailPage{}, fmt.Errorf("wal: sync tail: %w", err)
 		}
+		if rec.LSN <= afterLSN {
+			continue // already applied on the replica
+		}
+		rec.Template = bytes.Clone(rec.Template) // the reader reuses its buffer
 		page.Records = append(page.Records, rec)
-		budget -= 8 + bodyLen
+		budget -= lr.off - before
 	}
 	return page, nil
 }

@@ -78,7 +78,7 @@ func TestSyncSnapshotRoundTrip(t *testing.T) {
 	if lsn != s.LSN() {
 		t.Fatalf("snapshot lsn %d, store lsn %d", lsn, s.LSN())
 	}
-	gotLSN, entries, err := DecodeSnapshot(bytes.NewReader(data))
+	gotLSN, entries, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSyncSnapshotRecapturesAfterMutation(t *testing.T) {
 	if lsn2 != lsn1+1 {
 		t.Fatalf("fresh capture at lsn %d, want %d", lsn2, lsn1+1)
 	}
-	_, entries, err := DecodeSnapshot(bytes.NewReader(data))
+	_, entries, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSnapshotPlusTailBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, entries, err := DecodeSnapshot(bytes.NewReader(data))
+	_, entries, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,4 +259,80 @@ func TestSnapshotPlusTailBootstrap(t *testing.T) {
 		t.Fatalf("applied through lsn %d, primary at %d", got, s.LSN())
 	}
 	wantSameEntries(t, replica, s.Store)
+}
+
+// TestSyncTailVerifiesBeforeTrusting damages the live log behind an
+// open store two ways that used to slip past the tail reader because it
+// read a record's LSN before checking its length or checksum: a length
+// prefix rotted below the 8 bytes of an LSN (a panic under the store's
+// lock), and an LSN rotted below the replica's cursor (the record
+// silently skipped, a page with a hole in it). Both must be errors.
+func TestSyncTailVerifiesBeforeTrusting(t *testing.T) {
+	fx := fixtures(t, 3)
+	for _, tc := range []struct {
+		name  string
+		after uint64
+		// damage returns where to write what, given record 2's offset.
+		damage func(second int64) (int64, []byte)
+	}{
+		{"length below the LSN field", 0, func(int64) (int64, []byte) {
+			return headerSize, []byte{0, 0, 0, 4}
+		}},
+		{"LSN below the cursor", 1, func(second int64) (int64, []byte) {
+			return second + 8, make([]byte, 8)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openStore(t, dir, Options{Sync: SyncNone})
+			defer s.Close()
+			var second int64
+			for i, e := range fx {
+				if err := s.Enroll(e.ID, e.DeviceID, e.Template); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					second = logSizeOnDisk(t, dir)
+				}
+			}
+			if page, err := s.SyncTail(tc.after, 0); err != nil || len(page.Records) != 3-int(tc.after) {
+				t.Fatalf("intact log: %d records, %v", len(page.Records), err)
+			}
+			off, b := tc.damage(second)
+			corruptLog(t, dir, off, b)
+			if page, err := s.SyncTail(tc.after, 0); err == nil {
+				t.Fatalf("damaged log served a page of %d records", len(page.Records))
+			}
+		})
+	}
+}
+
+// TestSyncTailBudgetCountsShippedRecords: the byte budget is for the
+// records a page ships, not for the ones it passes over to reach the
+// replica's cursor — or a replica deep into a long log would get one
+// record per round trip.
+func TestSyncTailBudgetCountsShippedRecords(t *testing.T) {
+	fx := fixtures(t, 8)
+	s := openStore(t, t.TempDir(), Options{Sync: SyncNone})
+	defer s.Close()
+	if err := s.EnrollBatch(fx); err != nil {
+		t.Fatal(err)
+	}
+	size, err := s.LogSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := int(size) / 2 // about four records' worth
+	fromStart, err := s.SyncTail(0, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromMiddle, err := s.SyncTail(4, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromStart.Records) < 3 || len(fromMiddle.Records) < 3 {
+		t.Fatalf("a four-record budget shipped %d records from the start, %d from LSN 4",
+			len(fromStart.Records), len(fromMiddle.Records))
+	}
 }

@@ -333,7 +333,7 @@ func insertionOrder(t *testing.T, s *Store) []string {
 	if err := s.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := gallery.ReadEntries(&buf)
+	entries, err := gallery.ReadEntries(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
