@@ -98,8 +98,7 @@ func TestChaosProxySmokeAgainstRealMatchd(t *testing.T) {
 				t.Fatalf("op %d: count = %d, want %d", i, n, preload)
 			}
 		case 2:
-			var has bool
-			if has, err = cli.Has(ctx, "subject-0000"); err == nil && !has {
+			if _, err = cli.Verify(ctx, "subject-0000", probe); errors.Is(err, gallery.ErrNotFound) {
 				t.Fatalf("op %d: preloaded subject missing", i)
 			}
 		case 3:

@@ -39,8 +39,8 @@
 // Replication: -replica-of ADDR runs this instance as a read replica of
 // a WAL-backed primary matchd at ADDR: it bootstraps from a snapshot
 // transfer, then continuously streams the primary's log tail (every
-// -replica-sync-interval, default 75ms), serving Verify/Identify/Has/
-// Scan from local state and refusing writes. Replica staleness is the
+// -replica-sync-interval, default 75ms), serving Verify/Identify/Len
+// from local state and refusing writes. Replica staleness is the
 // replica_lsn_lag gauge on /metrics. On a -shards front, -replicas
 // attaches those replicas to their primaries: semicolon-separated
 // groups in -shards order, each group a comma-separated address list

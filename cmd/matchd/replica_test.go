@@ -108,11 +108,7 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	// A replica serves the bootstrapped population the moment it
 	// listens — the initial sync gates serving.
 	for _, cli := range []*matchsvc.Client{r1, r2} {
-		ok, err := cli.Has(ctx, ids[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+		if !enrolled(t, ctx, cli, ids[0], tpls[0]) {
 			t.Fatal("replica listening before its bootstrap sync delivered the gallery")
 		}
 	}
@@ -127,11 +123,7 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	waitHas := func(cli *matchsvc.Client, id string) {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			ok, err := cli.Has(ctx, id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
+			if enrolled(t, ctx, cli, id, tpls[0]) {
 				return
 			}
 			if time.Now().After(deadline) {
@@ -147,7 +139,7 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	if err := r1.Enroll(ctx, "intruder", dev.ID, tpls[0]); !errors.Is(err, matchsvc.ErrReadOnly) {
 		t.Fatalf("replica accepted a write: %v", err)
 	}
-	if ok, _ := r1.Has(ctx, "intruder"); ok {
+	if enrolled(t, ctx, r1, "intruder", tpls[0]) {
 		t.Fatal("refused write still mutated the replica")
 	}
 	// A wire batch is one EnrollBatch call on the served backend; the

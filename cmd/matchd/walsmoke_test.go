@@ -11,6 +11,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -218,50 +219,38 @@ func TestKillNineRecoversAcknowledgedEnrollments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli2.Close()
+	// Audit the recovered set through the contract itself: Verify says
+	// present or ErrNotFound for every ID the test ever sent, and Len
+	// equal to the number found present means the store holds nothing
+	// else. The population may legitimately include one extra subject
+	// (logged durably, ack lost to the kill). Rank-1 identification is
+	// then held bit-identical to a reference store over that same set.
+	wasAcked := make(map[int]bool, len(acked))
 	for _, i := range acked {
-		ok, err := cli2.Has(ctx, ids[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("acknowledged enrollment %q lost across the crash", ids[i])
-		}
-	}
-
-	// The recovered population may legitimately include one extra
-	// subject (logged durably, ack lost to the kill). Page the exact
-	// recovered set out and hold rank-1 identification bit-identical to
-	// a reference store over that same set.
-	byID := make(map[string]*minutiae.Template, n)
-	for i := range ids {
-		byID[ids[i]] = tpls[i]
+		wasAcked[i] = true
 	}
 	ref := gallery.New(nil)
 	recovered := 0
-	after := ""
-	for {
-		page, err := cli2.Scan(ctx, after, 128)
-		if err != nil {
+	for i := range ids {
+		if !enrolled(t, ctx, cli2, ids[i], tpls[i]) {
+			if wasAcked[i] {
+				t.Fatalf("acknowledged enrollment %q lost across the crash", ids[i])
+			}
+			continue
+		}
+		if err := ref.Enroll(ids[i], dev.ID, tpls[i]); err != nil {
 			t.Fatal(err)
 		}
-		if len(page) == 0 {
-			break
-		}
-		after = page[len(page)-1].ID
-		for _, e := range page {
-			tpl, ok := byID[e.ID]
-			if !ok {
-				t.Fatalf("recovered unknown subject %q", e.ID)
-			}
-			if err := ref.Enroll(e.ID, e.DeviceID, tpl); err != nil {
-				t.Fatal(err)
-			}
-			recovered++
-		}
+		recovered++
 	}
-	if recovered < len(acked) || recovered > len(acked)+1 {
+	if recovered > len(acked)+1 {
 		t.Fatalf("recovered %d subjects; acknowledged %d (at most one in-flight extra allowed)",
 			recovered, len(acked))
+	}
+	if total, err := cli2.Len(ctx); err != nil {
+		t.Fatal(err)
+	} else if total != recovered {
+		t.Fatalf("recovered store holds %d subjects, %d of them known: it recovered subjects nobody enrolled", total, recovered)
 	}
 	for pi, probe := range probes {
 		got, _, err := cli2.IdentifyEx(ctx, probe, 1)
@@ -280,6 +269,19 @@ func TestKillNineRecoversAcknowledgedEnrollments(t *testing.T) {
 				pi, got[0].ID, got[0].Score, want[0].ID, want[0].Score)
 		}
 	}
+}
+
+// enrolled reports whether the server holds id, asked the only way the
+// contract allows: a Verify that answers (any score — the probe need
+// not be a mate) means present, ErrNotFound means absent, anything else
+// fails the test.
+func enrolled(t *testing.T, ctx context.Context, cli *matchsvc.Client, id string, probe *minutiae.Template) bool {
+	t.Helper()
+	_, err := cli.Verify(ctx, id, probe)
+	if err != nil && !errors.Is(err, gallery.ErrNotFound) {
+		t.Fatal(err)
+	}
+	return err == nil
 }
 
 // TestWALFlagValidation pins the flag applicability rules without

@@ -19,8 +19,6 @@ type nopBackend struct{}
 func (nopBackend) Enroll(context.Context, string, string, *Template) error { return nil }
 func (nopBackend) EnrollBatch(context.Context, []Enrollment) error         { return nil }
 func (nopBackend) Remove(context.Context, string) error                    { return nil }
-func (nopBackend) Has(context.Context, string) (bool, error)               { return false, nil }
-func (nopBackend) Scan(context.Context, string, int) ([]Enrollment, error) { return nil, nil }
 func (nopBackend) Verify(context.Context, string, *Template) (MatchResult, error) {
 	return MatchResult{}, nil
 }

@@ -6,7 +6,7 @@
 //	2  device-id length, device-id bytes
 //	4  template length, template bytes (minutiae codec)
 //
-// which the wire protocol (matchsvc: enroll, batch and scan items), the
+// which the wire protocol (matchsvc: enroll and batch items), the
 // write-ahead log record and replica sync page (wal) and the FPGD
 // template-set stream (gallery) all carry. Writer and Reader are the
 // one append cursor and the one bounds-checked read cursor those

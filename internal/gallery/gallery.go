@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -153,9 +152,7 @@ func (s *Store) EnrollBatch(items []Export) error {
 	return nil
 }
 
-// Has reports whether id is enrolled. Sharded routers use it as the
-// duplicate guard on keys whose ownership is mid-migration, where the
-// authoritative copy may still live on the outgoing shard.
+// Has reports whether id is enrolled.
 func (s *Store) Has(id string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -176,43 +173,13 @@ func (s *Store) Get(id string) (Export, bool) {
 }
 
 // Export is one enrollment lifted out of the store: the bulk-transfer
-// unit shared by persistence (ReadEntries/ReplaceAll), WAL recovery,
-// and shard migration. The template is the store's own (or destined to
+// unit shared by persistence (ReadEntries/ReplaceAll), WAL recovery
+// and batch enrollment. The template is the store's own (or destined to
 // become it); holders must not mutate it.
 type Export struct {
 	ID       string
 	DeviceID string
 	Template *minutiae.Template
-}
-
-// Scan returns up to max enrollments whose ID sorts strictly after
-// afterID, in lexicographic ID order. The ID-based cursor is stable
-// under concurrent mutation — an entry enrolled or removed mid-scan
-// can be seen or missed, but never causes another entry to be skipped
-// or repeated — which is what the shard rebalancer's streaming copy
-// needs while the store keeps serving. max <= 0 returns nothing.
-func (s *Store) Scan(afterID string, max int) []Export {
-	if max <= 0 {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]string, 0, len(s.order))
-	for _, id := range s.order {
-		if id > afterID {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	if len(ids) > max {
-		ids = ids[:max]
-	}
-	out := make([]Export, len(ids))
-	for i, id := range ids {
-		e := s.entries[id]
-		out[i] = Export{ID: e.ID, DeviceID: e.DeviceID, Template: e.Template}
-	}
-	return out
 }
 
 // Remove deletes an enrollment.

@@ -30,8 +30,8 @@ var (
 const storeVersion = 1
 
 // AppendTo appends the enrollment to w as one tuple, the template in
-// the minutiae codec: an FPGD entry, and the item of the wire's enroll,
-// batch and scan messages.
+// the minutiae codec: an FPGD entry, and the item of the wire's enroll
+// and batch messages.
 func (e Export) AppendTo(w *enc.Writer) error {
 	data, err := minutiae.Marshal(e.Template)
 	if err != nil {
@@ -116,7 +116,7 @@ func ReadEntries(data []byte) ([]Export, error) {
 // retrieval index (when enabled) is rebuilt exactly once, instead of
 // re-deriving both per record the way replaying a log through Enroll
 // would. The store takes ownership of the templates — they come from a
-// decode or a migration stream, so the defensive clone Enroll performs
+// decode or a replica sync stream, so the defensive clone Enroll performs
 // is skipped. On error the store is left untouched.
 func (s *Store) ReplaceAll(entries []Export) error {
 	seen := make(map[string]bool, len(entries))

@@ -27,16 +27,6 @@ type Backend interface {
 	// a failure may leave a prefix of the batch enrolled.
 	EnrollBatch(ctx context.Context, items []Enrollment) error
 	Remove(ctx context.Context, id string) error
-	// Has reports whether id is enrolled. The shard router uses it as
-	// the duplicate guard and read director for keys whose ownership is
-	// mid-migration.
-	Has(ctx context.Context, id string) (bool, error)
-	// Scan returns up to max enrollments whose ID sorts strictly after
-	// afterID, in ID order; an empty page ends the scan. May return
-	// fewer than max (remote backends respect the frame cap), so callers
-	// page by cursor, not by count. The rebalancer streams a shard's
-	// ring-moved subjects out with it while the shard keeps serving.
-	Scan(ctx context.Context, afterID string, max int) ([]gallery.Export, error)
 	Verify(ctx context.Context, id string, probe *minutiae.Template) (match.Result, error)
 	IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error)
 	// Len returns the enrollment count; the error reports an
@@ -53,8 +43,6 @@ type Store interface {
 	Enroll(id, deviceID string, tpl *minutiae.Template) error
 	EnrollBatch(items []gallery.Export) error
 	Remove(id string) error
-	Has(id string) bool
-	Scan(afterID string, max int) []gallery.Export
 	VerifyContext(ctx context.Context, id string, probe *minutiae.Template) (match.Result, error)
 	IdentifyDetailedContext(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error)
 	Len() int
@@ -86,20 +74,6 @@ func (l Local) Remove(ctx context.Context, id string) error {
 		return err
 	}
 	return l.Store.Remove(id)
-}
-
-func (l Local) Has(ctx context.Context, id string) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return l.Store.Has(id), nil
-}
-
-func (l Local) Scan(ctx context.Context, afterID string, max int) ([]gallery.Export, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.Store.Scan(afterID, max), nil
 }
 
 func (l Local) Verify(ctx context.Context, id string, probe *minutiae.Template) (match.Result, error) {

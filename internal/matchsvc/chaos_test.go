@@ -165,11 +165,12 @@ func TestChaosSeededFaultsZeroLostOrMisanswered(t *testing.T) {
 						}
 					}
 				case pick < 75:
+					// Presence through the contract: any probe will do, only
+					// ErrNotFound would be a wrong answer.
 					idx := r.Intn(baseline)
-					var ok bool
-					ok, err = cli.Has(octx, ids[idx])
-					if err == nil && !ok {
-						fatal("MIS-ANSWER: has %s = false for an enrolled id", ids[idx])
+					_, err = cli.Verify(octx, ids[idx], probes[0])
+					if errors.Is(err, gallery.ErrNotFound) {
+						fatal("MIS-ANSWER: verify says enrolled id %s is unknown", ids[idx])
 					}
 				case pick < 85:
 					var n int
@@ -234,13 +235,11 @@ func TestChaosSeededFaultsZeroLostOrMisanswered(t *testing.T) {
 	}
 	// Every acknowledged enrollment must have survived.
 	acked.Range(func(k, _ any) bool {
-		ok, err := cli.Has(rctx, k.(string))
-		if err != nil {
-			t.Fatalf("has %s after chaos: %v", k, err)
-			return false
-		}
-		if !ok {
+		_, err := cli.Verify(rctx, k.(string), probes[0])
+		if errors.Is(err, gallery.ErrNotFound) {
 			t.Errorf("LOST ACK: enroll %s was acknowledged but is gone", k)
+		} else if err != nil {
+			t.Fatalf("verify %s after chaos: %v", k, err)
 		}
 		return true
 	})

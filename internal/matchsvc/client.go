@@ -459,49 +459,6 @@ func decodeCandidates(r *enc.Reader) ([]gallery.Candidate, error) {
 	return out, r.Err()
 }
 
-// Has reports whether id is enrolled on the server.
-func (c *Client) Has(ctx context.Context, id string) (bool, error) {
-	fs := acquireFrameScratch()
-	defer releaseFrameScratch(fs)
-	if err := fs.w.String(id); err != nil {
-		return false, err
-	}
-	var v uint32
-	err := c.roundTripIdem(ctx, OpHas, fs.w.Buf, func(r *enc.Reader) error {
-		v = r.Uint32()
-		return r.Err()
-	})
-	return v != 0, err
-}
-
-// Scan returns up to max enrollments whose ID sorts strictly after
-// afterID, in ID order. The server may return fewer than max to respect
-// the frame cap; callers page by passing the last returned ID as the
-// next afterID, and an empty page means the scan is complete.
-func (c *Client) Scan(ctx context.Context, afterID string, max int) ([]gallery.Export, error) {
-	fs := acquireFrameScratch()
-	defer releaseFrameScratch(fs)
-	if err := fs.w.String(afterID); err != nil {
-		return nil, err
-	}
-	fs.w.Uint32(uint32(max))
-	var out []gallery.Export
-	err := c.roundTripIdem(ctx, OpScan, fs.w.Buf, func(r *enc.Reader) error {
-		out = make([]gallery.Export, r.Count(enc.EnrollmentMinSize))
-		for i := range out {
-			var derr error
-			if out[i], derr = gallery.DecodeExport(r); derr != nil {
-				return derr
-			}
-		}
-		return r.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Remove deletes an enrollment.
 func (c *Client) Remove(ctx context.Context, id string) error {
 	fs := acquireFrameScratch()

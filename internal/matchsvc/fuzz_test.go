@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,22 +32,99 @@ func TestReadFrameNeverPanics(t *testing.T) {
 	}
 }
 
-// dispatch must never panic on arbitrary payloads for any opcode.
-func TestDispatchNeverPanics(t *testing.T) {
-	srv := NewServer(nil, nil)
-	f := func(op byte, payload []byte) bool {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("dispatch(0x%02x) panicked: %v", op, r)
-			}
-		}()
+// retiredOpcodes are the request opcodes earlier protocol revisions
+// assigned and this one refuses: 0x05 (identify without statistics),
+// 0x0A (scan) and 0x0B (has). The numbers are never reused.
+var retiredOpcodes = []byte{0x05, 0x0A, 0x0B}
+
+// FuzzDispatch drives the server's request decoder — every opcode over
+// arbitrary bodies — against a populated, WAL-backed store (so the two
+// sync ops decode too). It must never panic and must always answer a
+// defined status; a retired opcode must additionally answer the
+// unknown-opcode error without reaching the backend, whatever its body.
+// Seeds: one valid body per opcode in use, the bodies the retired
+// opcodes used to carry, truncations of each, and the random
+// (opcode, payload) pairs that used to be a quick.Check beside this
+// target.
+func FuzzDispatch(f *testing.F) {
+	fx := pinFixture()
+	body := func(build func(w *enc.Writer) error) []byte {
 		var w enc.Writer
-		status, _ := srv.dispatch(context.Background(), op, payload, &w)
-		return status <= StatusSnapshotExpired
+		if err := build(&w); err != nil {
+			f.Fatal(err)
+		}
+		return w.Buf
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	seeds := []struct {
+		op   byte
+		body []byte
+	}{
+		{OpPing, nil},
+		{OpMatch, body(func(w *enc.Writer) error {
+			if err := putTemplate(w, fx[0].Template); err != nil {
+				return err
+			}
+			return putTemplate(w, fx[1].Template)
+		})},
+		{OpEnroll, body(gallery.Export{ID: "dave", DeviceID: "D0", Template: fx[0].Template}.AppendTo)},
+		{OpVerify, body(func(w *enc.Writer) error {
+			if err := w.String("alice"); err != nil {
+				return err
+			}
+			return putTemplate(w, fx[0].Template)
+		})},
+		{OpRemove, body(func(w *enc.Writer) error { return w.String("carol") })},
+		{OpCount, nil},
+		{OpIdentifyEx, body(func(w *enc.Writer) error {
+			w.Uint32(2)
+			return putTemplate(w, fx[2].Template)
+		})},
+		{OpEnrollBatch, body(func(w *enc.Writer) error {
+			w.Uint32(2)
+			if err := (gallery.Export{ID: "erin", DeviceID: "D1", Template: fx[1].Template}).AppendTo(w); err != nil {
+				return err
+			}
+			return gallery.Export{ID: "alice", DeviceID: "D2", Template: fx[2].Template}.AppendTo(w) // a duplicate
+		})},
+		{OpStats, nil},
+		{OpHello, helloVersion[:]}, // a second hello is just another unknown opcode
+		{OpSyncSnapshot, body(func(w *enc.Writer) error { w.Uint64(0); w.Uint64(0); w.Uint32(64); return nil })},
+		{OpSyncTail, body(func(w *enc.Writer) error { w.Uint64(3); w.Uint32(0); return nil })},
+		{0x05, body(func(w *enc.Writer) error { w.Uint32(2); return putTemplate(w, fx[2].Template) })},
+		{0x0A, []byte{0, 0, 0, 0, 0, 10}}, // afterID "", max 10
+		{0x0B, body(func(w *enc.Writer) error { return w.String("alice") })},
 	}
+	for _, sd := range seeds {
+		f.Add(sd.op, sd.body)
+		if n := len(sd.body); n > 0 {
+			f.Add(sd.op, sd.body[:n-1])
+			f.Add(sd.op, sd.body[:n/2])
+		}
+	}
+	rnd := rand.New(rand.NewSource(2013))
+	for i := 0; i < 300; i++ {
+		payload := make([]byte, rnd.Intn(50))
+		rnd.Read(payload)
+		f.Add(byte(rnd.Intn(256)), payload)
+	}
+
+	srv := NewServer(pinWALStore(f), nil)
+	// Any backend call on this one dereferences a nil interface.
+	unreachable := NewBackendServer(struct{ Backend }{}, nil)
+	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
+		var w enc.Writer
+		if status, _ := srv.dispatch(context.Background(), op, payload, &w); status > StatusSnapshotExpired {
+			t.Fatalf("dispatch(0x%02x) answered undefined status 0x%02x", op, status)
+		}
+		if bytes.IndexByte(retiredOpcodes, op) < 0 {
+			return
+		}
+		w.Buf = w.Buf[:0]
+		status, resp := unreachable.dispatch(context.Background(), op, payload, &w)
+		if err := decodeResponse(status, resp, nil); status != StatusError || !strings.Contains(err.Error(), "unknown opcode") {
+			t.Fatalf("retired opcode 0x%02x answered status 0x%02x: %v", op, status, err)
+		}
+	})
 }
 
 // sealFrame returns the enveloped payload (everything after the 5-byte

@@ -22,8 +22,6 @@ var opLabels = [OpHello + 1]string{
 	OpCount:       "count",
 	OpIdentifyEx:  "identify_ex",
 	OpEnrollBatch: "enroll_batch",
-	OpScan:        "scan",
-	OpHas:         "has",
 	OpStats:       "stats",
 	OpHello:       "hello",
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"testing"
 
 	"fpinterop/internal/gallery"
@@ -31,11 +32,11 @@ func pinFixture() []gallery.Export {
 	return out
 }
 
-// rawCall speaks the protocol by hand — hello, one enveloped request,
-// one response — against a server over store and returns the response
-// body, so a pin sees exactly the bytes a peer built from another
-// commit would.
-func rawCall(t *testing.T, store Store, op byte, body []byte) []byte {
+// rawDial speaks the protocol by hand — a hello, then one enveloped
+// request and one response per call on the same connection — against a
+// server over store, so a pin sees exactly the bytes a peer built from
+// another commit would.
+func rawDial(t *testing.T, store Store) (call func(op byte, body []byte) (status byte, resp []byte)) {
 	t.Helper()
 	srv := NewServer(store, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -45,35 +46,51 @@ func rawCall(t *testing.T, store Store, op byte, body []byte) []byte {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ctx) }()
-	defer func() {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		conn.Close()
 		cancel()
 		srv.Close()
 		if err := <-done; err != nil {
 			t.Errorf("serve: %v", err)
 		}
-	}()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	})
 	if err := writeFrame(conn, OpHello, helloVersion[:]); err != nil {
 		t.Fatal(err)
 	}
 	if status, _, err := readFrame(conn); err != nil || status != StatusOK {
 		t.Fatalf("hello: status 0x%02x, %v", status, err)
 	}
-	var hdr [muxFrameHdrSize]byte
-	if err := writeMuxFrame(conn, op, 7, 0, body, &hdr); err != nil {
-		t.Fatal(err)
+	var next uint64
+	return func(op byte, body []byte) (byte, []byte) {
+		t.Helper()
+		next++
+		var hdr [muxFrameHdrSize]byte
+		if err := writeMuxFrame(conn, op, next, 0, body, &hdr); err != nil {
+			t.Fatal(err)
+		}
+		status, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, resp, err := openMuxEnvelope(status, payload)
+		if err != nil || id != next {
+			t.Fatalf("response to request %d: status 0x%02x id %d: %v", next, status, id, err)
+		}
+		return status, resp
 	}
-	status, payload, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, resp, err := openMuxEnvelope(status, payload)
-	if err != nil || status != StatusOK || id != 7 {
-		t.Fatalf("response: status 0x%02x id %d: %v", status, id, err)
+}
+
+// rawCall is one request on a fresh rawDial connection that must
+// succeed; it returns the response body.
+func rawCall(t *testing.T, store Store, op byte, body []byte) []byte {
+	t.Helper()
+	status, resp := rawDial(t, store)(op, body)
+	if status != StatusOK {
+		t.Fatalf("opcode 0x%02x: status 0x%02x: %q", op, status, resp)
 	}
 	return resp
 }
@@ -98,20 +115,10 @@ func checkPin(t *testing.T, path string, got []byte) {
 	}
 }
 
-// TestFormatPinScanResponse pins the OpScan page for the fixture.
-func TestFormatPinScanResponse(t *testing.T) {
-	store := gallery.New(nil)
-	if err := store.EnrollBatch(pinFixture()); err != nil {
-		t.Fatal(err)
-	}
-	// afterID "" (uint16 length 0), max 10.
-	checkPin(t, "testdata/opscan.body", rawCall(t, store, OpScan, []byte{0, 0, 0, 0, 0, 10}))
-}
-
 // pinWALStore replays wal's pinned history (internal/wal/pin_test.go):
 // the fixture at LSNs 1-3, then enroll, remove and a two-item batch at
 // LSNs 4-7.
-func pinWALStore(t *testing.T) *wal.Store {
+func pinWALStore(t testing.TB) *wal.Store {
 	t.Helper()
 	fx := pinFixture()
 	ws, err := wal.Open(t.TempDir(), gallery.New(nil), wal.Options{})
@@ -146,11 +153,11 @@ func TestFormatPinSyncTailResponse(t *testing.T) {
 	checkPin(t, "testdata/opsynctail.body", rawCall(t, pinWALStore(t), OpSyncTail, req))
 }
 
-// TestClientReadsParentBuiltPages is the other direction of the two
-// pins above: a client built from this tree, facing a peer that sends
-// the golden (parent-built) page bodies, must decode them into the
-// pinned history — a replica of this commit can follow a primary of the
-// last one, as a rebalancer can scan one.
+// TestClientReadsParentBuiltPages is the other direction of the pin
+// above: a client built from this tree, facing a peer that sends the
+// golden (parent-built) page body, must decode it into the pinned
+// history — a replica of this commit can follow a primary of the last
+// one.
 func TestClientReadsParentBuiltPages(t *testing.T) {
 	golden := func(name string) string {
 		body, err := os.ReadFile("testdata/" + name)
@@ -169,17 +176,6 @@ func TestClientReadsParentBuiltPages(t *testing.T) {
 	fx := pinFixture()
 	ctx := context.Background()
 
-	exports, err := dialFake(t, golden("opscan.body")).Scan(ctx, "", 10)
-	if err != nil || len(exports) != len(fx) {
-		t.Fatalf("scan page: %d items, %v", len(exports), err)
-	}
-	for i, want := range fx {
-		got := exports[i]
-		if got.ID != want.ID || got.DeviceID != want.DeviceID || !bytes.Equal(tplBytes(got.Template), tplBytes(want.Template)) {
-			t.Fatalf("scan item %d decoded as %q/%q", i, got.ID, got.DeviceID)
-		}
-	}
-
 	page, err := dialFake(t, golden("opsynctail.body")).SyncTail(ctx, 3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +193,30 @@ func TestClientReadsParentBuiltPages(t *testing.T) {
 		got := page.Records[i]
 		if got.LSN != w.LSN || got.Op != w.Op || got.ID != w.ID || got.DeviceID != w.DeviceID || !bytes.Equal(got.Template, w.Template) {
 			t.Fatalf("tail record %d decoded as %+v, want %+v", i, got, w)
+		}
+	}
+}
+
+// TestRetiredOpcodesAnswerUnknown pins how a negotiated connection
+// treats the opcodes earlier revisions assigned: each gets the
+// unknown-opcode error under the plain error status, not a dropped
+// connection — the very next request on the same connection is served.
+func TestRetiredOpcodesAnswerUnknown(t *testing.T) {
+	store := gallery.New(nil)
+	if err := store.EnrollBatch(pinFixture()); err != nil {
+		t.Fatal(err)
+	}
+	call := rawDial(t, store)
+	for _, op := range retiredOpcodes {
+		// The body a has request carried: uint16 length 5, "alice".
+		status, resp := call(op, []byte{0, 5, 'a', 'l', 'i', 'c', 'e'})
+		err := decodeResponse(status, resp, nil)
+		if status != StatusError || !strings.Contains(err.Error(), fmt.Sprintf("unknown opcode 0x%02x", op)) {
+			t.Fatalf("opcode 0x%02x: status 0x%02x, %v", op, status, err)
+		}
+		status, resp = call(OpCount, nil)
+		if status != StatusOK || !bytes.Equal(resp, []byte{0, 0, 0, 3}) {
+			t.Fatalf("count after opcode 0x%02x: status 0x%02x, body %x", op, status, resp)
 		}
 	}
 }

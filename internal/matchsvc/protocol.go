@@ -17,7 +17,7 @@
 // CRC — see muxEnvelopeSize). Payloads are written and read with
 // package enc: strings are uint16-length-prefixed UTF-8, templates the
 // minutiae binary codec under a uint32 length, and an enrollment item
-// (OpEnroll, OpEnrollBatch, OpScan) is enc's enrollment tuple. Frames
+// (OpEnroll, OpEnrollBatch) is enc's enrollment tuple. Frames
 // are capped at 1 MiB.
 //
 // The server side dispatches onto one ctx-first contract, Backend
@@ -69,16 +69,11 @@ const (
 	// at all, and a router front lands whole per-shard groups in
 	// parallel and names the failing shard in the error.
 	OpEnrollBatch = 0x09
-	// OpScan pages through enrollments in ID order for shard migration:
-	// the request carries a cursor (exclusive lower bound on ID) and a
-	// uint32 max. The response holds uint32 count then one enrollment
-	// tuple per item; the server may return fewer than max to
-	// respect the frame cap, and an empty page means the scan is done.
-	OpScan = 0x0A
-	// OpHas asks whether an ID is enrolled: string id in, uint32 0/1
-	// out. Routers use it as the duplicate guard on keys whose
-	// ownership is mid-migration.
-	OpHas = 0x0B
+	// 0x0A (scan: page through enrollments in ID order) and 0x0B (has:
+	// is this ID enrolled) served online resharding only and are
+	// retired with it, like 0x05: the numbers stay unused, and a server
+	// answers them with its unknown-opcode error.
+
 	// OpStats returns a service-level summary (see ServiceStats): uint32
 	// enrollments, uint32 shards, uint32 degraded-shard count then that
 	// many strings, uint32 indexed 0/1, uint32 has-WAL 0/1 and, when
@@ -148,9 +143,9 @@ const (
 // maxFrame bounds a frame payload (1 MiB — a template is ≤ ~32 KiB).
 const maxFrame = 1 << 20
 
-// scanBudget leaves headroom under the frame cap for a scan response's
-// count prefix and per-item framing.
-const scanBudget = maxFrame - 4096
+// pageBudget leaves headroom under the frame cap for a paged
+// response's fixed fields, count prefix and per-item framing.
+const pageBudget = maxFrame - 4096
 
 var (
 	// ErrFrameTooLarge reports an oversized frame.

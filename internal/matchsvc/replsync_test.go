@@ -5,6 +5,7 @@ package matchsvc
 // WAL behind them.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -142,14 +143,19 @@ func TestSyncTailOverWire(t *testing.T) {
 			}
 		}
 	}
-	got, want := replica.Scan("", 1<<20), ws.Scan("", 1<<20)
-	if len(got) != len(want) {
-		t.Fatalf("replica holds %d entries, primary %d", len(got), len(want))
+	// Snapshot order is the primary's insertion order and the tail
+	// replays its mutations in LSN order, so the replica's serialized
+	// contents equal the primary's byte for byte.
+	var got, want bytes.Buffer
+	if err := replica.SaveTo(&got); err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		if got[i].ID != want[i].ID {
-			t.Fatalf("entry %d: %q vs %q", i, got[i].ID, want[i].ID)
-		}
+	if err := ws.SaveTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("replica holds %d entries in %d bytes, primary %d in %d, and they differ",
+			replica.Len(), got.Len(), ws.Len(), want.Len())
 	}
 
 	// After compaction, a cursor below the compaction LSN is told to

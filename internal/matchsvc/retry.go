@@ -14,8 +14,8 @@ import (
 )
 
 // Retry configures transparent retries of idempotent operations
-// (Ping, Verify, Identify, Has, Scan, Count, ServiceStats) after
-// transport failures.
+// (Ping, Verify, Identify, Count, ServiceStats and the replica sync
+// reads) after transport failures.
 type Retry struct {
 	// Attempts is the total number of tries, including the first;
 	// values below 2 disable retries.

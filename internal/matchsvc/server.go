@@ -408,38 +408,6 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 		}
 		return StatusOK, w.Buf
 
-	case OpHas:
-		id := r.String()
-		if err := r.Err(); err != nil {
-			return fail(err)
-		}
-		has, err := s.backend.Has(ctx, id)
-		if err != nil {
-			return fail(err)
-		}
-		v := uint32(0)
-		if has {
-			v = 1
-		}
-		w.Uint32(v)
-		return StatusOK, w.Buf
-
-	case OpScan:
-		afterID, max := r.String(), r.Uint32()
-		if err := r.Err(); err != nil {
-			return fail(err)
-		}
-		exports, err := s.backend.Scan(ctx, afterID, int(max))
-		if err != nil {
-			return fail(err)
-		}
-		if err := packPage(w, len(exports), func(i int) (string, error) {
-			return exports[i].ID, exports[i].AppendTo(w)
-		}); err != nil {
-			return fail(err)
-		}
-		return StatusOK, w.Buf
-
 	case OpSyncSnapshot:
 		if s.sync == nil {
 			return fail(errNoSync)
@@ -456,8 +424,8 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 			return fail(fmt.Errorf("matchsvc: snapshot offset %d beyond %d-byte stream", offset, len(data)))
 		}
 		max := int(maxBytes)
-		if max <= 0 || max > scanBudget {
-			max = scanBudget
+		if max <= 0 || max > pageBudget {
+			max = pageBudget
 		}
 		chunk := data[offset:]
 		if len(chunk) > max {
@@ -477,8 +445,8 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 			return fail(err)
 		}
 		max := int(maxBytes)
-		if max <= 0 || max > scanBudget {
-			max = scanBudget
+		if max <= 0 || max > pageBudget {
+			max = pageBudget
 		}
 		page, err := s.sync.SyncTail(afterLSN, max)
 		if err != nil {
@@ -520,7 +488,7 @@ func packPage(w *enc.Writer, n int, put func(i int) (id string, err error)) erro
 		if err != nil {
 			return err
 		}
-		if len(w.Buf) > scanBudget {
+		if len(w.Buf) > pageBudget {
 			if count == 0 {
 				return fmt.Errorf("matchsvc: page item %q exceeds frame budget", id)
 			}

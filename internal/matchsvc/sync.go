@@ -3,7 +3,7 @@ package matchsvc
 // Client side of the replica sync path: chunked snapshot transfer plus
 // WAL tail streaming (OpSyncSnapshot / OpSyncTail). Both ops are
 // idempotent reads of the primary's history, so they ride the
-// idempotent retry path like Scan does.
+// idempotent retry path.
 
 import (
 	"context"

@@ -192,7 +192,7 @@ func (f *Follower) Run(ctx context.Context) {
 
 // ReadOnlyGallery is a replica's local gallery as a matchsvc.Store with
 // every write refused: a replica-mode server answers Verify/Identify/
-// Has/Scan/Len from local state and tells writers to go to the primary.
+// Len from local state and tells writers to go to the primary.
 // All three mutating methods are overridden — one left promoted from
 // the embedded store would let a wire write fork the replica from its
 // primary's log.

@@ -1,9 +1,11 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -102,11 +104,28 @@ func openPrimary(t *testing.T) *wal.Store {
 	return ws
 }
 
+// sortedExports lifts a store's whole contents out through its own
+// serialization (SaveTo, read back with ReadEntries), ordered by ID so
+// two stores filled in different orders compare entry for entry.
+func sortedExports(t testing.TB, s *gallery.Store) []gallery.Export {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out, err := gallery.ReadEntries(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	return out
+}
+
 // wantMirror fails unless the replica gallery holds exactly the
 // primary's entries, templates byte-identical.
 func wantMirror(t *testing.T, replica *gallery.Store, ws *wal.Store) {
 	t.Helper()
-	got, want := replica.Scan("", 1<<20), ws.Scan("", 1<<20)
+	got, want := sortedExports(t, replica), sortedExports(t, ws.Store)
 	if len(got) != len(want) {
 		t.Fatalf("replica holds %d entries, primary %d", len(got), len(want))
 	}

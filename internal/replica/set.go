@@ -59,12 +59,9 @@ type member struct {
 // primary; the rest are read replicas.
 type Set struct {
 	// The primary, embedded: Enroll, EnrollBatch and Remove are its own
-	// methods, so its WAL ack discipline is the set's. So are Has and
-	// Scan — the router's duplicate guard during migration and the
-	// rebalancer's stream — because only the primary's answer is
-	// authoritative: a lagging replica saying "no" could admit a
-	// duplicate enrollment. Reads that can be balanced are overridden
-	// below.
+	// methods, so its WAL ack discipline is the set's. The reads are
+	// overridden below: Verify and IdentifyDetailed balance across
+	// members, Len probes them all.
 	shard.Backend
 	name    string
 	members []*member

@@ -45,12 +45,6 @@ func (f *fakeBackend) Remove(ctx context.Context, id string) error {
 	return nil
 }
 
-func (f *fakeBackend) Has(ctx context.Context, id string) (bool, error) { return false, nil }
-
-func (f *fakeBackend) Scan(ctx context.Context, afterID string, max int) ([]gallery.Export, error) {
-	return nil, nil
-}
-
 func (f *fakeBackend) Verify(ctx context.Context, id string, probe *minutiae.Template) (match.Result, error) {
 	f.verifies.Add(1)
 	if f.failing.Load() {

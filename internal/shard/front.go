@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/minutiae"
@@ -33,8 +32,6 @@ type Front struct {
 	*Router
 }
 
-var errFrontOp = errors.New("shard: has and scan address one shard; a router front spans many")
-
 func (f Front) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
 	cands, st, err := f.Router.IdentifyDetailed(ctx, probe, k)
 	return cands, st.Fold(), err
@@ -45,10 +42,4 @@ func (f Front) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k
 func (f Front) Len(ctx context.Context) (int, error) {
 	n := f.Router.Len(ctx)
 	return n, ctx.Err()
-}
-
-func (f Front) Has(context.Context, string) (bool, error) { return false, errFrontOp }
-
-func (f Front) Scan(context.Context, string, int) ([]gallery.Export, error) {
-	return nil, errFrontOp
 }

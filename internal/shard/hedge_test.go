@@ -258,7 +258,7 @@ func TestHedgeDelayAdaptsToObservedP95(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := r.topo().health[0]
+	h := r.health[0]
 	if h.met == nil {
 		t.Fatal("metered router should anchor shard metrics on health")
 	}

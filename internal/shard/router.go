@@ -32,9 +32,11 @@ var (
 	ErrDuplicateName = errors.New("shard: duplicate backend name")
 	// ErrShardTimeout reports a shard that missed the per-shard deadline.
 	ErrShardTimeout = errors.New("shard: shard deadline exceeded")
-	// ErrDegraded reports an operation routed to a degraded shard (or,
-	// under FailClosed, an identification attempted while any shard is
-	// degraded).
+	// ErrDegraded reports an identification refused under FailClosed
+	// because a shard is degraded. Nothing else returns it: single-key
+	// operations always go to their owner, whatever its standing (the
+	// attempt is what readmits a recovered shard), and SkipDegraded
+	// serves around the shard instead.
 	ErrDegraded = errors.New("shard: backend degraded")
 )
 
@@ -94,40 +96,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// health is one backend's consecutive-failure state. It also anchors
-// the shard's metric handles (nil on an unmetered router): request
-// paths already snapshot the health slice, so the handles inherit its
-// replaced-on-write lifecycle.
+// health is one backend's consecutive-failure state plus the shard's
+// metric handles (nil on an unmetered router).
 type health struct {
 	Health
 	met *shardMetrics
 }
 
-func (r *Router) newHealth(name string) *health {
-	return &health{
-		Health: Health{Threshold: int32(r.opt.FailureThreshold)},
-		met:    newShardMetrics(r.opt.Registry, name),
-	}
-}
-
 // Router partitions enrollments across backends by consistent hashing
 // on enrollment ID and scatter-gathers identification across them. It
-// is safe for concurrent use, and its topology can grow online:
-// AddShard registers a joining backend and a Rebalancer streams the
-// ring-moved subjects over while the router keeps serving (see
-// rebalance.go).
+// is safe for concurrent use. The topology is fixed at New: backends,
+// ring and health are set once and only read afterwards, so request
+// paths take no lock to route.
 type Router struct {
 	opt Options
 
-	// mu guards the topology below. All four fields are
-	// replaced-on-write (never mutated in place), so request paths take
-	// one brief read-lock to snapshot them and then work lock-free; no
-	// backend call ever runs under mu.
-	mu       sync.RWMutex
 	backends []Backend
 	ring     *ring
 	health   []*health
-	mig      *migration
 
 	// met is non-nil when Options.Registry was set.
 	met *routerMetrics
@@ -136,46 +122,6 @@ type Router struct {
 	// and target lists) across searches; the per-worker matcher scratch
 	// itself lives in each local shard's gallery sessions.
 	scratch sync.Pool
-}
-
-// migration is the state of one in-progress resharding. While it is
-// non-nil, writes route by the NEW ring (so they land directly on their
-// final owner and the backlog only drains), single-key reads consult
-// both the old and new owner of mid-flight keys, and identification
-// scatters over every backend including the joining one, deduplicating
-// subjects the move has briefly doubled. Cutover installs newRing as
-// the router's ring and clears the migration.
-type migration struct {
-	// joining is the index of the backend being filled.
-	joining int
-	// newRing spans the old shard names plus the joining one.
-	newRing *ring
-}
-
-// topo is one consistent snapshot of the router's topology, taken at
-// the top of each request so a concurrent AddShard or cutover cannot
-// shift routing mid-operation.
-type topo struct {
-	backends []Backend
-	ring     *ring
-	health   []*health
-	mig      *migration
-}
-
-func (r *Router) topo() topo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return topo{backends: r.backends, ring: r.ring, health: r.health, mig: r.mig}
-}
-
-// writeOwner is the shard index a mutation of id targets: the new
-// ring's owner during a migration (so moves only ever drain), the
-// current ring's otherwise.
-func (t topo) writeOwner(id string) int {
-	if t.mig != nil {
-		return t.mig.newRing.owner(id)
-	}
-	return t.ring.owner(id)
 }
 
 // identifyScratch is the reusable fan-out state of one identification.
@@ -210,26 +156,19 @@ func New(backends []Backend, opt Options) (*Router, error) {
 		met:      newRouterMetrics(opt.Registry),
 	}
 	for i := range r.health {
-		r.health[i] = r.newHealth(names[i])
+		r.health[i] = &health{
+			Health: Health{Threshold: int32(opt.FailureThreshold)},
+			met:    newShardMetrics(opt.Registry, names[i]),
+		}
 	}
 	return r, nil
 }
 
-// Backends returns the shard list in ring-construction order (a
-// joining shard appears at the tail while its migration runs).
-func (r *Router) Backends() []Backend { return r.topo().backends }
+// Backends returns the shard list in ring-construction order.
+func (r *Router) Backends() []Backend { return r.backends }
 
-// Owner returns the position of the shard owning id. During a
-// migration this is the position writes target — the joining shard for
-// keys the new ring moves to it.
-func (r *Router) Owner(id string) int { return r.topo().writeOwner(id) }
-
-// Migrating reports whether an online resharding is in progress.
-func (r *Router) Migrating() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.mig != nil
-}
+// Owner returns the position of the shard owning id.
+func (r *Router) Owner(id string) int { return r.ring.owner(id) }
 
 // recordCtx updates a shard's health after one backend call made under
 // ctx, and its metrics when that flipped the shard's standing.
@@ -250,10 +189,9 @@ func (r *Router) recordCtx(ctx context.Context, h *health, err error) {
 
 // Degraded returns the positions of currently degraded shards.
 func (r *Router) Degraded() []int {
-	t := r.topo()
 	var out []int
-	for i := range t.backends {
-		if t.health[i].Degraded() {
+	for i := range r.backends {
+		if r.health[i].Degraded() {
 			out = append(out, i)
 		}
 	}
@@ -267,15 +205,14 @@ func (r *Router) Degraded() []int {
 // context aborts the sweep; unprobed shards report ctx.Err() without a
 // health penalty.
 func (r *Router) CheckHealth(ctx context.Context) (errs []error) {
-	t := r.topo()
-	errs = make([]error, len(t.backends))
-	for i, b := range t.backends {
+	errs = make([]error, len(r.backends))
+	for i, b := range r.backends {
 		if err := ctx.Err(); err != nil {
 			errs[i] = err
 			continue
 		}
 		_, err := b.Len(ctx)
-		r.recordCtx(ctx, t.health[i], err)
+		r.recordCtx(ctx, r.health[i], err)
 		errs[i] = err
 	}
 	return errs
@@ -291,35 +228,23 @@ func routingErr(b Backend, err error) error {
 
 // Enroll routes the template to the shard owning id. Enrollment always
 // targets the owner — there is no failover, because a mis-placed
-// enrollment would be invisible to Remove/Verify routing. During a
-// migration the target is the NEW ring's owner (the subject's final
-// home), with a duplicate guard against the outgoing owner for keys
-// whose authoritative copy has not moved yet.
+// enrollment would be invisible to Remove/Verify routing.
 func (r *Router) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.Template) error {
-	t := r.topo()
-	wi := t.writeOwner(id)
-	if t.mig != nil {
-		if oi := t.ring.owner(id); oi != wi {
-			ok, err := t.backends[oi].Has(ctx, id)
-			r.recordCtx(ctx, t.health[oi], err)
-			if err != nil {
-				return routingErr(t.backends[oi], err)
-			}
-			if ok {
-				return routingErr(t.backends[oi], fmt.Errorf("enroll %q: %w", id, gallery.ErrDuplicate))
-			}
-		}
-	}
-	err := t.backends[wi].Enroll(ctx, id, deviceID, tpl)
-	r.recordCtx(ctx, t.health[wi], err)
-	return routingErr(t.backends[wi], err)
+	i := r.ring.owner(id)
+	err := r.backends[i].Enroll(ctx, id, deviceID, tpl)
+	r.recordCtx(ctx, r.health[i], err)
+	return routingErr(r.backends[i], err)
 }
 
 // EnrollBatch groups the items by owning shard and ships each group in
 // one backend batch (one round trip per shard for remote backends, up
 // to frame-cap chunking), fanning the per-shard batches out in
-// parallel. Not atomic: a shard failure leaves that shard's prefix (and
-// every other shard's full group) enrolled.
+// parallel. Not atomic across shards: when a shard fails, every other
+// shard's group is enrolled whole and the failed shard keeps what its
+// own EnrollBatch keeps (nothing, if it was unreachable), the joined
+// error names only the failed shards, each is charged one health
+// failure per call, and re-driving the same batch enrolls the missing
+// groups while the ones already enrolled answer ErrDuplicate.
 func (r *Router) EnrollBatch(ctx context.Context, items []Enrollment) error {
 	if len(items) == 0 {
 		return nil
@@ -327,13 +252,12 @@ func (r *Router) EnrollBatch(ctx context.Context, items []Enrollment) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	t := r.topo()
-	groups := make([][]Enrollment, len(t.backends))
+	groups := make([][]Enrollment, len(r.backends))
 	for _, it := range items {
-		i := t.writeOwner(it.ID)
+		i := r.ring.owner(it.ID)
 		groups[i] = append(groups[i], it)
 	}
-	workers := r.fanout(len(t.backends))
+	workers := r.fanout(len(r.backends))
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
@@ -358,11 +282,11 @@ func (r *Router) EnrollBatch(ctx context.Context, items []Enrollment) error {
 				if len(groups[i]) == 0 {
 					continue
 				}
-				err := t.backends[i].EnrollBatch(ctx, groups[i])
-				r.recordCtx(ctx, t.health[i], err)
+				err := r.backends[i].EnrollBatch(ctx, groups[i])
+				r.recordCtx(ctx, r.health[i], err)
 				if err != nil {
 					mu.Lock()
-					errs = append(errs, routingErr(t.backends[i], err))
+					errs = append(errs, routingErr(r.backends[i], err))
 					mu.Unlock()
 				}
 			}
@@ -375,105 +299,29 @@ func (r *Router) EnrollBatch(ctx context.Context, items []Enrollment) error {
 	return errors.Join(errs...)
 }
 
-// Remove routes the deletion to the shard owning id. During a
-// migration a subject may live on its old owner, its new owner, or —
-// while the rebalancer is mid-move — briefly both, so the removal hits
-// every copy it can find; leaving one behind would resurrect the
-// subject when the move completes.
+// Remove routes the deletion to the shard owning id.
 func (r *Router) Remove(ctx context.Context, id string) error {
-	t := r.topo()
-	ni := t.writeOwner(id)
-	oi := ni
-	if t.mig != nil {
-		oi = t.ring.owner(id)
-	}
-	if ni == oi {
-		err := t.backends[ni].Remove(ctx, id)
-		r.recordCtx(ctx, t.health[ni], err)
-		return routingErr(t.backends[ni], err)
-	}
-	removed := false
-	var firstErr error
-	for _, i := range [2]int{ni, oi} {
-		ok, err := t.backends[i].Has(ctx, id)
-		r.recordCtx(ctx, t.health[i], err)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = routingErr(t.backends[i], err)
-			}
-			continue
-		}
-		if !ok {
-			continue
-		}
-		err = t.backends[i].Remove(ctx, id)
-		r.recordCtx(ctx, t.health[i], err)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = routingErr(t.backends[i], err)
-			}
-			continue
-		}
-		removed = true
-	}
-	if removed {
-		return nil
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	// Neither owner holds it: surface the canonical not-found error
-	// from the shard a non-migrating router would have asked.
-	err := t.backends[ni].Remove(ctx, id)
-	r.recordCtx(ctx, t.health[ni], err)
-	return routingErr(t.backends[ni], err)
+	i := r.ring.owner(id)
+	err := r.backends[i].Remove(ctx, id)
+	r.recordCtx(ctx, r.health[i], err)
+	return routingErr(r.backends[i], err)
 }
 
-// Verify routes the 1:1 comparison to the shard owning id. During a
-// migration the read is directed at whichever owner holds the subject
-// (new owner preferred); if the chosen shard fails — including the
-// race where the rebalancer moves the subject between the Has probe
-// and the comparison — the other owner is tried before giving up.
+// Verify routes the 1:1 comparison to the shard owning id.
 func (r *Router) Verify(ctx context.Context, id string, probe *minutiae.Template) (match.Result, error) {
-	t := r.topo()
-	ni := t.writeOwner(id)
-	oi := ni
-	if t.mig != nil {
-		oi = t.ring.owner(id)
-	}
-	target := ni
-	if ni != oi {
-		ok, err := t.backends[ni].Has(ctx, id)
-		r.recordCtx(ctx, t.health[ni], err)
-		if err != nil || !ok {
-			target = oi
-		}
-	}
-	res, err := t.backends[target].Verify(ctx, id, probe)
-	r.recordCtx(ctx, t.health[target], err)
-	if err != nil && ni != oi && ctx.Err() == nil {
-		other := ni
-		if target == ni {
-			other = oi
-		}
-		res2, err2 := t.backends[other].Verify(ctx, id, probe)
-		r.recordCtx(ctx, t.health[other], err2)
-		if err2 == nil {
-			return res2, nil
-		}
-	}
-	return res, routingErr(t.backends[target], err)
+	i := r.ring.owner(id)
+	res, err := r.backends[i].Verify(ctx, id, probe)
+	r.recordCtx(ctx, r.health[i], err)
+	return res, routingErr(r.backends[i], err)
 }
 
 // Len sums the enrollment counts of the reachable shards (unreachable
-// shards contribute zero). During a migration, subjects the rebalancer
-// is mid-move can be counted on both owners.
+// shards contribute zero).
 func (r *Router) Len(ctx context.Context) int {
-	t := r.topo()
 	total := 0
-	for i, b := range t.backends {
+	for i, b := range r.backends {
 		n, err := b.Len(ctx)
-		r.recordCtx(ctx, t.health[i], err)
+		r.recordCtx(ctx, r.health[i], err)
 		if err == nil {
 			total += n
 		}
@@ -544,16 +392,12 @@ func (r *Router) fanout(n int) int {
 // done caller context reports ctx.Err(). Either way the shard's derived
 // context is cancelled, so a context-honoring backend unwinds promptly
 // (the abandoning goroutine drains into a buffered channel regardless).
-func (r *Router) callIdentify(ctx context.Context, b Backend, probe *minutiae.Template, k int) shardAnswer {
-	return r.callIdentifyOn(ctx, b, probe, k, -1, nil)
-}
-
-// callIdentifyOn is callIdentify with replica placement: when the
-// backend is a ReplicaReader the attempt avoids the given member
-// (avoid < 0 means unconstrained) and reports its landing member on
-// picked. Plain backends have one machine behind them — avoid and
+//
+// When the backend is a ReplicaReader the attempt avoids the given
+// member (avoid < 0 means unconstrained) and reports its landing member
+// on picked. Plain backends have one machine behind them — avoid and
 // picked are meaningless and ignored.
-func (r *Router) callIdentifyOn(ctx context.Context, b Backend, probe *minutiae.Template, k int, avoid int, picked chan<- int) shardAnswer {
+func (r *Router) callIdentify(ctx context.Context, b Backend, probe *minutiae.Template, k int, avoid int, picked chan<- int) shardAnswer {
 	sctx := ctx
 	if r.opt.ShardTimeout > 0 {
 		var cancel context.CancelFunc
@@ -622,7 +466,7 @@ func (r *Router) hedgeDelay(h *health) time.Duration {
 func (r *Router) callIdentifyHedged(ctx context.Context, b Backend, h *health, probe *minutiae.Template, k int) shardAnswer {
 	delay := r.hedgeDelay(h)
 	if delay <= 0 {
-		return r.callIdentify(ctx, b, probe, k)
+		return r.callIdentify(ctx, b, probe, k, -1, nil)
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -634,7 +478,7 @@ func (r *Router) callIdentifyHedged(ctx context.Context, b Backend, h *health, p
 	picked := make(chan int, 1)
 	launch := func(hedged bool, avoid int, report chan<- int) {
 		go func() {
-			ch <- attempt{ans: r.callIdentifyOn(actx, b, probe, k, avoid, report), hedged: hedged}
+			ch <- attempt{ans: r.callIdentify(actx, b, probe, k, avoid, report), hedged: hedged}
 		}()
 	}
 	launch(false, -1, picked)
@@ -718,8 +562,7 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 		// reaches the wire, where k travels unsigned).
 		k = 0
 	}
-	t := r.topo()
-	n := len(t.backends)
+	n := len(r.backends)
 	stats := IdentifyStats{PerShard: make([]ShardIdentifyStats, n)}
 	sc, _ := r.scratch.Get().(*identifyScratch)
 	if sc == nil {
@@ -736,11 +579,11 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 		r.scratch.Put(sc)
 	}()
 	targets := sc.targets[:0]
-	for i := range t.backends {
-		stats.PerShard[i].Shard = t.backends[i].Name()
-		if t.health[i].Degraded() {
+	for i := range r.backends {
+		stats.PerShard[i].Shard = r.backends[i].Name()
+		if r.health[i].Degraded() {
 			if r.opt.Policy == FailClosed {
-				return nil, stats, fmt.Errorf("shard %q: %w", t.backends[i].Name(), ErrDegraded)
+				return nil, stats, fmt.Errorf("shard %q: %w", r.backends[i].Name(), ErrDegraded)
 			}
 			stats.PerShard[i].Skipped = true
 			stats.ShardsSkipped++
@@ -775,14 +618,14 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 				}
 				i := targets[ti]
 				var t0 time.Time
-				if t.health[i].met != nil {
+				if r.health[i].met != nil {
 					t0 = time.Now()
 				}
-				answers[i] = r.callIdentifyHedged(ctx, t.backends[i], t.health[i], probe, k)
-				if m := t.health[i].met; m != nil {
+				answers[i] = r.callIdentifyHedged(ctx, r.backends[i], r.health[i], probe, k)
+				if m := r.health[i].met; m != nil {
 					m.lat.ObserveSince(t0)
 				}
-				r.recordCtx(ctx, t.health[i], answers[i].err)
+				r.recordCtx(ctx, r.health[i], answers[i].err)
 			}
 		}()
 	}
@@ -800,7 +643,7 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 			stats.ShardsFailed++
 			stats.Partial = true
 			if r.opt.Policy == FailClosed {
-				return nil, stats, fmt.Errorf("shard %q: %w", t.backends[i].Name(), ans.err)
+				return nil, stats, fmt.Errorf("shard %q: %w", r.backends[i].Name(), ans.err)
 			}
 			continue
 		}
@@ -834,23 +677,6 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 		}
 		return merged[a].ID < merged[b].ID
 	})
-	if t.mig != nil && len(merged) > 1 {
-		// A subject mid-move exists on both its old and new owner with
-		// an identical template, so two shards can report it with the
-		// same score. Keep the best-ranked copy of each ID; the result
-		// then matches what a single store over the same subjects would
-		// return.
-		seen := make(map[string]bool, len(merged))
-		dedup := merged[:0]
-		for _, c := range merged {
-			if seen[c.ID] {
-				continue
-			}
-			seen[c.ID] = true
-			dedup = append(dedup, c)
-		}
-		merged = dedup
-	}
 	if k > 0 && k < len(merged) {
 		merged = merged[:k]
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -173,6 +174,95 @@ func TestEnrollBatchMatchesIndividualPlacement(t *testing.T) {
 	}
 }
 
+// TestEnrollBatchUnderShardOutage pins what a cross-shard batch leaves
+// behind when one shard is down: the other shards' groups whole, the
+// failed shard's group absent, an error naming only the failed shard,
+// one health charge on it per call and none elsewhere — and a re-drive
+// after recovery that fills in the missing group while the groups
+// already enrolled answer ErrDuplicate.
+func TestEnrollBatchUnderShardOutage(t *testing.T) {
+	gal, _ := fixtures(t)
+	const down = 1
+	backends := make([]Backend, 3)
+	for i := range backends {
+		backends[i] = NewLocal(fmt.Sprintf("shard-%d", i), gallery.New(nil))
+	}
+	flaky := &flakyBackend{Backend: backends[down]}
+	backends[down] = flaky
+	r, err := New(backends, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]Enrollment, len(gal))
+	group := make([]int, len(backends))
+	for i, tpl := range gal {
+		items[i] = Enrollment{ID: subjectID(i), DeviceID: "D0", Template: tpl}
+		group[r.Owner(items[i].ID)]++
+	}
+	for s, n := range group {
+		if n == 0 {
+			t.Fatalf("fixture leaves shard %d without a group", s)
+		}
+	}
+	wantLens := func(when string, want ...int) {
+		t.Helper()
+		for s, b := range backends {
+			if got, err := b.Len(ctx); err != nil || got != want[s] {
+				t.Fatalf("%s: shard %d holds %d (%v), want %d", when, s, got, err, want[s])
+			}
+		}
+	}
+
+	flaky.setFail(true)
+	for call := 1; call <= 2; call++ {
+		err := r.EnrollBatch(ctx, items)
+		if call == 1 {
+			// The healthy groups landed; the second call finds them taken.
+			if err == nil || errors.Is(err, gallery.ErrDuplicate) {
+				t.Fatalf("call 1: %v, want only the injected failure", err)
+			}
+			for s := range backends {
+				if named := strings.Contains(err.Error(), fmt.Sprintf("%q", backends[s].Name())); named != (s == down) {
+					t.Fatalf("call 1: error %q names shard %d: %v, want %v", err, s, named, s == down)
+				}
+			}
+		}
+		for s := range backends {
+			want := int32(0)
+			if s == down {
+				want = int32(call)
+			}
+			if got := r.health[s].fails.Load(); got != want {
+				t.Fatalf("call %d: shard %d charged %d failures, want %d", call, s, got, want)
+			}
+		}
+	}
+	if len(r.Degraded()) != 0 {
+		t.Fatalf("two failed calls degraded %v below the threshold of 3", r.Degraded())
+	}
+	flaky.setFail(false)
+	wantLens("during the outage", group[0], 0, group[2])
+
+	err = r.EnrollBatch(ctx, items)
+	if !errors.Is(err, gallery.ErrDuplicate) {
+		t.Fatalf("re-drive: %v, want ErrDuplicate from the groups already enrolled", err)
+	}
+	if strings.Contains(err.Error(), fmt.Sprintf("%q", backends[down].Name())) {
+		t.Fatalf("re-drive error %q names the recovered shard", err)
+	}
+	wantLens("after the re-drive", group...)
+	for i := range items {
+		if _, err := r.Verify(ctx, items[i].ID, gal[i]); err != nil {
+			t.Fatalf("re-drive left %s unreachable: %v", items[i].ID, err)
+		}
+	}
+	for s := range backends {
+		if got := r.health[s].fails.Load(); got != 0 {
+			t.Fatalf("after recovery shard %d still carries %d failures", s, got)
+		}
+	}
+}
+
 // TestShardedIdentifyBitIdenticalToSingleStore is the core contract:
 // with exhaustive per-shard search, the merged global top-k (IDs,
 // scores, order) must equal a single store holding the same
@@ -296,6 +386,13 @@ func (f *flakyBackend) IdentifyDetailed(ctx context.Context, probe *minutiae.Tem
 		return nil, gallery.IdentifyStats{}, errors.New("injected failure")
 	}
 	return f.Backend.IdentifyDetailed(ctx, probe, k)
+}
+
+func (f *flakyBackend) EnrollBatch(ctx context.Context, items []Enrollment) error {
+	if f.broken() {
+		return errors.New("injected failure")
+	}
+	return f.Backend.EnrollBatch(ctx, items)
 }
 
 func (f *flakyBackend) Len(ctx context.Context) (int, error) {

@@ -76,7 +76,7 @@ const (
 // Store is a gallery made durable: every mutation is applied to the
 // in-memory gallery and appended to the write-ahead log before the
 // caller is acknowledged, and Open rebuilds the gallery from the last
-// snapshot plus the log. Reads (Verify, Identify, Scan, ...) are the
+// snapshot plus the log. Reads (Verify, Identify, Has, ...) are the
 // embedded gallery's own and stay lock-free with respect to the WAL.
 type Store struct {
 	*gallery.Store
@@ -225,7 +225,7 @@ func (s *Store) Enroll(id, deviceID string, tpl *minutiae.Template) error {
 }
 
 // EnrollBatch applies every enrollment, then logs the whole batch with
-// a single flush — the bulk path the shard rebalancer and preload use.
+// a single flush — the bulk path a wire batch and preload use.
 // On any failure every applied enrollment is rolled back and the log
 // gains nothing.
 func (s *Store) EnrollBatch(items []gallery.Export) error {

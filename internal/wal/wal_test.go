@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"testing"
 
 	"fpinterop/internal/gallery"
@@ -48,9 +49,27 @@ func openStore(t testing.TB, dir string, opt Options) *Store {
 	return s
 }
 
-// ids returns the store's enrolled IDs in scan (lexicographic) order.
-func ids(s *Store) []string {
-	exps := s.Scan("", 1<<20)
+// sortedExports lifts a store's whole contents out through its own
+// serialization (SaveTo, read back with ReadEntries), ordered by ID so
+// two stores filled in different orders compare entry for entry.
+func sortedExports(t testing.TB, s *gallery.Store) []gallery.Export {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out, err := gallery.ReadEntries(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	return out
+}
+
+// ids returns the store's enrolled IDs in lexicographic order.
+func ids(t testing.TB, s *Store) []string {
+	t.Helper()
+	exps := sortedExports(t, s.Store)
 	out := make([]string, len(exps))
 	for i, e := range exps {
 		out[i] = e.ID
@@ -60,7 +79,7 @@ func ids(s *Store) []string {
 
 func wantIDs(t *testing.T, s *Store, want ...string) {
 	t.Helper()
-	got := ids(s)
+	got := ids(t, s)
 	if len(got) != len(want) {
 		t.Fatalf("ids = %v, want %v", got, want)
 	}
@@ -292,7 +311,7 @@ func TestReplayIdempotentAndOrderPreserving(t *testing.T) {
 				model[e.ID] = true
 			}
 		}
-		want := ids(s)
+		want := ids(t, s)
 		if len(want) != len(model) {
 			t.Fatalf("trial %d: store has %d ids, model %d", trial, len(want), len(model))
 		}
@@ -308,7 +327,7 @@ func TestReplayIdempotentAndOrderPreserving(t *testing.T) {
 		// equal the live state, in the same scan order.
 		for pass := 0; pass < 2; pass++ {
 			s2 := openStore(t, dir, Options{})
-			got := ids(s2)
+			got := ids(t, s2)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d pass %d: %d ids, want %d", trial, pass, len(got), len(want))
 			}
