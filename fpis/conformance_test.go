@@ -179,6 +179,17 @@ func implementations(t *testing.T) []implCase {
 		)
 	}
 	cases = append(cases, implCase{
+		// The durable store marshals what it enrolls, so it meets a bad
+		// template in a second place.
+		name: "local-wal/indexed", indexed: true, shards: 1,
+		build: func(t *testing.T) Service {
+			svc, err := New(context.Background(), WithWAL(t.TempDir()), WithIndex(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return svc
+		},
+	}, implCase{
 		// One endpoint from where the client stands: one shard in its
 		// stats, and ("remote") no view of the server's index state.
 		name: "remote-front/exhaustive", shards: 1,
@@ -281,6 +292,25 @@ func TestServiceConformance(t *testing.T) {
 			// Duplicate enrollment is ErrDuplicate on every path.
 			if err := svc.Enroll(ctx, confID(0), "D0", gal[0]); !errors.Is(err, ErrDuplicate) {
 				t.Fatalf("duplicate enroll: want ErrDuplicate, got %v", err)
+			}
+
+			// A nil template is an error on every path — never a panic,
+			// in the caller or the server — and enrolls nothing.
+			if err := svc.Enroll(ctx, "nil-one", "D0", nil); err == nil {
+				t.Fatal("enroll nil template: no error")
+			}
+			nilBatch := []Enrollment{{ID: "nil-batch", DeviceID: "D0"}, {ID: confID(0), DeviceID: "D0", Template: gal[0]}}
+			if err := svc.EnrollBatch(ctx, nilBatch); err == nil {
+				t.Fatal("enroll batch with a nil template: no error")
+			}
+			if _, err := svc.Verify(ctx, confID(2), nil); err == nil {
+				t.Fatal("verify nil probe: no error")
+			}
+			if _, _, err := svc.IdentifyDetailed(ctx, nil, 1); err == nil {
+				t.Fatal("identify nil probe: no error")
+			}
+			if st, err := svc.Stats(ctx); err != nil || st.Enrollments != confSubjects {
+				t.Fatalf("stats after nil templates: %+v err=%v", st, err)
 			}
 
 			// 1:1 verification: bit-identical scores everywhere.

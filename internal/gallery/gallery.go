@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"fpinterop/internal/index"
 	"fpinterop/internal/match"
@@ -63,7 +64,7 @@ type Store struct {
 	minCandidates int
 
 	// parallelism bounds the workers fanning matcher calls during
-	// identification (0 = GOMAXPROCS).
+	// identification and deriving a batch's enrollments (0 = GOMAXPROCS).
 	parallelism int
 
 	// met is non-nil after SetMetrics; record methods are nil-safe, so
@@ -82,8 +83,9 @@ func New(m match.Matcher) *Store {
 }
 
 // SetParallelism bounds the worker goroutines used to fan matcher
-// calls during identification (the study.Config.Parallelism
-// convention); n <= 0 restores the default of GOMAXPROCS.
+// calls during identification and to derive a batch's enrollments (the
+// study.Config.Parallelism convention); n <= 0 restores the default of
+// GOMAXPROCS.
 func (s *Store) SetParallelism(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -94,62 +96,173 @@ func (s *Store) SetParallelism(n int) {
 }
 
 // Enroll adds a template under id. The template is cloned, so later
-// mutation by the caller cannot corrupt the gallery.
+// mutation by the caller cannot corrupt the gallery. It is derive then
+// insert on the calling goroutine: searches wait for the insert (a map
+// write and the index add), never for the derivation.
 func (s *Store) Enroll(id, deviceID string, tpl *minutiae.Template) error {
-	if tpl == nil {
-		return fmt.Errorf("gallery: enroll %q: nil template", id)
-	}
-	if err := tpl.Validate(); err != nil {
-		return fmt.Errorf("gallery: enroll %q: %w", id, err)
+	it := Export{ID: id, DeviceID: deviceID, Template: tpl}
+	if err := it.validate(); err != nil {
+		return err
 	}
 	s.mu.RLock()
 	_, dup := s.entries[id]
 	indexed := s.idx != nil
 	s.mu.RUnlock()
 	if dup {
+		// Fails before paying for the derivation; insert's check under
+		// the write lock is the one that decides.
 		return fmt.Errorf("enroll %q: %w", id, ErrDuplicate)
 	}
-	// Everything derived from the template alone — the clone, the
-	// matcher's preparation, the index keys — is computed before the
-	// write lock, so searches wait for a map insert, not for them.
-	clone := tpl.Clone()
-	var prep *match.Prepared
+	return s.insert(s.derive(it, indexed))
+}
+
+// validate is the part of an enrollment's check that needs no store.
+func (it Export) validate() error {
+	if it.Template == nil {
+		return fmt.Errorf("gallery: enroll %q: nil template", it.ID)
+	}
+	if err := it.Template.Validate(); err != nil {
+		return fmt.Errorf("gallery: enroll %q: %w", it.ID, err)
+	}
+	return nil
+}
+
+// derived is everything an enrollment needs that depends on its
+// template alone — the clone, the matcher's preparation, the index keys
+// — so it is computed with no lock held and on any goroutine.
+type derived struct {
+	entry *Entry
+	// keys are the index keys when keyed; a store with no index at
+	// derive time extracts none.
+	keys  []uint64
+	keyed bool
+}
+
+// derive computes a validated item's derived form.
+func (s *Store) derive(it Export, indexed bool) derived {
+	clone := it.Template.Clone()
+	d := derived{entry: &Entry{ID: it.ID, DeviceID: it.DeviceID, Template: clone}, keyed: indexed}
 	if s.hough != nil {
-		prep = s.hough.Prepare(clone)
+		d.entry.prep = s.hough.Prepare(clone)
 	}
-	var keys []uint64
 	if indexed {
-		keys = index.Keys(clone)
+		d.keys = index.Keys(clone)
 	}
+	return d
+}
+
+// insert makes a derived enrollment visible: the duplicate check, the
+// index add and the map write, under one hold of the write lock.
+func (s *Store) insert(d derived) error {
+	e := d.entry
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[id]; ok {
-		return fmt.Errorf("enroll %q: %w", id, ErrDuplicate)
+	if _, ok := s.entries[e.ID]; ok {
+		return fmt.Errorf("enroll %q: %w", e.ID, ErrDuplicate)
 	}
 	if s.idx != nil {
-		if !indexed { // enabled since the check above
-			keys = index.Keys(clone)
+		keys := d.keys
+		if !d.keyed { // enabled since the derivation
+			keys = index.Keys(e.Template)
 		}
-		if err := s.idx.AddKeys(id, keys); err != nil {
-			return fmt.Errorf("gallery: enroll %q: %w", id, err)
+		if err := s.idx.AddKeys(e.ID, keys); err != nil {
+			return fmt.Errorf("gallery: enroll %q: %w", e.ID, err)
 		}
 	}
-	s.entries[id] = &Entry{ID: id, DeviceID: deviceID, Template: clone, prep: prep}
-	s.order = append(s.order, id)
+	s.entries[e.ID] = e
+	s.order = append(s.order, e.ID)
 	s.met.setEnrollments(len(s.entries))
 	return nil
 }
 
-// EnrollBatch enrolls the items in order. Not atomic: on failure the
-// items before the failing one stay enrolled (a WAL-backed store's
-// EnrollBatch is the atomic, single-fsync version).
+// BatchError is the error of a failed EnrollBatch: Err is what enrolling
+// items[Applied] returned, and items[:Applied] are enrolled.
+type BatchError struct {
+	Applied int
+	Err     error
+}
+
+// Error is the failing item's error, unchanged.
+func (e *BatchError) Error() string { return e.Err.Error() }
+
+// Unwrap lets errors.Is find the item's sentinel (ErrDuplicate).
+func (e *BatchError) Unwrap() error { return e.Err }
+
+// EnrollBatch enrolls the items in order. Not atomic: on failure (a
+// *BatchError) the items before the failing one stay enrolled (a
+// WAL-backed store's EnrollBatch is the atomic, single-fsync version).
+// Items are derived on up to SetParallelism workers while the calling
+// goroutine inserts each as soon as it and all before it are ready, one
+// write-lock hold per item as in Enroll, so the stored result does not
+// depend on the worker count; every worker has exited when it returns.
 func (s *Store) EnrollBatch(items []Export) error {
-	for _, it := range items {
-		if err := s.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
-			return err
+	workers := s.workers(len(items))
+	if workers <= 1 {
+		for i, it := range items {
+			if err := s.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
+				return &BatchError{Applied: i, Err: err}
+			}
+		}
+		return nil
+	}
+	s.mu.RLock()
+	indexed := s.idx != nil
+	s.mu.RUnlock()
+	type result struct {
+		d   derived
+		err error
+	}
+	// Worker w derives items w, w+workers, ... in that order into its
+	// own channel, which holds all of them: a worker never blocks, so
+	// the flag alone stops it, and item i is the next receive from
+	// channel i%workers.
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+		out  = make([]chan result, workers)
+	)
+	for w := range out {
+		out[w] = make(chan result, (len(items)-w+workers-1)/workers)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(items) && !stop.Load(); i += workers {
+				if err := items[i].validate(); err != nil {
+					// Nothing after a failing item is inserted, but the
+					// other workers still owe the items before it.
+					out[w] <- result{err: err}
+					return
+				}
+				out[w] <- result{d: s.derive(items[i], indexed)}
+			}
+		}()
+	}
+	var failed error
+	for i := range items {
+		r := <-out[i%workers]
+		if r.err == nil {
+			r.err = s.insert(r.d)
+		}
+		if r.err != nil {
+			failed = &BatchError{Applied: i, Err: r.err}
+			break
 		}
 	}
-	return nil
+	stop.Store(true)
+	wg.Wait()
+	return failed
+}
+
+// workers returns how many goroutines share n independent pieces of
+// work: the SetParallelism bound, GOMAXPROCS by default.
+func (s *Store) workers(n int) int {
+	s.mu.RLock()
+	w := s.parallelism
+	s.mu.RUnlock()
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return min(w, n)
 }
 
 // Has reports whether id is enrolled.
@@ -467,15 +580,7 @@ func (s *Store) scoreEntries(ctx context.Context, entries []*Entry, probe *minut
 // call's latency and matchAll returns ctx.Err(), which outranks any
 // matcher error (a half-cancelled scan's failures are not meaningful).
 func (s *Store) matchAll(ctx context.Context, entries []*Entry, probe *minutiae.Template) ([]float64, error) {
-	s.mu.RLock()
-	workers := s.parallelism
-	s.mu.RUnlock()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(entries) {
-		workers = len(entries)
-	}
+	workers := s.workers(len(entries))
 	// Each worker holds one pooled match session for its whole slice of
 	// the scan: the matcher hot path then runs with zero steady-state
 	// allocations against the preparations cached at enroll time.

@@ -43,8 +43,12 @@ const (
 	maxMinutiae = 1 << 12
 )
 
-// Marshal serializes the template.
+// Marshal serializes the template. A nil template is an error, like an
+// invalid one: callers reach here with whatever their caller passed.
 func Marshal(t *Template) ([]byte, error) {
+	if t == nil {
+		return nil, errors.New("minutiae: marshal: nil template")
+	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("marshal: %w", err)
 	}

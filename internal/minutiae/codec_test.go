@@ -45,6 +45,12 @@ func TestMarshalRejectsInvalid(t *testing.T) {
 	}
 }
 
+func TestMarshalNilTemplate(t *testing.T) {
+	if data, err := Marshal(nil); err == nil || data != nil {
+		t.Fatalf("Marshal(nil) = %v, %v; want an error", data, err)
+	}
+}
+
 func TestUnmarshalBadMagic(t *testing.T) {
 	data, _ := Marshal(validTemplate())
 	data[0] = 'X'

@@ -224,30 +224,38 @@ func (s *Store) Enroll(id, deviceID string, tpl *minutiae.Template) error {
 	return s.EnrollBatch([]gallery.Export{{ID: id, DeviceID: deviceID, Template: tpl}})
 }
 
-// EnrollBatch applies every enrollment, then logs the whole batch with
-// a single flush — the bulk path a wire batch and preload use.
-// On any failure every applied enrollment is rolled back and the log
+// EnrollBatch applies every enrollment with one call into the gallery's
+// batch path (derivation on every core, inserts in input order), then
+// logs the whole batch with a single flush — the bulk path a wire batch
+// and preload use. s.mu is held across both, as it is across the fsync;
+// searches contend only for the gallery's per-insert write lock. On any
+// failure exactly the applied enrollments are rolled back and the log
 // gains nothing.
 func (s *Store) EnrollBatch(items []gallery.Export) error {
 	recs := make([]Record, len(items))
-	for i, it := range items {
-		data, err := minutiae.Marshal(it.Template)
-		if err != nil {
-			return fmt.Errorf("wal: enroll %q: %w", it.ID, err)
-		}
-		recs[i] = Record{Op: OpEnroll, ID: it.ID, DeviceID: it.DeviceID, Template: data}
-	}
 	return s.commit(recs, func() (func(), error) {
 		rollback := func(n int) {
 			for _, it := range items[:n] {
 				s.Store.Remove(it.ID)
 			}
 		}
-		for i, it := range items {
-			if err := s.Store.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
-				rollback(i)
-				return nil, err
+		if err := s.Store.EnrollBatch(items); err != nil {
+			var be *gallery.BatchError
+			if errors.As(err, &be) {
+				rollback(be.Applied)
+				err = be.Err
 			}
+			return nil, err
+		}
+		// Marshalled only now: the gallery's own checks (a nil or
+		// invalid template) have passed for every item.
+		for i, it := range items {
+			data, err := minutiae.Marshal(it.Template)
+			if err != nil {
+				rollback(len(items))
+				return nil, fmt.Errorf("wal: enroll %q: %w", it.ID, err)
+			}
+			recs[i] = Record{Op: OpEnroll, ID: it.ID, DeviceID: it.DeviceID, Template: data}
 		}
 		return func() { rollback(len(items)) }, nil
 	})

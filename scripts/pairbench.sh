@@ -2,14 +2,15 @@
 # Paired benchmark runs: this checkout (the change) against <ref> (the
 # parent), for one BENCHMARK.json workload.
 #
-#   scripts/pairbench.sh <ref> <workload> <pairs>
+#   scripts/pairbench.sh <ref> <workload> <pairs> [seed]
 #   scripts/pairbench.sh HEAD~1 sharded-replicated-10k 10
 #
 # <ref> is exported with `git archive` into a scratch directory (under
 # $TMPDIR, removed on exit); the change runs in place, uncommitted edits
 # included. Both sides run their own `benchmark/run.sh --workload
-# <workload> --trace 0` with the benchmark's default seed and run
-# length, each building into its own .bench_build/. Pair i runs the ref
+# <workload> --trace 0` with the benchmark's run length and its default
+# seed (or [seed], for the run on a seed the change was not written
+# against), each building into its own .bench_build/. Pair i runs the ref
 # first when i is odd and the change first when i is even, so drift on
 # the machine lands on both sides. One untimed warm-up run per side
 # fills the build caches first.
@@ -23,11 +24,11 @@
 # request, a lost write) stops the script with that run's output.
 set -euo pipefail
 
-if [ $# -ne 3 ]; then
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
 	sed -n '2,8p' "$0" >&2
 	exit 2
 fi
-ref=$1 workload=$2 pairs=$3
+ref=$1 workload=$2 pairs=$3 seed=${4:+--seed $4}
 root=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
 cd "$root"
 commit=$(git rev-parse --verify "$ref^{commit}")
@@ -49,7 +50,8 @@ metrics=$(awk '
 # run <side> <dir>: one benchmark run; prints its result line.
 run() {
 	local out
-	if ! out=$(cd "$2" && bash benchmark/run.sh --workload "$workload" --trace 0 2>&1); then
+	# $seed is unquoted on purpose: empty, or the two words "--seed N".
+	if ! out=$(cd "$2" && bash benchmark/run.sh --workload "$workload" --trace 0 $seed 2>&1); then
 		printf '%s\n' "$out" >&2
 		echo "pairbench: $1 run failed" >&2
 		exit 1
@@ -72,7 +74,7 @@ record() { # <pair> <side> <order> <result line>
 	echo "$line" | tee -a "$work/runs"
 }
 
-echo "pairbench: ref $ref ($(git rev-parse --short "$commit")) vs working tree at $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo '+uncommitted'), workload $workload, $pairs pairs, $(nproc) CPUs"
+echo "pairbench: ref $ref ($(git rev-parse --short "$commit")) vs working tree at $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo '+uncommitted'), workload $workload${4:+, seed $4}, $pairs pairs, $(nproc) CPUs"
 echo "warm-up (untimed): ref, change"
 run ref "$work/ref" >/dev/null
 run change "$root" >/dev/null
