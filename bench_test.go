@@ -422,53 +422,6 @@ func BenchmarkAblationQualityNorm(b *testing.B) {
 	}
 }
 
-// BenchmarkHoughMatch measures single-comparison latency on study
-// templates (the number that bounds full-study runtime), in the three
-// modes the system uses: the pooled public API, a dedicated session
-// (zero steady-state allocations), and a session against an
-// enroll-time preparation (the gallery scan configuration).
-func BenchmarkHoughMatch(b *testing.B) {
-	ds, _ := benchStudy(b)
-	m := &match.HoughMatcher{}
-	g := ds.Impression(0, 0, 0).Template
-	p := ds.Impression(0, 1, 0).Template
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Match(g, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("session", func(b *testing.B) {
-		b.ReportAllocs()
-		sess := match.NewSession(m)
-		if _, err := sess.Match(g, p); err != nil { // warm scratch
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sess.Match(g, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("session-prepared", func(b *testing.B) {
-		b.ReportAllocs()
-		sess := match.NewSession(m)
-		prep := m.Prepare(g)
-		if _, err := sess.MatchPrepared(prep, p); err != nil { // warm scratch
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sess.MatchPrepared(prep, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkCaptureTemplatePath measures template-level capture throughput.
 func BenchmarkCaptureTemplatePath(b *testing.B) {
 	ds, _ := benchStudy(b)

@@ -575,94 +575,76 @@ func (s *Store) scoreEntries(ctx context.Context, entries []*Entry, probe *minut
 }
 
 // matchAll computes the matcher score of the probe against every entry
-// on at most s.parallelism workers. Workers poll ctx between
-// comparisons: a cancelled context stops the scan within one matcher
-// call's latency and matchAll returns ctx.Err(), which outranks any
-// matcher error (a half-cancelled scan's failures are not meaningful).
+// on at most s.parallelism workers. Each worker holds one pooled match
+// session for the whole scan and binds the probe to it once, so a
+// comparison runs with zero steady-state allocations against the
+// preparation cached at enroll time, and claims its next entry with one
+// atomic add. Workers poll ctx between comparisons: a cancelled context
+// stops the scan within one matcher call's latency and matchAll returns
+// ctx.Err(), which outranks any matcher error (a half-cancelled scan's
+// failures are not meaningful); otherwise the error from the lowest
+// entry index wins.
 func (s *Store) matchAll(ctx context.Context, entries []*Entry, probe *minutiae.Template) ([]float64, error) {
-	workers := s.workers(len(entries))
-	// Each worker holds one pooled match session for its whole slice of
-	// the scan: the matcher hot path then runs with zero steady-state
-	// allocations against the preparations cached at enroll time.
-	matchOne := func(sess *match.Session, e *Entry) (match.Result, error) {
-		if sess != nil && e.prep != nil {
-			return sess.MatchPrepared(e.prep, probe)
-		}
-		return s.matcher.Match(e.Template, probe)
-	}
-	done := ctx.Done()
-	cancelled := func() bool {
-		if done == nil {
-			return false
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
 	scores := make([]float64, len(entries))
-	if workers <= 1 {
+	done := ctx.Done()
+	var (
+		next   atomic.Int64
+		mu     sync.Mutex // guards errIdx and first
+		errIdx = -1
+		first  error
+	)
+	scan := func() {
 		var sess *match.Session
 		if s.hough != nil {
 			sess = match.AcquireSession(s.hough)
 			defer sess.Release()
+			sess.Bind(probe)
 		}
-		for i, e := range entries {
-			if cancelled() {
-				return nil, ctx.Err()
+		for {
+			select {
+			case <-done:
+				return
+			default:
 			}
-			res, err := matchOne(sess, e)
+			i := int(next.Add(1)) - 1
+			if i >= len(entries) {
+				return
+			}
+			e := entries[i]
+			var (
+				res match.Result
+				err error
+			)
+			if sess != nil && e.prep != nil {
+				res, err = sess.MatchBound(e.prep)
+			} else {
+				res, err = s.matcher.Match(e.Template, probe)
+			}
 			if err != nil {
-				return nil, fmt.Errorf("identify against %q: %w", e.ID, err)
+				mu.Lock()
+				if errIdx == -1 || i < errIdx {
+					errIdx = i
+					first = fmt.Errorf("identify against %q: %w", e.ID, err)
+				}
+				mu.Unlock()
+				continue
 			}
 			scores[i] = res.Score
 		}
-		return scores, nil
 	}
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		next   int
-		errIdx = -1
-		first  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sess *match.Session
-			if s.hough != nil {
-				sess = match.AcquireSession(s.hough)
-				defer sess.Release()
-			}
-			for {
-				if cancelled() {
-					return
-				}
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(entries) {
-					return
-				}
-				res, err := matchOne(sess, entries[i])
-				if err != nil {
-					mu.Lock()
-					if errIdx == -1 || i < errIdx {
-						errIdx = i
-						first = fmt.Errorf("identify against %q: %w", entries[i].ID, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				scores[i] = res.Score
-			}
-		}()
+	if workers := s.workers(len(entries)); workers <= 1 {
+		scan()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				scan()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ package match
 // the optimization, never an acceptable approximation.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -66,11 +67,49 @@ func sameResult(t *testing.T, label string, want, got Result) {
 	}
 }
 
+// quantise sends a template through the binary codec, the way every
+// template the service matches has been: integer pixel coordinates and
+// angles in units of 2π/65536, i.e. exact d² ties and votes on bin edges.
+func quantise(tb testing.TB, tpl *minutiae.Template) *minutiae.Template {
+	tb.Helper()
+	data, err := minutiae.Marshal(tpl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out, err := minutiae.Unmarshal(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// latticeTemplate puts minutiae on a 7 px lattice with angles on the
+// 15° rotation-bin edges: matched against itself or a lattice shift of
+// itself the refined transform is exact, so squared distances tie in
+// bulk (49, 98, 196 = DistTol² on the gate) and every angle difference
+// sits on a bin edge.
+func latticeTemplate(seed uint64, n int, shiftX, shiftY int) *minutiae.Template {
+	src := rng.New(seed)
+	tpl := &minutiae.Template{Width: 330, Height: 400, DPI: 500}
+	for i := 0; i < n; i++ {
+		tpl.Minutiae = append(tpl.Minutiae, minutiae.Minutia{
+			X:       float64(35 + 7*(src.Intn(12)+shiftX)),
+			Y:       float64(42 + 7*(src.Intn(16)+shiftY)),
+			Angle:   float64(src.Intn(24)) * (2 * math.Pi / 24),
+			Kind:    minutiae.Ending,
+			Quality: 50,
+		})
+	}
+	return tpl
+}
+
 // diffCorpus returns (gallery, probe) pairs spanning the edge cases the
 // hot path has to survive: empty and single-minutia templates, genuine
-// transformed pairs, impostors, identical templates, and offset
-// clusters that stress the packed-key translation range.
-func diffCorpus() [][2]*minutiae.Template {
+// transformed pairs, impostors, identical templates, offset clusters
+// that stress the packed-key translation range, and what the service
+// actually matches — codec-quantised sensor captures, D0 galleries
+// against D0 and D1 probes, genuine and impostor.
+func diffCorpus(tb testing.TB) [][2]*minutiae.Template {
 	var corpus [][2]*minutiae.Template
 	empty := &minutiae.Template{Width: 300, Height: 300, DPI: 500}
 	one := syntheticTemplate(901, 1)
@@ -114,13 +153,45 @@ func diffCorpus() [][2]*minutiae.Template {
 	// Genuine pair across a big offset (tests negative translation bins).
 	far := offsetTemplate(970, 30, 6000, 5000, 5000)
 	corpus = append(corpus, [2]*minutiae.Template{far, transformTemplate(far, geom.Rigid{Theta: 0.3, T: geom.Point{X: -40, Y: 25}, S: 1})})
+	// Everything above once more on the codec's lattice.
+	for _, pair := range corpus[5:] {
+		corpus = append(corpus, [2]*minutiae.Template{quantise(tb, pair[0]), quantise(tb, pair[1])})
+	}
+	// Exact ties: a lattice against itself, against lattice shifts of
+	// itself, and against another lattice.
+	for i := 0; i < 4; i++ {
+		l := latticeTemplate(uint64(980+i), 40, 0, 0)
+		corpus = append(corpus,
+			[2]*minutiae.Template{l, l},
+			[2]*minutiae.Template{l, latticeTemplate(uint64(980+i), 40, 2, 0)},
+			[2]*minutiae.Template{l, latticeTemplate(uint64(980+i), 40, -1, 2)},
+			[2]*minutiae.Template{l, latticeTemplate(uint64(990+i), 40, 0, 0)})
+	}
+	// Sensor captures through the codec: each subject's D0 enrollment
+	// against its own second D0 and D1 samples and the next subject's.
+	const subjects = 12
+	cohort := population.NewCohort(rng.New(2013).Child("diff"), population.CohortOptions{Size: subjects})
+	d0, _ := sensor.ProfileByID("D0")
+	d1, _ := sensor.ProfileByID("D1")
+	enrolled := make([]*minutiae.Template, subjects)
+	for i, subj := range cohort.Subjects {
+		enrolled[i] = quantise(tb, capture(tb, d0, subj, 0))
+	}
+	for i, subj := range cohort.Subjects {
+		for _, dev := range []*sensor.Profile{d0, d1} {
+			probe := quantise(tb, capture(tb, dev, subj, 1))
+			corpus = append(corpus,
+				[2]*minutiae.Template{enrolled[i], probe},
+				[2]*minutiae.Template{enrolled[(i+1)%subjects], probe})
+		}
+	}
 	return corpus
 }
 
 func TestSessionMatchesReferenceBitForBit(t *testing.T) {
 	m := &HoughMatcher{}
 	sess := NewSession(m)
-	for ci, pair := range diffCorpus() {
+	for _, pair := range diffCorpus(t) {
 		g, p := pair[0], pair[1]
 		want, err := m.referenceMatch(g, p)
 		if err != nil {
@@ -145,7 +216,6 @@ func TestSessionMatchesReferenceBitForBit(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameResult(t, "pooled", want, gotPub)
-		_ = ci
 	}
 }
 
@@ -176,25 +246,86 @@ func TestSessionMatchesReferenceNonDefaultParams(t *testing.T) {
 }
 
 func TestSessionScratchSurvivesReuse(t *testing.T) {
-	// Reusing one session across wildly different template sizes must
-	// not leak state between matches (stale votes, grid, or used-sets).
+	// One long-lived session takes the whole corpus three times over in
+	// shuffled order, alternating its entry points, and must not leak
+	// state between matches (a cell left non-zero, a stale grid, used-set
+	// or probe table): every result equals the reference computed alone.
 	m := &HoughMatcher{}
 	sess := NewSession(m)
-	corpus := diffCorpus()
-	// Interleave: big, small, empty, big — twice — and verify against a
-	// fresh reference every time.
-	order := []int{5, 0, 40, 2, 6, 1, 41, 5, 40}
-	for _, idx := range order {
-		if idx >= len(corpus) {
-			continue
-		}
-		g, p := corpus[idx][0], corpus[idx][1]
-		want, _ := m.referenceMatch(g, p)
-		got, err := sess.Match(g, p)
-		if err != nil {
+	corpus := diffCorpus(t)
+	want := make([]Result, len(corpus))
+	prepared := make([]*Prepared, len(corpus))
+	for i, pair := range corpus {
+		var err error
+		if want[i], err = m.referenceMatch(pair[0], pair[1]); err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, "reuse", want, got)
+		prepared[i] = m.Prepare(pair[0])
+	}
+	src := rng.New(4242)
+	for pass := 0; pass < 3; pass++ {
+		for step, i := range src.Perm(len(corpus)) {
+			g, p := corpus[i][0], corpus[i][1]
+			var got Result
+			var err error
+			switch (pass + step) % 3 {
+			case 0:
+				got, err = sess.Match(g, p)
+			case 1:
+				got, err = sess.MatchPrepared(prepared[i], p)
+			case 2:
+				sess.Bind(p)
+				got, err = sess.MatchBound(prepared[i])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, fmt.Sprintf("pass %d pair %d", pass, i), want[i], got)
+		}
+	}
+
+	// A scan: one probe bound once against every gallery of the corpus,
+	// in shuffled order, with the session the passes above left behind.
+	for _, pi := range []int{0, 7, 31, 48, len(corpus) - 3, len(corpus) - 1} {
+		probe := corpus[pi][1]
+		sess.Bind(probe)
+		for _, gi := range src.Perm(len(corpus)) {
+			want, err := m.referenceMatch(corpus[gi][0], probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sess.MatchBound(prepared[gi])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, fmt.Sprintf("probe %d bound, gallery %d", pi, gi), want, got)
+		}
+	}
+}
+
+func TestMatchBoundWithoutProbe(t *testing.T) {
+	m := &HoughMatcher{}
+	sess := NewSession(m)
+	prep := m.Prepare(syntheticTemplate(1, 10))
+	if _, err := sess.MatchBound(prep); err != ErrNilTemplate {
+		t.Fatalf("no probe bound: %v", err)
+	}
+	sess.Bind(syntheticTemplate(2, 10))
+	if _, err := sess.MatchBound(prep); err != nil {
+		t.Fatal(err)
+	}
+	sess.Bind(nil)
+	if _, err := sess.MatchBound(prep); err != ErrNilTemplate {
+		t.Fatalf("after unbinding: %v", err)
+	}
+	// A pooled session comes back with nothing bound.
+	pooled := AcquireSession(m)
+	pooled.Bind(syntheticTemplate(2, 10))
+	pooled.Release()
+	pooled = AcquireSession(m)
+	defer pooled.Release()
+	if _, err := pooled.MatchBound(prep); err != ErrNilTemplate {
+		t.Fatalf("pooled session kept its probe: %v", err)
 	}
 }
 
@@ -287,18 +418,45 @@ func TestPrepareNilAndEmpty(t *testing.T) {
 	}
 }
 
+// fuzzSession lives as long as the fuzzing process: every input runs on
+// it after all the others, so state that survives a match (a cell left
+// non-zero, a stale probe table) shows up as a later input's mismatch.
+var fuzzSession = NewSession(nil)
+
 func FuzzSessionMatchesReference(f *testing.F) {
-	f.Add(uint64(1), uint64(2), uint8(20), uint8(30), int16(0), int16(0))
-	f.Add(uint64(3), uint64(3), uint8(1), uint8(1), int16(500), int16(-500))
-	f.Add(uint64(7), uint64(11), uint8(0), uint8(45), int16(3000), int16(3000))
-	f.Add(uint64(13), uint64(17), uint8(64), uint8(64), int16(-200), int16(2500))
-	f.Fuzz(func(t *testing.T, seedA, seedB uint64, nA, nB uint8, offX, offY int16) {
+	f.Add(uint64(1), uint64(2), uint8(20), uint8(30), int16(0), int16(0), uint8(0))
+	f.Add(uint64(3), uint64(3), uint8(1), uint8(1), int16(500), int16(-500), uint8(0))
+	f.Add(uint64(7), uint64(11), uint8(0), uint8(45), int16(3000), int16(3000), uint8(0))
+	f.Add(uint64(13), uint64(17), uint8(64), uint8(64), int16(-200), int16(2500), uint8(0))
+	f.Add(uint64(19), uint64(23), uint8(35), uint8(0), int16(-40), int16(25), uint8(1))
+	f.Add(uint64(29), uint64(31), uint8(50), uint8(0), int16(300), int16(-120), uint8(4))
+	f.Add(uint64(37), uint64(41), uint8(40), uint8(44), int16(0), int16(0), uint8(2))
+	f.Add(uint64(43), uint64(43), uint8(48), uint8(48), int16(-7), int16(14), uint8(5))
+	f.Fuzz(func(t *testing.T, seedA, seedB uint64, nA, nB uint8, offX, offY int16, mode uint8) {
 		// Bounded geometry: coordinates stay small enough for the flat
 		// accumulator path (the regime the fuzz is meant to stress).
 		ox := float64(offX) + 4000
 		oy := float64(offY) + 4000
 		g := offsetTemplate(seedA, int(nA%70), 9000, ox, oy)
-		p := offsetTemplate(seedB, int(nB%70), 9000, 8000-ox, 8000-oy)
+		var p *minutiae.Template
+		switch mode % 3 {
+		case 0: // impostor
+			p = offsetTemplate(seedB, int(nB%70), 9000, 8000-ox, 8000-oy)
+		case 1: // genuine: a rigid motion of the gallery
+			p = transformTemplate(g, geom.Rigid{
+				Theta: float64(seedB%1257)/200 - math.Pi,
+				T:     geom.Point{X: float64(offX) / 8, Y: float64(offY) / 8},
+				S:     1,
+			})
+		case 2: // genuine by a whole-pixel shift: the refined transform is exact
+			p = transformTemplate(g, geom.Rigid{T: geom.Point{X: float64(offX % 64), Y: float64(offY % 64)}, S: 1})
+		}
+		if mode%6 >= 3 && g.Validate() == nil && p.Validate() == nil {
+			// The codec's lattice: integer coordinates, quantised angles.
+			// (A rotated angle can round to 2π itself, which the codec
+			// refuses and the matcher must still take.)
+			g, p = quantise(t, g), quantise(t, p)
+		}
 		m := &HoughMatcher{}
 		want, err1 := m.referenceMatch(g, p)
 		sess := NewSession(m)
@@ -310,29 +468,25 @@ func FuzzSessionMatchesReference(f *testing.F) {
 			return
 		}
 		sameResult(t, "fuzz", want, got)
+		got, err := fuzzSession.MatchPrepared(m.Prepare(g), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "fuzz, long-lived session", want, got)
 	})
 }
 
-// sensorPair captures a realistic cross-device genuine pair (the same
-// workload as the top-level BenchmarkHoughMatch).
+// sensorPair captures a realistic cross-device genuine pair.
 func sensorPair(tb testing.TB) (g, p *minutiae.Template) {
 	tb.Helper()
 	cohort := population.NewCohort(rng.New(2013), population.CohortOptions{Size: 1})
 	d0, _ := sensor.ProfileByID("D0")
 	d1, _ := sensor.ProfileByID("D1")
-	gi, err := d0.CaptureSubject(cohort.Subjects[0], 0, sensor.CaptureOptions{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pi, err := d1.CaptureSubject(cohort.Subjects[0], 0, sensor.CaptureOptions{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return gi.Template, pi.Template
+	return capture(tb, d0, cohort.Subjects[0], 0), capture(tb, d1, cohort.Subjects[0], 0)
 }
 
-// BenchmarkReferenceMatch times the pre-optimization algorithm on a
-// cross-device genuine pair — the before side of the hot-path rewrite.
+// BenchmarkReferenceMatch times the oracle on a cross-device genuine
+// pair: what a comparison that falls back to it costs.
 func BenchmarkReferenceMatch(b *testing.B) {
 	g, p := sensorPair(b)
 	m := &HoughMatcher{}
@@ -340,25 +494,6 @@ func BenchmarkReferenceMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.referenceMatch(g, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSessionMatchSensor times the optimized session path on the
-// same pair — the after side.
-func BenchmarkSessionMatchSensor(b *testing.B) {
-	g, p := sensorPair(b)
-	m := &HoughMatcher{}
-	sess := NewSession(m)
-	prep := m.Prepare(g)
-	if _, err := sess.MatchPrepared(prep, p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.MatchPrepared(prep, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -434,4 +569,140 @@ func TestWideWindowPackKeyWrapFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "wide window", want, got)
+}
+
+func TestMisconfiguredMatcherNeverPanics(t *testing.T) {
+	// A matcher built from bad configuration must answer or fail, not take
+	// the process down: every field at a negative, NaN and ±Inf value (the
+	// counts at negatives; {Candidates: -1} and {RotBins: -3} used to
+	// panic in run and configure). Whatever the session path returns is
+	// what the reference returns, and a pooled session that served a
+	// misconfigured matcher serves the default one unharmed.
+	g := syntheticTemplate(71, 30)
+	p := transformTemplate(g, geom.Rigid{Theta: 0.2, T: geom.Point{X: 10, Y: 5}, S: 1})
+	imp := syntheticTemplate(72, 30)
+	var matchers []*HoughMatcher
+	for _, bad := range []float64{-1, -14, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		matchers = append(matchers,
+			&HoughMatcher{DistTol: bad}, &HoughMatcher{AngleTol: bad}, &HoughMatcher{ShiftBin: bad})
+	}
+	for _, bad := range []int{-1, -3, math.MinInt} {
+		matchers = append(matchers, &HoughMatcher{RotBins: bad}, &HoughMatcher{Candidates: bad})
+	}
+	def := &HoughMatcher{}
+	wantDef, err := def.referenceMatch(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range matchers {
+		label := fmt.Sprintf("%+v", *m)
+		sess := NewSession(m)
+		for _, probe := range []*minutiae.Template{p, imp} {
+			want, errWant := m.referenceMatch(g, probe)
+			got, errGot := sess.Match(g, probe)
+			if (errWant == nil) != (errGot == nil) {
+				t.Fatalf("%s: error divergence: %v vs %v", label, errWant, errGot)
+			}
+			if errWant == nil {
+				sameResult(t, label, want, got)
+			}
+			if got, err := sess.MatchPrepared(m.Prepare(g), probe); err == nil && errWant == nil {
+				sameResult(t, label+" prepared", want, got)
+			}
+			if got, err := m.Match(g, probe); err == nil && errWant == nil {
+				sameResult(t, label+" pooled", want, got)
+			}
+		}
+		got, err := def.Match(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "default after "+label, wantDef, got)
+	}
+	if p := (&HoughMatcher{RotBins: -3, Candidates: -1}).params(); p.RotBins != 24 || p.Candidates != 6 {
+		t.Fatalf("non-positive counts resolve to %d bins, %d candidates; want the defaults", p.RotBins, p.Candidates)
+	}
+}
+
+func TestOutOfRangeAnglesStayTotal(t *testing.T) {
+	// Template.Validate demands angles in [0, 2π), but Match takes
+	// unvalidated templates too: an angle far outside would put the
+	// rotation bin past either end of the probe's table. Such templates
+	// take the reference path, on either side.
+	m := &HoughMatcher{}
+	sess := NewSession(m)
+	for _, bad := range []float64{-20, 2 * math.Pi, 7, 1e300, -1e300} {
+		for side := 0; side < 2; side++ {
+			g := syntheticTemplate(81, 25)
+			p := syntheticTemplate(82, 25)
+			[]*minutiae.Template{g, p}[side].Minutiae[4].Angle = bad
+			want, err := m.referenceMatch(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sess.Match(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, fmt.Sprintf("angle %v side %d", bad, side), want, got)
+			gotPrep, err := sess.MatchPrepared(m.Prepare(g), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, fmt.Sprintf("angle %v side %d prepared", bad, side), want, gotPrep)
+		}
+	}
+}
+
+func TestOversizedTemplateFallsBack(t *testing.T) {
+	// The grid indexes minutiae with 16 bits; a template past that is
+	// left gridless and matched by the reference, not truncated.
+	g := &minutiae.Template{Width: 2000, Height: 2000, DPI: 500}
+	src := rng.New(5)
+	for i := 0; i <= math.MaxUint16; i++ {
+		g.Minutiae = append(g.Minutiae, minutiae.Minutia{
+			X: src.Float64() * 2000, Y: src.Float64() * 2000, Angle: src.Float64() * 2 * math.Pi,
+			Kind: minutiae.Ending, Quality: 50,
+		})
+	}
+	p := syntheticTemplate(91, 3)
+	m := &HoughMatcher{}
+	prep := m.Prepare(g)
+	if prep.cols != 0 {
+		t.Fatalf("%d minutiae got a %dx%d grid", len(g.Minutiae), prep.cols, prep.rows)
+	}
+	want, err := m.referenceMatch(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewSession(m).MatchPrepared(prep, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "oversized", want, got)
+}
+
+func TestGridStaysSmall(t *testing.T) {
+	// However spread out the minutiae, the grid falls back to coarser
+	// cells, never to more of them: at most 15×15, about four per
+	// minutia.
+	m := &HoughMatcher{}
+	for _, tpl := range []*minutiae.Template{
+		syntheticTemplate(1, 3),
+		syntheticTemplate(2, 50),
+		syntheticTemplate(3, 400),
+		offsetTemplate(4, 60, 16000, 0, 0),
+		{Width: 1 << 30, Height: 1 << 30, DPI: 500, Minutiae: []minutiae.Minutia{
+			{X: 0, Y: 0, Kind: minutiae.Ending}, {X: 1 << 29, Y: 3, Kind: minutiae.Ending},
+			{X: 17, Y: 1 << 29, Kind: minutiae.Ending}, {X: 1 << 28, Y: 1 << 28, Kind: minutiae.Ending}}},
+	} {
+		g := m.Prepare(tpl)
+		n := len(tpl.Minutiae)
+		if g.cols == 0 || int(g.cols)*int(g.rows) > min(4*n, 225) {
+			t.Fatalf("%d minutiae: %dx%d grid", n, g.cols, g.rows)
+		}
+		if len(g.grid) != int(g.cols)*int(g.rows)+1+n {
+			t.Fatalf("%d minutiae: grid slab of %d entries for %dx%d cells", n, len(g.grid), g.cols, g.rows)
+		}
+	}
 }

@@ -32,6 +32,10 @@ type HoughMatcher struct {
 
 var _ Matcher = (*HoughMatcher)(nil)
 
+// params resolves the defaults: a zero field means its default, and so
+// does a bin or candidate count that cannot be one (negative) — a
+// misconfigured matcher must not take the process down on its first
+// comparison.
 func (m *HoughMatcher) params() HoughMatcher {
 	p := *m
 	if p.DistTol == 0 {
@@ -40,13 +44,13 @@ func (m *HoughMatcher) params() HoughMatcher {
 	if p.AngleTol == 0 {
 		p.AngleTol = math.Pi / 6
 	}
-	if p.RotBins == 0 {
+	if p.RotBins <= 0 {
 		p.RotBins = 24
 	}
 	if p.ShiftBin == 0 {
 		p.ShiftBin = 16
 	}
-	if p.Candidates == 0 {
+	if p.Candidates <= 0 {
 		p.Candidates = 6
 	}
 	return p
@@ -80,7 +84,9 @@ func (m *HoughMatcher) Match(gallery, probe *minutiae.Template) (Result, error) 
 // estimateRigid computes the least-squares rigid transform (rotation +
 // translation, no scale) mapping probe minutiae onto their paired gallery
 // minutiae — the classic Procrustes/Kabsch solution in 2-D.
-func estimateRigid(ga, pr []minutiae.Minutia, pairs [][2]int) (geom.Rigid, bool) {
+//
+//fpvet:hotpath
+func estimateRigid(ga, pr []point, pairs [][2]int) (geom.Rigid, bool) {
 	n := len(pairs)
 	if n < 2 {
 		return geom.Rigid{}, false
@@ -88,10 +94,10 @@ func estimateRigid(ga, pr []minutiae.Minutia, pairs [][2]int) (geom.Rigid, bool)
 	var gcx, gcy, pcx, pcy float64
 	for _, pair := range pairs {
 		g, q := ga[pair[0]], pr[pair[1]]
-		gcx += g.X
-		gcy += g.Y
-		pcx += q.X
-		pcy += q.Y
+		gcx += g.x
+		gcy += g.y
+		pcx += q.x
+		pcy += q.y
 	}
 	fn := float64(n)
 	gcx /= fn
@@ -102,8 +108,8 @@ func estimateRigid(ga, pr []minutiae.Minutia, pairs [][2]int) (geom.Rigid, bool)
 	var sxx, sxy, syx, syy float64
 	for _, pair := range pairs {
 		g, q := ga[pair[0]], pr[pair[1]]
-		px, py := q.X-pcx, q.Y-pcy
-		gx, gy := g.X-gcx, g.Y-gcy
+		px, py := q.x-pcx, q.y-pcy
+		gx, gy := g.x-gcx, g.y-gcy
 		sxx += px * gx
 		sxy += px * gy
 		syx += py * gx

@@ -79,8 +79,9 @@ func overlapDenom(gallery, probe *minutiae.Template, tr geom.Rigid) int {
 	// Both loops inline geom.Rigid.Apply with the rotation hoisted: the
 	// per-point expressions (rotate, scale, translate) are unchanged, so
 	// the counts are identical, but the trig runs twice per call instead
-	// of twice per minutia — this sits inside the matcher's per-candidate
-	// scoring loop.
+	// of twice per minutia. The reference and the greedy matcher call
+	// this; Session.scorePairing counts the same two sets with the same
+	// expressions inside its pairing pass.
 	inv := tr.Invert()
 	ic, is := math.Cos(inv.Theta), math.Sin(inv.Theta)
 	pw, ph := float64(probe.Width), float64(probe.Height)
@@ -106,26 +107,23 @@ func overlapDenom(gallery, probe *minutiae.Template, tr geom.Rigid) int {
 			pIn++
 		}
 	}
-	denom := gIn
-	if pIn < denom {
-		denom = pIn
-	}
-	smaller := len(gallery.Minutiae)
-	if len(probe.Minutiae) < smaller {
-		smaller = len(probe.Minutiae)
-	}
-	if floor := (smaller + 1) / 2; denom < floor {
-		denom = floor
-	}
-	if denom < 5 {
-		denom = 5
-	}
-	return denom
+	return flooredDenom(gIn, pIn, len(gallery.Minutiae), len(probe.Minutiae))
+}
+
+// flooredDenom turns the two overlap counts into the reference count:
+// the smaller of them, floored at half the smaller template and at 5.
+func flooredDenom(gIn, pIn, nGallery, nProbe int) int {
+	return max(min(gIn, pIn), (min(nGallery, nProbe)+1)/2, 5)
 }
 
 // angleDiff returns the absolute angular difference in [0, π].
 func angleDiff(a, b float64) float64 {
-	d := math.Mod(math.Abs(a-b), 2*math.Pi)
+	d := math.Abs(a - b)
+	if d >= 2*math.Pi {
+		// Below 2π the remainder is d itself, bit for bit (and NaN stays
+		// NaN), so the common case skips the call.
+		d = math.Mod(d, 2*math.Pi)
+	}
 	if d > math.Pi {
 		d = 2*math.Pi - d
 	}

@@ -289,14 +289,14 @@ func TestGreedyWeakerThanHoughUnderRotation(t *testing.T) {
 
 func TestEstimateRigidRecoversKnownTransform(t *testing.T) {
 	src := rng.New(61)
-	var ga, pr []minutiae.Minutia
+	var ga, pr []point
 	want := geom.Rigid{Theta: 0.4, T: geom.Point{X: 30, Y: -12}, S: 1}
 	var pairs [][2]int
 	for i := 0; i < 10; i++ {
 		p := geom.Point{X: src.Float64() * 200, Y: src.Float64() * 200}
 		q := want.Apply(p)
-		pr = append(pr, minutiae.Minutia{X: p.X, Y: p.Y, Kind: minutiae.Ending})
-		ga = append(ga, minutiae.Minutia{X: q.X, Y: q.Y, Kind: minutiae.Ending})
+		pr = append(pr, point{x: p.X, y: p.Y})
+		ga = append(ga, point{x: q.X, y: q.Y})
 		pairs = append(pairs, [2]int{i, i})
 	}
 	got, ok := estimateRigid(ga, pr, pairs)
@@ -373,28 +373,4 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-func BenchmarkHoughMatchGenuine(b *testing.B) {
-	var m HoughMatcher
-	tpl := syntheticTemplate(71, 35)
-	moved := transformTemplate(tpl, geom.Rigid{Theta: 0.2, T: geom.Point{X: 10, Y: 5}, S: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Match(tpl, moved); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHoughMatchImpostor(b *testing.B) {
-	var m HoughMatcher
-	t1 := syntheticTemplate(81, 35)
-	t2 := syntheticTemplate(82, 35)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Match(t1, t2); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

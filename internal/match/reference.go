@@ -104,6 +104,7 @@ func (m *HoughMatcher) referenceMatch(gallery, probe *minutiae.Template) (Result
 		}
 	}
 
+	gaPts, prPts := points(ga), points(pr)
 	best := Result{}
 	for i := 0; i < len(topKeys); i++ {
 		rot, tx, ty := unpackKey(topKeys[i])
@@ -120,7 +121,7 @@ func (m *HoughMatcher) referenceMatch(gallery, probe *minutiae.Template) (Result
 		// One refinement round: re-estimate the transform from the pairs
 		// and re-pair. Helps recover from coarse accumulator bins.
 		if res.Matched >= 3 {
-			if refined, ok := estimateRigid(ga, pr, res.Pairs); ok {
+			if refined, ok := estimateRigid(gaPts, prPts, res.Pairs); ok {
 				res2 := m.referenceScorePairing(gallery, probe, refined, p)
 				if res2.Score > res.Score {
 					res = res2
@@ -132,6 +133,15 @@ func (m *HoughMatcher) referenceMatch(gallery, probe *minutiae.Template) (Result
 		}
 	}
 	return best, nil
+}
+
+// points returns the minutiae's geometry.
+func points(ms []minutiae.Minutia) []point {
+	pts := make([]point, len(ms))
+	for i, m := range ms {
+		pts[i] = point{m.X, m.Y, m.Angle}
+	}
+	return pts
 }
 
 // referenceScorePairing pairs minutiae under the transform by scanning

@@ -17,13 +17,16 @@ import (
 const maxAccCells = 1 << 25
 
 // Session holds every piece of scratch state the Hough matcher hot path
-// needs — flat vote accumulator, touched-cell list, per-probe rotation
-// tables, top-K heap, pairing grid and candidate buffers, used-sets,
-// and the pairs arena — so a steady-state match performs zero heap
-// allocations. A Session is NOT safe for concurrent use; run one per
-// goroutine (gallery scans, study workers, and service handlers each
-// hold their own), or borrow one from the shared pool with
-// AcquireSession/Release.
+// needs — the bound probe's tables, flat vote accumulator, touched-cell
+// list, top-K heap, pairing candidate buffers, used-sets, and the pairs
+// arena — so a steady-state match performs zero heap allocations. A
+// Session is NOT safe for concurrent use; run one per goroutine (gallery
+// scans, study workers, and service handlers each hold their own), or
+// borrow one from the shared pool with AcquireSession/Release.
+//
+// A scan is one probe against many galleries: Bind the probe once, then
+// call MatchBound per prepared gallery. Match and MatchPrepared bind
+// their probe argument on every call.
 //
 // Results returned by Session methods alias session-owned memory:
 // Result.Pairs is valid only until the session's next match. Callers
@@ -35,11 +38,26 @@ type Session struct {
 	cosTab   []float64
 	sinTab   []float64
 
+	// The bound probe (see Bind) and everything a comparison needs of
+	// it, computed once per binding.
+	probe *minutiae.Template
+	// regular: finite coordinates, angles in [0, 2π). Only then are the
+	// tables below filled; anything else goes to the reference matcher.
+	regular bool
+	pts     []point // the probe's geometry, in template order
+	pw, ph  float64 // capture window
+	// rot holds the probe coordinates rotated to every rotation bin's
+	// centre, [probe index][rot bin], so the voting loop rotates by table
+	// lookup; rotBox is their bounding box per bin, which bounds the
+	// translations a gallery can vote for in that bin.
+	rot    []xy
+	rotBox []box
+
 	// Voting scratch.
-	rotX, rotY []float64 // rotated probe coords, [probe index][rot bin]
-	votes      []int32   // flat accumulator, all-zero between matches
-	touched    []int32   // flat indices of non-zero cells this match
-	top        []accCell // bounded min-heap, then sorted candidates
+	votes   []int32  // flat accumulator, all-zero between matches
+	touched []int32  // flat indices of the cells voted for this match
+	planes  []plane  // per rotation bin: where its window starts
+	top     []uint64 // bounded min-heap of packed cells, then sorted
 
 	// Gallery-side scratch for the unprepared path.
 	scratch Prepared
@@ -50,11 +68,16 @@ type Session struct {
 	arena        [][2]int // backing storage for every Result.Pairs this match
 }
 
-// accCell is one accumulator candidate: its packed (rot, tx, ty) key
-// and vote count.
-type accCell struct {
-	key   uint64
-	votes int32
+type xy struct{ x, y float64 }
+
+type box struct{ minX, maxX, minY, maxY float64 }
+
+// plane locates one rotation bin's translation window in the flat
+// accumulator: the cell of translation bin (tx, ty) is off + tx*tyBins
+// + ty, and (txMin, tyMin) is the window's first bin.
+type plane struct {
+	off          int
+	txMin, tyMin int32
 }
 
 // pairCand is one tolerance-gated pairing candidate. Distances are kept
@@ -81,8 +104,8 @@ func NewSession(m *HoughMatcher) *Session {
 var sessionPool = sync.Pool{New: func() any { return &Session{} }}
 
 // AcquireSession borrows a session configured for m from the shared
-// pool. Return it with Release when done; any Result obtained from it
-// becomes invalid at that point.
+// pool, with no probe bound. Return it with Release when done; any
+// Result obtained from it becomes invalid at that point.
 func AcquireSession(m *HoughMatcher) *Session {
 	if m == nil {
 		m = &HoughMatcher{}
@@ -102,11 +125,17 @@ func AcquireSession(m *HoughMatcher) *Session {
 // templates need well under a megabyte.
 const maxRetainedCells = 1 << 22
 
-// Release returns the session to the shared pool.
+// Release returns the session to the shared pool, dropping its
+// references to the caller's templates.
 func (s *Session) Release() {
 	if cap(s.votes) > maxRetainedCells {
 		s.votes = nil
 	}
+	if cap(s.touched) > maxRetainedCells {
+		s.touched = nil
+	}
+	s.probe = nil
+	s.scratch.tpl = nil
 	sessionPool.Put(s)
 }
 
@@ -122,8 +151,8 @@ func detachResult(res Result) Result {
 
 // MatchPreparedOnce runs a single comparison against a prepared
 // gallery template on a pooled session and returns a detached Result
-// that stays valid indefinitely. Hot loops should hold a Session and
-// call MatchPrepared directly instead.
+// that stays valid indefinitely. Hot loops should hold a Session, Bind
+// the probe and call MatchBound directly instead.
 func MatchPreparedOnce(m *HoughMatcher, gallery *Prepared, probe *minutiae.Template) (Result, error) {
 	s := AcquireSession(m)
 	res, err := s.MatchPrepared(gallery, probe)
@@ -132,18 +161,72 @@ func MatchPreparedOnce(m *HoughMatcher, gallery *Prepared, probe *minutiae.Templ
 	return res, err
 }
 
-// configure resolves parameters and rebuilds the rotation tables. The
-// accumulator and pairing scratch carry over; they are sized per match.
+// configure resolves parameters and rebuilds the rotation tables, which
+// unbinds the probe. The accumulator and pairing scratch carry over;
+// they are sized per match.
 func (s *Session) configure(p HoughMatcher) {
 	s.p = p
+	s.probe = nil
 	s.rotStep = 2 * math.Pi / float64(p.RotBins)
 	s.invShift = 1 / p.ShiftBin
-	s.cosTab = growFloats(s.cosTab, p.RotBins)
-	s.sinTab = growFloats(s.sinTab, p.RotBins)
+	s.cosTab = grow(s.cosTab, p.RotBins)
+	s.sinTab = grow(s.sinTab, p.RotBins)
 	for b := 0; b < p.RotBins; b++ {
 		theta := (float64(b) + 0.5) * s.rotStep
 		s.cosTab[b] = math.Cos(theta)
 		s.sinTab[b] = math.Sin(theta)
+	}
+}
+
+// Bind makes probe the session's probe for the MatchBound calls that
+// follow, computing everything a comparison needs of it — its geometry,
+// the rotation tables, their per-bin extents — once instead of once per
+// gallery. The probe must not be modified while it is bound; it stays
+// bound until the next Bind, Match, MatchPrepared or Release. Binding
+// nil unbinds.
+func (s *Session) Bind(probe *minutiae.Template) {
+	if probe == nil {
+		s.probe = nil
+		return
+	}
+	s.bind(probe)
+}
+
+//fpvet:hotpath
+func (s *Session) bind(probe *minutiae.Template) {
+	pr := probe.Minutiae
+	s.probe = probe
+	s.pw, s.ph = float64(probe.Width), float64(probe.Height)
+	s.pts = grow(s.pts, len(pr))
+	// Non-finite probe geometry would index the accumulator with
+	// garbage and an angle outside [0, 2π) the rotation tables; the
+	// reference matcher is total over arbitrary floats. A finite squared
+	// radius also keeps every rotated coordinate finite.
+	regular := true
+	for j, b := range pr {
+		s.pts[j] = point{b.X, b.Y, b.Angle}
+		regular = regular && b.X*b.X+b.Y*b.Y < math.Inf(1) && validAngle(b.Angle)
+	}
+	s.regular = regular
+	if !regular {
+		return
+	}
+
+	// Rotated coordinates and their extent, one rotation bin at a time.
+	// The expressions mirror referenceMatch exactly.
+	rotBins := s.p.RotBins
+	s.rot = grow(s.rot, len(pr)*rotBins)
+	s.rotBox = grow(s.rotBox, rotBins)
+	for rb := range s.rotBox {
+		c, sn := s.cosTab[rb], s.sinTab[rb]
+		bb := box{math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)}
+		for j, b := range s.pts {
+			r := xy{b.x*c - b.y*sn, b.x*sn + b.y*c}
+			s.rot[j*rotBins+rb] = r
+			bb.minX, bb.maxX = min(bb.minX, r.x), max(bb.maxX, r.x)
+			bb.minY, bb.maxY = min(bb.minY, r.y), max(bb.maxY, r.y)
+		}
+		s.rotBox[rb] = bb
 	}
 }
 
@@ -157,230 +240,167 @@ func (s *Session) Match(gallery, probe *minutiae.Template) (Result, error) {
 	if len(gallery.Minutiae) == 0 || len(probe.Minutiae) == 0 {
 		return Result{}, nil
 	}
-	s.scratch.build(s.p, gallery)
-	return s.run(&s.scratch, probe)
+	s.bind(probe)
+	s.scratch.build(s.p.DistTol, gallery)
+	return s.run(&s.scratch)
 }
 
 // MatchPrepared is Match with the gallery-side preprocessing already
-// done (see HoughMatcher.Prepare). A preparation built under different
-// matcher parameters is rebuilt into session scratch, so the result is
-// always the session's own parameterization.
+// done (see HoughMatcher.Prepare): Bind then MatchBound.
 func (s *Session) MatchPrepared(gallery *Prepared, probe *minutiae.Template) (Result, error) {
-	if gallery == nil || gallery.tpl == nil || probe == nil {
-		return Result{}, ErrNilTemplate
-	}
-	if len(gallery.tpl.Minutiae) == 0 || len(probe.Minutiae) == 0 {
-		return Result{}, nil
-	}
-	if gallery.p != s.p {
-		s.scratch.build(s.p, gallery.tpl)
-		return s.run(&s.scratch, probe)
-	}
-	return s.run(gallery, probe)
+	s.Bind(probe)
+	return s.MatchBound(gallery)
 }
 
-// run is the optimized hot path. It must return results bit-identical
-// to referenceMatch (the differential tests enforce this): identical
-// vote binning arithmetic, identical top-K selection order (votes
-// descending, packed key ascending), identical candidate ordering in
-// the pairing, and the same refinement and best-result tie-breaks.
+// MatchBound compares a prepared gallery template with the bound probe
+// (ErrNilTemplate when there is none). A preparation built under a
+// different DistTol is rebuilt into session scratch, so the result is
+// always the session's own parameterization.
+func (s *Session) MatchBound(gallery *Prepared) (Result, error) {
+	if gallery == nil || gallery.tpl == nil || s.probe == nil {
+		return Result{}, ErrNilTemplate
+	}
+	if len(gallery.pts) == 0 || len(s.pts) == 0 {
+		return Result{}, nil
+	}
+	if gallery.tol != s.p.DistTol {
+		s.scratch.build(s.p.DistTol, gallery.tpl)
+		gallery = &s.scratch
+	}
+	return s.run(gallery)
+}
+
+// reference is the fallback for anything the flat path cannot index.
+func (s *Session) reference(g *Prepared) (Result, error) {
+	m := s.p
+	return m.referenceMatch(g.tpl, s.probe)
+}
+
+// run is the optimized hot path: the bound probe against one prepared
+// gallery. It must return results bit-identical to referenceMatch (the
+// differential tests enforce this): identical vote binning arithmetic,
+// identical top-K selection order (votes descending, packed key
+// ascending), identical candidate ordering in the pairing, and the same
+// refinement and best-result tie-breaks.
 //
 //fpvet:hotpath
-func (s *Session) run(g *Prepared, probe *minutiae.Template) (Result, error) {
-	ga := g.tpl.Minutiae
-	pr := probe.Minutiae
-	p := s.p
-	rotBins := p.RotBins
+func (s *Session) run(g *Prepared) (Result, error) {
+	// Irregular probes, gridless preparations (non-finite coordinates,
+	// angles outside [0, 2π)) and non-positive or non-finite bin sizes
+	// (invShift must be a positive finite scale for the window arithmetic
+	// to mean anything) go to the reference matcher, which is total over
+	// arbitrary floats.
+	if !s.regular || g.cols == 0 || !(s.invShift > 0) || !isFinite(s.invShift) {
+		return s.reference(g)
+	}
+	n, np := len(g.pts), len(s.pts)
+	rotBins := s.p.RotBins
+	invShift := s.invShift
 
-	// --- Accumulator window: translations are bounded by the gallery
-	// minutiae bounding box ± the probe's maximal rotation radius. One
-	// guard bin on each side absorbs last-ulp rounding of the rotated
-	// coordinates.
-	maxR2 := 0.0
-	for _, b := range pr {
-		r2 := b.X*b.X + b.Y*b.Y
-		if !(r2 < math.Inf(1)) || !isFinite(b.Angle) {
-			// Non-finite probe geometry would index the accumulator and
-			// rotation tables with garbage; the reference matcher is
-			// total over arbitrary floats.
-			m := s.p
-			return m.referenceMatch(g.tpl, probe)
+	// --- Accumulator windows, one per rotation bin: a translation is a
+	// gallery coordinate minus a rotated probe coordinate, and rounding
+	// is monotone, so the extreme bins of bin rb come from the gallery
+	// bounding box against the probe's rotated extent in rb — exactly, no
+	// guard bins. Every plane gets the largest window's shape. Bins
+	// outside int16 (where the reference's packKey wraps, merging bins
+	// 2^16 apart that a flat layout would keep distinct, and stops
+	// ordering like the flat index) and non-finite bounds go to the
+	// reference; the conversions below are defined only inside this
+	// guard.
+	s.planes = grow(s.planes, rotBins)
+	planes := s.planes
+	txBins, tyBins := 0, 0
+	for rb := range planes {
+		bb := &s.rotBox[rb]
+		txLo := math.Floor((g.minX - bb.maxX) * invShift)
+		txHi := math.Floor((g.maxX - bb.minX) * invShift)
+		tyLo := math.Floor((g.minY - bb.maxY) * invShift)
+		tyHi := math.Floor((g.maxY - bb.minY) * invShift)
+		if !(txLo >= math.MinInt16 && txHi <= math.MaxInt16 && tyLo >= math.MinInt16 && tyHi <= math.MaxInt16) {
+			return s.reference(g)
 		}
-		if r2 > maxR2 {
-			maxR2 = r2
-		}
+		planes[rb].txMin, planes[rb].tyMin = int32(txLo), int32(tyLo)
+		txBins = max(txBins, int(txHi-txLo)+1)
+		tyBins = max(tyBins, int(tyHi-tyLo)+1)
 	}
-	r := math.Sqrt(maxR2)
-	txLo := math.Floor((g.minX - r) * s.invShift)
-	txHi := math.Floor((g.maxX + r) * s.invShift)
-	tyLo := math.Floor((g.minY - r) * s.invShift)
-	tyHi := math.Floor((g.maxY + r) * s.invShift)
-	// Gridless preparations (non-finite coordinates), non-positive or
-	// non-finite bin sizes (invShift must be a positive finite scale for
-	// the window arithmetic to mean anything), and windows whose bin
-	// bounds are non-finite or would overflow int32 go to the reference
-	// matcher, which is total over arbitrary floats; the int32
-	// conversions below are well-defined only inside this guard.
-	const binRange = 1 << 30
-	if g.cols == 0 || !(s.invShift > 0) || !isFinite(s.invShift) ||
-		!(txLo >= -binRange && txHi <= binRange && tyLo >= -binRange && tyHi <= binRange) {
-		m := s.p
-		return m.referenceMatch(g.tpl, probe)
+	planeSize := txBins * tyBins
+	if planeSize > maxAccCells || rotBins > maxAccCells/planeSize {
+		return s.reference(g)
 	}
-	txMin := int32(txLo) - 1
-	txMax := int32(txHi) + 1
-	tyMin := int32(tyLo) - 1
-	tyMax := int32(tyHi) + 1
-	txBins := int(txMax-txMin) + 1
-	tyBins := int(tyMax-tyMin) + 1
-	if txBins > 1<<16 || tyBins > 1<<16 {
-		// packKey wraps translation bins into 16 bits: the reference's
-		// map accumulator merges bins 2^16 apart while the flat layout
-		// would keep them distinct, so wider windows must take the
-		// reference path to preserve identity.
-		m := s.p
-		return m.referenceMatch(g.tpl, probe)
+	cells := rotBins * planeSize
+	for rb := range planes {
+		pl := &planes[rb]
+		pl.off = rb*planeSize - int(pl.txMin)*tyBins - int(pl.tyMin)
 	}
-	if cells := int64(rotBins) * int64(txBins) * int64(tyBins); cells > maxAccCells || cells <= 0 {
-		m := s.p
-		return m.referenceMatch(g.tpl, probe)
-	}
-	cells := rotBins * txBins * tyBins
 	if cap(s.votes) < cells {
 		s.votes = make([]int32, cells) // zeroed; the invariant below keeps it so
-	} else {
-		s.votes = s.votes[:cells]
 	}
+	votes := s.votes[:cells]
+	// A match touches at most one cell per vote and at most every cell;
+	// vote wants one spare entry.
+	s.touched = grow(s.touched, min(n*np, cells)+1)
 
-	// --- Per-probe-minutia rotated coordinates, one entry per rotation
-	// bin: the voting inner loop then rotates by table lookup. The
-	// expressions mirror referenceMatch exactly.
-	nRot := len(pr) * rotBins
-	s.rotX = growFloats(s.rotX, nRot)
-	s.rotY = growFloats(s.rotY, nRot)
-	for j, b := range pr {
-		base := j * rotBins
-		for rb := 0; rb < rotBins; rb++ {
-			c, sn := s.cosTab[rb], s.sinTab[rb]
-			s.rotX[base+rb] = b.X*c - b.Y*sn
-			s.rotY[base+rb] = b.X*sn + b.Y*c
-		}
-	}
+	nt := s.vote(g, votes, s.touched, planes, tyBins)
 
-	// --- Vote. Every (probe, gallery) pair proposes the rigid transform
-	// mapping the probe minutia exactly onto the gallery one. The
-	// touched list records first-time cells so reset cost is O(votes),
-	// not O(window).
-	twoPi := 2 * math.Pi
-	gx, gy, gAngle := g.x, g.y, g.angle
-	touched := s.touched[:0]
-	for j, b := range pr {
-		base := j * rotBins
-		ba := b.Angle
-		for i := range gx {
-			dTheta := gAngle[i] - ba
-			if dTheta < 0 {
-				dTheta += twoPi
-			}
-			if dTheta >= twoPi {
-				dTheta -= twoPi
-			}
-			rot := int(dTheta / s.rotStep)
-			if rot >= rotBins {
-				rot = rotBins - 1
-			}
-			tx := int32(math.Floor((gx[i] - s.rotX[base+rot]) * s.invShift))
-			ty := int32(math.Floor((gy[i] - s.rotY[base+rot]) * s.invShift))
-			idx := (rot*tyBins+int(ty-tyMin))*txBins + int(tx-txMin)
-			if s.votes[idx] == 0 {
-				touched = append(touched, int32(idx))
-			}
-			s.votes[idx]++
-		}
-	}
-	s.touched = touched
-
-	// --- Top-K cells via a bounded min-heap ordered worst-first (fewest
-	// votes, then largest key): a touched cell with fewer votes than the
-	// root is rejected without even computing its key.
-	nCand := p.Candidates
-	planeSize := txBins * tyBins
+	// --- Top-K cells via a bounded min-heap, restoring the all-zero
+	// accumulator invariant in the same pass. Planes ascend with the
+	// rotation bin and a plane is tx-major, so inside the int16 guard the
+	// flat index orders cells exactly as the packed key does: a cell is
+	// one word, votes above the complemented index, larger is better
+	// (more votes, then the smaller key), and keys are recovered only for
+	// the survivors.
+	nCand := s.p.Candidates
 	top := s.top[:0]
-	for _, idx := range touched {
-		v := s.votes[idx]
+	for _, idx := range s.touched[:nt] {
+		w := uint64(votes[idx])<<32 | uint64(^uint32(idx))
+		votes[idx] = 0
 		if len(top) < nCand {
-			top = append(top, accCell{key: cellKey(idx, planeSize, txBins, txMin, tyMin), votes: v})
+			top = append(top, w)
 			siftUp(top, len(top)-1)
-			continue
+		} else if w > top[0] {
+			top[0] = w
+			siftDown(top, 0)
 		}
-		if v < top[0].votes {
-			continue
-		}
-		k := cellKey(idx, planeSize, txBins, txMin, tyMin)
-		if v == top[0].votes && k > top[0].key {
-			continue
-		}
-		top[0] = accCell{key: k, votes: v}
-		siftDown(top, 0)
 	}
+	// Best first: the reference's sorted scan, votes descending, packed
+	// key ascending.
+	slices.Sort(top)
+	slices.Reverse(top)
 	s.top = top
-
-	// Restore the all-zero accumulator invariant before scoring.
-	for _, idx := range touched {
-		s.votes[idx] = 0
-	}
-	s.touched = touched[:0]
-
-	// Order candidates exactly as the reference's sorted scan: votes
-	// descending, packed key ascending.
-	slices.SortFunc(top, func(a, b accCell) int {
-		if a.votes != b.votes {
-			return int(b.votes - a.votes)
-		}
-		if a.key < b.key {
-			return -1
-		}
-		if a.key > b.key {
-			return 1
-		}
-		return 0
-	})
 
 	// --- Pairing scratch: the arena must hold every scoring round's
 	// pairs of this match without reallocating, so Results handed out
 	// earlier in the loop stay intact.
-	maxPairs := len(ga)
-	if len(pr) < maxPairs {
-		maxPairs = len(pr)
-	}
-	if need := 2 * len(top) * maxPairs; cap(s.arena) < need {
+	if need := 2 * len(top) * min(n, np); cap(s.arena) < need {
 		s.arena = make([][2]int, 0, need)
 	}
 	s.arena = s.arena[:0]
-	if cap(s.usedG) < len(ga) {
-		s.usedG = make([]bool, len(ga))
-	}
-	if cap(s.usedQ) < len(pr) {
-		s.usedQ = make([]bool, len(pr))
-	}
+	s.usedG = grow(s.usedG, n)
+	s.usedQ = grow(s.usedQ, np)
 
 	best := Result{}
-	for _, cell := range top {
-		rot, tx, ty := unpackKey(cell.key)
+	for _, w := range top {
+		idx := int(^uint32(w))
+		rot := idx / planeSize
+		rem := idx - rot*planeSize
+		tx := rem/tyBins + int(planes[rot].txMin)
+		ty := rem%tyBins + int(planes[rot].tyMin)
 		tr := geom.Rigid{
 			Theta: (float64(rot) + 0.5) * s.rotStep,
 			T: geom.Point{
-				X: (float64(tx) + 0.5) * p.ShiftBin,
-				Y: (float64(ty) + 0.5) * p.ShiftBin,
+				X: (float64(tx) + 0.5) * s.p.ShiftBin,
+				Y: (float64(ty) + 0.5) * s.p.ShiftBin,
 			},
 			S: 1,
 		}
-		res := s.scorePairing(g, probe, tr)
+		// The bin centre's cosine and sine are the table's: same
+		// expression, same bits.
+		res := s.scorePairing(g, tr, s.cosTab[rot], s.sinTab[rot])
 		// One refinement round: re-estimate the transform from the pairs
 		// and re-pair. Helps recover from coarse accumulator bins.
 		if res.Matched >= 3 {
-			if refined, ok := estimateRigid(ga, pr, res.Pairs); ok {
-				res2 := s.scorePairing(g, probe, refined)
+			if refined, ok := estimateRigid(g.pts, s.pts, res.Pairs); ok {
+				res2 := s.scorePairing(g, refined, math.Cos(refined.Theta), math.Sin(refined.Theta))
 				if res2.Score > res.Score {
 					res = res2
 				}
@@ -393,73 +413,117 @@ func (s *Session) run(g *Prepared, probe *minutiae.Template) (Result, error) {
 	return best, nil
 }
 
-// cellKey recovers the packed (rot, tx, ty) accumulator key from a
-// flat cell index; a standalone function (not a closure over the
-// window geometry) so the voting loop stays heap-free.
+// vote fills the accumulator: every (probe, gallery) pair proposes the
+// rigid transform mapping the probe minutia exactly onto the gallery
+// one. It returns how many cells it touched; touched[:n] lists them in
+// first-vote order so reset cost is O(votes), not O(window), and touched
+// needs room for one entry more than can be touched. Everything the loop
+// reads is a local or a per-probe-minutia slice, so no store to the
+// accumulator forces a reload.
 //
 //fpvet:hotpath
-func cellKey(idx int32, planeSize, txBins int, txMin, tyMin int32) uint64 {
-	rot := int(idx) / planeSize
-	rem := int(idx) - rot*planeSize
-	ty := int32(rem/txBins) + tyMin
-	tx := int32(rem%txBins) + txMin
-	return packKey(int32(rot), tx, ty)
+func (s *Session) vote(g *Prepared, votes, touched []int32, planes []plane, tyBins int) int {
+	const twoPi = 2 * math.Pi
+	gallery := g.pts
+	rotBins := len(planes)
+	rotStep, invShift := s.rotStep, s.invShift
+	lastRot := rotBins - 1
+	wrap := [2]float64{0, twoPi}
+	nt := 0
+	for j, b := range s.pts {
+		rot := s.rot[j*rotBins : (j+1)*rotBins]
+		for _, a := range gallery {
+			// Normalize into [0, 2π): add 2π when the sign bit is set
+			// (adding zero is exact, and a negative zero lands in bin 0
+			// either way), without a branch the predictor cannot learn.
+			dTheta := a.angle - b.angle
+			dTheta += wrap[math.Float64bits(dTheta)>>63]
+			if dTheta >= twoPi {
+				dTheta -= twoPi
+			}
+			rb := min(int(dTheta/rotStep), lastRot)
+			r := rot[rb]
+			tx := int(math.Floor((a.x - r.x) * invShift))
+			ty := int(math.Floor((a.y - r.y) * invShift))
+			idx := planes[rb].off + tx*tyBins + ty
+			// Written every time, kept only on a cell's first vote: the
+			// store is cheaper than a branch on the count.
+			v := votes[idx]
+			touched[nt] = int32(idx)
+			if v == 0 {
+				nt++
+			}
+			votes[idx] = v + 1
+		}
+	}
+	return nt
 }
 
-// scorePairing pairs minutiae under the transform and scores the
-// pairing, probing the gallery grid 3×3 instead of scanning every
-// gallery minutia. Pairs are appended to the session arena.
+// scorePairing pairs minutiae under the transform tr (unit scale; c0
+// and s0 are the cosine and sine of its rotation) and scores the
+// pairing, probing the gallery grid 2×2 instead of scanning every
+// gallery minutia and counting the overlap (see overlapDenom, whose
+// per-point expressions these are) in the same pass. Pairs are appended
+// to the session arena.
 //
 //fpvet:hotpath
-func (s *Session) scorePairing(g *Prepared, probe *minutiae.Template, tr geom.Rigid) Result {
-	ga, pr := g.tpl.Minutiae, probe.Minutiae
-	cands := s.cands[:0]
-	c0, s0 := math.Cos(tr.Theta), math.Sin(tr.Theta)
+func (s *Session) scorePairing(g *Prepared, tr geom.Rigid, c0, s0 float64) Result {
+	gallery, probe := g.pts, s.pts
+	cols, rows := int(g.cols), int(g.rows)
+	start, items := g.grid[:cols*rows+1], g.grid[cols*rows+1:]
+	minX, minY, invCellX, invCellY := g.minX, g.minY, g.invCellX, g.invCellY
+	fcols, frows := float64(cols+1), float64(rows+1)
+	gw, gh := g.width, g.height
+	tX, tY, theta := tr.T.X, tr.T.Y, tr.Theta
 	tol2 := s.p.DistTol * s.p.DistTol
-	for j, b := range pr {
-		tx := b.X*c0 - b.Y*s0 + tr.T.X
-		ty := b.X*s0 + b.Y*c0 + tr.T.Y
-		ta := b.Angle + tr.Theta
-		cx := int(math.Floor((tx - g.minX) * g.invCellX))
-		cy := int(math.Floor((ty - g.minY) * g.invCellY))
-		for row := cy - 1; row <= cy+1; row++ {
-			if row < 0 || row >= g.rows {
-				continue
-			}
-			lo, hi := cx-1, cx+1
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= g.cols {
-				hi = g.cols - 1
-			}
-			if lo > hi {
-				continue
-			}
-			// Row-major CSR: the row's 3-cell neighbourhood is one
-			// contiguous item range.
-			rowBase := row * g.cols
-			for _, gi := range g.cellItems[g.cellStart[rowBase+lo]:g.cellStart[rowBase+hi+1]] {
-				dx := tx - g.x[gi]
-				dy := ty - g.y[gi]
+	angleTol := s.p.AngleTol
+
+	cands := s.cands[:0]
+	pIn := 0
+	for j, b := range probe {
+		tx := b.x*c0 - b.y*s0 + tX
+		ty := b.x*s0 + b.y*c0 + tY
+		if tx >= 0 && tx < gw && ty >= 0 && ty < gh {
+			pIn++
+		}
+		// The 2×2 block of cells around the nearest cell corner: cells
+		// cx-1 and cx, rows cy-1 and cy.
+		ux := (tx-minX)*invCellX + 0.5
+		uy := (ty-minY)*invCellY + 0.5
+		if !(ux >= 0 && ux < fcols && uy >= 0 && uy < frows) {
+			// The block misses the grid (or is not a number): nothing
+			// within tolerance.
+			continue
+		}
+		cx, cy := int(ux), int(uy)
+		lo, hi := max(cx-1, 0), min(cx, cols-1)
+		ta := b.angle + theta
+		for row := max(cy-1, 0); row <= min(cy, rows-1); row++ {
+			// Row-major CSR: the row's two cells are one contiguous item
+			// range.
+			for _, gi := range items[start[row*cols+lo]:start[row*cols+hi+1]] {
+				a := &gallery[gi]
+				dx := tx - a.x
+				dy := ty - a.y
 				d2 := dx*dx + dy*dy
 				if d2 > tol2 {
 					continue
 				}
-				if angleDiff(ta, g.angle[gi]) > s.p.AngleTol {
+				if angleDiff(ta, a.angle) > angleTol {
 					continue
 				}
-				cands = append(cands, pairCand{d2: d2, g: gi, q: int32(j)})
+				cands = append(cands, pairCand{d2: d2, g: int32(gi), q: int32(j)})
 			}
 		}
 	}
 	s.cands = cands
 	sortPairCands(cands)
-	usedG := s.usedG[:len(ga)]
-	usedQ := s.usedQ[:len(pr)]
+	usedG := s.usedG[:len(gallery)]
+	usedQ := s.usedQ[:len(probe)]
 	clear(usedG)
 	clear(usedQ)
-	start := len(s.arena)
+	arena := s.arena
+	first := len(arena)
 	sumD := 0.0
 	for _, c := range cands {
 		if usedG[c.g] || usedQ[c.q] {
@@ -467,18 +531,37 @@ func (s *Session) scorePairing(g *Prepared, probe *minutiae.Template, tr geom.Ri
 		}
 		usedG[c.g] = true
 		usedQ[c.q] = true
-		s.arena = append(s.arena, [2]int{int(c.g), int(c.q)})
+		arena = append(arena, [2]int{int(c.g), int(c.q)})
 		sumD += math.Sqrt(c.d2)
 	}
-	var pairs [][2]int
-	if n := len(s.arena) - start; n > 0 {
-		pairs = s.arena[start:len(s.arena):len(s.arena)]
+	s.arena = arena
+	res := Result{Transform: tr}
+	if matched := len(arena) - first; matched > 0 {
+		res.Matched = matched
+		res.Pairs = arena[first:len(arena):len(arena)]
+		res.MeanResidual = sumD / float64(matched)
 	}
-	res := Result{Matched: len(pairs), Transform: tr, Pairs: pairs}
-	if len(pairs) > 0 {
-		res.MeanResidual = sumD / float64(len(pairs))
+	if res.Matched < 2 {
+		return res // scores zero whatever the overlap
 	}
-	res.Score = scoreFromPairing(len(pairs), res.MeanResidual, s.p.DistTol, overlapDenom(g.tpl, probe, tr))
+
+	// Gallery minutiae inside the probe window under the inverse
+	// transform: geom.Rigid.Invert at unit scale, with the trig it would
+	// recompute taken from c0 and s0 (cosine is even and sine odd, bit
+	// for bit).
+	ic, is := c0, -s0
+	itX := -tX*ic - -tY*is
+	itY := -tX*is + -tY*ic
+	pw, ph := s.pw, s.ph
+	gIn := 0
+	for _, a := range gallery {
+		x := a.x*ic - a.y*is + itX
+		y := a.x*is + a.y*ic + itY
+		if x >= 0 && x < pw && y >= 0 && y < ph {
+			gIn++
+		}
+	}
+	res.Score = scoreFromPairing(res.Matched, res.MeanResidual, s.p.DistTol, flooredDenom(gIn, pIn, len(gallery), len(probe)))
 	return res
 }
 
@@ -502,19 +585,14 @@ func sortPairCands(cands []pairCand) {
 	})
 }
 
-// worse reports whether a should sit below b in the worst-first heap:
-// fewer votes, or equal votes and a larger packed key.
+// siftUp and siftDown maintain the top-K min-heap: the root is the
+// worst cell kept.
 //
 //fpvet:hotpath
-func worse(a, b accCell) bool {
-	return a.votes < b.votes || (a.votes == b.votes && a.key > b.key)
-}
-
-//fpvet:hotpath
-func siftUp(h []accCell, i int) {
+func siftUp(h []uint64, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !worse(h[i], h[parent]) {
+		if h[i] >= h[parent] {
 			return
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -523,17 +601,17 @@ func siftUp(h []accCell, i int) {
 }
 
 //fpvet:hotpath
-func siftDown(h []accCell, i int) {
+func siftDown(h []uint64, i int) {
 	for {
 		l := 2*i + 1
 		if l >= len(h) {
 			return
 		}
 		w := l
-		if r := l + 1; r < len(h) && worse(h[r], h[l]) {
+		if r := l + 1; r < len(h) && h[r] < h[l] {
 			w = r
 		}
-		if !worse(h[w], h[i]) {
+		if h[w] >= h[i] {
 			return
 		}
 		h[i], h[w] = h[w], h[i]
