@@ -67,14 +67,19 @@ func TestChaosProxySmokeAgainstRealMatchd(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	cli, err := matchsvc.DialContext(ctx, proxy.Addr())
+	// The dial includes the handshake, so it goes through clean; every
+	// later connection of the pool negotiates under faults.
+	proxy.SetEnabled(false)
+	cli, err := matchsvc.Dial(ctx, proxy.Addr(), matchsvc.ClientOptions{
+		PoolSize:       2,
+		RequestTimeout: 2 * time.Second,
+		Retry:          matchsvc.Retry{Attempts: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	cli.SetPoolSize(2)
-	cli.SetRequestTimeout(2 * time.Second)
-	cli.SetRetry(matchsvc.Retry{Attempts: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond})
+	proxy.SetEnabled(true)
 
 	// A probe for the preloaded population: same cohort seed and device
 	// the -preload path uses, different capture sample.

@@ -53,10 +53,13 @@
 // remote shard, -retry re-sends idempotent shard calls up to N total
 // attempts after transport failures (with capped jittered backoff), and
 // -keepalive pings idle pooled connections so a shard's idle deadline
-// never silently drops them. -hedge-delay enables hedged identification
-// on any sharded deployment: a shard leg still unanswered after D is
-// re-sent and the first answer wins, trimming slow-replica tail latency
-// without changing results.
+// never silently drops them; the three flags are fields of the one
+// matchsvc.ClientOptions every shard and replica connection is dialed
+// with, and a dial includes the protocol handshake, so a front that
+// starts has spoken to every shard. -hedge-delay enables hedged
+// identification on any sharded deployment: a shard leg still
+// unanswered after D is re-sent and the first answer wins, trimming
+// slow-replica tail latency without changing results.
 //
 // Observability: -metrics-addr binds a second, operational listener
 // serving /metrics (Prometheus text), /metrics.json, /healthz,
@@ -211,7 +214,7 @@ func run(args []string) error {
 		store := topo.Stores[0]
 		dialCtx, dialDone := context.WithTimeout(ctx, 5*time.Second)
 		cli, err := topology.Dial(dialCtx, *replicaOf,
-			topology.Client{RequestTimeout: 2 * time.Minute, RedialTimeout: 5 * time.Second}, reg)
+			matchsvc.ClientOptions{RequestTimeout: 2 * time.Minute, RedialTimeout: 5 * time.Second}, reg)
 		dialDone()
 		if err != nil {
 			return fmt.Errorf("replica: dial primary %s: %w", *replicaOf, err)

@@ -8,6 +8,7 @@ package fpis
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -140,8 +141,8 @@ func TestLocalIdentifyDeadlineBoundsScan(t *testing.T) {
 }
 
 // TestRemoteIdentifyCancellationInterruptsWire cancels an identify
-// blocked on a mute server: the wire round trip must unblock with
-// ctx.Err() instead of hanging on the read.
+// blocked on a server that shakes hands and then goes mute: the wire
+// round trip must unblock with ctx.Err() instead of hanging on the read.
 func TestRemoteIdentifyCancellationInterruptsWire(t *testing.T) {
 	_, probes := confFixtures(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -158,6 +159,12 @@ func TestRemoteIdentifyCancellationInterruptsWire(t *testing.T) {
 			go func() {
 				defer conn.Close()
 				buf := make([]byte, 4096)
+				// The hello frame is 9 bytes; accept version 3 in a bare
+				// StatusOK frame, then never answer anything again.
+				if _, err := io.ReadFull(conn, buf[:9]); err != nil {
+					return
+				}
+				conn.Write([]byte{0, 0, 0, 4, 0x00, 0, 0, 0, 3})
 				for {
 					if _, err := conn.Read(buf); err != nil {
 						return

@@ -176,11 +176,12 @@ func WithRequestTimeout(d time.Duration) Option {
 	}
 }
 
-// WithDialTimeout bounds the transparent reconnects a remote
-// connection performs after a transport failure (the initial dial is
-// bounded by the constructor's context). Applies to remote
-// connections. 0 leaves reconnects bounded only by the request
-// context.
+// WithDialTimeout bounds each connection attempt — TCP connect plus
+// protocol handshake — of a remote connection: the constructor's dial
+// (on top of its context) and the transparent reconnects after a
+// transport failure (on top of the triggering request's context).
+// Applies to remote connections. 0 falls back to WithRequestTimeout,
+// and with neither set an attempt is bounded by its context alone.
 func WithDialTimeout(d time.Duration) Option {
 	return func(c *config) error {
 		if d < 0 {
@@ -243,7 +244,7 @@ func WithRetry(p RetryPolicy) Option {
 func WithKeepalive(d time.Duration) Option {
 	return func(c *config) error {
 		if d <= 0 {
-			d = -1 // topology.Client keeps 0 for "the client default"
+			d = -1 // ClientOptions keeps 0 for "the client default"
 		}
 		c.Client.Keepalive = d
 		return nil

@@ -9,7 +9,9 @@ import (
 
 // Dial connects to one remote matchd instance and returns a Service
 // speaking the wire protocol to it. The context bounds the connection
-// establishment: a pre-cancelled context fails fast without dialing.
+// establishment, protocol handshake included: a pre-cancelled context
+// fails fast without dialing, and a peer that is not a matchd fails
+// the Dial rather than the first call.
 // Per-call deadlines derive from each call's own context (with the
 // WithRequestTimeout fallback when a context has no deadline).
 func Dial(ctx context.Context, addr string, opts ...Option) (Service, error) {

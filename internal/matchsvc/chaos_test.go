@@ -88,12 +88,13 @@ func TestChaosSeededFaultsZeroLostOrMisanswered(t *testing.T) {
 	go func() { defer close(done); srv.Serve(ctx) }()
 	defer func() { srv.Close(); <-done }()
 
-	cli := dialT(t, inner.Addr().String())
+	cli := dialOpts(t, inner.Addr().String(), ClientOptions{
+		PoolSize:       4,
+		RequestTimeout: 2 * time.Second,
+		Keepalive:      100 * time.Millisecond,
+		Retry:          Retry{Attempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+	})
 	defer cli.Close()
-	cli.SetPoolSize(4)
-	cli.SetRequestTimeout(2 * time.Second)
-	cli.SetKeepalive(100 * time.Millisecond)
-	cli.SetRetry(Retry{Attempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond})
 
 	// ---- Clean setup: enroll the baseline and pin expected answers ----
 	tpls := testImpressions(t, baseline, "D0", 0)
@@ -326,10 +327,15 @@ func TestChaosProxyRetriesThrough(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	cli := dialT(t, proxy.Addr())
+	// The dial includes the handshake, so it goes through clean; every
+	// later connection negotiates under faults.
+	proxy.SetEnabled(false)
+	cli := dialOpts(t, proxy.Addr(), ClientOptions{
+		RequestTimeout: 2 * time.Second,
+		Retry:          Retry{Attempts: 5, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
+	})
 	defer cli.Close()
-	cli.SetRequestTimeout(2 * time.Second)
-	cli.SetRetry(Retry{Attempts: 5, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond})
+	proxy.SetEnabled(true)
 
 	tpl := testImpressions(t, 1, "D0", 0)[0]
 	if err := cli.Enroll(context.Background(), "p0", "D0", tpl); err != nil && !chaosErrOK(err) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fpinterop/internal/enc"
@@ -23,191 +24,190 @@ const defaultKeepalive = 50 * time.Second
 // keepalivePingTimeout bounds one background keepalive ping.
 const keepalivePingTimeout = 5 * time.Second
 
+// ClientOptions configures a Client, once, at Dial; the zero value is
+// the defaults.
+type ClientOptions struct {
+	// RequestTimeout is the fallback round-trip bound used when a
+	// request's context has no deadline of its own; zero means no
+	// fallback. Identification over a large gallery can legitimately
+	// take seconds — size the timeout to the gallery.
+	RequestTimeout time.Duration
+	// RedialTimeout bounds one connection attempt — TCP connect plus
+	// handshake — on top of the context of the caller that triggers it;
+	// zero falls back to RequestTimeout, so that a deadline-free context
+	// does not leave a connect bounded only by the OS.
+	RedialTimeout time.Duration
+	// PoolSize is how many connections the pool may hold (minimum 1,
+	// the default). Connections beyond the first are dialed on demand,
+	// so a larger pool costs nothing until concurrency needs it.
+	PoolSize int
+	// Retry re-sends idempotent requests after transport failures; off
+	// by default.
+	Retry Retry
+	// Keepalive is the idle-connection ping interval: zero is the 50s
+	// default, which sits under the server's default 2-minute idle
+	// deadline; negative disables keepalives.
+	Keepalive time.Duration
+}
+
 // Client is a connection pool to the matching service. It is safe for
-// concurrent use. Every connection opens with the OpHello handshake and
-// then carries many requests concurrently, each routed back to its
-// caller by request ID; SetPoolSize adds connections on top of that.
-// After a transport failure — including the server dropping an idle
-// connection at its read deadline — the pool evicts the dead
-// connection and the next request dials a fresh one,
-// so a long-lived client (e.g. a shard router front) survives quiet
-// periods and server restarts. A background keepalive additionally
-// pings idle pooled connections (SetKeepalive) so they are not idle
-// from the server's point of view in the first place.
+// concurrent use and immutable once dialed. Every connection completes
+// the OpHello handshake before the pool holds it and then carries many
+// requests concurrently, each routed back to its caller by request ID;
+// ClientOptions.PoolSize adds connections on top of that. After a
+// transport failure — including the server dropping an idle connection
+// at its read deadline — the pool evicts the dead connection and the
+// next request dials and negotiates a fresh one, so a long-lived client
+// (e.g. a shard router front) survives quiet periods and server
+// restarts. A background keepalive additionally pings idle pooled
+// connections (ClientOptions.Keepalive) so they are not idle from the
+// server's point of view in the first place.
 //
 // Every request takes a context.Context: its deadline bounds the whole
 // wire round trip — the time left travels in the request envelope, so
 // the server stops working when it runs out — and cancellation
 // interrupts or abandons in-flight I/O. When the context carries no
-// deadline, the SetRequestTimeout fallback applies, on both ends. With
-// SetRetry, idempotent requests that fail on a transport error are
-// transparently retried with capped jittered exponential backoff;
-// retries are off by default.
+// deadline, the ClientOptions.RequestTimeout fallback applies, on both
+// ends. With ClientOptions.Retry, idempotent requests that fail on a
+// transport error are transparently retried with capped jittered
+// exponential backoff; retries are off by default.
 type Client struct {
 	addr string
+	opts ClientOptions
+	met  atomic.Pointer[clientMetrics]
 
-	mu          sync.Mutex
-	dialTimeout time.Duration
-	timeout     time.Duration
-	retry       Retry
-	met         *clientMetrics
-	closed      bool
-	keepalive   time.Duration
-	// jitter drives retry backoff spreading; guarded by mu.
+	pool      *pool
+	stop      chan struct{}
+	closeOnce sync.Once
+	kaWG      sync.WaitGroup
+
+	// jitter drives retry backoff spreading; guarded by jmu.
+	jmu    sync.Mutex
 	jitter *rng.Source
-
-	pool *pool
-	stop chan struct{}
-	kaWG sync.WaitGroup
 }
 
-// SetRequestTimeout sets the fallback round-trip bound used when a
-// request's context has no deadline of its own; zero (the default)
-// means no fallback deadline. Identification over a large gallery can
-// legitimately take seconds — size the timeout to the gallery.
-func (c *Client) SetRequestTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timeout = d
-}
-
-// SetRedialTimeout bounds the reconnects the pool performs after a
-// transport failure, independently of the triggering request's
-// context; zero (the default) leaves reconnects bounded by that context
-// alone.
-func (c *Client) SetRedialTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dialTimeout = d
-}
-
-// SetPoolSize sets how many connections the pool may hold (minimum 1,
-// the default). Connections are dialed on demand, so a larger pool
-// costs nothing until concurrency needs it.
-func (c *Client) SetPoolSize(n int) {
-	c.pool.resize(n)
-}
-
-// SetKeepalive sets the idle-connection ping interval; d <= 0 disables
-// keepalives. The default (50s) sits under the server's default
-// 2-minute idle deadline.
-func (c *Client) SetKeepalive(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.keepalive = d
-}
-
-func (c *Client) metrics() *clientMetrics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.met
-}
-
-func (c *Client) requestTimeout() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.timeout
-}
-
-func (c *Client) retryPolicy() Retry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retry
-}
-
-// DialContext connects to a server address under the given context: a
-// pre-cancelled or expired context fails fast without touching the
-// network, and cancellation mid-handshake aborts the dial. Reconnects
-// after transport failures are bounded by the context of the request
-// that triggers them.
+// DialContext is Dial with the default options.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
+	return Dial(ctx, addr, ClientOptions{})
+}
+
+// Dial connects to a server address and completes the handshake under
+// the given context: a pre-cancelled or expired context fails fast
+// without touching the network, and cancellation mid-handshake aborts
+// the dial. A peer that does not answer the hello with version 3 fails
+// the dial with ErrTransport. Reconnects after transport failures run
+// the same way under the context of the request that triggers them.
+func Dial(ctx context.Context, addr string, opts ClientOptions) (*Client, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, fmt.Errorf("matchsvc: dial %s: %w", addr, err)
+	if opts.Keepalive == 0 {
+		opts.Keepalive = defaultKeepalive
 	}
 	c := &Client{
-		addr:      addr,
-		keepalive: defaultKeepalive,
-		jitter:    rng.New(0x9e3779b97f4a7c15).Child(addr),
-		stop:      make(chan struct{}),
+		addr:   addr,
+		opts:   opts,
+		jitter: rng.New(0x9e3779b97f4a7c15).Child(addr),
+		stop:   make(chan struct{}),
 	}
-	c.pool = newPool(c, 1)
-	c.pool.seed(newWireConn(c, conn))
-	c.kaWG.Add(1)
-	go c.keepaliveLoop()
+	w, err := c.connect(ctx)
+	if err != nil {
+		return nil, err
+	}
+	c.pool = newPool(c, opts.PoolSize, w)
+	if opts.Keepalive > 0 {
+		c.kaWG.Add(1)
+		go c.keepaliveLoop(opts.Keepalive)
+	}
 	return c, nil
 }
 
-// dialRaw opens one pool connection, bounded by the redial timeout
-// when set (else the request-timeout fallback) and by ctx.
-func (c *Client) dialRaw(ctx context.Context) (net.Conn, error) {
-	c.mu.Lock()
-	d := net.Dialer{Timeout: c.dialTimeout}
-	if d.Timeout == 0 && c.timeout > 0 {
-		// No redial timeout was set; without this, a deadline-free
-		// request context would leave the reconnect bounded only by the
-		// OS connect timeout.
-		d.Timeout = c.timeout
+// connect opens one pool connection: TCP connect, then the version
+// handshake — the only bare (envelope-free, so checksum-free) exchange
+// on the connection. Only StatusOK carrying version 3 yields a
+// connection; any other reply, including one damaged in transit, closes
+// the socket with a transport error. Both steps are bounded by ctx and
+// by the redial timeout (else the request-timeout fallback): when
+// either ends, the socket closes, which interrupts blocked I/O.
+func (c *Client) connect(ctx context.Context) (*wireConn, error) {
+	timeout := c.opts.RedialTimeout
+	if timeout == 0 {
+		timeout = c.opts.RequestTimeout
 	}
-	c.mu.Unlock()
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
+	dctx := ctx
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		dctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	fail := func(err error) (*wireConn, error) {
 		if cerr := ctx.Err(); cerr != nil {
+			// The caller gave up, and that outranks what it provoked.
 			return nil, cerr
 		}
-		return nil, transportErr(fmt.Errorf("matchsvc: redial %s: %w", c.addr, err))
+		if dctx.Err() != nil {
+			err = fmt.Errorf("gave up after %v", timeout)
+		}
+		return nil, transportErr(fmt.Errorf("matchsvc: dial %s: %w", c.addr, err))
 	}
-	return conn, nil
+	var d net.Dialer
+	nc, err := d.DialContext(dctx, "tcp", c.addr)
+	if err != nil {
+		return fail(err)
+	}
+	stop := context.AfterFunc(dctx, func() { nc.Close() })
+	err = hello(nc)
+	if !stop() && err == nil {
+		// The watcher already ran: the socket is closed (or about to be)
+		// under a handshake that just completed.
+		err = errors.New("connection abandoned during handshake")
+	}
+	if err != nil {
+		nc.Close()
+		return fail(err)
+	}
+	return newWireConn(c, nc), nil
+}
+
+// hello runs the client's half of the handshake on a fresh socket.
+func hello(nc net.Conn) error {
+	if err := writeFrame(nc, OpHello, helloVersion[:]); err != nil {
+		return err
+	}
+	status, resp, err := readFrame(nc)
+	if err != nil {
+		return fmt.Errorf("read hello response: %w", err)
+	}
+	r := enc.Reader{Buf: resp}
+	if v := r.Uint32(); status != StatusOK || r.Err() != nil || v != protoMuxed {
+		return fmt.Errorf("hello answered status 0x%02x version %d (%v), want version %d", status, v, r.Err(), protoMuxed)
+	}
+	return nil
 }
 
 // Close shuts the pool down; subsequent requests fail instead of
 // redialling.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	close(c.stop)
-	c.pool.close()
-	c.kaWG.Wait()
+	c.closeOnce.Do(func() {
+		close(c.stop)
+		c.pool.close()
+		c.kaWG.Wait()
+	})
 	return nil
 }
 
 // keepaliveLoop pings idle pooled connections so the server's idle
 // deadline never fires on a healthy conn the pool intends to reuse.
-// Only connections past their handshake are pinged — the first real
-// request drives it under its own context.
-func (c *Client) keepaliveLoop() {
+func (c *Client) keepaliveLoop(interval time.Duration) {
 	defer c.kaWG.Done()
+	tick := max(interval/2, 10*time.Millisecond)
+	t := time.NewTicker(tick)
+	defer t.Stop()
 	for {
-		c.mu.Lock()
-		interval := c.keepalive
-		c.mu.Unlock()
-		tick := interval / 2
-		if interval <= 0 {
-			tick = time.Second // disabled: just poll the setting
-		} else if tick < 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-		t := time.NewTimer(tick)
 		select {
 		case <-c.stop:
-			t.Stop()
 			return
 		case <-t.C:
-		}
-		if interval <= 0 {
-			continue
 		}
 		for _, w := range c.pool.snapshot() {
 			if w.refs.Load() != 0 {
@@ -218,90 +218,61 @@ func (c *Client) keepaliveLoop() {
 				continue
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), keepalivePingTimeout) //fpvet:allow ctxflow background maintenance loop with no caller context; the timeout above bounds it
-			w.keepalivePing(ctx)
+			_ = w.muxCall(ctx, OpPing, nil, nil)
 			cancel()
+			w.touch()
 		}
 	}
 }
 
-// roundTrip sends one non-idempotent request; roundTripIdem sends one
-// the Retry policy may transparently replay after a transport failure.
-func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error) error {
-	return c.do(ctx, op, payload, decode, false)
-}
-
-func (c *Client) roundTripIdem(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error) error {
-	return c.do(ctx, op, payload, decode, true)
-}
-
-// do runs one request under the retry policy. Only transport-class
-// failures of idempotent operations are retried; ctx is re-checked
-// between attempts and its error always outranks the transport error
-// that a cancellation provoked.
-func (c *Client) do(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error, idempotent bool) error {
+// do runs one request: check a connection out, send, wait. Two kinds of
+// failure send it round again. A connection that turns out to have been
+// retired before the request was written (errConnStale — e.g. the
+// server idle-dropped it between checkouts) is replaced and the request
+// replayed, at most twice per attempt: nothing reached the wire, so
+// this is safe even for non-idempotent ops. Any other transport-class
+// failure of an idempotent operation is retried under the Retry policy.
+// ctx is re-checked between rounds and its error always outranks the
+// transport error that a cancellation provoked.
+func (c *Client) do(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	m := c.metrics()
+	m := c.met.Load()
 	if m != nil {
 		m.inflight.Inc()
 		defer m.inflight.Dec()
 	}
-	pol := c.retryPolicy()
 	attempts := 1
-	if idempotent && pol.enabled() {
-		attempts = pol.Attempts
+	if idempotent(op) && c.opts.Retry.enabled() {
+		attempts = c.opts.Retry.Attempts
 	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = c.callOnce(ctx, op, payload, decode)
-		if err == nil || attempt >= attempts || !errors.Is(err, ErrTransport) {
-			return err
-		}
-		if m != nil {
-			m.retries.Inc()
-		}
-		if werr := c.backoff(ctx, pol, attempt); werr != nil {
-			return werr
-		}
-	}
-}
-
-// callOnce checks a connection out for one attempt. A connection that
-// turns out to have been retired before the request was written
-// (errConnStale — e.g. the server idle-dropped it between checkouts)
-// is replaced and the request replayed on a fresh conn: nothing
-// reached the wire, so this is safe even for non-idempotent ops.
-func (c *Client) callOnce(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error) error {
-	for stale := 0; ; stale++ {
+	for attempt, stale := 1, 0; ; {
 		w, err := c.pool.checkout(ctx)
-		if err != nil {
+		if err == nil {
+			err = w.muxCall(ctx, op, payload, decode)
+			c.pool.checkin(w)
+		}
+		switch {
+		case errors.Is(err, errConnStale) && stale < 2 && ctx.Err() == nil:
+			stale++
+		case attempt < attempts && errors.Is(err, ErrTransport):
+			if m != nil {
+				m.retries.Inc()
+			}
+			if werr := c.backoff(ctx, attempt); werr != nil {
+				return werr
+			}
+			attempt, stale = attempt+1, 0
+		default:
 			return err
 		}
-		err = c.callOn(ctx, w, op, payload, decode)
-		c.pool.checkin(w)
-		if errors.Is(err, errConnStale) && stale < 2 && ctx.Err() == nil {
-			continue
-		}
-		return err
 	}
-}
-
-func (c *Client) callOn(ctx context.Context, w *wireConn, op byte, payload []byte, decode func(*enc.Reader) error) error {
-	if err := w.negotiate(ctx); err != nil {
-		if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// Another caller's context drove the shared handshake and gave
-			// up; that cancellation is not ours. Replay on a fresh conn.
-			return errConnStale
-		}
-		return err
-	}
-	return w.muxCall(ctx, op, payload, decode)
 }
 
 // Ping checks liveness.
 func (c *Client) Ping(ctx context.Context) error {
-	return c.roundTripIdem(ctx, OpPing, nil, nil)
+	return c.do(ctx, OpPing, nil, nil)
 }
 
 func decodeMatch(r *enc.Reader) (match.Result, error) {
@@ -320,7 +291,7 @@ func (c *Client) Match(ctx context.Context, g, p *minutiae.Template) (match.Resu
 		return match.Result{}, err
 	}
 	var res match.Result
-	err := c.roundTrip(ctx, OpMatch, fs.w.Buf, func(r *enc.Reader) (derr error) {
+	err := c.do(ctx, OpMatch, fs.w.Buf, func(r *enc.Reader) (derr error) {
 		res, derr = decodeMatch(r)
 		return derr
 	})
@@ -334,7 +305,7 @@ func (c *Client) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.
 	if err := (Enrollment{ID: id, DeviceID: deviceID, Template: tpl}).AppendTo(&fs.w); err != nil {
 		return err
 	}
-	return c.roundTrip(ctx, OpEnroll, fs.w.Buf, nil)
+	return c.do(ctx, OpEnroll, fs.w.Buf, nil)
 }
 
 // enrollBatchBudget leaves headroom under the frame cap for the count
@@ -368,7 +339,7 @@ func (c *Client) enrollBatchChunked(ctx context.Context, items []Enrollment, bud
 			fs.w.Buf = append(fs.w.Buf, e...)
 		}
 		var n uint32
-		err := c.roundTrip(ctx, OpEnrollBatch, fs.w.Buf, func(r *enc.Reader) error {
+		err := c.do(ctx, OpEnrollBatch, fs.w.Buf, func(r *enc.Reader) error {
 			n = r.Uint32()
 			return r.Err()
 		})
@@ -413,7 +384,7 @@ func (c *Client) Verify(ctx context.Context, id string, probe *minutiae.Template
 		return match.Result{}, err
 	}
 	var res match.Result
-	err := c.roundTripIdem(ctx, OpVerify, fs.w.Buf, func(r *enc.Reader) (derr error) {
+	err := c.do(ctx, OpVerify, fs.w.Buf, func(r *enc.Reader) (derr error) {
 		res, derr = decodeMatch(r)
 		return derr
 	})
@@ -434,7 +405,7 @@ func (c *Client) IdentifyEx(ctx context.Context, probe *minutiae.Template, k int
 	}
 	var stats gallery.IdentifyStats
 	var cands []gallery.Candidate
-	err := c.roundTripIdem(ctx, OpIdentifyEx, fs.w.Buf, func(r *enc.Reader) error {
+	err := c.do(ctx, OpIdentifyEx, fs.w.Buf, func(r *enc.Reader) error {
 		stats.GallerySize = int(r.Uint32())
 		stats.Shortlist = int(r.Uint32())
 		stats.Scanned = int(r.Uint32())
@@ -466,7 +437,7 @@ func (c *Client) Remove(ctx context.Context, id string) error {
 	if err := fs.w.String(id); err != nil {
 		return err
 	}
-	return c.roundTrip(ctx, OpRemove, fs.w.Buf, nil)
+	return c.do(ctx, OpRemove, fs.w.Buf, nil)
 }
 
 // ServiceStats returns the server's service-level summary: topology,
@@ -474,7 +445,7 @@ func (c *Client) Remove(ctx context.Context, id string) error {
 // recovery and log-size detail.
 func (c *Client) ServiceStats(ctx context.Context) (ServiceStats, error) {
 	var st ServiceStats
-	err := c.roundTripIdem(ctx, OpStats, nil, func(r *enc.Reader) (derr error) {
+	err := c.do(ctx, OpStats, nil, func(r *enc.Reader) (derr error) {
 		st, derr = decodeServiceStats(r)
 		return derr
 	})
@@ -484,7 +455,7 @@ func (c *Client) ServiceStats(ctx context.Context) (ServiceStats, error) {
 // Len returns the number of enrollments.
 func (c *Client) Len(ctx context.Context) (int, error) {
 	var n uint32
-	err := c.roundTripIdem(ctx, OpCount, nil, func(r *enc.Reader) error {
+	err := c.do(ctx, OpCount, nil, func(r *enc.Reader) error {
 		n = r.Uint32()
 		return r.Err()
 	})

@@ -45,11 +45,17 @@ func reply(conn net.Conn, status byte, id uint64, body []byte) {
 	_ = writeMuxFrame(conn, status, id, 0, body, &hdr)
 }
 
+// dialFake dials a scripted server with a fallback request timeout, so
+// a script that goes quiet fails the test instead of hanging it.
 func dialFake(t *testing.T, addr string) *Client {
 	t.Helper()
-	cli := dialT(t, addr)
+	return dialFakeTimeout(t, addr, 2*time.Second)
+}
+
+func dialFakeTimeout(t *testing.T, addr string, requestTimeout time.Duration) *Client {
+	t.Helper()
+	cli := dialOpts(t, addr, ClientOptions{RequestTimeout: requestTimeout})
 	t.Cleanup(func() { cli.Close() })
-	cli.SetRequestTimeout(2 * time.Second)
 	return cli
 }
 
@@ -185,8 +191,11 @@ func TestClientShortResultPayload(t *testing.T) {
 // TestClientCorruptHelloReplyRedials: the hello exchange is the one
 // envelope-free (so checksum-free) moment of a connection. Whatever a
 // damaged — or hostile, or pre-v2 — reply looks like, the client must
-// not settle into a session on that connection: the call fails with a
-// typed transport error and the next call redials and handshakes again.
+// not settle into a session on that connection. On the first
+// connection that fails Dial itself; on a redial it fails the one call
+// that triggered it, and the next call redials and handshakes again.
+// Either way the error is a typed transport error and the socket is
+// closed, not left to a peer that would answer bare frames.
 func TestClientCorruptHelloReplyRedials(t *testing.T) {
 	str := func(msg string) []byte {
 		var w enc.Writer
@@ -207,38 +216,85 @@ func TestClientCorruptHelloReplyRedials(t *testing.T) {
 		{"truncated version", StatusOK, []byte{0, 0}},
 		{"empty", StatusOK, nil},
 	}
+	// badHelloFake answers connection number badConn with the bad reply
+	// and then stays open, answering bare frames the way a v1 server
+	// would: a client that downgraded would get pings through. hungUp is
+	// closed when the client closes that socket. Earlier connections
+	// shake hands, serve one request and hang up; later ones serve.
+	badHelloFake := func(t *testing.T, status byte, body []byte, badConn int) (f *muxFake, hungUp chan struct{}) {
+		hungUp = make(chan struct{})
+		return startRawFake(t, func(conn net.Conn, nconn int) {
+			if nconn != badConn {
+				if muxFakeHandshake(conn) != nil {
+					return
+				}
+				if nconn > badConn {
+					answerPings(conn)
+				} else if _, id, _, err := readMuxReq(conn); err == nil {
+					reply(conn, StatusOK, id, nil)
+				}
+				return
+			}
+			if op, _, err := readFrame(conn); err != nil || op != OpHello {
+				return
+			}
+			_ = writeFrame(conn, status, body)
+			for {
+				if _, _, err := readFrame(conn); err != nil {
+					close(hungUp)
+					return
+				}
+				if writeFrame(conn, StatusOK, nil) != nil {
+					return
+				}
+			}
+		}), hungUp
+	}
+	requireHungUp := func(t *testing.T, hungUp chan struct{}) {
+		t.Helper()
+		select {
+		case <-hungUp:
+		case <-time.After(2 * time.Second):
+			t.Fatal("the socket that answered a bad hello was left open")
+		}
+	}
 	for _, bad := range replies {
-		t.Run(bad.name, func(t *testing.T) {
-			f := startRawFake(t, func(conn net.Conn, nconn int) {
-				if nconn > 1 {
-					if muxFakeHandshake(conn) == nil {
-						answerPings(conn)
-					}
-					return
+		t.Run(bad.name+"/dial", func(t *testing.T) {
+			f, hungUp := badHelloFake(t, bad.status, bad.body, 1)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			c, err := Dial(ctx, f.addr(), ClientOptions{})
+			if !errors.Is(err, ErrTransport) {
+				if c != nil {
+					c.Close()
 				}
-				if op, _, err := readFrame(conn); err != nil || op != OpHello {
-					return
-				}
-				_ = writeFrame(conn, bad.status, bad.body)
-				// Stay open and answer bare frames the way a v1 server
-				// would: a client that downgraded would get pings through.
-				for {
-					if _, _, err := readFrame(conn); err != nil {
-						return
-					}
-					if writeFrame(conn, StatusOK, nil) != nil {
-						return
-					}
-				}
-			})
+				t.Fatalf("dial over a bad hello reply: want ErrTransport, got %v", err)
+			}
+			requireHungUp(t, hungUp)
+		})
+		t.Run(bad.name+"/redial", func(t *testing.T) {
+			f, hungUp := badHelloFake(t, bad.status, bad.body, 2)
 			c := dialMuxFake(t, f)
 			c.SetMetrics(obs.NewRegistry())
-			if err := c.Ping(context.Background()); !errors.Is(err, ErrTransport) {
-				t.Fatalf("ping over a bad hello reply: want ErrTransport, got %v", err)
+			if err := c.Ping(context.Background()); err != nil {
+				t.Fatalf("ping on the first connection: %v", err)
 			}
+			// The fake hung up after that answer; wait until the client has
+			// seen it, so the next call is the one that redials.
+			first := c.pool.snapshot()[0]
+			for deadline := time.Now().Add(2 * time.Second); !first.isDead(); {
+				if time.Now().After(deadline) {
+					t.Fatal("client never noticed the first connection closing")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := c.Ping(context.Background()); !errors.Is(err, ErrTransport) {
+				t.Fatalf("ping whose redial got a bad hello reply: want ErrTransport, got %v", err)
+			}
+			requireHungUp(t, hungUp)
 			requireRecovers(t, c)
-			if got := c.metrics().redials.Value(); got != 1 {
-				t.Fatalf("redials = %d, want exactly the one that replaced the bad connection", got)
+			if got := c.met.Load().redials.Value(); got != 1 {
+				t.Fatalf("redials = %d, want exactly the one that replaced the connection", got)
 			}
 		})
 	}
@@ -317,9 +373,8 @@ func TestClientRedialsAfterIdleDrop(t *testing.T) {
 		srv.Close()
 		<-done
 	})
-	cli := dialT(t, addr)
+	cli := dialOpts(t, addr, ClientOptions{RequestTimeout: 2 * time.Second})
 	defer cli.Close()
-	cli.SetRequestTimeout(2 * time.Second)
 	if err := cli.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -558,30 +613,8 @@ func TestDialContextConnects(t *testing.T) {
 // when its context is cancelled — no fallback timeout required — and
 // that the client recovers on the next request.
 func TestRequestCancellationInterruptsBlockedIO(t *testing.T) {
-	// A server that accepts and reads but never replies.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				buf := make([]byte, 1024)
-				for {
-					if _, err := conn.Read(buf); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	cli, err := DialContext(context.Background(), ln.Addr().String())
+	// A server that shakes hands, then reads but never replies.
+	cli, err := DialContext(context.Background(), startMuteFake(t).addr())
 	if err != nil {
 		t.Fatal(err)
 	}

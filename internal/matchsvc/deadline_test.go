@@ -87,9 +87,10 @@ func TestWireBudgetStopsServerScan(t *testing.T) {
 	}
 	// The fallback request timeout travels the same way for callers
 	// whose context has no deadline.
-	cli.SetRequestTimeout(60 * time.Millisecond)
+	bounded := dialOpts(t, cli.addr, ClientOptions{RequestTimeout: 60 * time.Millisecond})
+	defer bounded.Close()
 	before := m.started.Load()
-	if _, _, err := cli.IdentifyEx(context.Background(), probe, 0); err == nil {
+	if _, _, err := bounded.IdentifyEx(context.Background(), probe, 0); err == nil {
 		t.Fatal("identify outran a 60ms request timeout")
 	}
 	if ran := m.settled() - before; ran >= scanEntries {

@@ -3,7 +3,6 @@ package matchsvc
 import (
 	"context"
 	"errors"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -22,13 +21,20 @@ import (
 // test instead of hanging it.
 func dialT(t testing.TB, addr string) *Client {
 	t.Helper()
+	return dialOpts(t, addr, ClientOptions{})
+}
+
+// dialOpts is dialT with the client configured; redials are bounded
+// like the dial itself.
+func dialOpts(t testing.TB, addr string, opts ClientOptions) *Client {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	cli, err := DialContext(ctx, addr)
+	opts.RedialTimeout = 2 * time.Second
+	cli, err := Dial(ctx, addr, opts)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	cli.SetRedialTimeout(2 * time.Second)
 	return cli
 }
 
@@ -195,7 +201,7 @@ func TestMalformedPayloadRejected(t *testing.T) {
 	cli, _ := startServer(t)
 	// OpMatch with garbage payload must produce a clean error frame, not
 	// a hang or crash.
-	err := cli.do(context.Background(), OpMatch, []byte{1, 2, 3}, nil, false)
+	err := cli.do(context.Background(), OpMatch, []byte{1, 2, 3}, nil)
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("want ErrRemote, got %v", err)
 	}
@@ -236,29 +242,10 @@ func TestServerCloseIdempotentShutdown(t *testing.T) {
 }
 
 func TestClientRequestTimeout(t *testing.T) {
-	// A server that accepts but never replies: the request must fail by
-	// deadline rather than hang.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		buf := make([]byte, 1024)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	cli := dialT(t, ln.Addr().String())
+	// A server that shakes hands but never replies to a request: the
+	// request must fail by deadline rather than hang.
+	cli := dialOpts(t, startMuteFake(t).addr(), ClientOptions{RequestTimeout: 100 * time.Millisecond})
 	defer cli.Close()
-	cli.SetRequestTimeout(100 * time.Millisecond)
 	start := time.Now()
 	if err := cli.Ping(context.Background()); err == nil {
 		t.Fatal("ping to mute server succeeded")

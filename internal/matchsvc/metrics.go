@@ -13,17 +13,19 @@ import (
 var framesOutstanding atomic.Int64
 
 // opLabels maps opcodes to their metric label, indexed by opcode.
-var opLabels = [OpHello + 1]string{
-	OpPing:        "ping",
-	OpMatch:       "match",
-	OpEnroll:      "enroll",
-	OpVerify:      "verify",
-	OpRemove:      "remove",
-	OpCount:       "count",
-	OpIdentifyEx:  "identify_ex",
-	OpEnrollBatch: "enroll_batch",
-	OpStats:       "stats",
-	OpHello:       "hello",
+var opLabels = [OpSyncTail + 1]string{
+	OpPing:         "ping",
+	OpMatch:        "match",
+	OpEnroll:       "enroll",
+	OpVerify:       "verify",
+	OpRemove:       "remove",
+	OpCount:        "count",
+	OpIdentifyEx:   "identify_ex",
+	OpEnrollBatch:  "enroll_batch",
+	OpStats:        "stats",
+	OpHello:        "hello",
+	OpSyncSnapshot: "sync_snapshot",
+	OpSyncTail:     "sync_tail",
 }
 
 // clientMetrics holds a client's handles, resolved once in SetMetrics.
@@ -58,9 +60,7 @@ func (c *Client) SetMetrics(reg *obs.Registry) {
 		respBytes: reg.Histogram("matchsvc_client_response_bytes",
 			"Response frame payload sizes in bytes.", obs.SizeBuckets()),
 	}
-	c.mu.Lock()
-	c.met = m
-	c.mu.Unlock()
+	c.met.Store(m)
 }
 
 // serverMetrics holds a server's handles, with per-op counters and

@@ -5,8 +5,8 @@ package matchsvc
 // single demux reader goroutine routes each response frame to the
 // waiter that owns its ID, and a group-flushed buffered writer
 // coalesces frames queued by concurrent callers into fewer syscalls.
-// Every connection opens with the OpHello handshake; a peer that does
-// not answer it with version 3 is not spoken to.
+// A wireConn exists only after the OpHello handshake (Client.connect),
+// so it is live or dead and nothing else.
 
 import (
 	"bufio"
@@ -31,15 +31,80 @@ const muxWriteTimeout = 30 * time.Second
 
 // errConnStale classifies a request that never reached the wire because
 // its connection had already been retired (server idle drop, another
-// caller's failure). The pool checks out a fresh connection and
+// caller's failure). The client checks out a fresh connection and
 // replays the request — nothing reached the wire.
 var errConnStale = fmt.Errorf("%w: connection retired before send", ErrTransport)
 
 // errConnRetired retires a connection without a more specific cause
-// (pool shutdown, a deadline yanked by another caller's cancellation).
-// Unlike errConnStale it may reach calls whose request was already on
-// the wire, so it is never replayed outside the Retry policy.
+// (pool shutdown). Unlike errConnStale it may reach calls whose request
+// was already on the wire, so it is never replayed outside the Retry
+// policy.
 var errConnRetired = fmt.Errorf("%w: connection retired", ErrTransport)
+
+// muxWriter is the write half of a negotiated connection, the same on
+// both ends. Writes from concurrent callers serialize under mu into the
+// buffered writer; queued counts writers waiting on mu, and a writer
+// with nobody queued behind it flushes for the whole burst, so depth-N
+// traffic coalesces into far fewer syscalls than N.
+type muxWriter struct {
+	nc net.Conn
+	// timeout bounds one frame write (0 = unbounded), counted from the
+	// moment the writer holds mu.
+	timeout time.Duration
+	closed  atomic.Bool
+
+	mu     sync.Mutex
+	bw     *bufio.Writer
+	hdr    [muxFrameHdrSize]byte
+	queued atomic.Int32
+}
+
+func newMuxWriter(nc net.Conn, timeout time.Duration) *muxWriter {
+	return &muxWriter{nc: nc, timeout: timeout, bw: bufio.NewWriterSize(nc, 32*1024)}
+}
+
+// close closes the socket — unblocking the peer's reader, ours, and any
+// in-flight I/O — and refuses every later frame.
+func (m *muxWriter) close() {
+	m.closed.Store(true)
+	m.nc.Close()
+}
+
+// write queues one sealed frame, due by notAfter when that is set and
+// tighter than the writer's own timeout. After close it returns
+// errConnStale with nothing written. A write failure closes the
+// connection: a partial frame may already be on the wire, after which
+// nothing framed can follow it, and closing fails the read side too,
+// which is the only safe recovery.
+func (m *muxWriter) write(notAfter time.Time, op byte, id uint64, budget uint32, body []byte) error {
+	m.queued.Add(1)
+	m.mu.Lock()
+	m.queued.Add(-1)
+	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return errConnStale
+	}
+	var deadline time.Time // zero: no deadline
+	if m.timeout > 0 {
+		deadline = time.Now().Add(m.timeout)
+	}
+	if !notAfter.IsZero() && (deadline.IsZero() || notAfter.Before(deadline)) {
+		deadline = notAfter
+	}
+	// SetWriteDeadline cannot disturb a demux reader, whose read side
+	// keeps its own deadline or none.
+	err := m.nc.SetWriteDeadline(deadline)
+	if err == nil {
+		err = writeMuxFrame(m.bw, op, id, budget, body, &m.hdr)
+	}
+	if err == nil && m.queued.Load() == 0 {
+		err = m.bw.Flush()
+	}
+	if err != nil {
+		m.close()
+	}
+	return err
+}
 
 // muxResult is one response frame routed to its waiter, or the
 // connection-level failure that retired all waiters.
@@ -53,26 +118,12 @@ type muxResult struct {
 type wireConn struct {
 	nc net.Conn
 	c  *Client
-
-	// The handshake runs once, driven by the first caller; nego flips
-	// when it has finished (successfully or not).
-	negoOnce sync.Once
-	negoErr  error
-	nego     atomic.Bool
-
-	// wmu serializes frame writes into bw; queued counts writers
-	// waiting on wmu so the last one in a burst flushes for the whole
-	// group.
-	wmu    sync.Mutex
-	bw     *bufio.Writer
-	whdr   [muxFrameHdrSize]byte
-	queued atomic.Int32
+	mw *muxWriter
 
 	// pmu guards the waiter table and death state.
 	pmu     sync.Mutex
 	pending map[uint64]chan muxResult
 	dead    bool
-	deadErr error
 	nextID  atomic.Uint64
 
 	// refs counts pool checkouts; lastUsed is the unixnano of the last
@@ -81,9 +132,18 @@ type wireConn struct {
 	lastUsed atomic.Int64
 }
 
+// newWireConn wraps a socket whose handshake has succeeded and starts
+// its demux reader, which owns the read side from here and blocks
+// freely between responses; per-call bounds are each waiter's context.
 func newWireConn(c *Client, nc net.Conn) *wireConn {
-	w := &wireConn{nc: nc, c: c}
+	w := &wireConn{
+		nc:      nc,
+		c:       c,
+		mw:      newMuxWriter(nc, muxWriteTimeout),
+		pending: make(map[uint64]chan muxResult),
+	}
 	w.touch()
+	go w.readLoop()
 	return w
 }
 
@@ -105,118 +165,18 @@ func (w *wireConn) kill(err error) {
 		return
 	}
 	w.dead = true
-	w.deadErr = err
 	pend := w.pending
 	w.pending = nil
 	w.pmu.Unlock()
-	w.nc.Close()
+	w.mw.close()
 	for _, ch := range pend {
 		ch <- muxResult{err: err}
 	}
 }
 
 // close retires the connection without an error to report (pool
-// shutdown or eviction of an already-dead conn).
+// shutdown).
 func (w *wireConn) close() { w.kill(errConnRetired) }
-
-// armDeadline bounds the handshake's blocking I/O: the context's
-// deadline (padded so the watcher below always outruns it), else the
-// client's fallback request timeout, else no deadline. A cancellable
-// context is watched for the duration of the handshake; cancellation
-// yanks the deadline to interrupt blocked I/O. The returned disarm must
-// run before the handshake returns — a watcher that already started may
-// yank the deadline late, so the connection is retired rather than let
-// a later request race it.
-func (w *wireConn) armDeadline(ctx context.Context) (disarm func(), err error) {
-	var deadline time.Time // zero: no deadline
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d.Add(10 * time.Millisecond)
-	} else if t := w.c.requestTimeout(); t > 0 {
-		deadline = time.Now().Add(t)
-	}
-	if err := w.nc.SetDeadline(deadline); err != nil {
-		return nil, fmt.Errorf("matchsvc: set deadline: %w", err)
-	}
-	if ctx.Done() == nil {
-		return func() {}, nil
-	}
-	nc := w.nc
-	stop := context.AfterFunc(ctx, func() { nc.SetDeadline(time.Now()) })
-	return func() {
-		if !stop() {
-			w.kill(errConnRetired)
-		}
-	}, nil
-}
-
-// negotiate runs the handshake, driven by the first caller under its
-// context; concurrent callers wait on the same handshake and share its
-// outcome.
-func (w *wireConn) negotiate(ctx context.Context) error {
-	w.negoOnce.Do(func() {
-		w.negoErr = w.doHello(ctx)
-		w.nego.Store(true)
-	})
-	return w.negoErr
-}
-
-// negotiated reports whether the handshake has completed (the keepalive
-// loop leaves it to the first real request).
-func (w *wireConn) negotiated() bool { return w.nego.Load() }
-
-// doHello performs the version handshake — the only bare (envelope-free,
-// so checksum-free) exchange on the connection. Only StatusOK carrying
-// version 3 starts the demux reader; any other reply, including one
-// damaged in transit, retires the connection with a transport error and
-// the caller redials.
-func (w *wireConn) doHello(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		w.kill(errConnRetired)
-		return err
-	}
-	disarm, err := w.armDeadline(ctx)
-	if err != nil {
-		err = transportErr(err)
-		w.kill(err)
-		return err
-	}
-	defer disarm()
-	fail := func(err error) error {
-		err = transportErr(err)
-		w.kill(err)
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return err
-	}
-	if err := writeFrame(w.nc, OpHello, helloVersion[:]); err != nil {
-		return fail(err)
-	}
-	status, resp, err := readFrame(w.nc)
-	if err != nil {
-		return fail(fmt.Errorf("matchsvc: read hello response: %w", err))
-	}
-	r := enc.Reader{Buf: resp}
-	if v := r.Uint32(); status != StatusOK || r.Err() != nil || v != protoMuxed {
-		return fail(fmt.Errorf("matchsvc: hello answered status 0x%02x version %d (%v), want version %d", status, v, r.Err(), protoMuxed))
-	}
-	// The demux reader owns the read side from here and blocks freely
-	// between responses; per-call bounds move to each waiter's context,
-	// so the handshake deadline must not linger.
-	if err := w.nc.SetDeadline(time.Time{}); err != nil {
-		return fail(fmt.Errorf("matchsvc: clear deadline: %w", err))
-	}
-	w.bw = bufio.NewWriterSize(w.nc, 32*1024)
-	w.pmu.Lock()
-	if w.dead {
-		w.pmu.Unlock()
-		return fail(errors.New("matchsvc: connection retired during handshake"))
-	}
-	w.pending = make(map[uint64]chan muxResult)
-	w.pmu.Unlock()
-	go w.readLoop()
-	return nil
-}
 
 // readLoop is the demux reader: it routes each response frame to the
 // waiter owning its request ID. Any framing, checksum, or unknown-ID
@@ -249,12 +209,12 @@ func (w *wireConn) readLoop() {
 		if ch == nil {
 			// A late answer to an abandoned call. Routing by ID makes it
 			// safely discardable and the connection survives.
-			if m := w.c.metrics(); m != nil {
+			if m := w.c.met.Load(); m != nil {
 				m.late.Inc()
 			}
 			continue
 		}
-		if m := w.c.metrics(); m != nil {
+		if m := w.c.met.Load(); m != nil {
 			m.respBytes.Observe(int64(len(body)))
 		}
 		ch <- muxResult{status: status, body: body}
@@ -266,45 +226,6 @@ func (w *wireConn) forget(id uint64) {
 	w.pmu.Lock()
 	delete(w.pending, id)
 	w.pmu.Unlock()
-}
-
-// writeMux queues one sealed frame. Writes from concurrent callers
-// serialize under wmu into the buffered writer; a writer with nobody
-// queued behind it flushes for the whole burst, so depth-N traffic
-// coalesces into far fewer syscalls than N. A write failure retires the
-// connection — a partial frame may already be on the wire, after which
-// nothing framed can follow it.
-func (w *wireConn) writeMux(ctx context.Context, op byte, id uint64, budget uint32, body []byte) error {
-	w.queued.Add(1)
-	w.wmu.Lock()
-	w.queued.Add(-1)
-	defer w.wmu.Unlock()
-	if w.isDead() {
-		return errConnStale
-	}
-	deadline := time.Now().Add(muxWriteTimeout)
-	if d, ok := ctx.Deadline(); ok {
-		if padded := d.Add(10 * time.Millisecond); padded.Before(deadline) {
-			deadline = padded
-		}
-	}
-	// SetWriteDeadline cannot disturb the demux reader, whose read side
-	// is deadline-free.
-	if err := w.nc.SetWriteDeadline(deadline); err != nil {
-		err = transportErr(err)
-		w.kill(err)
-		return err
-	}
-	err := writeMuxFrame(w.bw, op, id, budget, body, &w.whdr)
-	if err == nil && w.queued.Load() == 0 {
-		err = w.bw.Flush()
-	}
-	if err != nil {
-		err = transportErr(err)
-		w.kill(err)
-		return err
-	}
-	return nil
 }
 
 // wireBudget is the envelope's budget for a request sent now: the time
@@ -333,23 +254,34 @@ func wireBudget(ctx context.Context, fallback time.Duration) uint32 {
 // working on it.
 func (w *wireConn) muxCall(ctx context.Context, op byte, payload []byte, decode func(*enc.Reader) error) error {
 	var fallback time.Duration
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		fallback = w.c.requestTimeout()
+	var notAfter time.Time
+	if d, ok := ctx.Deadline(); ok {
+		notAfter = d.Add(10 * time.Millisecond)
+	} else {
+		fallback = w.c.opts.RequestTimeout
 	}
 	id := w.nextID.Add(1)
 	ch := make(chan muxResult, 1)
 	w.pmu.Lock()
-	if w.dead || w.pending == nil {
+	if w.dead {
 		w.pmu.Unlock()
 		return errConnStale
 	}
 	w.pending[id] = ch
 	w.pmu.Unlock()
-	if m := w.c.metrics(); m != nil {
+	if m := w.c.met.Load(); m != nil {
 		m.reqBytes.Observe(int64(len(payload)))
 	}
-	if err := w.writeMux(ctx, op, id, wireBudget(ctx, fallback), payload); err != nil {
+	if err := w.mw.write(notAfter, op, id, wireBudget(ctx, fallback), payload); err != nil {
 		w.forget(id)
+		if errors.Is(err, errConnStale) {
+			// The writer was closed under us; make sure the pool sees the
+			// connection dead before this request is replayed.
+			w.kill(errConnRetired)
+		} else {
+			err = transportErr(err)
+			w.kill(err)
+		}
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
@@ -433,14 +365,4 @@ func decodeResponse(status byte, resp []byte, decode func(*enc.Reader) error) er
 		msg = "(malformed error payload)"
 	}
 	return &remoteError{msg: msg, sentinel: sentinel}
-}
-
-// keepalivePing best-effort pings the connection so a server's idle
-// deadline does not silently kill a healthy pooled conn.
-func (w *wireConn) keepalivePing(ctx context.Context) {
-	if !w.negotiated() || w.isDead() {
-		return
-	}
-	_ = w.muxCall(ctx, OpPing, nil, nil)
-	w.touch()
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -73,6 +74,13 @@ func startRawFake(t *testing.T, script func(conn net.Conn, nconn int)) *muxFake 
 
 func (f *muxFake) addr() string { return f.ln.Addr().String() }
 
+// startMuteFake answers the hello and then reads requests without ever
+// replying to one.
+func startMuteFake(t *testing.T) *muxFake {
+	t.Helper()
+	return startMuxFake(t, func(conn net.Conn, _ int) { io.Copy(io.Discard, conn) })
+}
+
 // muxFakeHandshake consumes the client's hello and accepts the mux.
 func muxFakeHandshake(conn net.Conn) error {
 	op, _, err := readFrame(conn)
@@ -114,10 +122,7 @@ func answerPings(conn net.Conn) {
 
 func dialMuxFake(t *testing.T, f *muxFake) *Client {
 	t.Helper()
-	c := dialT(t, f.addr())
-	t.Cleanup(func() { c.Close() })
-	c.SetRequestTimeout(2 * time.Second)
-	return c
+	return dialFake(t, f.addr())
 }
 
 // requireRecovers asserts the pool replaces the killed connection and
@@ -249,8 +254,7 @@ func TestMuxServerCloseFailsAllInFlightPromptly(t *testing.T) {
 			}
 		}
 	})
-	c := dialMuxFake(t, f)
-	c.SetRequestTimeout(10 * time.Second) // errors must beat this by a mile
+	c := dialFakeTimeout(t, f.addr(), 10*time.Second) // errors must beat this by a mile
 	errs := make(chan error, inFlight)
 	start := time.Now()
 	for i := 0; i < inFlight; i++ {
@@ -265,7 +269,6 @@ func TestMuxServerCloseFailsAllInFlightPromptly(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("in-flight errors took %v; want prompt failure", elapsed)
 	}
-	c.SetRequestTimeout(2 * time.Second)
 	requireRecovers(t, c)
 }
 
@@ -296,13 +299,13 @@ func TestMuxLateResponseAfterTimeoutIsDiscarded(t *testing.T) {
 	// keeps serving — no redial.
 	requireRecovers(t, c)
 	deadline := time.Now().Add(2 * time.Second)
-	for c.metrics().late.Value() == 0 {
+	for c.met.Load().late.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("late-response counter never incremented")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := c.metrics().redials.Value(); got != 0 {
+	if got := c.met.Load().redials.Value(); got != 0 {
 		t.Fatalf("late response should not cost a redial; redials = %d", got)
 	}
 }
@@ -323,10 +326,8 @@ func TestKeepaliveOutlivesServerIdleTimeout(t *testing.T) {
 	go func() { defer close(done); srv.Serve(ctx) }()
 	defer func() { srv.Close(); <-done }()
 
-	c := dialT(t, addr)
+	c := dialOpts(t, addr, ClientOptions{RequestTimeout: 2 * time.Second, Keepalive: 40 * time.Millisecond})
 	defer c.Close()
-	c.SetRequestTimeout(2 * time.Second)
-	c.SetKeepalive(40 * time.Millisecond)
 	reg := obs.NewRegistry()
 	c.SetMetrics(reg)
 	if err := c.Ping(context.Background()); err != nil {
@@ -337,7 +338,7 @@ func TestKeepaliveOutlivesServerIdleTimeout(t *testing.T) {
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("ping after idle period: %v", err)
 	}
-	if got := c.metrics().redials.Value(); got != 0 {
+	if got := c.met.Load().redials.Value(); got != 0 {
 		t.Fatalf("keepalive should have kept the connection alive; redials = %d", got)
 	}
 }
@@ -358,10 +359,8 @@ func TestKeepaliveDisabledConnectionIdlesOut(t *testing.T) {
 	go func() { defer close(done); srv.Serve(ctx) }()
 	defer func() { srv.Close(); <-done }()
 
-	c := dialT(t, addr)
+	c := dialOpts(t, addr, ClientOptions{RequestTimeout: 2 * time.Second, Keepalive: -1})
 	defer c.Close()
-	c.SetRequestTimeout(2 * time.Second)
-	c.SetKeepalive(0)
 	reg := obs.NewRegistry()
 	c.SetMetrics(reg)
 	if err := c.Ping(context.Background()); err != nil {
@@ -371,7 +370,7 @@ func TestKeepaliveDisabledConnectionIdlesOut(t *testing.T) {
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("ping after idle period: %v", err)
 	}
-	if got := c.metrics().redials.Value(); got == 0 {
+	if got := c.met.Load().redials.Value(); got == 0 {
 		t.Fatal("without keepalive the idle drop should have forced a redial")
 	}
 }
@@ -393,15 +392,11 @@ func TestMuxUnknownOpcodeStatusError(t *testing.T) {
 	go func() { defer close(done); srv.Serve(ctx) }()
 	defer func() { srv.Close(); <-done }()
 
-	c := dialT(t, addr)
+	c := dialOpts(t, addr, ClientOptions{RequestTimeout: 2 * time.Second})
 	defer c.Close()
-	c.SetRequestTimeout(2 * time.Second)
 	reg := obs.NewRegistry()
 	c.SetMetrics(reg)
-	if err := c.Ping(context.Background()); err != nil {
-		t.Fatalf("negotiating ping: %v", err)
-	}
-	err = c.do(context.Background(), 0x7f, nil, nil, false)
+	err = c.do(context.Background(), 0x7f, nil, nil)
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("want ErrRemote for unknown opcode, got %v", err)
 	}
@@ -412,11 +407,20 @@ func TestMuxUnknownOpcodeStatusError(t *testing.T) {
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("ping after unknown opcode: %v", err)
 	}
-	if got := c.metrics().redials.Value(); got != 0 {
+	if got := c.met.Load().redials.Value(); got != 0 {
 		t.Fatalf("unknown opcode must not cost the connection; redials = %d", got)
 	}
 	if got := srv.met.unknown.Value(); got != 1 {
 		t.Fatalf("server unknown-op counter = %d, want 1", got)
+	}
+	// A retired opcode is as unknown as one never assigned.
+	for _, op := range retiredOpcodes {
+		if err := c.do(context.Background(), op, nil, nil); !errors.Is(err, ErrRemote) {
+			t.Fatalf("retired opcode 0x%02x: want ErrRemote, got %v", op, err)
+		}
+	}
+	if got, want := srv.met.unknown.Value(), uint64(1+len(retiredOpcodes)); got != want {
+		t.Fatalf("server unknown-op counter = %d, want %d", got, want)
 	}
 }
 
@@ -436,8 +440,7 @@ func TestMuxFallbackTimeoutTyped(t *testing.T) {
 		writeMuxFrame(conn, StatusOK, id, 0, nil, &hdr)
 		answerPings(conn)
 	})
-	c := dialMuxFake(t, f)
-	c.SetRequestTimeout(60 * time.Millisecond)
+	c := dialFakeTimeout(t, f.addr(), 60*time.Millisecond)
 	err := c.Ping(context.Background())
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("want os.ErrDeadlineExceeded from fallback timeout, got %v", err)

@@ -12,13 +12,16 @@ import (
 	"testing"
 
 	"fpinterop/internal/gallery"
+	"fpinterop/internal/obs"
 	"fpinterop/internal/wal"
 )
 
-// startServerOn is startServer over a caller-provided backend.
+// startServerOn is startServer over a caller-provided backend, with the
+// server's metrics on so tests can read srv.met.
 func startServerOn(t *testing.T, store Store) (*Client, *Server) {
 	t.Helper()
 	srv := NewServer(store, nil)
+	srv.SetMetrics(obs.NewRegistry())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -38,13 +41,28 @@ func startServerOn(t *testing.T, store Store) (*Client, *Server) {
 	return cli, srv
 }
 
+// requireOpMetered asserts the server counted op under its own label
+// exactly sent times and met no opcode it has no label for.
+func requireOpMetered(t *testing.T, srv *Server, op byte, sent int) {
+	t.Helper()
+	if got := srv.met.requests[op].Value(); got != uint64(sent) {
+		t.Fatalf("requests_total{op=%q} = %d, want the %d sent", opLabels[op], got, sent)
+	}
+	if got := srv.met.latency[op].Count(); got != uint64(sent) {
+		t.Fatalf("latency_ns{op=%q} holds %d observations, want %d", opLabels[op], got, sent)
+	}
+	if got := srv.met.unknown.Value(); got != 0 {
+		t.Fatalf("unknown_ops_total = %d after only known opcodes", got)
+	}
+}
+
 func TestSyncSnapshotChunkedTransfer(t *testing.T) {
 	ws, err := wal.Open(t.TempDir(), gallery.New(nil), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ws.Close()
-	cli, _ := startServerOn(t, ws)
+	cli, srv := startServerOn(t, ws)
 	ctx := context.Background()
 	tpls := testImpressions(t, 6, "D0", 0)
 	for i, tpl := range tpls {
@@ -65,8 +83,10 @@ func TestSyncSnapshotChunkedTransfer(t *testing.T) {
 	}
 	var stream []byte
 	stream = append(stream, first.Data...)
+	sent := 1
 	for int64(len(stream)) < first.Total {
 		chunk, err := cli.SyncSnapshot(ctx, first.LSN, int64(len(stream)), 512)
+		sent++
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,6 +109,7 @@ func TestSyncSnapshotChunkedTransfer(t *testing.T) {
 	if len(entries) != len(tpls) {
 		t.Fatalf("snapshot carries %d entries, want %d", len(entries), len(tpls))
 	}
+	requireOpMetered(t, srv, OpSyncSnapshot, sent)
 
 	// A resume for an unknown capture surfaces the expiry as a remote
 	// error the follower can recognize by restarting at LSN 0.
@@ -103,7 +124,7 @@ func TestSyncTailOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ws.Close()
-	cli, _ := startServerOn(t, ws)
+	cli, srv := startServerOn(t, ws)
 	ctx := context.Background()
 	tpls := testImpressions(t, 5, "D0", 0)
 	for i, tpl := range tpls {
@@ -119,8 +140,10 @@ func TestSyncTailOverWire(t *testing.T) {
 	// budget: one record per page, every boundary crossed on the wire.
 	replica := gallery.New(nil)
 	var after uint64
+	sent := 0
 	for {
 		page, err := cli.SyncTail(ctx, after, 1)
+		sent++
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,6 +166,7 @@ func TestSyncTailOverWire(t *testing.T) {
 			}
 		}
 	}
+	requireOpMetered(t, srv, OpSyncTail, sent)
 	// Snapshot order is the primary's insertion order and the tail
 	// replays its mutations in LSN order, so the replica's serialized
 	// contents equal the primary's byte for byte.

@@ -6,7 +6,7 @@ package matchsvc
 // server answered nothing, or the answer was lost, so re-asking cannot
 // double-apply. A remote error (ErrRemote), a context cancellation, or
 // the fallback request timeout is the answer and is never retried.
-// Retries are off by default; enable with SetRetry.
+// Retries are off by default; enable with ClientOptions.Retry.
 
 import (
 	"context"
@@ -28,6 +28,15 @@ type Retry struct {
 }
 
 func (r Retry) enabled() bool { return r.Attempts > 1 }
+
+// idempotent reports whether re-asking op cannot double-apply.
+func idempotent(op byte) bool {
+	switch op {
+	case OpPing, OpVerify, OpIdentifyEx, OpCount, OpStats, OpSyncSnapshot, OpSyncTail:
+		return true
+	}
+	return false
+}
 
 // delay returns the jittered backoff before the given retry (1 is the
 // first retry). jitter is uniform in [0,1) and spreads the delay over
@@ -56,24 +65,17 @@ func (r Retry) delay(retry int, jitter float64) time.Duration {
 	return half + time.Duration(jitter*float64(half))
 }
 
-// SetRetry installs the retry policy. Call before concurrent use.
-func (c *Client) SetRetry(r Retry) {
-	c.mu.Lock()
-	c.retry = r
-	c.mu.Unlock()
-}
-
 // backoff sleeps the policy's jittered delay before retry number
 // `retry`, honoring cancellation: the context is checked between
 // attempts and interrupts the wait.
-func (c *Client) backoff(ctx context.Context, pol Retry, retry int) error {
+func (c *Client) backoff(ctx context.Context, retry int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c.mu.Lock()
+	c.jmu.Lock()
 	jitter := c.jitter.Float64()
-	c.mu.Unlock()
-	t := time.NewTimer(pol.delay(retry, jitter))
+	c.jmu.Unlock()
+	t := time.NewTimer(c.opts.Retry.delay(retry, jitter))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

@@ -1,7 +1,6 @@
 package matchsvc
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -146,10 +145,10 @@ func (s *Server) Serve(ctx context.Context) error {
 	if ln == nil {
 		return errors.New("matchsvc: Serve before Listen")
 	}
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
+	// Stopped when Serve returns: under a context that is never
+	// cancelled, Close ends the accept loop and nothing must linger.
+	stop := context.AfterFunc(ctx, func() { ln.Close() })
+	defer stop()
 	// Connections outlive the accept loop: a shutdown drains the
 	// requests already in flight instead of cancelling them, so request
 	// contexts descend from ctx without its cancellation.
@@ -526,9 +525,9 @@ func (p *posReader) Read(b []byte) (int, error) {
 // frame dispatches on its own goroutine (bounded by
 // muxServerConcurrency) and responses return in completion order,
 // carrying the request ID they answer. One slow 1:N no longer blocks
-// the pings queued behind it — the whole point of the mux. Response
-// writes group-flush through a buffered writer, so bursts of small
-// responses coalesce into few syscalls.
+// the pings queued behind it — the whole point of the mux. Responses
+// leave through the same group-flushing muxWriter the client sends
+// with, each write bounded by the idle timeout.
 //
 // Requests run under cctx, cancelled the moment this read loop exits —
 // the client hung up, a frame was unreadable, the idle deadline fired —
@@ -539,38 +538,14 @@ func (p *posReader) Read(b []byte) (int, error) {
 func (s *Server) handleMux(ctx context.Context, conn net.Conn) error {
 	cctx, cancel := context.WithCancel(ctx)
 	pr := &posReader{r: conn}
-	bw := bufio.NewWriterSize(conn, 32*1024)
+	mw := newMuxWriter(conn, s.idleTimeout)
 	var (
-		wmu      sync.Mutex
-		queued   atomic.Int32
-		whdr     [muxFrameHdrSize]byte
 		inflight atomic.Int64
 		wg       sync.WaitGroup
 		hdr      [5]byte
 	)
 	defer wg.Wait()
 	defer cancel()
-	writeRes := func(id uint64, status byte, resp []byte) {
-		queued.Add(1)
-		wmu.Lock()
-		queued.Add(-1)
-		defer wmu.Unlock()
-		if s.idleTimeout > 0 {
-			if err := conn.SetWriteDeadline(time.Now().Add(s.idleTimeout)); err != nil {
-				conn.Close()
-				return
-			}
-		}
-		err := writeMuxFrame(bw, status, id, 0, resp, &whdr)
-		if err == nil && queued.Load() == 0 {
-			err = bw.Flush()
-		}
-		if err != nil {
-			// A torn response frame desyncs the stream; closing the socket
-			// fails the read loop too, which is the only safe recovery.
-			conn.Close()
-		}
-	}
 	sem := make(chan struct{}, muxServerConcurrency)
 	for {
 		if s.idleTimeout > 0 {
@@ -620,7 +595,9 @@ func (s *Server) handleMux(ctx context.Context, conn net.Conn) error {
 				s.met.observeOp(op, t0)
 				s.met.inflight.Dec()
 			}
-			writeRes(id, status, resp)
+			// A failed write has closed the socket, which ends the read
+			// loop above; there is nobody left to tell.
+			_ = mw.write(time.Time{}, status, id, 0, resp)
 		}(op, id, budget, body)
 	}
 }

@@ -40,7 +40,7 @@ func (c *Client) SyncSnapshot(ctx context.Context, resumeLSN uint64, offset int6
 	fs.w.Uint64(uint64(offset))
 	fs.w.Uint32(uint32(maxBytes))
 	var out SyncSnapshotChunk
-	err := c.roundTripIdem(ctx, OpSyncSnapshot, fs.w.Buf, func(r *enc.Reader) error {
+	err := c.do(ctx, OpSyncSnapshot, fs.w.Buf, func(r *enc.Reader) error {
 		// Data aliases the response frame, which is this response's own.
 		out = SyncSnapshotChunk{LSN: r.Uint64(), Total: int64(r.Uint64()), Data: r.Bytes()}
 		return r.Err()
@@ -59,7 +59,7 @@ func (c *Client) SyncTail(ctx context.Context, afterLSN uint64, maxBytes int) (w
 	fs.w.Uint64(afterLSN)
 	fs.w.Uint32(uint32(maxBytes))
 	var page wal.TailPage
-	err := c.roundTripIdem(ctx, OpSyncTail, fs.w.Buf, func(r *enc.Reader) error {
+	err := c.do(ctx, OpSyncTail, fs.w.Buf, func(r *enc.Reader) error {
 		page = wal.TailPage{PrimaryLSN: r.Uint64(), Truncated: r.Uint32()&1 != 0}
 		page.Records = make([]wal.Record, r.Count(wal.RecordMinSize))
 		for i := range page.Records {

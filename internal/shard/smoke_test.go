@@ -28,11 +28,10 @@ func dialT(t testing.TB, addr string) *matchsvc.Client {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	cli, err := matchsvc.DialContext(ctx, addr)
+	cli, err := matchsvc.Dial(ctx, addr, matchsvc.ClientOptions{RedialTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	cli.SetRedialTimeout(2 * time.Second)
 	return cli
 }
 

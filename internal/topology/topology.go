@@ -23,35 +23,11 @@ import (
 	"fpinterop/internal/wal"
 )
 
-// Client is how a deployment's wire clients are set up; the zero value
-// is the matchsvc.Client defaults.
-type Client struct {
-	// RequestTimeout is the fallback round-trip bound for calls whose
-	// context has no deadline (0 = none); RedialTimeout bounds
-	// reconnects after a transport failure (0 = the request's context).
-	RequestTimeout time.Duration
-	RedialTimeout  time.Duration
-	// PoolSize is the connections pooled per endpoint (0 or 1 = one).
-	PoolSize int
-	// Retry re-sends idempotent calls after transport failures.
-	Retry matchsvc.Retry
-	// Keepalive is the idle-connection ping interval: 0 keeps the
-	// client default, negative disables.
-	Keepalive time.Duration
-}
-
-// Dial connects one wire client under ctx and applies the settings.
-func Dial(ctx context.Context, addr string, c Client, reg *obs.Registry) (*matchsvc.Client, error) {
-	cli, err := matchsvc.DialContext(ctx, addr)
+// Dial connects one wire client under ctx and registers its metrics.
+func Dial(ctx context.Context, addr string, opts matchsvc.ClientOptions, reg *obs.Registry) (*matchsvc.Client, error) {
+	cli, err := matchsvc.Dial(ctx, addr, opts)
 	if err != nil {
 		return nil, err
-	}
-	cli.SetRequestTimeout(c.RequestTimeout)
-	cli.SetRedialTimeout(c.RedialTimeout)
-	cli.SetPoolSize(c.PoolSize)
-	cli.SetRetry(c.Retry)
-	if c.Keepalive != 0 {
-		cli.SetKeepalive(c.Keepalive)
 	}
 	cli.SetMetrics(reg)
 	return cli, nil
@@ -86,7 +62,7 @@ type Config struct {
 	HedgeDelay   time.Duration
 	Policy       shard.Policy
 	// Client configures the connections to Shards and Replicas.
-	Client Client
+	Client matchsvc.ClientOptions
 	// Metrics, when non-nil, receives every layer's families.
 	Metrics *obs.Registry
 }
@@ -115,7 +91,7 @@ func (c Config) Validate() error {
 		return errors.New("topology: CompactEvery requires WALDir")
 	case !sharded && (c.ShardTimeout != 0 || c.HedgeDelay != 0 || c.Policy != shard.SkipDegraded):
 		return errors.New("topology: ShardTimeout, HedgeDelay and Policy tune the router; they require LocalShards or Shards")
-	case !front && client != (Client{}):
+	case !front && client != (matchsvc.ClientOptions{}):
 		return errors.New("topology: Client (pool size, retry, keepalive, timeouts) configures the connections to Shards; it requires Shards")
 	case c.Replicas != nil && len(c.Replicas) != len(c.Shards):
 		return fmt.Errorf("topology: Replicas lists %d slots, Shards has %d", len(c.Replicas), len(c.Shards))

@@ -16,8 +16,8 @@ func TestValidate(t *testing.T) {
 		"zero value":        {},
 		"indexed WAL":       {Index: true, IndexFanout: 32, WALDir: "d", CompactEvery: 8},
 		"local shards":      {LocalShards: 3, Index: true, WALDir: "d", ShardTimeout: time.Second, HedgeDelay: time.Millisecond, Policy: shard.FailClosed},
-		"front":             {Shards: front, Replicas: [][]string{{"r:1"}, nil}, Client: Client{PoolSize: 4, Keepalive: -1}, HedgeDelay: time.Millisecond},
-		"one conn, spelled": {Client: Client{PoolSize: 1}},
+		"front":             {Shards: front, Replicas: [][]string{{"r:1"}, nil}, Client: matchsvc.ClientOptions{PoolSize: 4, Keepalive: -1}, HedgeDelay: time.Millisecond},
+		"one conn, spelled": {Client: matchsvc.ClientOptions{PoolSize: 1}},
 	} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: rejected: %v", name, err)
@@ -35,9 +35,9 @@ func TestValidate(t *testing.T) {
 		"shard timeout, one store":     {ShardTimeout: time.Second},
 		"hedging, one store":           {HedgeDelay: time.Millisecond},
 		"fail-closed, one store":       {Policy: shard.FailClosed},
-		"pool without shards":          {Client: Client{PoolSize: 2}},
-		"retry on local shards":        {LocalShards: 2, Client: Client{Retry: matchsvc.Retry{Attempts: 3}}},
-		"request timeout, one store":   {Client: Client{RequestTimeout: time.Second}},
+		"pool without shards":          {Client: matchsvc.ClientOptions{PoolSize: 2}},
+		"retry on local shards":        {LocalShards: 2, Client: matchsvc.ClientOptions{Retry: matchsvc.Retry{Attempts: 3}}},
+		"request timeout, one store":   {Client: matchsvc.ClientOptions{RequestTimeout: time.Second}},
 		"replicas without shards":      {Replicas: [][]string{{"r:1"}}},
 		"replicas for the wrong arity": {Shards: front, Replicas: [][]string{{"r:1"}}},
 	} {
