@@ -1,6 +1,6 @@
 // Command matchd runs the central fingerprint matching service: a TCP
 // server owning the enrollment gallery, to which heterogeneous capture
-// stations submit match/enroll/verify/identify requests — the deployment
+// stations submit enroll/verify/identify requests — the deployment
 // architecture the paper's discussion section contemplates.
 //
 // Usage:
@@ -15,8 +15,7 @@
 // -preload enrolls N synthetic subjects at startup so the service is
 // immediately searchable (useful for demos and load tests). -index
 // enables the minutia-triplet retrieval index, so identification
-// searches a candidate shortlist instead of the whole gallery; each
-// indexed search logs its shortlist size.
+// searches a candidate shortlist instead of the whole gallery.
 //
 // Durability: -wal-dir routes every mutation through a write-ahead log
 // rooted at DIR, so an acknowledged enrollment survives even a SIGKILL

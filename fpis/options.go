@@ -132,10 +132,11 @@ func WithReplicas(replicas ...[]string) Option {
 	}
 }
 
-// WithParallelism bounds the worker goroutines used for parallel work:
-// the exhaustive-scan fan-out inside each local store and the
-// scatter-gather fan-out across shards. n <= 0 restores the defaults
-// (GOMAXPROCS per store; one worker per shard).
+// WithParallelism bounds the worker goroutines of each in-process
+// store: its exhaustive-scan fan-out and its batch-enrollment derive
+// workers. n <= 0 restores the default (GOMAXPROCS per store). A
+// WithShards front holds no store, so New rejects the option there, as
+// Dial does.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

@@ -3,6 +3,10 @@ package fpis
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -21,6 +25,10 @@ func TestOptionValidation(t *testing.T) {
 		}},
 		{"index on remote-shard front", func() error {
 			_, err := New(ctx, WithShards("127.0.0.1:1"), WithIndex(0))
+			return err
+		}},
+		{"parallelism on remote-shard front", func() error {
+			_, err := New(ctx, WithShards("127.0.0.1:1"), WithParallelism(2))
 			return err
 		}},
 		{"shard timeout without shards", func() error {
@@ -100,6 +108,56 @@ func TestOptionValidation(t *testing.T) {
 		if err := tc.do(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestParallelismBoundsLocalShardScans: on a WithLocalShards service
+// WithParallelism is each store's scan bound — with GOMAXPROCS at 8 and
+// the option at 2, no snapshot of the process ever shows more than two
+// scan workers per store.
+func TestParallelismBoundsLocalShardScans(t *testing.T) {
+	gal, probes := confFixtures(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	ctx := context.Background()
+	svc, err := New(ctx, WithLocalShards(2), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var items []Enrollment
+	for c := 0; c < 8; c++ {
+		for i, tpl := range gal {
+			items = append(items, Enrollment{ID: fmt.Sprintf("%s-copy%d", confID(i), c), DeviceID: "D0", Template: tpl})
+		}
+	}
+	if err := svc.EnrollBatch(ctx, items); err != nil {
+		t.Fatal(err)
+	}
+	// A scan worker is a goroutine inside matchAll's scan closure (its
+	// first, hence func1; a worker past its last entry but not yet gone
+	// is not counted). A full stack dump stops the world, so each count
+	// is one consistent moment.
+	var stop atomic.Bool
+	peak := make(chan int)
+	go func() {
+		buf, most := make([]byte, 1<<20), 0
+		for !stop.Load() {
+			dump := string(buf[:runtime.Stack(buf, true)])
+			most = max(most, strings.Count(dump, "gallery.(*Store).matchAll.func1("))
+		}
+		peak <- most
+	}()
+	for i := 0; i < 50; i++ {
+		if _, err := svc.Identify(ctx, probes[i%len(probes)], 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	switch most := <-peak; {
+	case most > 2*2:
+		t.Fatalf("saw %d scan workers at once across 2 stores, want at most 2 each", most)
+	case most == 0:
+		t.Fatal("the sampler never saw a scan worker; the bound went unchecked")
 	}
 }
 

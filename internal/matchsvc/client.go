@@ -279,25 +279,6 @@ func decodeMatch(r *enc.Reader) (match.Result, error) {
 	return match.Result{Score: r.Float64(), Matched: int(r.Uint32())}, r.Err()
 }
 
-// Match compares two templates on the server. Only the score and the
-// matched-minutiae count cross the wire.
-func (c *Client) Match(ctx context.Context, g, p *minutiae.Template) (match.Result, error) {
-	fs := acquireFrameScratch()
-	defer releaseFrameScratch(fs)
-	if err := putTemplate(&fs.w, g); err != nil {
-		return match.Result{}, err
-	}
-	if err := putTemplate(&fs.w, p); err != nil {
-		return match.Result{}, err
-	}
-	var res match.Result
-	err := c.do(ctx, OpMatch, fs.w.Buf, func(r *enc.Reader) (derr error) {
-		res, derr = decodeMatch(r)
-		return derr
-	})
-	return res, err
-}
-
 // Enroll registers a template under id.
 func (c *Client) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.Template) error {
 	fs := acquireFrameScratch()
@@ -308,10 +289,6 @@ func (c *Client) Enroll(ctx context.Context, id, deviceID string, tpl *minutiae.
 	return c.do(ctx, OpEnroll, fs.w.Buf, nil)
 }
 
-// enrollBatchBudget leaves headroom under the frame cap for the count
-// prefix and per-item length framing.
-const enrollBatchBudget = maxFrame - 4096
-
 // EnrollBatch registers many templates in as few round trips as the
 // 1 MiB frame cap allows. Batches are not atomic: on error, items from
 // already-shipped chunks remain enrolled, and what the failing chunk
@@ -319,61 +296,42 @@ const enrollBatchBudget = maxFrame - 4096
 // prefix on a plain store, nothing on a WAL-backed one, whole per-shard
 // groups behind a front.
 func (c *Client) EnrollBatch(ctx context.Context, items []Enrollment) error {
-	return c.enrollBatchChunked(ctx, items, enrollBatchBudget)
+	return c.enrollBatchChunked(ctx, items, pageBudget)
 }
 
 // enrollBatchChunked is EnrollBatch with an explicit per-frame payload
 // budget (separated out so tests can force multi-frame chunking without
-// megabyte fixtures).
+// megabyte fixtures): each round packs as many of the remaining items
+// as fit straight into the frame and ships it.
 func (c *Client) enrollBatchChunked(ctx context.Context, items []Enrollment, budget int) error {
-	encoded := make([][]byte, 0, len(items))
-	size := 0
-	flush := func() error {
-		if len(encoded) == 0 {
-			return nil
-		}
-		fs := acquireFrameScratch()
-		defer releaseFrameScratch(fs)
-		fs.w.Uint32(uint32(len(encoded)))
-		for _, e := range encoded {
-			fs.w.Buf = append(fs.w.Buf, e...)
+	fs := acquireFrameScratch()
+	defer releaseFrameScratch(fs)
+	for len(items) > 0 {
+		fs.w.Buf = fs.w.Buf[:0]
+		sent, err := packPage(&fs.w, budget, len(items), func(i int) (string, error) {
+			return items[i].ID, items[i].AppendTo(&fs.w)
+		})
+		if err != nil {
+			return err
 		}
 		var n uint32
-		err := c.do(ctx, OpEnrollBatch, fs.w.Buf, func(r *enc.Reader) error {
+		err = c.do(ctx, OpEnrollBatch, fs.w.Buf, func(r *enc.Reader) error {
 			n = r.Uint32()
 			return r.Err()
 		})
 		if err != nil {
 			return err
 		}
-		if int(n) != len(encoded) {
-			return fmt.Errorf("matchsvc: batch enrolled %d of %d items", n, len(encoded))
+		if int(n) != sent {
+			return fmt.Errorf("matchsvc: batch enrolled %d of %d items", n, sent)
 		}
-		encoded = encoded[:0]
-		size = 0
-		return nil
+		items = items[sent:]
 	}
-	for _, it := range items {
-		var w enc.Writer
-		if err := it.AppendTo(&w); err != nil {
-			return err
-		}
-		if len(w.Buf) > budget {
-			return fmt.Errorf("matchsvc: batch item %q of %d bytes exceeds frame budget", it.ID, len(w.Buf))
-		}
-		if size+len(w.Buf) > budget {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		encoded = append(encoded, w.Buf)
-		size += len(w.Buf)
-	}
-	return flush()
+	return nil
 }
 
-// Verify compares a probe against one enrollment; like Match, the
-// result carries the score and the matched-minutiae count.
+// Verify compares a probe against one enrollment. Only the score and
+// the matched-minutiae count cross the wire.
 func (c *Client) Verify(ctx context.Context, id string, probe *minutiae.Template) (match.Result, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)

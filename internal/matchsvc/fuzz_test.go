@@ -33,9 +33,10 @@ func TestReadFrameNeverPanics(t *testing.T) {
 }
 
 // retiredOpcodes are the request opcodes earlier protocol revisions
-// assigned and this one refuses: 0x05 (identify without statistics),
-// 0x0A (scan) and 0x0B (has). The numbers are never reused.
-var retiredOpcodes = []byte{0x05, 0x0A, 0x0B}
+// assigned and this one refuses: 0x02 (match two carried templates),
+// 0x05 (identify without statistics), 0x0A (scan) and 0x0B (has). The
+// numbers are never reused.
+var retiredOpcodes = []byte{0x02, 0x05, 0x0A, 0x0B}
 
 // FuzzDispatch drives the server's request decoder — every opcode over
 // arbitrary bodies — against a populated, WAL-backed store (so the two
@@ -60,12 +61,6 @@ func FuzzDispatch(f *testing.F) {
 		body []byte
 	}{
 		{OpPing, nil},
-		{OpMatch, body(func(w *enc.Writer) error {
-			if err := putTemplate(w, fx[0].Template); err != nil {
-				return err
-			}
-			return putTemplate(w, fx[1].Template)
-		})},
 		{OpEnroll, body(gallery.Export{ID: "dave", DeviceID: "D0", Template: fx[0].Template}.AppendTo)},
 		{OpVerify, body(func(w *enc.Writer) error {
 			if err := w.String("alice"); err != nil {
@@ -90,6 +85,12 @@ func FuzzDispatch(f *testing.F) {
 		{OpHello, helloVersion[:]}, // a second hello is just another unknown opcode
 		{OpSyncSnapshot, body(func(w *enc.Writer) error { w.Uint64(0); w.Uint64(0); w.Uint32(64); return nil })},
 		{OpSyncTail, body(func(w *enc.Writer) error { w.Uint64(3); w.Uint32(0); return nil })},
+		{0x02, body(func(w *enc.Writer) error {
+			if err := putTemplate(w, fx[0].Template); err != nil {
+				return err
+			}
+			return putTemplate(w, fx[1].Template)
+		})},
 		{0x05, body(func(w *enc.Writer) error { w.Uint32(2); return putTemplate(w, fx[2].Template) })},
 		{0x0A, []byte{0, 0, 0, 0, 0, 10}}, // afterID "", max 10
 		{0x0B, body(func(w *enc.Writer) error { return w.String("alice") })},

@@ -89,11 +89,14 @@ func TestRemoteMatch(t *testing.T) {
 	cli, _ := startServer(t)
 	tpls := testImpressions(t, 2, "D0", 0)
 	probes := testImpressions(t, 2, "D0", 1)
-	genuine, err := cli.Match(context.Background(), tpls[0], probes[0])
+	if err := cli.Enroll(context.Background(), "alice", "D0", tpls[0]); err != nil {
+		t.Fatal(err)
+	}
+	genuine, err := cli.Verify(context.Background(), "alice", probes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	impostor, err := cli.Match(context.Background(), tpls[0], probes[1])
+	impostor, err := cli.Verify(context.Background(), "alice", probes[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +202,9 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestMalformedPayloadRejected(t *testing.T) {
 	cli, _ := startServer(t)
-	// OpMatch with garbage payload must produce a clean error frame, not
+	// OpVerify with garbage payload must produce a clean error frame, not
 	// a hang or crash.
-	err := cli.do(context.Background(), OpMatch, []byte{1, 2, 3}, nil)
+	err := cli.do(context.Background(), OpVerify, []byte{1, 2, 3}, nil)
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("want ErrRemote, got %v", err)
 	}

@@ -15,7 +15,6 @@ var framesOutstanding atomic.Int64
 // opLabels maps opcodes to their metric label, indexed by opcode.
 var opLabels = [OpSyncTail + 1]string{
 	OpPing:         "ping",
-	OpMatch:        "match",
 	OpEnroll:       "enroll",
 	OpVerify:       "verify",
 	OpRemove:       "remove",

@@ -43,13 +43,17 @@ import (
 const (
 	// OpPing checks liveness.
 	OpPing = 0x01
-	// OpMatch compares two templates carried in the request.
-	OpMatch = 0x02
+	// 0x02 (match: compare two templates carried in the request) is
+	// retired — no caller ever sent it, and a stateless comparison is
+	// match.HoughMatcher in the caller's own process. Like every retired
+	// number it stays unused, and a server answers it with its
+	// unknown-opcode error.
+
 	// OpEnroll adds a template to the gallery under an ID.
 	OpEnroll = 0x03
 	// OpVerify compares a probe against one enrollment (1:1).
 	OpVerify = 0x04
-	// 0x05 (identify without statistics) is retired and stays unused.
+	// 0x05 (identify without statistics) is retired.
 
 	// OpRemove deletes an enrollment.
 	OpRemove = 0x06
@@ -71,8 +75,7 @@ const (
 	OpEnrollBatch = 0x09
 	// 0x0A (scan: page through enrollments in ID order) and 0x0B (has:
 	// is this ID enrolled) served online resharding only and are
-	// retired with it, like 0x05: the numbers stay unused, and a server
-	// answers them with its unknown-opcode error.
+	// retired with it.
 
 	// OpStats returns a service-level summary (see ServiceStats): uint32
 	// enrollments, uint32 shards, uint32 degraded-shard count then that

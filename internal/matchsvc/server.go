@@ -15,7 +15,6 @@ import (
 
 	"fpinterop/internal/enc"
 	"fpinterop/internal/gallery"
-	"fpinterop/internal/match"
 	"fpinterop/internal/wal"
 )
 
@@ -110,14 +109,9 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("matchsvc: listen %s: %w", addr, err)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return "", errors.New("matchsvc: server already closed")
+	if err := s.ListenOn(ln); err != nil {
+		return "", err
 	}
-	s.listener = ln
-	s.mu.Unlock()
 	return ln.Addr().String(), nil
 }
 
@@ -279,23 +273,6 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 	case OpPing:
 		return StatusOK, nil
 
-	case OpMatch:
-		g, err := readTemplate(r)
-		if err != nil {
-			return fail(err)
-		}
-		p, err := readTemplate(r)
-		if err != nil {
-			return fail(err)
-		}
-		res, err := (&match.HoughMatcher{}).Match(g, p)
-		if err != nil {
-			return fail(err)
-		}
-		w.Float64(res.Score)
-		w.Uint32(uint32(res.Matched))
-		return StatusOK, w.Buf
-
 	case OpEnroll:
 		e, err := gallery.DecodeExport(r)
 		if err != nil {
@@ -329,10 +306,6 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 		cands, stats, err := s.backend.IdentifyDetailed(ctx, probe, int(k))
 		if err != nil {
 			return fail(err)
-		}
-		if stats.Indexed {
-			s.logger.Printf("identify: shortlist %d of %d enrollments (scanned %d)",
-				stats.Shortlist, stats.GallerySize, stats.Scanned)
 		}
 		w.Uint32(uint32(stats.GallerySize))
 		w.Uint32(uint32(stats.Shortlist))
@@ -459,7 +432,7 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 		w.Uint32(flags)
 		// SyncTail's byte budget is approximate (it always ships one
 		// record), so the page is still cut to the frame here.
-		if err := packPage(w, len(page.Records), func(i int) (string, error) {
+		if _, err := packPage(w, pageBudget, len(page.Records), func(i int) (string, error) {
 			return page.Records[i].ID, page.Records[i].AppendTo(w)
 		}); err != nil {
 			return fail(err)
@@ -472,12 +445,15 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 }
 
 // packPage appends a uint32 item count and then up to n items, each
-// written by put (which names it for the error), to the response in w,
-// cutting the page where the frame budget runs out. Fewer than n items
-// is a legal page — the client advances its cursor and asks again — but
-// an empty page with items pending would end the transfer early, so a
-// first item too large to ship is an error.
-func packPage(w *enc.Writer, n int, put func(i int) (id string, err error)) error {
+// written by put (which names it for the error), to the payload in w,
+// cutting the page where w would outgrow budget bytes, and returns how
+// many items went in. It fills a frame in either direction: a sync-tail
+// response on the server, an enroll-batch request on the client. Fewer
+// than n items is a legal page — the reader of a response advances its
+// cursor and asks again, the sender of a request ships the rest in the
+// next frame — but an empty page with items pending would make no
+// progress, so a first item too large to ship is an error.
+func packPage(w *enc.Writer, budget, n int, put func(i int) (id string, err error)) (int, error) {
 	countAt := len(w.Buf)
 	w.Uint32(0) // patched once the cut is known
 	count := 0
@@ -485,18 +461,18 @@ func packPage(w *enc.Writer, n int, put func(i int) (id string, err error)) erro
 		mark := len(w.Buf)
 		id, err := put(count)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if len(w.Buf) > pageBudget {
+		if len(w.Buf) > budget {
 			if count == 0 {
-				return fmt.Errorf("matchsvc: page item %q exceeds frame budget", id)
+				return 0, fmt.Errorf("matchsvc: page item %q exceeds frame budget", id)
 			}
 			w.Buf = w.Buf[:mark]
 			break
 		}
 	}
 	binary.BigEndian.PutUint32(w.Buf[countAt:], uint32(count))
-	return nil
+	return count, nil
 }
 
 var errNoSync = errors.New("matchsvc: backend does not support replica sync")

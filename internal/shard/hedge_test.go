@@ -9,6 +9,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -26,9 +27,16 @@ type laggyBackend struct {
 	Backend
 	calls atomic.Int64
 	slow  int64
+
+	mu        sync.Mutex
+	deadlines []time.Time // each call's context deadline, in arrival order
 }
 
 func (b *laggyBackend) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
+	dl, _ := ctx.Deadline()
+	b.mu.Lock()
+	b.deadlines = append(b.deadlines, dl)
+	b.mu.Unlock()
 	if b.calls.Add(1) <= b.slow {
 		<-ctx.Done()
 		return nil, gallery.IdentifyStats{}, ctx.Err()
@@ -160,6 +168,119 @@ func TestHedgeDoesNotFireOnFastFailure(t *testing.T) {
 	}
 	if fired := hedged.met.hedgesFired.Value(); fired != 0 {
 		t.Fatalf("hedgesFired = %d on an immediately-failing shard, want 0", fired)
+	}
+}
+
+// TestShardTimeoutBoundsHedgedLeg: the per-shard deadline is derived
+// once per leg, so a shard that never answers holds the search for
+// ShardTimeout — not for HedgeDelay + ShardTimeout, which is what a
+// fresh deadline per attempt costs once the hedge has fired — and the
+// hedge attempt is told the same deadline as the first, not a full new
+// budget.
+func TestShardTimeoutBoundsHedgedLeg(t *testing.T) {
+	locals, want := hedgeFixtureStores(t)
+	_, probes := fixtures(t)
+	const (
+		shardTimeout = 200 * time.Millisecond
+		hedgeDelay   = 150 * time.Millisecond
+	)
+	stuck := &laggyBackend{Backend: locals[0], slow: math.MaxInt64}
+	hedged, err := New([]Backend{stuck, locals[1]}, Options{
+		ShardTimeout: shardTimeout,
+		HedgeDelay:   hedgeDelay,
+		Registry:     obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	got, stats, err := hedged.IdentifyDetailed(ctx, probes[0], 5)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("identify around a stuck shard: %v", err)
+	}
+	if elapsed >= shardTimeout+hedgeDelay/2 {
+		t.Fatalf("search held for %v by a stuck hedged leg, want ~ShardTimeout (%v)", elapsed, shardTimeout)
+	}
+	if got := stats.PerShard[0].Err; got != ErrShardTimeout.Error() {
+		t.Fatalf("stuck shard reports %q, want %q", got, ErrShardTimeout)
+	}
+	if fired := hedged.met.hedgesFired.Value(); fired != 1 {
+		t.Fatalf("hedgesFired = %d, want 1", fired)
+	}
+	if fails := hedged.health[0].fails.Load(); fails != 1 {
+		t.Fatalf("stuck shard charged %d failures, want 1", fails)
+	}
+	// The healthy shard's candidates are served: the unhedged reference
+	// restricted to what shard 1 holds.
+	var served []gallery.Candidate
+	for _, c := range want(probes[0]) {
+		if hedged.Owner(c.ID) == 1 {
+			served = append(served, c)
+		}
+	}
+	if len(served) == 0 || len(got) < len(served) || !reflect.DeepEqual(got[:len(served)], served) {
+		t.Fatalf("healthy shard's candidates not served:\n got %+v\nwant prefix %+v", got, served)
+	}
+	stuck.mu.Lock()
+	deadlines := append([]time.Time(nil), stuck.deadlines...)
+	stuck.mu.Unlock()
+	if len(deadlines) != 2 {
+		t.Fatalf("stuck shard saw %d attempts, want the first and the hedge", len(deadlines))
+	}
+	if !deadlines[0].Equal(deadlines[1]) || deadlines[0].IsZero() {
+		t.Fatalf("attempts carried deadlines %v and %v, want the leg's one deadline on both", deadlines[0], deadlines[1])
+	}
+}
+
+// scriptedFailBackend fails its calls with the scripted errors, in
+// arrival order; the first call waits for the second to arrive, so both
+// attempts of a hedged leg are in flight when either fails.
+type scriptedFailBackend struct {
+	Backend
+	calls  atomic.Int64
+	second chan struct{}
+}
+
+func (b *scriptedFailBackend) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
+	if b.calls.Add(1) == 1 {
+		select {
+		case <-b.second:
+		case <-ctx.Done():
+			return nil, gallery.IdentifyStats{}, ctx.Err()
+		}
+		return nil, gallery.IdentifyStats{}, errors.New("first attempt failed")
+	}
+	defer close(b.second)
+	return nil, gallery.IdentifyStats{}, errors.New("hedge attempt failed")
+}
+
+// TestHedgeTwoFailuresReportFirstAttempt: with both attempts in flight
+// one failure waits for the other, and when both fail the leg reports
+// the first attempt's error whichever failed first.
+func TestHedgeTwoFailuresReportFirstAttempt(t *testing.T) {
+	locals, _ := hedgeFixtureStores(t)
+	_, probes := fixtures(t)
+	failing := &scriptedFailBackend{Backend: locals[0], second: make(chan struct{})}
+	hedged, err := New([]Backend{failing, locals[1]}, Options{
+		HedgeDelay: 10 * time.Millisecond,
+		Registry:   obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := hedged.IdentifyDetailed(ctx, probes[0], 5)
+	if err != nil {
+		t.Fatalf("identify with one failing shard: %v", err)
+	}
+	if got := stats.PerShard[0].Err; got != "first attempt failed" {
+		t.Fatalf("leg reports %q, want the first attempt's error", got)
+	}
+	if calls := failing.calls.Load(); calls != 2 {
+		t.Fatalf("failing shard saw %d attempts, want 2", calls)
+	}
+	if fails := hedged.health[0].fails.Load(); fails != 1 {
+		t.Fatalf("two failed attempts of one leg charged %d failures, want 1", fails)
 	}
 }
 

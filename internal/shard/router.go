@@ -57,14 +57,12 @@ const (
 
 // Options tunes the router. The zero value gives production defaults.
 type Options struct {
-	// Workers bounds the goroutines fanning a search across shards
-	// (default: one per shard).
-	Workers int
-	// ShardTimeout is the per-shard identification deadline; a shard
-	// that misses it counts as failed for that search (and toward
-	// degradation). 0 disables the deadline. On expiry the router stops
-	// waiting and cancels the shard's context, so a context-honoring
-	// backend unwinds promptly instead of running to completion.
+	// ShardTimeout is the per-shard identification deadline, counted
+	// from the start of the shard's leg and covering a hedged leg's two
+	// attempts together; a shard that misses it counts as failed for
+	// that search (and toward degradation). 0 disables the deadline. On
+	// expiry the leg's context is cancelled and the backend returns, as
+	// its contract requires, instead of running to completion.
 	ShardTimeout time.Duration
 	// FailureThreshold is how many consecutive failures mark a shard
 	// degraded (default 3).
@@ -117,17 +115,6 @@ type Router struct {
 
 	// met is non-nil when Options.Registry was set.
 	met *routerMetrics
-
-	// scratch recycles per-identification fan-out state (answer slots
-	// and target lists) across searches; the per-worker matcher scratch
-	// itself lives in each local shard's gallery sessions.
-	scratch sync.Pool
-}
-
-// identifyScratch is the reusable fan-out state of one identification.
-type identifyScratch struct {
-	answers []shardAnswer
-	targets []int
 }
 
 // New builds a router over the given backends. Backend names must be
@@ -226,6 +213,22 @@ func routingErr(b Backend, err error) error {
 	return fmt.Errorf("shard %q: %w", b.Name(), err)
 }
 
+// scatter runs fn(i) on one goroutine per target shard and returns once
+// every call has. A router has a handful of shards, so the fan-out needs
+// no bound beyond the target list; fn writes only slot i of whatever it
+// fills.
+func scatter(targets []int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for _, i := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // Enroll routes the template to the shard owning id. Enrollment always
 // targets the owner — there is no failover, because a mis-placed
 // enrollment would be invisible to Remove/Verify routing.
@@ -257,42 +260,20 @@ func (r *Router) EnrollBatch(ctx context.Context, items []Enrollment) error {
 		i := r.ring.owner(it.ID)
 		groups[i] = append(groups[i], it)
 	}
-	workers := r.fanout(len(r.backends))
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-		errs []error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(groups) {
-					return
-				}
-				if len(groups[i]) == 0 {
-					continue
-				}
-				err := r.backends[i].EnrollBatch(ctx, groups[i])
-				r.recordCtx(ctx, r.health[i], err)
-				if err != nil {
-					mu.Lock()
-					errs = append(errs, routingErr(r.backends[i], err))
-					mu.Unlock()
-				}
-			}
-		}()
+	var targets []int
+	for i, g := range groups {
+		if len(g) > 0 {
+			targets = append(targets, i)
+		}
 	}
-	wg.Wait()
+	// One slot per shard, so the joined error lists the failed shards in
+	// ring-construction order whatever order they failed in.
+	errs := make([]error, len(r.backends))
+	scatter(targets, func(i int) {
+		err := r.backends[i].EnrollBatch(ctx, groups[i])
+		r.recordCtx(ctx, r.health[i], err)
+		errs[i] = routingErr(r.backends[i], err)
+	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -372,62 +353,59 @@ type shardAnswer struct {
 	err   error
 }
 
-// fanout bounds the scatter worker count.
-func (r *Router) fanout(n int) int {
-	w := r.opt.Workers
-	if w <= 0 || w > n {
-		w = n
+// attempt is one identify call against a shard. A ReplicaReader is
+// asked to avoid the given member (avoid < 0 means unconstrained) and
+// reports its landing member on picked; a plain backend has one machine
+// behind it, so avoid and picked mean nothing there and are ignored.
+func attempt(ctx context.Context, b Backend, probe *minutiae.Template, k, avoid int, picked chan<- int) (ans shardAnswer) {
+	if rr, ok := b.(ReplicaReader); ok {
+		ans.cands, ans.stats, ans.err = rr.IdentifyDetailedAvoiding(ctx, probe, k, avoid, picked)
+	} else {
+		ans.cands, ans.stats, ans.err = b.IdentifyDetailed(ctx, probe, k)
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return ans
 }
 
-// callIdentify runs one shard search under the per-shard deadline and
-// the caller's context. When neither can fire, the backend is called
-// synchronously. Otherwise the call runs in its own goroutine so the
-// router can stop waiting the moment the shard deadline or the caller's
-// context expires: a missed shard deadline reports ErrShardTimeout, a
-// done caller context reports ctx.Err(). Either way the shard's derived
-// context is cancelled, so a context-honoring backend unwinds promptly
-// (the abandoning goroutine drains into a buffered channel regardless).
-//
-// When the backend is a ReplicaReader the attempt avoids the given
-// member (avoid < 0 means unconstrained) and reports its landing member
-// on picked. Plain backends have one machine behind them — avoid and
-// picked are meaningless and ignored.
-func (r *Router) callIdentify(ctx context.Context, b Backend, probe *minutiae.Template, k int, avoid int, picked chan<- int) shardAnswer {
-	sctx := ctx
+// leg is shard i's share of a search, run on the scatter goroutine
+// itself: one deadline (ShardTimeout from now, when set) bounds the
+// whole leg — both attempts of a hedged one — and the backend is called
+// synchronously, because the Backend contract has every call return
+// promptly once its context is done. A failure is mapped once, here:
+// the caller's own context giving up reports ctx.Err() (and outranks
+// whatever error the shard produced on the way out), the leg deadline
+// alone reports ErrShardTimeout, anything else is the backend's error.
+// The shard's latency and health are recorded before returning.
+func (r *Router) leg(ctx context.Context, i int, probe *minutiae.Template, k int) shardAnswer {
+	b, h := r.backends[i], r.health[i]
+	var t0 time.Time
+	if h.met != nil {
+		t0 = time.Now()
+	}
+	lctx := ctx
 	if r.opt.ShardTimeout > 0 {
 		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(ctx, r.opt.ShardTimeout)
+		lctx, cancel = context.WithTimeout(ctx, r.opt.ShardTimeout)
 		defer cancel()
 	}
-	call := func(cctx context.Context) shardAnswer {
-		if rr, ok := b.(ReplicaReader); ok {
-			cands, stats, err := rr.IdentifyDetailedAvoiding(cctx, probe, k, avoid, picked)
-			return shardAnswer{cands: cands, stats: stats, err: err}
-		}
-		cands, stats, err := b.IdentifyDetailed(cctx, probe, k)
-		return shardAnswer{cands: cands, stats: stats, err: err}
+	var ans shardAnswer
+	if delay := r.hedgeDelay(h); delay > 0 {
+		ans = r.hedged(lctx, b, delay, probe, k)
+	} else {
+		ans = attempt(lctx, b, probe, k, -1, nil)
 	}
-	if sctx.Done() == nil {
-		return call(sctx)
+	switch {
+	case ans.err == nil || lctx.Err() == nil:
+		// The backend's own answer stands.
+	case ctx.Err() != nil:
+		ans.err = ctx.Err()
+	default:
+		ans.err = ErrShardTimeout
 	}
-	ch := make(chan shardAnswer, 1)
-	go func() {
-		ch <- call(sctx)
-	}()
-	select {
-	case ans := <-ch:
-		return ans
-	case <-sctx.Done():
-		if err := ctx.Err(); err != nil {
-			return shardAnswer{err: err}
-		}
-		return shardAnswer{err: ErrShardTimeout}
+	if h.met != nil {
+		h.met.lat.ObserveSince(t0)
 	}
+	r.recordCtx(ctx, h, ans.err)
+	return ans
 }
 
 // hedgeMinSamples is how much latency history a shard needs before its
@@ -440,7 +418,7 @@ func (r *Router) hedgeDelay(h *health) time.Duration {
 	if r.opt.HedgeDelay <= 0 {
 		return 0
 	}
-	if h != nil && h.met != nil && h.met.lat.Count() >= hedgeMinSamples {
+	if h.met != nil && h.met.lat.Count() >= hedgeMinSamples {
 		if p95 := h.met.lat.Quantile(0.95); p95 > 0 {
 			return time.Duration(p95)
 		}
@@ -448,83 +426,71 @@ func (r *Router) hedgeDelay(h *health) time.Duration {
 	return r.opt.HedgeDelay
 }
 
-// callIdentifyHedged is callIdentify with tail hedging: if the primary
-// attempt is still unanswered after the shard's hedge delay, a second
-// identical attempt races it and the first success wins. The loser is
-// cancelled and its answer discarded — exactly one attempt's result is
-// used, so the output is bit-identical to the unhedged path. A failure
-// before the hedge fires returns immediately (retrying errors is the
-// client retry policy's job, not the hedger's); once both attempts are
-// in flight, one failure waits for the other attempt, and only two
-// failures fail the leg (preferring the primary's error).
+// hedged is a leg's backend call with tail hedging: if the first
+// attempt is still unanswered after delay, a second identical attempt
+// races it and the first success wins. The loser is cancelled and its
+// answer discarded — exactly one attempt's result is used, so the
+// output is bit-identical to the unhedged path. A failure before the
+// hedge fires returns immediately (retrying errors is the client retry
+// policy's job, not the hedger's); once both attempts are in flight,
+// one failure waits for the other attempt, and only two failures fail
+// the leg (with the first attempt's error). Both attempts run under the
+// leg's context, so its deadline ends the race too.
 //
 // When the slot is a replica set, the hedge is steered away from the
-// member the primary attempt landed on: the set reports its pick on a
+// member the first attempt landed on: the set reports its pick on a
 // buffered channel at dispatch time — before the (potentially slow)
 // identify runs — so by the time the hedge delay has elapsed the
 // member to avoid is known without waiting for the stuck attempt.
-func (r *Router) callIdentifyHedged(ctx context.Context, b Backend, h *health, probe *minutiae.Template, k int) shardAnswer {
-	delay := r.hedgeDelay(h)
-	if delay <= 0 {
-		return r.callIdentify(ctx, b, probe, k, -1, nil)
-	}
-	actx, cancel := context.WithCancel(ctx)
+func (r *Router) hedged(ctx context.Context, b Backend, delay time.Duration, probe *minutiae.Template, k int) shardAnswer {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	type attempt struct {
-		ans    shardAnswer
-		hedged bool
+	type result struct {
+		ans   shardAnswer
+		hedge bool
 	}
-	ch := make(chan attempt, 2)
+	ch := make(chan result, 2) // one send per attempt, so the loser never blocks
 	picked := make(chan int, 1)
-	launch := func(hedged bool, avoid int, report chan<- int) {
-		go func() {
-			ch <- attempt{ans: r.callIdentify(actx, b, probe, k, avoid, report), hedged: hedged}
-		}()
-	}
-	launch(false, -1, picked)
+	go func() { ch <- result{ans: attempt(ctx, b, probe, k, -1, picked)} }()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
-	hedgeFired := false
-	var primErr, hedgeErr *shardAnswer
+	var (
+		fired  bool
+		failed int
+		first  shardAnswer // the first attempt's answer, once it has failed
+	)
 	for {
 		select {
 		case <-timer.C:
-			if !hedgeFired {
-				hedgeFired = true
-				if r.met != nil {
-					r.met.hedgesFired.Inc()
-				}
-				avoid := -1
-				select {
-				case avoid = <-picked:
-				default:
-					// The primary attempt has not even dispatched (or the
-					// backend has no replicas); hedge unconstrained.
-				}
-				launch(true, avoid, nil)
+			fired = true
+			if r.met != nil {
+				r.met.hedgesFired.Inc()
 			}
-		case a := <-ch:
-			if a.ans.err == nil {
-				if r.met != nil && hedgeFired {
-					if a.hedged {
+			avoid := -1
+			select {
+			case avoid = <-picked:
+			default:
+				// The first attempt has not even dispatched (or the
+				// backend has no replicas); hedge unconstrained.
+			}
+			go func() { ch <- result{ans: attempt(ctx, b, probe, k, avoid, nil), hedge: true} }()
+		case res := <-ch:
+			if res.ans.err == nil {
+				if r.met != nil && fired {
+					if res.hedge {
 						r.met.hedgesWon.Inc()
 					} else {
 						r.met.hedgesWasted.Inc()
 					}
 				}
-				return a.ans
+				return res.ans
 			}
-			ans := a.ans
-			if a.hedged {
-				hedgeErr = &ans
-			} else {
-				primErr = &ans
+			if !res.hedge {
+				first = res.ans
 			}
-			if !hedgeFired {
-				return *primErr
-			}
-			if primErr != nil && hedgeErr != nil {
-				return *primErr
+			failed++
+			if !fired || failed == 2 {
+				return first
 			}
 		}
 	}
@@ -545,10 +511,10 @@ func (r *Router) Identify(ctx context.Context, probe *minutiae.Template, k int) 
 // shard's top-k. Under SkipDegraded, failed or skipped shards reduce
 // coverage (stats.Partial); under FailClosed they fail the search.
 //
-// A cancelled or expired ctx unblocks the scatter promptly — in-flight
-// shard calls are cancelled and abandoned — and the search returns
-// ctx.Err() without penalizing any shard's health. The router remains
-// reusable for subsequent searches.
+// A cancelled or expired ctx unblocks the scatter promptly — every leg
+// runs under it, so the in-flight shard calls return — and the search
+// reports ctx.Err() without penalizing any shard's health. The router
+// remains reusable for subsequent searches.
 func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, IdentifyStats, error) {
 	if probe == nil {
 		return nil, IdentifyStats{}, match.ErrNilTemplate
@@ -564,21 +530,7 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 	}
 	n := len(r.backends)
 	stats := IdentifyStats{PerShard: make([]ShardIdentifyStats, n)}
-	sc, _ := r.scratch.Get().(*identifyScratch)
-	if sc == nil {
-		sc = &identifyScratch{}
-	}
-	if cap(sc.answers) < n {
-		sc.answers = make([]shardAnswer, n)
-	}
-	defer func() {
-		// Drop candidate references before pooling so a recycled scratch
-		// cannot pin a previous search's shortlists in memory.
-		clear(sc.answers[:cap(sc.answers)])
-		sc.targets = sc.targets[:0]
-		r.scratch.Put(sc)
-	}()
-	targets := sc.targets[:0]
+	targets := make([]int, 0, n)
 	for i := range r.backends {
 		stats.PerShard[i].Shard = r.backends[i].Name()
 		if r.health[i].Degraded() {
@@ -592,44 +544,9 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 		}
 		targets = append(targets, i)
 	}
-	sc.targets = targets
 
-	answers := sc.answers[:n]
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-	)
-	workers := r.fanout(len(targets))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				mu.Lock()
-				ti := next
-				next++
-				mu.Unlock()
-				if ti >= len(targets) {
-					return
-				}
-				i := targets[ti]
-				var t0 time.Time
-				if r.health[i].met != nil {
-					t0 = time.Now()
-				}
-				answers[i] = r.callIdentifyHedged(ctx, r.backends[i], r.health[i], probe, k)
-				if m := r.health[i].met; m != nil {
-					m.lat.ObserveSince(t0)
-				}
-				r.recordCtx(ctx, r.health[i], answers[i].err)
-			}
-		}()
-	}
-	wg.Wait()
+	answers := make([]shardAnswer, n)
+	scatter(targets, func(i int) { answers[i] = r.leg(ctx, i, probe, k) })
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
 	}

@@ -263,6 +263,104 @@ func TestEnrollBatchUnderShardOutage(t *testing.T) {
 	}
 }
 
+// TestEnrollBatchErrorNamesShardsInRingOrder: each shard's failure
+// lands in its own slot, so the joined error reads in ring-construction
+// order however the parallel batches finish.
+func TestEnrollBatchErrorNamesShardsInRingOrder(t *testing.T) {
+	gal, _ := fixtures(t)
+	backends := make([]Backend, 4)
+	for i := range backends {
+		backends[i] = NewLocal(fmt.Sprintf("shard-%d", i), gallery.New(nil))
+	}
+	// The earlier failing shard answers last.
+	late := &flakyBackend{Backend: backends[1], fail: true, slow: 5 * time.Millisecond}
+	early := &flakyBackend{Backend: backends[3], fail: true}
+	backends[1], backends[3] = late, early
+	r, err := New(backends, Options{FailureThreshold: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]Enrollment, len(gal))
+	group := make([]int, len(backends))
+	for i, tpl := range gal {
+		items[i] = Enrollment{ID: subjectID(i), DeviceID: "D0", Template: tpl}
+		group[r.Owner(items[i].ID)]++
+	}
+	if group[1] == 0 || group[3] == 0 {
+		t.Fatalf("fixture leaves a failing shard without a group: %v", group)
+	}
+	for run := 0; run < 20; run++ {
+		err := r.EnrollBatch(ctx, items)
+		if err == nil {
+			t.Fatalf("run %d: batch over two failing shards succeeded", run)
+		}
+		msg := err.Error()
+		at1, at3 := strings.Index(msg, `"shard-1"`), strings.Index(msg, `"shard-3"`)
+		if at1 < 0 || at3 < 0 || at1 > at3 {
+			t.Fatalf("run %d: error %q, want shard-1 named before shard-3", run, msg)
+		}
+	}
+}
+
+// gateBackend parks every identify until its context is done or the
+// gate opens, announcing each arrival.
+type gateBackend struct {
+	Backend
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gateBackend) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
+	g.entered <- struct{}{}
+	select {
+	case <-g.gate:
+	case <-ctx.Done():
+		return nil, gallery.IdentifyStats{}, ctx.Err()
+	}
+	return g.Backend.IdentifyDetailed(ctx, probe, k)
+}
+
+// TestUnhedgedLegIsOneGoroutine: the backend call runs on the scatter
+// goroutine itself, so N legs parked under a ShardTimeout cost N
+// goroutines plus the caller — no second goroutine per leg to abandon
+// the call from.
+func TestUnhedgedLegIsOneGoroutine(t *testing.T) {
+	_, probes := fixtures(t)
+	const n = 4
+	entered, gate := make(chan struct{}, n), make(chan struct{})
+	backends := make([]Backend, n)
+	for i := range backends {
+		backends[i] = &gateBackend{Backend: NewLocal(fmt.Sprintf("shard-%d", i), gallery.New(nil)), entered: entered, gate: gate}
+	}
+	r, err := New(backends, Options{ShardTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let goroutines of earlier tests finish before taking the baseline.
+	before := runtime.NumGoroutine()
+	for settle := 0; settle < 10; settle++ {
+		time.Sleep(10 * time.Millisecond)
+		if now := runtime.NumGoroutine(); now != before {
+			before, settle = now, 0
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := r.IdentifyDetailed(ctx, probes[0], 3)
+		done <- err
+	}()
+	for i := 0; i < n; i++ {
+		<-entered
+	}
+	if rose := runtime.NumGoroutine() - before; rose != n+1 {
+		t.Errorf("%d parked legs cost %d goroutines, want %d (one per leg plus the caller)", n, rose, n+1)
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatalf("identify once the gate opened: %v", err)
+	}
+}
+
 // TestShardedIdentifyBitIdenticalToSingleStore is the core contract:
 // with exhaustive per-shard search, the merged global top-k (IDs,
 // scores, order) must equal a single store holding the same
@@ -371,7 +469,8 @@ func (f *flakyBackend) broken() bool {
 	return f.fail
 }
 
-func (f *flakyBackend) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
+// lag sits out the configured slowness, or the context.
+func (f *flakyBackend) lag(ctx context.Context) error {
 	f.mu.Lock()
 	slow := f.slow
 	f.mu.Unlock()
@@ -379,8 +478,15 @@ func (f *flakyBackend) IdentifyDetailed(ctx context.Context, probe *minutiae.Tem
 		select {
 		case <-time.After(slow):
 		case <-ctx.Done():
-			return nil, gallery.IdentifyStats{}, ctx.Err()
+			return ctx.Err()
 		}
+	}
+	return nil
+}
+
+func (f *flakyBackend) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
+	if err := f.lag(ctx); err != nil {
+		return nil, gallery.IdentifyStats{}, err
 	}
 	if f.broken() {
 		return nil, gallery.IdentifyStats{}, errors.New("injected failure")
@@ -389,6 +495,9 @@ func (f *flakyBackend) IdentifyDetailed(ctx context.Context, probe *minutiae.Tem
 }
 
 func (f *flakyBackend) EnrollBatch(ctx context.Context, items []Enrollment) error {
+	if err := f.lag(ctx); err != nil {
+		return err
+	}
 	if f.broken() {
 		return errors.New("injected failure")
 	}
@@ -569,6 +678,24 @@ func TestShardTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
 		t.Fatalf("search waited %v for the slow shard", elapsed)
+	}
+	// Missing the leg deadline is the shard's failure: named as such and
+	// charged once.
+	if got := stats.PerShard[1].Err; got != ErrShardTimeout.Error() {
+		t.Fatalf("slow shard reports %q, want %q", got, ErrShardTimeout)
+	}
+	if fails := r.health[1].fails.Load(); fails != 1 {
+		t.Fatalf("slow shard charged %d failures, want 1", fails)
+	}
+	// A caller deadline shorter than the leg's is the caller giving up:
+	// ctx.Err(), and nobody is charged.
+	dctx, cancel := context.WithTimeout(ctx, 5*time.Millisecond)
+	defer cancel()
+	if _, _, err := r.IdentifyDetailed(dctx, probes[0], 3); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("identify under a 5ms caller deadline: %v, want DeadlineExceeded", err)
+	}
+	if fails := r.health[1].fails.Load(); fails != 1 {
+		t.Fatalf("caller deadline moved the slow shard's failures to %d, want 1", fails)
 	}
 }
 

@@ -40,8 +40,9 @@ type Config struct {
 	// store; IndexFanout is its shortlist size (0 = default).
 	Index       bool
 	IndexFanout int
-	// Parallelism bounds each store's scan workers and the router's
-	// scatter workers (0 = GOMAXPROCS per store, one worker per shard).
+	// Parallelism bounds each in-process store's scan and batch-derive
+	// workers (0 = GOMAXPROCS per store). A Shards front has no store to
+	// bound, so it is rejected there.
 	Parallelism int
 	// LocalShards > 0 partitions the gallery across that many
 	// in-process stores; Shards lists remote matchd addresses to
@@ -83,8 +84,8 @@ func (c Config) Validate() error {
 		return errors.New("topology: LocalShards, IndexFanout, CompactEvery, ShardTimeout and HedgeDelay must be >= 0")
 	case front && c.LocalShards > 0:
 		return errors.New("topology: LocalShards and Shards are mutually exclusive")
-	case front && (c.Index || c.WALDir != ""):
-		return errors.New("topology: Index and WALDir belong on the shard processes, not on a Shards front")
+	case front && (c.Index || c.WALDir != "" || c.Parallelism != 0):
+		return errors.New("topology: Index, WALDir and Parallelism belong on the shard processes, not on a Shards front")
 	case c.IndexFanout > 0 && !c.Index:
 		return errors.New("topology: IndexFanout requires Index")
 	case c.CompactEvery > 0 && c.WALDir == "":
@@ -183,7 +184,6 @@ func Build(ctx context.Context, cfg Config) (t *Topology, err error) {
 		return t, nil
 	}
 	if t.Router, err = shard.New(backends, shard.Options{
-		Workers:      cfg.Parallelism,
 		ShardTimeout: cfg.ShardTimeout,
 		HedgeDelay:   cfg.HedgeDelay,
 		Policy:       cfg.Policy,
