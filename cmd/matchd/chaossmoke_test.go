@@ -91,8 +91,13 @@ func TestChaosProxySmokeAgainstRealMatchd(t *testing.T) {
 	}
 	probe := imp.Template
 
+	// Each op gets its own short deadline: a fault can leave a request
+	// waiting on bytes that never come (a flipped length prefix), and
+	// under the test's long deadline the client's RequestTimeout
+	// fallback does not apply, so that op would wait the whole test out.
 	ok := 0
 	for i := 0; i < 80; i++ {
+		ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 		var err error
 		switch i % 4 {
 		case 0:
@@ -112,6 +117,7 @@ func TestChaosProxySmokeAgainstRealMatchd(t *testing.T) {
 				t.Fatalf("op %d: identify over a %d-subject gallery found nothing", i, preload)
 			}
 		}
+		cancel()
 		if err == nil {
 			ok++
 		} else if !smokeErrOK(err) {
@@ -125,6 +131,8 @@ func TestChaosProxySmokeAgainstRealMatchd(t *testing.T) {
 
 	// Faults off: the same client (same pool) must serve cleanly.
 	proxy.SetEnabled(false)
+	ctx, cancel = context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
 	if err := cli.Ping(ctx); err != nil {
 		t.Fatalf("ping after faults disabled: %v", err)
 	}

@@ -132,40 +132,60 @@ func (it Export) validate() error {
 // — so it is computed with no lock held and on any goroutine.
 type derived struct {
 	entry *Entry
-	// keys are the index keys when keyed; a store with no index at
-	// derive time extracts none.
-	keys  []uint64
-	keyed bool
+	// keys are the index keys, from keyBufs; nil when the store had no
+	// index at derive time.
+	keys *[]uint64
+}
+
+// keyBufs recycles index key lists: the index keeps a template, not
+// its keys, so a list is spent once its add or removal is done.
+var keyBufs = sync.Pool{New: func() any { return new([]uint64) }}
+
+// appendKeys is index.AppendKeys; tests swap it to check that no caller
+// holds Store.mu while it runs.
+var appendKeys = index.AppendKeys
+
+// acquireKeys derives tpl's index keys into a keyBufs list.
+func acquireKeys(tpl *minutiae.Template) *[]uint64 {
+	buf := keyBufs.Get().(*[]uint64)
+	*buf = appendKeys((*buf)[:0], tpl)
+	return buf
 }
 
 // derive computes a validated item's derived form.
 func (s *Store) derive(it Export, indexed bool) derived {
 	clone := it.Template.Clone()
-	d := derived{entry: &Entry{ID: it.ID, DeviceID: it.DeviceID, Template: clone}, keyed: indexed}
+	d := derived{entry: &Entry{ID: it.ID, DeviceID: it.DeviceID, Template: clone}}
 	if s.hough != nil {
 		d.entry.prep = s.hough.Prepare(clone)
 	}
 	if indexed {
-		d.keys = index.Keys(clone)
+		d.keys = acquireKeys(clone)
 	}
 	return d
 }
 
 // insert makes a derived enrollment visible: the duplicate check, the
-// index add and the map write, under one hold of the write lock.
+// index add and the map write, under one hold of the write lock (two
+// when an index was enabled since the derivation: the keys are derived
+// between them).
 func (s *Store) insert(d derived) error {
 	e := d.entry
 	s.mu.Lock()
+	if s.idx != nil && d.keys == nil {
+		s.mu.Unlock()
+		d.keys = acquireKeys(e.Template)
+		s.mu.Lock()
+	}
 	defer s.mu.Unlock()
+	if d.keys != nil {
+		defer keyBufs.Put(d.keys)
+	}
 	if _, ok := s.entries[e.ID]; ok {
 		return fmt.Errorf("enroll %q: %w", e.ID, ErrDuplicate)
 	}
 	if s.idx != nil {
-		keys := d.keys
-		if !d.keyed { // enabled since the derivation
-			keys = index.Keys(e.Template)
-		}
-		if err := s.idx.AddKeys(e.ID, keys); err != nil {
+		if err := s.idx.AddKeys(e.ID, e.Template, *d.keys); err != nil {
 			return fmt.Errorf("gallery: enroll %q: %w", e.ID, err)
 		}
 	}
@@ -295,20 +315,49 @@ type Export struct {
 	Template *minutiae.Template
 }
 
-// Remove deletes an enrollment.
+// Remove deletes an enrollment. Its index keys are derived from the
+// stored template with no lock held.
 func (s *Store) Remove(id string) error {
+	for {
+		s.mu.RLock()
+		e, ok := s.entries[id]
+		indexed := s.idx != nil
+		s.mu.RUnlock()
+		if !ok {
+			return fmt.Errorf("remove %q: %w", id, ErrNotFound)
+		}
+		var keys *[]uint64
+		if indexed {
+			keys = acquireKeys(e.Template)
+		}
+		done, err := s.remove(e, keys)
+		if keys != nil {
+			keyBufs.Put(keys)
+		}
+		if done {
+			return err
+		}
+	}
+}
+
+// remove deletes e, given its index keys when the store had an index.
+// It reports false, changing nothing, when e is no longer the entry
+// under its ID or an index was enabled since the keys were due: the
+// caller looks again.
+func (s *Store) remove(e *Entry, keys *[]uint64) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[id]; !ok {
-		return fmt.Errorf("remove %q: %w", id, ErrNotFound)
+	id := e.ID
+	if s.entries[id] != e || (s.idx != nil && keys == nil) {
+		return false, nil
 	}
 	if s.idx != nil {
 		// The index holds exactly the enrolled set; a miss here would
 		// mean they diverged, which Remove must not hide. It is checked
 		// before mutating entries/order so a failure leaves the store
 		// untouched.
-		if err := s.idx.Remove(id); err != nil {
-			return fmt.Errorf("gallery: remove %q from index: %w", id, err)
+		if err := s.idx.RemoveKeys(id, e.Template, *keys); err != nil {
+			return true, fmt.Errorf("gallery: remove %q from index: %w", id, err)
 		}
 	}
 	delete(s.entries, id)
@@ -319,7 +368,7 @@ func (s *Store) Remove(id string) error {
 		}
 	}
 	s.met.setEnrollments(len(s.entries))
-	return nil
+	return true, nil
 }
 
 // Len returns the number of enrollments.

@@ -516,6 +516,47 @@ func TestEnrollRemoveKeepIndexInSync(t *testing.T) {
 	}
 }
 
+// TestIndexKeysDerivedWithoutStoreLock: an indexed Enroll, the insert
+// of an item derived before the index was enabled, and Removes from
+// the index's delta and base all derive their index keys with Store.mu
+// free, so searches never wait behind a derivation.
+func TestIndexKeysDerivedWithoutStoreLock(t *testing.T) {
+	s, probes, ids := enrolledStore(t, 12, "D0", "D0")
+	late := s.derive(Export{ID: "late", DeviceID: "D0", Template: probes[0]}, false)
+	if err := s.EnableIndex(IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	derivations := 0
+	saved := appendKeys
+	defer func() { appendKeys = saved }()
+	appendKeys = func(dst []uint64, tpl *minutiae.Template) []uint64 {
+		derivations++
+		if !s.mu.TryLock() {
+			t.Error("index keys derived while Store.mu was held")
+		} else {
+			s.mu.Unlock()
+		}
+		return saved(dst, tpl)
+	}
+	if err := s.insert(late); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Enroll("more", "D0", probes[1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"late", ids[3]} {
+		if err := s.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if derivations != 4 {
+		t.Fatalf("%d key derivations; want 4", derivations)
+	}
+	if st, _ := s.IndexStats(); st.Templates != s.Len() {
+		t.Fatalf("index holds %d templates, store %d", st.Templates, s.Len())
+	}
+}
+
 func TestIdentifyKEdgeCases(t *testing.T) {
 	s, probes, _ := enrolledStore(t, 4, "D0", "D0")
 	// k equal to the gallery size is a full ranking.

@@ -63,10 +63,9 @@ func TestCandidatesAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTemplateKeysZeroAllocs holds Add's key extraction — neighbour
-// selection, triplet dedup, quantization, key dedup — to zero
-// allocations once its scratch is warm; the one allocation an Add keeps
-// is the exact-size key list the index retains.
+// TestTemplateKeysZeroAllocs holds Add's and Remove's key extraction —
+// neighbour selection, triplet dedup, quantization, key dedup — to zero
+// allocations once its scratch is warm: the index keeps no key list.
 func TestTemplateKeysZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; asserted in non-race builds")

@@ -104,11 +104,11 @@ type Index struct {
 // hang off the key slots. Refs are local to it and reusable at once:
 // votes read it only under Index.mu.
 type delta struct {
-	// ids maps a delta ref to its template ID ("" = free), keys to the
-	// template's key list; free lists reusable refs.
-	ids  []string
-	keys [][]uint64
-	free []uint32
+	// ids maps a delta ref to its template ID ("" = free), members to
+	// the template; free lists reusable refs.
+	ids     []string
+	members []member
+	free    []uint32
 }
 
 // New returns an empty index with the given options (zero value for
@@ -123,7 +123,7 @@ func New(opt Options) *Index {
 // Build returns an index over the given templates (tpls[i] under
 // ids[i]), equal to Adding them to New(opt) one by one: keys are
 // extracted on all CPUs and the base segment is laid out once, with no
-// merges on the way.
+// merges on the way. The index keeps the templates, as Add does.
 func Build(opt Options, ids []string, tpls []*minutiae.Template) (*Index, error) {
 	ix := New(opt)
 	for i, id := range ids {
@@ -139,15 +139,16 @@ func Build(opt Options, ids []string, tpls []*minutiae.Template) (*Index, error)
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(ids); i += workers {
-				keys[i] = Keys(tpls[i])
+				keys[i] = AppendKeys(nil, tpls[i])
 			}
 		}(w)
 	}
 	wg.Wait()
 	for i, id := range ids {
-		if err := ix.add(id, keys[i]); err != nil {
+		if err := ix.add(id, tpls[i], keys[i]); err != nil {
 			return nil, err
 		}
+		keys[i] = nil
 	}
 	ix.merge()
 	return ix, nil
@@ -165,33 +166,48 @@ func (ix *Index) Len() int {
 
 var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
-// Keys extracts the keys AddKeys enrolls tpl under. It depends on no
-// index, so callers that serialize their own writers run it before
-// taking their lock.
-func Keys(tpl *minutiae.Template) []uint64 {
+// keysOf extracts tpl's keys into ks for an Add or Remove. Tests swap
+// it to check that no caller holds Index.mu while it runs.
+var keysOf = func(ks *keyScratch, tpl *minutiae.Template) []uint64 {
+	return ks.templateKeys(tpl.Minutiae)
+}
+
+// AppendKeys appends the keys AddKeys and RemoveKeys take for tpl to
+// dst. It depends on no index, so callers that serialize their own
+// writers run it before taking their lock, and the index keeps none of
+// the result, so they can reuse dst.
+func AppendKeys(dst []uint64, tpl *minutiae.Template) []uint64 {
 	ks := keyPool.Get().(*keyScratch)
-	keys := slices.Clone(ks.templateKeys(tpl.Minutiae))
+	dst = append(dst, ks.templateKeys(tpl.Minutiae)...)
 	keyPool.Put(ks)
-	return keys
+	return dst
 }
 
 // Add indexes a template under id. Templates with fewer than three
 // usable minutiae index no triplets; they are still registered (and can
 // be Removed) but will never be retrieved — callers relying on a recall
-// guard fall back to exhaustive search for such galleries.
+// guard fall back to exhaustive search for such galleries. The index
+// keeps tpl, not its keys: Remove derives them again, so tpl must not
+// change while it is indexed.
 func (ix *Index) Add(id string, tpl *minutiae.Template) error {
 	if tpl == nil {
 		return fmt.Errorf("index: add %q: nil template", id)
 	}
-	return ix.AddKeys(id, Keys(tpl))
+	ks := keyPool.Get().(*keyScratch)
+	err := ix.AddKeys(id, tpl, keysOf(ks, tpl))
+	keyPool.Put(ks)
+	return err
 }
 
-// AddKeys is Add with the key extraction already done: keys must come
-// from Keys, and the index keeps the slice.
-func (ix *Index) AddKeys(id string, keys []uint64) error {
+// AddKeys is Add with the key extraction already done: keys must be
+// AppendKeys(nil, tpl). The index keeps tpl but not keys.
+func (ix *Index) AddKeys(id string, tpl *minutiae.Template, keys []uint64) error {
+	if tpl == nil {
+		return fmt.Errorf("index: add %q: nil template", id)
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if err := ix.add(id, keys); err != nil {
+	if err := ix.add(id, tpl, keys); err != nil {
 		return err
 	}
 	ix.maybeMerge()
@@ -199,20 +215,21 @@ func (ix *Index) AddKeys(id string, keys []uint64) error {
 }
 
 // add enrolls id into the delta.
-func (ix *Index) add(id string, keys []uint64) error {
+func (ix *Index) add(id string, tpl *minutiae.Template, keys []uint64) error {
 	if _, ok := ix.loc[id]; ok {
 		return fmt.Errorf("add %q: %w", id, ErrDuplicate)
 	}
 	d := &ix.delta
+	m := member{tpl: tpl, keys: uint32(len(keys))}
 	var ref uint32
 	if n := len(d.free); n > 0 {
 		ref = d.free[n-1]
 		d.free = d.free[:n-1]
-		d.ids[ref], d.keys[ref] = id, keys
+		d.ids[ref], d.members[ref] = id, m
 	} else {
 		ref = uint32(len(d.ids))
 		d.ids = append(d.ids, id)
-		d.keys = append(d.keys, keys)
+		d.members = append(d.members, m)
 	}
 	ix.loc[id] = ref | deltaRef
 	for _, key := range keys {
@@ -232,42 +249,101 @@ func (ix *Index) add(id string, keys []uint64) error {
 	return nil
 }
 
-// Remove drops a template from the index.
+// errReplaced reports that the ID was removed and added again between
+// the template lookup and the removal; Remove derives the keys anew.
+var errReplaced = errors.New("index: template replaced since its keys were derived")
+
+// Remove drops a template from the index. Its keys are derived again
+// from the template Add kept, with Index.mu not held.
 func (ix *Index) Remove(id string) error {
+	ks := keyPool.Get().(*keyScratch)
+	defer keyPool.Put(ks)
+	for {
+		ix.mu.RLock()
+		var tpl *minutiae.Template
+		if ref, ok := ix.loc[id]; ok {
+			tpl = ix.member(ref).tpl
+		}
+		ix.mu.RUnlock()
+		if tpl == nil {
+			return fmt.Errorf("remove %q: %w", id, ErrNotFound)
+		}
+		if err := ix.RemoveKeys(id, tpl, keysOf(ks, tpl)); !errors.Is(err, errReplaced) {
+			return err
+		}
+	}
+}
+
+// member returns the template a ref names. Callers hold Index.mu.
+func (ix *Index) member(ref uint32) *member {
+	if ref&deltaRef != 0 {
+		return &ix.delta.members[ref&^deltaRef]
+	}
+	return &ix.base.members[ref]
+}
+
+// RemoveKeys is Remove with the key extraction already done: tpl must
+// be the template id was added with and keys AppendKeys(nil, tpl). It
+// fails, changing nothing, when the keys are not the ones tpl was added
+// under — tpl was mutated since — as far as their count and the key
+// table tell.
+func (ix *Index) RemoveKeys(id string, tpl *minutiae.Template, keys []uint64) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ref, ok := ix.loc[id]
 	if !ok {
 		return fmt.Errorf("remove %q: %w", id, ErrNotFound)
 	}
+	m := ix.member(ref)
+	if m.tpl != tpl {
+		return fmt.Errorf("remove %q: %w", id, errReplaced)
+	}
+	if int(m.keys) != len(keys) || !ix.holds(ref, keys) {
+		return fmt.Errorf("index: remove %q: template changed since it was added (%d keys now, %d then)", id, len(keys), m.keys)
+	}
 	delete(ix.loc, id)
+	*m = member{}
+	ix.postings -= len(keys)
 	if ref&deltaRef != 0 {
 		ref &^= deltaRef
 		d := &ix.delta
-		for _, key := range d.keys[ref] {
+		for _, key := range keys {
 			sl := ix.release(key)
 			i := slices.Index(sl.delta, ref)
 			sl.delta[i] = sl.delta[len(sl.delta)-1]
 			sl.delta = sl.delta[:len(sl.delta)-1]
 		}
-		ix.postings -= len(d.keys[ref])
-		d.ids[ref], d.keys[ref] = "", nil
+		d.ids[ref] = ""
 		d.free = append(d.free, ref)
 		return nil
 	}
 	// A base template's postings stay until the next merge; it stops
 	// counting towards its keys' weights now.
-	base := ix.base
-	for _, key := range base.keys[ref] {
+	for _, key := range keys {
 		ix.release(key)
 	}
-	ix.postings -= len(base.keys[ref])
-	ix.churn += len(base.keys[ref])
-	base.keys[ref] = nil
+	ix.churn += len(keys)
+	base := ix.base
 	base.removed++
 	base.gone[ref].Store(base.removed)
 	ix.maybeMerge()
 	return nil
+}
+
+// holds reports whether every key is live in the table and, for a
+// delta ref, lists ref among its postings: what Remove needs to undo an
+// add without touching another template's counts.
+func (ix *Index) holds(ref uint32, keys []uint64) bool {
+	for _, key := range keys {
+		s, ok := ix.tab.find(key)
+		if !ok || ix.slots[s].live == 0 {
+			return false
+		}
+		if ref&deltaRef != 0 && !slices.Contains(ix.slots[s].delta, ref&^deltaRef) {
+			return false
+		}
+	}
+	return true
 }
 
 // release records one template fewer holding key and returns the key's
@@ -299,16 +375,16 @@ func (ix *Index) merge() {
 	old, d := ix.base, &ix.delta
 	n := len(ix.loc)
 	seg := &segment{
-		refs: make([]uint32, ix.postings),
-		ids:  make([]string, 0, n),
-		keys: make([][]uint64, 0, n),
-		gone: make([]atomic.Uint32, n),
+		refs:    make([]uint32, ix.postings),
+		ids:     make([]string, 0, n),
+		members: make([]member, 0, n),
+		gone:    make([]atomic.Uint32, n),
 	}
-	keep := func(id string, keys []uint64) uint32 {
+	keep := func(id string, m member) uint32 {
 		ref := uint32(len(seg.ids))
 		ix.loc[id] = ref
 		seg.ids = append(seg.ids, id)
-		seg.keys = append(seg.keys, keys)
+		seg.members = append(seg.members, m)
 		return ref
 	}
 	baseRemap := make([]uint32, len(old.ids))
@@ -316,13 +392,13 @@ func (ix *Index) merge() {
 		if old.gone[ref].Load() != 0 {
 			baseRemap[ref] = deadRef
 		} else {
-			baseRemap[ref] = keep(id, old.keys[ref])
+			baseRemap[ref] = keep(id, old.members[ref])
 		}
 	}
 	deltaRemap := make([]uint32, len(d.ids))
 	for ref, id := range d.ids {
 		if id != "" {
-			deltaRemap[ref] = keep(id, d.keys[ref])
+			deltaRemap[ref] = keep(id, d.members[ref])
 		}
 	}
 

@@ -1,0 +1,171 @@
+package index
+
+import (
+	"testing"
+	"time"
+
+	"fpinterop/internal/minutiae"
+	"fpinterop/internal/population"
+	"fpinterop/internal/rng"
+)
+
+// TestRemoveRederivedEqualsReferenceAndBuild drives seeded histories of
+// Add and Remove across merges — removing from the base and from the
+// delta, and templates that took a freed delta ref — and holds the
+// index, whose removals re-derive each template's keys, to the map
+// reference after every step and to a fresh Build over the live set
+// every few steps: identical Stats, shortlists and score bits.
+func TestRemoveRederivedEqualsReferenceAndBuild(t *testing.T) {
+	cohort := population.NewCohort(rng.New(43), population.CohortOptions{Size: 40})
+	tpls := captureGallery(t, cohort, "D0")
+	probes := append(captureSample(t, cohort, "D0", 1)[:3], captureSample(t, cohort, "D2", 1)[3:5]...)
+	steps := 150
+	if testing.Short() {
+		steps = 60
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		r := rng.New(seed).Child("removal")
+		ix, ref := New(Options{}), newReferenceIndex()
+		var order []int // live templates in insertion order
+		reused := make(map[int]bool)
+		var fromBase, fromDelta, fromReused, merges int
+		for step := 0; step < steps; step++ {
+			i := r.Intn(len(tpls))
+			at := -1
+			for j, k := range order {
+				if k == i {
+					at = j
+				}
+			}
+			base := ix.base
+			if at >= 0 {
+				if ix.loc[subjectID(i)]&deltaRef != 0 {
+					fromDelta++
+				} else {
+					fromBase++
+				}
+				if reused[i] {
+					fromReused++
+				}
+				if err := ix.Remove(subjectID(i)); err != nil {
+					t.Fatal(err)
+				}
+				ref.remove(subjectID(i))
+				order = append(order[:at], order[at+1:]...)
+			} else {
+				reused[i] = len(ix.delta.free) > 0
+				if err := ix.Add(subjectID(i), tpls[i]); err != nil {
+					t.Fatal(err)
+				}
+				ref.add(subjectID(i), tpls[i])
+				order = append(order, i)
+			}
+			if ix.base != base {
+				merges++
+			}
+			requireEqualsReference(t, "after step", ix, ref, probes[step%len(probes):][:1])
+			if step%10 == 9 || step == steps-1 {
+				ids := make([]string, len(order))
+				set := make([]*minutiae.Template, len(order))
+				for j, k := range order {
+					ids[j], set[j] = subjectID(k), tpls[k]
+				}
+				bulk, err := Build(Options{}, ids, set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireEqualsReference(t, "fresh Build", bulk, ref, probes)
+			}
+		}
+		if merges < 3 || fromBase == 0 || fromDelta == 0 || fromReused == 0 {
+			t.Fatalf("seed %d: %d merges, %d base / %d delta / %d reused-ref removals; want 3+ merges and some of each",
+				seed, merges, fromBase, fromDelta, fromReused)
+		}
+	}
+}
+
+// TestRemoveRefusesMutatedTemplate: a template changed after Add gives
+// keys Remove cannot undo, so Remove fails and the index is untouched —
+// in the base and in the delta — and succeeds once the template is
+// restored.
+func TestRemoveRefusesMutatedTemplate(t *testing.T) {
+	cohort := population.NewCohort(rng.New(44), population.CohortOptions{Size: 14})
+	tpls := captureGallery(t, cohort, "D0")
+	held := make([]*minutiae.Template, len(tpls))
+	ix := New(Options{})
+	for i, tpl := range tpls {
+		held[i] = tpl.Clone()
+		if err := ix.Add(subjectID(i), held[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := len(tpls) - 1
+	if ix.loc[subjectID(0)]&deltaRef != 0 || ix.loc[subjectID(last)]&deltaRef == 0 {
+		t.Fatal("want template 0 in the base and the last in the delta")
+	}
+	for _, i := range []int{0, last} {
+		before := ix.Stats()
+		shortlist := ix.Candidates(tpls[i], 0)
+		saved := held[i].Minutiae
+		held[i].Minutiae = saved[:len(saved)/2]
+		if err := ix.Remove(subjectID(i)); err == nil {
+			t.Fatalf("template %d: Remove of a mutated template succeeded", i)
+		}
+		if got := ix.Stats(); got != before {
+			t.Fatalf("template %d: failed Remove changed Stats: %+v, was %+v", i, got, before)
+		}
+		if got := ix.Candidates(tpls[i], 0); !sameShortlist(got, shortlist) {
+			t.Fatalf("template %d: failed Remove changed the shortlist", i)
+		}
+		held[i].Minutiae = saved
+		if err := ix.Remove(subjectID(i)); err != nil {
+			t.Fatalf("template %d: Remove after restoring: %v", i, err)
+		}
+	}
+}
+
+// TestKeysDerivedOutsideWriteLock holds a vote's read lock while an Add
+// and Removes of a base and a delta template run: each must derive its
+// keys while the vote is still in flight, so no key derivation waits
+// for, or runs under, the write lock.
+func TestKeysDerivedOutsideWriteLock(t *testing.T) {
+	cohort := population.NewCohort(rng.New(45), population.CohortOptions{Size: 14})
+	tpls := captureGallery(t, cohort, "D0")
+	last := len(tpls) - 1
+	ix := New(Options{})
+	for i := 0; i < last; i++ {
+		if err := ix.Add(subjectID(i), tpls[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	derived := make(chan struct{}, 1)
+	saved := keysOf
+	defer func() { keysOf = saved }()
+	keysOf = func(ks *keyScratch, tpl *minutiae.Template) []uint64 {
+		derived <- struct{}{}
+		return ks.templateKeys(tpl.Minutiae)
+	}
+
+	ops := []struct {
+		name string
+		op   func() error
+	}{
+		{"add", func() error { return ix.Add(subjectID(last), tpls[last]) }},
+		{"remove from the delta", func() error { return ix.Remove(subjectID(last)) }},
+		{"remove from the base", func() error { return ix.Remove(subjectID(0)) }},
+	}
+	for _, o := range ops {
+		ix.mu.RLock() // a vote in flight
+		done := make(chan error, 1)
+		go func() { done <- o.op() }()
+		select {
+		case <-derived:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s derived no keys while a vote held the read lock", o.name)
+		}
+		ix.mu.RUnlock()
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", o.name, err)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package index
 import (
 	"math/bits"
 	"sync/atomic"
+
+	"fpinterop/internal/minutiae"
 )
 
 // keyTable is an open-addressing map from a uint64 key to a dense slot
@@ -112,16 +114,15 @@ type slot struct {
 // segment is the index's base: every posting of the templates merged so
 // far, as one flat array of template refs grouped by key. refs and ids
 // never change once the segment is published, so a vote streams them
-// holding no lock; keys and removed (guarded by Index.mu) and gone
+// holding no lock; members and removed (guarded by Index.mu) and gone
 // (atomic) record the removals since.
 type segment struct {
 	refs []uint32
 	// ids maps a ref to its template ID. A removed template keeps its
 	// entry: a vote that began before the removal still reports it.
 	ids []string
-	// keys holds each live template's key list, so Remove can find its
-	// buckets.
-	keys [][]uint64
+	// members holds each live template, so Remove can find its buckets.
+	members []member
 	// gone[ref] is 0 while the template is live, else its 1-based
 	// position in this segment's removal order. A vote that saw
 	// removed == n when it took its weights treats refs with
@@ -131,6 +132,16 @@ type segment struct {
 }
 
 var emptySegment = &segment{}
+
+// member is what the index keeps of one template: the template itself,
+// from which Remove re-derives the keys it holds, and how many keys
+// that was, so Remove can tell the template changed since Add. The
+// template is the caller's (a gallery's stored clone), so the index
+// adds a pointer, not a copy of the ≈ 3.6 KB key list.
+type member struct {
+	tpl  *minutiae.Template
+	keys uint32
+}
 
 // deadRef marks a removed template in a merge's ref remapping.
 const deadRef = ^uint32(0)

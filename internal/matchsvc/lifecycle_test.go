@@ -288,3 +288,34 @@ func TestServeLeavesNoGoroutineAfterClose(t *testing.T) {
 	}
 	t.Fatalf("%d Listen/Serve/Close cycles grew the process from %d to %d goroutines", cycles, before, after)
 }
+
+// TestFrameReaderBoundsABegunFrame: the demux reader waits as long as
+// it takes for a response to begin, but once a frame's header is in,
+// its body must follow within the bound — a header whose length prefix
+// promises bytes that never come fails the read, which retires the
+// connection, instead of wedging it.
+func TestFrameReaderBoundsABegunFrame(t *testing.T) {
+	const bound = 50 * time.Millisecond
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	fr := frameReader{nc: client, timeout: bound}
+	var hdr [5]byte
+
+	go func() {
+		time.Sleep(3 * bound) // quiet between frames
+		server.Write([]byte{0, 0, 0, 2, StatusOK, 'o', 'k'})
+	}()
+	if status, payload, err := fr.read(&hdr); err != nil || status != StatusOK || string(payload) != "ok" {
+		t.Fatalf("frame after a quiet spell: status %d payload %q err %v", status, payload, err)
+	}
+
+	go server.Write([]byte{0, 0, 0, 100, StatusOK, 'x'}) // 99 bytes short
+	start := time.Now()
+	if _, _, err := fr.read(&hdr); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled frame body: %v, want a deadline error", err)
+	}
+	if elapsed := time.Since(start); elapsed > 20*bound {
+		t.Fatalf("stalled frame body failed after %v", elapsed)
+	}
+}

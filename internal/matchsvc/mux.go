@@ -23,11 +23,14 @@ import (
 	"fpinterop/internal/enc"
 )
 
-// muxWriteTimeout bounds a single frame write on a multiplexed
-// connection when the caller's context carries no tighter deadline: the
-// write mutex is shared by every in-flight call, so one peer that stops
-// draining must fail the connection rather than wedge the pool slot.
-const muxWriteTimeout = 30 * time.Second
+// muxFrameTimeout bounds a single frame on a client's multiplexed
+// connection: its write, when the caller's context carries no tighter
+// deadline, and a response's arrival once its header has. The write
+// mutex is shared by every in-flight call and one demux reader serves
+// them all, so a peer that stops draining, or a corrupted length prefix
+// that leaves the reader waiting for bytes that never come, must fail
+// the connection rather than wedge the pool slot.
+const muxFrameTimeout = 30 * time.Second
 
 // errConnStale classifies a request that never reached the wire because
 // its connection had already been retired (server idle drop, another
@@ -134,12 +137,13 @@ type wireConn struct {
 
 // newWireConn wraps a socket whose handshake has succeeded and starts
 // its demux reader, which owns the read side from here and blocks
-// freely between responses; per-call bounds are each waiter's context.
+// freely between responses; per-call bounds are each waiter's context,
+// and a response that has begun must finish within muxFrameTimeout.
 func newWireConn(c *Client, nc net.Conn) *wireConn {
 	w := &wireConn{
 		nc:      nc,
 		c:       c,
-		mw:      newMuxWriter(nc, muxWriteTimeout),
+		mw:      newMuxWriter(nc, muxFrameTimeout),
 		pending: make(map[uint64]chan muxResult),
 	}
 	w.touch()
@@ -184,8 +188,9 @@ func (w *wireConn) close() { w.kill(errConnRetired) }
 // prompt typed error and the pool replaces the conn on next checkout.
 func (w *wireConn) readLoop() {
 	var hdr [5]byte
+	fr := frameReader{nc: w.nc, timeout: muxFrameTimeout}
 	for {
-		status, payload, err := readFrameHdr(w.nc, &hdr)
+		status, payload, err := fr.read(&hdr)
 		if err != nil {
 			w.kill(transportErr(fmt.Errorf("matchsvc: read response: %w", err)))
 			return
@@ -219,6 +224,35 @@ func (w *wireConn) readLoop() {
 		}
 		ch <- muxResult{status: status, body: body}
 	}
+}
+
+// frameReader is the demux reader's view of its socket: unbounded
+// until a frame's header has arrived, then the rest of the frame must
+// arrive within timeout.
+type frameReader struct {
+	nc      net.Conn
+	timeout time.Duration
+	// hdr counts the current frame's header bytes still due.
+	hdr int
+}
+
+// read returns the next frame, as readFrameHdr does.
+func (r *frameReader) read(hdr *[5]byte) (status byte, payload []byte, err error) {
+	if err := r.nc.SetReadDeadline(time.Time{}); err != nil {
+		return 0, nil, err
+	}
+	r.hdr = len(hdr)
+	return readFrameHdr(r, hdr)
+}
+
+func (r *frameReader) Read(p []byte) (int, error) {
+	n, err := r.nc.Read(p)
+	if r.hdr > 0 {
+		if r.hdr -= n; r.hdr <= 0 && err == nil {
+			err = r.nc.SetReadDeadline(time.Now().Add(r.timeout))
+		}
+	}
+	return n, err
 }
 
 // forget abandons a waiter (its caller gave up before the response).

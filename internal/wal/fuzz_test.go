@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,6 +68,80 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if !bytes.Equal(w.Buf, consumed) {
 			t.Fatalf("decoded %+v from %x, re-encoded as %x", rec, consumed, w.Buf)
+		}
+	})
+}
+
+// FuzzLogReader feeds logReader — the framing behind log replay and
+// the replica tail — arbitrary files. It must never panic, never size
+// its body buffer past maxBody, and stop at the first record that is
+// not a whole valid frame: every record it returns re-frames to exactly
+// the bytes it consumed, it ends in io.EOF only at the end of the file
+// and in errTornTail anywhere else, and the file cut back to the last
+// good record (what replay truncates it to) reads as a clean log.
+func FuzzLogReader(f *testing.F) {
+	// Seeds: the pinned log (header, then length prefix, CRC and body
+	// per record), then the damage a crash or rot leaves — a torn tail,
+	// a flipped length prefix, checksum or body byte, an implausible
+	// length, a bad magic, a bare header.
+	log := pinBytes(f, logName)
+	f.Add(log)
+	f.Add(log[:headerSize])
+	f.Add(log[:len(log)-3])
+	for _, at := range []int{headerSize + 1, headerSize + 5, headerSize + 12, len(log) / 2} {
+		flipped := append([]byte(nil), log...)
+		flipped[at] ^= 0xFF
+		f.Add(flipped)
+	}
+	huge := append([]byte(nil), log...)
+	copy(huge[headerSize:], []byte{0x7F, 0xFF, 0xFF, 0xFF})
+	f.Add(huge)
+	badMagic := append([]byte(nil), log...)
+	badMagic[0] = 'X'
+	f.Add(badMagic)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		read := func(data []byte) (int, int64, error) {
+			lr, err := newLogReader(bytes.NewReader(data))
+			if err != nil {
+				return 0, 0, err
+			}
+			n := 0
+			for {
+				before := lr.off
+				rec, err := lr.next()
+				if cap(lr.body) > maxBody {
+					t.Fatalf("body buffer grew to %d bytes", cap(lr.body))
+				}
+				if err != nil {
+					return n, lr.off, err
+				}
+				var w enc.Writer
+				if err := appendFramed(&w, rec); err != nil {
+					t.Fatalf("record %d does not re-frame: %v", n, err)
+				}
+				if !bytes.Equal(w.Buf, data[before:lr.off]) {
+					t.Fatalf("record %d read from %x re-frames as %x", n, data[before:lr.off], w.Buf)
+				}
+				n++
+			}
+		}
+		n, off, err := read(data)
+		switch {
+		case off == 0:
+			return // no header: nothing is replayed
+		case errors.Is(err, io.EOF):
+			if off != int64(len(data)) {
+				t.Fatalf("clean end at %d of %d bytes", off, len(data))
+			}
+		case errors.Is(err, errTornTail):
+			if off >= int64(len(data)) {
+				t.Fatalf("torn tail reported at the end of the file (%d bytes)", off)
+			}
+		default:
+			t.Fatalf("read stopped with %v", err)
+		}
+		if again, end, err := read(data[:off]); again != n || end != off || err != io.EOF {
+			t.Fatalf("log cut to its last good record reads %d records to %d (%v); want %d to %d", again, end, err, n, off)
 		}
 	})
 }
