@@ -142,13 +142,14 @@ func TestChaosProxySmokeAgainstRealMatchd(t *testing.T) {
 	}
 }
 
-// TestChaosFlagValidation pins the resilience flags' applicability
-// rules without starting a server.
+// TestChaosFlagValidation pins the resilience flags' ranges and
+// applicability rules without starting a server or dialing a shard.
 func TestChaosFlagValidation(t *testing.T) {
+	sink := sinkAddr(t)
 	cases := [][]string{
-		{"-pool-size", "0", "-shards", "127.0.0.1:1"},
+		{"-pool-size", "-1", "-shards", sink},
 		{"-pool-size", "2"},
-		{"-retry", "-1", "-shards", "127.0.0.1:1"},
+		{"-retry", "-1", "-shards", sink},
 		{"-retry", "3"},
 		{"-keepalive", "5s"},
 		{"-hedge-delay", "-1s", "-local-shards", "2"},

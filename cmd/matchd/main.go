@@ -137,14 +137,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Which deployment settings go together is topology.Config.Validate's
-	// to say (Build applies it); what stays here is flag syntax.
-	if cfg.Client.PoolSize < 1 {
-		return fmt.Errorf("-pool-size must be >= 1, got %d", cfg.Client.PoolSize)
-	}
-	if cfg.Client.Retry.Attempts < 0 {
-		return fmt.Errorf("-retry must be >= 0, got %d", cfg.Client.Retry.Attempts)
-	}
+	// Ranges and which settings go together are topology.Config.Validate's
+	// to say (Build applies it); what stays here is -replica-of's.
 	if *replicaOf != "" {
 		switch {
 		case cfg.LocalShards > 0 || *shardAddrs != "":
@@ -173,16 +167,6 @@ func run(args []string) error {
 	var err error
 	if cfg.Shards, cfg.Replicas, err = parseShards(*shardAddrs, *replicaAddrs); err != nil {
 		return err
-	}
-	if len(cfg.Shards) > 0 {
-		// A hung shard must not wedge the front: bound every round trip
-		// so abandoned scatter calls unwind instead of piling up, giving
-		// the router's own deadline generous headroom.
-		cfg.Client.RequestTimeout = 2 * cfg.ShardTimeout
-		if cfg.Client.RequestTimeout <= 0 {
-			cfg.Client.RequestTimeout = 2 * time.Minute
-		}
-		cfg.Client.RedialTimeout = 5 * time.Second
 	}
 
 	// The one root: start-up work (dialing shards, a replica's first
@@ -213,7 +197,7 @@ func run(args []string) error {
 		store := topo.Stores[0]
 		dialCtx, dialDone := context.WithTimeout(ctx, 5*time.Second)
 		cli, err := topology.Dial(dialCtx, *replicaOf,
-			matchsvc.ClientOptions{RequestTimeout: 2 * time.Minute, RedialTimeout: 5 * time.Second}, reg)
+			matchsvc.ClientOptions{RequestTimeout: topology.RequestTimeout, RedialTimeout: topology.RedialTimeout}, reg)
 		dialDone()
 		if err != nil {
 			return fmt.Errorf("replica: dial primary %s: %w", *replicaOf, err)

@@ -1,8 +1,43 @@
 package main
 
 import (
+	"net"
+	"sync/atomic"
 	"testing"
 )
+
+// sinkAddr listens on loopback, counting and closing every connection
+// it accepts, and fails the test at cleanup if there was any. A flag
+// combination that validation must reject points at it, so a missing
+// check shows as a connection instead of hiding behind a refused dial.
+func sinkAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			c.Close()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+		if n := accepted.Load(); n != 0 {
+			t.Errorf("validation let %d connection(s) through to %s", n, ln.Addr())
+		}
+	})
+	return ln.Addr().String()
+}
 
 func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}); err == nil {
@@ -29,10 +64,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-local-shards", "-2"}); err == nil {
 		t.Fatal("expected negative -local-shards to be rejected")
 	}
-	if err := run([]string{"-local-shards", "2", "-shards", "127.0.0.1:1"}); err == nil {
+	sink := sinkAddr(t)
+	if err := run([]string{"-local-shards", "2", "-shards", sink}); err == nil {
 		t.Fatal("expected -local-shards with -shards to be rejected")
 	}
-	if err := run([]string{"-shards", "127.0.0.1:1", "-index"}); err == nil {
+	if err := run([]string{"-shards", sink, "-index"}); err == nil {
 		t.Fatal("expected -index on a -shards front to be rejected")
 	}
 	if err := run([]string{"-shard-timeout", "5s"}); err == nil {

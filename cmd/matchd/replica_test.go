@@ -217,15 +217,16 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 
 // TestReplicaFlagValidation pins the replica flag applicability rules.
 func TestReplicaFlagValidation(t *testing.T) {
+	sink := sinkAddr(t)
 	cases := [][]string{
-		{"-replica-of", "127.0.0.1:1", "-local-shards", "2"},
-		{"-replica-of", "127.0.0.1:1", "-shards", "127.0.0.1:2"},
-		{"-replica-of", "127.0.0.1:1", "-wal-dir", "x"},
-		{"-replica-of", "127.0.0.1:1", "-preload", "5"},
+		{"-replica-of", sink, "-local-shards", "2"},
+		{"-replica-of", sink, "-shards", sink},
+		{"-replica-of", sink, "-wal-dir", "x"},
+		{"-replica-of", sink, "-preload", "5"},
 		{"-replica-sync-interval", "50ms"},
-		{"-replica-sync-interval", "-1s", "-replica-of", "127.0.0.1:1"},
-		{"-replicas", "127.0.0.1:2"},
-		{"-shards", "127.0.0.1:1,127.0.0.1:2", "-replicas", "127.0.0.1:3"},
+		{"-replica-sync-interval", "-1s", "-replica-of", sink},
+		{"-replicas", sink},
+		{"-shards", sink + "," + sink, "-replicas", sink},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -289,7 +289,7 @@ func enrolled(t *testing.T, ctx context.Context, cli *matchsvc.Client, id string
 func TestWALFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-compact-every", "8"},
-		{"-wal-dir", "x", "-shards", "127.0.0.1:1"},
+		{"-wal-dir", "x", "-shards", sinkAddr(t)},
 		{"-compact-every", "-1", "-wal-dir", "x"},
 	}
 	for _, args := range cases {

@@ -153,9 +153,6 @@ func New(ctx context.Context, opts ...Option) (Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkNewConfig(cfg); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

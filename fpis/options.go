@@ -11,54 +11,38 @@ import (
 	"fpinterop/internal/topology"
 )
 
-// Option configures Service construction (New and Dial). Options that
-// do not apply to the requested deployment shape are rejected at
-// construction time rather than silently ignored.
+// Option configures Service construction (New and Dial) by setting one
+// field of the deployment description, to what the matching matchd flag
+// would. A negative count or duration is rejected, and so is a non-zero
+// value on a shape it does not apply to; a zero there is a no-op.
 type Option func(*config) error
 
-// config collects the functional options: the deployment description
-// itself, plus set* flags that distinguish "left at default" from
-// "explicitly configured" for the applicability checks.
+// config is the deployment description the options fill, plus the
+// hook bus, which belongs to the facade alone.
 type config struct {
 	topology.Config
-
-	setCompactEvery   bool
-	setParallelism    bool
-	setShardTimeout   bool
-	setRequestTimeout bool
-	setDialTimeout    bool
-	setPoolSize       bool
-	setRetry          bool
-
 	hooks *obs.Hooks
 }
 
-// WithIndex enables the minutia-triplet retrieval index, so 1:N
-// identification searches a candidate shortlist instead of the whole
-// gallery. fanout is the shortlist size (<= 0 for the library
-// default). Applies to local stores — including each shard under
-// WithLocalShards — not to remote connections, where the index lives
-// in the serving process.
+// WithIndex enables the minutia-triplet retrieval index (matchd -index),
+// so 1:N identification searches a candidate shortlist instead of the
+// whole gallery. fanout is the shortlist size (-index-fanout; 0 for the
+// library default). Applies to local stores — including each shard
+// under WithLocalShards — not to remote connections, where the index
+// lives in the serving process.
 func WithIndex(fanout int) Option {
-	return func(c *config) error {
-		if fanout < 0 {
-			return fmt.Errorf("fpis: WithIndex fanout must be >= 0, got %d", fanout)
-		}
-		c.Index = true
-		c.IndexFanout = fanout
-		return nil
-	}
+	return set(func(c *config) { c.Index, c.IndexFanout = true, fanout })
 }
 
 // WithWAL makes every mutation durable through a per-shard write-ahead
-// log rooted at dir: an acknowledged Enroll or Remove survives a crash
-// of the process, and construction replays the log (after restoring the
-// latest compaction snapshot) before the service accepts its first
-// request. Each shard of a WithLocalShards deployment logs into its own
-// subdirectory of dir, so growing the shard count later reuses nothing
-// stale. Applies to in-process galleries — a single local store or
-// WithLocalShards — not to remote connections, where durability belongs
-// to the serving process (run matchd with -wal-dir there).
+// log rooted at dir (matchd -wal-dir): an acknowledged Enroll or Remove
+// survives a crash of the process, and construction replays the log
+// (after restoring the latest compaction snapshot) before the service
+// accepts its first request. Each shard of a WithLocalShards deployment
+// logs into its own subdirectory of dir, so growing the shard count
+// later reuses nothing stale. Applies to in-process galleries — a
+// single local store or WithLocalShards — not to remote connections,
+// where durability belongs to the serving process.
 func WithWAL(dir string) Option {
 	return func(c *config) error {
 		if dir == "" {
@@ -69,23 +53,16 @@ func WithWAL(dir string) Option {
 	}
 }
 
-// WithWALCompactEvery compacts each shard's write-ahead log into a
-// snapshot after every n logged mutations, bounding replay work on the
-// next startup. n <= 0 disables automatic compaction (the log grows
-// until the service is rebuilt). Requires WithWAL.
+// WithWALCompactEvery (matchd -compact-every) compacts each shard's
+// write-ahead log into a snapshot after every n logged mutations,
+// bounding replay work on the next startup. 0 disables automatic
+// compaction (the log grows until the service is rebuilt). Needs WithWAL.
 func WithWALCompactEvery(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			n = 0
-		}
-		c.CompactEvery = n
-		c.setCompactEvery = true
-		return nil
-	}
+	return set(func(c *config) { c.CompactEvery = n })
 }
 
-// WithLocalShards partitions the gallery across n in-process stores
-// behind a consistent-hash router. Mutually exclusive with WithShards.
+// WithLocalShards (matchd -local-shards) partitions the gallery across n
+// in-process stores behind a consistent-hash router. Excludes WithShards.
 func WithLocalShards(n int) Option {
 	return func(c *config) error {
 		if n <= 0 {
@@ -97,9 +74,9 @@ func WithLocalShards(n int) Option {
 }
 
 // WithShards scatter-gathers over remote matchd processes at the given
-// addresses, routing enrollments by subject ID. Mutually exclusive
-// with WithLocalShards and WithIndex (indexing belongs to the shard
-// processes that own the data).
+// addresses (matchd -shards), routing enrollments by subject ID.
+// Mutually exclusive with WithLocalShards and WithIndex (indexing
+// belongs to the shard processes that own the data).
 func WithShards(addrs ...string) Option {
 	return func(c *config) error {
 		if len(addrs) == 0 {
@@ -110,88 +87,58 @@ func WithShards(addrs ...string) Option {
 	}
 }
 
-// WithReplicas attaches read replicas to each WithShards slot: the
-// i-th argument lists the replica addresses for the i-th shard address
-// (run each replica as matchd -replica-of <primary>). Writes still go
-// only to the primary; Verify and Identify balance across the slot's
-// healthy members and fail over inside the slot, and hedged identifies
-// are steered to a different member than the attempt they race. The
-// argument count must match WithShards exactly — an empty (or nil)
-// list is valid for a slot with no replicas. Requires WithShards.
+// WithReplicas (matchd -replicas) attaches read replicas to each
+// WithShards slot: the i-th argument lists the replica addresses for the
+// i-th shard address (run each as matchd -replica-of <primary>). Writes
+// still go only to the primary; Verify and Identify balance across the
+// slot's healthy members and fail over inside the slot, and hedged
+// identifies are steered to a different member than the attempt they
+// race. The argument count must match WithShards exactly — an empty (or
+// nil) list is valid for a slot with no replicas.
 func WithReplicas(replicas ...[]string) Option {
-	return func(c *config) error {
-		if len(replicas) == 0 {
-			return errors.New("fpis: WithReplicas needs one replica list per shard slot")
-		}
-		out := make([][]string, len(replicas))
+	return set(func(c *config) {
+		c.Replicas = make([][]string, len(replicas))
 		for i, rs := range replicas {
-			out[i] = append([]string(nil), rs...)
+			c.Replicas[i] = append([]string(nil), rs...)
 		}
-		c.Replicas = out
-		return nil
-	}
+	})
 }
 
 // WithParallelism bounds the worker goroutines of each in-process
 // store: its exhaustive-scan fan-out and its batch-enrollment derive
-// workers. n <= 0 restores the default (GOMAXPROCS per store). A
-// WithShards front holds no store, so New rejects the option there, as
-// Dial does.
+// workers. n <= 0 is the default (GOMAXPROCS per store). A WithShards
+// front and a Dial client hold no store, so they reject any n but 0.
 func WithParallelism(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			n = 0
-		}
-		c.Parallelism = n
-		c.setParallelism = true
-		return nil
-	}
+	return set(func(c *config) { c.Parallelism = n })
 }
 
-// WithShardTimeout bounds each shard's share of an identification; a
-// shard that misses the deadline is abandoned (and counts toward
-// degradation) while the healthy shards' answers are merged. Requires
-// a sharded deployment. 0 disables the per-shard deadline.
+// WithShardTimeout (matchd -shard-timeout) bounds each shard's share of
+// an identification; a shard that misses the deadline is abandoned (and
+// counts toward degradation) while the healthy shards' answers are
+// merged. 0 disables the per-shard deadline. Requires a sharded shape.
 func WithShardTimeout(d time.Duration) Option {
-	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("fpis: WithShardTimeout must be >= 0, got %v", d)
-		}
-		c.ShardTimeout = d
-		c.setShardTimeout = true
-		return nil
-	}
+	return set(func(c *config) { c.ShardTimeout = d })
 }
 
 // WithRequestTimeout sets the fallback wire round-trip bound used when
 // a call's context carries no deadline of its own. Applies to remote
-// connections (Dial and WithShards). 0 disables the fallback.
+// connections (Dial and WithShards). On Dial, 0 disables the fallback;
+// on a WithShards front, 0 bounds each round trip at twice
+// WithShardTimeout (2 minutes without one), as on a matchd -shards
+// front, so a hung shard cannot wedge the front.
 func WithRequestTimeout(d time.Duration) Option {
-	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("fpis: WithRequestTimeout must be >= 0, got %v", d)
-		}
-		c.Client.RequestTimeout = d
-		c.setRequestTimeout = true
-		return nil
-	}
+	return set(func(c *config) { c.Client.RequestTimeout = d })
 }
 
 // WithDialTimeout bounds each connection attempt — TCP connect plus
 // protocol handshake — of a remote connection: the constructor's dial
 // (on top of its context) and the transparent reconnects after a
 // transport failure (on top of the triggering request's context).
-// Applies to remote connections. 0 falls back to WithRequestTimeout,
-// and with neither set an attempt is bounded by its context alone.
+// Applies to remote connections. 0 falls back to the request timeout
+// on Dial (with neither set an attempt is bounded by its context
+// alone) and is 5 seconds on a WithShards front, as on matchd's.
 func WithDialTimeout(d time.Duration) Option {
-	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("fpis: WithDialTimeout must be >= 0, got %v", d)
-		}
-		c.Client.RedialTimeout = d
-		c.setDialTimeout = true
-		return nil
-	}
+	return set(func(c *config) { c.Client.RedialTimeout = d })
 }
 
 // RetryPolicy configures transparent retries of idempotent remote
@@ -206,67 +153,41 @@ func WithDialTimeout(d time.Duration) Option {
 // doubles it, jittered, up to MaxDelay (default 500ms).
 type RetryPolicy = matchsvc.Retry
 
-// WithPoolSize sets how many connections each remote endpoint may pool
-// (default 1). Connections are dialed on demand; against a multiplexed
-// server one connection already carries concurrent requests, so the
-// pool is for spreading load and surviving per-connection stalls, not a
-// per-request requirement. Applies to remote connections (Dial and
-// WithShards).
+// WithPoolSize (matchd -pool-size) sets how many connections each remote
+// endpoint may pool; 0 and 1 both mean one, the default. Connections are
+// dialed on demand; against a multiplexed server one connection already
+// carries concurrent requests, so the pool is for spreading load and
+// surviving per-connection stalls. Applies to Dial and WithShards.
 func WithPoolSize(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("fpis: WithPoolSize needs n >= 1, got %d", n)
-		}
-		c.Client.PoolSize = n
-		c.setPoolSize = true
-		return nil
-	}
+	return set(func(c *config) { c.Client.PoolSize = n })
 }
 
 // WithRetry enables transparent retries of idempotent remote operations
-// after transport failures, with capped jittered exponential backoff.
-// Applies to remote connections (Dial and WithShards); retries are off
-// by default.
+// after transport failures, with capped jittered exponential backoff
+// (matchd -retry sets Attempts). Applies to remote connections (Dial
+// and WithShards); retries are off by default.
 func WithRetry(p RetryPolicy) Option {
-	return func(c *config) error {
-		if p.Attempts < 0 || p.BaseDelay < 0 || p.MaxDelay < 0 {
-			return fmt.Errorf("fpis: WithRetry fields must be >= 0, got %+v", p)
-		}
-		c.Client.Retry = p
-		c.setRetry = true
-		return nil
-	}
+	return set(func(c *config) { c.Client.Retry = p })
 }
 
-// WithKeepalive sets the interval at which idle pooled connections are
-// pinged so a server's idle deadline never silently drops them (default
-// 50s, under matchd's 2-minute default); d <= 0 disables keepalives.
-// Applies to remote connections (Dial and WithShards).
+// WithKeepalive (matchd -keepalive) sets the interval at which idle
+// pooled connections are pinged so a server's idle deadline never drops
+// them: 0 is the 50s default, under matchd's 2-minute idle deadline, and
+// d < 0 disables keepalives. Applies to Dial and WithShards.
 func WithKeepalive(d time.Duration) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			d = -1 // ClientOptions keeps 0 for "the client default"
-		}
-		c.Client.Keepalive = d
-		return nil
-	}
+	return set(func(c *config) { c.Client.Keepalive = d })
 }
 
-// WithHedging enables hedged identification: a shard's scatter leg
-// still unanswered after d is re-sent to the same shard and the first
-// answer wins, cutting the tail latency a single slow replica inflicts
-// on every search. The delay adapts per shard to the observed p95
-// identify latency once enough history accumulates (WithMetrics enables
-// that); exactly one attempt's answer is used, so results are identical
-// to the unhedged path. Requires a sharded deployment.
+// WithHedging (matchd -hedge-delay) enables hedged identification: a
+// shard's scatter leg still unanswered after d is re-sent to the same
+// shard and the first answer wins, cutting the tail latency a single
+// slow replica inflicts on every search. The delay adapts per shard to
+// the observed p95 identify latency once enough history accumulates
+// (WithMetrics enables that); exactly one attempt's answer is used, so
+// results are identical to the unhedged path. 0, the default, is off;
+// any other d requires a sharded deployment.
 func WithHedging(d time.Duration) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("fpis: WithHedging needs a positive delay, got %v", d)
-		}
-		c.HedgeDelay = d
-		return nil
-	}
+	return set(func(c *config) { c.HedgeDelay = d })
 }
 
 // WithMetrics attaches an observability registry: the service records
@@ -309,8 +230,13 @@ func WithHooks(h *obs.Hooks) Option {
 // coverage flagged Partial — the integrity-first posture. Requires a
 // sharded deployment.
 func WithFailClosed() Option {
+	return set(func(c *config) { c.Policy = shard.FailClosed })
+}
+
+// set is an option that cannot fail.
+func set(f func(*config)) Option {
 	return func(c *config) error {
-		c.Policy = shard.FailClosed
+		f(c)
 		return nil
 	}
 }
@@ -323,49 +249,4 @@ func buildConfig(opts []Option) (config, error) {
 		}
 	}
 	return c, nil
-}
-
-// checkNewConfig rejects what topology.Config.Validate (applied by
-// Build) cannot see: an option given explicitly, even with a value
-// that reads as "unset" there, on a deployment it does not apply to.
-func checkNewConfig(c config) error {
-	switch {
-	case c.setCompactEvery && c.WALDir == "":
-		return errors.New("fpis: WithWALCompactEvery requires WithWAL")
-	case c.setShardTimeout && c.LocalShards == 0 && len(c.Shards) == 0:
-		return errors.New("fpis: WithShardTimeout requires WithLocalShards or WithShards")
-	case len(c.Shards) == 0 && (c.setRequestTimeout || c.setDialTimeout || c.setPoolSize || c.setRetry):
-		return errors.New("fpis: WithRequestTimeout/WithDialTimeout/WithPoolSize/WithRetry apply to remote connections only")
-	}
-	return nil
-}
-
-// checkDialConfig rejects options meaningless for a single remote
-// connection.
-func checkDialConfig(c config) error {
-	if c.Index {
-		return errors.New("fpis: WithIndex belongs on the serving process, not a Dial client")
-	}
-	if c.LocalShards > 0 || len(c.Shards) > 0 {
-		return errors.New("fpis: WithLocalShards/WithShards do not apply to Dial; use New")
-	}
-	if c.setShardTimeout {
-		return errors.New("fpis: WithShardTimeout does not apply to Dial")
-	}
-	if c.WALDir != "" || c.setCompactEvery {
-		return errors.New("fpis: WithWAL applies to in-process galleries; run matchd with -wal-dir instead")
-	}
-	if c.Policy == shard.FailClosed {
-		return errors.New("fpis: WithFailClosed does not apply to Dial")
-	}
-	if c.setParallelism {
-		return errors.New("fpis: WithParallelism is a serving-side knob; it does not apply to Dial")
-	}
-	if c.HedgeDelay != 0 {
-		return errors.New("fpis: WithHedging requires a sharded deployment; a Dial client has no scatter to hedge")
-	}
-	if c.Replicas != nil {
-		return errors.New("fpis: WithReplicas requires WithShards; Dial connects to a single endpoint")
-	}
-	return nil
 }

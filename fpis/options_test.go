@@ -4,109 +4,167 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fpinterop/internal/matchsvc"
+	"fpinterop/internal/obs"
+	"fpinterop/internal/shard"
+	"fpinterop/internal/topology"
 )
 
+// sinkAddr listens on loopback, counting and closing every connection
+// it accepts, and fails the test at cleanup if there was any. A
+// construction that validation must reject points at it, so a missing
+// check shows as a connection instead of hiding behind a refused dial.
+func sinkAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			c.Close()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+		if n := accepted.Load(); n != 0 {
+			t.Errorf("validation let %d connection(s) through to %s", n, ln.Addr())
+		}
+	})
+	return ln.Addr().String()
+}
+
 // TestOptionValidation pins the construction-time rejection of
-// inapplicable or contradictory options.
+// out-of-range, inapplicable or contradictory options, each before
+// anything is dialed, and the acceptance of zero values as the no-ops
+// they read as.
 func TestOptionValidation(t *testing.T) {
 	ctx := context.Background()
-	rejected := []struct {
-		name string
-		do   func() error
-	}{
-		{"local shards and remote shards", func() error {
-			_, err := New(ctx, WithLocalShards(2), WithShards("127.0.0.1:1"))
-			return err
-		}},
-		{"index on remote-shard front", func() error {
-			_, err := New(ctx, WithShards("127.0.0.1:1"), WithIndex(0))
-			return err
-		}},
-		{"parallelism on remote-shard front", func() error {
-			_, err := New(ctx, WithShards("127.0.0.1:1"), WithParallelism(2))
-			return err
-		}},
-		{"shard timeout without shards", func() error {
-			_, err := New(ctx, WithShardTimeout(time.Second))
-			return err
-		}},
-		{"fail-closed without shards", func() error {
-			_, err := New(ctx, WithFailClosed())
-			return err
-		}},
-		{"request timeout on local service", func() error {
-			_, err := New(ctx, WithRequestTimeout(time.Second))
-			return err
-		}},
-		{"zero local shards", func() error {
-			_, err := New(ctx, WithLocalShards(0))
-			return err
-		}},
-		{"empty shard list", func() error {
-			_, err := New(ctx, WithShards())
-			return err
-		}},
-		{"negative index fanout", func() error {
-			_, err := New(ctx, WithIndex(-1))
-			return err
-		}},
-		{"dial with shards", func() error {
-			_, err := Dial(ctx, "127.0.0.1:1", WithLocalShards(2))
-			return err
-		}},
-		{"dial with index", func() error {
-			_, err := Dial(ctx, "127.0.0.1:1", WithIndex(0))
-			return err
-		}},
-		{"dial with shard timeout", func() error {
-			_, err := Dial(ctx, "127.0.0.1:1", WithShardTimeout(time.Second))
-			return err
-		}},
-		{"dial with parallelism", func() error {
-			_, err := Dial(ctx, "127.0.0.1:1", WithParallelism(2))
-			return err
-		}},
-		{"pool size on local service", func() error {
-			_, err := New(ctx, WithPoolSize(2))
-			return err
-		}},
-		{"retry on local service", func() error {
-			_, err := New(ctx, WithRetry(RetryPolicy{Attempts: 3}))
-			return err
-		}},
-		{"keepalive on local service", func() error {
-			_, err := New(ctx, WithKeepalive(time.Second))
-			return err
-		}},
-		{"hedging without shards", func() error {
-			_, err := New(ctx, WithHedging(time.Millisecond))
-			return err
-		}},
-		{"dial with hedging", func() error {
-			_, err := Dial(ctx, "127.0.0.1:1", WithHedging(time.Millisecond))
-			return err
-		}},
-		{"zero pool size", func() error {
-			_, err := Dial(ctx, "127.0.0.1:1", WithPoolSize(0))
-			return err
-		}},
-		{"negative retry attempts", func() error {
-			_, err := Dial(ctx, "127.0.0.1:1", WithRetry(RetryPolicy{Attempts: -1}))
-			return err
-		}},
-		{"non-positive hedge delay", func() error {
-			_, err := New(ctx, WithLocalShards(2), WithHedging(0))
-			return err
-		}},
+	newSvc := func(opts ...Option) error {
+		svc, err := New(ctx, opts...)
+		if err == nil {
+			svc.Close()
+		}
+		return err
 	}
-	for _, tc := range rejected {
-		if err := tc.do(); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+	dial := func(addr string, opts ...Option) error {
+		svc, err := Dial(ctx, addr, opts...)
+		if err == nil {
+			svc.Close()
+		}
+		return err
+	}
+	rejected := map[string]func(sink string) error{
+		"local shards and remote shards": func(sink string) error { return newSvc(WithLocalShards(2), WithShards(sink)) },
+		"index on remote-shard front":    func(sink string) error { return newSvc(WithShards(sink), WithIndex(0)) },
+		"parallelism on a front":         func(sink string) error { return newSvc(WithShards(sink), WithParallelism(2)) },
+		"shard timeout without shards":   func(string) error { return newSvc(WithShardTimeout(time.Second)) },
+		"fail-closed without shards":     func(string) error { return newSvc(WithFailClosed()) },
+		"request timeout, local service": func(string) error { return newSvc(WithRequestTimeout(time.Second)) },
+		"zero local shards":              func(string) error { return newSvc(WithLocalShards(0)) },
+		"empty shard list":               func(string) error { return newSvc(WithShards()) },
+		"negative index fanout":          func(string) error { return newSvc(WithIndex(-1)) },
+		"negative shard timeout":         func(string) error { return newSvc(WithLocalShards(2), WithShardTimeout(-1)) },
+		"negative hedge delay":           func(string) error { return newSvc(WithLocalShards(2), WithHedging(-1)) },
+		"pool size, local service":       func(string) error { return newSvc(WithPoolSize(2)) },
+		"retry, local service":           func(string) error { return newSvc(WithRetry(RetryPolicy{Attempts: 3})) },
+		"keepalive, local service":       func(string) error { return newSvc(WithKeepalive(time.Second)) },
+		"hedging without shards":         func(string) error { return newSvc(WithHedging(time.Millisecond)) },
+		"dial with shards":               func(sink string) error { return dial(sink, WithLocalShards(2)) },
+		"dial with index":                func(sink string) error { return dial(sink, WithIndex(0)) },
+		"dial with shard timeout":        func(sink string) error { return dial(sink, WithShardTimeout(time.Second)) },
+		"dial with parallelism":          func(sink string) error { return dial(sink, WithParallelism(2)) },
+		"dial with hedging":              func(sink string) error { return dial(sink, WithHedging(time.Millisecond)) },
+		"dial with fail-closed":          func(sink string) error { return dial(sink, WithFailClosed()) },
+		"negative pool size, dial":       func(sink string) error { return dial(sink, WithPoolSize(-1)) },
+		"negative pool size, front":      func(sink string) error { return newSvc(WithShards(sink), WithPoolSize(-1)) },
+		"negative retry attempts, dial":  func(sink string) error { return dial(sink, WithRetry(RetryPolicy{Attempts: -1})) },
+		"negative retry delay, front": func(sink string) error {
+			return newSvc(WithShards(sink), WithRetry(RetryPolicy{Attempts: 2, MaxDelay: -1}))
+		},
+		"negative request timeout, dial":  func(sink string) error { return dial(sink, WithRequestTimeout(-1)) },
+		"negative request timeout, front": func(sink string) error { return newSvc(WithShards(sink), WithRequestTimeout(-1)) },
+		"negative dial timeout, front":    func(sink string) error { return newSvc(WithShards(sink), WithDialTimeout(-1)) },
+	}
+	for name, do := range rejected {
+		t.Run(name, func(t *testing.T) {
+			if err := do(sinkAddr(t)); err == nil {
+				t.Error("accepted")
+			}
+		})
+	}
+
+	addr := bootMatchd(t, false)
+	accepted := map[string]func() error{
+		"zero pool size, dial":      func() error { return dial(addr, WithPoolSize(0)) },
+		"zero hedge delay, sharded": func() error { return newSvc(WithLocalShards(2), WithHedging(0)) },
+		"router zeros on a dial": func() error {
+			return dial(addr, WithHedging(0), WithShardTimeout(0), WithParallelism(0), WithWALCompactEvery(0))
+		},
+		"client zeros, local service": func() error {
+			return newSvc(WithPoolSize(0), WithRequestTimeout(0), WithDialTimeout(0), WithKeepalive(0))
+		},
+	}
+	for name, do := range accepted {
+		if err := do(); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
+	}
+}
+
+// TestOptionsSetOneField: every option writes exactly the field of the
+// deployment description that the matching matchd flag fills, and
+// nothing else, so the library and the daemon describe a deployment in
+// one vocabulary.
+func TestOptionsSetOneField(t *testing.T) {
+	reg, hooks := obs.NewRegistry(), obs.NewHooks()
+	retry := RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Second}
+	type tc = topology.Config
+	for _, c := range []struct {
+		name string
+		opt  Option
+		want config
+	}{
+		{"WithIndex: -index, -index-fanout", WithIndex(7), config{Config: tc{Index: true, IndexFanout: 7}}},
+		{"WithWAL: -wal-dir", WithWAL("d"), config{Config: tc{WALDir: "d"}}},
+		{"WithWALCompactEvery: -compact-every", WithWALCompactEvery(8), config{Config: tc{CompactEvery: 8}}},
+		{"WithLocalShards: -local-shards", WithLocalShards(3), config{Config: tc{LocalShards: 3}}},
+		{"WithShards: -shards", WithShards("a:1", "b:1"), config{Config: tc{Shards: []string{"a:1", "b:1"}}}},
+		{"WithReplicas: -replicas", WithReplicas([]string{"r:1"}, nil), config{Config: tc{Replicas: [][]string{{"r:1"}, nil}}}},
+		{"WithParallelism", WithParallelism(2), config{Config: tc{Parallelism: 2}}},
+		{"WithShardTimeout: -shard-timeout", WithShardTimeout(time.Second), config{Config: tc{ShardTimeout: time.Second}}},
+		{"WithHedging: -hedge-delay", WithHedging(time.Millisecond), config{Config: tc{HedgeDelay: time.Millisecond}}},
+		{"WithFailClosed", WithFailClosed(), config{Config: tc{Policy: shard.FailClosed}}},
+		{"WithRequestTimeout", WithRequestTimeout(time.Second), config{Config: tc{Client: matchsvc.ClientOptions{RequestTimeout: time.Second}}}},
+		{"WithDialTimeout", WithDialTimeout(time.Second), config{Config: tc{Client: matchsvc.ClientOptions{RedialTimeout: time.Second}}}},
+		{"WithPoolSize: -pool-size", WithPoolSize(4), config{Config: tc{Client: matchsvc.ClientOptions{PoolSize: 4}}}},
+		{"WithRetry: -retry", WithRetry(retry), config{Config: tc{Client: matchsvc.ClientOptions{Retry: retry}}}},
+		{"WithKeepalive: -keepalive", WithKeepalive(-1), config{Config: tc{Client: matchsvc.ClientOptions{Keepalive: -1}}}},
+		{"WithMetrics: -metrics-addr", WithMetrics(reg), config{Config: tc{Metrics: reg}}},
+		{"WithHooks", WithHooks(hooks), config{hooks: hooks}},
+	} {
+		got, err := buildConfig([]Option{c.opt})
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		} else if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: set %+v, want %+v", c.name, got, c.want)
 		}
 	}
 }

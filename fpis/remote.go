@@ -2,6 +2,9 @@ package fpis
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
 
 	"fpinterop/internal/shard"
 	"fpinterop/internal/topology"
@@ -19,8 +22,12 @@ func Dial(ctx context.Context, addr string, opts ...Option) (Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkDialConfig(cfg); err != nil {
-		return nil, err
+	// One connection has no store, router or shard list to configure.
+	if !reflect.DeepEqual(cfg.Config, topology.Config{Client: cfg.Client, Metrics: cfg.Metrics}) {
+		return nil, errors.New("fpis: Dial takes only the connection options (WithRequestTimeout, WithDialTimeout, WithPoolSize, WithRetry, WithKeepalive), WithMetrics and WithHooks")
+	}
+	if err := cfg.Client.Validate(); err != nil {
+		return nil, fmt.Errorf("fpis: %w", err)
 	}
 	cli, err := topology.Dial(ctx, addr, cfg.Client, cfg.Metrics)
 	if err != nil {

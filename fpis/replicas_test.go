@@ -28,30 +28,31 @@ func TestWithReplicasValidation(t *testing.T) {
 	ctx := context.Background()
 	rejected := []struct {
 		name string
-		do   func() error
+		do   func(sink string) error
 	}{
-		{"replicas without shards", func() error {
-			_, err := New(ctx, WithReplicas([]string{"127.0.0.1:1"}))
+		{"replicas without shards", func(sink string) error {
+			_, err := New(ctx, WithReplicas([]string{sink}))
 			return err
 		}},
-		{"replica slot count mismatch", func() error {
-			_, err := New(ctx, WithShards("127.0.0.1:1", "127.0.0.1:2"),
-				WithReplicas([]string{"127.0.0.1:3"}))
+		{"replica slot count mismatch", func(sink string) error {
+			_, err := New(ctx, WithShards(sink, sink), WithReplicas([]string{sink}))
 			return err
 		}},
-		{"replicas on dial", func() error {
-			_, err := Dial(ctx, "127.0.0.1:1", WithReplicas(nil))
+		{"replicas on dial", func(sink string) error {
+			_, err := Dial(ctx, sink, WithReplicas(nil))
 			return err
 		}},
-		{"empty replicas option", func() error {
-			_, err := New(ctx, WithShards("127.0.0.1:1"), WithReplicas())
+		{"empty replicas option", func(sink string) error {
+			_, err := New(ctx, WithShards(sink), WithReplicas())
 			return err
 		}},
 	}
 	for _, tc := range rejected {
-		if err := tc.do(); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.do(sinkAddr(t)); err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
 }
 

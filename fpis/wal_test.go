@@ -90,10 +90,16 @@ func TestWALOptionValidation(t *testing.T) {
 	if _, err := New(ctx, WithWALCompactEvery(8)); err == nil {
 		t.Fatal("WithWALCompactEvery without WithWAL accepted")
 	}
-	if _, err := New(ctx, WithShards("127.0.0.1:1"), WithWAL(t.TempDir())); err == nil {
+	if _, err := New(ctx, WithWAL(t.TempDir()), WithWALCompactEvery(-1)); err == nil {
+		t.Fatal("negative WithWALCompactEvery accepted")
+	}
+	if _, err := New(ctx, WithShards(sinkAddr(t)), WithWAL(t.TempDir())); err == nil {
 		t.Fatal("WithWAL on a WithShards front accepted")
 	}
-	if _, err := Dial(ctx, "127.0.0.1:1", WithWAL(t.TempDir())); err == nil {
+	if _, err := Dial(ctx, sinkAddr(t), WithWAL(t.TempDir())); err == nil {
 		t.Fatal("WithWAL on Dial accepted")
+	}
+	if _, err := Dial(ctx, sinkAddr(t), WithWALCompactEvery(8)); err == nil {
+		t.Fatal("WithWALCompactEvery on Dial accepted")
 	}
 }

@@ -37,9 +37,9 @@ type ClientOptions struct {
 	// zero falls back to RequestTimeout, so that a deadline-free context
 	// does not leave a connect bounded only by the OS.
 	RedialTimeout time.Duration
-	// PoolSize is how many connections the pool may hold (minimum 1,
-	// the default). Connections beyond the first are dialed on demand,
-	// so a larger pool costs nothing until concurrency needs it.
+	// PoolSize is how many connections the pool may hold; 0 and 1 both
+	// mean one, the default. Connections beyond the first are dialed on
+	// demand, so a larger pool costs nothing until concurrency needs it.
 	PoolSize int
 	// Retry re-sends idempotent requests after transport failures; off
 	// by default.
@@ -48,6 +48,16 @@ type ClientOptions struct {
 	// default, which sits under the server's default 2-minute idle
 	// deadline; negative disables keepalives.
 	Keepalive time.Duration
+}
+
+// Validate rejects a negative pool size, retry field or timeout;
+// Keepalive is the one field whose negative values mean something.
+func (o ClientOptions) Validate() error {
+	if o.PoolSize < 0 || o.RequestTimeout < 0 || o.RedialTimeout < 0 ||
+		o.Retry.Attempts < 0 || o.Retry.BaseDelay < 0 || o.Retry.MaxDelay < 0 {
+		return fmt.Errorf("matchsvc: pool size, retry fields and timeouts must be >= 0, got %+v", o)
+	}
+	return nil
 }
 
 // Client is a connection pool to the matching service. It is safe for

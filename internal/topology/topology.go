@@ -68,11 +68,14 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// Validate is the one list of which fields go together; Build applies
-// it, so fpis.New and cmd/matchd answer to the same rules and keep only
-// what is syntax on their side (whether an option was given at all,
-// flag ranges, -replica-of's exclusions).
+// Validate is the one list of value ranges and of which fields go
+// together; Build applies it, so fpis.New and cmd/matchd answer to the
+// same rules. A zero value is the no-op it reads as wherever it does
+// not apply, so a field needs checking only when it is set.
 func (c Config) Validate() error {
+	if err := c.Client.Validate(); err != nil {
+		return fmt.Errorf("topology: Client: %w", err)
+	}
 	front := len(c.Shards) > 0
 	sharded := front || c.LocalShards > 0
 	client := c.Client
@@ -144,6 +147,7 @@ func Build(ctx context.Context, cfg Config) (t *Topology, err error) {
 	var backends []shard.Backend
 	switch {
 	case len(cfg.Shards) > 0:
+		cfg.Client = cfg.frontClient()
 		for i, addr := range cfg.Shards {
 			b, err := t.dial(ctx, cfg, addr)
 			if err != nil {
@@ -193,6 +197,31 @@ func Build(ctx context.Context, cfg Config) (t *Topology, err error) {
 	}
 	t.Backend = shard.Front{Router: t.Router}
 	return t, nil
+}
+
+// The bounds a front fills in where its Client leaves them 0, so that
+// a hung shard cannot wedge it and abandoned scatter calls unwind: a
+// deadline-free round trip gets twice ShardTimeout (headroom over the
+// router's own deadline), or RequestTimeout without one, and a
+// connection attempt RedialTimeout. matchd -replica-of dials its
+// primary with the same two.
+const (
+	RequestTimeout = 2 * time.Minute
+	RedialTimeout  = 5 * time.Second
+)
+
+// frontClient is c.Client with a front's bounds filled in.
+func (c Config) frontClient() matchsvc.ClientOptions {
+	o := c.Client
+	if o.RequestTimeout == 0 {
+		if o.RequestTimeout = 2 * c.ShardTimeout; o.RequestTimeout <= 0 {
+			o.RequestTimeout = RequestTimeout
+		}
+	}
+	if o.RedialTimeout == 0 {
+		o.RedialTimeout = RedialTimeout
+	}
+	return o
 }
 
 // dial connects one remote shard (or replica) and keeps the client for
