@@ -88,10 +88,7 @@ func BenchmarkServiceIdentifyMetricsOff(b *testing.B) {
 }
 
 func BenchmarkServiceIdentifyMetricsOn(b *testing.B) {
-	reg := obs.NewRegistry()
-	hooks := obs.NewHooks()
-	hooks.OnAfter(func(obs.Event) {})
-	benchIdentify(b, benchService(b, WithMetrics(reg), WithHooks(hooks)))
+	benchIdentify(b, benchService(b, WithMetrics(obs.NewRegistry())))
 }
 
 func BenchmarkServiceVerifyMetricsOff(b *testing.B) {

@@ -63,7 +63,7 @@ func TestShardedIdentifyCancellationMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := Service(topologyService(&topology.Topology{Backend: shard.Front{Router: router}, Router: router}, config{}))
+	svc := Service(topologyService(&topology.Topology{Backend: shard.Front{Router: router}, Router: router}, nil))
 	defer svc.Close()
 	ctx := context.Background()
 	items := make([]Enrollment, len(gal))

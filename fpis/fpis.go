@@ -156,9 +156,9 @@ func New(ctx context.Context, opts ...Option) (Service, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t, err := topology.Build(ctx, cfg.Config)
+	t, err := topology.Build(ctx, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fpis: %w", err)
 	}
-	return topologyService(t, cfg), nil
+	return topologyService(t, cfg.Metrics), nil
 }

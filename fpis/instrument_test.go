@@ -2,14 +2,13 @@ package fpis
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/obs"
-	"fpinterop/internal/topology"
 )
 
 // nopBackend is an inert gallery backend: the service over it measures
@@ -26,33 +25,29 @@ func (nopBackend) IdentifyDetailed(context.Context, *Template, int) ([]Candidate
 }
 func (nopBackend) Len(context.Context) (int, error) { return 0, nil }
 
-// nopService is the facade over nopBackend under cfg.
-func nopService(cfg config) Service {
-	return newService("local", cfg, nopBackend{}, nil,
+// nopService is the facade over nopBackend, instrumented into reg when
+// it is non-nil.
+func nopService(reg *obs.Registry) Service {
+	return newService("local", reg, nopBackend{}, nil,
 		func(context.Context) (Stats, error) { return Stats{}, nil },
 		func() error { return nil })
 }
 
 // TestInstrumentationZeroAllocOverhead pins the tentpole's
-// non-negotiable: with metrics AND hooks enabled, the wrapper adds
-// zero allocations per operation on the success path. Both the bare
+// non-negotiable: with metrics enabled, the wrapper adds zero
+// allocations per operation on the success path. Both the bare
 // and the instrumented facade must allocate exactly the table's count:
 // nothing, except Enroll's batch of one handed to the backend.
 func TestInstrumentationZeroAllocOverhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	reg := obs.NewRegistry()
-	hooks := obs.NewHooks()
-	var afterCalls atomic.Int64
-	hooks.OnBefore(func(op, backend string) {})
-	hooks.OnAfter(func(e obs.Event) { afterCalls.Add(1) })
 	services := []struct {
 		name string
 		svc  Service
 	}{
-		{"bare", nopService(config{})},
-		{"instrumented", nopService(config{Config: topology.Config{Metrics: reg}, hooks: hooks})},
+		{"bare", nopService(nil)},
+		{"instrumented", nopService(obs.NewRegistry())},
 	}
 	ctx := context.Background()
 
@@ -77,93 +72,59 @@ func TestInstrumentationZeroAllocOverhead(t *testing.T) {
 			}
 		})
 	}
-	if afterCalls.Load() == 0 {
-		t.Fatal("after hooks never ran")
-	}
 }
 
+// TestWithMetricsRecordsOps: latency and error-class families carry
+// the deployment shape's backend label, on a single store and on an
+// in-process router alike.
 func TestWithMetricsRecordsOps(t *testing.T) {
 	gal, probes := confFixtures(t)
-	reg := obs.NewRegistry()
-	ctx := context.Background()
-	svc, err := New(ctx, WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	for i := range gal {
-		if err := svc.Enroll(ctx, confID(i), "D0", gal[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := svc.Identify(ctx, probes[0], 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Remove(ctx, "no-such-id"); err == nil {
-		t.Fatal("expected ErrNotFound")
-	}
-
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`fpis_op_latency_ns_count{op="enroll",backend="local"} ` + strconv.Itoa(len(gal)),
-		`fpis_op_latency_ns_count{op="identify",backend="local"} 1`,
-		`fpis_op_errors_total{op="remove",backend="local",class="not_found"} 1`,
+	for _, tc := range []struct {
+		backend string
+		opts    []Option
+	}{
+		{"local", nil},
+		{"sharded", []Option{WithLocalShards(2)}},
 	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Fatalf("metrics missing %q in:\n%s", want, out)
-		}
-	}
-}
+		t.Run(tc.backend, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			ctx := context.Background()
+			svc, err := New(ctx, append(tc.opts, WithMetrics(reg))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			for i := range gal {
+				if err := svc.Enroll(ctx, confID(i), "D0", gal[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := svc.Enroll(ctx, confID(0), "D0", gal[0]); !errors.Is(err, ErrDuplicate) {
+				t.Fatalf("re-enroll = %v, want ErrDuplicate", err)
+			}
+			if _, err := svc.Identify(ctx, probes[0], 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Remove(ctx, "no-such-id"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("remove = %v, want ErrNotFound", err)
+			}
 
-func TestWithHooksSeesEventsAndClasses(t *testing.T) {
-	gal, probes := confFixtures(t)
-	hooks := obs.NewHooks()
-	type seen struct {
-		op, backend, class string
-		hadErr             bool
-	}
-	var events []seen
-	hooks.OnAfter(func(e obs.Event) {
-		events = append(events, seen{e.Op, e.Backend, e.Class, e.Err != nil})
-	})
-	var errEvents []seen
-	hooks.OnError(func(e obs.Event) {
-		errEvents = append(errEvents, seen{e.Op, e.Backend, e.Class, e.Err != nil})
-	})
-	ctx := context.Background()
-	svc, err := New(ctx, WithHooks(hooks), WithLocalShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if err := svc.Enroll(ctx, confID(0), "D0", gal[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Verify(ctx, confID(0), probes[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Enroll(ctx, confID(0), "D0", gal[0]); err == nil {
-		t.Fatal("expected ErrDuplicate")
-	}
-	want := []seen{
-		{"enroll", "sharded", "", false},
-		{"verify", "sharded", "", false},
-		{"enroll", "sharded", "duplicate", true},
-	}
-	if len(events) != len(want) {
-		t.Fatalf("events %+v, want %+v", events, want)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, events[i], want[i])
-		}
-	}
-	if len(errEvents) != 1 || errEvents[0].class != "duplicate" {
-		t.Fatalf("error hooks saw %+v, want one duplicate", errEvents)
+			var b strings.Builder
+			if err := reg.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			out := b.String()
+			for _, want := range []string{
+				`fpis_op_latency_ns_count{op="enroll",backend="` + tc.backend + `"} ` + strconv.Itoa(len(gal)+1),
+				`fpis_op_latency_ns_count{op="identify",backend="` + tc.backend + `"} 1`,
+				`fpis_op_errors_total{op="enroll",backend="` + tc.backend + `",class="duplicate"} 1`,
+				`fpis_op_errors_total{op="remove",backend="` + tc.backend + `",class="not_found"} 1`,
+			} {
+				if !strings.Contains(out, want+"\n") {
+					t.Fatalf("metrics missing %q in:\n%s", want, out)
+				}
+			}
+		})
 	}
 }
 
@@ -187,8 +148,5 @@ func TestErrClass(t *testing.T) {
 func TestOptionsRejectNilObservability(t *testing.T) {
 	if _, err := New(context.Background(), WithMetrics(nil)); err == nil {
 		t.Fatal("WithMetrics(nil) accepted")
-	}
-	if _, err := New(context.Background(), WithHooks(nil)); err == nil {
-		t.Fatal("WithHooks(nil) accepted")
 	}
 }

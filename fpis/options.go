@@ -15,14 +15,7 @@ import (
 // field of the deployment description, to what the matching matchd flag
 // would. A negative count or duration is rejected, and so is a non-zero
 // value on a shape it does not apply to; a zero there is a no-op.
-type Option func(*config) error
-
-// config is the deployment description the options fill, plus the
-// hook bus, which belongs to the facade alone.
-type config struct {
-	topology.Config
-	hooks *obs.Hooks
-}
+type Option func(*topology.Config) error
 
 // WithIndex enables the minutia-triplet retrieval index (matchd -index),
 // so 1:N identification searches a candidate shortlist instead of the
@@ -31,7 +24,7 @@ type config struct {
 // under WithLocalShards — not to remote connections, where the index
 // lives in the serving process.
 func WithIndex(fanout int) Option {
-	return set(func(c *config) { c.Index, c.IndexFanout = true, fanout })
+	return set(func(c *topology.Config) { c.Index, c.IndexFanout = true, fanout })
 }
 
 // WithWAL makes every mutation durable through a per-shard write-ahead
@@ -44,7 +37,7 @@ func WithIndex(fanout int) Option {
 // single local store or WithLocalShards — not to remote connections,
 // where durability belongs to the serving process.
 func WithWAL(dir string) Option {
-	return func(c *config) error {
+	return func(c *topology.Config) error {
 		if dir == "" {
 			return errors.New("fpis: WithWAL needs a directory")
 		}
@@ -58,13 +51,13 @@ func WithWAL(dir string) Option {
 // bounding replay work on the next startup. 0 disables automatic
 // compaction (the log grows until the service is rebuilt). Needs WithWAL.
 func WithWALCompactEvery(n int) Option {
-	return set(func(c *config) { c.CompactEvery = n })
+	return set(func(c *topology.Config) { c.CompactEvery = n })
 }
 
 // WithLocalShards (matchd -local-shards) partitions the gallery across n
 // in-process stores behind a consistent-hash router. Excludes WithShards.
 func WithLocalShards(n int) Option {
-	return func(c *config) error {
+	return func(c *topology.Config) error {
 		if n <= 0 {
 			return fmt.Errorf("fpis: WithLocalShards needs n > 0, got %d", n)
 		}
@@ -78,7 +71,7 @@ func WithLocalShards(n int) Option {
 // Mutually exclusive with WithLocalShards and WithIndex (indexing
 // belongs to the shard processes that own the data).
 func WithShards(addrs ...string) Option {
-	return func(c *config) error {
+	return func(c *topology.Config) error {
 		if len(addrs) == 0 {
 			return errors.New("fpis: WithShards needs at least one address")
 		}
@@ -96,7 +89,7 @@ func WithShards(addrs ...string) Option {
 // race. The argument count must match WithShards exactly — an empty (or
 // nil) list is valid for a slot with no replicas.
 func WithReplicas(replicas ...[]string) Option {
-	return set(func(c *config) {
+	return set(func(c *topology.Config) {
 		c.Replicas = make([][]string, len(replicas))
 		for i, rs := range replicas {
 			c.Replicas[i] = append([]string(nil), rs...)
@@ -109,7 +102,7 @@ func WithReplicas(replicas ...[]string) Option {
 // workers. n <= 0 is the default (GOMAXPROCS per store). A WithShards
 // front and a Dial client hold no store, so they reject any n but 0.
 func WithParallelism(n int) Option {
-	return set(func(c *config) { c.Parallelism = n })
+	return set(func(c *topology.Config) { c.Parallelism = n })
 }
 
 // WithShardTimeout (matchd -shard-timeout) bounds each shard's share of
@@ -117,7 +110,7 @@ func WithParallelism(n int) Option {
 // counts toward degradation) while the healthy shards' answers are
 // merged. 0 disables the per-shard deadline. Requires a sharded shape.
 func WithShardTimeout(d time.Duration) Option {
-	return set(func(c *config) { c.ShardTimeout = d })
+	return set(func(c *topology.Config) { c.ShardTimeout = d })
 }
 
 // WithRequestTimeout sets the fallback wire round-trip bound used when
@@ -127,7 +120,7 @@ func WithShardTimeout(d time.Duration) Option {
 // WithShardTimeout (2 minutes without one), as on a matchd -shards
 // front, so a hung shard cannot wedge the front.
 func WithRequestTimeout(d time.Duration) Option {
-	return set(func(c *config) { c.Client.RequestTimeout = d })
+	return set(func(c *topology.Config) { c.Client.RequestTimeout = d })
 }
 
 // WithDialTimeout bounds each connection attempt — TCP connect plus
@@ -138,7 +131,7 @@ func WithRequestTimeout(d time.Duration) Option {
 // on Dial (with neither set an attempt is bounded by its context
 // alone) and is 5 seconds on a WithShards front, as on matchd's.
 func WithDialTimeout(d time.Duration) Option {
-	return set(func(c *config) { c.Client.RedialTimeout = d })
+	return set(func(c *topology.Config) { c.Client.RedialTimeout = d })
 }
 
 // RetryPolicy configures transparent retries of idempotent remote
@@ -159,7 +152,7 @@ type RetryPolicy = matchsvc.Retry
 // carries concurrent requests, so the pool is for spreading load and
 // surviving per-connection stalls. Applies to Dial and WithShards.
 func WithPoolSize(n int) Option {
-	return set(func(c *config) { c.Client.PoolSize = n })
+	return set(func(c *topology.Config) { c.Client.PoolSize = n })
 }
 
 // WithRetry enables transparent retries of idempotent remote operations
@@ -167,7 +160,7 @@ func WithPoolSize(n int) Option {
 // (matchd -retry sets Attempts). Applies to remote connections (Dial
 // and WithShards); retries are off by default.
 func WithRetry(p RetryPolicy) Option {
-	return set(func(c *config) { c.Client.Retry = p })
+	return set(func(c *topology.Config) { c.Client.Retry = p })
 }
 
 // WithKeepalive (matchd -keepalive) sets the interval at which idle
@@ -175,7 +168,7 @@ func WithRetry(p RetryPolicy) Option {
 // them: 0 is the 50s default, under matchd's 2-minute idle deadline, and
 // d < 0 disables keepalives. Applies to Dial and WithShards.
 func WithKeepalive(d time.Duration) Option {
-	return set(func(c *config) { c.Client.Keepalive = d })
+	return set(func(c *topology.Config) { c.Client.Keepalive = d })
 }
 
 // WithHedging (matchd -hedge-delay) enables hedged identification: a
@@ -187,7 +180,7 @@ func WithKeepalive(d time.Duration) Option {
 // results are identical to the unhedged path. 0, the default, is off;
 // any other d requires a sharded deployment.
 func WithHedging(d time.Duration) Option {
-	return set(func(c *config) { c.HedgeDelay = d })
+	return set(func(c *topology.Config) { c.HedgeDelay = d })
 }
 
 // WithMetrics attaches an observability registry: the service records
@@ -200,27 +193,11 @@ func WithHedging(d time.Duration) Option {
 // Metric recording is lock-free atomics on resolved handles, so the
 // zero-allocation hot paths stay zero-allocation.
 func WithMetrics(reg *obs.Registry) Option {
-	return func(c *config) error {
+	return func(c *topology.Config) error {
 		if reg == nil {
 			return errors.New("fpis: WithMetrics needs a non-nil registry")
 		}
 		c.Metrics = reg
-		return nil
-	}
-}
-
-// WithHooks attaches a lifecycle-hook bus: registered callbacks run
-// before and after every facade operation (and on errors) with the op
-// name, backend kind, duration, and error class — the seam for custom
-// logging, tracing, or caching without the service knowing. Applies
-// to every deployment shape. Hooks run synchronously on the calling
-// goroutine and must not block.
-func WithHooks(h *obs.Hooks) Option {
-	return func(c *config) error {
-		if h == nil {
-			return errors.New("fpis: WithHooks needs a non-nil bus")
-		}
-		c.hooks = h
 		return nil
 	}
 }
@@ -230,22 +207,22 @@ func WithHooks(h *obs.Hooks) Option {
 // coverage flagged Partial — the integrity-first posture. Requires a
 // sharded deployment.
 func WithFailClosed() Option {
-	return set(func(c *config) { c.Policy = shard.FailClosed })
+	return set(func(c *topology.Config) { c.Policy = shard.FailClosed })
 }
 
 // set is an option that cannot fail.
-func set(f func(*config)) Option {
-	return func(c *config) error {
+func set(f func(*topology.Config)) Option {
+	return func(c *topology.Config) error {
 		f(c)
 		return nil
 	}
 }
 
-func buildConfig(opts []Option) (config, error) {
-	var c config
+func buildConfig(opts []Option) (topology.Config, error) {
+	var c topology.Config
 	for _, o := range opts {
 		if err := o(&c); err != nil {
-			return config{}, err
+			return topology.Config{}, err
 		}
 	}
 	return c, nil

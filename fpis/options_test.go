@@ -134,31 +134,30 @@ func TestOptionValidation(t *testing.T) {
 // nothing else, so the library and the daemon describe a deployment in
 // one vocabulary.
 func TestOptionsSetOneField(t *testing.T) {
-	reg, hooks := obs.NewRegistry(), obs.NewHooks()
+	reg := obs.NewRegistry()
 	retry := RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Second}
 	type tc = topology.Config
 	for _, c := range []struct {
 		name string
 		opt  Option
-		want config
+		want tc
 	}{
-		{"WithIndex: -index, -index-fanout", WithIndex(7), config{Config: tc{Index: true, IndexFanout: 7}}},
-		{"WithWAL: -wal-dir", WithWAL("d"), config{Config: tc{WALDir: "d"}}},
-		{"WithWALCompactEvery: -compact-every", WithWALCompactEvery(8), config{Config: tc{CompactEvery: 8}}},
-		{"WithLocalShards: -local-shards", WithLocalShards(3), config{Config: tc{LocalShards: 3}}},
-		{"WithShards: -shards", WithShards("a:1", "b:1"), config{Config: tc{Shards: []string{"a:1", "b:1"}}}},
-		{"WithReplicas: -replicas", WithReplicas([]string{"r:1"}, nil), config{Config: tc{Replicas: [][]string{{"r:1"}, nil}}}},
-		{"WithParallelism", WithParallelism(2), config{Config: tc{Parallelism: 2}}},
-		{"WithShardTimeout: -shard-timeout", WithShardTimeout(time.Second), config{Config: tc{ShardTimeout: time.Second}}},
-		{"WithHedging: -hedge-delay", WithHedging(time.Millisecond), config{Config: tc{HedgeDelay: time.Millisecond}}},
-		{"WithFailClosed", WithFailClosed(), config{Config: tc{Policy: shard.FailClosed}}},
-		{"WithRequestTimeout", WithRequestTimeout(time.Second), config{Config: tc{Client: matchsvc.ClientOptions{RequestTimeout: time.Second}}}},
-		{"WithDialTimeout", WithDialTimeout(time.Second), config{Config: tc{Client: matchsvc.ClientOptions{RedialTimeout: time.Second}}}},
-		{"WithPoolSize: -pool-size", WithPoolSize(4), config{Config: tc{Client: matchsvc.ClientOptions{PoolSize: 4}}}},
-		{"WithRetry: -retry", WithRetry(retry), config{Config: tc{Client: matchsvc.ClientOptions{Retry: retry}}}},
-		{"WithKeepalive: -keepalive", WithKeepalive(-1), config{Config: tc{Client: matchsvc.ClientOptions{Keepalive: -1}}}},
-		{"WithMetrics: -metrics-addr", WithMetrics(reg), config{Config: tc{Metrics: reg}}},
-		{"WithHooks", WithHooks(hooks), config{hooks: hooks}},
+		{"WithIndex: -index, -index-fanout", WithIndex(7), tc{Index: true, IndexFanout: 7}},
+		{"WithWAL: -wal-dir", WithWAL("d"), tc{WALDir: "d"}},
+		{"WithWALCompactEvery: -compact-every", WithWALCompactEvery(8), tc{CompactEvery: 8}},
+		{"WithLocalShards: -local-shards", WithLocalShards(3), tc{LocalShards: 3}},
+		{"WithShards: -shards", WithShards("a:1", "b:1"), tc{Shards: []string{"a:1", "b:1"}}},
+		{"WithReplicas: -replicas", WithReplicas([]string{"r:1"}, nil), tc{Replicas: [][]string{{"r:1"}, nil}}},
+		{"WithParallelism", WithParallelism(2), tc{Parallelism: 2}},
+		{"WithShardTimeout: -shard-timeout", WithShardTimeout(time.Second), tc{ShardTimeout: time.Second}},
+		{"WithHedging: -hedge-delay", WithHedging(time.Millisecond), tc{HedgeDelay: time.Millisecond}},
+		{"WithFailClosed", WithFailClosed(), tc{Policy: shard.FailClosed}},
+		{"WithRequestTimeout", WithRequestTimeout(time.Second), tc{Client: matchsvc.ClientOptions{RequestTimeout: time.Second}}},
+		{"WithDialTimeout", WithDialTimeout(time.Second), tc{Client: matchsvc.ClientOptions{RedialTimeout: time.Second}}},
+		{"WithPoolSize: -pool-size", WithPoolSize(4), tc{Client: matchsvc.ClientOptions{PoolSize: 4}}},
+		{"WithRetry: -retry", WithRetry(retry), tc{Client: matchsvc.ClientOptions{Retry: retry}}},
+		{"WithKeepalive: -keepalive", WithKeepalive(-1), tc{Client: matchsvc.ClientOptions{Keepalive: -1}}},
+		{"WithMetrics: -metrics-addr", WithMetrics(reg), tc{Metrics: reg}},
 	} {
 		got, err := buildConfig([]Option{c.opt})
 		if err != nil {

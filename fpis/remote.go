@@ -23,8 +23,8 @@ func Dial(ctx context.Context, addr string, opts ...Option) (Service, error) {
 		return nil, err
 	}
 	// One connection has no store, router or shard list to configure.
-	if !reflect.DeepEqual(cfg.Config, topology.Config{Client: cfg.Client, Metrics: cfg.Metrics}) {
-		return nil, errors.New("fpis: Dial takes only the connection options (WithRequestTimeout, WithDialTimeout, WithPoolSize, WithRetry, WithKeepalive), WithMetrics and WithHooks")
+	if !reflect.DeepEqual(cfg, topology.Config{Client: cfg.Client, Metrics: cfg.Metrics}) {
+		return nil, errors.New("fpis: Dial takes only the connection options (WithRequestTimeout, WithDialTimeout, WithPoolSize, WithRetry, WithKeepalive) and WithMetrics")
 	}
 	if err := cfg.Client.Validate(); err != nil {
 		return nil, fmt.Errorf("fpis: %w", err)
@@ -35,5 +35,5 @@ func Dial(ctx context.Context, addr string, opts ...Option) (Service, error) {
 	}
 	// The wire client already returns the facade's sentinels (the
 	// response status byte names them), so errors pass through untouched.
-	return newService("remote", cfg, shard.NewRemote(addr, cli), nil, cli.ServiceStats, cli.Close), nil
+	return newService("remote", cfg.Metrics, shard.NewRemote(addr, cli), nil, cli.ServiceStats, cli.Close), nil
 }

@@ -25,66 +25,67 @@ type service struct {
 	router *shard.Router
 	stats  func(context.Context) (Stats, error)
 	close  func() error
-	// obs is nil unless WithMetrics or WithHooks was given; every
-	// method pays one nil check for it.
+	// obs is nil unless WithMetrics was given; every method pays one
+	// nil check for it.
 	obs *observer
 }
 
 // newService assembles the facade; label is the deployment-shape
-// metric label ("local", "sharded", "remote").
-func newService(label string, cfg config, b matchsvc.Backend, router *shard.Router,
+// metric label ("local", "sharded", "remote") and reg, when non-nil,
+// receives the facade's metrics.
+func newService(label string, reg *obs.Registry, b matchsvc.Backend, router *shard.Router,
 	stats func(context.Context) (Stats, error), close func() error) *service {
-	return &service{backend: b, router: router, stats: stats, close: close, obs: newObserver(label, cfg)}
+	return &service{backend: b, router: router, stats: stats, close: close, obs: newObserver(label, reg)}
 }
 
 // topologyService is the facade over an in-process deployment.
-func topologyService(t *topology.Topology, cfg config) *service {
+func topologyService(t *topology.Topology, reg *obs.Registry) *service {
 	label := "local"
 	if t.Router != nil {
 		label = "sharded"
 	}
-	return newService(label, cfg, t.Backend, t.Router, t.Stats, t.Close)
+	return newService(label, reg, t.Backend, t.Router, t.Stats, t.Close)
 }
 
 // Enroll is a batch of one below the facade: the contract has one
 // write verb.
 func (s *service) Enroll(ctx context.Context, id, deviceID string, tpl *Template) error {
-	t0 := s.obs.begin(opEnroll)
+	t0 := s.obs.begin()
 	err := s.backend.EnrollBatch(ctx, []Enrollment{{ID: id, DeviceID: deviceID, Template: tpl}})
 	s.obs.end(opEnroll, t0, err)
 	return err
 }
 
 func (s *service) EnrollBatch(ctx context.Context, items []Enrollment) error {
-	t0 := s.obs.begin(opEnrollBatch)
+	t0 := s.obs.begin()
 	err := s.backend.EnrollBatch(ctx, items)
 	s.obs.end(opEnrollBatch, t0, err)
 	return err
 }
 
 func (s *service) Remove(ctx context.Context, id string) error {
-	t0 := s.obs.begin(opRemove)
+	t0 := s.obs.begin()
 	err := s.backend.Remove(ctx, id)
 	s.obs.end(opRemove, t0, err)
 	return err
 }
 
 func (s *service) Verify(ctx context.Context, id string, probe *Template) (MatchResult, error) {
-	t0 := s.obs.begin(opVerify)
+	t0 := s.obs.begin()
 	res, err := s.backend.Verify(ctx, id, probe)
 	s.obs.end(opVerify, t0, err)
 	return res, err
 }
 
 func (s *service) Identify(ctx context.Context, probe *Template, k int) ([]Candidate, error) {
-	t0 := s.obs.begin(opIdentify)
+	t0 := s.obs.begin()
 	out, _, err := s.identify(ctx, probe, k)
 	s.obs.end(opIdentify, t0, err)
 	return out, err
 }
 
 func (s *service) IdentifyDetailed(ctx context.Context, probe *Template, k int) ([]Candidate, IdentifyStats, error) {
-	t0 := s.obs.begin(opIdentifyDetailed)
+	t0 := s.obs.begin()
 	out, st, err := s.identify(ctx, probe, k)
 	s.obs.end(opIdentifyDetailed, t0, err)
 	return out, st, err
@@ -132,14 +133,14 @@ func foldGalleryStats(st gallery.IdentifyStats) IdentifyStats {
 }
 
 func (s *service) Stats(ctx context.Context) (Stats, error) {
-	t0 := s.obs.begin(opStats)
+	t0 := s.obs.begin()
 	st, err := s.stats(ctx)
 	s.obs.end(opStats, t0, err)
 	return st, err
 }
 
 func (s *service) Close() error {
-	t0 := s.obs.begin(opClose)
+	t0 := s.obs.begin()
 	err := s.close()
 	s.obs.end(opClose, t0, err)
 	return err
@@ -165,33 +166,27 @@ var opNames = [opCount]string{
 	"identify", "identify_detailed", "stats", "close",
 }
 
-// observer is a service's instrumentation: per-op latency histograms,
-// error-class counters, and lifecycle-hook dispatch. Its methods are
-// nil-safe, so an unobserved service carries a nil pointer and no
-// wrapper at all.
+// observer is a service's instrumentation: per-op latency histograms
+// and error-class counters. Its methods are nil-safe, so an unobserved
+// service carries a nil pointer and no wrapper at all.
 type observer struct {
 	backend string
-	hooks   *obs.Hooks
 	lat     [opCount]*obs.Histogram
 	errs    *obs.CounterVec
 }
 
-// newObserver returns nil unless cfg asks for observability.
-func newObserver(backend string, cfg config) *observer {
-	if cfg.Metrics == nil && cfg.hooks == nil {
+// newObserver returns nil without a registry.
+func newObserver(backend string, reg *obs.Registry) *observer {
+	if reg == nil {
 		return nil
 	}
-	o := &observer{backend: backend, hooks: cfg.hooks}
-	if cfg.Metrics != nil {
-		latVec := cfg.Metrics.HistogramVec("fpis_op_latency_ns",
-			"Facade operation latency in nanoseconds.",
-			obs.LatencyBuckets(), "op", "backend")
-		for i := range o.lat {
-			o.lat[i] = latVec.With(opNames[i], backend)
-		}
-		o.errs = cfg.Metrics.CounterVec("fpis_op_errors_total",
-			"Facade operation failures by error class.",
-			"op", "backend", "class")
+	o := &observer{backend: backend, errs: reg.CounterVec("fpis_op_errors_total",
+		"Facade operation failures by error class.", "op", "backend", "class")}
+	latVec := reg.HistogramVec("fpis_op_latency_ns",
+		"Facade operation latency in nanoseconds.",
+		obs.LatencyBuckets(), "op", "backend")
+	for i := range o.lat {
+		o.lat[i] = latVec.With(opNames[i], backend)
 	}
 	return o
 }
@@ -218,34 +213,27 @@ func errClass(err error) string {
 	}
 }
 
-// begin runs the before-hooks and starts the clock.
+// begin starts the clock.
 //
 //fpvet:hotpath rides every facade operation, including zero-alloc identify
-func (o *observer) begin(op int) (t0 time.Time) {
+func (o *observer) begin() (t0 time.Time) {
 	if o == nil {
 		return t0
 	}
-	o.hooks.Before(opNames[op], o.backend)
 	return time.Now()
 }
 
 // end records one completed operation: latency always, the error
-// counter on failure, and the hook events. The success path is
-// alloc-free — time.Since, atomic observes, and a by-value Event.
+// counter on failure. The success path is alloc-free — time.Since and
+// atomic observes.
 //
 //fpvet:hotpath rides every facade operation, including zero-alloc identify
 func (o *observer) end(op int, t0 time.Time, err error) {
 	if o == nil {
 		return
 	}
-	d := time.Since(t0)
-	o.lat[op].Observe(int64(d))
-	var class string
+	o.lat[op].ObserveSince(t0)
 	if err != nil {
-		class = errClass(err)
-		if o.errs != nil {
-			o.errs.With(opNames[op], o.backend, class).Inc()
-		}
+		o.errs.With(opNames[op], o.backend, errClass(err)).Inc()
 	}
-	o.hooks.After(obs.Event{Op: opNames[op], Backend: o.backend, Duration: d, Err: err, Class: class})
 }

@@ -254,7 +254,7 @@ func (c *Client) do(ctx context.Context, op byte, payload []byte, decode func(*e
 		defer m.inflight.Dec()
 	}
 	attempts := 1
-	if idempotent(op) && c.opts.Retry.enabled() {
+	if int(op) < numOps && ops[op].idempotent && c.opts.Retry.enabled() {
 		attempts = c.opts.Retry.Attempts
 	}
 	for attempt, stale := 1, 0; ; {

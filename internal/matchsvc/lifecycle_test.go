@@ -190,15 +190,17 @@ func TestStaleConnectionReplayedAtMostTwice(t *testing.T) {
 }
 
 // TestRetryPolicyScope pins what the Retry policy re-sends and what it
-// never does. The fake reads a request and hangs up without answering —
-// a transport failure after the request reached the wire — then serves.
+// never does: every client op once, then the failures that are the
+// answer. The fake reads a request and hangs up without answering — a
+// transport failure after the request reached the wire — then serves
+// zeros, which every read decodes as an empty answer.
 func TestRetryPolicyScope(t *testing.T) {
 	retry := Retry{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	dropFirst := func(conn net.Conn, nreq int, _ byte, id uint64) bool {
 		if nreq == 1 {
 			return false
 		}
-		reply(conn, StatusOK, id, nil)
+		reply(conn, StatusOK, id, make([]byte, 32))
 		return true
 	}
 	mute := func(net.Conn, int, byte, uint64) bool { return true }
@@ -209,6 +211,7 @@ func TestRetryPolicyScope(t *testing.T) {
 		return true
 	}
 	bg := context.Background()
+	tpl := pinFixture()[0].Template
 	pingShort := func(c *Client) error {
 		ctx, cancel := context.WithTimeout(bg, 60*time.Millisecond)
 		defer cancel()
@@ -223,9 +226,36 @@ func TestRetryPolicyScope(t *testing.T) {
 		wantReqs    int32
 		wantRetries uint64
 	}{
-		{"idempotent op is re-sent after a transport failure", dropFirst,
+		{"Ping is re-sent after a transport failure", dropFirst,
 			ClientOptions{Retry: retry}, func(c *Client) error { return c.Ping(bg) }, nil, 2, 1},
-		{"non-idempotent op is not, once it reached the wire", dropFirst,
+		{"Verify is re-sent", dropFirst, ClientOptions{Retry: retry}, func(c *Client) error {
+			_, err := c.Verify(bg, "alice", tpl)
+			return err
+		}, nil, 2, 1},
+		{"IdentifyEx is re-sent", dropFirst, ClientOptions{Retry: retry}, func(c *Client) error {
+			_, _, err := c.IdentifyEx(bg, tpl, 3)
+			return err
+		}, nil, 2, 1},
+		{"Len is re-sent", dropFirst, ClientOptions{Retry: retry}, func(c *Client) error {
+			_, err := c.Len(bg)
+			return err
+		}, nil, 2, 1},
+		{"ServiceStats is re-sent", dropFirst, ClientOptions{Retry: retry}, func(c *Client) error {
+			_, err := c.ServiceStats(bg)
+			return err
+		}, nil, 2, 1},
+		{"SyncSnapshot is re-sent", dropFirst, ClientOptions{Retry: retry}, func(c *Client) error {
+			_, err := c.SyncSnapshot(bg, 0, 0, 64)
+			return err
+		}, nil, 2, 1},
+		{"SyncTail is re-sent", dropFirst, ClientOptions{Retry: retry}, func(c *Client) error {
+			_, err := c.SyncTail(bg, 0, 64)
+			return err
+		}, nil, 2, 1},
+		{"EnrollBatch is not, once it reached the wire", dropFirst, ClientOptions{Retry: retry}, func(c *Client) error {
+			return c.EnrollBatch(bg, []Enrollment{{ID: "alice", DeviceID: "D0", Template: tpl}})
+		}, ErrTransport, 1, 0},
+		{"Remove is not, once it reached the wire", dropFirst,
 			ClientOptions{Retry: retry}, func(c *Client) error { return c.Remove(bg, "alice") }, ErrTransport, 1, 0},
 		{"retries are off by default", dropFirst,
 			ClientOptions{}, func(c *Client) error { return c.Ping(bg) }, ErrTransport, 1, 0},

@@ -12,20 +12,6 @@ import (
 // client and server in the process.
 var framesOutstanding atomic.Int64
 
-// opLabels maps opcodes to their metric label, indexed by opcode.
-var opLabels = [OpSyncTail + 1]string{
-	OpPing:         "ping",
-	OpVerify:       "verify",
-	OpRemove:       "remove",
-	OpCount:        "count",
-	OpIdentifyEx:   "identify_ex",
-	OpEnrollBatch:  "enroll_batch",
-	OpStats:        "stats",
-	OpHello:        "hello",
-	OpSyncSnapshot: "sync_snapshot",
-	OpSyncTail:     "sync_tail",
-}
-
 // clientMetrics holds a client's handles, resolved once in SetMetrics.
 type clientMetrics struct {
 	inflight  *obs.Gauge     // matchsvc_client_inflight
@@ -69,8 +55,8 @@ type serverMetrics struct {
 	connsTotal *obs.Counter // matchsvc_server_connections_total
 	inflight   *obs.Gauge   // matchsvc_server_inflight
 	unknown    *obs.Counter // requests with an opcode outside the table
-	requests   [len(opLabels)]*obs.Counter
-	latency    [len(opLabels)]*obs.Histogram
+	requests   [numOps]*obs.Counter
+	latency    [numOps]*obs.Histogram
 }
 
 // SetMetrics registers the server's wire metrics — connection and
@@ -96,12 +82,12 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 	lat := reg.HistogramVec("matchsvc_server_latency_ns",
 		"Request dispatch latency in nanoseconds, by opcode.",
 		obs.LatencyBuckets(), "op")
-	for op, name := range opLabels {
-		if name == "" {
+	for op, row := range ops {
+		if row.label == "" {
 			continue
 		}
-		m.requests[op] = req.With(name)
-		m.latency[op] = lat.With(name)
+		m.requests[op] = req.With(row.label)
+		m.latency[op] = lat.With(row.label)
 	}
 	reg.GaugeFunc("matchsvc_frame_pool_outstanding",
 		"Frame scratch buffers currently checked out of the shared pool (process-wide).",
@@ -113,7 +99,7 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 //
 //fpvet:hotpath
 func (m *serverMetrics) observeOp(op byte, t0 time.Time) {
-	if int(op) < len(opLabels) && m.requests[op] != nil {
+	if int(op) < numOps && m.requests[op] != nil {
 		m.requests[op].Inc()
 		m.latency[op].ObserveSince(t0)
 		return

@@ -41,7 +41,8 @@ import (
 	"fpinterop/internal/wal"
 )
 
-// Opcodes for requests.
+// Opcodes for requests. What each live one means to the server and
+// the client — metric label, idempotency, handler — is its row of ops.
 const (
 	// OpPing checks liveness.
 	OpPing = 0x01

@@ -46,10 +46,10 @@ func startServerOn(t *testing.T, store Store) (*Client, *Server) {
 func requireOpMetered(t *testing.T, srv *Server, op byte, sent int) {
 	t.Helper()
 	if got := srv.met.requests[op].Value(); got != uint64(sent) {
-		t.Fatalf("requests_total{op=%q} = %d, want the %d sent", opLabels[op], got, sent)
+		t.Fatalf("requests_total{op=%q} = %d, want the %d sent", ops[op].label, got, sent)
 	}
 	if got := srv.met.latency[op].Count(); got != uint64(sent) {
-		t.Fatalf("latency_ns{op=%q} holds %d observations, want %d", opLabels[op], got, sent)
+		t.Fatalf("latency_ns{op=%q} holds %d observations, want %d", ops[op].label, got, sent)
 	}
 	if got := srv.met.unknown.Value(); got != 0 {
 		t.Fatalf("unknown_ops_total = %d after only known opcodes", got)

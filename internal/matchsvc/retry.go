@@ -13,9 +13,8 @@ import (
 	"time"
 )
 
-// Retry configures transparent retries of idempotent operations
-// (Ping, Verify, Identify, Count, ServiceStats and the replica sync
-// reads) after transport failures.
+// Retry configures transparent retries of idempotent operations —
+// every read, marked so in the ops table — after transport failures.
 type Retry struct {
 	// Attempts is the total number of tries, including the first;
 	// values below 2 disable retries.
@@ -28,15 +27,6 @@ type Retry struct {
 }
 
 func (r Retry) enabled() bool { return r.Attempts > 1 }
-
-// idempotent reports whether re-asking op cannot double-apply.
-func idempotent(op byte) bool {
-	switch op {
-	case OpPing, OpVerify, OpIdentifyEx, OpCount, OpStats, OpSyncSnapshot, OpSyncTail:
-		return true
-	}
-	return false
-}
 
 // delay returns the jittered backoff before the given retry (1 is the
 // first retry). jitter is uniform in [0,1) and spreads the delay over

@@ -249,53 +249,69 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) error {
 	return s.handleMux(ctx, conn)
 }
 
-// dispatch executes one request under its context and builds the
-// response payload into w (arriving empty; dispatch must not retain
-// payload or w.Buf past the return — both are request-scoped scratch).
-func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.Writer) (byte, []byte) {
-	fail := func(err error) (byte, []byte) {
-		// A branch may have written part of a success payload before
-		// failing; the error response starts clean.
-		w.Buf = w.Buf[:0]
-		// Error strings are bounded by the frame cap; truncate defensively.
-		msg := err.Error()
-		if len(msg) > 1024 {
-			msg = msg[:1024]
-		}
-		status := StatusFor(err)
-		if werr := w.String(msg); werr != nil {
-			return status, nil
-		}
-		return status, w.Buf
-	}
-	r := &enc.Reader{Buf: payload}
-	switch op {
-	case OpPing:
-		return StatusOK, nil
+// opRow is everything one opcode is besides its number: the label its
+// metrics carry, whether a client may re-send it after a transport
+// failure (re-asking cannot double-apply — see Retry), and how the
+// server answers it: decode the request payload, call the backend,
+// encode the response into w. A row without serve is refused with the
+// unknown-opcode error: a retired number, or the hello, which only
+// opens a connection.
+type opRow struct {
+	label      string
+	idempotent bool
+	serve      func(ctx context.Context, s *Server, payload []byte, w *enc.Writer) error
+}
 
-	case OpVerify:
+// numOps sizes the opcode-indexed tables. It cannot be len(ops): ops
+// names Server, whose metrics hold arrays of this length.
+const numOps = OpSyncTail + 1
+
+// ops is the opcode table. Retiring an opcode deletes its row; the
+// number stays unused.
+var ops = [numOps]opRow{
+	OpPing: {"ping", true, func(context.Context, *Server, []byte, *enc.Writer) error { return nil }},
+
+	OpVerify: {"verify", true, func(ctx context.Context, s *Server, payload []byte, w *enc.Writer) error {
+		r := enc.Reader{Buf: payload}
 		id := r.String()
-		probe, err := readTemplate(r)
+		probe, err := readTemplate(&r)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		res, err := s.backend.Verify(ctx, id, probe)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		w.Float64(res.Score)
 		w.Uint32(uint32(res.Matched))
-		return StatusOK, w.Buf
+		return nil
+	}},
 
-	case OpIdentifyEx:
+	OpRemove: {"remove", false, func(ctx context.Context, s *Server, payload []byte, _ *enc.Writer) error {
+		r := enc.Reader{Buf: payload}
+		id := r.String()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		return s.backend.Remove(ctx, id)
+	}},
+
+	OpCount: {"count", true, func(ctx context.Context, s *Server, _ []byte, w *enc.Writer) error {
+		n, err := s.backend.Len(ctx)
+		w.Uint32(uint32(n))
+		return err
+	}},
+
+	OpIdentifyEx: {"identify_ex", true, func(ctx context.Context, s *Server, payload []byte, w *enc.Writer) error {
+		r := enc.Reader{Buf: payload}
 		k := r.Uint32()
-		probe, err := readTemplate(r)
+		probe, err := readTemplate(&r)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		cands, stats, err := s.backend.IdentifyDetailed(ctx, probe, int(k))
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		w.Uint32(uint32(stats.GallerySize))
 		w.Uint32(uint32(stats.Shortlist))
@@ -308,53 +324,38 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 		w.Uint32(uint32(len(cands)))
 		for _, c := range cands {
 			if err := w.String(c.ID); err != nil {
-				return fail(err)
+				return err
 			}
 			if err := w.String(c.DeviceID); err != nil {
-				return fail(err)
+				return err
 			}
 			w.Float64(c.Score)
 		}
-		return StatusOK, w.Buf
+		return nil
+	}},
 
-	case OpEnrollBatch:
+	OpEnrollBatch: {"enroll_batch", false, func(ctx context.Context, s *Server, payload []byte, w *enc.Writer) error {
+		r := enc.Reader{Buf: payload}
 		items := make([]Enrollment, r.Count(enc.EnrollmentMinSize))
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return err
 		}
 		for i := range items {
 			var err error
-			if items[i], err = gallery.DecodeExport(r); err != nil {
-				return fail(fmt.Errorf("batch item %d: %w", i, err))
+			if items[i], err = gallery.DecodeExport(&r); err != nil {
+				return fmt.Errorf("batch item %d: %w", i, err)
 			}
 		}
 		// One call: the backend decides what a batch is — one group
 		// commit on a WAL store, parallel per-shard batches on a front.
 		if err := s.backend.EnrollBatch(ctx, items); err != nil {
-			return fail(err)
+			return err
 		}
 		w.Uint32(uint32(len(items)))
-		return StatusOK, w.Buf
+		return nil
+	}},
 
-	case OpRemove:
-		id := r.String()
-		if err := r.Err(); err != nil {
-			return fail(err)
-		}
-		if err := s.backend.Remove(ctx, id); err != nil {
-			return fail(err)
-		}
-		return StatusOK, nil
-
-	case OpCount:
-		n, err := s.backend.Len(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		w.Uint32(uint32(n))
-		return StatusOK, w.Buf
-
-	case OpStats:
+	OpStats: {"stats", true, func(ctx context.Context, s *Server, _ []byte, w *enc.Writer) error {
 		st := ServiceStats{Shards: 1}
 		var err error
 		if s.statsFn != nil {
@@ -362,28 +363,29 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 		} else {
 			st.Enrollments, err = s.backend.Len(ctx)
 		}
-		if err == nil {
-			err = encodeServiceStats(w, st)
-		}
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		return StatusOK, w.Buf
+		return encodeServiceStats(w, st)
+	}},
 
-	case OpSyncSnapshot:
+	OpHello: {label: "hello"},
+
+	OpSyncSnapshot: {"sync_snapshot", true, func(_ context.Context, s *Server, payload []byte, w *enc.Writer) error {
 		if s.sync == nil {
-			return fail(errNoSync)
+			return errNoSync
 		}
+		r := enc.Reader{Buf: payload}
 		resumeLSN, offset, maxBytes := r.Uint64(), r.Uint64(), r.Uint32()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return err
 		}
 		lsn, data, err := s.sync.SyncSnapshot(resumeLSN)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if offset > uint64(len(data)) {
-			return fail(fmt.Errorf("matchsvc: snapshot offset %d beyond %d-byte stream", offset, len(data)))
+			return fmt.Errorf("matchsvc: snapshot offset %d beyond %d-byte stream", offset, len(data))
 		}
 		max := int(maxBytes)
 		if max <= 0 || max > pageBudget {
@@ -396,15 +398,17 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 		w.Uint64(lsn)
 		w.Uint64(uint64(len(data)))
 		w.Bytes(chunk)
-		return StatusOK, w.Buf
+		return nil
+	}},
 
-	case OpSyncTail:
+	OpSyncTail: {"sync_tail", true, func(_ context.Context, s *Server, payload []byte, w *enc.Writer) error {
 		if s.sync == nil {
-			return fail(errNoSync)
+			return errNoSync
 		}
+		r := enc.Reader{Buf: payload}
 		afterLSN, maxBytes := r.Uint64(), r.Uint32()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return err
 		}
 		max := int(maxBytes)
 		if max <= 0 || max > pageBudget {
@@ -412,7 +416,7 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 		}
 		page, err := s.sync.SyncTail(afterLSN, max)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		w.Uint64(page.PrimaryLSN)
 		flags := uint32(0)
@@ -422,16 +426,33 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.W
 		w.Uint32(flags)
 		// SyncTail's byte budget is approximate (it always ships one
 		// record), so the page is still cut to the frame here.
-		if _, err := packPage(w, pageBudget, len(page.Records), func(i int) (string, error) {
+		_, err = packPage(w, pageBudget, len(page.Records), func(i int) (string, error) {
 			return page.Records[i].ID, page.Records[i].AppendTo(w)
-		}); err != nil {
-			return fail(err)
-		}
-		return StatusOK, w.Buf
+		})
+		return err
+	}},
+}
 
-	default:
-		return fail(fmt.Errorf("matchsvc: unknown opcode 0x%02x", op))
+// dispatch executes one request under its context and builds the
+// response payload into w (arriving empty; dispatch must not retain
+// payload or w.Buf past the return — both are request-scoped scratch).
+func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, w *enc.Writer) (byte, []byte) {
+	var err error
+	if int(op) < numOps && ops[op].serve != nil {
+		err = ops[op].serve(ctx, s, payload, w)
+	} else {
+		err = fmt.Errorf("matchsvc: unknown opcode 0x%02x", op)
 	}
+	if err == nil {
+		return StatusOK, w.Buf
+	}
+	// A handler may have written part of a success payload before
+	// failing; the error response starts clean, its message cut well
+	// under the string length cap, so writing it cannot fail.
+	w.Buf = w.Buf[:0]
+	msg := err.Error()
+	_ = w.String(msg[:min(len(msg), 1024)])
+	return StatusFor(err), w.Buf
 }
 
 // packPage appends a uint32 item count and then up to n items, each

@@ -6,8 +6,7 @@ import (
 )
 
 // TestRecordPathZeroAllocs pins the tentpole constraint: recording on
-// resolved handles — and dispatching to registered hooks — allocates
-// nothing. If a future change boxes a value or grows a closure on any
+// resolved handles allocates nothing. If a future change boxes a value or grows a closure on any
 // of these paths, this fails before any benchmark notices.
 func TestRecordPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -19,11 +18,6 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 	h := r.Histogram("h_ns", "", LatencyBuckets())
 	vc := r.CounterVec("vc_total", "", "shard").With("shard-0")
 	vh := r.HistogramVec("vh_ns", "", LatencyBuckets(), "shard").With("shard-0")
-	hooks := NewHooks()
-	hooks.OnBefore(func(op, backend string) {})
-	hooks.OnAfter(func(e Event) {})
-	hooks.OnError(func(e Event) {})
-	ev := Event{Op: "identify", Backend: "local", Duration: time.Millisecond}
 	t0 := time.Now()
 
 	cases := []struct {
@@ -38,11 +32,8 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 		{"Histogram.ObserveSince", func() { h.ObserveSince(t0) }},
 		{"Vec counter handle", func() { vc.Inc() }},
 		{"Vec histogram handle", func() { vh.Observe(42) }},
-		{"Hooks.Before", func() { hooks.Before("identify", "local") }},
-		{"Hooks.After", func() { hooks.After(ev) }},
 		{"nil Counter", func() { (*Counter)(nil).Inc() }},
 		{"nil Histogram", func() { (*Histogram)(nil).Observe(1) }},
-		{"nil Hooks", func() { (*Hooks)(nil).After(ev) }},
 	}
 	for _, tc := range cases {
 		tc.fn() // warm
@@ -65,16 +56,5 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i) * 1001)
-	}
-}
-
-func BenchmarkHooksAfter(b *testing.B) {
-	hooks := NewHooks()
-	var n int64
-	hooks.OnAfter(func(e Event) { n += int64(e.Duration) })
-	ev := Event{Op: "identify", Backend: "local", Duration: time.Microsecond}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		hooks.After(ev)
 	}
 }

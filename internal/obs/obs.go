@@ -1,9 +1,7 @@
 // Package obs is the repo's stdlib-only observability core: atomic
 // metric primitives (Counter, Gauge, Histogram) organised into a
-// Registry of labeled families, two exposition encoders (Prometheus
-// text format and expvar-style JSON), and a lifecycle-hook bus for
-// callers that want to tap operations without the core knowing
-// (Hooks). Logging is log/slog's.
+// Registry of labeled families and two exposition encoders (Prometheus
+// text format and expvar-style JSON). Logging is log/slog's.
 //
 // The design rule throughout is that recording must be safe on the
 // zero-allocation hot path:
@@ -16,6 +14,6 @@
 //   - label resolution (Vec.With) happens once at setup time, never
 //     per record — callers keep the resolved *Counter/*Histogram.
 //
-// Exposition, registration, and hook registration take locks and
-// allocate freely; they are control-plane operations.
+// Exposition and registration take locks and allocate freely; they
+// are control-plane operations.
 package obs

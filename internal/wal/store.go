@@ -216,10 +216,10 @@ func (s *Store) LSN() uint64 {
 	return s.lsn
 }
 
-// Enroll applies the enrollment and appends it to the log; the call
-// returns only after the record is durable under the configured sync
-// policy. If the append fails the enrollment is rolled back, so memory
-// and log never diverge.
+// Enroll is a one-item EnrollBatch. It stays for two reasons: the
+// benchmark module times single durable enrollments through it
+// (benchmark/ladder.go), and without it the embedded gallery's Enroll
+// would be promoted here — a write the log never sees.
 func (s *Store) Enroll(id, deviceID string, tpl *minutiae.Template) error {
 	return s.EnrollBatch([]gallery.Export{{ID: id, DeviceID: deviceID, Template: tpl}})
 }
@@ -262,7 +262,7 @@ func (s *Store) EnrollBatch(items []gallery.Export) error {
 }
 
 // Remove applies the removal and appends it to the log, with the same
-// durability and rollback guarantees as Enroll.
+// durability and rollback guarantees as EnrollBatch.
 func (s *Store) Remove(id string) error {
 	return s.commit([]Record{{Op: OpRemove, ID: id}}, func() (func(), error) {
 		prev, _ := s.Store.Get(id)
