@@ -91,8 +91,14 @@ func TestMetricsSurfaceServesPopulatedMetrics(t *testing.T) {
 		}
 	}
 	for _, probe := range probes {
-		if _, _, err := cli.IdentifyEx(ctx, probe, 3); err != nil {
+		_, st, err := cli.IdentifyEx(ctx, probe, 3)
+		if err != nil {
 			t.Fatal(err)
+		}
+		// The reply's coverage tail, from a real process: both local
+		// shards searched, nothing missed.
+		if st.ShardsQueried != 2 || st.Partial {
+			t.Fatalf("identify coverage over the wire: %+v, want 2 shards queried, not partial", st)
 		}
 	}
 

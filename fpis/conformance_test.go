@@ -190,16 +190,20 @@ func implementations(t *testing.T) []implCase {
 			return svc
 		},
 	}, implCase{
-		// One endpoint from where the client stands: one shard in its
-		// stats, and ("remote") no view of the server's index state.
-		name: "remote-front/exhaustive", shards: 1,
+		// What matchd -local-shards 2 serves: the router over its two
+		// stores, with the deployment's stats source, so both the
+		// service stats and every search's coverage name two shards
+		// from the far side of the wire.
+		name: "remote-front/exhaustive", shards: 2,
 		build: func(t *testing.T) Service {
 			topo, err := topology.Build(context.Background(), topology.Config{LocalShards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { topo.Close() })
-			svc, err := Dial(context.Background(), serveT(t, matchsvc.NewBackendServer(topo.Backend, nil)),
+			srv := matchsvc.NewBackendServer(topo.Backend, nil)
+			srv.SetStatsFunc(topo.Stats)
+			svc, err := Dial(context.Background(), serveT(t, srv),
 				WithRequestTimeout(time.Minute), WithDialTimeout(2*time.Second))
 			if err != nil {
 				t.Fatal(err)
@@ -282,8 +286,9 @@ func TestServiceConformance(t *testing.T) {
 			if st.Enrollments != confSubjects || st.Shards != ic.shards || len(st.DegradedShards) != 0 {
 				t.Fatalf("stats after enrollment: %+v", st)
 			}
-			// In-process services must report their index state; remote
-			// servers own theirs and report false.
+			// In-process services must report their index state; the
+			// remote cases' servers here are exhaustive, or have no stats
+			// source and report false.
 			wantIndexed := ic.indexed && !strings.HasPrefix(ic.name, "remote")
 			if st.Indexed != wantIndexed {
 				t.Fatalf("stats.Indexed = %v, want %v", st.Indexed, wantIndexed)

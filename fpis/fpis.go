@@ -68,30 +68,10 @@ var (
 	ErrDuplicate = gallery.ErrDuplicate
 )
 
-// IdentifyStats describes how one identification was served,
-// regardless of the serving path.
-type IdentifyStats struct {
-	// GallerySize is the number of enrollments searched (summed over
-	// shards on the sharded path).
-	GallerySize int
-	// Shortlist is how many candidates retrieval indexes surfaced (0
-	// when no index took part).
-	Shortlist int
-	// Scanned is how many full matcher comparisons ran.
-	Scanned int
-	// Indexed reports whether index shortlists served the search (on
-	// the sharded path: every answering shard used its index).
-	Indexed bool
-	// ShardsQueried, ShardsSkipped, and ShardsFailed partition the
-	// shard set (1/0/0 for local and remote implementations).
-	ShardsQueried int
-	ShardsSkipped int
-	ShardsFailed  int
-	// Partial reports incomplete coverage: a shard was skipped or
-	// failed, so a mate enrolled there could be missing from the
-	// candidates.
-	Partial bool
-}
+// IdentifyStats describes how one identification was served — gallery
+// size, shortlist, scans, and the coverage of the stores that searched,
+// summed over every router and wire hop — in one shape on every path.
+type IdentifyStats = gallery.IdentifyStats
 
 // Stats is a point-in-time service summary: enrollment count (reachable
 // shards only), shard count (1 for a single store), the names of shards

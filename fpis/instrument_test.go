@@ -28,7 +28,7 @@ func (nopBackend) Len(context.Context) (int, error) { return 0, nil }
 // nopService is the facade over nopBackend, instrumented into reg when
 // it is non-nil.
 func nopService(reg *obs.Registry) Service {
-	return newService("local", reg, nopBackend{}, nil,
+	return newService("local", reg, nopBackend{},
 		func(context.Context) (Stats, error) { return Stats{}, nil },
 		func() error { return nil })
 }

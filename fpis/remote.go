@@ -35,5 +35,5 @@ func Dial(ctx context.Context, addr string, opts ...Option) (Service, error) {
 	}
 	// The wire client already returns the facade's sentinels (the
 	// response status byte names them), so errors pass through untouched.
-	return newService("remote", cfg.Metrics, shard.NewRemote(addr, cli), nil, cli.ServiceStats, cli.Close), nil
+	return newService("remote", cfg.Metrics, shard.NewRemote(addr, cli), cli.ServiceStats, cli.Close), nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"fpinterop/internal/gallery"
 	"fpinterop/internal/matchsvc"
 	"fpinterop/internal/obs"
 	"fpinterop/internal/shard"
@@ -13,18 +12,14 @@ import (
 )
 
 // service is the one Service implementation: the facade over whatever
-// speaks the gallery contract — a store behind its adapter, a router's
-// front, a wire client — plus the two things the contract does not
+// speaks the gallery contract — a store behind its adapter, a shard
+// router, a wire client — plus the two things the contract does not
 // carry, a stats source and a closer. Deployment shapes differ in how
 // the constructor fills these fields, not in which type serves them.
 type service struct {
 	backend matchsvc.Backend
-	// router is the scatter-gather tier under backend when there is one
-	// in this process; identification goes to it directly so the
-	// per-shard coverage detail survives into IdentifyStats.
-	router *shard.Router
-	stats  func(context.Context) (Stats, error)
-	close  func() error
+	stats   func(context.Context) (Stats, error)
+	close   func() error
 	// obs is nil unless WithMetrics was given; every method pays one
 	// nil check for it.
 	obs *observer
@@ -33,9 +28,9 @@ type service struct {
 // newService assembles the facade; label is the deployment-shape
 // metric label ("local", "sharded", "remote") and reg, when non-nil,
 // receives the facade's metrics.
-func newService(label string, reg *obs.Registry, b matchsvc.Backend, router *shard.Router,
+func newService(label string, reg *obs.Registry, b matchsvc.Backend,
 	stats func(context.Context) (Stats, error), close func() error) *service {
-	return &service{backend: b, router: router, stats: stats, close: close, obs: newObserver(label, reg)}
+	return &service{backend: b, stats: stats, close: close, obs: newObserver(label, reg)}
 }
 
 // topologyService is the facade over an in-process deployment.
@@ -44,7 +39,7 @@ func topologyService(t *topology.Topology, reg *obs.Registry) *service {
 	if t.Router != nil {
 		label = "sharded"
 	}
-	return newService(label, reg, t.Backend, t.Router, t.Stats, t.Close)
+	return newService(label, reg, t.Backend, t.Stats, t.Close)
 }
 
 // Enroll is a batch of one below the facade: the contract has one
@@ -97,39 +92,7 @@ func (s *service) identify(ctx context.Context, probe *Template, k int) ([]Candi
 		// wire unsigned.
 		k = 0
 	}
-	if s.router != nil {
-		cands, st, err := s.router.IdentifyDetailed(ctx, probe, k)
-		if err != nil {
-			return nil, IdentifyStats{}, err
-		}
-		return cands, IdentifyStats{
-			GallerySize:   st.GallerySize,
-			Shortlist:     st.Shortlist,
-			Scanned:       st.Scanned,
-			Indexed:       st.Fold().Indexed,
-			ShardsQueried: st.ShardsQueried,
-			ShardsSkipped: st.ShardsSkipped,
-			ShardsFailed:  st.ShardsFailed,
-			Partial:       st.Partial,
-		}, nil
-	}
-	cands, st, err := s.backend.IdentifyDetailed(ctx, probe, k)
-	if err != nil {
-		return nil, IdentifyStats{}, err
-	}
-	return cands, foldGalleryStats(st), nil
-}
-
-// foldGalleryStats lifts single-store retrieval statistics into the
-// facade shape (one shard, queried, full coverage).
-func foldGalleryStats(st gallery.IdentifyStats) IdentifyStats {
-	return IdentifyStats{
-		GallerySize:   st.GallerySize,
-		Shortlist:     st.Shortlist,
-		Scanned:       st.Scanned,
-		Indexed:       st.Indexed,
-		ShardsQueried: 1,
-	}
+	return s.backend.IdentifyDetailed(ctx, probe, k)
 }
 
 func (s *service) Stats(ctx context.Context) (Stats, error) {

@@ -471,9 +471,14 @@ func (s *Store) IndexStats() (st index.Stats, ok bool) {
 	return idx.Stats(), true
 }
 
-// IdentifyStats describes how one identification was served.
+// IdentifyStats describes how one identification was served. It is the
+// one shape on every serving path: a store fills it for itself, a shard
+// router sums its legs into it, and the wire carries it, so a
+// caller any number of hops away sees the coverage of the stores that
+// actually searched.
 type IdentifyStats struct {
-	// GallerySize is the number of enrollments at search time.
+	// GallerySize is the number of enrollments at search time (summed
+	// over the stores that answered).
 	GallerySize int
 	// Shortlist is how many candidates the index retrieved for this
 	// search: 0 when no shortlist was attempted (index disabled or a
@@ -483,8 +488,19 @@ type IdentifyStats struct {
 	Shortlist int
 	// Scanned is how many full matcher comparisons ran.
 	Scanned int
-	// Indexed reports whether the shortlist path served the query.
+	// Indexed reports whether the shortlist path served the query (on
+	// a sharded search: on every store that answered).
 	Indexed bool
+	// ShardsQueried, ShardsSkipped and ShardsFailed count the stores
+	// the search was sent to, the degraded ones it went around, and the
+	// queried ones that failed; a store reports 1/0/0.
+	ShardsQueried int
+	ShardsSkipped int
+	ShardsFailed  int
+	// Partial reports incomplete coverage: a store was skipped or
+	// failed, so a mate enrolled there could be missing from the
+	// candidates.
+	Partial bool
 }
 
 // IdentifyContext searches the probe against the gallery and returns
@@ -531,7 +547,7 @@ func (s *Store) IdentifyDetailedContext(ctx context.Context, probe *minutiae.Tem
 		// meaningful instead of tripping it on every oversized k.
 		k = size
 	}
-	stats := IdentifyStats{GallerySize: size}
+	stats := IdentifyStats{GallerySize: size, ShardsQueried: 1}
 	if idx != nil && k > 0 {
 		fanout := idx.Options().Fanout
 		if k > fanout {

@@ -350,10 +350,10 @@ func (c *Client) Verify(ctx context.Context, id string, probe *minutiae.Template
 }
 
 // IdentifyEx searches the gallery and returns the top-k candidates
-// (k <= 0 requests the full ranking) with the server's retrieval
-// statistics: how large the gallery was, how many candidates the
-// triplet index shortlisted, and whether the indexed path served the
-// search.
+// (k <= 0 requests the full ranking) with the server's statistics: how
+// large the gallery was, how many candidates the triplet index
+// shortlisted, whether the indexed path served the search, and how
+// many stores behind the server were queried, skipped or failed.
 func (c *Client) IdentifyEx(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
@@ -361,31 +361,13 @@ func (c *Client) IdentifyEx(ctx context.Context, probe *minutiae.Template, k int
 	if err := putTemplate(&fs.w, probe); err != nil {
 		return nil, gallery.IdentifyStats{}, err
 	}
-	var stats gallery.IdentifyStats
 	var cands []gallery.Candidate
-	err := c.do(ctx, OpIdentifyEx, fs.w.Buf, func(r *enc.Reader) error {
-		stats.GallerySize = int(r.Uint32())
-		stats.Shortlist = int(r.Uint32())
-		stats.Scanned = int(r.Uint32())
-		stats.Indexed = r.Uint32() != 0
-		var derr error
-		cands, derr = decodeCandidates(r)
+	var stats gallery.IdentifyStats
+	err := c.do(ctx, OpIdentifyEx, fs.w.Buf, func(r *enc.Reader) (derr error) {
+		cands, stats, derr = decodeIdentify(r)
 		return derr
 	})
-	if err != nil {
-		return nil, gallery.IdentifyStats{}, err
-	}
-	return cands, stats, nil
-}
-
-func decodeCandidates(r *enc.Reader) ([]gallery.Candidate, error) {
-	// A candidate occupies at least 12 payload bytes (two empty strings
-	// and a float64).
-	out := make([]gallery.Candidate, r.Count(12))
-	for i := range out {
-		out[i] = gallery.Candidate{ID: r.String(), DeviceID: r.String(), Score: r.Float64()}
-	}
-	return out, r.Err()
+	return cands, stats, err
 }
 
 // Remove deletes an enrollment.

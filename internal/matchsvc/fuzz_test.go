@@ -203,26 +203,29 @@ func FuzzOpenMuxEnvelope(f *testing.F) {
 // the same code — and an unknown status must not pass for a server
 // answer.
 func FuzzDecodeResponse(f *testing.F) {
-	var cands enc.Writer
-	cands.Uint32(1)
-	_ = cands.String("subject-0001")
-	_ = cands.String("D0")
-	cands.Float64(0.5)
+	var reply enc.Writer
+	if err := encodeIdentify(&reply, []gallery.Candidate{{ID: "subject-0001", DeviceID: "D0", Score: 0.5}},
+		gallery.IdentifyStats{GallerySize: 12, Scanned: 12, ShardsQueried: 2, ShardsFailed: 1}); err != nil {
+		f.Fatal(err)
+	}
 	var msg enc.Writer
 	_ = msg.String(`verify "gallery: enrollment ID already exists": gallery: enrollment not found`)
 	for status := 0; status <= StatusSnapshotExpired+1; status++ {
-		f.Add(byte(status), cands.Buf)
+		f.Add(byte(status), reply.Buf)
 		f.Add(byte(status), msg.Buf)
 		f.Add(byte(status), msg.Buf[:len(msg.Buf)-1])
 		f.Add(byte(status), []byte{0xff})
 		f.Add(byte(status), []byte(nil))
 	}
-	f.Add(byte(StatusOK), []byte{0xff, 0xff, 0xff, 0xff})               // count far beyond the payload
-	f.Add(byte(StatusOK), append([]byte{0, 0, 0, 2}, cands.Buf[4:]...)) // count one beyond the payload
+	f.Add(byte(StatusOK), reply.Buf[:len(reply.Buf)-6])   // cut inside the coverage tail
+	f.Add(byte(StatusOK), []byte{0xff, 0xff, 0xff, 0xff}) // count far beyond the payload
+	overCount := append([]byte(nil), reply.Buf...)
+	overCount[19] = 2 // candidate count one beyond the payload
+	f.Add(byte(StatusOK), overCount)
 	f.Add(byte(0x7e), []byte(nil))
 	decoders := []func(*enc.Reader) error{
 		nil,
-		func(r *enc.Reader) error { _, err := decodeCandidates(r); return err },
+		func(r *enc.Reader) error { _, _, err := decodeIdentify(r); return err },
 		func(r *enc.Reader) error { _, err := decodeServiceStats(r); return err },
 		func(r *enc.Reader) error { _, err := decodeMatch(r); return err },
 	}

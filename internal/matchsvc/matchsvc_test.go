@@ -3,12 +3,13 @@ package matchsvc
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"fmt"
-
+	"fpinterop/internal/enc"
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/index"
 	"fpinterop/internal/minutiae"
@@ -326,7 +327,46 @@ func TestIdentifyExStatsOverPlainStore(t *testing.T) {
 	if stats.GallerySize != 3 || stats.Scanned != 3 {
 		t.Fatalf("exhaustive stats wrong: %+v", stats)
 	}
+	if stats.ShardsQueried != 1 || stats.ShardsSkipped != 0 || stats.ShardsFailed != 0 || stats.Partial {
+		t.Fatalf("one store's coverage wrong: %+v", stats)
+	}
 	if len(cands) != 2 || cands[0].ID != "p-1" {
 		t.Fatalf("identification wrong: %+v", cands)
+	}
+}
+
+// TestIdentifyReplyCoverageTail pins the OpIdentifyEx reply's coverage
+// tail in both directions of a version skew: a reader that stops after
+// the candidates (a client from before the tail) still decodes the new
+// reply, and a reply without the tail (a server from before it) is a
+// short payload to decodeIdentify — never a count of zero.
+func TestIdentifyReplyCoverageTail(t *testing.T) {
+	want := []gallery.Candidate{{ID: "a", DeviceID: "D0", Score: 0.75}, {ID: "b", DeviceID: "D1", Score: 0.5}}
+	st := gallery.IdentifyStats{GallerySize: 40, Shortlist: 9, Scanned: 9, Indexed: true,
+		ShardsQueried: 3, ShardsSkipped: 1, ShardsFailed: 1}
+	var w enc.Writer
+	if err := encodeIdentify(&w, want, st); err != nil {
+		t.Fatal(err)
+	}
+	got, gotSt, err := decodeIdentify(&enc.Reader{Buf: w.Buf})
+	st.Partial = true
+	if err != nil || !reflect.DeepEqual(got, want) || gotSt != st {
+		t.Fatalf("round trip: %+v %+v %v, want %+v %+v", got, gotSt, err, want, st)
+	}
+
+	old := enc.Reader{Buf: w.Buf}
+	for range 4 { // gallery size, shortlist, scanned, indexed
+		old.Uint32()
+	}
+	for n := old.Count(12); n > 0; n-- {
+		_, _ = old.String(), old.String()
+		old.Float64()
+	}
+	if old.Err() != nil || len(old.Buf) != 12 {
+		t.Fatalf("a reader stopping after the candidates: %v with %d bytes left, want nil and the 12-byte tail", old.Err(), len(old.Buf))
+	}
+
+	if _, _, err := decodeIdentify(&enc.Reader{Buf: w.Buf[:len(w.Buf)-12]}); !errors.Is(err, enc.ErrShort) {
+		t.Fatalf("reply without the coverage tail: %v, want enc.ErrShort", err)
 	}
 }

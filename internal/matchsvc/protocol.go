@@ -67,9 +67,13 @@ const (
 	// OpCount returns the number of enrollments.
 	OpCount = 0x07
 	// OpIdentifyEx searches a probe against the whole gallery (1:N):
-	// uint32 k and the probe in; retrieval statistics (gallery size,
-	// index shortlist size, matcher scans, and whether the indexed path
-	// served the search) then the candidates out.
+	// uint32 k and the probe in; out, uint32 gallery size, shortlist,
+	// scanned and indexed 0/1, the candidates (uint32 count, then ID,
+	// device ID and float64 score each), then uint32 shards queried,
+	// skipped and failed (see encodeIdentify). A client that stops
+	// after the candidates ignores the tail; one reading a reply
+	// without it gets a short-payload error, so as with 0x03 a fleet
+	// is upgraded as a whole.
 	OpIdentifyEx = 0x08
 	// OpEnrollBatch adds templates in one round trip, one or many (it is
 	// the only enrolling opcode): uint32 count, then one enrollment

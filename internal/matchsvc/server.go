@@ -313,25 +313,7 @@ var ops = [numOps]opRow{
 		if err != nil {
 			return err
 		}
-		w.Uint32(uint32(stats.GallerySize))
-		w.Uint32(uint32(stats.Shortlist))
-		w.Uint32(uint32(stats.Scanned))
-		indexed := uint32(0)
-		if stats.Indexed {
-			indexed = 1
-		}
-		w.Uint32(indexed)
-		w.Uint32(uint32(len(cands)))
-		for _, c := range cands {
-			if err := w.String(c.ID); err != nil {
-				return err
-			}
-			if err := w.String(c.DeviceID); err != nil {
-				return err
-			}
-			w.Float64(c.Score)
-		}
-		return nil
+		return encodeIdentify(w, cands, stats)
 	}},
 
 	OpEnrollBatch: {"enroll_batch", false, func(ctx context.Context, s *Server, payload []byte, w *enc.Writer) error {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -47,7 +48,7 @@ func TestDeadlineSurvivesTwoHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caller, err := New([]Backend{bootServer(t, "front", matchsvc.NewBackendServer(Front{Router: front}, nil))}, Options{})
+	caller, err := New([]Backend{bootServer(t, "front", matchsvc.NewBackendServer(front, nil))}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestDeadlineSurvivesTwoHops(t *testing.T) {
 		_, st, err := caller.IdentifyDetailed(dctx, probes[0], 0)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("identify %d under a 50ms deadline: %v (%+v), want DeadlineExceeded", i, err, st.PerShard)
+			t.Fatalf("identify %d under a 50ms deadline: %v (%+v), want DeadlineExceeded", i, err, st)
 		}
 		atReturn := m.started.Load()
 		time.Sleep(100 * time.Millisecond) // ten comparisons' worth
@@ -125,7 +126,7 @@ func TestWireBatchDuplicateSemantics(t *testing.T) {
 		{"plain store keeps the prefix", matchsvc.NewServer(gallery.New(nil), nil), 3, subjectID(0)},
 		{"WAL store keeps nothing", matchsvc.NewServer(ws, nil), 0, subjectID(0)},
 		{"front keeps the other shard's group and names the failing shard",
-			matchsvc.NewBackendServer(Front{Router: router}, nil), -1, fmt.Sprintf("shard %q", dupOwner.Name())},
+			matchsvc.NewBackendServer(router, nil), -1, fmt.Sprintf("shard %q", dupOwner.Name())},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,5 +206,51 @@ func TestEnrollBatchAcknowledgedPastDeadline(t *testing.T) {
 		if n, _ := slow.Len(ctx); n != want {
 			t.Fatalf("fail=%v: shard holds %d enrollments, want %d", fail, n, want)
 		}
+	}
+}
+
+// TestCoverageSurvivesAHop: client → front server → two shard servers,
+// one of them stopped. The front answers SkipDegraded from the live
+// shard and reports its coverage on the wire, and the router a hop up
+// sums it: both stores queried, one failed, the answer partial — not
+// one healthy shard. The front's answer is no failure of the front's,
+// so the caller charges it nothing.
+func TestCoverageSurvivesAHop(t *testing.T) {
+	gal, probes := fixtures(t)
+	live := bootServer(t, "live", matchsvc.NewServer(gallery.New(nil), nil))
+	stoppedSrv := matchsvc.NewServer(gallery.New(nil), nil)
+	front, err := New([]Backend{live, bootServer(t, "stopped", stoppedSrv)}, Options{Policy: SkipDegraded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]Enrollment, 12)
+	for i := range items {
+		items[i] = Enrollment{ID: subjectID(i), DeviceID: "D0", Template: gal[i]}
+	}
+	if err := front.EnrollBatch(ctx, items); err != nil {
+		t.Fatal(err)
+	}
+	caller, err := New([]Backend{bootServer(t, "front", matchsvc.NewBackendServer(front, nil))}, Options{Policy: SkipDegraded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := live.IdentifyDetailed(ctx, probes[0], 0)
+	if err != nil || len(want) == 0 || len(want) == len(items) {
+		t.Fatalf("live shard holds %d of %d enrollments (%v); the test needs both shards populated", len(want), len(items), err)
+	}
+
+	stoppedSrv.Close()
+	got, st, err := caller.IdentifyDetailed(ctx, probes[0], 0)
+	if err != nil {
+		t.Fatalf("identify around a stopped shard one hop down: %v", err)
+	}
+	if st.ShardsQueried != 2 || st.ShardsSkipped != 0 || st.ShardsFailed != 1 || !st.Partial {
+		t.Fatalf("coverage one hop up: %+v, want 2 queried, 1 failed, partial", st)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("candidates one hop up:\n got %+v\nwant the live shard's %+v", got, want)
+	}
+	if deg := caller.Degraded(); len(deg) != 0 {
+		t.Fatalf("a partial answer degraded the front: %v", deg)
 	}
 }

@@ -9,6 +9,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -202,8 +203,8 @@ func TestShardTimeoutBoundsHedgedLeg(t *testing.T) {
 	if elapsed >= shardTimeout+hedgeDelay/2 {
 		t.Fatalf("search held for %v by a stuck hedged leg, want ~ShardTimeout (%v)", elapsed, shardTimeout)
 	}
-	if got := stats.PerShard[0].Err; got != ErrShardTimeout.Error() {
-		t.Fatalf("stuck shard reports %q, want %q", got, ErrShardTimeout)
+	if stats.ShardsFailed != 1 || !stats.Partial {
+		t.Fatalf("stuck shard not counted failed: %+v", stats)
 	}
 	if fired := hedged.met.hedgesFired.Value(); fired != 1 {
 		t.Fatalf("hedgesFired = %d, want 1", fired)
@@ -231,6 +232,14 @@ func TestShardTimeoutBoundsHedgedLeg(t *testing.T) {
 	if !deadlines[0].Equal(deadlines[1]) || deadlines[0].IsZero() {
 		t.Fatalf("attempts carried deadlines %v and %v, want the leg's one deadline on both", deadlines[0], deadlines[1])
 	}
+	// Run on its own, the stuck leg is named ErrShardTimeout and charged
+	// once more: one failure per leg, however many attempts it made.
+	if ans := hedged.leg(ctx, 0, probes[0], 5); !errors.Is(ans.err, ErrShardTimeout) {
+		t.Fatalf("stuck shard's leg reports %v, want %v", ans.err, ErrShardTimeout)
+	}
+	if fails := hedged.health[0].fails.Load(); fails != 2 {
+		t.Fatalf("stuck shard charged %d failures after two legs, want 2", fails)
+	}
 }
 
 // scriptedFailBackend fails its calls with the scripted errors, in
@@ -257,24 +266,23 @@ func (b *scriptedFailBackend) IdentifyDetailed(ctx context.Context, probe *minut
 
 // TestHedgeTwoFailuresReportFirstAttempt: with both attempts in flight
 // one failure waits for the other, and when both fail the leg reports
-// the first attempt's error whichever failed first.
+// the first attempt's error whichever failed first — which a FailClosed
+// router returns as the search's error.
 func TestHedgeTwoFailuresReportFirstAttempt(t *testing.T) {
 	locals, _ := hedgeFixtureStores(t)
 	_, probes := fixtures(t)
 	failing := &scriptedFailBackend{Backend: locals[0], second: make(chan struct{})}
 	hedged, err := New([]Backend{failing, locals[1]}, Options{
 		HedgeDelay: 10 * time.Millisecond,
+		Policy:     FailClosed,
 		Registry:   obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := hedged.IdentifyDetailed(ctx, probes[0], 5)
-	if err != nil {
-		t.Fatalf("identify with one failing shard: %v", err)
-	}
-	if got := stats.PerShard[0].Err; got != "first attempt failed" {
-		t.Fatalf("leg reports %q, want the first attempt's error", got)
+	_, _, err = hedged.IdentifyDetailed(ctx, probes[0], 5)
+	if want := fmt.Sprintf("shard %q: first attempt failed", failing.Name()); err == nil || err.Error() != want {
+		t.Fatalf("search reports %v, want the first attempt's error %q", err, want)
 	}
 	if calls := failing.calls.Load(); calls != 2 {
 		t.Fatalf("failing shard saw %d attempts, want 2", calls)

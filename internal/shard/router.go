@@ -310,42 +310,6 @@ func (r *Router) Len(ctx context.Context) (int, error) {
 	return total, ctx.Err()
 }
 
-// ShardIdentifyStats is one shard's contribution to a search.
-type ShardIdentifyStats struct {
-	// Shard is the backend name.
-	Shard string
-	// Stats is the shard-local retrieval detail (zero when the shard was
-	// skipped or failed).
-	Stats gallery.IdentifyStats
-	// Skipped reports a degraded shard that was not queried.
-	Skipped bool
-	// Err is the failure message when the query errored or timed out.
-	Err string
-}
-
-// IdentifyStats aggregates a scatter-gather search.
-type IdentifyStats struct {
-	// GallerySize, Shortlist, and Scanned are summed over the shards
-	// that answered.
-	GallerySize int
-	Shortlist   int
-	Scanned     int
-	// IndexedShards and FallbackShards count how many answering shards
-	// served from their retrieval index vs an exhaustive scan.
-	IndexedShards  int
-	FallbackShards int
-	// ShardsQueried, ShardsSkipped, and ShardsFailed partition the
-	// shard set for this search.
-	ShardsQueried int
-	ShardsSkipped int
-	ShardsFailed  int
-	// Partial reports incomplete coverage: at least one shard was
-	// skipped or failed, so a mate enrolled there could be missing.
-	Partial bool
-	// PerShard holds every shard's detail in backend order.
-	PerShard []ShardIdentifyStats
-}
-
 // shardAnswer carries one shard's identification result to the merge.
 type shardAnswer struct {
 	cands []gallery.Candidate
@@ -499,22 +463,28 @@ func (r *Router) hedged(ctx context.Context, b Backend, delay time.Duration, pro
 // IdentifyDetailed scatter-gathers the probe across the shards and
 // returns the global top-k candidates (all of them when k <= 0),
 // ordered by descending score with deterministic ID tie-breaks, plus
-// per-shard and aggregate statistics. Each shard is asked for its local
-// top-k; merging the per-shard shortlists yields the same result a
-// single store would produce, because any candidate in the global top-k
-// is necessarily in its own shard's top-k. Under SkipDegraded, failed or skipped shards reduce
-// coverage (stats.Partial); under FailClosed they fail the search.
+// the search's statistics. Each shard is asked for its local top-k;
+// merging the per-shard shortlists yields the same result a single
+// store would produce, because any candidate in the global top-k is
+// necessarily in its own shard's top-k. Under SkipDegraded, failed or
+// skipped shards reduce coverage (stats.Partial); under FailClosed they
+// fail the search.
+//
+// The statistics sum the answering legs' own (Indexed: every one was),
+// so a router over fronts reports the stores under them; a skipped or
+// failed leg counts as one shard, as nothing reports what stood behind.
 //
 // A cancelled or expired ctx unblocks the scatter promptly — every leg
 // runs under it, so the in-flight shard calls return — and the search
 // reports ctx.Err() without penalizing any shard's health. The router
 // remains reusable for subsequent searches.
-func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, IdentifyStats, error) {
+func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template, k int) ([]gallery.Candidate, gallery.IdentifyStats, error) {
+	var stats gallery.IdentifyStats
 	if probe == nil {
-		return nil, IdentifyStats{}, match.ErrNilTemplate
+		return nil, stats, match.ErrNilTemplate
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, IdentifyStats{}, err
+		return nil, stats, err
 	}
 	if k < 0 {
 		// The same full-ranking normalization gallery.Store applies, so
@@ -523,17 +493,13 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 		k = 0
 	}
 	n := len(r.backends)
-	stats := IdentifyStats{PerShard: make([]ShardIdentifyStats, n)}
 	targets := make([]int, 0, n)
 	for i := range r.backends {
-		stats.PerShard[i].Shard = r.backends[i].Name()
 		if r.health[i].Degraded() {
 			if r.opt.Policy == FailClosed {
 				return nil, stats, fmt.Errorf("shard %q: %w", r.backends[i].Name(), ErrDegraded)
 			}
-			stats.PerShard[i].Skipped = true
 			stats.ShardsSkipped++
-			stats.Partial = true
 			continue
 		}
 		targets = append(targets, i)
@@ -545,30 +511,30 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 		return nil, stats, err
 	}
 
+	stats.Indexed = len(targets) > 0 // an all-failed search is an error below
 	var merged []gallery.Candidate
+	failed := 0 // legs, whatever stood behind each
 	for _, i := range targets {
 		ans := answers[i]
-		stats.ShardsQueried++
 		if ans.err != nil {
-			stats.PerShard[i].Err = ans.err.Error()
+			failed++
+			stats.ShardsQueried++
 			stats.ShardsFailed++
-			stats.Partial = true
 			if r.opt.Policy == FailClosed {
 				return nil, stats, fmt.Errorf("shard %q: %w", r.backends[i].Name(), ans.err)
 			}
 			continue
 		}
-		stats.PerShard[i].Stats = ans.stats
 		stats.GallerySize += ans.stats.GallerySize
 		stats.Shortlist += ans.stats.Shortlist
 		stats.Scanned += ans.stats.Scanned
-		if ans.stats.Indexed {
-			stats.IndexedShards++
-		} else {
-			stats.FallbackShards++
-		}
+		stats.Indexed = stats.Indexed && ans.stats.Indexed
+		stats.ShardsQueried += ans.stats.ShardsQueried
+		stats.ShardsSkipped += ans.stats.ShardsSkipped
+		stats.ShardsFailed += ans.stats.ShardsFailed
 		merged = append(merged, ans.cands...)
 	}
+	stats.Partial = stats.ShardsSkipped+stats.ShardsFailed > 0
 	if r.met != nil {
 		r.met.searches.Inc()
 		r.met.fanout.Observe(int64(len(targets)))
@@ -576,10 +542,10 @@ func (r *Router) IdentifyDetailed(ctx context.Context, probe *minutiae.Template,
 			r.met.partial.Inc()
 		}
 	}
-	if stats.ShardsQueried == stats.ShardsFailed && stats.ShardsFailed > 0 {
+	if failed > 0 && failed == len(targets) {
 		// Every queried shard failed: that is an outage, not an empty
 		// gallery.
-		return nil, stats, fmt.Errorf("shard: all %d queried shards failed", stats.ShardsFailed)
+		return nil, stats, fmt.Errorf("shard: all %d queried shards failed", failed)
 	}
 
 	sort.Slice(merged, func(a, b int) bool {

@@ -427,21 +427,14 @@ func TestIdentifyStatsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.PerShard) != 4 {
-		t.Fatalf("per-shard stats for %d shards", len(stats.PerShard))
+	if stats.ShardsQueried != 4 || stats.ShardsSkipped != 0 || stats.ShardsFailed != 0 || stats.Partial {
+		t.Fatalf("coverage of four healthy shards wrong: %+v", stats)
 	}
-	sum := 0
-	for i, ps := range stats.PerShard {
-		if ps.Shard == "" || ps.Skipped || ps.Err != "" {
-			t.Fatalf("shard %d unexpectedly unhealthy: %+v", i, ps)
-		}
-		sum += ps.Stats.GallerySize
+	if stats.GallerySize != len(gal) {
+		t.Fatalf("shard sizes sum to %d, want %d", stats.GallerySize, len(gal))
 	}
-	if sum != stats.GallerySize || sum != len(gal) {
-		t.Fatalf("per-shard sizes sum to %d, aggregate %d, want %d", sum, stats.GallerySize, len(gal))
-	}
-	// Exhaustive stores: every answering shard is a fallback, none indexed.
-	if stats.IndexedShards != 0 || stats.FallbackShards != 4 {
+	// Exhaustive stores: no shard served from an index.
+	if stats.Indexed {
 		t.Fatalf("index accounting wrong: %+v", stats)
 	}
 	if stats.Scanned != len(gal) {
@@ -588,9 +581,6 @@ func TestHealthDegradationSkipAndRecovery(t *testing.T) {
 	if stats.ShardsSkipped != 1 || stats.ShardsFailed != 0 || !stats.Partial {
 		t.Fatalf("degraded shard not skipped: %+v", stats)
 	}
-	if !stats.PerShard[1].Skipped {
-		t.Fatalf("per-shard flag missing: %+v", stats.PerShard[1])
-	}
 
 	// Repair and re-probe: CheckHealth readmits the shard.
 	flaky.setFail(false)
@@ -722,13 +712,17 @@ func TestShardTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
 		t.Fatalf("search waited %v for the slow shard", elapsed)
 	}
-	// Missing the leg deadline is the shard's failure: named as such and
-	// charged once.
-	if got := stats.PerShard[1].Err; got != ErrShardTimeout.Error() {
-		t.Fatalf("slow shard reports %q, want %q", got, ErrShardTimeout)
-	}
+	// Missing the leg deadline is the shard's failure, charged once per
+	// leg: the search above charged one, and the leg run on its own is
+	// named ErrShardTimeout and charges the second.
 	if fails := r.health[1].fails.Load(); fails != 1 {
 		t.Fatalf("slow shard charged %d failures, want 1", fails)
+	}
+	if ans := r.leg(ctx, 1, probes[0], 3); !errors.Is(ans.err, ErrShardTimeout) {
+		t.Fatalf("slow shard's leg reports %v, want %v", ans.err, ErrShardTimeout)
+	}
+	if fails := r.health[1].fails.Load(); fails != 2 {
+		t.Fatalf("slow shard charged %d failures after two legs, want 2", fails)
 	}
 	// A caller deadline shorter than the leg's is the caller giving up:
 	// ctx.Err(), and nobody is charged.
@@ -737,8 +731,8 @@ func TestShardTimeout(t *testing.T) {
 	if _, _, err := r.IdentifyDetailed(dctx, probes[0], 3); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("identify under a 5ms caller deadline: %v, want DeadlineExceeded", err)
 	}
-	if fails := r.health[1].fails.Load(); fails != 1 {
-		t.Fatalf("caller deadline moved the slow shard's failures to %d, want 1", fails)
+	if fails := r.health[1].fails.Load(); fails != 2 {
+		t.Fatalf("caller deadline moved the slow shard's failures to %d, want 2", fails)
 	}
 }
 

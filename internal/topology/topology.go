@@ -107,9 +107,9 @@ func (c Config) Validate() error {
 type Topology struct {
 	// Backend is the gallery contract the deployment serves: the store
 	// behind its Local adapter (shipping its log when it has one), or
-	// the router's Front.
+	// the router itself.
 	Backend matchsvc.Backend
-	// Router is the scatter-gather tier under Backend; nil for a
+	// Router is Backend when the deployment is sharded; nil for a
 	// single store.
 	Router *shard.Router
 	// Stores are the in-process galleries — one, one per local shard,
@@ -195,7 +195,7 @@ func Build(ctx context.Context, cfg Config) (t *Topology, err error) {
 	}); err != nil {
 		return t, err
 	}
-	t.Backend = shard.Front{Router: t.Router}
+	t.Backend = t.Router
 	return t, nil
 }
 
