@@ -201,6 +201,16 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	if !strings.Contains(text, "replica_records_applied_total") {
 		t.Fatalf("/metrics missing replica_records_applied_total:\n%s", text)
 	}
+	// The first half came in one snapshot restore, and the tail carried
+	// only the second.
+	for _, want := range []string{
+		`replica_snapshot_restores_total{shard="local"} 1`,
+		fmt.Sprintf(`replica_records_applied_total{shard="local"} %d`, n-n/2),
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Fatalf("/metrics lacks %q:\n%s", want, text)
+		}
+	}
 
 	// Reads outlive the primary: kill it and the replicas keep
 	// answering from local state.

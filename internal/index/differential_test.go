@@ -1,10 +1,13 @@
 package index
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fpinterop/internal/minutiae"
 	"fpinterop/internal/population"
@@ -138,6 +141,10 @@ func TestCandidatesEqualReference(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsBadInput: Build refuses a duplicate ID and a nil
+// template. A duplicate among many templates stops the key-extraction
+// workers wherever they are — blocked on a full queue when it comes
+// early, done when it comes last — and none outlives the call.
 func TestBuildRejectsBadInput(t *testing.T) {
 	cohort := population.NewCohort(rng.New(32), population.CohortOptions{Size: 2})
 	tpls := captureGallery(t, cohort, "D0")
@@ -146,6 +153,78 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Build(Options{}, []string{"a", "b"}, []*minutiae.Template{tpls[0], nil}); err == nil {
 		t.Fatal("nil template accepted")
+	}
+	const n = 240
+	many := make([]*minutiae.Template, n)
+	for i := range many {
+		many[i] = tpls[i%len(tpls)]
+	}
+	for _, at := range []int{1, n - 1} {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = subjectID(i)
+		}
+		ids[at] = ids[0]
+		before := runtime.NumGoroutine()
+		built := make(chan error, 1)
+		go func() {
+			_, err := Build(Options{}, ids, many)
+			built <- err
+		}()
+		select {
+		case err := <-built:
+			if !errors.Is(err, ErrDuplicate) {
+				t.Fatalf("duplicate at %d of %d: err = %v, want ErrDuplicate", at, n, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("duplicate at %d of %d: Build still waiting on its workers after 10 s", at, n)
+		}
+		waitGoroutines(t, before)
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to
+// want: a worker that has signalled its WaitGroup may still be on its
+// way out when the call that waited for it returns.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the call, %d before it", runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestBuildEqualsSerialAdd: the pipelined bulk build gives the index
+// New plus in-order Adds gives — equal Stats, identical shortlists and
+// score bits.
+func TestBuildEqualsSerialAdd(t *testing.T) {
+	cohort := population.NewCohort(rng.New(33), population.CohortOptions{Size: 60})
+	tpls := captureGallery(t, cohort, "D0")
+	probes := append(captureSample(t, cohort, "D0", 1)[:4], captureSample(t, cohort, "D1", 1)[4:8]...)
+	ids := make([]string, len(tpls))
+	serial := New(Options{})
+	for i, tpl := range tpls {
+		ids[i] = subjectID(i)
+		if err := serial.Add(ids[i], tpl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk, err := Build(Options{}, ids, tpls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bulk.Stats(), serial.Stats(); got != want {
+		t.Fatalf("Stats = %+v, serial adds %+v", got, want)
+	}
+	for pi, probe := range probes {
+		for _, fanout := range []int{0, 5} {
+			if got, want := bulk.Candidates(probe, fanout), serial.Candidates(probe, fanout); !sameShortlist(got, want) {
+				t.Fatalf("probe %d fanout %d:\n got %+v\nwant %+v", pi, fanout, got, want)
+			}
+		}
 	}
 }
 

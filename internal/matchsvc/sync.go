@@ -30,8 +30,8 @@ type SyncSnapshotChunk struct {
 // 0 starts a fresh transfer (the server captures current state);
 // subsequent chunks pass the LSN of the first response so the whole
 // transfer reads one immutable capture; when the primary no longer
-// holds it the error wraps wal.ErrSnapshotExpired and the transfer
-// restarts at 0. maxBytes <= 0 lets the server pick the largest chunk
+// holds it the error wraps wal.ErrSnapshotExpired, and the caller
+// starts over at 0 or tails the log instead. maxBytes <= 0 lets the server pick the largest chunk
 // the frame cap allows.
 func (c *Client) SyncSnapshot(ctx context.Context, resumeLSN uint64, offset int64, maxBytes int) (SyncSnapshotChunk, error) {
 	fs := acquireFrameScratch()

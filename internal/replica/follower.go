@@ -98,8 +98,12 @@ func (f *Follower) Lag() uint64 {
 func (f *Follower) publishLag() { f.lag.Set(int64(f.Lag())) }
 
 // Sync runs catch-up rounds until the replica has applied every record
-// the primary had when the last round started. The first call (LSN 0
-// against a compacted primary) bootstraps via snapshot restore.
+// the primary had when the last round started. A follower that has
+// applied nothing restores a snapshot once the log holds a record, as
+// does one compaction left behind; the tail is catch-up. A bootstrap
+// whose capture expires midway applies the page in hand instead, since
+// two replicas re-capturing in turn can expire each other while writes
+// land; only a truncated page starts the transfer over, next round.
 func (f *Follower) Sync(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -110,11 +114,14 @@ func (f *Follower) Sync(ctx context.Context) error {
 			return err
 		}
 		f.primaryLSN.Store(page.PrimaryLSN)
-		if page.Truncated {
-			if err := f.restore(ctx); err != nil {
+		if page.Truncated || f.lsn.Load() == 0 && len(page.Records) > 0 {
+			err := f.restore(ctx)
+			if err == nil || page.Truncated && errors.Is(err, wal.ErrSnapshotExpired) {
+				continue
+			}
+			if !errors.Is(err, wal.ErrSnapshotExpired) {
 				return err
 			}
-			continue
 		}
 		if len(page.Records) == 0 {
 			f.publishLag()
@@ -135,8 +142,10 @@ func (f *Follower) Sync(ctx context.Context) error {
 	}
 }
 
-// restore replaces the local gallery with a fresh snapshot from the
-// primary, pulled in chunks under the wire frame cap.
+// restore replaces the local gallery with a snapshot from the primary,
+// pulled in chunks under the wire frame cap and loaded in one bulk load
+// (gallery.Store.ReplaceAll). It returns wal.ErrSnapshotExpired when
+// the primary dropped the capture midway.
 func (f *Follower) restore(ctx context.Context) error {
 	first, err := f.cli.SyncSnapshot(ctx, 0, 0, f.opt.MaxBytes)
 	if err != nil {
@@ -146,10 +155,6 @@ func (f *Follower) restore(ctx context.Context) error {
 	for int64(len(stream)) < first.Total {
 		chunk, err := f.cli.SyncSnapshot(ctx, first.LSN, int64(len(stream)), f.opt.MaxBytes)
 		if err != nil {
-			if errors.Is(err, wal.ErrSnapshotExpired) {
-				// The primary re-captured mid-transfer; start over.
-				return f.restore(ctx)
-			}
 			return err
 		}
 		if chunk.LSN != first.LSN || chunk.Total != first.Total || len(chunk.Data) == 0 {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,48 +34,74 @@ func dialT(t testing.TB, addr string) *matchsvc.Client {
 	return cli
 }
 
-// Captured templates are the expensive fixture; build one shared set.
+// Captured templates are the expensive fixture; build one shared set,
+// and a larger one for the tests that need a bulk load.
 var (
 	tplOnce   sync.Once
 	tplGal    []*minutiae.Template // D0 sample 0 — enrollments
 	tplProbes []*minutiae.Template // D1 sample 1 — cross-device probes
 	tplErr    error
+
+	bulkOnce            sync.Once
+	bulkGal, bulkProbes []*minutiae.Template
+	bulkErr             error
 )
 
-const tplCount = 16
+const (
+	tplCount = 16
+	// bulkCount is large enough that the index's bulk build and its
+	// incremental adds cross merges and lay out keys differently.
+	bulkCount = 220
+)
+
+// capture captures n subjects of a seeded cohort on D0 (sample 0) and,
+// for the first probes of them, on D1 (sample 1).
+func capture(seed uint64, n, probes int) (gal, prb []*minutiae.Template, err error) {
+	cohort := population.NewCohort(rng.New(seed), population.CohortOptions{Size: n})
+	d0, _ := sensor.ProfileByID("D0")
+	d1, _ := sensor.ProfileByID("D1")
+	for i, s := range cohort.Subjects {
+		g, err := d0.CaptureSubject(s, 0, sensor.CaptureOptions{})
+		if err != nil {
+			return nil, nil, err
+		}
+		gal = append(gal, g.Template)
+		if i < probes {
+			p, err := d1.CaptureSubject(s, 1, sensor.CaptureOptions{})
+			if err != nil {
+				return nil, nil, err
+			}
+			prb = append(prb, p.Template)
+		}
+	}
+	return gal, prb, nil
+}
 
 func fixtures(t testing.TB) (gal, probes []*minutiae.Template) {
 	t.Helper()
-	tplOnce.Do(func() {
-		cohort := population.NewCohort(rng.New(20130624), population.CohortOptions{Size: tplCount})
-		d0, _ := sensor.ProfileByID("D0")
-		d1, _ := sensor.ProfileByID("D1")
-		for _, s := range cohort.Subjects {
-			g, err := d0.CaptureSubject(s, 0, sensor.CaptureOptions{})
-			if err != nil {
-				tplErr = err
-				return
-			}
-			p, err := d1.CaptureSubject(s, 1, sensor.CaptureOptions{})
-			if err != nil {
-				tplErr = err
-				return
-			}
-			tplGal = append(tplGal, g.Template)
-			tplProbes = append(tplProbes, p.Template)
-		}
-	})
+	tplOnce.Do(func() { tplGal, tplProbes, tplErr = capture(20130624, tplCount, tplCount) })
 	if tplErr != nil {
 		t.Fatal(tplErr)
 	}
 	return tplGal, tplProbes
 }
 
+// bulkFixtures is bulkCount gallery templates and probes of the first
+// eight subjects.
+func bulkFixtures(t testing.TB) (gal, probes []*minutiae.Template) {
+	t.Helper()
+	bulkOnce.Do(func() { bulkGal, bulkProbes, bulkErr = capture(20130625, bulkCount, 8) })
+	if bulkErr != nil {
+		t.Fatal(bulkErr)
+	}
+	return bulkGal, bulkProbes
+}
+
 func subjectID(i int) string { return fmt.Sprintf("subject-%04d", i) }
 
 // startPrimary serves a WAL-backed store over a loopback listener and
 // returns the store plus a connected client.
-func startPrimary(t *testing.T, ws *wal.Store) *matchsvc.Client {
+func startPrimary(t *testing.T, ws matchsvc.Store) *matchsvc.Client {
 	t.Helper()
 	srv := matchsvc.NewServer(ws, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -146,14 +174,30 @@ func wantMirror(t *testing.T, replica *gallery.Store, ws *wal.Store) {
 	}
 }
 
-func TestFollowerTailsFromEmpty(t *testing.T) {
+// TestFollowerBootstrapsFromSnapshotThenTails: a follower that has
+// applied nothing takes a loaded primary's state in one snapshot
+// restore, not by replaying its log, and the tail then carries exactly
+// the writes that came after. Against a primary whose log is empty
+// there is nothing to restore.
+func TestFollowerBootstrapsFromSnapshotThenTails(t *testing.T) {
 	gal, _ := fixtures(t)
+	ctx := context.Background()
+
+	t.Run("empty primary", func(t *testing.T) {
+		cli := startPrimary(t, openPrimary(t))
+		f := NewFollower(gallery.New(nil), cli, FollowerOptions{})
+		if err := f.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if f.restores.Value() != 0 || f.LSN() != 0 {
+			t.Fatalf("empty primary: %d restores, lsn %d; want 0 and 0", f.restores.Value(), f.LSN())
+		}
+	})
+
 	ws := openPrimary(t)
 	cli := startPrimary(t, ws)
 	local := gallery.New(nil)
 	f := NewFollower(local, cli, FollowerOptions{})
-	ctx := context.Background()
-
 	for i, tpl := range gal[:6] {
 		if err := ws.Enroll(subjectID(i), "D0", tpl); err != nil {
 			t.Fatal(err)
@@ -164,6 +208,9 @@ func TestFollowerTailsFromEmpty(t *testing.T) {
 	}
 	if f.LSN() != ws.LSN() || f.Lag() != 0 {
 		t.Fatalf("follower at lsn %d lag %d, primary at %d", f.LSN(), f.Lag(), ws.LSN())
+	}
+	if f.restores.Value() != 1 || f.applied.Value() != 0 {
+		t.Fatalf("bootstrap: %d restores, %d records applied; want 1 and 0", f.restores.Value(), f.applied.Value())
 	}
 	wantMirror(t, local, ws)
 
@@ -181,8 +228,241 @@ func TestFollowerTailsFromEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantMirror(t, local, ws)
-	if f.restores != nil && f.restores.Value() != 0 {
-		t.Fatalf("tail-only catch-up performed %d snapshot restores", f.restores.Value())
+	if f.restores.Value() != 1 || f.applied.Value() != 4 {
+		t.Fatalf("catch-up: %d restores, %d records applied; want 1 and 4", f.restores.Value(), f.applied.Value())
+	}
+}
+
+// expireFirstResume is a primary whose first resumed snapshot chunk
+// reports its capture gone, as when a second replica's fresh capture
+// after a write replaces it between two chunks. fresh counts the
+// transfers started.
+type expireFirstResume struct {
+	*wal.Store
+	expired atomic.Bool
+	fresh   atomic.Int32
+}
+
+func (s *expireFirstResume) SyncSnapshot(resumeLSN uint64) (uint64, []byte, error) {
+	if resumeLSN == 0 {
+		s.fresh.Add(1)
+	} else if s.expired.CompareAndSwap(false, true) {
+		return 0, nil, wal.ErrSnapshotExpired
+	}
+	return s.Store.SyncSnapshot(resumeLSN)
+}
+
+// TestFollowerRestartsExpiredTransfer: a capture that expires mid-way
+// through a restore after compaction is fetched again from scratch and
+// still lands as one restore; a bootstrap whose capture expires applies
+// the tail page it already holds instead of re-capturing.
+func TestFollowerRestartsExpiredTransfer(t *testing.T) {
+	gal, _ := fixtures(t)
+	for _, tc := range []struct {
+		name                     string
+		compact                  bool
+		fresh, restores, applied int
+	}{
+		{name: "after compaction", compact: true, fresh: 2, restores: 1, applied: 0},
+		{name: "bootstrap", fresh: 1, restores: 0, applied: 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := openPrimary(t)
+			for i, tpl := range gal[:6] {
+				if err := ws.Enroll(subjectID(i), "D0", tpl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.compact {
+				if err := ws.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			primary := &expireFirstResume{Store: ws}
+			local := gallery.New(nil)
+			// A tiny chunk budget makes the transfer resume at least once.
+			f := NewFollower(local, startPrimary(t, primary), FollowerOptions{MaxBytes: 700})
+			if err := f.Sync(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if !primary.expired.Load() || int(primary.fresh.Load()) != tc.fresh {
+				t.Fatalf("expired %v after %d transfers; want the first to expire and %d in all", primary.expired.Load(), primary.fresh.Load(), tc.fresh)
+			}
+			if int(f.restores.Value()) != tc.restores || int(f.applied.Value()) != tc.applied || f.LSN() != ws.LSN() {
+				t.Fatalf("%d restores, %d records applied, lsn %d; want %d, %d and %d",
+					f.restores.Value(), f.applied.Value(), f.LSN(), tc.restores, tc.applied, ws.LSN())
+			}
+			wantMirror(t, local, ws)
+		})
+	}
+}
+
+// captureAfterWrite is a primary under steady writes: one write lands
+// just before every fresh snapshot capture, so each capture replaces
+// the one before it. Captures are taken one at a time, and resumed
+// chunks wait until a second transfer has captured, so the first
+// transfer's capture is always replaced midway.
+type captureAfterWrite struct {
+	*wal.Store
+	tpl      *minutiae.Template
+	mu       sync.Mutex
+	fresh    atomic.Int32
+	expired  atomic.Int32
+	captured chan struct{} // closed once the second capture is taken
+}
+
+func (s *captureAfterWrite) SyncSnapshot(resumeLSN uint64) (uint64, []byte, error) {
+	if resumeLSN != 0 {
+		select {
+		case <-s.captured:
+		case <-time.After(10 * time.Second):
+		}
+		lsn, data, err := s.Store.SyncSnapshot(resumeLSN)
+		if errors.Is(err, wal.ErrSnapshotExpired) {
+			s.expired.Add(1)
+		}
+		return lsn, data, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.fresh.Add(1)
+	if err := s.Store.Enroll(fmt.Sprintf("write-%d", n), "D0", s.tpl); err != nil {
+		return 0, nil, err
+	}
+	lsn, data, err := s.Store.SyncSnapshot(0)
+	if n == 2 {
+		close(s.captured)
+	}
+	return lsn, data, err
+}
+
+// TestFollowersBootstrapConcurrentlyUnderWrites: two fresh replicas of
+// one primary that takes writes both finish bootstrapping. The one
+// whose capture the other replaced falls back to the tail; were it to
+// re-capture, it would expire the other's transfer in turn, and the
+// two could go on expiring each other for as long as writes land.
+func TestFollowersBootstrapConcurrentlyUnderWrites(t *testing.T) {
+	gal, _ := fixtures(t)
+	ws := openPrimary(t)
+	for i, tpl := range gal {
+		if err := ws.Enroll(subjectID(i), "D0", tpl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	primary := &captureAfterWrite{Store: ws, tpl: gal[0], captured: make(chan struct{})}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	locals := []*gallery.Store{gallery.New(nil), gallery.New(nil)}
+	followers := make([]*Follower, len(locals))
+	errs := make(chan error, len(locals))
+	for i, local := range locals {
+		// A tiny chunk budget spreads each transfer over many chunks.
+		followers[i] = NewFollower(local, startPrimary(t, primary), FollowerOptions{MaxBytes: 700})
+		go func() { errs <- followers[i].Sync(ctx) }()
+	}
+	for range locals {
+		if err := <-errs; err != nil {
+			t.Fatalf("bootstrap under writes: %v after %d captures, %d expired chunks", err, primary.fresh.Load(), primary.expired.Load())
+		}
+	}
+	restores := followers[0].restores.Value() + followers[1].restores.Value()
+	if primary.fresh.Load() != 2 || primary.expired.Load() != 1 || restores != 1 {
+		t.Fatalf("%d captures, %d expired chunks, %d restores; want 2, 1 and 1", primary.fresh.Load(), primary.expired.Load(), restores)
+	}
+	for i, f := range followers {
+		// The second capture's write may have landed after the first
+		// follower's last round.
+		if err := f.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		wantMirror(t, locals[i], ws)
+	}
+}
+
+// TestSnapshotBootstrapEqualsReplay: an indexed replica bootstrapped
+// from a snapshot holds what replaying every log record would give it,
+// and answers every identification bit-identically — candidates, score
+// bits, shortlist size and matcher comparisons.
+func TestSnapshotBootstrapEqualsReplay(t *testing.T) {
+	gal, probes := bulkFixtures(t)
+	ws := openPrimary(t)
+	items := make([]gallery.Export, len(gal))
+	for i, tpl := range gal {
+		items[i] = gallery.Export{ID: subjectID(i), DeviceID: "D0", Template: tpl}
+	}
+	if err := ws.EnrollBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	// Removals and a re-enrollment under a removed ID, so the replayed
+	// history is more than a list of adds.
+	for _, i := range []int{3, 50, 120} {
+		if err := ws.Remove(subjectID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ws.Enroll(subjectID(50), "D1", probes[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	indexed := func() *gallery.Store {
+		g := gallery.New(nil)
+		if err := g.EnableIndex(gallery.IndexOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	booted := indexed()
+	f := NewFollower(booted, startPrimary(t, ws), FollowerOptions{})
+	if err := f.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if f.restores.Value() != 1 || f.applied.Value() != 0 {
+		t.Fatalf("%d restores, %d records applied; want a snapshot bootstrap", f.restores.Value(), f.applied.Value())
+	}
+	replayed := indexed()
+	page, err := ws.SyncTail(0, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Records) != len(gal)+4 {
+		t.Fatalf("log holds %d records, want %d", len(page.Records), len(gal)+4)
+	}
+	for _, rec := range page.Records {
+		if err := wal.ApplyRecord(replayed, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantMirror(t, booted, ws)
+	wantMirror(t, replayed, ws)
+
+	ctx := context.Background()
+	served := 0
+	for pi, probe := range probes {
+		want, wantStats, err := replayed.IdentifyDetailedContext(ctx, probe, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotStats, err := booted.IdentifyDetailedContext(ctx, probe, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotStats != wantStats {
+			t.Fatalf("probe %d: stats %+v, replay %+v", pi, gotStats, wantStats)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("probe %d: %d candidates, replay %d", pi, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("probe %d rank %d: (%q, %v), replay (%q, %v)", pi, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+			}
+		}
+		if gotStats.Indexed {
+			served++
+		}
+	}
+	if served == 0 {
+		t.Fatal("no probe was served from the index shortlist")
 	}
 }
 

@@ -25,7 +25,8 @@ import (
 
 // ErrSnapshotExpired reports a resumed snapshot transfer whose capture
 // is gone (the store re-captured for a newer LSN, or restarted). The
-// replica restarts the transfer with resumeLSN 0.
+// replica restarts the transfer with resumeLSN 0, or tails the log
+// instead when the log still holds everything it lacks.
 var ErrSnapshotExpired = errors.New("wal: sync snapshot expired")
 
 // TailPage is one page of log records shipped to a replica.
