@@ -86,7 +86,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -159,7 +158,8 @@ func run(args []string) error {
 		return fmt.Errorf("-replica-sync-interval requires -replica-of")
 	}
 
-	logger, serverLog := newLoggers(os.Stderr)
+	logger := newLogger(os.Stderr)
+	serverLog := logger.With("component", "matchsvc")
 
 	// One registry feeds every layer; nil (no -metrics-addr) keeps all
 	// instrumentation as no-ops.
@@ -369,12 +369,9 @@ func run(args []string) error {
 	return nil
 }
 
-// newLoggers returns matchd's logger, writing logfmt lines to w, and
-// the *log.Logger the wire server logs through: its lines reach the
-// same handler as Info entries tagged component=matchsvc.
-func newLoggers(w io.Writer) (*slog.Logger, *log.Logger) {
-	logger := slog.New(slog.NewTextHandler(w, nil))
-	return logger, slog.NewLogLogger(logger.With("component", "matchsvc").Handler(), slog.LevelInfo)
+// newLogger returns matchd's logger, writing logfmt lines to w.
+func newLogger(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, nil))
 }
 
 // parseShards splits -shards ("a,b") into addresses and -replicas

@@ -233,9 +233,6 @@ func (an *annotations) allowed(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// Hotpath reports whether fd carries a //fpvet:hotpath annotation.
-func (p *Pkg) Hotpath(fd *ast.FuncDecl) bool { return p.annotations().hotpaths[fd] }
-
 // HotpathFuncs returns the package's annotated hot-path functions.
 func (p *Pkg) HotpathFuncs() []*ast.FuncDecl {
 	an := p.annotations()

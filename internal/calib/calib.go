@@ -115,9 +115,6 @@ func FitCalibration(m match.Matcher, pairs []TemplatePair, opts CalibrationOptio
 	return &Calibration{warp: warp, TrainingPairs: used, ControlPoints: len(src)}, nil
 }
 
-// BendingEnergy exposes how non-affine the learned warp is.
-func (c *Calibration) BendingEnergy() float64 { return c.warp.BendingEnergy() }
-
 // CalibratedMatcher wraps a base matcher with an inter-sensor calibration:
 // it matches once to find the rigid alignment, applies the learned
 // deformation correction to the aligned probe, re-matches, and keeps the

@@ -106,17 +106,3 @@ func FuseSum(scores []float64) float64 {
 	}
 	return s / float64(len(scores))
 }
-
-// FuseMax combines multiple attempt scores with the max rule.
-func FuseMax(scores []float64) float64 {
-	if len(scores) == 0 {
-		return 0
-	}
-	best := scores[0]
-	for _, x := range scores[1:] {
-		if x > best {
-			best = x
-		}
-	}
-	return best
-}

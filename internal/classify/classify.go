@@ -12,7 +12,6 @@ package classify
 import (
 	"math"
 
-	"fpinterop/internal/geom"
 	"fpinterop/internal/imgproc"
 	"fpinterop/internal/ridge"
 )
@@ -174,43 +173,6 @@ func ClassifyImage(img *imgproc.Image, minCoherence float64) (ridge.Class, []Sin
 	of.Smooth(2)
 	pts := DetectSingularPoints(of, minCoherence)
 	return ClassifyCounts(pts), pts
-}
-
-// ClassifyMaster classifies directly from a master print's analytic
-// orientation field, sampled over its pad — useful for validating the
-// detector against ground truth.
-func ClassifyMaster(m *ridge.Master, blockMM float64) (ridge.Class, []SingularPoint) {
-	if blockMM <= 0 {
-		blockMM = 1
-	}
-	bw := int(m.Pad.Width()/blockMM) + 1
-	bh := int(m.Pad.Height()/blockMM) + 1
-	of := &imgproc.OrientationField{BlockSize: 1, BW: bw, BH: bh}
-	of.Theta = make([][]float64, bh)
-	of.Coherence = make([][]float64, bh)
-	for by := 0; by < bh; by++ {
-		of.Theta[by] = make([]float64, bw)
-		of.Coherence[by] = make([]float64, bw)
-		for bx := 0; bx < bw; bx++ {
-			// Master space is y-up; field rows go y-down.
-			p := pointAt(m, bx, by, blockMM)
-			// Image-space orientation flips the angle sign.
-			th := math.Mod(-m.OrientationAt(p)+math.Pi, math.Pi)
-			of.Theta[by][bx] = th
-			if m.InPad(p) {
-				of.Coherence[by][bx] = 1
-			}
-		}
-	}
-	pts := DetectSingularPoints(of, 0.5)
-	return ClassifyCounts(pts), pts
-}
-
-func pointAt(m *ridge.Master, bx, by int, blockMM float64) geom.Point {
-	return geom.Point{
-		X: m.Pad.MinX + (float64(bx)+0.5)*blockMM,
-		Y: m.Pad.MaxY - (float64(by)+0.5)*blockMM,
-	}
 }
 
 func abs(x int) int {

@@ -1,8 +1,11 @@
 package classify
 
 import (
+	"math"
 	"testing"
 
+	"fpinterop/internal/geom"
+	"fpinterop/internal/imgproc"
 	"fpinterop/internal/ridge"
 	"fpinterop/internal/rng"
 )
@@ -12,6 +15,36 @@ func masterOf(seed uint64, class ridge.Class) *ridge.Master {
 		ridge.GenOptions{ForceClass: class, MeanMinutiae: 10})
 }
 
+// classifyMaster runs the singular-point detector and the class rules on
+// a master print's analytic orientation field, sampled over its pad in
+// blockMM cells, so the detector is checked against ground truth
+// without image synthesis.
+func classifyMaster(m *ridge.Master, blockMM float64) (ridge.Class, []SingularPoint) {
+	bw := int(m.Pad.Width()/blockMM) + 1
+	bh := int(m.Pad.Height()/blockMM) + 1
+	of := &imgproc.OrientationField{BlockSize: 1, BW: bw, BH: bh}
+	of.Theta = make([][]float64, bh)
+	of.Coherence = make([][]float64, bh)
+	for by := 0; by < bh; by++ {
+		of.Theta[by] = make([]float64, bw)
+		of.Coherence[by] = make([]float64, bw)
+		for bx := 0; bx < bw; bx++ {
+			// Master space is y-up; field rows go y-down.
+			p := geom.Point{
+				X: m.Pad.MinX + (float64(bx)+0.5)*blockMM,
+				Y: m.Pad.MaxY - (float64(by)+0.5)*blockMM,
+			}
+			// Image-space orientation flips the angle sign.
+			of.Theta[by][bx] = math.Mod(-m.OrientationAt(p)+math.Pi, math.Pi)
+			if m.InPad(p) {
+				of.Coherence[by][bx] = 1
+			}
+		}
+	}
+	pts := DetectSingularPoints(of, 0.5)
+	return ClassifyCounts(pts), pts
+}
+
 func TestClassifyMasterRecoversGroundTruthClass(t *testing.T) {
 	cases := []ridge.Class{ridge.LeftLoop, ridge.RightLoop, ridge.Whorl, ridge.TentedArch, ridge.Arch}
 	for _, want := range cases {
@@ -19,7 +52,7 @@ func TestClassifyMasterRecoversGroundTruthClass(t *testing.T) {
 		const trials = 10
 		for i := uint64(0); i < trials; i++ {
 			m := masterOf(100+i, want)
-			got, _ := ClassifyMaster(m, 0.8)
+			got, _ := classifyMaster(m, 0.8)
 			if got == want {
 				hits++
 			}
@@ -34,7 +67,7 @@ func TestClassifyMasterRecoversGroundTruthClass(t *testing.T) {
 
 func TestClassifyMasterSingularPointCounts(t *testing.T) {
 	m := masterOf(7, ridge.Whorl)
-	_, pts := ClassifyMaster(m, 0.8)
+	_, pts := classifyMaster(m, 0.8)
 	cores, deltas := 0, 0
 	for _, p := range pts {
 		if p.IsCore() {
@@ -47,7 +80,7 @@ func TestClassifyMasterSingularPointCounts(t *testing.T) {
 		t.Fatalf("whorl: %d cores detected, want >= 2 (deltas %d)", cores, deltas)
 	}
 	m2 := masterOf(8, ridge.Arch)
-	_, pts2 := ClassifyMaster(m2, 0.8)
+	_, pts2 := classifyMaster(m2, 0.8)
 	if len(pts2) != 0 {
 		t.Fatalf("arch: %d singular points detected, want 0", len(pts2))
 	}
@@ -56,11 +89,11 @@ func TestClassifyMasterSingularPointCounts(t *testing.T) {
 func TestClassifyLoopSide(t *testing.T) {
 	// Left and right loops must not be confused with each other.
 	for i := uint64(0); i < 6; i++ {
-		l, _ := ClassifyMaster(masterOf(300+i, ridge.LeftLoop), 0.8)
+		l, _ := classifyMaster(masterOf(300+i, ridge.LeftLoop), 0.8)
 		if l == ridge.RightLoop {
 			t.Fatalf("left loop classified as right loop (seed %d)", 300+i)
 		}
-		r, _ := ClassifyMaster(masterOf(400+i, ridge.RightLoop), 0.8)
+		r, _ := classifyMaster(masterOf(400+i, ridge.RightLoop), 0.8)
 		if r == ridge.LeftLoop {
 			t.Fatalf("right loop classified as left loop (seed %d)", 400+i)
 		}
@@ -111,7 +144,7 @@ func TestClassifyImageOnSynthesizedPrint(t *testing.T) {
 func TestPoincareIndexSmoothFieldIsZero(t *testing.T) {
 	m := masterOf(66, ridge.Arch)
 	// Arch fields are singularity-free: every interior index ≈ 0.
-	_, pts := ClassifyMaster(m, 0.8)
+	_, pts := classifyMaster(m, 0.8)
 	if len(pts) != 0 {
 		t.Fatalf("smooth field produced %d singular points", len(pts))
 	}

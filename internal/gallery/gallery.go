@@ -285,14 +285,6 @@ func (s *Store) workers(n int) int {
 	return min(w, n)
 }
 
-// Has reports whether id is enrolled.
-func (s *Store) Has(id string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.entries[id]
-	return ok
-}
-
 // Get returns the enrollment stored under id. The returned template is
 // the store's own; callers must not mutate it.
 func (s *Store) Get(id string) (Export, bool) {
@@ -449,14 +441,6 @@ func buildIndex(opt index.Options, order []string, entries map[string]*Entry) (*
 		return nil, fmt.Errorf("gallery: index build: %w", err)
 	}
 	return idx, nil
-}
-
-// DisableIndex detaches the retrieval index; Identify reverts to the
-// exhaustive scan.
-func (s *Store) DisableIndex() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.idx = nil
 }
 
 // IndexStats reports retrieval-index occupancy; ok is false when no

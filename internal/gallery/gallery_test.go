@@ -464,11 +464,6 @@ func TestIndexedIdentifyRecallGuardFallsBack(t *testing.T) {
 	if stats.Indexed {
 		t.Fatal("full ranking served from the shortlist")
 	}
-	// Disabling the index restores plain behavior.
-	s.DisableIndex()
-	if _, ok := s.IndexStats(); ok {
-		t.Fatal("IndexStats ok after DisableIndex")
-	}
 }
 
 func TestEnrollRemoveKeepIndexInSync(t *testing.T) {
@@ -743,5 +738,74 @@ func TestIdentifyContextCancellationUnblocksScan(t *testing.T) {
 	}
 	if len(cands) != 3 {
 		t.Fatalf("post-cancel identify returned %d candidates", len(cands))
+	}
+}
+
+// TestGet reads enrollments back after each kind of write.
+func TestGet(t *testing.T) {
+	tpl := func(x float64) *minutiae.Template {
+		return &minutiae.Template{Width: 100, Height: 100, DPI: 500,
+			Minutiae: []minutiae.Minutia{{X: x, Y: 10, Angle: 1, Kind: minutiae.Ending}}}
+	}
+	cases := []struct {
+		name   string
+		write  func(s *Store) error
+		ok     bool
+		device string
+		x      float64
+	}{
+		{"unknown id", func(s *Store) error { return nil }, false, "", 0},
+		{"enrolled", func(s *Store) error { return s.Enroll("a", "D0", tpl(10)) }, true, "D0", 10},
+		{"removed", func(s *Store) error {
+			if err := s.Enroll("a", "D0", tpl(10)); err != nil {
+				return err
+			}
+			return s.Remove("a")
+		}, false, "", 0},
+		{"re-enrolled", func(s *Store) error {
+			if err := s.Enroll("a", "D0", tpl(10)); err != nil {
+				return err
+			}
+			if err := s.Remove("a"); err != nil {
+				return err
+			}
+			return s.Enroll("a", "D1", tpl(20))
+		}, true, "D1", 20},
+		{"batch", func(s *Store) error {
+			return s.EnrollBatch([]Export{{"b", "D2", tpl(30)}, {"a", "D1", tpl(40)}})
+		}, true, "D1", 40},
+		{"caller mutates after enroll", func(s *Store) error {
+			in := tpl(10)
+			err := s.Enroll("a", "D0", in)
+			in.Minutiae[0].X = 99
+			return err
+		}, true, "D0", 10},
+		{"replace all", func(s *Store) error {
+			if err := s.Enroll("a", "D0", tpl(10)); err != nil {
+				return err
+			}
+			return s.ReplaceAll([]Export{{"a", "D3", tpl(50)}})
+		}, true, "D3", 50},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(nil)
+			if err := c.write(s); err != nil {
+				t.Fatal(err)
+			}
+			e, ok := s.Get("a")
+			if ok != c.ok {
+				t.Fatalf("Get ok = %v, want %v", ok, c.ok)
+			}
+			if !ok {
+				if e != (Export{}) {
+					t.Fatalf("missing id returned %+v", e)
+				}
+				return
+			}
+			if e.ID != "a" || e.DeviceID != c.device || e.Template.Minutiae[0].X != c.x {
+				t.Fatalf("Get = {%s %s x=%v}, want {a %s x=%v}", e.ID, e.DeviceID, e.Template.Minutiae[0].X, c.device, c.x)
+			}
+		})
 	}
 }

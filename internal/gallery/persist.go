@@ -184,10 +184,7 @@ func (s *Store) ReplaceAll(entries []Export) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case s.idx == nil:
-		idx = nil
-	case s.idx != old:
+	if s.idx != old {
 		// Enabled or re-enabled meanwhile; its options may differ.
 		var err error
 		if idx, err = buildIndex(s.idx.Options(), order, byID); err != nil {

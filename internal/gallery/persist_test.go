@@ -140,12 +140,8 @@ func TestLoadFromRebuildsIndex(t *testing.T) {
 		if !stats.Indexed {
 			t.Fatalf("probe %d not served by the rebuilt index", i)
 		}
-		restored.DisableIndex()
-		exhaustive, err := restored.IdentifyContext(context.Background(), p, 1)
+		exhaustive, err := s.IdentifyContext(context.Background(), p, 1)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.EnableIndex(IndexOptions{MinCandidates: 2}); err != nil {
 			t.Fatal(err)
 		}
 		if indexed[0].ID != exhaustive[0].ID {

@@ -1,14 +1,12 @@
 // Package geom provides the 2-D geometry used throughout the fingerprint
-// pipeline: points, rigid and affine transforms, angle arithmetic on the
-// half-open circle, and thin-plate splines for smooth non-rigid warps.
+// pipeline: points, rigid transforms, angle normalization, and thin-plate
+// splines for smooth non-rigid warps.
 //
 // Coordinates are in millimetres at the physical layer and in pixels at the
 // image layer; geom is unit-agnostic.
 package geom
 
-import (
-	"math"
-)
+import "math"
 
 // Point is a 2-D point or vector.
 type Point struct {
@@ -27,14 +25,8 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Dot returns the inner product p·q.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// Norm returns the Euclidean length of p.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
-
-// Angle returns atan2(Y, X) in (−π, π].
-func (p Point) Angle() float64 { return math.Atan2(p.Y, p.X) }
 
 // Rotate returns p rotated by theta radians about the origin.
 func (p Point) Rotate(theta float64) Point {
@@ -53,26 +45,6 @@ func NormalizeAngle(theta float64) float64 {
 	return theta
 }
 
-// AngleDiff returns the signed smallest difference a−b wrapped into
-// (−π, π].
-func AngleDiff(a, b float64) float64 {
-	return NormalizeAngle(a - b)
-}
-
-// OrientationDiff returns the smallest absolute difference between two
-// ridge orientations, which live on the half-circle [0, π) (an orientation
-// of θ is indistinguishable from θ+π).
-func OrientationDiff(a, b float64) float64 {
-	d := math.Mod(a-b, math.Pi)
-	if d < 0 {
-		d += math.Pi
-	}
-	if d > math.Pi/2 {
-		d = math.Pi - d
-	}
-	return d
-}
-
 // Rigid is a rigid-body transform: rotation by Theta about the origin,
 // then translation by T, with optional isotropic scale S (S=1 is a true
 // rigid motion; the capture models use small scale factors for dpi error).
@@ -82,9 +54,6 @@ type Rigid struct {
 	S     float64
 }
 
-// IdentityRigid returns the identity transform.
-func IdentityRigid() Rigid { return Rigid{S: 1} }
-
 // Apply maps p through r.
 func (r Rigid) Apply(p Point) Point {
 	s := r.S
@@ -92,11 +61,6 @@ func (r Rigid) Apply(p Point) Point {
 		s = 1
 	}
 	return p.Rotate(r.Theta).Scale(s).Add(r.T)
-}
-
-// ApplyAngle maps a direction through the rotation component of r.
-func (r Rigid) ApplyAngle(theta float64) float64 {
-	return NormalizeAngle(theta + r.Theta)
 }
 
 // Invert returns the inverse transform.
@@ -108,71 +72,6 @@ func (r Rigid) Invert() Rigid {
 	inv := Rigid{Theta: -r.Theta, S: 1 / s}
 	inv.T = r.T.Scale(-1 / s).Rotate(-r.Theta)
 	return inv
-}
-
-// Compose returns the transform equivalent to applying r first, then o.
-func (r Rigid) Compose(o Rigid) Rigid {
-	rs := r.S
-	if rs == 0 {
-		rs = 1
-	}
-	os := o.S
-	if os == 0 {
-		os = 1
-	}
-	return Rigid{
-		Theta: NormalizeAngle(r.Theta + o.Theta),
-		S:     rs * os,
-		T:     o.Apply(r.T),
-	}
-}
-
-// Affine is a general 2-D affine transform:
-//
-//	x' = A·x + B·y + C
-//	y' = D·x + E·y + F
-type Affine struct {
-	A, B, C float64
-	D, E, F float64
-}
-
-// IdentityAffine returns the identity affine transform.
-func IdentityAffine() Affine { return Affine{A: 1, E: 1} }
-
-// Apply maps p through a.
-func (a Affine) Apply(p Point) Point {
-	return Point{
-		X: a.A*p.X + a.B*p.Y + a.C,
-		Y: a.D*p.X + a.E*p.Y + a.F,
-	}
-}
-
-// Det returns the determinant of the linear part.
-func (a Affine) Det() float64 { return a.A*a.E - a.B*a.D }
-
-// Invert returns the inverse affine transform and whether it exists.
-func (a Affine) Invert() (Affine, bool) {
-	det := a.Det()
-	if math.Abs(det) < 1e-12 {
-		return Affine{}, false
-	}
-	inv := Affine{
-		A: a.E / det, B: -a.B / det,
-		D: -a.D / det, E: a.A / det,
-	}
-	inv.C = -(inv.A*a.C + inv.B*a.F)
-	inv.F = -(inv.D*a.C + inv.E*a.F)
-	return inv, true
-}
-
-// FromRigid converts a rigid transform to its affine representation.
-func FromRigid(r Rigid) Affine {
-	s := r.S
-	if s == 0 {
-		s = 1
-	}
-	c, sn := math.Cos(r.Theta)*s, math.Sin(r.Theta)*s
-	return Affine{A: c, B: -sn, C: r.T.X, D: sn, E: c, F: r.T.Y}
 }
 
 // Rect is an axis-aligned rectangle [MinX, MaxX] × [MinY, MaxY].
@@ -194,24 +93,6 @@ func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 // Center returns the midpoint of r.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
-}
-
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Intersect returns the intersection of two rectangles and whether it is
-// non-empty.
-func (r Rect) Intersect(o Rect) (Rect, bool) {
-	out := Rect{
-		MinX: math.Max(r.MinX, o.MinX),
-		MinY: math.Max(r.MinY, o.MinY),
-		MaxX: math.Min(r.MaxX, o.MaxX),
-		MaxY: math.Min(r.MaxY, o.MaxY),
-	}
-	if out.MinX >= out.MaxX || out.MinY >= out.MaxY {
-		return Rect{}, false
-	}
-	return out, true
 }
 
 // CenteredRect returns a rectangle of the given width and height centred

@@ -108,47 +108,3 @@ func (t *TPS) Apply(p Point) Point {
 	}
 	return Point{x, y}
 }
-
-// BendingEnergy returns a scalar proportional to the integral bending
-// energy of the spline — a measure of how non-affine the warp is. Identity
-// and pure affine warps have zero bending energy.
-func (t *TPS) BendingEnergy() float64 {
-	// E = wᵀ K w for each coordinate.
-	n := len(t.src)
-	e := 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			d := t.src[i].Sub(t.src[j])
-			u := tpsKernel(d.Dot(d))
-			e += u * (t.wx[i]*t.wx[j] + t.wy[i]*t.wy[j])
-		}
-	}
-	return e
-}
-
-// ControlPoints returns a copy of the source control points.
-func (t *TPS) ControlPoints() []Point {
-	return append([]Point(nil), t.src...)
-}
-
-// GridWarp builds a TPS from a regular grid of control points over bounds,
-// displaced by the provided function. It is the generator used to give each
-// synthetic sensor its characteristic smooth distortion field.
-func GridWarp(bounds Rect, nx, ny int, displace func(p Point) Point) (*TPS, error) {
-	if nx < 2 || ny < 2 {
-		return nil, fmt.Errorf("geom: GridWarp needs at least a 2x2 grid, got %dx%d", nx, ny)
-	}
-	src := make([]Point, 0, nx*ny)
-	dst := make([]Point, 0, nx*ny)
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			p := Point{
-				X: bounds.MinX + bounds.Width()*float64(ix)/float64(nx-1),
-				Y: bounds.MinY + bounds.Height()*float64(iy)/float64(ny-1),
-			}
-			src = append(src, p)
-			dst = append(dst, p.Add(displace(p)))
-		}
-	}
-	return FitTPS(src, dst, 0)
-}

@@ -1,71 +1,6 @@
 package imgproc
 
-import (
-	"fmt"
-	"math"
-)
-
-// ConvolveSeparable applies a separable filter: kx along rows, then ky
-// along columns, with replicate border padding. Kernel lengths must be odd.
-func ConvolveSeparable(im *Image, kx, ky []float64) (*Image, error) {
-	if len(kx)%2 == 0 || len(ky)%2 == 0 {
-		return nil, fmt.Errorf("imgproc: separable kernels must have odd length, got %d and %d", len(kx), len(ky))
-	}
-	rx := len(kx) / 2
-	tmp := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			sum := 0.0
-			for k := -rx; k <= rx; k++ {
-				sum += kx[k+rx] * im.At(x+k, y)
-			}
-			tmp.Pix[y*im.W+x] = sum
-		}
-	}
-	ry := len(ky) / 2
-	out := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			sum := 0.0
-			for k := -ry; k <= ry; k++ {
-				sum += ky[k+ry] * tmp.At(x, y+k)
-			}
-			out.Pix[y*im.W+x] = sum
-		}
-	}
-	return out, nil
-}
-
-// GaussianKernel returns a normalized 1-D Gaussian kernel with the given
-// sigma; the radius is ceil(3σ).
-func GaussianKernel(sigma float64) []float64 {
-	if sigma <= 0 {
-		return []float64{1}
-	}
-	r := int(math.Ceil(3 * sigma))
-	k := make([]float64, 2*r+1)
-	sum := 0.0
-	for i := -r; i <= r; i++ {
-		v := math.Exp(-float64(i*i) / (2 * sigma * sigma))
-		k[i+r] = v
-		sum += v
-	}
-	for i := range k {
-		k[i] /= sum
-	}
-	return k
-}
-
-// GaussianBlur returns the image smoothed with an isotropic Gaussian.
-func GaussianBlur(im *Image, sigma float64) *Image {
-	k := GaussianKernel(sigma)
-	out, err := ConvolveSeparable(im, k, k)
-	if err != nil {
-		// Kernel construction guarantees odd length; this cannot happen.
-		return im.Clone()
-	}
-	return out
-}
+import "math"
 
 // Sobel computes horizontal and vertical gradients with the 3×3 Sobel
 // operator.

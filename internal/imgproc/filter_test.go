@@ -5,86 +5,6 @@ import (
 	"testing"
 )
 
-func TestGaussianKernelNormalized(t *testing.T) {
-	for _, sigma := range []float64{0.5, 1, 2.5} {
-		k := GaussianKernel(sigma)
-		if len(k)%2 == 0 {
-			t.Fatalf("kernel length even: %d", len(k))
-		}
-		sum := 0.0
-		for _, v := range k {
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("sigma %v kernel sum = %v", sigma, sum)
-		}
-		// Symmetry.
-		for i := range k {
-			if math.Abs(k[i]-k[len(k)-1-i]) > 1e-12 {
-				t.Fatal("kernel not symmetric")
-			}
-		}
-	}
-}
-
-func TestGaussianKernelDegenerateSigma(t *testing.T) {
-	k := GaussianKernel(0)
-	if len(k) != 1 || k[0] != 1 {
-		t.Fatalf("zero-sigma kernel = %v", k)
-	}
-}
-
-func TestConvolveSeparableIdentity(t *testing.T) {
-	im := NewImage(4, 4)
-	im.Set(2, 1, 0.8)
-	out, err := ConvolveSeparable(im, []float64{1}, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range im.Pix {
-		if out.Pix[i] != im.Pix[i] {
-			t.Fatal("identity convolution changed image")
-		}
-	}
-}
-
-func TestConvolveSeparableRejectsEvenKernels(t *testing.T) {
-	im := NewImage(2, 2)
-	if _, err := ConvolveSeparable(im, []float64{1, 1}, []float64{1}); err == nil {
-		t.Fatal("expected error for even kernel")
-	}
-}
-
-func TestGaussianBlurPreservesConstant(t *testing.T) {
-	im := NewImageFilled(8, 8, 0.37)
-	out := GaussianBlur(im, 1.5)
-	for _, v := range out.Pix {
-		if math.Abs(v-0.37) > 1e-9 {
-			t.Fatalf("blur changed constant image: %v", v)
-		}
-	}
-}
-
-func TestGaussianBlurSmooths(t *testing.T) {
-	im := NewImage(9, 9)
-	im.Set(4, 4, 1)
-	out := GaussianBlur(im, 1)
-	if out.At(4, 4) >= 1 {
-		t.Fatal("peak not reduced")
-	}
-	if out.At(3, 4) <= 0 {
-		t.Fatal("energy not spread")
-	}
-	// Total mass approximately preserved in the interior.
-	sum := 0.0
-	for _, v := range out.Pix {
-		sum += v
-	}
-	if math.Abs(sum-1) > 0.01 {
-		t.Fatalf("blur mass = %v", sum)
-	}
-}
-
 func TestSobelDetectsVerticalEdge(t *testing.T) {
 	im := NewImage(8, 8)
 	for y := 0; y < 8; y++ {

@@ -6,10 +6,7 @@
 // quantization.
 package imgproc
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Image is a dense grayscale image with float64 pixels, row-major.
 // Pixel values are nominally in [0, 1] but intermediates may exceed the
@@ -157,30 +154,6 @@ func (im *Image) Bilinear(x, y float64) float64 {
 	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy
 }
 
-// Resize returns the image resampled to (w, h) with bilinear interpolation.
-func (im *Image) Resize(w, h int) (*Image, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("imgproc: invalid resize target %dx%d", w, h)
-	}
-	out := NewImage(w, h)
-	sx := float64(im.W) / float64(w)
-	sy := float64(im.H) / float64(h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			out.Pix[y*w+x] = im.Bilinear((float64(x)+0.5)*sx-0.5, (float64(y)+0.5)*sy-0.5)
-		}
-	}
-	return out, nil
-}
-
-// Invert maps every pixel v to 1−v in place and returns the image.
-func (im *Image) Invert() *Image {
-	for i, v := range im.Pix {
-		im.Pix[i] = 1 - v
-	}
-	return im
-}
-
 // Binary is a 1-bit image; true marks foreground (ridge) pixels.
 type Binary struct {
 	W, H int
@@ -200,42 +173,9 @@ func (b *Binary) At(x, y int) bool {
 	return b.Pix[y*b.W+x]
 }
 
-// Set assigns the pixel at (x, y); out-of-bounds writes are ignored.
-func (b *Binary) Set(x, y int, v bool) {
-	if x < 0 || x >= b.W || y < 0 || y >= b.H {
-		return
-	}
-	b.Pix[y*b.W+x] = v
-}
-
 // Clone returns a deep copy.
 func (b *Binary) Clone() *Binary {
 	out := NewBinary(b.W, b.H)
 	copy(out.Pix, b.Pix)
 	return out
-}
-
-// Count returns the number of true pixels.
-func (b *Binary) Count() int {
-	n := 0
-	for _, v := range b.Pix {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
-// ToImage renders the binary image as grayscale: foreground 0 (black),
-// background 1 (white) — fingerprint convention.
-func (b *Binary) ToImage() *Image {
-	im := NewImage(b.W, b.H)
-	for i, v := range b.Pix {
-		if v {
-			im.Pix[i] = 0
-		} else {
-			im.Pix[i] = 1
-		}
-	}
-	return im
 }

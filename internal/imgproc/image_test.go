@@ -130,48 +130,14 @@ func TestBilinearInterpolation(t *testing.T) {
 	}
 }
 
-func TestResize(t *testing.T) {
-	im := NewImageFilled(4, 4, 0.6)
-	out, err := im.Resize(8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.W != 8 || out.H != 2 {
-		t.Fatal("resize shape wrong")
-	}
-	for _, v := range out.Pix {
-		if math.Abs(v-0.6) > 1e-12 {
-			t.Fatalf("constant image resize changed value: %v", v)
-		}
-	}
-	if _, err := im.Resize(0, 5); err == nil {
-		t.Fatal("expected error for zero width")
-	}
-}
-
-func TestInvert(t *testing.T) {
-	im := NewImageFilled(2, 2, 0.25)
-	im.Invert()
-	if im.At(0, 0) != 0.75 {
-		t.Fatalf("Invert = %v", im.At(0, 0))
-	}
-}
-
-func TestBinaryBasics(t *testing.T) {
+func TestBinaryAt(t *testing.T) {
 	b := NewBinary(3, 3)
-	b.Set(1, 1, true)
+	setPix(b, 1, 1)
 	if !b.At(1, 1) || b.At(0, 0) {
-		t.Fatal("binary get/set wrong")
+		t.Fatal("binary At wrong")
 	}
 	if b.At(-1, 0) || b.At(5, 5) {
 		t.Fatal("out of bounds should be false")
-	}
-	if b.Count() != 1 {
-		t.Fatal("Count wrong")
-	}
-	im := b.ToImage()
-	if im.At(1, 1) != 0 || im.At(0, 0) != 1 {
-		t.Fatal("ToImage convention wrong (ridge must be black)")
 	}
 }
 

@@ -23,43 +23,3 @@ func Median3(im *Image) *Image {
 	}
 	return out
 }
-
-// Erode shrinks foreground regions of a binary image: a pixel survives
-// only if all 4-neighbours are foreground.
-func Erode(b *Binary) *Binary {
-	out := NewBinary(b.W, b.H)
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			if b.At(x, y) && b.At(x-1, y) && b.At(x+1, y) && b.At(x, y-1) && b.At(x, y+1) {
-				out.Set(x, y, true)
-			}
-		}
-	}
-	return out
-}
-
-// Dilate grows foreground regions: a pixel becomes foreground if any
-// 4-neighbour (or itself) is foreground.
-func Dilate(b *Binary) *Binary {
-	out := NewBinary(b.W, b.H)
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			if b.At(x, y) || b.At(x-1, y) || b.At(x+1, y) || b.At(x, y-1) || b.At(x, y+1) {
-				out.Set(x, y, true)
-			}
-		}
-	}
-	return out
-}
-
-// Open is erosion followed by dilation: removes isolated foreground
-// specks while approximately preserving larger structures.
-func Open(b *Binary) *Binary {
-	return Dilate(Erode(b))
-}
-
-// Close is dilation followed by erosion: fills small holes and hairline
-// breaks.
-func Close(b *Binary) *Binary {
-	return Erode(Dilate(b))
-}

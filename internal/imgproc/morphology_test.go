@@ -27,55 +27,3 @@ func TestMedian3PreservesEdges(t *testing.T) {
 		t.Fatal("median destroyed a step edge")
 	}
 }
-
-func TestErodeDilateInverseOnLargeBlock(t *testing.T) {
-	b := NewBinary(12, 12)
-	for y := 3; y < 9; y++ {
-		for x := 3; x < 9; x++ {
-			b.Set(x, y, true)
-		}
-	}
-	opened := Open(b)
-	// The 6x6 block survives opening with only its boundary eroded and
-	// re-dilated; the centre must be intact.
-	if !opened.At(5, 5) {
-		t.Fatal("opening destroyed block interior")
-	}
-}
-
-func TestOpenRemovesSpeck(t *testing.T) {
-	b := NewBinary(8, 8)
-	b.Set(4, 4, true) // isolated pixel
-	if Open(b).Count() != 0 {
-		t.Fatal("opening kept an isolated speck")
-	}
-}
-
-func TestCloseFillsHole(t *testing.T) {
-	b := NewBinary(9, 9)
-	for y := 2; y < 7; y++ {
-		for x := 2; x < 7; x++ {
-			b.Set(x, y, true)
-		}
-	}
-	b.Set(4, 4, false) // pinhole
-	if !Close(b).At(4, 4) {
-		t.Fatal("closing left the pinhole")
-	}
-}
-
-func TestErodeEmptyAndFull(t *testing.T) {
-	empty := NewBinary(5, 5)
-	if Erode(empty).Count() != 0 {
-		t.Fatal("eroding empty image grew pixels")
-	}
-	full := NewBinary(5, 5)
-	for i := range full.Pix {
-		full.Pix[i] = true
-	}
-	// Border pixels die (outside is background), interior survives.
-	e := Erode(full)
-	if !e.At(2, 2) || e.At(0, 0) {
-		t.Fatal("erode of full image wrong")
-	}
-}

@@ -135,22 +135,6 @@ func (of *OrientationField) CoherenceAt(x, y int) float64 {
 	return of.Coherence[by][bx]
 }
 
-// MeanCoherence returns the average coherence over all blocks — a global
-// measure of ridge clarity used by the quality assessor.
-func (of *OrientationField) MeanCoherence() float64 {
-	sum, n := 0.0, 0
-	for by := 0; by < of.BH; by++ {
-		for bx := 0; bx < of.BW; bx++ {
-			sum += of.Coherence[by][bx]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // EstimateFrequency estimates the dominant ridge frequency (cycles/pixel)
 // in the block containing (x0, y0) by projecting pixel intensities onto the
 // axis perpendicular to the local orientation and counting signature peaks

@@ -65,22 +65,6 @@ func Thin(b *Binary) *Binary {
 	return img
 }
 
-// NeighborCount returns the number of true 8-neighbours of (x, y).
-func NeighborCount(b *Binary, x, y int) int {
-	n := 0
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			if b.At(x+dx, y+dy) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // CrossingNumber returns the Rutovitz crossing number at (x, y): half the
 // number of 0↔1 transitions around the 8-neighbour ring. On a skeleton,
 // CN=1 marks a ridge ending, CN=2 a ridge continuation, CN≥3 a bifurcation.

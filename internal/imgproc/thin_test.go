@@ -4,12 +4,26 @@ import (
 	"testing"
 )
 
+// setPix marks (x, y) as foreground.
+func setPix(b *Binary, x, y int) { b.Pix[y*b.W+x] = true }
+
+// countPix returns the number of foreground pixels.
+func countPix(b *Binary) int {
+	n := 0
+	for _, v := range b.Pix {
+		if v {
+			n++
+		}
+	}
+	return n
+}
+
 // thickLine draws a thick horizontal bar into a fresh binary image.
 func thickLine(w, h, y0, thickness int) *Binary {
 	b := NewBinary(w, h)
 	for y := y0; y < y0+thickness; y++ {
 		for x := 2; x < w-2; x++ {
-			b.Set(x, y, true)
+			setPix(b, x, y)
 		}
 	}
 	return b
@@ -18,7 +32,7 @@ func thickLine(w, h, y0, thickness int) *Binary {
 func TestThinReducesThickLineToSkeleton(t *testing.T) {
 	b := thickLine(32, 16, 5, 5)
 	sk := Thin(b)
-	if sk.Count() >= b.Count() {
+	if countPix(sk) >= countPix(b) {
 		t.Fatal("thinning did not reduce pixel count")
 	}
 	// Every column in the interior should have exactly one skeleton pixel.
@@ -54,7 +68,7 @@ func TestThinPreservesConnectivity(t *testing.T) {
 	}
 	seen := NewBinary(sk.W, sk.H)
 	stack := [][2]int{start}
-	seen.Set(start[0], start[1], true)
+	setPix(seen, start[0], start[1])
 	count := 1
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
@@ -63,15 +77,15 @@ func TestThinPreservesConnectivity(t *testing.T) {
 			for dx := -1; dx <= 1; dx++ {
 				nx, ny := p[0]+dx, p[1]+dy
 				if sk.At(nx, ny) && !seen.At(nx, ny) {
-					seen.Set(nx, ny, true)
+					setPix(seen, nx, ny)
 					count++
 					stack = append(stack, [2]int{nx, ny})
 				}
 			}
 		}
 	}
-	if count != sk.Count() {
-		t.Fatalf("skeleton disconnected: reached %d of %d", count, sk.Count())
+	if count != countPix(sk) {
+		t.Fatalf("skeleton disconnected: reached %d of %d", count, countPix(sk))
 	}
 }
 
@@ -89,16 +103,16 @@ func TestThinIdempotent(t *testing.T) {
 func TestThinEmptyImage(t *testing.T) {
 	b := NewBinary(8, 8)
 	sk := Thin(b)
-	if sk.Count() != 0 {
+	if countPix(sk) != 0 {
 		t.Fatal("empty image grew pixels")
 	}
 }
 
 func TestThinDoesNotMutateInput(t *testing.T) {
 	b := thickLine(16, 16, 5, 4)
-	before := b.Count()
+	before := countPix(b)
 	Thin(b)
-	if b.Count() != before {
+	if countPix(b) != before {
 		t.Fatal("Thin mutated its input")
 	}
 }
@@ -107,7 +121,7 @@ func TestCrossingNumberLineEnd(t *testing.T) {
 	b := NewBinary(8, 8)
 	// Horizontal line from (2,4)..(5,4).
 	for x := 2; x <= 5; x++ {
-		b.Set(x, 4, true)
+		setPix(b, x, 4)
 	}
 	if cn := CrossingNumber(b, 2, 4); cn != 1 {
 		t.Fatalf("line end CN = %d, want 1", cn)
@@ -121,12 +135,12 @@ func TestCrossingNumberBifurcation(t *testing.T) {
 	b := NewBinary(9, 9)
 	// A 'Y': vertical stem up to (4,4), two diagonal branches.
 	for y := 4; y <= 7; y++ {
-		b.Set(4, y, true)
+		setPix(b, 4, y)
 	}
-	b.Set(3, 3, true)
-	b.Set(2, 2, true)
-	b.Set(5, 3, true)
-	b.Set(6, 2, true)
+	setPix(b, 3, 3)
+	setPix(b, 2, 2)
+	setPix(b, 5, 3)
+	setPix(b, 6, 2)
 	if cn := CrossingNumber(b, 4, 4); cn != 3 {
 		t.Fatalf("bifurcation CN = %d, want 3", cn)
 	}
@@ -134,18 +148,38 @@ func TestCrossingNumberBifurcation(t *testing.T) {
 
 func TestCrossingNumberIsolatedPixel(t *testing.T) {
 	b := NewBinary(5, 5)
-	b.Set(2, 2, true)
+	setPix(b, 2, 2)
 	if cn := CrossingNumber(b, 2, 2); cn != 0 {
 		t.Fatalf("isolated CN = %d, want 0", cn)
 	}
 }
 
-func TestNeighborCount(t *testing.T) {
-	b := NewBinary(3, 3)
-	b.Set(0, 0, true)
-	b.Set(1, 0, true)
-	b.Set(2, 2, true)
-	if n := NeighborCount(b, 1, 1); n != 3 {
-		t.Fatalf("NeighborCount = %d, want 3", n)
+// TestCrossingNumberPatterns checks the 3×3 neighbourhoods the tests
+// above do not: a four-way crossing, diagonal runs, and pixels on the
+// image border, where out-of-range neighbours read as background.
+func TestCrossingNumberPatterns(t *testing.T) {
+	cases := []struct {
+		name string
+		pix  [][2]int // foreground pixels of a 5×5 image
+		x, y int
+		want int
+	}{
+		{"crossing", [][2]int{{2, 1}, {2, 2}, {2, 3}, {1, 2}, {3, 2}}, 2, 2, 4},
+		{"diagonal interior", [][2]int{{1, 1}, {2, 2}, {3, 3}}, 2, 2, 2},
+		{"diagonal ending", [][2]int{{1, 1}, {2, 2}}, 2, 2, 1},
+		{"adjacent neighbours are one run", [][2]int{{1, 2}, {1, 1}, {2, 2}}, 2, 2, 1},
+		{"corner ending", [][2]int{{0, 0}, {1, 0}}, 0, 0, 1},
+		{"edge interior", [][2]int{{0, 2}, {0, 1}, {0, 3}}, 0, 2, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBinary(5, 5)
+			for _, p := range c.pix {
+				setPix(b, p[0], p[1])
+			}
+			if got := CrossingNumber(b, c.x, c.y); got != c.want {
+				t.Fatalf("CN(%d,%d) = %d, want %d", c.x, c.y, got, c.want)
+			}
+		})
 	}
 }

@@ -48,7 +48,8 @@ func requireEqualsReference(t *testing.T, when string, ix *Index, ref *reference
 
 // TestCandidatesEqualReference drives the index and the map-based
 // reference through the same seeded random histories of Add, Remove and
-// Reset and requires identical Stats and shortlists after every step.
+// starting over from an empty index, and requires identical Stats and
+// shortlists after every step.
 // Each history crosses several merges, removes templates from the delta
 // and from the base, empties the index (every bucket) and refills it,
 // and ends against a bulk-built index over the surviving set.
@@ -97,7 +98,7 @@ func TestCandidatesEqualReference(t *testing.T) {
 					}
 				}
 			case step == steps/4:
-				ix.Reset()
+				ix = New(ix.Options())
 				ref.reset()
 				clear(enrolled)
 				live = 0
@@ -297,8 +298,8 @@ func TestConcurrentLookupsAndMutation(t *testing.T) {
 	if merges < 3 {
 		t.Fatalf("writer crossed %d merges; want at least 3", merges)
 	}
-	if ix.Len() != stable {
-		t.Fatalf("Len after churn = %d", ix.Len())
+	if n := ix.Stats().Templates; n != stable {
+		t.Fatalf("templates after churn = %d", n)
 	}
 
 	// Replay the history on the reference, checking each vote against

@@ -169,13 +169,6 @@ func Build(opt Options, ids []string, tpls []*minutiae.Template) (*Index, error)
 // Options returns the resolved option set the index runs with.
 func (ix *Index) Options() Options { return ix.opt }
 
-// Len returns the number of indexed templates.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.loc)
-}
-
 var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
 // keysOf extracts tpl's keys into ks for an Add or Remove. Tests swap
@@ -441,15 +434,6 @@ func (ix *Index) merge() {
 	}
 	ix.tab, ix.slots, ix.base, ix.delta = tab, slots, seg, delta{}
 	ix.churn = 0
-}
-
-// Reset empties the index, keeping its options.
-func (ix *Index) Reset() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.tab, ix.slots, ix.base, ix.delta = keyTable{}, nil, emptySegment, delta{}
-	ix.loc = make(map[string]uint32)
-	ix.postings, ix.distinct, ix.churn = 0, 0, 0
 }
 
 // Candidate is one retrieved template.

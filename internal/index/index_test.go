@@ -128,8 +128,8 @@ func TestAddRemoveLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ix.Len() != 6 {
-		t.Fatalf("Len = %d", ix.Len())
+	if n := ix.Stats().Templates; n != 6 {
+		t.Fatalf("templates = %d", n)
 	}
 	if err := ix.Add(subjectID(0), tpls[0]); err == nil {
 		t.Fatal("duplicate Add accepted")
@@ -191,25 +191,6 @@ func TestRemoveRestoresBuckets(t *testing.T) {
 	after := ix.Stats()
 	if before != after {
 		t.Fatalf("Add+Remove not a no-op on stats: %+v vs %+v", before, after)
-	}
-}
-
-func TestResetEmpties(t *testing.T) {
-	cohort := population.NewCohort(rng.New(14), population.CohortOptions{Size: 2})
-	tpls := captureGallery(t, cohort, "D0")
-	ix := New(Options{})
-	for i, tpl := range tpls {
-		if err := ix.Add(subjectID(i), tpl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix.Reset()
-	if st := ix.Stats(); st.Templates != 0 || st.Postings != 0 {
-		t.Fatalf("Reset left %+v", st)
-	}
-	// Reusable after Reset.
-	if err := ix.Add(subjectID(0), tpls[0]); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,6 @@
-// Package linalg implements the small dense linear algebra needed by the
-// geometric models in this repository: thin-plate-spline solves, least
-// squares alignment, and covariance computations. It is intentionally a
-// minimal, allocation-conscious implementation rather than a general BLAS.
+// Package linalg implements the small dense linear algebra the
+// thin-plate-spline fit needs: one Gaussian-elimination solve. It is
+// intentionally a minimal implementation rather than a general BLAS.
 package linalg
 
 import (
@@ -25,22 +24,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("linalg: ragged row %d: %d != %d", i, len(r), cols)
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -52,56 +35,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Mul returns m × b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("linalg: mul shape mismatch %dx%d × %dx%d", m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			row := b.Data[k*b.Cols : (k+1)*b.Cols]
-			dst := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, v := range row {
-				dst[j] += a * v
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m × v as a new slice.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if m.Cols != len(v) {
-		return nil, fmt.Errorf("linalg: mulvec shape mismatch %dx%d × %d", m.Rows, m.Cols, len(v))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		sum := 0.0
-		for j, a := range row {
-			sum += a * v[j]
-		}
-		out[i] = sum
-	}
-	return out, nil
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
 }
 
 // Solve solves A·x = b for x using Gaussian elimination with partial
@@ -161,104 +94,4 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		x[i] = sum / w.At(i, i)
 	}
 	return x, nil
-}
-
-// SolveMulti solves A·X = B column-by-column where B has one column per
-// right-hand side. Returns X with the same shape as B.
-func SolveMulti(a *Matrix, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows {
-		return nil, fmt.Errorf("linalg: SolveMulti shape mismatch %d != %d", a.Rows, b.Rows)
-	}
-	out := NewMatrix(b.Rows, b.Cols)
-	col := make([]float64, b.Rows)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < b.Rows; i++ {
-			col[i] = b.At(i, j)
-		}
-		x, err := Solve(a, col)
-		if err != nil {
-			return nil, fmt.Errorf("column %d: %w", j, err)
-		}
-		for i, v := range x {
-			out.Set(i, j, v)
-		}
-	}
-	return out, nil
-}
-
-// LeastSquares solves the overdetermined system A·x ≈ b in the least-squares
-// sense via the normal equations AᵀA·x = Aᵀb. Adequate for the small,
-// well-conditioned systems in this repository.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != len(b) {
-		return nil, fmt.Errorf("linalg: LeastSquares rhs length %d != %d", len(b), a.Rows)
-	}
-	at := a.Transpose()
-	ata, err := at.Mul(a)
-	if err != nil {
-		return nil, err
-	}
-	atb, err := at.MulVec(b)
-	if err != nil {
-		return nil, err
-	}
-	x, err := Solve(ata, atb)
-	if err != nil {
-		return nil, fmt.Errorf("normal equations: %w", err)
-	}
-	return x, nil
-}
-
-// Cholesky computes the lower-triangular L with L·Lᵀ = a for a symmetric
-// positive-definite matrix.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("linalg: Cholesky needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, ErrSingular
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Dot returns the inner product of equal-length vectors.
-func Dot(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += a[i] * b[i]
-	}
-	return sum
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	return math.Sqrt(Dot(v, v))
 }

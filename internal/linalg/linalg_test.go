@@ -9,88 +9,26 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestFromRowsAndAt(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Data[i*m.Cols:], r)
 	}
-	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
-		t.Fatalf("unexpected contents: %+v", m)
-	}
+	return m
 }
 
-func TestFromRowsRagged(t *testing.T) {
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatal("expected error for ragged rows")
+// identity returns the n×n identity matrix.
+func identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
 	}
-}
-
-func TestFromRowsEmpty(t *testing.T) {
-	m, err := FromRows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows != 0 || m.Cols != 0 {
-		t.Fatalf("expected 0x0, got %dx%d", m.Rows, m.Cols)
-	}
-}
-
-func TestMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Fatalf("Mul[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMulShapeMismatch(t *testing.T) {
-	a := NewMatrix(2, 3)
-	b := NewMatrix(2, 3)
-	if _, err := a.Mul(b); err == nil {
-		t.Fatal("expected shape mismatch error")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	v, err := a.MulVec([]float64{1, 0, -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v[0] != -2 || v[1] != -2 {
-		t.Fatalf("MulVec = %v", v)
-	}
-}
-
-func TestMulVecShapeMismatch(t *testing.T) {
-	a := NewMatrix(2, 3)
-	if _, err := a.MulVec([]float64{1}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := a.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 {
-		t.Fatalf("shape %dx%d", tr.Rows, tr.Cols)
-	}
-	if tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatalf("transpose wrong: %+v", tr)
-	}
+	return m
 }
 
 func TestSolveKnownSystem(t *testing.T) {
-	a, _ := FromRows([][]float64{
+	a := fromRows([][]float64{
 		{2, 1, -1},
 		{-3, -1, 2},
 		{-2, 1, 2},
@@ -108,7 +46,7 @@ func TestSolveKnownSystem(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
@@ -122,7 +60,7 @@ func TestSolveNonSquare(t *testing.T) {
 }
 
 func TestSolveRhsMismatch(t *testing.T) {
-	a := Identity(3)
+	a := identity(3)
 	if _, err := Solve(a, []float64{1}); err == nil {
 		t.Fatal("expected error for wrong rhs length")
 	}
@@ -130,7 +68,7 @@ func TestSolveRhsMismatch(t *testing.T) {
 
 func TestSolveNeedsPivoting(t *testing.T) {
 	// Zero on the initial pivot position forces a row swap.
-	a, _ := FromRows([][]float64{{0, 1}, {1, 0}})
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
 	x, err := Solve(a, []float64{3, 5})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +79,7 @@ func TestSolveNeedsPivoting(t *testing.T) {
 }
 
 func TestSolveDoesNotMutateInputs(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 1}, {1, 3}})
+	a := fromRows([][]float64{{4, 1}, {1, 3}})
 	b := []float64{1, 2}
 	if _, err := Solve(a, b); err != nil {
 		t.Fatal(err)
@@ -155,7 +93,7 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 	// Property: for random well-conditioned A and x, Solve(A, A·x) ≈ x.
 	f := func(seed int64) bool {
 		n := 5
-		a := Identity(n)
+		a := identity(n)
 		s := uint64(seed)
 		next := func() float64 {
 			s = s*6364136223846793005 + 1442695040888963407
@@ -171,9 +109,11 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = next()
 		}
-		b, err := a.MulVec(x)
-		if err != nil {
-			return false
+		b := make([]float64, n)
+		for i := range b {
+			for j := range x {
+				b[i] += a.At(i, j) * x[j]
+			}
 		}
 		got, err := Solve(a, b)
 		if err != nil {
@@ -191,131 +131,50 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSolveMulti(t *testing.T) {
-	a, _ := FromRows([][]float64{{2, 0}, {0, 4}})
-	b, _ := FromRows([][]float64{{2, 4}, {8, 12}})
-	x, err := SolveMulti(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{1, 2}, {2, 3}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if !almostEq(x.At(i, j), want[i][j], 1e-12) {
-				t.Fatalf("X[%d][%d] = %v", i, j, x.At(i, j))
-			}
-		}
-	}
-}
-
-func TestSolveMultiShapeMismatch(t *testing.T) {
-	if _, err := SolveMulti(Identity(2), NewMatrix(3, 1)); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestLeastSquaresExact(t *testing.T) {
-	// Overdetermined but consistent: y = 2x + 1 sampled at 4 points.
-	a, _ := FromRows([][]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}})
-	x, err := LeastSquares(a, []float64{1, 3, 5, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(x[0], 2, 1e-9) || !almostEq(x[1], 1, 1e-9) {
-		t.Fatalf("fit = %v, want [2 1]", x)
-	}
-}
-
-func TestLeastSquaresNoisy(t *testing.T) {
-	// Minimizer of a noisy linear fit must reduce residual vs zero vector.
-	a, _ := FromRows([][]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}})
-	b := []float64{0.9, 3.2, 4.8, 7.1, 9.05}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, _ := a.MulVec(x)
-	res := 0.0
-	for i := range b {
-		res += (pred[i] - b[i]) * (pred[i] - b[i])
-	}
-	if res > 0.2 {
-		t.Fatalf("residual %v too large for near-linear data", res)
-	}
-}
-
-func TestLeastSquaresRhsMismatch(t *testing.T) {
-	if _, err := LeastSquares(NewMatrix(3, 2), []float64{1}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestCholesky(t *testing.T) {
-	a, _ := FromRows([][]float64{
-		{4, 12, -16},
-		{12, 37, -43},
-		{-16, -43, 98},
-	})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := FromRows([][]float64{
-		{2, 0, 0},
-		{6, 1, 0},
-		{-8, 5, 3},
-	})
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if !almostEq(l.At(i, j), want.At(i, j), 1e-9) {
-				t.Fatalf("L[%d][%d] = %v, want %v", i, j, l.At(i, j), want.At(i, j))
-			}
-		}
-	}
-}
-
-func TestCholeskyNotPD(t *testing.T) {
-	a, _ := FromRows([][]float64{{0, 0}, {0, 0}})
-	if _, err := Cholesky(a); !errors.Is(err, ErrSingular) {
-		t.Fatalf("want ErrSingular, got %v", err)
-	}
-}
-
-func TestCholeskyNonSquare(t *testing.T) {
-	if _, err := Cholesky(NewMatrix(2, 3)); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestIdentity(t *testing.T) {
-	id := Identity(3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if id.At(i, j) != want {
-				t.Fatalf("I[%d][%d] = %v", i, j, id.At(i, j))
-			}
-		}
-	}
-}
-
-func TestDotAndNorm(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Fatal("Dot wrong")
-	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Fatal("Norm2 wrong")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
-	a := Identity(2)
+	a := identity(2)
 	c := a.Clone()
 	c.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
 		t.Fatal("Clone shares storage with original")
+	}
+}
+
+func TestSolveSystems(t *testing.T) {
+	cases := []struct {
+		name string
+		a    [][]float64
+		b    []float64
+		want []float64 // nil: ErrSingular expected
+	}{
+		{"1x1", [][]float64{{4}}, []float64{2}, []float64{0.5}},
+		{"diagonal", [][]float64{{2, 0, 0}, {0, -4, 0}, {0, 0, 0.5}}, []float64{2, 8, 3}, []float64{1, -2, 6}},
+		{"lower triangular", [][]float64{{1, 0, 0}, {2, 1, 0}, {3, 2, 1}}, []float64{1, 4, 10}, []float64{1, 2, 3}},
+		{"cyclic permutation", [][]float64{{0, 0, 1}, {1, 0, 0}, {0, 1, 0}}, []float64{7, 8, 9}, []float64{8, 9, 7}},
+		// Without the row swap the 1e-20 pivot would wipe out the
+		// second equation in floating point.
+		{"tiny pivot", [][]float64{{1e-20, 1}, {1, 1}}, []float64{1, 2}, []float64{1, 1}},
+		{"zero matrix", [][]float64{{0, 0}, {0, 0}}, []float64{1, 1}, nil},
+		{"zero column", [][]float64{{1, 0, 2}, {3, 0, 4}, {5, 0, 6}}, []float64{1, 2, 3}, nil},
+		{"dependent rows", [][]float64{{1, 2, 3}, {2, 4, 6.5}, {3, 6, 9.5}}, []float64{1, 2, 3}, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			x, err := Solve(fromRows(c.a), c.b)
+			if c.want == nil {
+				if !errors.Is(err, ErrSingular) {
+					t.Fatalf("want ErrSingular, got x=%v err=%v", x, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range c.want {
+				if !almostEq(x[i], c.want[i], 1e-12) {
+					t.Fatalf("x = %v, want %v", x, c.want)
+				}
+			}
+		})
 	}
 }

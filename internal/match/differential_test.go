@@ -264,7 +264,7 @@ func TestSessionScratchSurvivesReuse(t *testing.T) {
 	}
 	src := rng.New(4242)
 	for pass := 0; pass < 3; pass++ {
-		for step, i := range src.Perm(len(corpus)) {
+		for step, i := range shuffled(src, len(corpus)) {
 			g, p := corpus[i][0], corpus[i][1]
 			var got Result
 			var err error
@@ -289,7 +289,7 @@ func TestSessionScratchSurvivesReuse(t *testing.T) {
 	for _, pi := range []int{0, 7, 31, 48, len(corpus) - 3, len(corpus) - 1} {
 		probe := corpus[pi][1]
 		sess.Bind(probe)
-		for _, gi := range src.Perm(len(corpus)) {
+		for _, gi := range shuffled(src, len(corpus)) {
 			want, err := m.referenceMatch(corpus[gi][0], probe)
 			if err != nil {
 				t.Fatal(err)
@@ -398,6 +398,16 @@ func TestAccumulatorOverflowFallsBackToReference(t *testing.T) {
 	sameResult(t, "fallback", want, got)
 }
 
+// shuffled returns 0..n-1 in an order drawn from src.
+func shuffled(src *rng.Source, n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	src.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return order
+}
+
 func TestPrepareNilAndEmpty(t *testing.T) {
 	m := &HoughMatcher{}
 	if m.Prepare(nil) != nil {
@@ -405,7 +415,7 @@ func TestPrepareNilAndEmpty(t *testing.T) {
 	}
 	empty := &minutiae.Template{Width: 100, Height: 100, DPI: 500}
 	prep := m.Prepare(empty)
-	if prep == nil || prep.Template() != empty {
+	if prep == nil || prep.tpl != empty {
 		t.Fatal("Prepare(empty) should return a usable preparation")
 	}
 	sess := NewSession(m)
@@ -704,5 +714,30 @@ func TestGridStaysSmall(t *testing.T) {
 		if len(g.grid) != int(g.cols)*int(g.rows)+1+n {
 			t.Fatalf("%d minutiae: grid slab of %d entries for %dx%d cells", n, len(g.grid), g.cols, g.rows)
 		}
+	}
+}
+
+// TestMatchPreparedOnceDetached: the one-shot pooled path agrees with
+// the reference, and each Result keeps its Pairs after the pooled
+// session is reused for the next comparison.
+func TestMatchPreparedOnceDetached(t *testing.T) {
+	m := &HoughMatcher{}
+	var prev, prevCopy Result
+	for i, pair := range diffCorpus(t) {
+		g, p := pair[0], pair[1]
+		want, err := m.referenceMatch(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MatchPreparedOnce(m, m.Prepare(g), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("pair %d", i), want, got)
+		if i > 0 {
+			sameResult(t, fmt.Sprintf("pair %d after reuse", i-1), prevCopy, prev)
+		}
+		prev, prevCopy = got, got
+		prevCopy.Pairs = append([][2]int(nil), got.Pairs...)
 	}
 }

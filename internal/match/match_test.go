@@ -115,7 +115,7 @@ func TestHoughRecoveredTransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := want.Invert()
-	if math.Abs(geom.AngleDiff(res.Transform.Theta, inv.Theta)) > 0.1 {
+	if math.Abs(geom.NormalizeAngle(res.Transform.Theta-inv.Theta)) > 0.1 {
 		t.Fatalf("recovered rotation %v, want %v", res.Transform.Theta, inv.Theta)
 	}
 }
@@ -303,7 +303,7 @@ func TestEstimateRigidRecoversKnownTransform(t *testing.T) {
 	if !ok {
 		t.Fatal("estimateRigid failed")
 	}
-	if math.Abs(geom.AngleDiff(got.Theta, want.Theta)) > 1e-6 {
+	if math.Abs(geom.NormalizeAngle(got.Theta-want.Theta)) > 1e-6 {
 		t.Fatalf("theta %v, want %v", got.Theta, want.Theta)
 	}
 	if got.T.Dist(want.T) > 1e-6 {

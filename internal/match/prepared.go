@@ -69,9 +69,6 @@ func (m *HoughMatcher) Prepare(tpl *minutiae.Template) *Prepared {
 	return g
 }
 
-// Template returns the template this preparation was built from.
-func (g *Prepared) Template() *minutiae.Template { return g.tpl }
-
 // validAngle reports whether a is a direction the voting loop's single
 // wrap normalizes into [0, 2π) — what Template.Validate demands, and
 // false for NaN and ±Inf.

@@ -644,3 +644,32 @@ func TestRequestCancellationInterruptsBlockedIO(t *testing.T) {
 		t.Fatalf("deadline-bounded request returned after %v", elapsed)
 	}
 }
+
+// TestClientOptionsValidate rejects each negative field on its own and
+// accepts the zero value and a negative Keepalive, which disables pings.
+func TestClientOptionsValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		o    ClientOptions
+		ok   bool
+	}{
+		{"zero value", ClientOptions{}, true},
+		{"all set", ClientOptions{RequestTimeout: time.Second, RedialTimeout: time.Second, PoolSize: 4,
+			Retry: Retry{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Second}, Keepalive: time.Minute}, true},
+		{"negative keepalive", ClientOptions{Keepalive: -1}, true},
+		{"negative pool size", ClientOptions{PoolSize: -1}, false},
+		{"negative request timeout", ClientOptions{RequestTimeout: -time.Millisecond}, false},
+		{"negative redial timeout", ClientOptions{RedialTimeout: -time.Millisecond}, false},
+		{"negative retry attempts", ClientOptions{Retry: Retry{Attempts: -1}}, false},
+		{"negative retry base delay", ClientOptions{Retry: Retry{BaseDelay: -time.Millisecond}}, false},
+		{"negative retry max delay", ClientOptions{Retry: Retry{MaxDelay: -time.Millisecond}}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.o.Validate()
+			if (err == nil) != c.ok {
+				t.Fatalf("Validate(%+v) = %v, want ok=%v", c.o, err, c.ok)
+			}
+		})
+	}
+}

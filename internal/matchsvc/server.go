@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"os"
 	"sync"
@@ -42,7 +42,7 @@ type Server struct {
 	backend Backend
 	// sync is the backend's log-shipping capability, nil without one.
 	sync        SyncSource
-	logger      *log.Logger
+	logger      *slog.Logger
 	idleTimeout time.Duration
 	// statsFn, when set, answers OpStats with the serving process's
 	// full summary; without it the op falls back to the backend's count.
@@ -61,7 +61,7 @@ type Server struct {
 // WAL-backed store, a read-only replica view — adapted once through
 // Local (a fresh single-node store with the default matcher when nil).
 // logger may be nil to disable logging.
-func NewServer(store Store, logger *log.Logger) *Server {
+func NewServer(store Store, logger *slog.Logger) *Server {
 	if store == nil {
 		store = gallery.New(nil)
 	}
@@ -72,9 +72,9 @@ func NewServer(store Store, logger *log.Logger) *Server {
 
 // NewBackendServer returns a server over anything that already speaks
 // the contract: a shard router's front, a replica set, a remote.
-func NewBackendServer(b Backend, logger *log.Logger) *Server {
+func NewBackendServer(b Backend, logger *slog.Logger) *Server {
 	if logger == nil {
-		logger = log.New(io.Discard, "", 0)
+		logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{
 		backend:     b,
@@ -185,7 +185,7 @@ func (s *Server) Serve(ctx context.Context) error {
 				}
 			}()
 			if err := s.handle(connRoot, conn); err != nil && !errors.Is(err, io.EOF) {
-				s.logger.Printf("matchsvc: connection %s: %v", conn.RemoteAddr(), err)
+				s.logger.Warn("connection error", "remote", conn.RemoteAddr().String(), "err", err)
 			}
 		}()
 	}

@@ -25,10 +25,13 @@ func flatField(w, h int) *imgproc.OrientationField {
 	return of
 }
 
+// setPix marks (x, y) as a skeleton pixel.
+func setPix(b *imgproc.Binary, x, y int) { b.Pix[y*b.W+x] = true }
+
 // drawLine sets skeleton pixels along a horizontal segment.
 func drawLine(b *imgproc.Binary, x0, x1, y int) {
 	for x := x0; x <= x1; x++ {
-		b.Set(x, y, true)
+		setPix(b, x, y)
 	}
 }
 
@@ -53,7 +56,7 @@ func TestExtractFindsBifurcation(t *testing.T) {
 	// Horizontal stem plus a diagonal branch leaving from (48, 48).
 	drawLine(skel, 20, 75, 48)
 	for i := 1; i <= 25; i++ {
-		skel.Set(48+i, 48-i, true)
+		setPix(skel, 48+i, 48-i)
 	}
 	tp := Extract(skel, flatField(96, 96), 500, ExtractOptions{})
 	bifs := 0
@@ -84,9 +87,9 @@ func TestExtractRemovesShortSpur(t *testing.T) {
 	skel := imgproc.NewBinary(96, 64)
 	drawLine(skel, 20, 75, 32)
 	// 3-pixel spur hanging off the ridge: its tip must not be an ending.
-	skel.Set(47, 31, true)
-	skel.Set(46, 30, true)
-	skel.Set(45, 29, true)
+	setPix(skel, 47, 31)
+	setPix(skel, 46, 30)
+	setPix(skel, 45, 29)
 	tp := Extract(skel, flatField(96, 64), 500, ExtractOptions{})
 	for _, m := range tp.Minutiae {
 		if m.Kind == Ending && m.Y < 31 {
@@ -124,7 +127,7 @@ func TestExtractResultValidates(t *testing.T) {
 	skel := imgproc.NewBinary(96, 96)
 	drawLine(skel, 20, 75, 48)
 	for i := 1; i <= 25; i++ {
-		skel.Set(48+i, 48-i, true)
+		setPix(skel, 48+i, 48-i)
 	}
 	tp := Extract(skel, flatField(96, 96), 500, ExtractOptions{})
 	if err := tp.Validate(); err != nil {

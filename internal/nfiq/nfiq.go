@@ -140,11 +140,6 @@ func ClassFromScore(s float64) Class {
 	}
 }
 
-// Assess computes the NFIQ class of a fingerprint image.
-func Assess(img *imgproc.Image) Class {
-	return ClassFromScore(ExtractFeatures(img).Score())
-}
-
 // FromFidelity maps a latent capture fidelity φ ∈ [0, 1] onto an NFIQ
 // class. The template-level capture path knows the ground-truth fidelity
 // of each impression directly; this mapping is the NFIQ measurement model

@@ -43,17 +43,22 @@ func TestClassValidity(t *testing.T) {
 	}
 }
 
+// assess computes the NFIQ class of a fingerprint image.
+func assess(img *imgproc.Image) Class {
+	return ClassFromScore(ExtractFeatures(img).Score())
+}
+
 func TestCleanRidgesScoreWell(t *testing.T) {
 	img := cleanRidges(128, 128, 9)
-	c := Assess(img)
+	c := assess(img)
 	if c > VeryGood {
 		t.Fatalf("clean ridges assessed %v, want NFIQ 1-2", c)
 	}
 }
 
 func TestHeavyNoiseScoresWorseThanClean(t *testing.T) {
-	clean := Assess(cleanRidges(128, 128, 9))
-	noisy := Assess(noisyRidges(128, 128, 9, 1.4))
+	clean := assess(cleanRidges(128, 128, 9))
+	noisy := assess(noisyRidges(128, 128, 9, 1.4))
 	if noisy <= clean {
 		t.Fatalf("noisy image class %v not worse than clean %v", noisy, clean)
 	}
@@ -61,7 +66,7 @@ func TestHeavyNoiseScoresWorseThanClean(t *testing.T) {
 
 func TestBlankImageScoresPoor(t *testing.T) {
 	blank := imgproc.NewImageFilled(128, 128, 1)
-	if c := Assess(blank); c != Poor {
+	if c := assess(blank); c != Poor {
 		t.Fatalf("blank image assessed %v, want NFIQ-5", c)
 	}
 }

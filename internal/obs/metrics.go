@@ -56,16 +56,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add moves the gauge by delta.
-//
-//fpvet:hotpath called from zero-alloc request paths
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Inc adds one.
 //
 //fpvet:hotpath called from zero-alloc request paths
@@ -139,14 +129,6 @@ func (h *Histogram) Count() uint64 {
 		return 0
 	}
 	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // Quantile returns an estimate of the q-th quantile (0 <= q <= 1) by

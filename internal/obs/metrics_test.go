@@ -20,10 +20,10 @@ func TestCounterSemantics(t *testing.T) {
 func TestGaugeSemantics(t *testing.T) {
 	var g Gauge
 	g.Set(10)
-	g.Add(-3)
 	g.Inc()
 	g.Dec()
-	if got := g.Value(); got != 7 {
+	g.Dec()
+	if got := g.Value(); got != 9 {
 		t.Fatalf("gauge = %d, want 7", got)
 	}
 }
@@ -39,10 +39,9 @@ func TestNilHandlesNoOp(t *testing.T) {
 	g.Set(1)
 	g.Inc()
 	g.Dec()
-	g.Add(1)
 	h.Observe(1)
 	h.ObserveSince(time.Now())
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
 }
@@ -70,12 +69,11 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 	if got := h.Count(); got != 5 {
 		t.Fatalf("count = %d, want 5", got)
 	}
-	if got := h.Sum(); got != 5126 {
-		t.Fatalf("sum = %d, want 5126", got)
-	}
 	want := []uint64{2, 2, 0, 1} // [<=10]=2 (5,10), (10,100]=2 (11,100), (100,1000]=0, +Inf=1
 	got := make([]uint64, 4)
-	h.snapshotInto(got)
+	if _, sum := h.snapshotInto(got); sum != 5126 {
+		t.Fatalf("sum = %d, want 5126", sum)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("bucket %d = %d, want %d (all %v)", i, got[i], want[i], want)

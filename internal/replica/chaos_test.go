@@ -192,13 +192,13 @@ func TestChaosKillReplicaMidIdentifyUnderLoad(t *testing.T) {
 	// Acceptance: zero acked writes lost — every acked enrollment is on
 	// the primary (the WAL acked it) and reaches the surviving replica.
 	for i := 0; i < half; i++ {
-		if !ws.Has(subjectID(i)) {
+		if _, ok := ws.Get(subjectID(i)); !ok {
 			t.Fatalf("pre-storm enrollment %q lost", subjectID(i))
 		}
 	}
 	ackedMu.Lock()
 	for _, id := range acked {
-		if !ws.Has(id) {
+		if _, ok := ws.Get(id); !ok {
 			t.Fatalf("acked enrollment %q missing from primary", id)
 		}
 	}

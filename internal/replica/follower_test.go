@@ -558,7 +558,7 @@ func TestFollowerSurvivesPrimaryOutage(t *testing.T) {
 	if err := f.Sync(context.Background()); err == nil {
 		t.Fatal("sync against a dead primary reported success")
 	}
-	if !local.Has(subjectID(0)) {
+	if _, ok := local.Get(subjectID(0)); !ok {
 		t.Fatal("local state lost during outage")
 	}
 }
@@ -581,7 +581,7 @@ func TestReadOnlyGalleryRefusesWrites(t *testing.T) {
 		t.Fatalf("enroll batch: %v", err)
 	}
 	// Reads pass through to the wrapped store.
-	if !ro.Has(subjectID(0)) {
+	if _, ok := ro.Get(subjectID(0)); !ok {
 		t.Fatal("read-only wrapper lost reads")
 	}
 	if ro.Len() != 1 {

@@ -114,9 +114,6 @@ func NewSet(name string, primary shard.Backend, replicas []shard.Backend, opt Se
 // Name identifies the slot on the ring.
 func (s *Set) Name() string { return s.name }
 
-// Replicas reports the member count, primary included.
-func (s *Set) Replicas() int { return len(s.members) }
-
 // record folds one read outcome into the member's health and the
 // set's per-member metrics.
 func (s *Set) record(ctx context.Context, m *member, err error) {

@@ -210,19 +210,6 @@ func wrapPi(t float64) float64 {
 	return t
 }
 
-// PeriodAt returns the local inter-ridge distance in mm. Ridges tighten
-// slightly toward the core region, as in real prints.
-func (m *Master) PeriodAt(p geom.Point) float64 {
-	period := m.PeriodMM
-	for _, c := range m.Cores {
-		d := p.Dist(c)
-		if d < 4 {
-			period *= 1 - 0.12*(1-d/4)
-		}
-	}
-	return period
-}
-
 // InPad reports whether p lies on the (elliptical) finger pad.
 func (m *Master) InPad(p geom.Point) bool {
 	rx := m.Pad.Width() / 2
@@ -286,18 +273,3 @@ func (m *Master) generateMinutiae(src *rng.Source, mean float64) {
 		})
 	}
 }
-
-// MinutiaeIn returns the ground-truth minutiae whose positions fall inside
-// the window rectangle (mm).
-func (m *Master) MinutiaeIn(window geom.Rect) []GroundTruth {
-	var out []GroundTruth
-	for _, gt := range m.Minutiae {
-		if window.Contains(gt.Pos) {
-			out = append(out, gt)
-		}
-	}
-	return out
-}
-
-// Seed exposes the texture seed for image synthesis.
-func (m *Master) Seed() uint64 { return m.seed }

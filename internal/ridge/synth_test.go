@@ -83,7 +83,7 @@ func TestSynthesizeOrientationMatchesModel(t *testing.T) {
 			// Master orientation in image space (y flip negates angle).
 			want := math.Mod(-m.OrientationAt(p)+math.Pi, math.Pi)
 			got := of.Theta[by][bx]
-			if geom.OrientationDiff(got, want) < 0.35 {
+			if orientationDiff(got, want) < 0.35 {
 				agree++
 			}
 			checked++

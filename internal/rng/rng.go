@@ -19,9 +19,9 @@ import (
 )
 
 // Source is a deterministic random source. It is NOT safe for concurrent
-// use; derive one Source per goroutine via Child or Split.
+// use; derive one Source per goroutine via Child.
 type Source struct {
-	// seed is the immutable identity of this source; Child and Split derive
+	// seed is the immutable identity of this source; Child derives
 	// from it, so deriving children never depends on how much randomness has
 	// been consumed from the parent.
 	seed  uint64
@@ -66,16 +66,6 @@ func splitmix(x uint64) uint64 {
 func (s *Source) Child(path string) *Source {
 	d := splitmix(s.seed ^ fnv1a(path))
 	return &Source{seed: d, state: d}
-}
-
-// Split returns n independent children keyed by index.
-func (s *Source) Split(n int) []*Source {
-	out := make([]*Source, n)
-	for i := range out {
-		d := splitmix(s.seed ^ (uint64(i)+1)*0xd1342543de82ef95)
-		out[i] = &Source{seed: d, state: d}
-	}
-	return out
 }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -150,11 +140,6 @@ func (s *Source) TruncNorm(mean, sd, lo, hi float64) float64 {
 	return math.Min(hi, math.Max(lo, x))
 }
 
-// Exp returns an exponential variate with the given rate (mean 1/rate).
-func (s *Source) Exp(rate float64) float64 {
-	return -math.Log(1-s.Float64()) / rate
-}
-
 // Poisson returns a Poisson variate with the given mean using Knuth's
 // product method for small means and a normal approximation above 30.
 func (s *Source) Poisson(mean float64) int {
@@ -221,19 +206,6 @@ func (s *Source) Gamma(shape float64) float64 {
 			return d * v
 		}
 	}
-}
-
-// Perm returns a uniformly random permutation of [0,n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle permutes the n elements addressed by swap in place.

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -49,18 +50,6 @@ func TestChildPathsDistinct(t *testing.T) {
 	b := p.Child("b")
 	if a.Uint64() == b.Uint64() && a.Uint64() == b.Uint64() {
 		t.Fatal("distinct paths produced identical streams")
-	}
-}
-
-func TestSplitDistinct(t *testing.T) {
-	kids := New(3).Split(8)
-	seen := map[uint64]bool{}
-	for _, k := range kids {
-		v := k.Uint64()
-		if seen[v] {
-			t.Fatal("split children collided")
-		}
-		seen[v] = true
 	}
 }
 
@@ -209,35 +198,6 @@ func TestGammaSmallShape(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := New(37)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.Exp(2)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("Exp(2) mean %v, want 0.5", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		p := New(seed).Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShuffleKeepsMultiset(t *testing.T) {
 	s := New(41)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -322,5 +282,55 @@ func BenchmarkNorm(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = s.Norm()
+	}
+}
+
+// TestIntnRanges covers bounds whose rejection threshold is zero (powers
+// of two), tiny, and large enough that Lemire's rejection loop runs on
+// about one draw in eight (n = 3·2⁶¹ rejects when lo < 2⁶¹). Each bound
+// is split into four equal-width buckets that must fill evenly.
+func TestIntnRanges(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1 << 20, 1000003, 3 << 61} {
+		t.Run(fmt.Sprint("n=", n), func(t *testing.T) {
+			s := New(uint64(n))
+			const draws = 40000
+			var buckets [4]int
+			for i := 0; i < draws; i++ {
+				v := s.Intn(n)
+				if v < 0 || v >= n {
+					t.Fatalf("Intn(%d) = %d", n, v)
+				}
+				buckets[int(float64(v)/float64(n)*4)]++
+			}
+			if n < 4 {
+				return // fewer values than buckets
+			}
+			for i, c := range buckets {
+				if c < draws/4-600 || c > draws/4+600 {
+					t.Fatalf("bucket %d holds %d of %d draws", i, c, draws)
+				}
+			}
+		})
+	}
+}
+
+// TestShuffleUniformOverPermutations draws many shuffles of three items:
+// each of the 3! orders must come up about equally often.
+func TestShuffleUniformOverPermutations(t *testing.T) {
+	s := New(59)
+	counts := map[[3]int]int{}
+	const n = 60000
+	for i := 0; i < n; i++ {
+		xs := [3]int{0, 1, 2}
+		s.Shuffle(3, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		counts[xs]++
+	}
+	if len(counts) != 6 {
+		t.Fatalf("saw %d distinct orders, want 6: %v", len(counts), counts)
+	}
+	for perm, c := range counts {
+		if c < n/6-500 || c > n/6+500 {
+			t.Fatalf("order %v drawn %d times of %d", perm, c, n)
+		}
 	}
 }

@@ -91,7 +91,7 @@ func TestImagePathQualityTracksTemplatePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return nfiq.Assess(im), imp.Quality
+		return nfiq.ClassFromScore(nfiq.ExtractFeatures(im).Score()), imp.Quality
 	}
 
 	imgQ0, tplQ0 := assess(d0)

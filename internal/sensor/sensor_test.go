@@ -77,8 +77,8 @@ func TestDistortDeterministicAndBounded(t *testing.T) {
 			}
 			// Displacement bounded by amplitude (each axis can reach the
 			// full amplitude, hence the √2) + scale error.
-			d := a.Sub(pt).Norm()
-			bound := p.DistortAmp*math.Sqrt2 + 0.02*pt.Norm() + 1e-9
+			d := a.Dist(pt)
+			bound := p.DistortAmp*math.Sqrt2 + 0.02*pt.Dist(geom.Point{}) + 1e-9
 			if d > bound {
 				t.Fatalf("%s: displacement %v exceeds bound %v at %v", p.ID, d, bound, pt)
 			}
@@ -106,7 +106,7 @@ func TestDistortSmooth(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pt := geom.Point{X: -8 + float64(i%10)*1.8, Y: -10 + float64(i/10)*2.2}
 		q := pt.Add(geom.Point{X: 0.1, Y: 0.1})
-		dd := p.Distort(pt).Sub(p.Distort(q)).Norm()
+		dd := p.Distort(pt).Dist(p.Distort(q))
 		if dd > 0.35 {
 			t.Fatalf("warp jump %v over 0.14mm step", dd)
 		}

@@ -42,22 +42,6 @@ func (h *Histogram) Add(x float64) {
 	h.Counts[i]++
 }
 
-// AddAll records every sample.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // BinRange returns the [lo, hi) edges of bin i.
 func (h *Histogram) BinRange(i int) (lo, hi float64) {
 	w := (h.Max - h.Min) / float64(len(h.Counts))
@@ -103,21 +87,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	sort.Float64s(s)
 	idx := int(q * float64(len(s)-1))
 	return s[idx], nil
-}
-
-// ECDF returns the empirical CDF evaluated at x: the fraction of samples
-// ≤ x.
-func ECDF(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range xs {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
 
 // SortedCopy returns xs sorted ascending without modifying the input.

@@ -1,8 +1,7 @@
 // Package stats implements the statistical machinery of the study:
 // Kendall rank correlation with extreme-tail p-values (the paper reports
 // values down to 5e-242, far below float64 underflow when computed
-// naively), biometric error rates (FMR, FNMR, EER, DET), histograms,
-// empirical CDFs and bootstrap confidence intervals.
+// naively), biometric error rates (FMR, FNMR, EER) and histograms.
 package stats
 
 import (
@@ -44,26 +43,6 @@ type PValue struct {
 	// Log10 is log₁₀ of the p-value; 0 represents p = 1.
 	Log10 float64
 }
-
-// PValueFromFloat converts an ordinary probability.
-func PValueFromFloat(p float64) PValue {
-	if p <= 0 {
-		return PValue{Log10: math.Inf(-1)}
-	}
-	if p >= 1 {
-		return PValue{Log10: 0}
-	}
-	return PValue{Log10: math.Log10(p)}
-}
-
-// Float returns the p-value as a float64, which may underflow to 0 for
-// extreme values.
-func (p PValue) Float() float64 {
-	return math.Pow(10, p.Log10)
-}
-
-// Less reports whether p is smaller than q.
-func (p PValue) Less(q PValue) bool { return p.Log10 < q.Log10 }
 
 // String renders the p-value in scientific notation ("5.42e-242"), exact
 // even when the value underflows float64.

@@ -1,15 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// The slice-based functions below are convenience wrappers over
-// ScoreDist for callers holding raw, unsorted score slices. Code that
-// queries the same partition more than once (matrices, DET curves plus
-// point lookups) should build one ScoreDist and reuse it.
+import "math"
 
 // ThresholdForFMR returns the lowest decision threshold t such that the
 // fraction of impostor scores ≥ t does not exceed target. Scores equal to
@@ -24,20 +15,6 @@ func nextAfter(x float64) float64 {
 	return math.Nextafter(x, math.Inf(1))
 }
 
-// FMRAt returns the fraction of impostor scores accepted (≥ t).
-func FMRAt(impostor []float64, t float64) float64 {
-	if len(impostor) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range impostor {
-		if s >= t {
-			n++
-		}
-	}
-	return float64(n) / float64(len(impostor))
-}
-
 // FNMRAt returns the fraction of genuine scores rejected (< t).
 func FNMRAt(genuine []float64, t float64) float64 {
 	if len(genuine) == 0 {
@@ -50,78 +27,4 @@ func FNMRAt(genuine []float64, t float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(genuine))
-}
-
-// FNMRAtFMR computes the operating point the paper's Tables 5 and 6 use:
-// fix the threshold from the impostor distribution at the target FMR, then
-// report the genuine rejection rate at that threshold.
-func FNMRAtFMR(genuine, impostor []float64, targetFMR float64) (fnmr, threshold float64, err error) {
-	return NewScoreDist(genuine, impostor).FNMRAtFMR(targetFMR)
-}
-
-// EER returns the equal error rate: the rate where FMR equals FNMR, found
-// by sweeping thresholds over the pooled score set, along with the
-// threshold achieving it.
-func EER(genuine, impostor []float64) (rate, threshold float64, err error) {
-	return NewScoreDist(genuine, impostor).EER()
-}
-
-// DETPoint is one operating point of a detection-error-tradeoff curve.
-type DETPoint struct {
-	Threshold, FMR, FNMR float64
-}
-
-// DET sweeps n thresholds between the score extremes and returns the
-// resulting curve ordered by threshold.
-func DET(genuine, impostor []float64, n int) ([]DETPoint, error) {
-	if len(genuine) == 0 || len(impostor) == 0 {
-		return nil, fmt.Errorf("stats: DET needs both genuine and impostor scores")
-	}
-	return NewScoreDist(genuine, impostor).DET(n)
-}
-
-// BootstrapFNMR returns a percentile bootstrap confidence interval
-// [lo, hi] for FNMR at a fixed threshold, resampling genuine scores with
-// replacement. The next function provides deterministic randomness
-// (e.g. rng.Source.Float64).
-func BootstrapFNMR(genuine []float64, threshold float64, rounds int, conf float64, next func() float64) (lo, hi float64, err error) {
-	if len(genuine) == 0 {
-		return 0, 0, fmt.Errorf("stats: no genuine scores")
-	}
-	if rounds < 10 {
-		return 0, 0, fmt.Errorf("stats: need >= 10 bootstrap rounds")
-	}
-	if conf <= 0 || conf >= 1 {
-		return 0, 0, fmt.Errorf("stats: confidence %v outside (0, 1)", conf)
-	}
-	n := len(genuine)
-	rates := make([]float64, rounds)
-	for r := 0; r < rounds; r++ {
-		rejected := 0
-		for i := 0; i < n; i++ {
-			s := genuine[int(next()*float64(n))%n]
-			if s < threshold {
-				rejected++
-			}
-		}
-		rates[r] = float64(rejected) / float64(n)
-	}
-	sort.Float64s(rates)
-	alpha := (1 - conf) / 2
-	loIdx := int(alpha * float64(rounds))
-	hiIdx := int((1 - alpha) * float64(rounds))
-	if hiIdx >= rounds {
-		hiIdx = rounds - 1
-	}
-	return rates[loIdx], rates[hiIdx], nil
-}
-
-// RenderDET formats a DET curve as an aligned text table (threshold, FMR,
-// FNMR per row) for terminal inspection.
-func RenderDET(points []DETPoint) string {
-	out := fmt.Sprintf("%10s %10s %10s\n", "threshold", "FMR", "FNMR")
-	for _, p := range points {
-		out += fmt.Sprintf("%10.3f %10.5f %10.5f\n", p.Threshold, p.FMR, p.FNMR)
-	}
-	return out
 }

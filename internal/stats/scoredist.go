@@ -17,31 +17,10 @@ type ScoreDist struct {
 	impostor []float64 // ascending
 }
 
-// NewScoreDist copies and sorts the two score populations. The inputs
-// are not modified.
-func NewScoreDist(genuine, impostor []float64) *ScoreDist {
-	return &ScoreDist{genuine: SortedCopy(genuine), impostor: SortedCopy(impostor)}
-}
-
 // ScoreDistFromSorted wraps two already-ascending slices without
 // copying. The caller must not mutate them afterwards.
 func ScoreDistFromSorted(genuine, impostor []float64) *ScoreDist {
 	return &ScoreDist{genuine: genuine, impostor: impostor}
-}
-
-// NumGenuine returns the genuine population size.
-func (d *ScoreDist) NumGenuine() int { return len(d.genuine) }
-
-// NumImpostor returns the impostor population size.
-func (d *ScoreDist) NumImpostor() int { return len(d.impostor) }
-
-// FMRAt returns the fraction of impostor scores accepted (≥ t).
-func (d *ScoreDist) FMRAt(t float64) float64 {
-	n := len(d.impostor)
-	if n == 0 {
-		return 0
-	}
-	return float64(n-sort.SearchFloat64s(d.impostor, t)) / float64(n)
 }
 
 // FNMRAt returns the fraction of genuine scores rejected (< t).
@@ -125,23 +104,4 @@ func (d *ScoreDist) EER() (rate, threshold float64, err error) {
 		}
 	}
 	return rate, threshold, nil
-}
-
-// DET sweeps n thresholds between the score extremes and returns the
-// resulting curve ordered by threshold.
-func (d *ScoreDist) DET(n int) ([]DETPoint, error) {
-	if len(d.genuine) == 0 || len(d.impostor) == 0 {
-		return nil, fmt.Errorf("stats: DET needs both genuine and impostor scores")
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("stats: DET needs >= 2 points")
-	}
-	lo := min(d.genuine[0], d.impostor[0])
-	hi := max(d.genuine[len(d.genuine)-1], d.impostor[len(d.impostor)-1])
-	out := make([]DETPoint, n)
-	for i := 0; i < n; i++ {
-		t := lo + (hi-lo)*float64(i)/float64(n-1)
-		out[i] = DETPoint{Threshold: t, FMR: d.FMRAt(t), FNMR: d.FNMRAt(t)}
-	}
-	return out, nil
 }

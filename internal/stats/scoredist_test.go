@@ -7,6 +7,26 @@ import (
 	"testing/quick"
 )
 
+// FMRAt is the brute-force oracle for the impostor side: the fraction
+// of impostor scores accepted (≥ t), counted by a linear scan.
+func FMRAt(impostor []float64, t float64) float64 {
+	if len(impostor) == 0 {
+		return 0
+	}
+	n := 0
+	for _, s := range impostor {
+		if s >= t {
+			n++
+		}
+	}
+	return float64(n) / float64(len(impostor))
+}
+
+// dist sorts copies of two raw score slices into a ScoreDist.
+func dist(genuine, impostor []float64) *ScoreDist {
+	return ScoreDistFromSorted(SortedCopy(genuine), SortedCopy(impostor))
+}
+
 // bruteEER is the O((G+I)²) reference sweep the ScoreDist merge sweep
 // replaced: every pooled score is a candidate threshold, and FMR/FNMR
 // are recounted from scratch at each one.
@@ -75,7 +95,7 @@ func TestEERSweepMatchesBruteForce(t *testing.T) {
 		nImp := 2 + int((seed/97)%113)
 		genuine, impostor := randScores(seed, nGen, nImp)
 		wantRate, wantThr := bruteEER(genuine, impostor)
-		gotRate, gotThr, err := EER(genuine, impostor)
+		gotRate, gotThr, err := dist(genuine, impostor).EER()
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -98,7 +118,7 @@ func TestFNMRAtFMRSweepMatchesBruteForce(t *testing.T) {
 		genuine, impostor := randScores(seed, 3+int(seed%50), 3+int((seed/7)%200))
 		for _, target := range targets {
 			wantFNMR, wantThr := bruteFNMRAtFMR(genuine, impostor, target)
-			gotFNMR, gotThr, err := FNMRAtFMR(genuine, impostor, target)
+			gotFNMR, gotThr, err := dist(genuine, impostor).FNMRAtFMR(target)
 			if err != nil {
 				t.Logf("seed %d target %v: %v", seed, target, err)
 				return false
@@ -116,37 +136,10 @@ func TestFNMRAtFMRSweepMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestDETMatchesLinearScans(t *testing.T) {
-	f := func(seed uint64) bool {
-		genuine, impostor := randScores(seed, 2+int(seed%40), 2+int((seed/3)%60))
-		det, err := DET(genuine, impostor, 25)
-		if err != nil {
-			return false
-		}
-		for _, p := range det {
-			if p.FMR != FMRAt(impostor, p.Threshold) || p.FNMR != FNMRAt(genuine, p.Threshold) {
-				t.Logf("seed %d t=%v: (%v, %v) vs linear (%v, %v)", seed, p.Threshold,
-					p.FMR, p.FNMR, FMRAt(impostor, p.Threshold), FNMRAt(genuine, p.Threshold))
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestScoreDistPointQueriesMatchLinearScans(t *testing.T) {
 	genuine, impostor := randScores(99, 200, 300)
-	d := NewScoreDist(genuine, impostor)
-	if d.NumGenuine() != 200 || d.NumImpostor() != 300 {
-		t.Fatalf("sizes %d/%d", d.NumGenuine(), d.NumImpostor())
-	}
+	d := dist(genuine, impostor)
 	for t0 := -15.0; t0 <= 16; t0 += 0.25 {
-		if got, want := d.FMRAt(t0), FMRAt(impostor, t0); got != want {
-			t.Fatalf("FMRAt(%v) = %v, want %v", t0, got, want)
-		}
 		if got, want := d.FNMRAt(t0), FNMRAt(genuine, t0); got != want {
 			t.Fatalf("FNMRAt(%v) = %v, want %v", t0, got, want)
 		}
@@ -189,21 +182,50 @@ func TestThresholdForFMRNegativeScores(t *testing.T) {
 }
 
 func TestScoreDistErrors(t *testing.T) {
-	d := NewScoreDist(nil, nil)
+	d := dist(nil, nil)
 	if _, err := d.ThresholdForFMR(0.1); err == nil {
 		t.Fatal("expected empty-impostor error")
 	}
 	if _, _, err := d.EER(); err == nil {
 		t.Fatal("expected empty EER error")
 	}
-	if _, err := d.DET(10); err == nil {
-		t.Fatal("expected empty DET error")
-	}
-	d = NewScoreDist([]float64{1, 2}, []float64{0, 1})
+	d = dist([]float64{1, 2}, []float64{0, 1})
 	if _, err := d.ThresholdForFMR(1.5); err == nil {
 		t.Fatal("expected range error")
 	}
-	if _, err := d.DET(1); err == nil {
-		t.Fatal("expected point-count error")
+}
+
+// TestEERHandComputed pins EER on distributions small enough to sweep by
+// hand. Each threshold t accepts scores ≥ t; the sweep keeps the lowest
+// pooled score where |FMR − FNMR| is smallest.
+func TestEERHandComputed(t *testing.T) {
+	cases := []struct {
+		name              string
+		genuine, impostor []float64
+		wantRate, wantThr float64
+	}{
+		// t=3: no impostor accepted, no genuine rejected.
+		{"separated", []float64{5, 3, 4}, []float64{2, 0, 1}, 0, 3},
+		// t=2: FMR = FNMR = 1/2.
+		{"identical", []float64{1, 2}, []float64{2, 1}, 0.5, 2},
+		// t=2: every impostor accepted, every genuine rejected.
+		{"reversed", []float64{0, 1}, []float64{3, 2}, 1, 2},
+		// t=5: FMR = FNMR = 2/4.
+		{"interleaved", []float64{2, 4, 6, 8}, []float64{1, 3, 5, 7}, 0.5, 5},
+		// t=1 (FMR 2/3, FNMR 0) and t=2 (FMR 0, FNMR 2/3) tie on the
+		// gap; the lower threshold wins.
+		{"tied across classes", []float64{1, 1, 2}, []float64{1, 0, 1}, 1.0 / 3, 1},
+		{"negative scores", []float64{-1, -2}, []float64{-5, -4, -3}, 0, -2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rate, thr, err := dist(c.genuine, c.impostor).EER()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(rate-c.wantRate) > 1e-12 || thr != c.wantThr {
+				t.Fatalf("EER = %v at %v, want %v at %v", rate, thr, c.wantRate, c.wantThr)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -50,9 +51,9 @@ func TestPValueString(t *testing.T) {
 		p    PValue
 		want string
 	}{
-		{PValueFromFloat(0.05), "5.00e-02"},
-		{PValueFromFloat(1), "1"},
-		{PValueFromFloat(0), "0"},
+		{PValue{Log10: math.Log10(0.05)}, "5.00e-02"},
+		{PValue{Log10: 0}, "1"},
+		{PValue{Log10: math.Inf(-1)}, "0"},
 		{PValue{Log10: -241.266}, "5.42e-242"},
 	}
 	for _, c := range cases {
@@ -62,23 +63,12 @@ func TestPValueString(t *testing.T) {
 	}
 }
 
-func TestPValueOrdering(t *testing.T) {
-	a := PValue{Log10: -300}
-	b := PValue{Log10: -2}
-	if !a.Less(b) || b.Less(a) {
-		t.Fatal("ordering wrong")
-	}
-	if b.Float() != math.Pow(10, -2) {
-		t.Fatal("Float conversion wrong")
-	}
-}
-
 func TestTwoSidedNormalP(t *testing.T) {
-	p := TwoSidedNormalP(1.96)
-	if math.Abs(p.Float()-0.05) > 0.001 {
-		t.Fatalf("two-sided p(1.96) = %v, want ≈ 0.05", p.Float())
+	p := math.Pow(10, TwoSidedNormalP(1.96).Log10)
+	if math.Abs(p-0.05) > 0.001 {
+		t.Fatalf("two-sided p(1.96) = %v, want ≈ 0.05", p)
 	}
-	if TwoSidedNormalP(0).Float() < 0.99 {
+	if math.Pow(10, TwoSidedNormalP(0).Log10) < 0.99 {
 		t.Fatal("p(0) should be ~1")
 	}
 	// Symmetric in sign.
@@ -263,7 +253,7 @@ func TestFNMRAtFMREndToEnd(t *testing.T) {
 		impostor = append(impostor, float64(i%50)/10)
 	}
 	genuine[0] = 1 // one failure
-	fnmr, thr, err := FNMRAtFMR(genuine, impostor, 0.001)
+	fnmr, thr, err := dist(genuine, impostor).FNMRAtFMR(0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +268,7 @@ func TestFNMRAtFMREndToEnd(t *testing.T) {
 func TestEER(t *testing.T) {
 	genuine := []float64{5, 6, 7, 8, 9, 10}
 	impostor := []float64{1, 2, 3, 4, 5, 6}
-	rate, thr, err := EER(genuine, impostor)
+	rate, thr, err := dist(genuine, impostor).EER()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,59 +278,8 @@ func TestEER(t *testing.T) {
 	if thr < 4 || thr > 8 {
 		t.Fatalf("EER threshold %v outside overlap", thr)
 	}
-	if _, _, err := EER(nil, impostor); err == nil {
+	if _, _, err := dist(nil, impostor).EER(); err == nil {
 		t.Fatal("expected error")
-	}
-}
-
-func TestDETMonotone(t *testing.T) {
-	genuine := []float64{5, 6, 7, 8, 9, 10, 11, 12}
-	impostor := []float64{0, 1, 2, 3, 4, 5, 6, 7}
-	det, err := DET(genuine, impostor, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(det); i++ {
-		if det[i].FMR > det[i-1].FMR+1e-12 {
-			t.Fatal("FMR must not increase with threshold")
-		}
-		if det[i].FNMR < det[i-1].FNMR-1e-12 {
-			t.Fatal("FNMR must not decrease with threshold")
-		}
-	}
-	if _, err := DET(genuine, impostor, 1); err == nil {
-		t.Fatal("expected n error")
-	}
-}
-
-func TestBootstrapFNMR(t *testing.T) {
-	genuine := make([]float64, 200)
-	for i := range genuine {
-		genuine[i] = float64(i) // 10% below threshold 20
-	}
-	s := uint64(9)
-	next := func() float64 {
-		s = s*6364136223846793005 + 1442695040888963407
-		return float64(s>>33) / float64(1<<31)
-	}
-	lo, hi, err := BootstrapFNMR(genuine, 20, 200, 0.9, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 0.1 || hi < 0.1 {
-		t.Fatalf("CI [%v, %v] excludes the true rate 0.1", lo, hi)
-	}
-	if hi-lo > 0.15 {
-		t.Fatalf("CI [%v, %v] implausibly wide", lo, hi)
-	}
-	if _, _, err := BootstrapFNMR(nil, 1, 100, 0.9, next); err == nil {
-		t.Fatal("expected empty error")
-	}
-	if _, _, err := BootstrapFNMR(genuine, 1, 5, 0.9, next); err == nil {
-		t.Fatal("expected rounds error")
-	}
-	if _, _, err := BootstrapFNMR(genuine, 1, 100, 2, next); err == nil {
-		t.Fatal("expected confidence error")
 	}
 }
 
@@ -349,7 +288,9 @@ func TestHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.AddAll([]float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42})
+	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
+		h.Add(x)
+	}
 	if h.Under != 1 || h.Over != 2 {
 		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
 	}
@@ -359,8 +300,8 @@ func TestHistogram(t *testing.T) {
 	if h.Counts[1] != 1 || h.Counts[2] != 1 || h.Counts[4] != 1 {
 		t.Fatalf("counts = %v", h.Counts)
 	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
+	if h.Counts[3] != 0 {
+		t.Fatalf("counts = %v", h.Counts)
 	}
 	lo, hi := h.BinRange(1)
 	if lo != 2 || hi != 4 {
@@ -403,16 +344,6 @@ func TestMeanStdQuantile(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if ECDF(xs, 2.5) != 0.5 {
-		t.Fatal("ECDF wrong")
-	}
-	if ECDF(nil, 1) != 0 {
-		t.Fatal("empty ECDF should be 0")
-	}
-}
-
 func TestSortedCopyDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	s := SortedCopy(xs)
@@ -432,15 +363,44 @@ func TestPValueStringRendering(t *testing.T) {
 	}
 }
 
-func TestRenderDET(t *testing.T) {
-	genuine := []float64{5, 8, 11}
-	impostor := []float64{1, 2, 3}
-	det, err := DET(genuine, impostor, 5)
-	if err != nil {
-		t.Fatal(err)
+func TestQuantileNearestRank(t *testing.T) {
+	xs := []float64{5, 1, 4, 2, 3}
+	cases := []struct {
+		q, want float64
+	}{
+		{0, 1},
+		{0.25, 2},
+		{0.5, 3},
+		{0.9, 4}, // index ⌊0.9·4⌋ = 3
+		{1, 5},
 	}
-	out := RenderDET(det)
-	if !strings.Contains(out, "FNMR") || len(strings.Split(out, "\n")) < 6 {
-		t.Fatalf("rendering wrong:\n%s", out)
+	for _, c := range cases {
+		t.Run(fmt.Sprint("q=", c.q), func(t *testing.T) {
+			got, err := Quantile(xs, c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Fatalf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+			}
+			if xs[0] != 5 || xs[4] != 3 {
+				t.Fatalf("Quantile sorted its input: %v", xs)
+			}
+		})
+	}
+	for _, c := range []struct {
+		name string
+		xs   []float64
+		q    float64
+	}{
+		{"empty", nil, 0.5},
+		{"negative q", xs, -0.1},
+		{"q above one", xs, 1.1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Quantile(c.xs, c.q); err == nil {
+				t.Fatal("expected error")
+			}
+		})
 	}
 }

@@ -353,29 +353,3 @@ func Figure5(sets *ScoreSets) Figure5Data {
 	}
 	return out
 }
-
-// MeanGenuineByPair returns the mean genuine score per ordered device
-// pair — a compact summary used in reporting and tests.
-func MeanGenuineByPair(ds *Dataset, sets *ScoreSets) [][]float64 {
-	nDev := ds.NumDevices()
-	sum := make([][]float64, nDev)
-	cnt := make([][]int, nDev)
-	for i := range sum {
-		sum[i] = make([]float64, nDev)
-		cnt[i] = make([]int, nDev)
-	}
-	for _, s := range sets.GenuineAll {
-		sum[s.DeviceG][s.DeviceP] += s.Value
-		cnt[s.DeviceG][s.DeviceP]++
-	}
-	out := make([][]float64, nDev)
-	for i := range out {
-		out[i] = make([]float64, nDev)
-		for j := range out[i] {
-			if cnt[i][j] > 0 {
-				out[i][j] = sum[i][j] / float64(cnt[i][j])
-			}
-		}
-	}
-	return out
-}

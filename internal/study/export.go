@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"fpinterop/internal/population"
 )
 
 // Report is the machine-readable form of a full study run: every artifact
@@ -127,29 +125,6 @@ func WriteScoresCSV(w io.Writer, ds *Dataset, sets *ScoreSets) error {
 	} {
 		if err := emit(part.name, part.scores); err != nil {
 			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("csv flush: %w", err)
-	}
-	return nil
-}
-
-// DemographicsCSV writes the Figure 1 histograms as CSV.
-func DemographicsCSV(w io.Writer, f Figure1Data) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dimension", "group", "count"}); err != nil {
-		return fmt.Errorf("csv header: %w", err)
-	}
-	for _, g := range population.AgeGroups() {
-		if err := cw.Write([]string{"age", g.String(), strconv.Itoa(f.Ages[g])}); err != nil {
-			return fmt.Errorf("csv row: %w", err)
-		}
-	}
-	for _, g := range population.Ethnicities() {
-		if err := cw.Write([]string{"ethnicity", g.String(), strconv.Itoa(f.Ethnicities[g])}); err != nil {
-			return fmt.Errorf("csv row: %w", err)
 		}
 	}
 	cw.Flush()

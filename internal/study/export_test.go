@@ -73,19 +73,3 @@ func TestWriteScoresCSV(t *testing.T) {
 		t.Fatalf("first row wrong: %v", rows[1])
 	}
 }
-
-func TestDemographicsCSV(t *testing.T) {
-	ds, _ := testStudy(t)
-	var buf bytes.Buffer
-	if err := DemographicsCSV(&buf, Figure1(ds)); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Header + 6 age bins + 6 ethnicity bins.
-	if len(rows) != 13 {
-		t.Fatalf("CSV has %d rows, want 13", len(rows))
-	}
-}

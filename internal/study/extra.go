@@ -38,7 +38,7 @@ func EERMatrix(ds *Dataset, sets *ScoreSets) (EERMatrixData, error) {
 			return nil
 		}
 		// The partitions are cell-private, so sort them in place rather
-		// than copying into NewScoreDist.
+		// than copying them first.
 		sort.Float64s(genuine[i][j])
 		sort.Float64s(impostor[i][j])
 		rate, _, err := stats.ScoreDistFromSorted(genuine[i][j], impostor[i][j]).EER()
@@ -68,57 +68,6 @@ func RenderEERMatrix(m EERMatrixData) string {
 		}
 		out += "\n"
 	}
-	return out
-}
-
-// HabituationData quantifies the paper's habituation further-work bullet:
-// do later samples from a participant image better than earlier ones?
-type HabituationData struct {
-	// MeanQualityBySample is the mean NFIQ class of live-scan impressions
-	// for each sample index (lower is better).
-	MeanQualityBySample []float64
-	// ForwardMean is the mean genuine score matching sample 0 (gallery)
-	// against sample 1 (probe) on the same live-scan device; ReverseMean
-	// swaps the roles.
-	ForwardMean, ReverseMean float64
-}
-
-// Habituation computes the habituation summary.
-func Habituation(ds *Dataset, sets *ScoreSets) HabituationData {
-	var out HabituationData
-	sums := make([]float64, SamplesPerDevice)
-	counts := make([]int, SamplesPerDevice)
-	for s := 0; s < ds.NumSubjects(); s++ {
-		for d := 0; d < ds.NumDevices(); d++ {
-			if ds.Devices[d].Ink {
-				continue
-			}
-			for k := 0; k < SamplesPerDevice; k++ {
-				sums[k] += float64(ds.Impression(s, d, k).Quality)
-				counts[k]++
-			}
-		}
-	}
-	out.MeanQualityBySample = make([]float64, SamplesPerDevice)
-	for k := range sums {
-		if counts[k] > 0 {
-			out.MeanQualityBySample[k] = sums[k] / float64(counts[k])
-		}
-	}
-	var fwd, rev []float64
-	for _, s := range sets.GenuineAll {
-		if !s.SameDevice() || ds.Devices[s.DeviceG].Ink {
-			continue
-		}
-		switch {
-		case s.SampleG == 0 && s.SampleP == 1:
-			fwd = append(fwd, s.Value)
-		case s.SampleG == 1 && s.SampleP == 0:
-			rev = append(rev, s.Value)
-		}
-	}
-	out.ForwardMean = stats.Mean(fwd)
-	out.ReverseMean = stats.Mean(rev)
 	return out
 }
 

@@ -37,22 +37,6 @@ func TestEERMatrix(t *testing.T) {
 	}
 }
 
-func TestHabituation(t *testing.T) {
-	ds, sets := testStudy(t)
-	h := Habituation(ds, sets)
-	if len(h.MeanQualityBySample) != SamplesPerDevice {
-		t.Fatal("sample axis wrong")
-	}
-	// Habituation: second samples are at least as good (lower class).
-	if h.MeanQualityBySample[1] > h.MeanQualityBySample[0]+0.05 {
-		t.Fatalf("sample 1 quality %v worse than sample 0 %v",
-			h.MeanQualityBySample[1], h.MeanQualityBySample[0])
-	}
-	if h.ForwardMean <= 0 || h.ReverseMean <= 0 {
-		t.Fatal("missing genuine means")
-	}
-}
-
 func TestTable4AsymmetryNonNegative(t *testing.T) {
 	ds, sets := testStudy(t)
 	t4, err := Table4(ds, sets)

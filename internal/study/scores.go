@@ -24,9 +24,6 @@ type Score struct {
 	Value float64
 }
 
-// Genuine reports whether the comparison is a genuine (same-subject) one.
-func (s Score) Genuine() bool { return s.SubjectG == s.SubjectP }
-
 // SameDevice reports whether gallery and probe came from one device.
 func (s Score) SameDevice() bool { return s.DeviceG == s.DeviceP }
 
@@ -239,17 +236,6 @@ func Values(scores []Score) []float64 {
 	out := make([]float64, len(scores))
 	for i, s := range scores {
 		out[i] = s.Value
-	}
-	return out
-}
-
-// FilterScores returns the scores for which keep returns true.
-func FilterScores(scores []Score, keep func(Score) bool) []Score {
-	var out []Score
-	for _, s := range scores {
-		if keep(s) {
-			out = append(out, s)
-		}
 	}
 	return out
 }

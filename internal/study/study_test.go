@@ -238,7 +238,10 @@ func TestFigure3Histograms(t *testing.T) {
 	}
 	// Impostor mass concentrates in the lowest bins (paper: 0-1 bin holds
 	// the vast majority).
-	impTotal := f.Impostor.Total() + f.Impostor.Over + f.Impostor.Under
+	impTotal := f.Impostor.Over + f.Impostor.Under
+	for _, c := range f.Impostor.Counts {
+		impTotal += c
+	}
 	if impTotal == 0 {
 		t.Skip("no same-device impostor scores for D0 in the subset")
 	}
@@ -430,29 +433,10 @@ func TestFigure5QualitySurface(t *testing.T) {
 	}
 }
 
-func TestMeanGenuineByPairDiagonalDominance(t *testing.T) {
-	ds, sets := testStudy(t)
-	m := MeanGenuineByPair(ds, sets)
-	// Live-scan diagonal cells beat their row's off-diagonal cells.
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			if i == j {
-				continue
-			}
-			if m[i][i] <= m[i][j] {
-				t.Fatalf("pair (%d,%d): diagonal %v not above %v", i, j, m[i][i], m[i][j])
-			}
-		}
-	}
-}
-
-func TestFilterAndValues(t *testing.T) {
+func TestSameDeviceAndValues(t *testing.T) {
 	scores := []Score{
 		{SubjectG: 1, SubjectP: 1, DeviceG: 0, DeviceP: 0, Value: 10},
 		{SubjectG: 1, SubjectP: 2, DeviceG: 0, DeviceP: 1, Value: 2},
-	}
-	if !scores[0].Genuine() || scores[1].Genuine() {
-		t.Fatal("Genuine() wrong")
 	}
 	if !scores[0].SameDevice() || scores[1].SameDevice() {
 		t.Fatal("SameDevice() wrong")
@@ -460,10 +444,6 @@ func TestFilterAndValues(t *testing.T) {
 	vs := Values(scores)
 	if len(vs) != 2 || vs[0] != 10 {
 		t.Fatal("Values wrong")
-	}
-	gen := FilterScores(scores, func(s Score) bool { return s.Genuine() })
-	if len(gen) != 1 {
-		t.Fatal("FilterScores wrong")
 	}
 }
 

@@ -162,7 +162,7 @@ func TestEnrollBatchEqualsSerial(t *testing.T) {
 	probes := items[:ingestProbes]
 
 	serialDir := t.TempDir()
-	serial := openIndexed(t, serialDir, 0, Options{Sync: SyncNone})
+	serial := openIndexed(t, serialDir, 0, Options{})
 	defer serial.Close()
 	identifyWhile(t, serial, probes, func() error {
 		for _, it := range items {

@@ -326,12 +326,11 @@ func appendFramed(w *enc.Writer, rec Record) error {
 	return nil
 }
 
-// Append writes the records to the log in one write call, then fsyncs
-// when sync is true. A multi-record batch therefore pays for a single
-// disk flush. The write is all-or-nothing from replay's point of view:
+// Append writes the records to the log in one write call, then fsyncs.
+// A multi-record batch therefore pays for a single disk flush. The write is all-or-nothing from replay's point of view:
 // if it tears partway through, recovery truncates back to the record
 // boundary before the batch's first torn record.
-func (l *Log) Append(sync bool, recs ...Record) error {
+func (l *Log) Append(recs ...Record) error {
 	l.buf.Buf = l.buf.Buf[:0]
 	for _, rec := range recs {
 		if err := appendFramed(&l.buf, rec); err != nil {
@@ -342,17 +341,15 @@ func (l *Log) Append(sync bool, recs ...Record) error {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.size += int64(len(l.buf.Buf))
-	if sync {
-		var t0 time.Time
-		if l.fsyncLat != nil {
-			t0 = time.Now()
-		}
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-		if l.fsyncLat != nil {
-			l.fsyncLat.ObserveSince(t0)
-		}
+	var t0 time.Time
+	if l.fsyncLat != nil {
+		t0 = time.Now()
+	}
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: sync: %w", err)
+	}
+	if l.fsyncLat != nil {
+		l.fsyncLat.ObserveSince(t0)
 	}
 	return nil
 }

@@ -14,24 +14,9 @@ import (
 	"fpinterop/internal/obs"
 )
 
-// SyncPolicy controls when appends reach stable storage.
-type SyncPolicy int
-
-const (
-	// SyncAlways fsyncs the log before acknowledging every mutation:
-	// an acknowledged enrollment survives kill -9 and power loss. This
-	// is the default.
-	SyncAlways SyncPolicy = iota
-	// SyncNone leaves flushing to the OS page cache. An order of
-	// magnitude faster, but a crash can lose the last few acknowledged
-	// operations. The log is still fsynced on compaction and Close.
-	SyncNone
-)
-
-// Options configures a durable store.
+// Options configures a durable store. Every acknowledged mutation is
+// fsynced first, so it survives kill -9 and power loss.
 type Options struct {
-	// Sync is the fsync policy for acknowledged mutations.
-	Sync SyncPolicy
 	// CompactEvery folds the log into a snapshot after this many
 	// logged mutations. 0 disables automatic compaction (Compact can
 	// still be called explicitly).
@@ -295,7 +280,7 @@ func (s *Store) commit(recs []Record, apply func() (undo func(), err error)) err
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	if err := s.log.Append(s.opt.Sync == SyncAlways, recs...); err != nil {
+	if err := s.log.Append(recs...); err != nil {
 		undo()
 		return err
 	}

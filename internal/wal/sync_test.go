@@ -284,7 +284,7 @@ func TestSyncTailVerifiesBeforeTrusting(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s := openStore(t, dir, Options{Sync: SyncNone})
+			s := openStore(t, dir, Options{})
 			defer s.Close()
 			var second int64
 			for i, e := range fx {
@@ -313,7 +313,7 @@ func TestSyncTailVerifiesBeforeTrusting(t *testing.T) {
 // record per round trip.
 func TestSyncTailBudgetCountsShippedRecords(t *testing.T) {
 	fx := fixtures(t, 8)
-	s := openStore(t, t.TempDir(), Options{Sync: SyncNone})
+	s := openStore(t, t.TempDir(), Options{})
 	defer s.Close()
 	if err := s.EnrollBatch(fx); err != nil {
 		t.Fatal(err)
