@@ -97,14 +97,6 @@ func WithReplicas(replicas ...[]string) Option {
 	})
 }
 
-// WithParallelism bounds the worker goroutines of each in-process
-// store: its exhaustive-scan fan-out and its batch-enrollment derive
-// workers. n <= 0 is the default (GOMAXPROCS per store). A WithShards
-// front and a Dial client hold no store, so they reject any n but 0.
-func WithParallelism(n int) Option {
-	return set(func(c *topology.Config) { c.Parallelism = n })
-}
-
 // WithShardTimeout (matchd -shard-timeout) bounds each shard's share of
 // an identification; a shard that misses the deadline is abandoned (and
 // counts toward degradation) while the healthy shards' answers are

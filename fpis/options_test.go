@@ -74,7 +74,6 @@ func TestOptionValidation(t *testing.T) {
 	rejected := map[string]func(sink string) error{
 		"local shards and remote shards": func(sink string) error { return newSvc(WithLocalShards(2), WithShards(sink)) },
 		"index on remote-shard front":    func(sink string) error { return newSvc(WithShards(sink), WithIndex(0)) },
-		"parallelism on a front":         func(sink string) error { return newSvc(WithShards(sink), WithParallelism(2)) },
 		"shard timeout without shards":   func(string) error { return newSvc(WithShardTimeout(time.Second)) },
 		"fail-closed without shards":     func(string) error { return newSvc(WithFailClosed()) },
 		"request timeout, local service": func(string) error { return newSvc(WithRequestTimeout(time.Second)) },
@@ -90,7 +89,6 @@ func TestOptionValidation(t *testing.T) {
 		"dial with shards":               func(sink string) error { return dial(sink, WithLocalShards(2)) },
 		"dial with index":                func(sink string) error { return dial(sink, WithIndex(0)) },
 		"dial with shard timeout":        func(sink string) error { return dial(sink, WithShardTimeout(time.Second)) },
-		"dial with parallelism":          func(sink string) error { return dial(sink, WithParallelism(2)) },
 		"dial with hedging":              func(sink string) error { return dial(sink, WithHedging(time.Millisecond)) },
 		"dial with fail-closed":          func(sink string) error { return dial(sink, WithFailClosed()) },
 		"negative pool size, dial":       func(sink string) error { return dial(sink, WithPoolSize(-1)) },
@@ -116,7 +114,7 @@ func TestOptionValidation(t *testing.T) {
 		"zero pool size, dial":      func() error { return dial(addr, WithPoolSize(0)) },
 		"zero hedge delay, sharded": func() error { return newSvc(WithLocalShards(2), WithHedging(0)) },
 		"router zeros on a dial": func() error {
-			return dial(addr, WithHedging(0), WithShardTimeout(0), WithParallelism(0), WithWALCompactEvery(0))
+			return dial(addr, WithHedging(0), WithShardTimeout(0), WithWALCompactEvery(0))
 		},
 		"client zeros, local service": func() error {
 			return newSvc(WithPoolSize(0), WithRequestTimeout(0), WithDialTimeout(0), WithKeepalive(0))
@@ -148,7 +146,6 @@ func TestOptionsSetOneField(t *testing.T) {
 		{"WithLocalShards: -local-shards", WithLocalShards(3), tc{LocalShards: 3}},
 		{"WithShards: -shards", WithShards("a:1", "b:1"), tc{Shards: []string{"a:1", "b:1"}}},
 		{"WithReplicas: -replicas", WithReplicas([]string{"r:1"}, nil), tc{Replicas: [][]string{{"r:1"}, nil}}},
-		{"WithParallelism", WithParallelism(2), tc{Parallelism: 2}},
 		{"WithShardTimeout: -shard-timeout", WithShardTimeout(time.Second), tc{ShardTimeout: time.Second}},
 		{"WithHedging: -hedge-delay", WithHedging(time.Millisecond), tc{HedgeDelay: time.Millisecond}},
 		{"WithFailClosed", WithFailClosed(), tc{Policy: shard.FailClosed}},
@@ -168,15 +165,16 @@ func TestOptionsSetOneField(t *testing.T) {
 	}
 }
 
-// TestParallelismBoundsLocalShardScans: on a WithLocalShards service
-// WithParallelism is each store's scan bound — with GOMAXPROCS at 8 and
-// the option at 2, no snapshot of the process ever shows more than two
-// scan workers per store.
-func TestParallelismBoundsLocalShardScans(t *testing.T) {
+// TestGOMAXPROCSBoundsLocalShardScans: on a WithLocalShards service each
+// store's exhaustive scan runs on par.For's workers, as many as
+// GOMAXPROCS — at 2, no snapshot of the process ever shows more than two
+// workers of one scan, so no more than two per store.
+func TestGOMAXPROCSBoundsLocalShardScans(t *testing.T) {
 	gal, probes := confFixtures(t)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	ctx := context.Background()
-	svc, err := New(ctx, WithLocalShards(2), WithParallelism(2))
+	svc, err := New(ctx, WithLocalShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,17 +188,28 @@ func TestParallelismBoundsLocalShardScans(t *testing.T) {
 	if err := svc.EnrollBatch(ctx, items); err != nil {
 		t.Fatal(err)
 	}
-	// A scan worker is a goroutine inside matchAll's scan closure (its
-	// first, hence func1; a worker past its last entry but not yet gone
-	// is not counted). A full stack dump stops the world, so each count
-	// is one consistent moment.
+	// A scan worker is a goroutine par.For started, caught inside
+	// matchAll's callback (its first closure, hence func1; a worker
+	// between entries is not counted). The workers of one scan share the
+	// goroutine that started them, one scatter leg and so one store. A
+	// full stack dump stops the world, so each count is one consistent
+	// moment.
 	var stop atomic.Bool
 	peak := make(chan int)
 	go func() {
 		buf, most := make([]byte, 1<<20), 0
 		for !stop.Load() {
-			dump := string(buf[:runtime.Stack(buf, true)])
-			most = max(most, strings.Count(dump, "gallery.(*Store).matchAll.func1("))
+			perScan := make(map[string]int)
+			for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+				_, creator, ok := strings.Cut(g, "created by fpinterop/internal/par.For in goroutine ")
+				if ok && strings.Contains(g, "gallery.(*Store).matchAll.func1(") {
+					creator, _, _ = strings.Cut(creator, "\n")
+					perScan[creator]++
+				}
+			}
+			for _, n := range perScan {
+				most = max(most, n)
+			}
 		}
 		peak <- most
 	}()
@@ -211,8 +220,8 @@ func TestParallelismBoundsLocalShardScans(t *testing.T) {
 	}
 	stop.Store(true)
 	switch most := <-peak; {
-	case most > 2*2:
-		t.Fatalf("saw %d scan workers at once across 2 stores, want at most 2 each", most)
+	case most > 2:
+		t.Fatalf("saw %d workers of one scan at once, want at most GOMAXPROCS = 2", most)
 	case most == 0:
 		t.Fatal("the sampler never saw a scan worker; the bound went unchecked")
 	}

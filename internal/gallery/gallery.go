@@ -12,15 +12,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"fpinterop/internal/index"
 	"fpinterop/internal/match"
 	"fpinterop/internal/minutiae"
+	"fpinterop/internal/par"
 )
 
 var (
@@ -63,10 +62,6 @@ type Store struct {
 	idx           *index.Index
 	minCandidates int
 
-	// parallelism bounds the workers fanning matcher calls during
-	// identification and deriving a batch's enrollments (0 = GOMAXPROCS).
-	parallelism int
-
 	// met is non-nil after SetMetrics; record methods are nil-safe, so
 	// unmetered stores pay one branch per touch point.
 	met *storeMetrics
@@ -80,19 +75,6 @@ func New(m match.Matcher) *Store {
 	}
 	hough, _ := m.(*match.HoughMatcher)
 	return &Store{matcher: m, hough: hough, entries: make(map[string]*Entry)}
-}
-
-// SetParallelism bounds the worker goroutines used to fan matcher
-// calls during identification and to derive a batch's enrollments (the
-// study.Config.Parallelism convention); n <= 0 restores the default of
-// GOMAXPROCS.
-func (s *Store) SetParallelism(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	s.parallelism = n
 }
 
 // Enroll adds a template under id. The template is cloned, so later
@@ -211,13 +193,14 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // EnrollBatch enrolls the items in order. Not atomic: on failure (a
 // *BatchError) the items before the failing one stay enrolled (a
 // WAL-backed store's EnrollBatch is the atomic, single-fsync version).
-// Items are derived on up to SetParallelism workers while the calling
-// goroutine inserts each as soon as it and all before it are ready, one
-// write-lock hold per item as in Enroll, so the stored result does not
-// depend on the worker count; every worker has exited when it returns.
+// Above one CPU, items are derived on par.Ordered's workers while the
+// calling goroutine inserts each as soon as it and all before it are
+// ready, one write-lock hold per item as in Enroll, so the stored result
+// does not depend on the worker count. A derive worker never waits for
+// the inserts (its queue holds all of its items), so an index merge
+// under the write lock does not idle it.
 func (s *Store) EnrollBatch(items []Export) error {
-	workers := s.workers(len(items))
-	if workers <= 1 {
+	if par.Workers(len(items)) == 1 {
 		for i, it := range items {
 			if err := s.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
 				return &BatchError{Applied: i, Err: err}
@@ -228,61 +211,17 @@ func (s *Store) EnrollBatch(items []Export) error {
 	s.mu.RLock()
 	indexed := s.idx != nil
 	s.mu.RUnlock()
-	type result struct {
-		d   derived
-		err error
-	}
-	// Worker w derives items w, w+workers, ... in that order into its
-	// own channel, which holds all of them: a worker never blocks, so
-	// the flag alone stops it, and item i is the next receive from
-	// channel i%workers.
-	var (
-		wg   sync.WaitGroup
-		stop atomic.Bool
-		out  = make([]chan result, workers)
-	)
-	for w := range out {
-		out[w] = make(chan result, (len(items)-w+workers-1)/workers)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < len(items) && !stop.Load(); i += workers {
-				if err := items[i].validate(); err != nil {
-					// Nothing after a failing item is inserted, but the
-					// other workers still owe the items before it.
-					out[w] <- result{err: err}
-					return
-				}
-				out[w] <- result{d: s.derive(items[i], indexed)}
-			}
-		}()
-	}
-	var failed error
-	for i := range items {
-		r := <-out[i%workers]
-		if r.err == nil {
-			r.err = s.insert(r.d)
+	return par.Ordered(len(items), len(items), func(i int) (derived, error) {
+		if err := items[i].validate(); err != nil {
+			return derived{}, &BatchError{Applied: i, Err: err}
 		}
-		if r.err != nil {
-			failed = &BatchError{Applied: i, Err: r.err}
-			break
+		return s.derive(items[i], indexed), nil
+	}, func(i int, d derived) error {
+		if err := s.insert(d); err != nil {
+			return &BatchError{Applied: i, Err: err}
 		}
-	}
-	stop.Store(true)
-	wg.Wait()
-	return failed
-}
-
-// workers returns how many goroutines share n independent pieces of
-// work: the SetParallelism bound, GOMAXPROCS by default.
-func (s *Store) workers(n int) int {
-	s.mu.RLock()
-	w := s.parallelism
-	s.mu.RUnlock()
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return min(w, n)
+		return nil
+	})
 }
 
 // Get returns the enrollment stored under id. The returned template is
@@ -624,81 +563,48 @@ func (s *Store) scoreEntries(ctx context.Context, entries []*Entry, probe *minut
 }
 
 // matchAll computes the matcher score of the probe against every entry
-// on at most s.parallelism workers. Each worker holds one pooled match
-// session for the whole scan and binds the probe to it once, so a
-// comparison runs with zero steady-state allocations against the
-// preparation cached at enroll time, and claims its next entry with one
-// atomic add. Workers poll ctx between comparisons: a cancelled context
-// stops the scan within one matcher call's latency and matchAll returns
-// ctx.Err(), which outranks any matcher error (a half-cancelled scan's
-// failures are not meaningful); otherwise the error from the lowest
-// entry index wins.
+// on par.For's workers. Each worker holds one pooled match session for
+// the whole scan with the probe bound to it once, so a comparison runs
+// with zero steady-state allocations against the preparation cached at
+// enroll time. Workers stop claiming entries once ctx is done: a
+// cancelled context stops the scan within one matcher call's latency and
+// matchAll returns ctx.Err(), which outranks any matcher error (a
+// half-cancelled scan's failures are not meaningful); otherwise the error
+// from the lowest entry index wins.
 func (s *Store) matchAll(ctx context.Context, entries []*Entry, probe *minutiae.Template) ([]float64, error) {
 	scores := make([]float64, len(entries))
-	done := ctx.Done()
-	var (
-		next   atomic.Int64
-		mu     sync.Mutex // guards errIdx and first
-		errIdx = -1
-		first  error
-	)
-	scan := func() {
-		var sess *match.Session
-		if s.hough != nil {
-			sess = match.AcquireSession(s.hough)
+	var sessions []*match.Session
+	if s.hough != nil {
+		sessions = make([]*match.Session, par.Workers(len(entries)))
+		for w := range sessions {
+			sess := match.AcquireSession(s.hough)
 			defer sess.Release()
 			sess.Bind(probe)
-		}
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(entries) {
-				return
-			}
-			e := entries[i]
-			var (
-				res match.Result
-				err error
-			)
-			if sess != nil && e.prep != nil {
-				res, err = sess.MatchBound(e.prep)
-			} else {
-				res, err = s.matcher.Match(e.Template, probe)
-			}
-			if err != nil {
-				mu.Lock()
-				if errIdx == -1 || i < errIdx {
-					errIdx = i
-					first = fmt.Errorf("identify against %q: %w", e.ID, err)
-				}
-				mu.Unlock()
-				continue
-			}
-			scores[i] = res.Score
+			sessions[w] = sess
 		}
 	}
-	if workers := s.workers(len(entries)); workers <= 1 {
-		scan()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scan()
-			}()
+	err := par.For(ctx.Done(), len(entries), func(w, i int) error {
+		e := entries[i]
+		var (
+			res match.Result
+			err error
+		)
+		if sessions != nil && e.prep != nil {
+			res, err = sessions[w].MatchBound(e.prep)
+		} else {
+			res, err = s.matcher.Match(e.Template, probe)
 		}
-		wg.Wait()
+		if err != nil {
+			return fmt.Errorf("identify against %q: %w", e.ID, err)
+		}
+		scores[i] = res.Score
+		return nil
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if first != nil {
-		return nil, first
 	}
 	return scores, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -278,14 +279,21 @@ func (m *errAfterMatcher) Match(g, p *minutiae.Template) (match.Result, error) {
 	return (&match.HoughMatcher{}).Match(g, p)
 }
 
+// setProcs sets GOMAXPROCS — the store's worker count — to n for the
+// rest of the test.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestIdentifyParallelMatchesSerial(t *testing.T) {
 	s, probes, _ := enrolledStore(t, 10, "D0", "D1")
-	s.SetParallelism(1)
+	setProcs(t, 1)
 	serial, err := s.IdentifyContext(context.Background(), probes[3], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetParallelism(4)
+	setProcs(t, 4)
 	parallel, err := s.IdentifyContext(context.Background(), probes[3], 0)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +321,7 @@ func TestIdentifyParallelErrorPropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.SetParallelism(3)
+	setProcs(t, 3)
 	probe, err := d0.CaptureSubject(cohort.Subjects[0], 1, sensor.CaptureOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +339,7 @@ func TestIdentifyConcurrentMutationRace(t *testing.T) {
 	if err := s.EnableIndex(IndexOptions{MinCandidates: 2}); err != nil {
 		t.Fatal(err)
 	}
-	s.SetParallelism(4)
+	setProcs(t, 4)
 	extra := &minutiae.Template{Width: 400, Height: 400, DPI: 500}
 	cohort := population.NewCohort(rng.New(777), population.CohortOptions{Size: 8})
 	d0, _ := sensor.ProfileByID("D0")
@@ -699,7 +707,7 @@ func TestIdentifyContextCancellationUnblocksScan(t *testing.T) {
 	const n = 64
 	perMatch := 20 * time.Millisecond
 	s := New(&slowMatcher{delay: perMatch})
-	s.SetParallelism(2)
+	setProcs(t, 2)
 	for i := 0; i < n; i++ {
 		if err := s.Enroll(fmt.Sprintf("subject-%03d", i), "D0", imp.Template); err != nil {
 			t.Fatal(err)

@@ -122,13 +122,11 @@ func savedBytes(t *testing.T, s *Store) []byte {
 // TestEnrollBatchEqualsSerial: a gallery loaded through EnrollBatch in
 // wire-sized groups is the gallery loaded one Enroll at a time — same
 // records in the same order, same index occupancy, same shortlists bit
-// for bit — whatever the worker count, with searches running beside the
-// load.
+// for bit — whatever GOMAXPROCS, with searches running beside the load.
 func TestEnrollBatchEqualsSerial(t *testing.T) {
 	items, probes := ingestFixture(t)
-	newStore := func(parallelism int) *Store {
+	newStore := func() *Store {
 		s := New(nil)
-		s.SetParallelism(parallelism)
 		// A short shortlist keeps the readers' searches cheap; the
 		// comparison below asks the index for 64 itself.
 		if err := s.EnableIndex(IndexOptions{Index: index.Options{Fanout: 8}}); err != nil {
@@ -136,7 +134,7 @@ func TestEnrollBatchEqualsSerial(t *testing.T) {
 		}
 		return s
 	}
-	serial := newStore(0)
+	serial := newStore()
 	identifyWhile(t, serial, probes, func() error {
 		for _, it := range items {
 			if err := serial.Enroll(it.ID, it.DeviceID, it.Template); err != nil {
@@ -152,11 +150,11 @@ func TestEnrollBatchEqualsSerial(t *testing.T) {
 	}
 
 	// 1 is the inline path and 3 the pipeline (a stride that does not
-	// divide the group) at any -cpu; a server's default of GOMAXPROCS is
-	// one or the other.
-	for _, parallelism := range []int{1, 3} {
-		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
-			batch := newStore(parallelism)
+	// divide the group), whatever -cpu says.
+	for _, procs := range []int{1, 3} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			setProcs(t, procs)
+			batch := newStore()
 			identifyWhile(t, batch, probes, func() error {
 				for lo := 0; lo < len(items); lo += ingestGroup {
 					if err := batch.EnrollBatch(items[lo:min(lo+ingestGroup, len(items))]); err != nil {
@@ -236,16 +234,16 @@ func TestEnrollBatchFailurePositions(t *testing.T) {
 	fx, _ := ingestFixture(t)
 	const n = 7
 	enrolled := Export{ID: "enrolled", DeviceID: "D0", Template: fx[n].Template}
-	for _, parallelism := range []int{1, 3} { // inline, pipeline
+	for _, procs := range []int{1, 3} { // inline, pipeline
 		for _, indexed := range []bool{false, true} {
 			for _, kind := range failureKinds {
 				for _, k := range []int{0, n / 2, n - 1} {
 					if k == 0 && kind == "duplicate within the batch" {
 						continue // item 0 has no earlier item
 					}
-					t.Run(fmt.Sprintf("parallelism=%d/indexed=%v/%s/at=%d", parallelism, indexed, kind, k), func(t *testing.T) {
+					t.Run(fmt.Sprintf("procs=%d/indexed=%v/%s/at=%d", procs, indexed, kind, k), func(t *testing.T) {
+						setProcs(t, procs)
 						s := New(nil)
-						s.SetParallelism(parallelism)
 						if indexed {
 							if err := s.EnableIndex(IndexOptions{}); err != nil {
 								t.Fatal(err)
@@ -300,9 +298,9 @@ func TestEnrollBatchFailurePositions(t *testing.T) {
 // in the same state.
 func TestOneItemBatchIsEnroll(t *testing.T) {
 	fx, _ := ingestFixture(t)
+	setProcs(t, 4)
 	allocs := func(enroll func(s *Store, it Export) error) float64 {
 		s := New(nil)
-		s.SetParallelism(4)
 		i := 0
 		return testing.AllocsPerRun(200, func() {
 			i++

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"fpinterop/internal/enc"
 	"fpinterop/internal/index"
 	"fpinterop/internal/minutiae"
+	"fpinterop/internal/par"
 )
 
 // Template-set encoding — the one serialized form of a gallery, which
@@ -136,32 +135,10 @@ func (s *Store) ReplaceAll(entries []Export) error {
 	if s.hough != nil && len(built) > 0 {
 		// One parallel preparation pass over the whole load — the bulk
 		// analogue of the per-enrollment Prepare cache.
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(built) {
-			workers = len(built)
-		}
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			next int
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					i := next
-					next++
-					mu.Unlock()
-					if i >= len(built) {
-						return
-					}
-					built[i].prep = s.hough.Prepare(built[i].Template)
-				}
-			}()
-		}
-		wg.Wait()
+		par.For(nil, len(built), func(_, i int) error {
+			built[i].prep = s.hough.Prepare(built[i].Template)
+			return nil
+		})
 	}
 	byID := make(map[string]*Entry, len(built))
 	order := make([]string, len(built))

@@ -74,7 +74,7 @@ func scanFixture(t *testing.T) {
 }
 
 // TestScanEqualsPairwise: whatever a search returns — exhaustive or
-// through the index, on one worker or three, with enrollments coming
+// through the index, at GOMAXPROCS 1 or 3, with enrollments coming
 // and going beside it — every candidate's score is bit for bit the
 // score of that one pair matched alone. The scan's shortcuts (enroll-time
 // preparations, one probe bound per worker for the whole scan, entries
@@ -84,9 +84,9 @@ func TestScanEqualsPairwise(t *testing.T) {
 	scanFixture(t)
 	ctx := context.Background()
 	for _, indexed := range []bool{false, true} {
-		for _, par := range []int{1, 3} {
+		for _, procs := range []int{1, 3} {
+			setProcs(t, procs)
 			s := New(nil)
-			s.SetParallelism(par)
 			if indexed {
 				if err := s.EnableIndex(IndexOptions{}); err != nil {
 					t.Fatal(err)
@@ -139,16 +139,16 @@ func TestScanEqualsPairwise(t *testing.T) {
 								return
 							}
 							if k == 0 && len(cands) < scanEnrolled {
-								t.Errorf("indexed=%v parallelism %d probe %d: full ranking of %d, %d always enrolled",
-									indexed, par, pi, len(cands), scanEnrolled)
+								t.Errorf("indexed=%v procs %d probe %d: full ranking of %d, %d always enrolled",
+									indexed, procs, pi, len(cands), scanEnrolled)
 							}
 							for _, c := range cands {
 								want, ok := scanWant[pi][c.ID]
 								if !ok {
 									t.Errorf("candidate %q was never enrolled", c.ID)
 								} else if got := math.Float64bits(c.Score); got != want {
-									t.Errorf("indexed=%v (served indexed=%v) parallelism %d probe %d k %d: %s scored %016x in the scan, %016x alone",
-										indexed, stats.Indexed, par, pi, k, c.ID, got, want)
+									t.Errorf("indexed=%v (served indexed=%v) procs %d probe %d k %d: %s scored %016x in the scan, %016x alone",
+										indexed, stats.Indexed, procs, pi, k, c.ID, got, want)
 								}
 							}
 						}

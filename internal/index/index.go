@@ -27,12 +27,12 @@ package index
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"fpinterop/internal/minutiae"
+	"fpinterop/internal/par"
 )
 
 var (
@@ -122,10 +122,10 @@ func New(opt Options) *Index {
 
 // Build returns an index over the given templates (tpls[i] under
 // ids[i]), equal to Adding them to New(opt) one by one: keys are
-// extracted on all CPUs while the calling goroutine adds each template
-// as soon as it and all before it are extracted, and the base segment
-// is laid out once, with no merges on the way. The index keeps the
-// templates, as Add does; every worker has exited when it returns.
+// extracted on par.Ordered's workers while the calling goroutine adds
+// each template as soon as it and all before it are extracted, and the
+// base segment is laid out once, with no merges on the way. The index
+// keeps the templates, as Add does.
 func Build(opt Options, ids []string, tpls []*minutiae.Template) (*Index, error) {
 	ix := New(opt)
 	for i, id := range ids {
@@ -133,34 +133,15 @@ func Build(opt Options, ids []string, tpls []*minutiae.Template) (*Index, error)
 			return nil, fmt.Errorf("index: add %q: nil template", id)
 		}
 	}
-	// Worker w extracts templates w, w+workers, ... in order into its own
-	// short channel, so template i is the next receive from channel
-	// i%workers and a few key lists are live at a time, not n. Closing
-	// done on return releases a worker blocked on a full channel. Depth
-	// 16 is measured in EXPERIMENTS.md, "Replica bootstrap".
-	workers := min(runtime.GOMAXPROCS(0), len(ids))
-	out := make([]chan []uint64, workers)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	defer func() { close(done); wg.Wait() }()
-	for w := range out {
-		out[w] = make(chan []uint64, 16)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < len(ids); i += workers {
-				select {
-				case out[w] <- AppendKeys(nil, tpls[i]):
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
-	for i, id := range ids {
-		if err := ix.add(id, tpls[i], <-out[i%workers]); err != nil {
-			return nil, err
-		}
+	// Depth 16 keeps a few key lists live at a time, not n; it is
+	// measured in EXPERIMENTS.md, "Replica bootstrap".
+	err := par.Ordered(len(ids), 16, func(i int) ([]uint64, error) {
+		return AppendKeys(nil, tpls[i]), nil
+	}, func(i int, keys []uint64) error {
+		return ix.add(ids[i], tpls[i], keys)
+	})
+	if err != nil {
+		return nil, err
 	}
 	ix.merge()
 	return ix, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,13 @@ import (
 	"fpinterop/internal/match"
 	"fpinterop/internal/minutiae"
 )
+
+// setProcs sets GOMAXPROCS — a store's scan worker count — to n for
+// the rest of the test.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // countingMatcher counts comparisons as they start and makes each one
 // slow enough that "one more comparison" is far longer than any
@@ -37,8 +45,8 @@ const (
 func slowScanServer(t *testing.T) (*Client, *countingMatcher) {
 	t.Helper()
 	m := &countingMatcher{each: 10 * time.Millisecond}
+	setProcs(t, scanWorkers)
 	store := gallery.New(m)
-	store.SetParallelism(scanWorkers)
 	tpl := testImpressions(t, 1, "D0", 0)[0]
 	for i := 0; i < scanEntries; i++ {
 		if err := store.Enroll(fmt.Sprintf("s-%03d", i), "D0", tpl); err != nil {

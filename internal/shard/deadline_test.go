@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,13 @@ import (
 	"fpinterop/internal/minutiae"
 	"fpinterop/internal/wal"
 )
+
+// setProcs sets GOMAXPROCS — a store's scan worker count — to n for
+// the rest of the test.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // slowMatcher counts comparisons as they start; each takes 10 ms.
 type slowMatcher struct{ started atomic.Int64 }
@@ -35,8 +43,8 @@ func (m *slowMatcher) Match(g, p *minutiae.Template) (match.Result, error) {
 func TestDeadlineSurvivesTwoHops(t *testing.T) {
 	gal, probes := fixtures(t)
 	m := &slowMatcher{}
+	setProcs(t, 2)
 	store := gallery.New(m)
-	store.SetParallelism(2)
 	const entries = 200
 	for i := 0; i < entries; i++ {
 		if err := store.Enroll(subjectID(i), "D0", gal[i%len(gal)]); err != nil {

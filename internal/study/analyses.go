@@ -218,7 +218,7 @@ func Table4(ds *Dataset, sets *ScoreSets) (Table4Data, error) {
 	}
 	// The Kendall tests of different cells are independent; run them on
 	// the bounded worker pool, each writing only its own (row, dj) slot.
-	err := forEachCell(nDev, ds.Config.Parallelism, func(di, dj int) error {
+	err := forEachCell(nDev, func(di, dj int) error {
 		r, ok := rowOf[di]
 		if !ok {
 			return nil // ink device: no same-device reference row
@@ -297,7 +297,7 @@ func FNMRMatrix(ds *Dataset, sets *ScoreSets, opts FNMRMatrixOptions) (FNMRMatri
 	// Each cell sorts its partition once; the threshold fix and the FNMR
 	// lookup both reuse the same ScoreDist. Cells are independent, so
 	// they run on the bounded worker pool.
-	err := forEachCell(nDev, ds.Config.Parallelism, func(i, j int) error {
+	err := forEachCell(nDev, func(i, j int) error {
 		gen := genuine[i][j]
 		imp := impostor[i][j]
 		out.GenuineCount[i][j] = len(gen)

@@ -1,14 +1,13 @@
 package study
 
-import "sync"
+import "fpinterop/internal/par"
 
 // This file holds the shared machinery for the per-device-pair analyses
 // (EER matrix, FNMR matrices, Kendall table, shift tests): one-pass
 // partitioning of score sets into (gallery device, probe device) cells,
-// and a bounded worker pool — the Parallelism convention from Config —
-// that fans independent cells out across goroutines. Workers write only
-// to their own preallocated result slots, so results stay deterministic
-// regardless of scheduling.
+// and a fan-out of independent cells across par.For's workers. Workers
+// write only to their own preallocated result slots, so results stay
+// deterministic regardless of scheduling.
 
 // partitionByDevicePair groups raw score values by (gallery device,
 // probe device) over the given sets. A nil keep accepts everything.
@@ -45,47 +44,11 @@ func partitionByDevicePair(nDev int, keep func(Score) bool, sets ...[]Score) [][
 	return out
 }
 
-// forEachIndex runs fn(0..n-1) on at most parallelism goroutines and
-// returns the first error any call produced.
-func forEachIndex(n, parallelism int, fn func(i int) error) error {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		next     int
-		firstErr error
-	)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					setErr(&mu, &firstErr, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // forEachCell runs fn over every (gallery, probe) device pair of an
-// nDev×nDev matrix on the bounded worker pool.
-func forEachCell(nDev, parallelism int, fn func(i, j int) error) error {
-	return forEachIndex(nDev*nDev, parallelism, func(k int) error {
+// nDev×nDev matrix on par.For's workers and returns the error of the
+// first failing cell in row-major order.
+func forEachCell(nDev int, fn func(i, j int) error) error {
+	return par.For(nil, nDev*nDev, func(_, k int) error {
 		return fn(k/nDev, k%nDev)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,34 +14,38 @@ import (
 	"fpinterop/internal/minutiae"
 )
 
-func TestForEachIndex(t *testing.T) {
-	var hits [100]atomic.Int64
-	if err := forEachIndex(len(hits), 7, func(i int) error {
-		hits[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("index %d visited %d times", i, hits[i].Load())
+// setProcs sets GOMAXPROCS — the study's worker count — to n for the
+// rest of the test.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestForEachCell: every cell of the matrix is visited once, under its
+// own (row, column), and of two failing cells the first in row-major
+// order is the one reported, at any worker count.
+func TestForEachCell(t *testing.T) {
+	const nDev = 5
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		var hits [nDev][nDev]atomic.Int64
+		err := forEachCell(nDev, func(i, j int) error {
+			hits[i][j].Add(1)
+			if (i == 1 && j == 3) || (i == 3 && j == 0) {
+				return fmt.Errorf("cell %d,%d failed", i, j)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "cell 1,3 failed" {
+			t.Fatalf("GOMAXPROCS %d: error %v, want cell 1,3's", procs, err)
 		}
-	}
-	// Errors surface, and every index still runs (no early abort that
-	// would leave result slots unwritten).
-	var n atomic.Int64
-	err := forEachIndex(50, 0, func(i int) error {
-		n.Add(1)
-		if i == 3 {
-			return errors.New("cell failure")
+		for i := range hits {
+			for j := range hits[i] {
+				if n := hits[i][j].Load(); n != 1 {
+					t.Fatalf("GOMAXPROCS %d: cell %d,%d visited %d times", procs, i, j, n)
+				}
+			}
 		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "cell failure") {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	if n.Load() != 50 {
-		t.Fatalf("visited %d of 50 after error", n.Load())
 	}
 }
 
@@ -109,11 +114,12 @@ func (m *selectiveFailMatcher) Match(g, p *minutiae.Template) (match.Result, err
 }
 
 // TestGenerateScoresMatcherError checks that a match error fails the run
-// loudly without a worker abandoning the rest of its chunk: every
-// comparison must still be attempted, and the error must say how many
-// failed.
+// loudly without a worker abandoning the rest of its work: every
+// comparison must still be attempted, the error must say how many
+// failed, and the failure it names is the same on every run at any
+// worker count — the first failing comparison in job order.
 func TestGenerateScoresMatcherError(t *testing.T) {
-	cfg := Config{Seed: 7, Subjects: 4, MaxDMI: 20, MaxDDMI: 20, Parallelism: 3}
+	cfg := Config{Seed: 7, Subjects: 4, MaxDMI: 20, MaxDDMI: 20}
 	ds, err := BuildDataset(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,23 +130,33 @@ func TestGenerateScoresMatcherError(t *testing.T) {
 	}
 	total := len(clean.DMG) + len(clean.DDMG) + len(clean.DMI) + len(clean.DDMI) + len(clean.GenuineAll)
 
-	fm := &selectiveFailMatcher{inner: ds.Config.Matcher, bad: ds.Impression(0, 0, 0).Template}
-	ds.Config.Matcher = fm
-	sets, err := GenerateScores(ds)
-	if err == nil {
-		t.Fatal("expected an error from the failing matcher")
-	}
-	if sets != nil {
-		t.Fatal("failed run must not return partial score sets")
-	}
-	if !strings.Contains(err.Error(), "comparisons failed") ||
-		!strings.Contains(err.Error(), "injected matcher failure") {
-		t.Fatalf("error does not report failure count and cause: %v", err)
-	}
-	if got := fm.calls.Load(); got != int64(total) {
-		t.Fatalf("only %d of %d comparisons attempted: worker dropped its chunk", got, total)
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("of %d comparisons", total)) {
-		t.Fatalf("error does not name the comparison total %d: %v", total, err)
+	inner := ds.Config.Matcher
+	var first string
+	for _, procs := range []int{1, 4, 1, 4, 4} {
+		setProcs(t, procs)
+		fm := &selectiveFailMatcher{inner: inner, bad: ds.Impression(0, 0, 0).Template}
+		ds.Config.Matcher = fm
+		sets, err := GenerateScores(ds)
+		if err == nil {
+			t.Fatal("expected an error from the failing matcher")
+		}
+		if sets != nil {
+			t.Fatal("failed run must not return partial score sets")
+		}
+		if !strings.Contains(err.Error(), "comparisons failed") ||
+			!strings.Contains(err.Error(), "injected matcher failure") {
+			t.Fatalf("error does not report failure count and cause: %v", err)
+		}
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("GOMAXPROCS %d: error\n%s\nwant the first run's\n%s", procs, err, first)
+		}
+		if got := fm.calls.Load(); got != int64(total) {
+			t.Fatalf("only %d of %d comparisons attempted: a worker dropped its share", got, total)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("of %d comparisons", total)) {
+			t.Fatalf("error does not name the comparison total %d: %v", total, err)
+		}
 	}
 }

@@ -33,7 +33,7 @@ func EERMatrix(ds *Dataset, sets *ScoreSets) (EERMatrixData, error) {
 		out.DeviceIDs = append(out.DeviceIDs, ds.Devices[i].ID)
 		out.EER[i] = make([]float64, nDev)
 	}
-	err := forEachCell(nDev, ds.Config.Parallelism, func(i, j int) error {
+	err := forEachCell(nDev, func(i, j int) error {
 		if len(genuine[i][j]) == 0 || len(impostor[i][j]) == 0 {
 			return nil
 		}

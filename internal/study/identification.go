@@ -21,8 +21,7 @@ type IdentificationResult struct {
 
 // identificationStore enrolls the first n subjects (first sample on the
 // gallery device) and returns the store plus matching second-sample
-// probes from the probe device. The store's scan parallelism mirrors
-// Config.Parallelism.
+// probes from the probe device.
 func identificationStore(ds *Dataset, galleryID, probeID string, n int) (*gallery.Store, []*minutiae.Template, []string, error) {
 	gi, ok := ds.DeviceIndex(galleryID)
 	if !ok {
@@ -33,7 +32,6 @@ func identificationStore(ds *Dataset, galleryID, probeID string, n int) (*galler
 		return nil, nil, nil, fmt.Errorf("study: unknown probe device %q", probeID)
 	}
 	store := gallery.New(ds.Config.Matcher)
-	store.SetParallelism(ds.Config.Parallelism)
 	ids := make([]string, n)
 	probes := make([]*minutiae.Template, n)
 	for s := 0; s < n; s++ {

@@ -2,10 +2,11 @@ package study
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"fpinterop/internal/match"
 	"fpinterop/internal/nfiq"
+	"fpinterop/internal/par"
 	"fpinterop/internal/rng"
 )
 
@@ -146,71 +147,50 @@ func GenerateScores(ds *Dataset) (*ScoreSets, error) {
 
 	scores := make([]Score, len(jobs))
 	// When the study runs the primary matcher, each worker holds one
-	// pooled match session for its whole chunk: the hot path then does
+	// pooled match session for the whole run: the hot path then does
 	// zero allocations per comparison (only Score is read, so the
 	// session-scoped Result aliasing is safe).
 	hough, _ := cfg.Matcher.(*match.HoughMatcher)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		failed   int
-	)
-	chunk := (len(jobs) + cfg.Parallelism - 1) / cfg.Parallelism
-	if chunk < 1 {
-		chunk = 1
-	}
-	for start := 0; start < len(jobs); start += chunk {
-		end := start + chunk
-		if end > len(jobs) {
-			end = len(jobs)
+	var sessions []*match.Session
+	if hough != nil {
+		sessions = make([]*match.Session, par.Workers(len(jobs)))
+		for w := range sessions {
+			sess := match.AcquireSession(hough)
+			defer sess.Release()
+			sessions[w] = sess
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var sess *match.Session
-			if hough != nil {
-				sess = match.AcquireSession(hough)
-				defer sess.Release()
-			}
-			for i := lo; i < hi; i++ {
-				j := jobs[i]
-				g := ds.Impression(j.subjG, j.devG, j.sampG)
-				p := ds.Impression(j.subjP, j.devP, j.sampP)
-				var res match.Result
-				var err error
-				if sess != nil {
-					res, err = sess.Match(g.Template, p.Template)
-				} else {
-					res, err = cfg.Matcher.Match(g.Template, p.Template)
-				}
-				if err != nil {
-					// Keep working through the chunk: a bailing worker
-					// would silently leave every remaining comparison as a
-					// zero Score while reporting only the first error.
-					mu.Lock()
-					failed++
-					if firstErr == nil {
-						firstErr = fmt.Errorf("subject %d device %d sample %d vs subject %d device %d sample %d: %w",
-							j.subjG, j.devG, j.sampG, j.subjP, j.devP, j.sampP, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				scores[i] = Score{
-					SubjectG: j.subjG, SubjectP: j.subjP,
-					DeviceG: j.devG, DeviceP: j.devP,
-					SampleG: j.sampG, SampleP: j.sampP,
-					QualityG: g.Quality, QualityP: p.Quality,
-					Value: res.Score,
-				}
-			}
-		}(start, end)
 	}
-	wg.Wait()
-	if firstErr != nil {
+	// A failure does not stop the run: every comparison is attempted, so
+	// the count is complete and the lowest failing comparison is named.
+	var failed atomic.Int64
+	err := par.For(nil, len(jobs), func(w, i int) error {
+		j := jobs[i]
+		g := ds.Impression(j.subjG, j.devG, j.sampG)
+		p := ds.Impression(j.subjP, j.devP, j.sampP)
+		var res match.Result
+		var err error
+		if sessions != nil {
+			res, err = sessions[w].Match(g.Template, p.Template)
+		} else {
+			res, err = cfg.Matcher.Match(g.Template, p.Template)
+		}
+		if err != nil {
+			failed.Add(1)
+			return fmt.Errorf("subject %d device %d sample %d vs subject %d device %d sample %d: %w",
+				j.subjG, j.devG, j.sampG, j.subjP, j.devP, j.sampP, err)
+		}
+		scores[i] = Score{
+			SubjectG: j.subjG, SubjectP: j.subjP,
+			DeviceG: j.devG, DeviceP: j.devP,
+			SampleG: j.sampG, SampleP: j.sampP,
+			QualityG: g.Quality, QualityP: p.Quality,
+			Value: res.Score,
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("study: score generation: %d of %d comparisons failed, first: %w",
-			failed, len(jobs), firstErr)
+			failed.Load(), len(jobs), err)
 	}
 
 	sets := &ScoreSets{}

@@ -54,9 +54,7 @@ func ShardedIdentification(ds *Dataset, galleryID, probeID string, n, maxRank, s
 	backends := make([]shard.Backend, shards)
 	items := make([]shard.Enrollment, n)
 	for i := range backends {
-		st := gallery.New(ds.Config.Matcher)
-		st.SetParallelism(ds.Config.Parallelism)
-		backends[i] = shard.NewLocal(fmt.Sprintf("shard-%d", i), st)
+		backends[i] = shard.NewLocal(fmt.Sprintf("shard-%d", i), gallery.New(ds.Config.Matcher))
 	}
 	router, err := shard.New(backends, shard.Options{})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"fpinterop/internal/par"
 	"fpinterop/internal/stats"
 )
 
@@ -46,7 +47,7 @@ func Shift(ds *Dataset, sets *ScoreSets) (ShiftAnalysis, error) {
 		P:          make([]stats.PValue, len(galleries)),
 		Effect:     make([]float64, len(galleries)),
 	}
-	err := forEachIndex(len(galleries), ds.Config.Parallelism, func(i int) error {
+	err := par.For(nil, len(galleries), func(_, i int) error {
 		di := galleries[i]
 		res, err := stats.MannWhitney(same[di], cross[di])
 		if err != nil {

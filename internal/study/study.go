@@ -9,10 +9,9 @@ package study
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"fpinterop/internal/match"
+	"fpinterop/internal/par"
 	"fpinterop/internal/population"
 	"fpinterop/internal/rng"
 	"fpinterop/internal/sensor"
@@ -33,8 +32,6 @@ type Config struct {
 	// Matcher is the similarity engine (default a zero HoughMatcher, the
 	// BioEngine stand-in).
 	Matcher match.Matcher
-	// Parallelism bounds worker goroutines (default GOMAXPROCS).
-	Parallelism int
 	// MeanMinutiae forwards to master-print generation (default 62).
 	MeanMinutiae float64
 }
@@ -51,9 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Matcher == nil {
 		c.Matcher = &match.HoughMatcher{}
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -76,7 +70,7 @@ const SamplesPerDevice = 2
 
 // BuildDataset runs the simulated data collection. Captures are
 // deterministic (keyed by subject/device/sample) and parallelized across
-// subjects.
+// subjects; the lowest failing subject's error is the one reported.
 func BuildDataset(cfg Config) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 	root := rng.New(cfg.Seed)
@@ -92,62 +86,38 @@ func BuildDataset(cfg Config) (*Dataset, error) {
 		impressions: make([][][]*sensor.Impression, len(cohort.Subjects)),
 	}
 
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstEr error
-	)
-	sem := make(chan struct{}, cfg.Parallelism)
-	for si, subj := range cohort.Subjects {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			perDevice := make([][]*sensor.Impression, len(devices))
-			for di, dev := range devices {
-				samples := make([]*sensor.Impression, 0, SamplesPerDevice)
-				first, err := dev.CaptureSubject(subj, 0, sensor.CaptureOptions{})
-				if err != nil {
-					setErr(&mu, &firstEr, err)
-					return
-				}
-				samples = append(samples, first)
-				if dev.Ink {
-					re, err := dev.Rescan(first, subj.CaptureSource(dev.ID, 1))
-					if err != nil {
-						setErr(&mu, &firstEr, err)
-						return
-					}
-					samples = append(samples, re)
-				} else {
-					second, err := dev.CaptureSubject(subj, 1, sensor.CaptureOptions{})
-					if err != nil {
-						setErr(&mu, &firstEr, err)
-						return
-					}
-					samples = append(samples, second)
-				}
-				perDevice[di] = samples
+	err := par.For(nil, len(cohort.Subjects), func(_, si int) error {
+		subj := cohort.Subjects[si]
+		perDevice := make([][]*sensor.Impression, len(devices))
+		for di, dev := range devices {
+			samples := make([]*sensor.Impression, 0, SamplesPerDevice)
+			first, err := dev.CaptureSubject(subj, 0, sensor.CaptureOptions{})
+			if err != nil {
+				return err
 			}
-			mu.Lock()
-			ds.impressions[si] = perDevice
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, fmt.Errorf("study: dataset build: %w", firstEr)
+			samples = append(samples, first)
+			if dev.Ink {
+				re, err := dev.Rescan(first, subj.CaptureSource(dev.ID, 1))
+				if err != nil {
+					return err
+				}
+				samples = append(samples, re)
+			} else {
+				second, err := dev.CaptureSubject(subj, 1, sensor.CaptureOptions{})
+				if err != nil {
+					return err
+				}
+				samples = append(samples, second)
+			}
+			perDevice[di] = samples
+		}
+		ds.impressions[si] = perDevice
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("study: dataset build: %w", err)
 	}
 	return ds, nil
-}
-
-func setErr(mu *sync.Mutex, dst *error, err error) {
-	mu.Lock()
-	defer mu.Unlock()
-	if *dst == nil {
-		*dst = err
-	}
 }
 
 // Impression returns the sample-th impression of a subject on a device

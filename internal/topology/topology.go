@@ -40,10 +40,6 @@ type Config struct {
 	// store; IndexFanout is its shortlist size (0 = default).
 	Index       bool
 	IndexFanout int
-	// Parallelism bounds each in-process store's scan and batch-derive
-	// workers (0 = GOMAXPROCS per store). A Shards front has no store to
-	// bound, so it is rejected there.
-	Parallelism int
 	// LocalShards > 0 partitions the gallery across that many
 	// in-process stores; Shards lists remote matchd addresses to
 	// scatter-gather over instead, Replicas the read replicas of each
@@ -87,8 +83,8 @@ func (c Config) Validate() error {
 		return errors.New("topology: LocalShards, IndexFanout, CompactEvery, ShardTimeout and HedgeDelay must be >= 0")
 	case front && c.LocalShards > 0:
 		return errors.New("topology: LocalShards and Shards are mutually exclusive")
-	case front && (c.Index || c.WALDir != "" || c.Parallelism != 0):
-		return errors.New("topology: Index, WALDir and Parallelism belong on the shard processes, not on a Shards front")
+	case front && (c.Index || c.WALDir != ""):
+		return errors.New("topology: Index and WALDir belong on the shard processes, not on a Shards front")
 	case c.IndexFanout > 0 && !c.Index:
 		return errors.New("topology: IndexFanout requires Index")
 	case c.CompactEvery > 0 && c.WALDir == "":
@@ -239,7 +235,6 @@ func (t *Topology) dial(ctx context.Context, cfg Config, addr string) (shard.Bac
 // when cfg asks for a WAL.
 func (t *Topology) open(cfg Config, name, walDir string) (*shard.Local, error) {
 	store := gallery.New(nil)
-	store.SetParallelism(cfg.Parallelism)
 	if cfg.Index {
 		// Enabled before recovery so the WAL replay's bulk load builds
 		// the index once instead of record by record.

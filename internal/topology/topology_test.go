@@ -16,7 +16,7 @@ func TestValidate(t *testing.T) {
 	for name, c := range map[string]Config{
 		"zero value":        {},
 		"indexed WAL":       {Index: true, IndexFanout: 32, WALDir: "d", CompactEvery: 8},
-		"local shards":      {LocalShards: 3, Parallelism: 2, Index: true, WALDir: "d", ShardTimeout: time.Second, HedgeDelay: time.Millisecond, Policy: shard.FailClosed},
+		"local shards":      {LocalShards: 3, Index: true, WALDir: "d", ShardTimeout: time.Second, HedgeDelay: time.Millisecond, Policy: shard.FailClosed},
 		"front":             {Shards: front, Replicas: [][]string{{"r:1"}, nil}, Client: matchsvc.ClientOptions{PoolSize: 4, Keepalive: -1}, HedgeDelay: time.Millisecond},
 		"one conn, spelled": {Client: matchsvc.ClientOptions{PoolSize: 1}},
 		"zero pool size":    {Shards: front, Client: matchsvc.ClientOptions{PoolSize: 0, Keepalive: 0}},
@@ -33,7 +33,6 @@ func TestValidate(t *testing.T) {
 		"local and remote shards":      {LocalShards: 2, Shards: front},
 		"index on a front":             {Shards: front, Index: true},
 		"WAL on a front":               {Shards: front, WALDir: "d"},
-		"parallelism on a front":       {Shards: front, Parallelism: 2},
 		"fanout without index":         {IndexFanout: 8},
 		"compaction without WAL":       {CompactEvery: 8},
 		"shard timeout, one store":     {ShardTimeout: time.Second},

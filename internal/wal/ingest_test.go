@@ -54,10 +54,16 @@ func ingestFixture(t *testing.T) []gallery.Export {
 	return ingestItems
 }
 
-func openIndexed(t *testing.T, dir string, parallelism int, opt Options) *Store {
+// setProcs sets GOMAXPROCS — the store's worker count — to n for the
+// rest of the test.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+func openIndexed(t *testing.T, dir string, opt Options) *Store {
 	t.Helper()
 	g := gallery.New(nil)
-	g.SetParallelism(parallelism)
 	// A short shortlist keeps searches cheap under -race.
 	if err := g.EnableIndex(gallery.IndexOptions{Index: index.Options{Fanout: 8}}); err != nil {
 		t.Fatal(err)
@@ -162,7 +168,7 @@ func TestEnrollBatchEqualsSerial(t *testing.T) {
 	probes := items[:ingestProbes]
 
 	serialDir := t.TempDir()
-	serial := openIndexed(t, serialDir, 0, Options{})
+	serial := openIndexed(t, serialDir, Options{})
 	defer serial.Close()
 	identifyWhile(t, serial, probes, func() error {
 		for _, it := range items {
@@ -182,10 +188,11 @@ func TestEnrollBatchEqualsSerial(t *testing.T) {
 	}
 
 	// 1 is the inline path and 3 the pipeline at any -cpu.
-	for _, parallelism := range []int{1, 3} {
-		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
+	for _, procs := range []int{1, 3} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			setProcs(t, procs)
 			dir := t.TempDir()
-			batch := openIndexed(t, dir, parallelism, Options{})
+			batch := openIndexed(t, dir, Options{})
 			identifyWhile(t, batch, probes, func() error {
 				for lo := 0; lo < len(items); lo += ingestGroup {
 					if err := batch.EnrollBatch(items[lo:min(lo+ingestGroup, len(items))]); err != nil {
@@ -204,7 +211,7 @@ func TestEnrollBatchEqualsSerial(t *testing.T) {
 			if log, err := os.ReadFile(filepath.Join(dir, logName)); err != nil || !bytes.Equal(log, wantLog) {
 				t.Fatalf("batch-written log differs from the serial one (err %v)", err)
 			}
-			reopened := openIndexed(t, dir, parallelism, Options{})
+			reopened := openIndexed(t, dir, Options{})
 			defer reopened.Close()
 			imageOf(t, reopened, probes).mustEqual(t, "reopened store", want)
 		})
@@ -243,15 +250,16 @@ func TestEnrollBatchFailurePositions(t *testing.T) {
 	const n = 7
 	enrolled := gallery.Export{ID: "enrolled", DeviceID: "D0", Template: fx[n].Template}
 	kinds := []string{"nil template", "invalid template", "duplicate within the batch", "duplicate of an enrolled ID"}
-	for _, parallelism := range []int{1, 3} {
+	for _, procs := range []int{1, 3} {
 		for _, kind := range kinds {
 			for _, k := range []int{0, n / 2, n - 1} {
 				if k == 0 && kind == "duplicate within the batch" {
 					continue // item 0 has no earlier item
 				}
-				t.Run(fmt.Sprintf("parallelism=%d/%s/at=%d", parallelism, kind, k), func(t *testing.T) {
+				t.Run(fmt.Sprintf("procs=%d/%s/at=%d", procs, kind, k), func(t *testing.T) {
+					setProcs(t, procs)
 					dir := t.TempDir()
-					s := openIndexed(t, dir, parallelism, Options{})
+					s := openIndexed(t, dir, Options{})
 					if err := s.Enroll(enrolled.ID, enrolled.DeviceID, enrolled.Template); err != nil {
 						t.Fatal(err)
 					}
@@ -295,7 +303,7 @@ func TestEnrollBatchFailurePositions(t *testing.T) {
 					if err := s.Close(); err != nil {
 						t.Fatal(err)
 					}
-					reopened := openIndexed(t, dir, parallelism, Options{})
+					reopened := openIndexed(t, dir, Options{})
 					defer reopened.Close()
 					wantIDs(t, reopened, enrolled.ID)
 					if got := reopened.LSN(); got != lsn {
