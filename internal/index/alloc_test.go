@@ -12,9 +12,10 @@ import (
 // buffer are warm, one full vote — probe key extraction, weights and
 // delta scores under the read lock, the base's posting stream, and the
 // bounded selection — performs zero heap allocations, whether the
-// templates sit in the delta or in the base. Candidate IDs are string
-// headers copied out of the index's id tables, not fresh strings, so
-// the collection pass is covered too.
+// templates sit in the delta or in the base, and whether the base is
+// one block or several. Candidate IDs are string headers copied out of
+// the index's id tables, not fresh strings, so the collection pass is
+// covered too.
 func TestCandidatesAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; asserted in non-race builds")
@@ -25,26 +26,7 @@ func TestCandidatesAppendZeroAllocs(t *testing.T) {
 	for i := range tpls {
 		ids[i] = subjectID(i)
 	}
-	inDelta := New(Options{})
-	for i, tpl := range tpls[:8] {
-		if err := inDelta.Add(ids[i], tpl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inBase, err := Build(Options{}, ids[:8], tpls[:8])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A base with a delta over it and a tombstone in it.
-	for i := 8; i < len(tpls); i++ {
-		if err := inBase.Add(ids[i], tpls[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := inBase.Remove(ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	for name, ix := range map[string]*Index{"delta": inDelta, "base+delta": inBase} {
+	zeroAllocs := func(name string, ix *Index) {
 		probe := tpls[0]
 		dst := make([]Candidate, 0, 32)
 		lookup := func() {
@@ -61,6 +43,38 @@ func TestCandidatesAppendZeroAllocs(t *testing.T) {
 			t.Fatalf("%s: vote allocates %.1f times per run; want 0", name, allocs)
 		}
 	}
+	inDelta := New(Options{})
+	for i, tpl := range tpls[:8] {
+		if err := inDelta.Add(ids[i], tpl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zeroAllocs("delta", inDelta)
+	// A base with a delta over it and a tombstone in it, laid out in
+	// one block and then, once every vote on that one is done, in
+	// blocks of 2 templates.
+	inBase := func() *Index {
+		ix, err := Build(Options{}, ids[:8], tpls[:8])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 8; i < len(tpls); i++ {
+			if err := ix.Add(ids[i], tpls[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ix.Remove(ids[1]); err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	zeroAllocs("base+delta", inBase())
+	setBlockShift(t, 1)
+	multi := inBase()
+	if n := len(multi.base.blocks); n < 3 {
+		t.Fatalf("multi-block base has %d blocks; want 3 or more", n)
+	}
+	zeroAllocs("blocks+delta", multi)
 }
 
 // TestTemplateKeysZeroAllocs holds Add's and Remove's key extraction —

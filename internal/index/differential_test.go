@@ -46,6 +46,59 @@ func requireEqualsReference(t *testing.T, when string, ix *Index, ref *reference
 	}
 }
 
+// setBlockShift cuts the bases that the rest of the test merges into
+// blocks of 1<<shift templates. It must run before the test builds any
+// index: the index reads every base with the current shift.
+func setBlockShift(t *testing.T, shift uint) {
+	saved := blockShift
+	blockShift = shift
+	t.Cleanup(func() { blockShift = saved })
+}
+
+// blockTrace records what a history did to an index's base blocks.
+type blockTrace struct {
+	// blocks is the most blocks a base had, resizes the merges from a
+	// non-empty base that changed the block count, and tombstoned the
+	// most blocks holding a removed template at once.
+	blocks, resizes, tombstoned int
+}
+
+// observe records ix after one operation; before is its base before it.
+func (bt *blockTrace) observe(ix *Index, before *segment) {
+	seg := ix.base
+	bt.blocks = max(bt.blocks, len(seg.blocks))
+	if seg != before && len(before.blocks) > 0 && len(seg.blocks) != len(before.blocks) {
+		bt.resizes++
+	}
+	n := 0
+	for b := range seg.blocks {
+		first := b << blockShift
+		for ref := first; ref < min(first+1<<blockShift, len(seg.gone)); ref++ {
+			if seg.gone[ref].Load() != 0 {
+				n++
+				break
+			}
+		}
+	}
+	bt.tombstoned = max(bt.tombstoned, n)
+}
+
+// requireMultiBlock fails the test unless the history reached three
+// blocks, changed the block count in a merge and held tombstones in
+// two blocks at once.
+func (bt blockTrace) requireMultiBlock(t *testing.T) {
+	t.Helper()
+	t.Logf("%d blocks at most, %d resizing merges, tombstones in %d blocks at once", bt.blocks, bt.resizes, bt.tombstoned)
+	if bt.blocks < 3 || bt.resizes == 0 || bt.tombstoned < 2 {
+		t.Fatalf("history reached %d blocks, resized %d times, tombstoned %d blocks at once; want 3+, 1+, 2+",
+			bt.blocks, bt.resizes, bt.tombstoned)
+	}
+}
+
+// multiBlockShift is the block size the multi-block variants run at:
+// 8 templates, so their 12–60-template galleries span 2–8 blocks.
+const multiBlockShift = 3
+
 // TestCandidatesEqualReference drives the index and the map-based
 // reference through the same seeded random histories of Add, Remove and
 // starting over from an empty index, and requires identical Stats and
@@ -53,7 +106,16 @@ func requireEqualsReference(t *testing.T, when string, ix *Index, ref *reference
 // Each history crosses several merges, removes templates from the delta
 // and from the base, empties the index (every bucket) and refills it,
 // and ends against a bulk-built index over the surviving set.
-func TestCandidatesEqualReference(t *testing.T) {
+func TestCandidatesEqualReference(t *testing.T) { candidatesEqualReference(t) }
+
+// TestCandidatesEqualReferenceMultiBlock runs the same histories over
+// bases cut into blocks of 8 templates.
+func TestCandidatesEqualReferenceMultiBlock(t *testing.T) {
+	setBlockShift(t, multiBlockShift)
+	candidatesEqualReference(t).requireMultiBlock(t)
+}
+
+func candidatesEqualReference(t *testing.T) (bt blockTrace) {
 	cohort := population.NewCohort(rng.New(31), population.CohortOptions{Size: 48})
 	tpls := captureGallery(t, cohort, "D0")
 	probes := append(captureSample(t, cohort, "D0", 1)[:3], captureSample(t, cohort, "D1", 1)[3:6]...)
@@ -86,6 +148,7 @@ func TestCandidatesEqualReference(t *testing.T) {
 			if ix.base != base {
 				merges++
 			}
+			bt.observe(ix, base)
 		}
 		for step := 0; step < steps; step++ {
 			switch {
@@ -140,6 +203,7 @@ func TestCandidatesEqualReference(t *testing.T) {
 			requireEqualsReference(t, "bulk-built after Remove", bulk, ref, probes)
 		}
 	}
+	return bt
 }
 
 // TestBuildRejectsBadInput: Build refuses a duplicate ID and a nil
@@ -200,8 +264,17 @@ func waitGoroutines(t *testing.T, want int) {
 
 // TestBuildEqualsSerialAdd: the pipelined bulk build gives the index
 // New plus in-order Adds gives — equal Stats, identical shortlists and
-// score bits.
-func TestBuildEqualsSerialAdd(t *testing.T) {
+// score bits — and still does after the same removals from both.
+func TestBuildEqualsSerialAdd(t *testing.T) { buildEqualsSerialAdd(t) }
+
+// TestBuildEqualsSerialAddMultiBlock builds and adds into bases cut into
+// blocks of 8 templates.
+func TestBuildEqualsSerialAddMultiBlock(t *testing.T) {
+	setBlockShift(t, multiBlockShift)
+	buildEqualsSerialAdd(t).requireMultiBlock(t)
+}
+
+func buildEqualsSerialAdd(t *testing.T) (bt blockTrace) {
 	cohort := population.NewCohort(rng.New(33), population.CohortOptions{Size: 60})
 	tpls := captureGallery(t, cohort, "D0")
 	probes := append(captureSample(t, cohort, "D0", 1)[:4], captureSample(t, cohort, "D1", 1)[4:8]...)
@@ -209,24 +282,41 @@ func TestBuildEqualsSerialAdd(t *testing.T) {
 	serial := New(Options{})
 	for i, tpl := range tpls {
 		ids[i] = subjectID(i)
+		base := serial.base
 		if err := serial.Add(ids[i], tpl); err != nil {
 			t.Fatal(err)
 		}
+		bt.observe(serial, base)
 	}
 	bulk, err := Build(Options{}, ids, tpls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := bulk.Stats(), serial.Stats(); got != want {
-		t.Fatalf("Stats = %+v, serial adds %+v", got, want)
-	}
-	for pi, probe := range probes {
-		for _, fanout := range []int{0, 5} {
-			if got, want := bulk.Candidates(probe, fanout), serial.Candidates(probe, fanout); !sameShortlist(got, want) {
-				t.Fatalf("probe %d fanout %d:\n got %+v\nwant %+v", pi, fanout, got, want)
+	requireSame := func(when string) {
+		t.Helper()
+		if got, want := bulk.Stats(), serial.Stats(); got != want {
+			t.Fatalf("%s: Stats = %+v, serial adds %+v", when, got, want)
+		}
+		for pi, probe := range probes {
+			for _, fanout := range []int{0, 5} {
+				if got, want := bulk.Candidates(probe, fanout), serial.Candidates(probe, fanout); !sameShortlist(got, want) {
+					t.Fatalf("%s: probe %d fanout %d:\n got %+v\nwant %+v", when, pi, fanout, got, want)
+				}
 			}
 		}
 	}
+	requireSame("built")
+	for i := 0; i < len(ids); i += 7 {
+		for _, ix := range []*Index{bulk, serial} {
+			base := ix.base
+			if err := ix.Remove(ids[i]); err != nil {
+				t.Fatal(err)
+			}
+			bt.observe(ix, base)
+		}
+	}
+	requireSame("after removals")
+	return bt
 }
 
 // TestConcurrentLookupsAndMutation runs voters against a writer whose
@@ -235,7 +325,16 @@ func TestBuildEqualsSerialAdd(t *testing.T) {
 // for the index as it stood after some whole number of the writer's
 // operations, no earlier than those finished before the vote began and
 // no later than the one in flight when it returned.
-func TestConcurrentLookupsAndMutation(t *testing.T) {
+func TestConcurrentLookupsAndMutation(t *testing.T) { concurrentLookupsAndMutation(t) }
+
+// TestConcurrentLookupsAndMutationMultiBlock runs the same writer and
+// voters over bases cut into blocks of 8 templates.
+func TestConcurrentLookupsAndMutationMultiBlock(t *testing.T) {
+	setBlockShift(t, multiBlockShift)
+	concurrentLookupsAndMutation(t).requireMultiBlock(t)
+}
+
+func concurrentLookupsAndMutation(t *testing.T) (bt blockTrace) {
 	cohort := population.NewCohort(rng.New(18), population.CohortOptions{Size: 40})
 	tpls := captureGallery(t, cohort, "D0")
 	const stable = 12
@@ -292,6 +391,7 @@ func TestConcurrentLookupsAndMutation(t *testing.T) {
 		if ix.base != base {
 			merges++
 		}
+		bt.observe(ix, base)
 		done.Add(1)
 	}
 	wg.Wait()
@@ -347,4 +447,5 @@ func TestConcurrentLookupsAndMutation(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no vote overlapped the writer")
 	}
+	return bt
 }

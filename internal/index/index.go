@@ -69,16 +69,18 @@ const (
 // ready; use New or Build.
 //
 // Storage is an immutable base segment plus a small mutable delta, over
-// one key table whose slots carry, per key, the base bucket, the delta
-// postings and a live count: how many templates, base or delta, hold
-// the key now. Add writes the delta; Remove deletes from the delta or
-// tombstones the base; both keep the live counts exact, so a bucket's
-// weight is always 1/(templates currently holding the key), what an
-// index built from scratch over the live set computes. Once the
-// postings added or tombstoned since the last merge pass an eighth of
-// the base, the mutation that crossed the line folds both into a new
-// base. A vote takes its weights and scores the delta under the read
-// lock, then streams the base's postings with no lock held.
+// one key table whose slots carry, per key, a live count — how many
+// templates, base or delta, hold the key now — and where its delta
+// postings are. The base is cut into blocks of up to 65,536 templates,
+// each holding 16-bit block-local refs and, per key, its bucket's span.
+// Add writes the delta; Remove deletes from the delta or tombstones the
+// base; both keep the live counts exact, so a bucket's weight is always
+// 1/(templates currently holding the key), what an index built from
+// scratch over the live set computes. Once the postings added or
+// tombstoned since the last merge pass an eighth of the base, the
+// mutation that crossed the line folds both into a new base. A vote
+// takes its weights and scores the delta under the read lock, then
+// streams the base's postings block by block with no lock held.
 type Index struct {
 	opt Options
 
@@ -100,15 +102,25 @@ type Index struct {
 	churn int
 }
 
-// delta holds the templates added since the last merge; their postings
-// hang off the key slots. Refs are local to it and reusable at once:
-// votes read it only under Index.mu.
+// delta holds the templates added since the last merge. Refs are local
+// to it and reusable at once: votes read it only under Index.mu.
 type delta struct {
 	// ids maps a delta ref to its template ID ("" = free), members to
 	// the template; free lists reusable refs.
 	ids     []string
 	members []member
 	free    []uint32
+	// lists holds, for each key a delta template was added under, the
+	// delta refs holding it; slot.delta points here.
+	lists [][]uint32
+}
+
+// list returns the delta refs holding sl's key.
+func (d *delta) list(sl slot) []uint32 {
+	if sl.delta == 0 {
+		return nil
+	}
+	return d.lists[sl.delta-1]
 }
 
 // New returns an empty index with the given options (zero value for
@@ -228,7 +240,11 @@ func (ix *Index) add(id string, tpl *minutiae.Template, keys []uint64) error {
 			ix.distinct++
 		}
 		sl.live++
-		sl.delta = append(sl.delta, ref)
+		if sl.delta == 0 {
+			d.lists = append(d.lists, nil)
+			sl.delta = uint32(len(d.lists))
+		}
+		d.lists[sl.delta-1] = append(d.lists[sl.delta-1], ref)
 	}
 	ix.postings += len(keys)
 	ix.churn += len(keys)
@@ -294,10 +310,10 @@ func (ix *Index) RemoveKeys(id string, tpl *minutiae.Template, keys []uint64) er
 		ref &^= deltaRef
 		d := &ix.delta
 		for _, key := range keys {
-			sl := ix.release(key)
-			i := slices.Index(sl.delta, ref)
-			sl.delta[i] = sl.delta[len(sl.delta)-1]
-			sl.delta = sl.delta[:len(sl.delta)-1]
+			l := &d.lists[ix.release(key).delta-1]
+			i := slices.Index(*l, ref)
+			(*l)[i] = (*l)[len(*l)-1]
+			*l = (*l)[:len(*l)-1]
 		}
 		d.ids[ref] = ""
 		d.free = append(d.free, ref)
@@ -325,7 +341,7 @@ func (ix *Index) holds(ref uint32, keys []uint64) bool {
 		if !ok || ix.slots[s].live == 0 {
 			return false
 		}
-		if ref&deltaRef != 0 && !slices.Contains(ix.slots[s].delta, ref&^deltaRef) {
+		if ref&deltaRef != 0 && !slices.Contains(ix.delta.list(ix.slots[s]), ref&^deltaRef) {
 			return false
 		}
 	}
@@ -348,23 +364,27 @@ func (ix *Index) release(key uint64) *slot {
 // linear in the base, so each posting is rewritten a bounded number of
 // times however large the index grows.
 func (ix *Index) maybeMerge() {
-	if ix.churn >= max(len(ix.base.refs)/8, mergeFloor) {
+	if ix.churn >= max(ix.base.postings/8, mergeFloor) {
 		ix.merge()
 	}
 }
 
 // merge folds the delta and the base's tombstones into a new base:
 // templates are renumbered densely (base survivors in order, then the
-// delta's), each live key's bucket is the base's surviving refs
-// followed by the delta's, and keys nobody holds any more are dropped.
+// delta's) and cut into blocks of 1<<blockShift, each live key's bucket
+// in a block is the base's surviving refs that land there followed by
+// the delta's, and keys nobody holds any more are dropped.
 func (ix *Index) merge() {
 	old, d := ix.base, &ix.delta
 	n := len(ix.loc)
+	shift := blockShift
 	seg := &segment{
-		refs:    make([]uint32, ix.postings),
-		ids:     make([]string, 0, n),
-		members: make([]member, 0, n),
-		gone:    make([]atomic.Uint32, n),
+		blocks:   make([]block, (n+1<<shift-1)>>shift),
+		keys:     ix.distinct,
+		postings: ix.postings,
+		ids:      make([]string, 0, n),
+		members:  make([]member, 0, n),
+		gone:     make([]atomic.Uint32, n),
 	}
 	keep := func(id string, m member) uint32 {
 		ref := uint32(len(seg.ids))
@@ -387,31 +407,50 @@ func (ix *Index) merge() {
 			deltaRemap[ref] = keep(id, d.members[ref])
 		}
 	}
+	// A block holds its templates' postings, one per key each; refs
+	// are appended within that capacity.
+	size := make([]uint32, len(seg.blocks))
+	for ref, m := range seg.members {
+		size[ref>>shift] += m.keys
+	}
+	blocks := seg.blocks
+	for b := range blocks {
+		blocks[b] = block{refs: make([]uint16, 0, size[b]), off: make([]uint32, ix.distinct+1)}
+	}
+	mask := uint32(1)<<shift - 1
+	put := func(ref uint32) {
+		blk := &blocks[ref>>shift]
+		blk.refs = append(blk.refs, uint16(ref&mask))
+	}
 
 	tab := newKeyTable(ix.distinct)
 	slots := make([]slot, 0, ix.distinct)
-	at := uint32(0)
 	for _, c := range ix.tab.cells {
 		if c.key == 0 {
 			continue
 		}
-		sl := &ix.slots[c.slot]
+		sl := ix.slots[c.slot]
 		if sl.live == 0 {
 			continue
 		}
-		lo := at
-		for _, ref := range old.refs[sl.lo:sl.hi] {
-			if nr := baseRemap[ref]; nr != deadRef {
-				seg.refs[at] = nr
-				at++
+		if int(c.slot) < old.keys {
+			for b := range old.blocks {
+				first := uint32(b) << shift
+				for _, r := range old.bucket(b, c.slot) {
+					if nr := baseRemap[first|uint32(r)]; nr != deadRef {
+						put(nr)
+					}
+				}
 			}
 		}
-		for _, ref := range sl.delta {
-			seg.refs[at] = deltaRemap[ref]
-			at++
+		for _, ref := range d.list(sl) {
+			put(deltaRemap[ref])
 		}
 		tab.findOrAdd(c.key - 1)
-		slots = append(slots, slot{lo: lo, hi: at, live: sl.live})
+		slots = append(slots, slot{live: sl.live})
+		for b := range blocks {
+			blocks[b].off[len(slots)] = uint32(len(blocks[b].refs))
+		}
 	}
 	ix.tab, ix.slots, ix.base, ix.delta = tab, slots, seg, delta{}
 	ix.churn = 0
@@ -427,20 +466,29 @@ type Candidate struct {
 	Score float64
 }
 
-// span is one base bucket a vote streams, with the weight of its key.
+// span is one key whose base buckets a vote streams, with its weight;
+// lo:hi bounds its bucket in the block being streamed.
 type span struct {
-	lo, hi uint32
-	w      float64
+	slot, lo, hi uint32
+	w            float64
+}
+
+// deltaHit is one key whose delta list a vote scores, with its weight.
+type deltaHit struct {
+	list uint32
+	w    float64
 }
 
 // voteScratch recycles what one lookup needs. The dense accumulators
-// are sized by the gallery, not the probe — without pooling a 50k-
-// template index allocates (and zeroes) ~400 KiB per identification —
-// and are all zero whenever the scratch sits in the pool.
+// are sized by the gallery (the delta, and a base block of up to 65,536
+// refs), not the probe — without pooling a 50k-template index
+// allocates (and zeroes) ~400 KiB per identification — and are all
+// zero whenever the scratch sits in the pool.
 type voteScratch struct {
 	keyScratch
 	spans  []span
-	scores []float64 // per base ref
+	hits   []deltaHit
+	scores []float64 // per ref of one base block
 	delta  []float64 // per delta ref
 }
 
@@ -486,7 +534,7 @@ func (ix *Index) CandidatesAppend(dst []Candidate, probe *minutiae.Template, fan
 	}
 	vs := votePool.Get().(*voteScratch)
 	keys := vs.extract(probe.Minutiae, true)
-	spans := vs.spans[:0]
+	spans, hits := vs.spans[:0], vs.hits[:0]
 	start := len(dst)
 
 	// Under the read lock: fix every probe key's weight from the live
@@ -507,11 +555,18 @@ func (ix *Index) CandidatesAppend(dst []Candidate, probe *minutiae.Template, fan
 			continue
 		}
 		w := 1 / float64(sl.live)
-		if sl.hi > sl.lo {
-			spans = append(spans, span{lo: sl.lo, hi: sl.hi, w: w})
+		if int(s) < base.keys {
+			spans = append(spans, span{slot: s, w: w})
 		}
-		for _, ref := range sl.delta {
-			dscores[ref] += w
+		if sl.delta != 0 {
+			hits = append(hits, deltaHit{list: sl.delta - 1, w: w})
+		}
+	}
+	// The lists are read in a second pass, so the loads that find them
+	// overlap with each other instead of waiting on the table lookups.
+	for _, h := range hits {
+		for _, ref := range d.lists[h.list] {
+			dscores[ref] += h.w
 		}
 	}
 	for ref, score := range dscores {
@@ -523,29 +578,43 @@ func (ix *Index) CandidatesAppend(dst []Candidate, probe *minutiae.Template, fan
 	ix.mu.RUnlock()
 	vs.delta = dscores
 
-	// No lock: the base's postings never change. Each ref's additions
-	// happen in probe-key order, so its sum does not depend on how the
-	// buckets are laid out or on which segment holds the template.
-	scores := zeroed(vs.scores, len(base.ids))
-	for _, sp := range spans {
-		w := sp.w
-		for _, ref := range base.refs[sp.lo:sp.hi] {
-			scores[ref] += w
+	// No lock: the base's postings never change. It is streamed one
+	// block at a time, and each ref's additions happen in probe-key
+	// order, so its sum does not depend on how the buckets are laid out,
+	// how many blocks there are or which segment holds the template.
+	for b := range base.blocks {
+		blk := &base.blocks[b]
+		first := b << blockShift
+		scores := zeroed(vs.scores, min(len(base.ids)-first, 1<<blockShift))
+		// Bound every bucket first: independent loads the CPU overlaps,
+		// where the stream would wait for each in turn.
+		for i := range spans {
+			sp := &spans[i]
+			sp.lo, sp.hi = blk.off[sp.slot], blk.off[sp.slot+1]
 		}
+		for _, sp := range spans {
+			w := sp.w
+			for _, r := range blk.refs[sp.lo:sp.hi] {
+				scores[r] += w
+			}
+		}
+		for r, score := range scores {
+			if score == 0 {
+				continue
+			}
+			scores[r] = 0
+			// Templates removed before the weights were taken are
+			// dead; one removed since still counts, as its postings
+			// did.
+			ref := first + r
+			if g := base.gone[ref].Load(); g != 0 && g <= removed {
+				continue
+			}
+			dst = keepBest(dst, start, fanout, base.ids[ref], score)
+		}
+		vs.scores = scores
 	}
-	for ref, score := range scores {
-		if score == 0 {
-			continue
-		}
-		scores[ref] = 0
-		// Templates removed before the weights were taken are dead;
-		// one removed since still counts, as its postings did.
-		if g := base.gone[ref].Load(); g != 0 && g <= removed {
-			continue
-		}
-		dst = keepBest(dst, start, fanout, base.ids[ref], score)
-	}
-	vs.spans, vs.scores = spans[:0], scores
+	vs.spans, vs.hits = spans[:0], hits[:0]
 	votePool.Put(vs)
 	slices.SortFunc(dst[start:], compareCandidates)
 	return dst

@@ -16,6 +16,17 @@ import (
 // reference after every step and to a fresh Build over the live set
 // every few steps: identical Stats, shortlists and score bits.
 func TestRemoveRederivedEqualsReferenceAndBuild(t *testing.T) {
+	removeRederivedEqualsReferenceAndBuild(t)
+}
+
+// TestRemoveRederivedEqualsReferenceAndBuildMultiBlock runs the same
+// histories over bases cut into blocks of 8 templates.
+func TestRemoveRederivedEqualsReferenceAndBuildMultiBlock(t *testing.T) {
+	setBlockShift(t, multiBlockShift)
+	removeRederivedEqualsReferenceAndBuild(t).requireMultiBlock(t)
+}
+
+func removeRederivedEqualsReferenceAndBuild(t *testing.T) (bt blockTrace) {
 	cohort := population.NewCohort(rng.New(43), population.CohortOptions{Size: 40})
 	tpls := captureGallery(t, cohort, "D0")
 	probes := append(captureSample(t, cohort, "D0", 1)[:3], captureSample(t, cohort, "D2", 1)[3:5]...)
@@ -65,6 +76,7 @@ func TestRemoveRederivedEqualsReferenceAndBuild(t *testing.T) {
 			if ix.base != base {
 				merges++
 			}
+			bt.observe(ix, base)
 			requireEqualsReference(t, "after step", ix, ref, probes[step%len(probes):][:1])
 			if step%10 == 9 || step == steps-1 {
 				ids := make([]string, len(order))
@@ -84,6 +96,7 @@ func TestRemoveRederivedEqualsReferenceAndBuild(t *testing.T) {
 				seed, merges, fromBase, fromDelta, fromReused)
 		}
 	}
+	return bt
 }
 
 // TestRemoveRefusesMutatedTemplate: a template changed after Add gives

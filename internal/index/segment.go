@@ -98,26 +98,37 @@ func (t *keyTable) grow() {
 	}
 }
 
-// slot is what the index knows about one key.
+// slot is what the index knows about one key: 8 bytes, since a gallery
+// holds tens of thousands of keys and only those written since the last
+// merge have delta postings.
 type slot struct {
-	// lo:hi bounds the key's bucket in the base segment's refs (empty
-	// for a key first seen since the last merge). The bucket may hold
-	// removed templates; live does not count them.
-	lo, hi uint32
 	// live counts the templates, base or delta, holding the key now:
-	// the bucket size a freshly built index would have.
+	// the bucket size a freshly built index would have. The key's base
+	// buckets may hold removed templates; live does not count them.
 	live uint32
-	// delta lists the delta refs holding the key.
-	delta []uint32
+	// delta is 1 + the index in delta.lists of the delta refs holding
+	// the key, or 0 when no delta template holds it.
+	delta uint32
 }
 
+// blockShift is the log2 of the templates one base block holds: 16, the
+// width of the uint16 refs a block stores. Tests shrink it to spread a
+// small gallery over several blocks, before they build any index.
+var blockShift uint = 16
+
 // segment is the index's base: every posting of the templates merged so
-// far, as one flat array of template refs grouped by key. refs and ids
-// never change once the segment is published, so a vote streams them
-// holding no lock; members and removed (guarded by Index.mu) and gone
-// (atomic) record the removals since.
+// far, cut into blocks of 1<<blockShift templates. Base ref r is
+// template r&(1<<blockShift-1) of block r>>blockShift. blocks and ids never change once the
+// segment is published, so a vote streams them holding no lock; members
+// and removed (guarded by Index.mu) and gone (atomic) record the
+// removals since.
 type segment struct {
-	refs []uint32
+	blocks []block
+	// keys counts the slots the blocks have buckets for: the keys live
+	// at the merge. A key first seen since has no base bucket.
+	keys int
+	// postings counts the refs in all blocks.
+	postings int
 	// ids maps a ref to its template ID. A removed template keeps its
 	// entry: a vote that began before the removal still reports it.
 	ids []string
@@ -129,6 +140,20 @@ type segment struct {
 	// gone in [1, n] as dead and every other as live.
 	gone    []atomic.Uint32
 	removed uint32
+}
+
+// block holds the postings of one run of templates as refs relative to
+// its first template, grouped by key slot in slot order: slot s's bucket
+// is refs[off[s]:off[s+1]], so its {lo, hi} span costs 4 bytes.
+type block struct {
+	refs []uint16
+	off  []uint32
+}
+
+// bucket returns the block-local refs of slot s's bucket in block b.
+func (seg *segment) bucket(b int, s uint32) []uint16 {
+	blk := &seg.blocks[b]
+	return blk.refs[blk.off[s]:blk.off[s+1]]
 }
 
 var emptySegment = &segment{}

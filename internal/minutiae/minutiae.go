@@ -115,9 +115,19 @@ func (t *Template) Centroid() (x, y float64) {
 	return x / n, y / n
 }
 
-// NormalizeAngle wraps an angle into [0, 2π).
+// NormalizeAngle wraps an angle into [0, 2π). math.Mod is called only
+// outside (−2π, 4π), where almost no angle falls: on (−2π, 2π) Mod
+// returns its argument unchanged, and on [2π, 4π) it returns a − 2π,
+// which the subtraction computes exactly (Sterbenz). The triplet
+// index's m.Angle − dir lands on [2π, 4π) about one time in eight.
 func NormalizeAngle(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
+	switch {
+	case a > -2*math.Pi && a < 2*math.Pi:
+	case a >= 2*math.Pi && a < 4*math.Pi:
+		a -= 2 * math.Pi
+	default:
+		a = math.Mod(a, 2*math.Pi)
+	}
 	if a < 0 {
 		a += 2 * math.Pi
 	}

@@ -3,6 +3,8 @@ package minutiae
 import (
 	"math"
 	"testing"
+
+	"fpinterop/internal/rng"
 )
 
 func validTemplate() *Template {
@@ -89,6 +91,42 @@ func TestNormalizeAngle(t *testing.T) {
 	for _, c := range cases {
 		if got := NormalizeAngle(c.in); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("NormalizeAngle(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestNormalizeAngleEqualsModForm holds NormalizeAngle to the form that
+// always calls math.Mod, bit for bit: at the edges of the ranges where
+// it skips the call, at the values Mod special-cases, and at seeded
+// random angles around them.
+func TestNormalizeAngleEqualsModForm(t *testing.T) {
+	modForm := func(a float64) float64 {
+		a = math.Mod(a, 2*math.Pi)
+		if a < 0 {
+			a += 2 * math.Pi
+		}
+		return a
+	}
+	twoPi := 2 * math.Pi
+	ins := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		twoPi, -twoPi,
+		math.Nextafter(twoPi, 0), math.Nextafter(twoPi, 10),
+		math.Nextafter(-twoPi, 0), math.Nextafter(-twoPi, -10),
+		3 * math.Pi, math.Nextafter(3*math.Pi, 0), -3 * math.Pi, math.Nextafter(-3*math.Pi, 0),
+		2 * twoPi, math.Nextafter(2*twoPi, 0), math.Nextafter(2*twoPi, 100),
+		math.Pi, -math.Pi, 1e300, -1e300,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	r := rng.New(1)
+	for range 100000 {
+		ins = append(ins, (r.Float64()-0.5)*16*math.Pi)
+	}
+	for _, in := range ins {
+		got, want := NormalizeAngle(in), modForm(in)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("NormalizeAngle(%v [%#x]) = %v [%#x], Mod form %v [%#x]",
+				in, math.Float64bits(in), got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }
