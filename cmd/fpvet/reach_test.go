@@ -22,12 +22,11 @@ import (
 // reachKeep names the functions that no root reaches but that stay,
 // each with its reason. A key ending in "." keeps a whole package.
 var reachKeep = map[string]string{
-	"fpinterop/internal/faultnet.":                      "test infrastructure: other packages' tests inject wire faults through it",
-	"fpinterop/internal/analysis.RunTestdata":           "test infrastructure: every analyzer's test checks its testdata through it",
-	"(*fpinterop/internal/wal.Store).ReplaceAll":        "safety guard: shadows the promoted gallery method, which would be an unlogged write",
-	"(*fpinterop/internal/wal.Store).LSN":               "observation accessor tests need, with no live equivalent",
-	"(*fpinterop/internal/replica.Follower).PrimaryLSN": "observation accessor tests need, with no live equivalent",
-	"(*fpinterop/internal/shard.Router).Owner":          "observation accessor tests need, with no live equivalent",
+	"fpinterop/internal/faultnet.":               "test infrastructure: other packages' tests inject wire faults through it",
+	"fpinterop/internal/analysis.RunTestdata":    "test infrastructure: every analyzer's test checks its testdata through it",
+	"(*fpinterop/internal/wal.Store).ReplaceAll": "safety guard: shadows the promoted gallery method, which would be an unlogged write",
+	"(*fpinterop/internal/wal.Store).LSN":        "observation accessor tests need, with no live equivalent",
+	"(*fpinterop/internal/shard.Router).Owner":   "observation accessor tests need, with no live equivalent",
 }
 
 // reachDynamic are the method names the standard library calls through

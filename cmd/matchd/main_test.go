@@ -2,6 +2,7 @@ package main
 
 import (
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -82,5 +83,44 @@ func TestRunErrors(t *testing.T) {
 	// address still aborts before serving.
 	if err := run([]string{"-local-shards", "3", "-preload", "3", "-addr", "256.256.256.256:0"}); err == nil {
 		t.Fatal("expected listen error on sharded preload")
+	}
+}
+
+// TestParseShards pins how -shards and -replicas split: addresses are
+// trimmed and blanks dropped, -replicas needs one ';'-separated group
+// per -shards address, and a group may be empty (a slot without
+// replicas).
+func TestParseShards(t *testing.T) {
+	for _, c := range []struct {
+		name, shards, replicas string
+		primaries              []string
+		groups                 [][]string
+		fails                  bool
+	}{
+		{name: "no shards"},
+		{name: "trimmed and blanks dropped", shards: " a:1 ,, b:2 ,", primaries: []string{"a:1", "b:2"}},
+		{name: "one group per slot", shards: "a:1,b:2", replicas: "r0:1,r1:1;r2:1",
+			primaries: []string{"a:1", "b:2"}, groups: [][]string{{"r0:1", "r1:1"}, {"r2:1"}}},
+		{name: "slot without replicas", shards: "a:1,b:2,c:3", replicas: "r0:1;;r2:1",
+			primaries: []string{"a:1", "b:2", "c:3"}, groups: [][]string{{"r0:1"}, nil, {"r2:1"}}},
+		{name: "too few groups", shards: "a:1,b:2", replicas: "r0:1", fails: true},
+		{name: "too many groups", shards: "a:1", replicas: "r0:1;r1:1", fails: true},
+		{name: "replicas without shards", replicas: "r0:1", fails: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			primaries, groups, err := parseShards(c.shards, c.replicas)
+			if c.fails {
+				if err == nil {
+					t.Fatalf("accepted: %q, %q", primaries, groups)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(primaries, c.primaries) || !reflect.DeepEqual(groups, c.groups) {
+				t.Fatalf("got %q, %q; want %q, %q", primaries, groups, c.primaries, c.groups)
+			}
+		})
 	}
 }

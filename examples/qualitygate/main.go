@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"fpinterop/internal/match"
 	"fpinterop/internal/nfiq"
@@ -25,6 +27,13 @@ const (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example, printing to w.
+func run(w io.Writer) error {
 	cohort := population.NewCohort(rng.New(800), population.CohortOptions{Size: cohortSize})
 	enroll, _ := sensor.ProfileByID("D1") // the noisier optical sensor
 	verify, _ := sensor.ProfileByID("D0")
@@ -39,7 +48,7 @@ func main() {
 	for i, s := range cohort.Subjects {
 		first, err := enroll.CaptureSubject(s, 0, sensor.CaptureOptions{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		plain[i] = first
 		best := first
@@ -48,7 +57,7 @@ func main() {
 			// Habituation: each retry benefits from practice.
 			retry, err := enroll.CaptureSubject(s, attempt, sensor.CaptureOptions{})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if retry.Quality < best.Quality {
 				best = retry
@@ -64,36 +73,43 @@ func main() {
 		}
 		return h
 	}
-	fmt.Printf("Enrollment on %s, verification on %s\n\n", enroll.Model, verify.Model)
-	fmt.Printf("NFIQ distribution      1    2    3    4    5\n")
-	fmt.Printf("first capture:     %5d%5d%5d%5d%5d\n", splat(qualityHist(plain))...)
-	fmt.Printf("with recapture:    %5d%5d%5d%5d%5d   (%d recaptures)\n",
+	fmt.Fprintf(w, "Enrollment on %s, verification on %s\n\n", enroll.Model, verify.Model)
+	fmt.Fprintf(w, "NFIQ distribution      1    2    3    4    5\n")
+	fmt.Fprintf(w, "first capture:     %5d%5d%5d%5d%5d\n", splat(qualityHist(plain))...)
+	fmt.Fprintf(w, "with recapture:    %5d%5d%5d%5d%5d   (%d recaptures)\n",
 		append(splat(qualityHist(gated)), recaptures)...)
 
 	// Verify everyone cross-device.
-	score := func(gallery []*sensor.Impression) []float64 {
+	score := func(gallery []*sensor.Impression) ([]float64, error) {
 		var out []float64
 		for i, s := range cohort.Subjects {
 			probe, err := verify.CaptureSubject(s, 1, sensor.CaptureOptions{SampleIndex: 1})
 			if err != nil {
-				log.Fatal(err)
+				return nil, err
 			}
 			res, err := matcher.Match(gallery[i].Template, probe.Template)
 			if err != nil {
-				log.Fatal(err)
+				return nil, err
 			}
 			out = append(out, res.Score)
 		}
-		return out
+		return out, nil
 	}
-	plainScores := score(plain)
-	gatedScores := score(gated)
-	fmt.Printf("\ncross-device genuine mean: %.2f -> %.2f\n",
+	plainScores, err := score(plain)
+	if err != nil {
+		return err
+	}
+	gatedScores, err := score(gated)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\ncross-device genuine mean: %.2f -> %.2f\n",
 		stats.Mean(plainScores), stats.Mean(gatedScores))
-	fmt.Printf("cross-device FNMR @ %.0f:    %.3f -> %.3f\n",
+	fmt.Fprintf(w, "cross-device FNMR @ %.0f:    %.3f -> %.3f\n",
 		threshold, stats.FNMRAt(plainScores, threshold), stats.FNMRAt(gatedScores, threshold))
-	fmt.Println("\nThe paper's Figure 5(b): with diverse devices, both images must be")
-	fmt.Println("high quality to avoid low genuine scores — the recapture gate supplies that.")
+	fmt.Fprintln(w, "\nThe paper's Figure 5(b): with diverse devices, both images must be")
+	fmt.Fprintln(w, "high quality to avoid low genuine scores — the recapture gate supplies that.")
+	return nil
 }
 
 func splat(h [5]int) []any {

@@ -7,8 +7,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"fpinterop/fpis"
@@ -19,7 +22,13 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole example, printing to w.
+func run(w io.Writer) error {
 	// Every run of this program is identical: the cohort, every capture
 	// and therefore every score derive from this one seed.
 	cohort := population.NewCohort(rng.New(42), population.CohortOptions{Size: 2})
@@ -28,7 +37,7 @@ func main() {
 
 	guardian, ok := sensor.ProfileByID("D0")
 	if !ok {
-		log.Fatal("device D0 missing")
+		return errors.New("device D0 missing")
 	}
 
 	// The identity service: here a local in-process gallery; the same
@@ -39,7 +48,7 @@ func main() {
 	defer cancel()
 	svc, err := fpis.New(ctx)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer svc.Close()
 
@@ -47,54 +56,55 @@ func main() {
 	// template.
 	enrolled, err := guardian.CaptureSubject(alice, 0, sensor.CaptureOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := svc.Enroll(ctx, "alice", guardian.ID, enrolled.Template); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("enrolled alice on %s: %d minutiae, quality %s\n",
+	fmt.Fprintf(w, "enrolled alice on %s: %d minutiae, quality %s\n",
 		guardian.Model, enrolled.Template.Count(), enrolled.Quality)
 
 	// Verification: a later capture on the same device, compared 1:1
 	// against the claimed identity.
 	probe, err := guardian.CaptureSubject(alice, 1, sensor.CaptureOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	genuine, err := svc.Verify(ctx, "alice", probe.Template)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("genuine attempt:  score %5.2f (matched %d minutiae)\n",
+	fmt.Fprintf(w, "genuine attempt:  score %5.2f (matched %d minutiae)\n",
 		genuine.Score, genuine.Matched)
 
 	// An impostor attempt: someone else's finger claiming alice's
 	// identity on the same device.
 	attack, err := guardian.CaptureSubject(mallory, 0, sensor.CaptureOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	impostor, err := svc.Verify(ctx, "alice", attack.Template)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("impostor attempt: score %5.2f (matched %d minutiae)\n",
+	fmt.Fprintf(w, "impostor attempt: score %5.2f (matched %d minutiae)\n",
 		impostor.Score, impostor.Matched)
 
 	// Identification: who does this probe belong to, with no claimed
 	// identity? (1:N over the whole gallery.)
 	cands, err := svc.Identify(ctx, probe.Template, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	top := "(none)"
 	if len(cands) > 0 {
 		top = fmt.Sprintf("%s (score %.2f)", cands[0].ID, cands[0].Score)
 	}
-	fmt.Printf("identification:   rank-1 %s\n", top)
+	fmt.Fprintf(w, "identification:   rank-1 %s\n", top)
 
 	// The study found impostor scores never exceed 7 on this scale.
 	const threshold = 7.0
-	fmt.Printf("\ndecision at threshold %.0f: genuine=%v impostor=%v\n",
+	fmt.Fprintf(w, "\ndecision at threshold %.0f: genuine=%v impostor=%v\n",
 		threshold, genuine.Score >= threshold, impostor.Score >= threshold)
+	return nil
 }

@@ -13,7 +13,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"fpinterop/fpis"
@@ -31,6 +33,13 @@ const (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example, printing to w.
+func run(w io.Writer) error {
 	cohort := population.NewCohort(rng.New(77), population.CohortOptions{Size: cohortSize})
 	devices := sensor.LiveScanProfiles()
 	matcher := &match.HoughMatcher{}
@@ -43,7 +52,7 @@ func main() {
 			for k := 0; k < 2; k++ {
 				imp, err := dev.CaptureSubject(s, k, sensor.CaptureOptions{})
 				if err != nil {
-					log.Fatal(err)
+					return err
 				}
 				perSubject[i] = append(perSubject[i], imp)
 			}
@@ -64,13 +73,13 @@ func main() {
 				pr := impressions[dp.ID][i][1]
 				res, err := matcher.Match(g.Template, pr.Template)
 				if err != nil {
-					log.Fatal(err)
+					return err
 				}
 				genuine[k] = append(genuine[k], res.Score)
 				o := impressions[dp.ID][(i+1)%cohortSize][1]
 				res, err = matcher.Match(g.Template, o.Template)
 				if err != nil {
-					log.Fatal(err)
+					return err
 				}
 				impostor[k] = append(impostor[k], res.Score)
 			}
@@ -84,11 +93,11 @@ func main() {
 	}
 	globalThr, err := stats.ThresholdForFMR(pooled, targetFMR)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Fleet of %d devices, target FMR %.2g, global threshold %.2f\n\n",
+	fmt.Fprintf(w, "Fleet of %d devices, target FMR %.2g, global threshold %.2f\n\n",
 		len(devices), targetFMR, globalThr)
-	fmt.Printf("%-10s %12s %12s %14s\n", "Pair", "global FNMR", "pair thr", "per-pair FNMR")
+	fmt.Fprintf(w, "%-10s %12s %12s %14s\n", "Pair", "global FNMR", "pair thr", "per-pair FNMR")
 
 	var worstGlobal, worstPer float64
 	for _, dg := range devices {
@@ -97,10 +106,10 @@ func main() {
 			gFNMR := stats.FNMRAt(genuine[k], globalThr)
 			thr, err := stats.ThresholdForFMR(impostor[k], targetFMR)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			pFNMR := stats.FNMRAt(genuine[k], thr)
-			fmt.Printf("%-10s %12.3f %12.2f %14.3f\n",
+			fmt.Fprintf(w, "%-10s %12.3f %12.2f %14.3f\n",
 				dg.ID+"->"+dp.ID, gFNMR, thr, pFNMR)
 			if gFNMR > worstGlobal {
 				worstGlobal = gFNMR
@@ -110,7 +119,7 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("\nworst-case FNMR: global threshold %.3f, per-pair thresholds %.3f\n",
+	fmt.Fprintf(w, "\nworst-case FNMR: global threshold %.3f, per-pair thresholds %.3f\n",
 		worstGlobal, worstPer)
 
 	// --- Sharded central gallery -------------------------------------
@@ -125,12 +134,12 @@ func main() {
 	defer cancel()
 	sharded, err := fpis.New(ctx, fpis.WithLocalShards(shards), fpis.WithShardTimeout(time.Minute))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sharded.Close()
 	single, err := fpis.New(ctx)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer single.Close()
 	items := make([]fpis.Enrollment, cohortSize)
@@ -140,16 +149,16 @@ func main() {
 		items[i] = fpis.Enrollment{ID: id, DeviceID: "D0", Template: tpl}
 	}
 	if err := single.EnrollBatch(ctx, items); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := sharded.EnrollBatch(ctx, items); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st, err := sharded.Stats(ctx)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nSharded central gallery: %d subjects across %d shards\n", st.Enrollments, st.Shards)
+	fmt.Fprintf(w, "\nSharded central gallery: %d subjects across %d shards\n", st.Enrollments, st.Shards)
 
 	// Search cross-device probes (digID Mini second samples) through
 	// both paths; scatter-gather must reproduce the single store's
@@ -160,14 +169,14 @@ func main() {
 		probe := impressions["D1"][i][1].Template
 		want, err := single.Identify(ctx, probe, 1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		got, stats, err := sharded.IdentifyDetailed(ctx, probe, 1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if stats.Partial {
-			log.Fatalf("partial coverage: %+v", stats)
+			return fmt.Errorf("partial coverage: %+v", stats)
 		}
 		if len(got) > 0 && len(want) > 0 && got[0] == want[0] {
 			agree++
@@ -176,6 +185,7 @@ func main() {
 			hits++
 		}
 	}
-	fmt.Printf("scatter-gather vs single store: %d/%d rank-1 identical, %d/%d correct identifications\n",
+	fmt.Fprintf(w, "scatter-gather vs single store: %d/%d rank-1 identical, %d/%d correct identifications\n",
 		agree, probeN, hits, probeN)
+	return nil
 }

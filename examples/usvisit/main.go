@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"fpinterop/internal/calib"
 	"fpinterop/internal/match"
@@ -27,6 +29,13 @@ const (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example, printing to w.
+func run(w io.Writer) error {
 	cohort := population.NewCohort(rng.New(2004), population.CohortOptions{Size: cohortSize})
 	enrollDev, _ := sensor.ProfileByID("D0")
 	matcher := &match.HoughMatcher{}
@@ -36,20 +45,20 @@ func main() {
 	for i, s := range cohort.Subjects {
 		imp, err := enrollDev.CaptureSubject(s, 0, sensor.CaptureOptions{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		gallery[i] = imp
 	}
 
-	fmt.Printf("US-VISIT scenario: %d travellers enrolled on %s\n\n", cohortSize, enrollDev.Model)
-	fmt.Printf("%-6s %-42s %10s %10s %12s\n", "Probe", "Model", "mean score", "FNMR", "FNMR+calib")
+	fmt.Fprintf(w, "US-VISIT scenario: %d travellers enrolled on %s\n\n", cohortSize, enrollDev.Model)
+	fmt.Fprintf(w, "%-6s %-42s %10s %10s %12s\n", "Probe", "Model", "mean score", "FNMR", "FNMR+calib")
 
 	for _, dev := range sensor.Profiles() {
 		probes := make([]*sensor.Impression, cohortSize)
 		for i, s := range cohort.Subjects {
 			imp, err := dev.CaptureSubject(s, 1, sensor.CaptureOptions{SampleIndex: 1})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			probes[i] = imp
 		}
@@ -59,7 +68,7 @@ func main() {
 		for i := trainSize; i < cohortSize; i++ {
 			res, err := matcher.Match(gallery[i].Template, probes[i].Template)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			scores = append(scores, res.Score)
 		}
@@ -77,23 +86,24 @@ func main() {
 			}
 			cal, err := calib.FitCalibration(matcher, pairs, calib.CalibrationOptions{})
 			if err != nil {
-				log.Printf("%s: calibration failed: %v", dev.ID, err)
+				fmt.Fprintf(w, "%s: calibration failed: %v\n", dev.ID, err)
 			} else {
 				cm := &calib.CalibratedMatcher{Base: matcher, Cal: cal}
 				var calScores []float64
 				for i := trainSize; i < cohortSize; i++ {
 					res, err := cm.Match(gallery[i].Template, probes[i].Template)
 					if err != nil {
-						log.Fatal(err)
+						return err
 					}
 					calScores = append(calScores, res.Score)
 				}
 				calibFNMR = stats.FNMRAt(calScores, threshold)
 			}
 		}
-		fmt.Printf("%-6s %-42s %10.2f %10.3f %12.3f\n",
+		fmt.Fprintf(w, "%-6s %-42s %10.2f %10.3f %12.3f\n",
 			dev.ID, dev.Model, stats.Mean(scores), fnmr, calibFNMR)
 	}
-	fmt.Println("\nSame-device verification keeps FNMR lowest; ink cards are the")
-	fmt.Println("worst probes, and calibration recovers part of the cross-device loss.")
+	fmt.Fprintln(w, "\nSame-device verification keeps FNMR lowest; ink cards are the")
+	fmt.Fprintln(w, "worst probes, and calibration recovers part of the cross-device loss.")
+	return nil
 }

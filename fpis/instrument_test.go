@@ -3,12 +3,15 @@ package fpis
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"fpinterop/internal/gallery"
+	"fpinterop/internal/matchsvc"
 	"fpinterop/internal/obs"
+	"fpinterop/internal/shard"
 )
 
 // nopBackend is an inert gallery backend: the service over it measures
@@ -128,20 +131,32 @@ func TestWithMetricsRecordsOps(t *testing.T) {
 	}
 }
 
+// TestErrClass classifies sentinels bare and wrapped, the router's two
+// degradation errors, a remote failure, anything else, and a remote
+// failure that carries a deadline, which counts as the deadline.
 func TestErrClass(t *testing.T) {
-	cases := []struct {
+	for _, tc := range []struct {
+		name string
 		err  error
 		want string
 	}{
-		{context.Canceled, "canceled"},
-		{context.DeadlineExceeded, "deadline"},
-		{ErrNotFound, "not_found"},
-		{ErrDuplicate, "duplicate"},
-	}
-	for _, tc := range cases {
-		if got := errClass(tc.err); got != tc.want {
-			t.Errorf("errClass(%v) = %q, want %q", tc.err, got, tc.want)
-		}
+		{"canceled", context.Canceled, "canceled"},
+		{"deadline", context.DeadlineExceeded, "deadline"},
+		{"not found", ErrNotFound, "not_found"},
+		{"duplicate", ErrDuplicate, "duplicate"},
+		{"wrapped not found", fmt.Errorf("verify %q: %w", "alice", ErrNotFound), "not_found"},
+		{"wrapped duplicate", fmt.Errorf("shard 2: %w", ErrDuplicate), "duplicate"},
+		{"degraded shard", fmt.Errorf("identify: %w", shard.ErrDegraded), "degraded"},
+		{"shard timeout", shard.ErrShardTimeout, "degraded"},
+		{"remote", fmt.Errorf("%w: disk full", matchsvc.ErrRemote), "remote"},
+		{"remote deadline", errors.Join(matchsvc.ErrRemote, context.DeadlineExceeded), "deadline"},
+		{"unclassified", errors.New("boom"), "other"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := errClass(tc.err); got != tc.want {
+				t.Fatalf("errClass(%v) = %q, want %q", tc.err, got, tc.want)
+			}
+		})
 	}
 }
 

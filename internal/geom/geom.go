@@ -3,7 +3,7 @@
 // splines for smooth non-rigid warps.
 //
 // Coordinates are in millimetres at the physical layer and in pixels at the
-// image layer; geom is unit-agnostic.
+// template layer; geom is unit-agnostic.
 package geom
 
 import "math"

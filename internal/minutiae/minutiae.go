@@ -1,7 +1,5 @@
 // Package minutiae defines the minutiae template representation shared by
-// the whole pipeline, image-based minutiae extraction from ridge skeletons,
-// spurious-minutiae filtering, and an ISO/IEC 19794-2-style binary template
-// codec.
+// the whole pipeline and an ISO/IEC 19794-2-style binary template codec.
 //
 // Template coordinates are in pixels at the template's resolution (DPI),
 // origin at the top-left of the capture window, x growing right and y
@@ -48,9 +46,6 @@ type Minutia struct {
 	// Quality is a per-minutia confidence in [0, 100]; 0 means unreported.
 	Quality uint8
 }
-
-// Pos returns the position as a coordinate pair.
-func (m Minutia) Pos() (x, y float64) { return m.X, m.Y }
 
 // Dist returns the Euclidean distance to another minutia.
 func (m Minutia) Dist(o Minutia) float64 {

@@ -128,17 +128,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
-func TestRegistrySchemaMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("m", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge must panic")
-		}
-	}()
-	r.Gauge("m", "")
-}
-
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c", "")
@@ -170,5 +159,41 @@ func TestLatencyBucketsAscending(t *testing.T) {
 				t.Fatalf("bounds not ascending at %d: %v", i, bs)
 			}
 		}
+	}
+}
+
+// TestRegistrySchemaMismatchPanics covers every way a second
+// registration or a label lookup can disagree with the first, and every
+// malformed bucket list: each must panic rather than hand out a series
+// of another shape.
+func TestRegistrySchemaMismatchPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bad  func(r *Registry)
+	}{
+		{"counter re-registered as a gauge", func(r *Registry) { r.Gauge("m", "") }},
+		{"more label keys", func(r *Registry) { r.CounterVec("c", "", "shard", "op") }},
+		{"other label key", func(r *Registry) { r.CounterVec("c", "", "node") }},
+		{"no label keys", func(r *Registry) { r.Counter("c", "") }},
+		{"fewer bucket bounds", func(r *Registry) { r.Histogram("h", "", []int64{10}) }},
+		{"other bucket bounds", func(r *Registry) { r.Histogram("h", "", []int64{10, 30}) }},
+		{"empty bucket bounds", func(r *Registry) { r.Histogram("h2", "", nil) }},
+		{"descending bucket bounds", func(r *Registry) { r.Histogram("h2", "", []int64{20, 10}) }},
+		{"repeated bucket bound", func(r *Registry) { r.Histogram("h2", "", []int64{10, 10}) }},
+		{"too few label values", func(r *Registry) { r.CounterVec("c", "", "shard").With() }},
+		{"too many label values", func(r *Registry) { r.CounterVec("c", "", "shard").With("a", "b") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRegistry()
+			r.Counter("m", "")
+			r.CounterVec("c", "", "shard")
+			r.Histogram("h", "", []int64{10, 20})
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			c.bad(r)
+		})
 	}
 }

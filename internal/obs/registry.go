@@ -222,8 +222,10 @@ func checkBounds(name string, bounds []int64) {
 	if len(bounds) == 0 {
 		panic(fmt.Sprintf("obs: histogram %q needs at least one bucket bound", name))
 	}
-	if !sort.SliceIsSorted(bounds, func(i, j int) bool { return bounds[i] < bounds[j] }) {
-		panic(fmt.Sprintf("obs: histogram %q bounds must be ascending", name))
+	// Sorted under <= means strictly ascending: a repeated bound would
+	// expose two buckets with one le label.
+	if !sort.SliceIsSorted(bounds, func(i, j int) bool { return bounds[i] <= bounds[j] }) {
+		panic(fmt.Sprintf("obs: histogram %q bounds must be strictly ascending", name))
 	}
 }
 

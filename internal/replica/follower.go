@@ -80,13 +80,10 @@ func NewFollower(store *gallery.Store, cli *matchsvc.Client, opt FollowerOptions
 // LSN is the highest log record applied locally.
 func (f *Follower) LSN() uint64 { return f.lsn.Load() }
 
-// PrimaryLSN is the primary's LSN as of the last completed sync round.
-func (f *Follower) PrimaryLSN() uint64 { return f.primaryLSN.Load() }
-
-// Lag is PrimaryLSN minus LSN — how many acked primary mutations this
-// replica has not applied yet, as of the last sync round. This is the
-// replica's staleness bound: a read served here can miss at most Lag
-// acknowledged writes.
+// Lag is the primary's LSN minus LSN, both as of the last completed
+// sync round — how many acked primary mutations this replica has not
+// applied yet. This is the replica's staleness bound: a read served
+// here can miss at most Lag acknowledged writes.
 func (f *Follower) Lag() uint64 {
 	p, l := f.primaryLSN.Load(), f.lsn.Load()
 	if p <= l {

@@ -3,8 +3,7 @@
 // a pattern class (arch/loop/whorl), a singular-point-based orientation
 // field (Sherlock–Monro model), a ridge frequency field, and a ground-truth
 // minutiae set. Sensor models in internal/sensor derive impressions from a
-// Master; the image path grows a ridge image from the same fields with
-// iterative Gabor filtering (the SFinGe approach).
+// Master.
 //
 // Master coordinates are physical millimetres, origin at the finger pad
 // centre, x to the right and y up (mathematical convention); the sensor
@@ -96,8 +95,6 @@ type Master struct {
 
 	// Arch model parameters (used when Class == Arch).
 	archAmp, archSigmaX, archSigmaY, archY0 float64
-	// seed keys the deterministic texture used by image synthesis.
-	seed uint64
 }
 
 // GenOptions configures master generation. The zero value uses defaults
@@ -134,8 +131,10 @@ func Generate(id string, src *rng.Source, opts GenOptions) *Master {
 		Pad: geom.CenteredRect(geom.Point{}, opts.PadWidth, opts.PadHeight),
 		// Inter-ridge period: mean 0.45 mm, tight spread, hard floor.
 		PeriodMM: src.TruncNorm(0.45, 0.04, 0.32, 0.60),
-		seed:     src.Uint64(),
 	}
+	// Nothing reads this draw; it stays so that every later draw, and so
+	// every master, capture and score, keeps its value.
+	src.Uint64()
 	if opts.ForceClass != 0 {
 		m.Class = opts.ForceClass
 	} else {

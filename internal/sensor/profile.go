@@ -3,7 +3,8 @@
 // cards (D4). A Profile carries both the paper's published device metadata
 // and the acquisition model parameters that generate device-characteristic
 // differences: effective contact area, systematic geometric distortion,
-// contrast/noise transfer, and placement repeatability.
+// capture fidelity, and placement repeatability. Capture turns a master
+// fingerprint into a minutia template directly; no image is rendered.
 //
 // Interoperability effects are *emergent*: every device applies its own
 // fixed smooth distortion field to the finger geometry, so two impressions
@@ -25,8 +26,6 @@ type Profile struct {
 	ID string
 	// Model is the commercial device name from Table 1.
 	Model string
-	// Technology is the sensing family.
-	Technology string
 	// DPI is the nominal resolution (500 for every device in the study).
 	DPI int
 	// ImageW, ImageH are the published image dimensions in pixels
@@ -43,10 +42,6 @@ type Profile struct {
 	// BaseFidelity is the device's contribution to capture quality in
 	// [0, 1].
 	BaseFidelity float64
-	// NoiseSD is the grayscale noise level of the imaging chain.
-	NoiseSD float64
-	// ContrastGamma shapes the grayscale transfer (1 = linear).
-	ContrastGamma float64
 	// DistortAmp is the amplitude (mm) of the device's systematic smooth
 	// distortion field.
 	DistortAmp float64
@@ -71,47 +66,47 @@ type Profile struct {
 // contact area, and D4 (ink) is the outlier in both geometry and quality.
 var profiles = []*Profile{
 	{
-		ID: "D0", Model: "Cross Match Guardian R2", Technology: "optical live-scan",
+		ID: "D0", Model: "Cross Match Guardian R2",
 		DPI: 500, ImageW: 800, ImageH: 750, PlatenW: 81, PlatenH: 76,
 		ContactW: 16.5, ContactH: 20.5,
-		BaseFidelity: 0.97, NoiseSD: 0.05, ContrastGamma: 1.0,
-		DistortAmp: 0.32, ScaleErrX: 0.002, ScaleErrY: -0.003,
+		BaseFidelity: 0.97,
+		DistortAmp:   0.32, ScaleErrX: 0.002, ScaleErrY: -0.003,
 		PlacementSD: 1.1, RotationSD: 0.05,
 		distortSeed: 0xd0,
 	},
 	{
-		ID: "D1", Model: "i3 digID Mini", Technology: "optical live-scan",
+		ID: "D1", Model: "i3 digID Mini",
 		DPI: 500, ImageW: 752, ImageH: 750, PlatenW: 81, PlatenH: 76,
 		ContactW: 15.5, ContactH: 19.5,
-		BaseFidelity: 0.90, NoiseSD: 0.07, ContrastGamma: 1.15,
-		DistortAmp: 0.55, ScaleErrX: -0.004, ScaleErrY: 0.005,
+		BaseFidelity: 0.90,
+		DistortAmp:   0.55, ScaleErrX: -0.004, ScaleErrY: 0.005,
 		PlacementSD: 1.3, RotationSD: 0.06,
 		distortSeed: 0xd1,
 	},
 	{
-		ID: "D2", Model: "L1 Identity Solutions TouchPrint 5300", Technology: "optical live-scan",
+		ID: "D2", Model: "L1 Identity Solutions TouchPrint 5300",
 		DPI: 500, ImageW: 800, ImageH: 750, PlatenW: 81, PlatenH: 76,
 		ContactW: 17.0, ContactH: 21.0,
-		BaseFidelity: 0.94, NoiseSD: 0.06, ContrastGamma: 0.95,
-		DistortAmp: 0.45, ScaleErrX: 0.005, ScaleErrY: 0.002,
+		BaseFidelity: 0.94,
+		DistortAmp:   0.45, ScaleErrX: 0.005, ScaleErrY: 0.002,
 		PlacementSD: 1.2, RotationSD: 0.05,
 		distortSeed: 0xd2,
 	},
 	{
-		ID: "D3", Model: "Cross Match Seek II", Technology: "optical live-scan (handheld)",
+		ID: "D3", Model: "Cross Match Seek II",
 		DPI: 500, ImageW: 800, ImageH: 750, PlatenW: 40.6, PlatenH: 38.1,
 		ContactW: 12.5, ContactH: 15.5,
-		BaseFidelity: 0.93, NoiseSD: 0.065, ContrastGamma: 1.05,
-		DistortAmp: 0.50, ScaleErrX: -0.002, ScaleErrY: -0.004,
+		BaseFidelity: 0.93,
+		DistortAmp:   0.50, ScaleErrX: -0.002, ScaleErrY: -0.004,
 		PlacementSD: 1.6, RotationSD: 0.08,
 		distortSeed: 0xd3,
 	},
 	{
-		ID: "D4", Model: "Ink ten-print card (flat-bed scan)", Technology: "ink and paper",
+		ID: "D4", Model: "Ink ten-print card (flat-bed scan)",
 		DPI: 500, ImageW: 800, ImageH: 750, PlatenW: 81, PlatenH: 76,
 		ContactW: 19.0, ContactH: 23.0, // rolled impressions cover more pad
-		BaseFidelity: 0.72, NoiseSD: 0.13, ContrastGamma: 1.4,
-		DistortAmp: 0.85, ScaleErrX: 0.008, ScaleErrY: -0.007,
+		BaseFidelity: 0.72,
+		DistortAmp:   0.85, ScaleErrX: 0.008, ScaleErrY: -0.007,
 		PlacementSD: 1.8, RotationSD: 0.10,
 		Ink:         true,
 		distortSeed: 0xd4,

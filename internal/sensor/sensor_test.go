@@ -328,52 +328,6 @@ func TestMeanCrossDeviceDisplacementExceedsNoise(t *testing.T) {
 	}
 }
 
-func TestCaptureImageProducesRidges(t *testing.T) {
-	if testing.Short() {
-		t.Skip("image path is slow")
-	}
-	c := testCohort(2)
-	d0, _ := ProfileByID("D0")
-	s := c.Subjects[0]
-	img, window, err := d0.CaptureImage(s.Master(), s.Traits, s.CaptureSource("D0-img", 0), CaptureOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if window.Width() <= 0 {
-		t.Fatal("empty capture window")
-	}
-	dark := 0
-	for _, v := range img.Pix {
-		if v < 0.35 {
-			dark++
-		}
-	}
-	if frac := float64(dark) / float64(len(img.Pix)); frac < 0.05 || frac > 0.9 {
-		t.Fatalf("ridge fraction %v implausible", frac)
-	}
-}
-
-func TestCaptureImageNilMaster(t *testing.T) {
-	d0, _ := ProfileByID("D0")
-	if _, _, err := d0.CaptureImage(nil, population.Traits{}, rng.New(1), CaptureOptions{}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestSmoothNoiseRangeAndContinuity(t *testing.T) {
-	for i := 0; i < 200; i++ {
-		x := float64(i) * 0.13
-		v := smoothNoise(99, x, x*0.7)
-		if v < 0 || v > 1 {
-			t.Fatalf("noise out of range: %v", v)
-		}
-		w := smoothNoise(99, x+0.01, x*0.7)
-		if math.Abs(v-w) > 0.2 {
-			t.Fatalf("noise discontinuity: %v vs %v", v, w)
-		}
-	}
-}
-
 func TestRescanNearlyIdentical(t *testing.T) {
 	c := testCohort(5)
 	d4, _ := ProfileByID("D4")

@@ -12,6 +12,7 @@ import (
 
 	"fpinterop/internal/gallery"
 	"fpinterop/internal/minutiae"
+	"fpinterop/internal/obs"
 	"fpinterop/internal/population"
 	"fpinterop/internal/rng"
 	"fpinterop/internal/sensor"
@@ -545,11 +546,16 @@ func TestLenCountsReachableShards(t *testing.T) {
 	}
 }
 
+// TestHealthDegradationSkipAndRecovery walks one shard through
+// degradation and readmission, checking the identify stats and the
+// router's metrics at each step: the 0/1 gauge, one count per
+// transition, and the search, partial-search and fan-out families.
 func TestHealthDegradationSkipAndRecovery(t *testing.T) {
 	gal, probes := fixtures(t)
 	flaky := &flakyBackend{Backend: NewLocal("flaky", gallery.New(nil))}
 	backends := []Backend{NewLocal("ok", gallery.New(nil)), flaky}
-	r, err := New(backends, Options{FailureThreshold: 2, Policy: SkipDegraded})
+	reg := obs.NewRegistry()
+	r, err := New(backends, Options{FailureThreshold: 2, Policy: SkipDegraded, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,10 +564,22 @@ func TestHealthDegradationSkipAndRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// health reads the flaky shard's degraded gauge, degradations and
+	// readmissions.
+	health := func() [3]int64 {
+		return [3]int64{
+			reg.GaugeVec("shard_degraded", "", "shard").With("flaky").Value(),
+			int64(reg.CounterVec("shard_degraded_total", "", "shard").With("flaky").Value()),
+			int64(reg.CounterVec("shard_readmissions_total", "", "shard").With("flaky").Value()),
+		}
+	}
 	flaky.setFail(true)
 	// Below the threshold the shard is still queried; each failure is
 	// partial coverage, and after two consecutive failures it degrades.
 	for attempt := 0; attempt < 2; attempt++ {
+		if got := health(); got != [3]int64{0, 0, 0} {
+			t.Fatalf("attempt %d: degraded/degradations/readmissions %v before it", attempt, got)
+		}
 		_, stats, err := r.IdentifyDetailed(ctx, probes[0], 3)
 		if err != nil {
 			t.Fatal(err)
@@ -573,13 +591,19 @@ func TestHealthDegradationSkipAndRecovery(t *testing.T) {
 	if got := r.Degraded(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("degraded = %v, want [1]", got)
 	}
-	// Degraded: skipped, not queried.
+	if got := health(); got != [3]int64{1, 1, 0} {
+		t.Fatalf("at the threshold: degraded/degradations/readmissions %v", got)
+	}
+	// Degraded: skipped, not queried, and no second transition.
 	_, stats, err := r.IdentifyDetailed(ctx, probes[0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.ShardsSkipped != 1 || stats.ShardsFailed != 0 || !stats.Partial {
 		t.Fatalf("degraded shard not skipped: %+v", stats)
+	}
+	if got := health(); got != [3]int64{1, 1, 0} {
+		t.Fatalf("while degraded: degraded/degradations/readmissions %v", got)
 	}
 
 	// Repair and re-probe: CheckHealth readmits the shard.
@@ -591,12 +615,21 @@ func TestHealthDegradationSkipAndRecovery(t *testing.T) {
 	if got := r.Degraded(); len(got) != 0 {
 		t.Fatalf("still degraded after repair: %v", got)
 	}
+	if got := health(); got != [3]int64{0, 1, 1} {
+		t.Fatalf("after readmission: degraded/degradations/readmissions %v", got)
+	}
 	_, stats, err = r.IdentifyDetailed(ctx, probes[0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.ShardsQueried != 2 || stats.Partial {
 		t.Fatalf("recovered shard not queried: %+v", stats)
+	}
+	searches := reg.Counter("shard_searches_total", "").Value()
+	partial := reg.Counter("shard_partial_searches_total", "").Value()
+	fanout := reg.Histogram("shard_scatter_fanout", "", obs.SizeBuckets()).Count()
+	if searches != 4 || partial != 3 || fanout != 4 {
+		t.Fatalf("searches %d, partial %d, fan-out observations %d; want 4, 3, 4", searches, partial, fanout)
 	}
 }
 
