@@ -35,13 +35,12 @@ type Entry struct {
 	ID string
 	// DeviceID records which sensor produced the enrollment template.
 	DeviceID string
-	// Template is the enrolled minutiae template.
-	Template *minutiae.Template
 
-	// prep is the template preprocessed for the primary matcher's hot
-	// path (SoA layout + spatial grid), built once at enroll time so
-	// every probe against this enrollment skips the rebuild. Nil when
-	// the store runs a custom matcher.
+	// prep is the enrolled template's one stored form: its preparation
+	// for the Hough matcher's hot path (points + spatial grid), built
+	// once at enroll time so every probe against this enrollment skips
+	// the rebuild, and a lossless copy from which prep.Template rebuilds
+	// the template on the rare paths that need it.
 	prep *match.Prepared
 }
 
@@ -51,8 +50,9 @@ type Store struct {
 	mu      sync.RWMutex
 	matcher match.Matcher
 	// hough is non-nil when matcher is the primary HoughMatcher: the
-	// store then caches per-entry preparations and scans with pooled
-	// zero-allocation match sessions.
+	// store then scans with pooled zero-allocation match sessions.
+	// Otherwise entries are prepared by the zero HoughMatcher and each
+	// comparison rebuilds its template.
 	hough   *match.HoughMatcher
 	entries map[string]*Entry
 	order   []string // insertion order for deterministic iteration
@@ -77,10 +77,10 @@ func New(m match.Matcher) *Store {
 	return &Store{matcher: m, hough: hough, entries: make(map[string]*Entry)}
 }
 
-// Enroll adds a template under id. The template is cloned, so later
-// mutation by the caller cannot corrupt the gallery. It is derive then
-// insert on the calling goroutine: searches wait for the insert (a map
-// write and the index add), never for the derivation.
+// Enroll adds a template under id. The store keeps its preparation, a
+// copy, so later mutation by the caller cannot corrupt the gallery. It
+// is derive then insert on the calling goroutine: searches wait for the
+// insert (a map write and the index add), never for the derivation.
 func (s *Store) Enroll(id, deviceID string, tpl *minutiae.Template) error {
 	it := Export{ID: id, DeviceID: deviceID, Template: tpl}
 	if err := it.validate(); err != nil {
@@ -110,8 +110,8 @@ func (it Export) validate() error {
 }
 
 // derived is everything an enrollment needs that depends on its
-// template alone — the clone, the matcher's preparation, the index keys
-// — so it is computed with no lock held and on any goroutine.
+// template alone — the matcher's preparation, the index keys — so it is
+// computed with no lock held and on any goroutine.
 type derived struct {
 	entry *Entry
 	// keys are the index keys, from keyBufs; nil when the store had no
@@ -119,8 +119,8 @@ type derived struct {
 	keys *[]uint64
 }
 
-// keyBufs recycles index key lists: the index keeps a template, not
-// its keys, so a list is spent once its add or removal is done.
+// keyBufs recycles index key lists: the index keeps neither a template
+// nor its keys, so a list is spent once its add or removal is done.
 var keyBufs = sync.Pool{New: func() any { return new([]uint64) }}
 
 // appendKeys is index.AppendKeys; tests swap it to check that no caller
@@ -134,15 +134,37 @@ func acquireKeys(tpl *minutiae.Template) *[]uint64 {
 	return buf
 }
 
-// derive computes a validated item's derived form.
-func (s *Store) derive(it Export, indexed bool) derived {
-	clone := it.Template.Clone()
-	d := derived{entry: &Entry{ID: it.ID, DeviceID: it.DeviceID, Template: clone}}
-	if s.hough != nil {
-		d.entry.prep = s.hough.Prepare(clone)
+// scratchTemplates recycles the templates the rare paths rebuild from
+// a preparation only to read them.
+var scratchTemplates = sync.Pool{New: func() any { return new(minutiae.Template) }}
+
+// acquireEntryKeys derives the index keys of e's template, rebuilt into
+// a pooled scratch.
+func acquireEntryKeys(e *Entry) *[]uint64 {
+	tpl := scratchTemplates.Get().(*minutiae.Template)
+	e.prep.TemplateInto(tpl)
+	keys := acquireKeys(tpl)
+	scratchTemplates.Put(tpl)
+	return keys
+}
+
+// prepare builds the stored form of a validated template: the store's
+// own matcher's preparation, or the zero HoughMatcher's under a custom
+// matcher.
+func (s *Store) prepare(tpl *minutiae.Template) *match.Prepared {
+	m := s.hough
+	if m == nil {
+		m = &match.HoughMatcher{}
 	}
+	return m.Prepare(tpl)
+}
+
+// derive computes a validated item's derived form. The preparation
+// copies the caller's template; nothing else of it is kept.
+func (s *Store) derive(it Export, indexed bool) derived {
+	d := derived{entry: &Entry{ID: it.ID, DeviceID: it.DeviceID, prep: s.prepare(it.Template)}}
 	if indexed {
-		d.keys = acquireKeys(clone)
+		d.keys = acquireKeys(it.Template)
 	}
 	return d
 }
@@ -156,7 +178,7 @@ func (s *Store) insert(d derived) error {
 	s.mu.Lock()
 	if s.idx != nil && d.keys == nil {
 		s.mu.Unlock()
-		d.keys = acquireKeys(e.Template)
+		d.keys = acquireEntryKeys(e)
 		s.mu.Lock()
 	}
 	defer s.mu.Unlock()
@@ -167,7 +189,7 @@ func (s *Store) insert(d derived) error {
 		return fmt.Errorf("enroll %q: %w", e.ID, ErrDuplicate)
 	}
 	if s.idx != nil {
-		if err := s.idx.AddKeys(e.ID, e.Template, *d.keys); err != nil {
+		if err := s.idx.AddKeys(e.ID, *d.keys); err != nil {
 			return fmt.Errorf("gallery: enroll %q: %w", e.ID, err)
 		}
 	}
@@ -224,22 +246,24 @@ func (s *Store) EnrollBatch(items []Export) error {
 	})
 }
 
-// Get returns the enrollment stored under id. The returned template is
-// the store's own; callers must not mutate it.
+// Get returns the enrollment stored under id, its template rebuilt
+// from the stored preparation: equal to the one enrolled, bit for bit,
+// and the caller's own.
 func (s *Store) Get(id string) (Export, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	e, ok := s.entries[id]
+	s.mu.RUnlock()
 	if !ok {
 		return Export{}, false
 	}
-	return Export{ID: e.ID, DeviceID: e.DeviceID, Template: e.Template}, true
+	return Export{ID: e.ID, DeviceID: e.DeviceID, Template: e.prep.Template()}, true
 }
 
 // Export is one enrollment lifted out of the store: the bulk-transfer
 // unit shared by persistence (ReadEntries/ReplaceAll), WAL recovery
-// and batch enrollment. The template is the store's own (or destined to
-// become it); holders must not mutate it.
+// and batch enrollment. A store reads an Export's template only during
+// the call it is passed to and keeps a copy; one it hands out (Get) is
+// rebuilt for the caller.
 type Export struct {
 	ID       string
 	DeviceID string
@@ -247,7 +271,7 @@ type Export struct {
 }
 
 // Remove deletes an enrollment. Its index keys are derived from the
-// stored template with no lock held.
+// template rebuilt from its preparation, with no lock held.
 func (s *Store) Remove(id string) error {
 	for {
 		s.mu.RLock()
@@ -259,7 +283,7 @@ func (s *Store) Remove(id string) error {
 		}
 		var keys *[]uint64
 		if indexed {
-			keys = acquireKeys(e.Template)
+			keys = acquireEntryKeys(e)
 		}
 		done, err := s.remove(e, keys)
 		if keys != nil {
@@ -287,7 +311,7 @@ func (s *Store) remove(e *Entry, keys *[]uint64) (bool, error) {
 		// mean they diverged, which Remove must not hide. It is checked
 		// before mutating entries/order so a failure leaves the store
 		// untouched.
-		if err := s.idx.RemoveKeys(id, e.Template, *keys); err != nil {
+		if err := s.idx.RemoveKeys(id, *keys); err != nil {
 			return true, fmt.Errorf("gallery: remove %q from index: %w", id, err)
 		}
 	}
@@ -322,10 +346,10 @@ func (s *Store) VerifyContext(ctx context.Context, id string, probe *minutiae.Te
 	if !ok {
 		return match.Result{}, fmt.Errorf("verify %q: %w", id, ErrNotFound)
 	}
-	if s.hough != nil && e.prep != nil {
+	if s.hough != nil {
 		return match.MatchPreparedOnce(s.hough, e.prep, probe)
 	}
-	return s.matcher.Match(e.Template, probe)
+	return s.matcher.Match(e.prep.Template(), probe)
 }
 
 // Candidate is one identification hit.
@@ -369,13 +393,16 @@ func (s *Store) EnableIndex(opt IndexOptions) error {
 	return nil
 }
 
-// buildIndex bulk-builds a retrieval index over entries, in order.
+// buildIndex bulk-builds a retrieval index over entries, in order, each
+// template rebuilt into a scratch only for its keys.
 func buildIndex(opt index.Options, order []string, entries map[string]*Entry) (*index.Index, error) {
-	tpls := make([]*minutiae.Template, len(order))
-	for i, id := range order {
-		tpls[i] = entries[id].Template
-	}
-	idx, err := index.Build(opt, order, tpls)
+	idx, err := index.Build(opt, order, func(i int) []uint64 {
+		tpl := scratchTemplates.Get().(*minutiae.Template)
+		entries[order[i]].prep.TemplateInto(tpl)
+		keys := index.AppendKeys(nil, tpl)
+		scratchTemplates.Put(tpl)
+		return keys
+	})
 	if err != nil {
 		return nil, fmt.Errorf("gallery: index build: %w", err)
 	}
@@ -566,22 +593,29 @@ func (s *Store) scoreEntries(ctx context.Context, entries []*Entry, probe *minut
 // on par.For's workers. Each worker holds one pooled match session for
 // the whole scan with the probe bound to it once, so a comparison runs
 // with zero steady-state allocations against the preparation cached at
-// enroll time. Workers stop claiming entries once ctx is done: a
-// cancelled context stops the scan within one matcher call's latency and
-// matchAll returns ctx.Err(), which outranks any matcher error (a
-// half-cancelled scan's failures are not meaningful); otherwise the error
-// from the lowest entry index wins.
+// enroll time; under a custom matcher each worker rebuilds every
+// entry's template into one scratch instead. Workers stop claiming
+// entries once ctx is done: a cancelled context stops the scan within
+// one matcher call's latency and matchAll returns ctx.Err(), which
+// outranks any matcher error (a half-cancelled scan's failures are not
+// meaningful); otherwise the error from the lowest entry index wins.
 func (s *Store) matchAll(ctx context.Context, entries []*Entry, probe *minutiae.Template) ([]float64, error) {
 	scores := make([]float64, len(entries))
-	var sessions []*match.Session
+	workers := par.Workers(len(entries))
+	var (
+		sessions []*match.Session
+		rebuilt  []minutiae.Template
+	)
 	if s.hough != nil {
-		sessions = make([]*match.Session, par.Workers(len(entries)))
+		sessions = make([]*match.Session, workers)
 		for w := range sessions {
 			sess := match.AcquireSession(s.hough)
 			defer sess.Release()
 			sess.Bind(probe)
 			sessions[w] = sess
 		}
+	} else {
+		rebuilt = make([]minutiae.Template, workers)
 	}
 	err := par.For(ctx.Done(), len(entries), func(w, i int) error {
 		e := entries[i]
@@ -589,10 +623,11 @@ func (s *Store) matchAll(ctx context.Context, entries []*Entry, probe *minutiae.
 			res match.Result
 			err error
 		)
-		if sessions != nil && e.prep != nil {
+		if sessions != nil {
 			res, err = sessions[w].MatchBound(e.prep)
 		} else {
-			res, err = s.matcher.Match(e.Template, probe)
+			e.prep.TemplateInto(&rebuilt[w])
+			res, err = s.matcher.Match(&rebuilt[w], probe)
 		}
 		if err != nil {
 			return fmt.Errorf("identify against %q: %w", e.ID, err)

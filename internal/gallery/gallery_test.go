@@ -811,8 +811,8 @@ func TestGet(t *testing.T) {
 				}
 				return
 			}
-			if e.ID != "a" || e.DeviceID != c.device || e.Template.Minutiae[0].X != c.x {
-				t.Fatalf("Get = {%s %s x=%v}, want {a %s x=%v}", e.ID, e.DeviceID, e.Template.Minutiae[0].X, c.device, c.x)
+			if e.ID != "a" || e.DeviceID != c.device || !sameTemplate(e.Template, tpl(c.x)) {
+				t.Fatalf("Get = {%s %s %+v}, want {a %s %+v}", e.ID, e.DeviceID, e.Template, c.device, tpl(c.x))
 			}
 		})
 	}

@@ -121,8 +121,9 @@ func savedBytes(t *testing.T, s *Store) []byte {
 
 // TestEnrollBatchEqualsSerial: a gallery loaded through EnrollBatch in
 // wire-sized groups is the gallery loaded one Enroll at a time — same
-// records in the same order, same index occupancy, same shortlists bit
-// for bit — whatever GOMAXPROCS, with searches running beside the load.
+// records in the same order, the enrolled templates bit for bit, same
+// index occupancy, same shortlists bit for bit — whatever GOMAXPROCS,
+// with searches running beside the load.
 func TestEnrollBatchEqualsSerial(t *testing.T) {
 	items, probes := ingestFixture(t)
 	newStore := func() *Store {
@@ -165,6 +166,13 @@ func TestEnrollBatchEqualsSerial(t *testing.T) {
 			})
 			if !bytes.Equal(savedBytes(t, batch), wantBytes) {
 				t.Fatal("SaveTo streams differ between batch and serial enrollment")
+			}
+			for _, it := range items {
+				got, _ := batch.Get(it.ID)
+				want, _ := serial.Get(it.ID)
+				if !sameTemplate(got.Template, want.Template) || !sameTemplate(got.Template, it.Template) {
+					t.Fatalf("%q: batch, serial and enrolled templates differ", it.ID)
+				}
 			}
 			if st, _ := batch.IndexStats(); st != wantStats {
 				t.Fatalf("index stats %+v, want %+v", st, wantStats)

@@ -66,10 +66,21 @@ func (s *Store) SaveTo(w io.Writer) error {
 	if _, err := bw.Write(rec.Buf); err != nil {
 		return fmt.Errorf("gallery: write header: %w", err)
 	}
+	// A scratch template and codec buffer too: each entry's template is
+	// rebuilt from its preparation and encoded with no allocation.
+	var (
+		tpl  minutiae.Template
+		data []byte
+	)
 	for _, id := range s.order {
 		e := s.entries[id]
+		e.prep.TemplateInto(&tpl)
+		var err error
+		if data, err = minutiae.AppendMarshal(data[:0], &tpl); err != nil {
+			return fmt.Errorf("gallery: encode %q: %w", id, err)
+		}
 		rec.Buf = rec.Buf[:0]
-		if err := (Export{ID: e.ID, DeviceID: e.DeviceID, Template: e.Template}).AppendTo(&rec); err != nil {
+		if err := rec.Enrollment(e.ID, e.DeviceID, data); err != nil {
 			return fmt.Errorf("gallery: encode %q: %w", id, err)
 		}
 		if _, err := bw.Write(rec.Buf); err != nil {
@@ -111,12 +122,12 @@ func ReadEntries(data []byte) ([]Export, error) {
 }
 
 // ReplaceAll swaps the store's contents for the given entries in one
-// bulk pass: matcher preparations are rebuilt across all CPUs and the
+// bulk pass: matcher preparations are built across all CPUs and the
 // retrieval index (when enabled) is rebuilt exactly once, instead of
 // re-deriving both per record the way replaying a log through Enroll
-// would. The store takes ownership of the templates — they come from a
-// decode or a replica sync stream, so the defensive clone Enroll performs
-// is skipped. On error the store is left untouched.
+// would. As in Enroll, the store keeps each template's preparation, a
+// copy, and no reference to the entries. On error the store is left
+// untouched.
 func (s *Store) ReplaceAll(entries []Export) error {
 	seen := make(map[string]bool, len(entries))
 	for _, e := range entries {
@@ -129,17 +140,13 @@ func (s *Store) ReplaceAll(entries []Export) error {
 		seen[e.ID] = true
 	}
 	built := make([]*Entry, len(entries))
-	for i, e := range entries {
-		built[i] = &Entry{ID: e.ID, DeviceID: e.DeviceID, Template: e.Template}
-	}
-	if s.hough != nil && len(built) > 0 {
-		// One parallel preparation pass over the whole load — the bulk
-		// analogue of the per-enrollment Prepare cache.
-		par.For(nil, len(built), func(_, i int) error {
-			built[i].prep = s.hough.Prepare(built[i].Template)
-			return nil
-		})
-	}
+	// One parallel preparation pass over the whole load — the bulk
+	// analogue of Enroll's derive.
+	par.For(nil, len(built), func(_, i int) error {
+		e := entries[i]
+		built[i] = &Entry{ID: e.ID, DeviceID: e.DeviceID, prep: s.prepare(e.Template)}
+		return nil
+	})
 	byID := make(map[string]*Entry, len(built))
 	order := make([]string, len(built))
 	for i, e := range built {

@@ -54,7 +54,7 @@ func TestCandidatesAppendZeroAllocs(t *testing.T) {
 	// one block and then, once every vote on that one is done, in
 	// blocks of 2 templates.
 	inBase := func() *Index {
-		ix, err := Build(Options{}, ids[:8], tpls[:8])
+		ix, err := Build(Options{}, ids[:8], keysFrom(tpls))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,7 +189,7 @@ func candidatesEqualReference(t *testing.T) (bt blockTrace) {
 				set = append(set, tpls[i])
 			}
 		}
-		bulk, err := Build(Options{}, ids, set)
+		bulk, err := Build(Options{}, ids, keysFrom(set))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,18 +206,15 @@ func candidatesEqualReference(t *testing.T) (bt blockTrace) {
 	return bt
 }
 
-// TestBuildRejectsBadInput: Build refuses a duplicate ID and a nil
-// template. A duplicate among many templates stops the key-extraction
-// workers wherever they are — blocked on a full queue when it comes
-// early, done when it comes last — and none outlives the call.
+// TestBuildRejectsBadInput: Build refuses a duplicate ID. A duplicate
+// among many templates stops the key-extraction workers wherever they
+// are — blocked on a full queue when it comes early, done when it comes
+// last — and none outlives the call.
 func TestBuildRejectsBadInput(t *testing.T) {
 	cohort := population.NewCohort(rng.New(32), population.CohortOptions{Size: 2})
 	tpls := captureGallery(t, cohort, "D0")
-	if _, err := Build(Options{}, []string{"a", "a"}, tpls); err == nil {
+	if _, err := Build(Options{}, []string{"a", "a"}, keysFrom(tpls)); err == nil {
 		t.Fatal("duplicate ID accepted")
-	}
-	if _, err := Build(Options{}, []string{"a", "b"}, []*minutiae.Template{tpls[0], nil}); err == nil {
-		t.Fatal("nil template accepted")
 	}
 	const n = 240
 	many := make([]*minutiae.Template, n)
@@ -233,7 +230,7 @@ func TestBuildRejectsBadInput(t *testing.T) {
 		before := runtime.NumGoroutine()
 		built := make(chan error, 1)
 		go func() {
-			_, err := Build(Options{}, ids, many)
+			_, err := Build(Options{}, ids, keysFrom(many))
 			built <- err
 		}()
 		select {
@@ -288,7 +285,7 @@ func buildEqualsSerialAdd(t *testing.T) (bt blockTrace) {
 		}
 		bt.observe(serial, base)
 	}
-	bulk, err := Build(Options{}, ids, tpls)
+	bulk, err := Build(Options{}, ids, keysFrom(tpls))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,25 +132,21 @@ func New(opt Options) *Index {
 	return &Index{opt: opt, base: emptySegment, loc: make(map[string]uint32)}
 }
 
-// Build returns an index over the given templates (tpls[i] under
-// ids[i]), equal to Adding them to New(opt) one by one: keys are
-// extracted on par.Ordered's workers while the calling goroutine adds
-// each template as soon as it and all before it are extracted, and the
-// base segment is laid out once, with no merges on the way. The index
-// keeps the templates, as Add does.
-func Build(opt Options, ids []string, tpls []*minutiae.Template) (*Index, error) {
+// Build returns an index over len(ids) templates, the i-th under
+// ids[i] with keys(i) its keys (AppendKeys of the template, in a list
+// of its own), equal to Adding them to New(opt) one by one: keys runs
+// on par.Ordered's workers, several at once, while the calling
+// goroutine adds each template as soon as it and all before it are
+// extracted, and the base segment is laid out once, with no merges on
+// the way. The caller keeps the templates: the index holds none.
+func Build(opt Options, ids []string, keys func(i int) []uint64) (*Index, error) {
 	ix := New(opt)
-	for i, id := range ids {
-		if tpls[i] == nil {
-			return nil, fmt.Errorf("index: add %q: nil template", id)
-		}
-	}
 	// Depth 16 keeps a few key lists live at a time, not n; it is
 	// measured in EXPERIMENTS.md, "Replica bootstrap".
 	err := par.Ordered(len(ids), 16, func(i int) ([]uint64, error) {
-		return AppendKeys(nil, tpls[i]), nil
+		return keys(i), nil
 	}, func(i int, keys []uint64) error {
-		return ix.add(ids[i], tpls[i], keys)
+		return ix.add(ids[i], keys)
 	})
 	if err != nil {
 		return nil, err
@@ -164,8 +160,8 @@ func (ix *Index) Options() Options { return ix.opt }
 
 var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
-// keysOf extracts tpl's keys into ks for an Add or Remove. Tests swap
-// it to check that no caller holds Index.mu while it runs.
+// keysOf extracts tpl's keys into ks for an Add. Tests swap it to
+// check that Add does not hold Index.mu while it runs.
 var keysOf = func(ks *keyScratch, tpl *minutiae.Template) []uint64 {
 	return ks.templateKeys(tpl.Minutiae)
 }
@@ -185,27 +181,23 @@ func AppendKeys(dst []uint64, tpl *minutiae.Template) []uint64 {
 // usable minutiae index no triplets; they are still registered (and can
 // be Removed) but will never be retrieved — callers relying on a recall
 // guard fall back to exhaustive search for such galleries. The index
-// keeps tpl, not its keys: Remove derives them again, so tpl must not
-// change while it is indexed.
+// keeps neither tpl nor its keys, only their count and checksum.
 func (ix *Index) Add(id string, tpl *minutiae.Template) error {
 	if tpl == nil {
 		return fmt.Errorf("index: add %q: nil template", id)
 	}
 	ks := keyPool.Get().(*keyScratch)
-	err := ix.AddKeys(id, tpl, keysOf(ks, tpl))
+	err := ix.AddKeys(id, keysOf(ks, tpl))
 	keyPool.Put(ks)
 	return err
 }
 
 // AddKeys is Add with the key extraction already done: keys must be
-// AppendKeys(nil, tpl). The index keeps tpl but not keys.
-func (ix *Index) AddKeys(id string, tpl *minutiae.Template, keys []uint64) error {
-	if tpl == nil {
-		return fmt.Errorf("index: add %q: nil template", id)
-	}
+// AppendKeys(nil, tpl). The index keeps none of keys.
+func (ix *Index) AddKeys(id string, keys []uint64) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if err := ix.add(id, tpl, keys); err != nil {
+	if err := ix.add(id, keys); err != nil {
 		return err
 	}
 	ix.maybeMerge()
@@ -213,12 +205,12 @@ func (ix *Index) AddKeys(id string, tpl *minutiae.Template, keys []uint64) error
 }
 
 // add enrolls id into the delta.
-func (ix *Index) add(id string, tpl *minutiae.Template, keys []uint64) error {
+func (ix *Index) add(id string, keys []uint64) error {
 	if _, ok := ix.loc[id]; ok {
 		return fmt.Errorf("add %q: %w", id, ErrDuplicate)
 	}
 	d := &ix.delta
-	m := member{tpl: tpl, keys: uint32(len(keys))}
+	m := member{keys: uint32(len(keys)), sum: keySum(keys)}
 	var ref uint32
 	if n := len(d.free); n > 0 {
 		ref = d.free[n-1]
@@ -251,32 +243,47 @@ func (ix *Index) add(id string, tpl *minutiae.Template, keys []uint64) error {
 	return nil
 }
 
-// errReplaced reports that the ID was removed and added again between
-// the template lookup and the removal; Remove derives the keys anew.
-var errReplaced = errors.New("index: template replaced since its keys were derived")
-
-// Remove drops a template from the index. Its keys are derived again
-// from the template Add kept, with Index.mu not held.
+// Remove drops a template from the index. The index keeps neither the
+// template nor its keys, so Remove reads the keys off its own postings,
+// under the write lock: a scan of the template's base block, or of the
+// delta's lists — O(postings), where RemoveKeys is O(keys). Callers
+// that hold the template use AppendKeys and RemoveKeys, as a gallery
+// does.
 func (ix *Index) Remove(id string) error {
-	ks := keyPool.Get().(*keyScratch)
-	defer keyPool.Put(ks)
-	for {
-		ix.mu.RLock()
-		var tpl *minutiae.Template
-		if ref, ok := ix.loc[id]; ok {
-			tpl = ix.member(ref).tpl
-		}
-		ix.mu.RUnlock()
-		if tpl == nil {
-			return fmt.Errorf("remove %q: %w", id, ErrNotFound)
-		}
-		if err := ix.RemoveKeys(id, tpl, keysOf(ks, tpl)); !errors.Is(err, errReplaced) {
-			return err
-		}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ref, ok := ix.loc[id]
+	if !ok {
+		return fmt.Errorf("remove %q: %w", id, ErrNotFound)
 	}
+	return ix.remove(id, ref, ix.heldKeys(ref))
 }
 
-// member returns the template a ref names. Callers hold Index.mu.
+// heldKeys returns the keys the template at ref holds: every live key
+// whose delta list (a delta ref) or bucket in the template's block (a
+// base ref) lists it. Callers hold Index.mu.
+func (ix *Index) heldKeys(ref uint32) []uint64 {
+	local := ref &^ deltaRef
+	var keys []uint64
+	for _, c := range ix.tab.cells {
+		if c.key == 0 || ix.slots[c.slot].live == 0 {
+			continue
+		}
+		var held bool
+		if ref&deltaRef != 0 {
+			held = slices.Contains(ix.delta.list(ix.slots[c.slot]), local)
+		} else if int(c.slot) < ix.base.keys {
+			held = slices.Contains(ix.base.bucket(int(ref>>blockShift), c.slot), uint16(ref&(1<<blockShift-1)))
+		}
+		if held {
+			keys = append(keys, c.key-1)
+		}
+	}
+	return keys
+}
+
+// member returns what the index keeps of the template a ref names.
+// Callers hold Index.mu.
 func (ix *Index) member(ref uint32) *member {
 	if ref&deltaRef != 0 {
 		return &ix.delta.members[ref&^deltaRef]
@@ -284,24 +291,26 @@ func (ix *Index) member(ref uint32) *member {
 	return &ix.base.members[ref]
 }
 
-// RemoveKeys is Remove with the key extraction already done: tpl must
-// be the template id was added with and keys AppendKeys(nil, tpl). It
-// fails, changing nothing, when the keys are not the ones tpl was added
-// under — tpl was mutated since — as far as their count and the key
-// table tell.
-func (ix *Index) RemoveKeys(id string, tpl *minutiae.Template, keys []uint64) error {
+// RemoveKeys is Remove with the keys supplied: they must be
+// AppendKeys(nil, tpl) of the template id was added with, in any order.
+// It fails, changing nothing, when they are not the keys the template
+// was added under — their count or checksum differs, or the index does
+// not hold one of them for it.
+func (ix *Index) RemoveKeys(id string, keys []uint64) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ref, ok := ix.loc[id]
 	if !ok {
 		return fmt.Errorf("remove %q: %w", id, ErrNotFound)
 	}
+	return ix.remove(id, ref, keys)
+}
+
+// remove drops id, at ref, given its keys. Callers hold Index.mu.
+func (ix *Index) remove(id string, ref uint32, keys []uint64) error {
 	m := ix.member(ref)
-	if m.tpl != tpl {
-		return fmt.Errorf("remove %q: %w", id, errReplaced)
-	}
-	if int(m.keys) != len(keys) || !ix.holds(ref, keys) {
-		return fmt.Errorf("index: remove %q: template changed since it was added (%d keys now, %d then)", id, len(keys), m.keys)
+	if int(m.keys) != len(keys) || m.sum != keySum(keys) || !ix.holds(ref, keys) {
+		return fmt.Errorf("index: remove %q: not the keys it was added under (%d keys now, %d then)", id, len(keys), m.keys)
 	}
 	delete(ix.loc, id)
 	*m = member{}
@@ -333,7 +342,7 @@ func (ix *Index) RemoveKeys(id string, tpl *minutiae.Template, keys []uint64) er
 }
 
 // holds reports whether every key is live in the table and, for a
-// delta ref, lists ref among its postings: what Remove needs to undo an
+// delta ref, lists ref among its postings: what remove needs to undo an
 // add without touching another template's counts.
 func (ix *Index) holds(ref uint32, keys []uint64) bool {
 	for _, key := range keys {

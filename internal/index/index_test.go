@@ -37,6 +37,11 @@ func captureGallery(t testing.TB, cohort *population.Cohort, deviceID string) []
 
 func subjectID(i int) string { return fmt.Sprintf("subject-%04d", i) }
 
+// keysFrom is Build's keys argument over a template list.
+func keysFrom(tpls []*minutiae.Template) func(i int) []uint64 {
+	return func(i int) []uint64 { return AppendKeys(nil, tpls[i]) }
+}
+
 // transformTemplate applies a rigid rotation about the origin plus a
 // translation to every minutia, without clipping to any window.
 func transformTemplate(tpl *minutiae.Template, theta, tx, ty float64) *minutiae.Template {

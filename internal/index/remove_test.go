@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -11,10 +12,11 @@ import (
 
 // TestRemoveRederivedEqualsReferenceAndBuild drives seeded histories of
 // Add and Remove across merges — removing from the base and from the
-// delta, and templates that took a freed delta ref — and holds the
-// index, whose removals re-derive each template's keys, to the map
-// reference after every step and to a fresh Build over the live set
-// every few steps: identical Stats, shortlists and score bits.
+// delta, and templates that took a freed delta ref, by RemoveKeys with
+// re-derived keys and by Remove reading them off the postings — and
+// holds the index to the map reference after every step and to a fresh
+// Build over the live set every few steps: identical Stats, shortlists
+// and score bits.
 func TestRemoveRederivedEqualsReferenceAndBuild(t *testing.T) {
 	removeRederivedEqualsReferenceAndBuild(t)
 }
@@ -60,7 +62,13 @@ func removeRederivedEqualsReferenceAndBuild(t *testing.T) (bt blockTrace) {
 				if reused[i] {
 					fromReused++
 				}
-				if err := ix.Remove(subjectID(i)); err != nil {
+				// Every other removal supplies the keys; the rest find
+				// them in the postings.
+				remove := func() error { return ix.Remove(subjectID(i)) }
+				if step%2 == 0 {
+					remove = func() error { return ix.RemoveKeys(subjectID(i), AppendKeys(nil, tpls[i])) }
+				}
+				if err := remove(); err != nil {
 					t.Fatal(err)
 				}
 				ref.remove(subjectID(i))
@@ -84,7 +92,7 @@ func removeRederivedEqualsReferenceAndBuild(t *testing.T) (bt blockTrace) {
 				for j, k := range order {
 					ids[j], set[j] = subjectID(k), tpls[k]
 				}
-				bulk, err := Build(Options{}, ids, set)
+				bulk, err := Build(Options{}, ids, keysFrom(set))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,18 +107,17 @@ func removeRederivedEqualsReferenceAndBuild(t *testing.T) (bt blockTrace) {
 	return bt
 }
 
-// TestRemoveRefusesMutatedTemplate: a template changed after Add gives
-// keys Remove cannot undo, so Remove fails and the index is untouched —
-// in the base and in the delta — and succeeds once the template is
-// restored.
+// TestRemoveRefusesMutatedTemplate: keys that are not the ones a
+// template was added under — those of the template mutated since, or
+// the right number of keys with one swapped — are refused by RemoveKeys
+// with the index untouched, in the base and in the delta; the right
+// keys in another order are accepted.
 func TestRemoveRefusesMutatedTemplate(t *testing.T) {
 	cohort := population.NewCohort(rng.New(44), population.CohortOptions{Size: 14})
 	tpls := captureGallery(t, cohort, "D0")
-	held := make([]*minutiae.Template, len(tpls))
 	ix := New(Options{})
 	for i, tpl := range tpls {
-		held[i] = tpl.Clone()
-		if err := ix.Add(subjectID(i), held[i]); err != nil {
+		if err := ix.Add(subjectID(i), tpl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,31 +125,48 @@ func TestRemoveRefusesMutatedTemplate(t *testing.T) {
 	if ix.loc[subjectID(0)]&deltaRef != 0 || ix.loc[subjectID(last)]&deltaRef == 0 {
 		t.Fatal("want template 0 in the base and the last in the delta")
 	}
+	other := AppendKeys(nil, tpls[1])
 	for _, i := range []int{0, last} {
-		before := ix.Stats()
-		shortlist := ix.Candidates(tpls[i], 0)
-		saved := held[i].Minutiae
-		held[i].Minutiae = saved[:len(saved)/2]
-		if err := ix.Remove(subjectID(i)); err == nil {
-			t.Fatalf("template %d: Remove of a mutated template succeeded", i)
+		keys := AppendKeys(nil, tpls[i])
+		mutated := tpls[i].Clone()
+		mutated.Minutiae = mutated.Minutiae[:len(mutated.Minutiae)/2]
+		swapped := append([]uint64(nil), keys...)
+		for _, k := range other {
+			if !slices.Contains(keys, k) {
+				swapped[len(swapped)/2] = k
+				break
+			}
 		}
-		if got := ix.Stats(); got != before {
-			t.Fatalf("template %d: failed Remove changed Stats: %+v, was %+v", i, got, before)
+		for _, wrong := range []struct {
+			name string
+			keys []uint64
+		}{
+			{"mutated template", AppendKeys(nil, mutated)},
+			{"one key swapped", swapped},
+		} {
+			before := ix.Stats()
+			shortlist := ix.Candidates(tpls[i], 0)
+			if err := ix.RemoveKeys(subjectID(i), wrong.keys); err == nil {
+				t.Fatalf("template %d, %s: RemoveKeys succeeded", i, wrong.name)
+			}
+			if got := ix.Stats(); got != before {
+				t.Fatalf("template %d, %s: failed RemoveKeys changed Stats: %+v, was %+v", i, wrong.name, got, before)
+			}
+			if got := ix.Candidates(tpls[i], 0); !sameShortlist(got, shortlist) {
+				t.Fatalf("template %d, %s: failed RemoveKeys changed the shortlist", i, wrong.name)
+			}
 		}
-		if got := ix.Candidates(tpls[i], 0); !sameShortlist(got, shortlist) {
-			t.Fatalf("template %d: failed Remove changed the shortlist", i)
-		}
-		held[i].Minutiae = saved
-		if err := ix.Remove(subjectID(i)); err != nil {
-			t.Fatalf("template %d: Remove after restoring: %v", i, err)
+		slices.Reverse(keys)
+		if err := ix.RemoveKeys(subjectID(i), keys); err != nil {
+			t.Fatalf("template %d: RemoveKeys with its keys reversed: %v", i, err)
 		}
 	}
 }
 
 // TestKeysDerivedOutsideWriteLock holds a vote's read lock while an Add
-// and Removes of a base and a delta template run: each must derive its
-// keys while the vote is still in flight, so no key derivation waits
-// for, or runs under, the write lock.
+// runs: it must derive its keys while the vote is still in flight, so
+// no key derivation waits for, or runs under, the write lock. (Removal
+// derives none: RemoveKeys takes them, Remove reads the postings.)
 func TestKeysDerivedOutsideWriteLock(t *testing.T) {
 	cohort := population.NewCohort(rng.New(45), population.CohortOptions{Size: 14})
 	tpls := captureGallery(t, cohort, "D0")
@@ -161,26 +185,16 @@ func TestKeysDerivedOutsideWriteLock(t *testing.T) {
 		return ks.templateKeys(tpl.Minutiae)
 	}
 
-	ops := []struct {
-		name string
-		op   func() error
-	}{
-		{"add", func() error { return ix.Add(subjectID(last), tpls[last]) }},
-		{"remove from the delta", func() error { return ix.Remove(subjectID(last)) }},
-		{"remove from the base", func() error { return ix.Remove(subjectID(0)) }},
+	ix.mu.RLock() // a vote in flight
+	done := make(chan error, 1)
+	go func() { done <- ix.Add(subjectID(last), tpls[last]) }()
+	select {
+	case <-derived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Add derived no keys while a vote held the read lock")
 	}
-	for _, o := range ops {
-		ix.mu.RLock() // a vote in flight
-		done := make(chan error, 1)
-		go func() { done <- o.op() }()
-		select {
-		case <-derived:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s derived no keys while a vote held the read lock", o.name)
-		}
-		ix.mu.RUnlock()
-		if err := <-done; err != nil {
-			t.Fatalf("%s: %v", o.name, err)
-		}
+	ix.mu.RUnlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

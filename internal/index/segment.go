@@ -3,8 +3,6 @@ package index
 import (
 	"math/bits"
 	"sync/atomic"
-
-	"fpinterop/internal/minutiae"
 )
 
 // keyTable is an open-addressing map from a uint64 key to a dense slot
@@ -132,7 +130,7 @@ type segment struct {
 	// ids maps a ref to its template ID. A removed template keeps its
 	// entry: a vote that began before the removal still reports it.
 	ids []string
-	// members holds each live template, so Remove can find its buckets.
+	// members holds each live template's key count and checksum.
 	members []member
 	// gone[ref] is 0 while the template is live, else its 1-based
 	// position in this segment's removal order. A vote that saw
@@ -158,14 +156,21 @@ func (seg *segment) bucket(b int, s uint32) []uint16 {
 
 var emptySegment = &segment{}
 
-// member is what the index keeps of one template: the template itself,
-// from which Remove re-derives the keys it holds, and how many keys
-// that was, so Remove can tell the template changed since Add. The
-// template is the caller's (a gallery's stored clone), so the index
-// adds a pointer, not a copy of the ≈ 3.6 KB key list.
+// member is what the index keeps of one template: how many keys it was
+// added under and their checksum, so RemoveKeys can refuse keys that
+// are not those — 8 bytes, not the template or the ≈ 3.6 KB key list.
 type member struct {
-	tpl  *minutiae.Template
-	keys uint32
+	keys, sum uint32
+}
+
+// keySum is a member's checksum of its keys: a sum of mixed keys, so it
+// does not depend on their order.
+func keySum(keys []uint64) uint32 {
+	var sum uint32
+	for _, k := range keys {
+		sum += uint32(hashKey(k) >> 32)
+	}
+	return sum
 }
 
 // deadRef marks a removed template in a merge's ref remapping.

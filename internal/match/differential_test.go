@@ -415,7 +415,7 @@ func TestPrepareNilAndEmpty(t *testing.T) {
 	}
 	empty := &minutiae.Template{Width: 100, Height: 100, DPI: 500}
 	prep := m.Prepare(empty)
-	if prep == nil || prep.tpl != empty {
+	if prep == nil || prep.Template().Width != empty.Width {
 		t.Fatal("Prepare(empty) should return a usable preparation")
 	}
 	sess := NewSession(m)
@@ -711,7 +711,8 @@ func TestGridStaysSmall(t *testing.T) {
 		if g.cols == 0 || int(g.cols)*int(g.rows) > min(4*n, 225) {
 			t.Fatalf("%d minutiae: %dx%d grid", n, g.cols, g.rows)
 		}
-		if len(g.grid) != int(g.cols)*int(g.rows)+1+n {
+		// Offsets, items, then one attribute entry per minutia.
+		if len(g.grid) != int(g.cols)*int(g.rows)+1+2*n {
 			t.Fatalf("%d minutiae: grid slab of %d entries for %dx%d cells", n, len(g.grid), g.cols, g.rows)
 		}
 	}

@@ -12,34 +12,39 @@ import (
 // Minutia struct), the bounding box that sizes the translation
 // accumulator window, the capture window, and a spatial bucket grid (CSR
 // layout) that replaces the O(n·m) pairing scan with a 2×2 neighbourhood
-// probe. A comparison reads nothing else: a scan never touches the
-// template's own minutiae.
+// probe. A comparison reads nothing else.
+//
+// It is also a lossless copy of the template: the points hold every
+// coordinate and angle bit for bit, and the slab's tail the kinds and
+// qualities, so Template rebuilds exactly what was prepared. A gallery
+// keeps the preparation as an enrollment's one stored form.
 //
 // A Prepared is immutable after Prepare returns and safe for concurrent
 // use by any number of Sessions. Galleries build one per enrollment so
 // repeated probes against the same template skip the rebuild.
 type Prepared struct {
-	tpl *minutiae.Template
 	// tol is the DistTol the grid was sized for — the one matcher
 	// parameter a preparation depends on.
 	tol float64
 
-	// pts is the geometry of tpl.Minutiae, in template order.
+	// pts is the geometry of the template's minutiae, in template order.
 	pts []point
 
-	// Minutiae bounding box (undefined when the template is empty) and
-	// the capture window.
+	// Minutiae bounding box (undefined when the template is empty), and
+	// the template's capture window and resolution.
 	minX, maxX, minY, maxY float64
-	width, height          float64
+	width, height, dpi     int
 
-	// Spatial bucket grid over the minutiae, CSR layout in one slab:
-	// grid[:cols*rows+1] are the cell offsets and grid[cols*rows+1:] the
-	// n minutia indices, so the minutiae of cell c (row-major cells,
-	// ascending index within a cell) are items[grid[c]:grid[c+1]]. Cells
-	// are wider than 2·|DistTol| on each axis, so every minutia within
-	// DistTol of a point lies in the 2×2 block of cells whose shared
-	// corner is nearest the point. cols == 0 marks a gridless
-	// preparation (see build).
+	// One slab: the spatial bucket grid over the minutiae in CSR layout,
+	// then each minutia's kind<<8 | quality. grid[:cols*rows+1] are the
+	// cell offsets and the n entries after them the minutia indices, so
+	// the minutiae of cell c (row-major cells, ascending index within a
+	// cell) are items[grid[c]:grid[c+1]]; the last n entries are the
+	// attributes (see attrs). Cells are wider than 2·|DistTol| on each
+	// axis, so every minutia within DistTol of a point lies in the 2×2
+	// block of cells whose shared corner is nearest the point. cols == 0
+	// marks a gridless preparation (see layout), whose slab holds the
+	// attributes alone.
 	grid               []uint16
 	cols, rows         int32
 	invCellX, invCellY float64
@@ -58,8 +63,8 @@ func gridDim(n int) float64 {
 }
 
 // Prepare preprocesses a gallery-side template for repeated matching
-// under this matcher's parameters. The returned value aliases tpl;
-// callers that mutate templates after enrollment must re-Prepare.
+// under this matcher's parameters. The preparation copies what it keeps
+// and holds no reference to tpl.
 func (m *HoughMatcher) Prepare(tpl *minutiae.Template) *Prepared {
 	if tpl == nil {
 		return nil
@@ -67,6 +72,35 @@ func (m *HoughMatcher) Prepare(tpl *minutiae.Template) *Prepared {
 	g := &Prepared{}
 	g.build(m.params().DistTol, tpl)
 	return g
+}
+
+// Template returns a new template equal to the one prepared: the same
+// window, resolution and minutiae, coordinates and angles bit for bit.
+func (g *Prepared) Template() *minutiae.Template {
+	t := &minutiae.Template{}
+	g.TemplateInto(t)
+	return t
+}
+
+// TemplateInto makes dst equal to the template prepared, reusing its
+// minutiae slice's capacity — the allocation-free Template for callers
+// that rebuild many templates into one scratch.
+func (g *Prepared) TemplateInto(dst *minutiae.Template) {
+	dst.Width, dst.Height, dst.DPI = g.width, g.height, g.dpi
+	dst.Minutiae = grow(dst.Minutiae, len(g.pts))
+	attrs := g.attrs()
+	for i, pt := range g.pts {
+		dst.Minutiae[i] = minutiae.Minutia{
+			X: pt.x, Y: pt.y, Angle: pt.angle,
+			Kind: minutiae.Type(attrs[i] >> 8), Quality: uint8(attrs[i]),
+		}
+	}
+}
+
+// attrs returns each minutia's kind<<8 | quality: the slab's last n
+// entries.
+func (g *Prepared) attrs() []uint16 {
+	return g.grid[len(g.grid)-len(g.pts):]
 }
 
 // validAngle reports whether a is a direction the voting loop's single
@@ -79,33 +113,84 @@ func validAngle(a float64) bool {
 // build (re)fills g from tpl, reusing g's slabs — Sessions call it on
 // their scratch Prepared to keep the unprepared path allocation-free.
 func (g *Prepared) build(tol float64, tpl *minutiae.Template) {
-	g.tpl = tpl
-	g.tol = tol
-	g.width, g.height = float64(tpl.Width), float64(tpl.Height)
-	g.cols, g.rows = 0, 0
 	ms := tpl.Minutiae
-	n := len(ms)
-	g.pts = grow(g.pts, n)
-	if n == 0 {
-		return
-	}
-	g.minX, g.maxX = ms[0].X, ms[0].X
-	g.minY, g.maxY = ms[0].Y, ms[0].Y
-	regular := true
+	g.pts = grow(g.pts, len(ms))
 	for i, m := range ms {
 		g.pts[i] = point{m.X, m.Y, m.Angle}
-		regular = regular && isFinite(m.X) && isFinite(m.Y) && validAngle(m.Angle)
-		if m.X < g.minX {
-			g.minX = m.X
+	}
+	g.width, g.height, g.dpi = tpl.Width, tpl.Height, tpl.DPI
+	g.index(tol)
+	attrs := g.attrs()
+	for i, m := range ms {
+		attrs[i] = uint16(m.Kind)<<8 | uint16(m.Quality)
+	}
+}
+
+// rebuild (re)fills g with src's template under another DistTol, as
+// build of src.Template() would, without the template in between.
+func (g *Prepared) rebuild(tol float64, src *Prepared) {
+	g.pts = append(g.pts[:0], src.pts...)
+	g.width, g.height, g.dpi = src.width, src.height, src.dpi
+	g.index(tol)
+	copy(g.attrs(), src.attrs())
+}
+
+// index sizes the slab for g.pts under tol — grid and attributes, or
+// the attributes alone when layout finds no grid — and fills the grid;
+// the caller fills the attributes.
+func (g *Prepared) index(tol float64) {
+	n := len(g.pts)
+	cells := g.layout(tol)
+	if cells == 0 {
+		g.grid = grow(g.grid, n)
+		return
+	}
+	g.grid = grow(g.grid, cells+1+2*n)
+	start, items := g.grid[:cells+1], g.grid[cells+1:cells+1+n]
+	clear(start)
+	// Counting sort into CSR: count, prefix-sum, place (which shifts the
+	// offsets one cell forward), then shift back.
+	for _, pt := range g.pts {
+		start[g.cellOf(pt)+1]++
+	}
+	for c := 1; c <= cells; c++ {
+		start[c] += start[c-1]
+	}
+	for i, pt := range g.pts {
+		c := g.cellOf(pt)
+		items[start[c]] = uint16(i)
+		start[c]++
+	}
+	copy(start[1:], start[:cells])
+	start[0] = 0
+}
+
+// layout sets g's tolerance, bounding box and grid shape from g.pts and
+// returns the grid's cell count, 0 for a gridless preparation.
+func (g *Prepared) layout(tol float64) int {
+	g.tol = tol
+	g.cols, g.rows = 0, 0
+	pts := g.pts
+	n := len(pts)
+	if n == 0 {
+		return 0
+	}
+	g.minX, g.maxX = pts[0].x, pts[0].x
+	g.minY, g.maxY = pts[0].y, pts[0].y
+	regular := true
+	for _, pt := range pts {
+		regular = regular && isFinite(pt.x) && isFinite(pt.y) && validAngle(pt.angle)
+		if pt.x < g.minX {
+			g.minX = pt.x
 		}
-		if m.X > g.maxX {
-			g.maxX = m.X
+		if pt.x > g.maxX {
+			g.maxX = pt.x
 		}
-		if m.Y < g.minY {
-			g.minY = m.Y
+		if pt.y < g.minY {
+			g.minY = pt.y
 		}
-		if m.Y > g.maxY {
-			g.maxY = m.Y
+		if pt.y > g.maxY {
+			g.maxY = pt.y
 		}
 	}
 
@@ -116,7 +201,7 @@ func (g *Prepared) build(tol float64, tpl *minutiae.Template) {
 		// and the grid's offsets are 16 bits wide; leave the preparation
 		// gridless and let the session fall back to the reference
 		// matcher, which is total over arbitrary templates.
-		return
+		return 0
 	}
 
 	// Cell sizes: the pairing tolerance diameter 2·|DistTol| (the 2×2
@@ -135,7 +220,7 @@ func (g *Prepared) build(tol float64, tpl *minutiae.Template) {
 		// Degenerate tolerance (NaN, or zero with a point-like bounding
 		// box): no usable grid; the session falls back to the reference
 		// matcher.
-		return
+		return 0
 	}
 	g.invCellX = 1 / cellX
 	g.invCellY = 1 / cellY
@@ -146,30 +231,11 @@ func (g *Prepared) build(tol float64, tpl *minutiae.Template) {
 		// each span under dim); the bound is what keeps the slab small
 		// and the conversions below defined, so it is checked rather than
 		// assumed.
-		return
+		return 0
 	}
 	cols, rows := int(spanX)+1, int(spanY)+1
 	g.cols, g.rows = int32(cols), int32(rows)
-
-	cells := cols * rows
-	g.grid = grow(g.grid, cells+1+n)
-	start, items := g.grid[:cells+1], g.grid[cells+1:]
-	clear(start)
-	// Counting sort into CSR: count, prefix-sum, place (which shifts the
-	// offsets one cell forward), then shift back.
-	for _, pt := range g.pts {
-		start[g.cellOf(pt)+1]++
-	}
-	for c := 1; c <= cells; c++ {
-		start[c] += start[c-1]
-	}
-	for i, pt := range g.pts {
-		c := g.cellOf(pt)
-		items[start[c]] = uint16(i)
-		start[c]++
-	}
-	copy(start[1:], start[:cells])
-	start[0] = 0
+	return cols * rows
 }
 
 // cellOf maps an in-bounds minutia position to its grid cell.

@@ -59,8 +59,11 @@ type Session struct {
 	planes  []plane  // per rotation bin: where its window starts
 	top     []uint64 // bounded min-heap of packed cells, then sorted
 
-	// Gallery-side scratch for the unprepared path.
-	scratch Prepared
+	// Gallery-side scratch: the unprepared path's preparation, a
+	// preparation rebuilt for this session's DistTol, and the template
+	// the reference fallback rebuilds.
+	scratch    Prepared
+	refGallery minutiae.Template
 
 	// Pairing scratch.
 	cands        []pairCand
@@ -126,7 +129,7 @@ func AcquireSession(m *HoughMatcher) *Session {
 const maxRetainedCells = 1 << 22
 
 // Release returns the session to the shared pool, dropping its
-// references to the caller's templates.
+// reference to the caller's probe.
 func (s *Session) Release() {
 	if cap(s.votes) > maxRetainedCells {
 		s.votes = nil
@@ -135,7 +138,6 @@ func (s *Session) Release() {
 		s.touched = nil
 	}
 	s.probe = nil
-	s.scratch.tpl = nil
 	sessionPool.Put(s)
 }
 
@@ -257,23 +259,17 @@ func (s *Session) MatchPrepared(gallery *Prepared, probe *minutiae.Template) (Re
 // different DistTol is rebuilt into session scratch, so the result is
 // always the session's own parameterization.
 func (s *Session) MatchBound(gallery *Prepared) (Result, error) {
-	if gallery == nil || gallery.tpl == nil || s.probe == nil {
+	if gallery == nil || s.probe == nil {
 		return Result{}, ErrNilTemplate
 	}
 	if len(gallery.pts) == 0 || len(s.pts) == 0 {
 		return Result{}, nil
 	}
 	if gallery.tol != s.p.DistTol {
-		s.scratch.build(s.p.DistTol, gallery.tpl)
+		s.scratch.rebuild(s.p.DistTol, gallery)
 		gallery = &s.scratch
 	}
 	return s.run(gallery)
-}
-
-// reference is the fallback for anything the flat path cannot index.
-func (s *Session) reference(g *Prepared) (Result, error) {
-	m := s.p
-	return m.referenceMatch(g.tpl, s.probe)
 }
 
 // run is the optimized hot path: the bound probe against one prepared
@@ -473,7 +469,7 @@ func (s *Session) scorePairing(g *Prepared, tr geom.Rigid, c0, s0 float64) Resul
 	start, items := g.grid[:cols*rows+1], g.grid[cols*rows+1:]
 	minX, minY, invCellX, invCellY := g.minX, g.minY, g.invCellX, g.invCellY
 	fcols, frows := float64(cols+1), float64(rows+1)
-	gw, gh := g.width, g.height
+	gw, gh := float64(g.width), float64(g.height)
 	tX, tY, theta := tr.T.X, tr.T.Y, tr.Theta
 	tol2 := s.p.DistTol * s.p.DistTol
 	angleTol := s.p.AngleTol
@@ -617,4 +613,12 @@ func siftDown(h []uint64, i int) {
 		h[i], h[w] = h[w], h[i]
 		i = w
 	}
+}
+
+// reference is the fallback for anything the flat path cannot index:
+// the oracle on the template g holds, rebuilt into session scratch.
+func (s *Session) reference(g *Prepared) (Result, error) {
+	g.TemplateInto(&s.refGallery)
+	m := s.p
+	return m.referenceMatch(&s.refGallery, s.probe)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary template format, modelled on ISO/IEC 19794-2 compact cards:
@@ -46,19 +47,29 @@ const (
 // Marshal serializes the template. A nil template is an error, like an
 // invalid one: callers reach here with whatever their caller passed.
 func Marshal(t *Template) ([]byte, error) {
+	return AppendMarshal(nil, t)
+}
+
+// AppendMarshal appends the serialized template to dst: Marshal for a
+// caller that encodes many templates through one buffer. On error dst
+// is returned unchanged.
+func AppendMarshal(dst []byte, t *Template) ([]byte, error) {
 	if t == nil {
-		return nil, errors.New("minutiae: marshal: nil template")
+		return dst, errors.New("minutiae: marshal: nil template")
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("marshal: %w", err)
+		return dst, fmt.Errorf("marshal: %w", err)
 	}
 	if t.Width > maxCoord || t.Height > maxCoord {
-		return nil, fmt.Errorf("minutiae: dimensions %dx%d exceed 14-bit coordinate space", t.Width, t.Height)
+		return dst, fmt.Errorf("minutiae: dimensions %dx%d exceed 14-bit coordinate space", t.Width, t.Height)
 	}
 	if len(t.Minutiae) > maxMinutiae {
-		return nil, fmt.Errorf("minutiae: %d minutiae exceed format cap %d", len(t.Minutiae), maxMinutiae)
+		return dst, fmt.Errorf("minutiae: %d minutiae exceed format cap %d", len(t.Minutiae), maxMinutiae)
 	}
-	buf := make([]byte, headerSize+recordSize*len(t.Minutiae))
+	// Every byte of the new region is written below.
+	n, size := len(dst), headerSize+recordSize*len(t.Minutiae)
+	dst = slices.Grow(dst, size)[:n+size]
+	buf := dst[n:]
 	copy(buf[0:4], magic[:])
 	binary.BigEndian.PutUint16(buf[4:6], formatV1)
 	binary.BigEndian.PutUint16(buf[6:8], uint16(t.Width))
@@ -77,8 +88,8 @@ func Marshal(t *Template) ([]byte, error) {
 		// Coordinates are valid in [0, dim), so rounding may land exactly
 		// on the dimension (e.g. x=403.6 in a 404-wide window); clamp to
 		// the last in-bounds pixel or the round trip fails validation.
-		x := uint16(math.Round(m.X))
-		y := uint16(math.Round(m.Y))
+		x := uint16(roundUnits(m.X))
+		y := uint16(roundUnits(m.Y))
 		if x >= uint16(t.Width) {
 			x = uint16(t.Width) - 1
 		}
@@ -87,7 +98,7 @@ func Marshal(t *Template) ([]byte, error) {
 		}
 		binary.BigEndian.PutUint16(rec[0:2], kind<<14|x)
 		binary.BigEndian.PutUint16(rec[2:4], y)
-		angle := uint16(math.Round(NormalizeAngle(m.Angle) / (2 * math.Pi) * angleUnits))
+		angle := uint16(roundUnits(NormalizeAngle(m.Angle) / (2 * math.Pi) * angleUnits))
 		binary.BigEndian.PutUint16(rec[4:6], angle)
 		q := m.Quality
 		if q > 100 {
@@ -96,7 +107,20 @@ func Marshal(t *Template) ([]byte, error) {
 		rec[6] = q
 		rec[7] = 0
 	}
-	return buf, nil
+	return dst, nil
+}
+
+// roundUnits is math.Round for what the codec rounds: a coordinate in
+// [0, 16384) or an angle in [0, 65536] units, or NaN (which Validate
+// lets through), each converted as before. v − trunc(v) is exact there,
+// so rounding half away from zero is one compare, without Round's bit
+// manipulation — a third of a gallery snapshot's encoding time.
+func roundUnits(v float64) uint32 {
+	n := uint32(v)
+	if v-float64(n) >= 0.5 {
+		n++
+	}
+	return n
 }
 
 // Unmarshal parses a serialized template.

@@ -13,6 +13,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// AppendMarshal writes the same bytes after whatever dst holds.
+	prefix := []byte("prefix")
+	if got, err := AppendMarshal(prefix, tp); err != nil || string(got) != string(prefix)+string(data) {
+		t.Fatalf("AppendMarshal = %q, %v; want the prefix then Marshal's bytes", got, err)
+	}
 	back, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +47,9 @@ func TestMarshalRejectsInvalid(t *testing.T) {
 	tp.Minutiae[0].Angle = -1
 	if _, err := Marshal(tp); err == nil {
 		t.Fatal("expected error for invalid template")
+	}
+	if got, err := AppendMarshal([]byte("kept"), tp); err == nil || string(got) != "kept" {
+		t.Fatalf("AppendMarshal of an invalid template = %q, %v; want dst unchanged and an error", got, err)
 	}
 }
 

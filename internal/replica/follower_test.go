@@ -131,9 +131,11 @@ func openPrimary(t *testing.T) *wal.Store {
 	return ws
 }
 
-// sortedExports lifts a store's whole contents out through its own
-// serialization (SaveTo, read back with ReadEntries), ordered by ID so
-// two stores filled in different orders compare entry for entry.
+// sortedExports lifts a store's whole contents out, ordered by ID so
+// two stores filled in different orders compare entry for entry. The
+// IDs come from its serialization (SaveTo, read back with ReadEntries),
+// the templates from Get: what the store matches against, not what the
+// codec makes of it.
 func sortedExports(t testing.TB, s *gallery.Store) []gallery.Export {
 	t.Helper()
 	var buf bytes.Buffer
@@ -144,12 +146,35 @@ func sortedExports(t testing.TB, s *gallery.Store) []gallery.Export {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, e := range out {
+		held, ok := s.Get(e.ID)
+		if !ok {
+			t.Fatalf("%q saved but not held", e.ID)
+		}
+		out[i] = held
+	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
 
+// sameTemplate reports whether a and b are equal field by field,
+// coordinates and angles compared by their bits.
+func sameTemplate(a, b *minutiae.Template) bool {
+	if a.Width != b.Width || a.Height != b.Height || a.DPI != b.DPI || len(a.Minutiae) != len(b.Minutiae) {
+		return false
+	}
+	for i, m := range a.Minutiae {
+		o := b.Minutiae[i]
+		if math.Float64bits(m.X) != math.Float64bits(o.X) || math.Float64bits(m.Y) != math.Float64bits(o.Y) ||
+			math.Float64bits(m.Angle) != math.Float64bits(o.Angle) || m.Kind != o.Kind || m.Quality != o.Quality {
+			return false
+		}
+	}
+	return true
+}
+
 // wantMirror fails unless the replica gallery holds exactly the
-// primary's entries, templates byte-identical.
+// primary's entries, templates equal field by field and bit for bit.
 func wantMirror(t *testing.T, replica *gallery.Store, ws *wal.Store) {
 	t.Helper()
 	got, want := sortedExports(t, replica), sortedExports(t, ws.Store)
@@ -160,16 +185,109 @@ func wantMirror(t *testing.T, replica *gallery.Store, ws *wal.Store) {
 		if got[i].ID != want[i].ID || got[i].DeviceID != want[i].DeviceID {
 			t.Fatalf("entry %d: %q/%q vs %q/%q", i, got[i].ID, got[i].DeviceID, want[i].ID, want[i].DeviceID)
 		}
-		gb, err := minutiae.Marshal(got[i].Template)
-		if err != nil {
+		if !sameTemplate(got[i].Template, want[i].Template) {
+			t.Fatalf("entry %q: templates differ", got[i].ID)
+		}
+	}
+}
+
+// rankings is every probe's full identify ranking on s.
+func rankings(t *testing.T, s interface {
+	IdentifyContext(context.Context, *minutiae.Template, int) ([]gallery.Candidate, error)
+}, probes []*minutiae.Template) [][]gallery.Candidate {
+	t.Helper()
+	out := make([][]gallery.Candidate, len(probes))
+	for i, p := range probes {
+		var err error
+		if out[i], err = s.IdentifyContext(context.Background(), p, 0); err != nil {
 			t.Fatal(err)
 		}
-		wb, err := minutiae.Marshal(want[i].Template)
-		if err != nil {
+	}
+	return out
+}
+
+// sameRankings fails unless got and want rank the same IDs in the same
+// order with the same score bits.
+func sameRankings(t *testing.T, label string, got, want [][]gallery.Candidate) {
+	t.Helper()
+	for p := range want {
+		if len(got[p]) != len(want[p]) {
+			t.Fatalf("%s, probe %d: %d candidates, want %d", label, p, len(got[p]), len(want[p]))
+		}
+		for i, w := range want[p] {
+			if g := got[p][i]; g.ID != w.ID || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+				t.Fatalf("%s, probe %d, rank %d: %s %v, want %s %v", label, p, i+1, g.ID, g.Score, w.ID, w.Score)
+			}
+		}
+	}
+}
+
+// TestDurableStoreServesWhatItLogs: sensor captures, whose coordinates
+// are sub-pixel, enrolled in process into a durable store — one at a
+// time and as a batch, on both sides of a compaction — are ranked with
+// the same score bits before a close, after the reopen (snapshot plus
+// log replay) and on a follower that bootstrapped from a snapshot and
+// tailed the rest, and all three hold the same templates.
+func TestDurableStoreServesWhatItLogs(t *testing.T) {
+	gal, probes := fixtures(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	ws, err := wal.Open(dir, gallery.New(nil), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { ws.Close() }()
+	half := len(gal) / 2
+	for i, tpl := range gal[:half/2] {
+		if err := ws.Enroll(subjectID(i), "D0", tpl); err != nil {
 			t.Fatal(err)
 		}
-		if string(gb) != string(wb) {
-			t.Fatalf("entry %q template bytes differ", got[i].ID)
+	}
+	batch := func(lo, hi int) []gallery.Export {
+		var items []gallery.Export
+		for i := lo; i < hi; i++ {
+			items = append(items, gallery.Export{ID: subjectID(i), DeviceID: "D0", Template: gal[i]})
+		}
+		return items
+	}
+	if err := ws.EnrollBatch(batch(half/2, half)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	replica := gallery.New(nil)
+	f := NewFollower(replica, startPrimary(t, ws), FollowerOptions{})
+	if err := f.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.EnrollBatch(batch(half, len(gal))); err != nil {
+		t.Fatal(err)
+	}
+	want := rankings(t, ws, probes)
+	if err := f.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if f.restores.Value() != 1 || f.applied.Value() == 0 {
+		t.Fatalf("follower: %d restores, %d records applied; want a snapshot and a tail", f.restores.Value(), f.applied.Value())
+	}
+	sameRankings(t, "follower", rankings(t, replica, probes), want)
+	wantMirror(t, replica, ws)
+
+	held := sortedExports(t, ws.Store)
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ws, err = wal.Open(dir, gallery.New(nil), wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if rs := ws.Recovery(); rs.SnapshotEntries != half || rs.Replayed != len(gal)-half {
+		t.Fatalf("recovery %+v; want %d from the snapshot and %d replayed", rs, half, len(gal)-half)
+	}
+	sameRankings(t, "reopened", rankings(t, ws, probes), want)
+	for i, e := range sortedExports(t, ws.Store) {
+		if e.ID != held[i].ID || !sameTemplate(e.Template, held[i].Template) {
+			t.Fatalf("reopened entry %q holds another template than before the close", e.ID)
 		}
 	}
 }

@@ -209,22 +209,39 @@ func (s *Store) Enroll(id, deviceID string, tpl *minutiae.Template) error {
 	return s.EnrollBatch([]gallery.Export{{ID: id, DeviceID: deviceID, Template: tpl}})
 }
 
-// EnrollBatch applies every enrollment with one call into the gallery's
-// batch path (derivation on every core, inserts in input order), then
-// logs the whole batch with a single flush — the bulk path a wire batch
-// and preload use. s.mu is held across both, as it is across the fsync;
-// searches contend only for the gallery's per-insert write lock. On any
-// failure exactly the applied enrollments are rolled back and the log
-// gains nothing.
+// EnrollBatch quantises every item to the log's form first, before
+// s.mu is taken: each template is marshalled (an invalid one fails the
+// batch with nothing applied), and the gallery enrolls the decoding of
+// those bytes, so what the store serves before a restart is what
+// recovery, snapshot restore and every replica rebuild from the log.
+// The batch then goes through one call into the gallery's batch path
+// (derivation on every core, inserts in input order) and into the log
+// with a single flush — the bulk path a wire batch and preload use.
+// s.mu is held across both, as it is across the fsync; searches contend
+// only for the gallery's per-insert write lock. On any failure exactly
+// the applied enrollments are rolled back and the log gains nothing.
 func (s *Store) EnrollBatch(items []gallery.Export) error {
 	recs := make([]Record, len(items))
+	logged := make([]gallery.Export, len(items))
+	for i, it := range items {
+		data, err := minutiae.Marshal(it.Template)
+		if err != nil {
+			return fmt.Errorf("wal: enroll %q: %w", it.ID, err)
+		}
+		tpl, err := minutiae.Unmarshal(data)
+		if err != nil {
+			return fmt.Errorf("wal: enroll %q: %w", it.ID, err)
+		}
+		recs[i] = Record{Op: OpEnroll, ID: it.ID, DeviceID: it.DeviceID, Template: data}
+		logged[i] = gallery.Export{ID: it.ID, DeviceID: it.DeviceID, Template: tpl}
+	}
 	return s.commit(recs, func() (func(), error) {
 		rollback := func(n int) {
-			for _, it := range items[:n] {
+			for _, it := range logged[:n] {
 				s.Store.Remove(it.ID)
 			}
 		}
-		if err := s.Store.EnrollBatch(items); err != nil {
+		if err := s.Store.EnrollBatch(logged); err != nil {
 			var be *gallery.BatchError
 			if errors.As(err, &be) {
 				rollback(be.Applied)
@@ -232,17 +249,7 @@ func (s *Store) EnrollBatch(items []gallery.Export) error {
 			}
 			return nil, err
 		}
-		// Marshalled only now: the gallery's own checks (a nil or
-		// invalid template) have passed for every item.
-		for i, it := range items {
-			data, err := minutiae.Marshal(it.Template)
-			if err != nil {
-				rollback(len(items))
-				return nil, fmt.Errorf("wal: enroll %q: %w", it.ID, err)
-			}
-			recs[i] = Record{Op: OpEnroll, ID: it.ID, DeviceID: it.DeviceID, Template: data}
-		}
-		return func() { rollback(len(items)) }, nil
+		return func() { rollback(len(logged)) }, nil
 	})
 }
 

@@ -48,16 +48,8 @@ func wantSameEntries(t *testing.T, got, want *gallery.Store) {
 		if ge[i].ID != we[i].ID || ge[i].DeviceID != we[i].DeviceID {
 			t.Fatalf("entry %d: (%q,%q) vs (%q,%q)", i, ge[i].ID, ge[i].DeviceID, we[i].ID, we[i].DeviceID)
 		}
-		gb, err := minutiae.Marshal(ge[i].Template)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := minutiae.Marshal(we[i].Template)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gb, wb) {
-			t.Fatalf("entry %q: template bytes differ", ge[i].ID)
+		if !sameTemplate(ge[i].Template, we[i].Template) {
+			t.Fatalf("entry %q: templates differ", ge[i].ID)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"fpinterop/internal/gallery"
+	"fpinterop/internal/minutiae"
 	"fpinterop/internal/population"
 	"fpinterop/internal/rng"
 	"fpinterop/internal/sensor"
@@ -49,9 +51,11 @@ func openStore(t testing.TB, dir string, opt Options) *Store {
 	return s
 }
 
-// sortedExports lifts a store's whole contents out through its own
-// serialization (SaveTo, read back with ReadEntries), ordered by ID so
-// two stores filled in different orders compare entry for entry.
+// sortedExports lifts a store's whole contents out, ordered by ID so
+// two stores filled in different orders compare entry for entry. The
+// IDs come from its serialization (SaveTo, read back with ReadEntries),
+// the templates from Get: what the store matches against, not what the
+// codec makes of it.
 func sortedExports(t testing.TB, s *gallery.Store) []gallery.Export {
 	t.Helper()
 	var buf bytes.Buffer
@@ -62,8 +66,31 @@ func sortedExports(t testing.TB, s *gallery.Store) []gallery.Export {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, e := range out {
+		held, ok := s.Get(e.ID)
+		if !ok {
+			t.Fatalf("%q saved but not held", e.ID)
+		}
+		out[i] = held
+	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
+}
+
+// sameTemplate reports whether a and b are equal field by field,
+// coordinates and angles compared by their bits.
+func sameTemplate(a, b *minutiae.Template) bool {
+	if a.Width != b.Width || a.Height != b.Height || a.DPI != b.DPI || len(a.Minutiae) != len(b.Minutiae) {
+		return false
+	}
+	for i, m := range a.Minutiae {
+		o := b.Minutiae[i]
+		if math.Float64bits(m.X) != math.Float64bits(o.X) || math.Float64bits(m.Y) != math.Float64bits(o.Y) ||
+			math.Float64bits(m.Angle) != math.Float64bits(o.Angle) || m.Kind != o.Kind || m.Quality != o.Quality {
+			return false
+		}
+	}
+	return true
 }
 
 // ids returns the store's enrolled IDs in lexicographic order.
