@@ -262,37 +262,69 @@ func BenchmarkScoreGeneration(b *testing.B) {
 	}
 }
 
+// fnmrAtFMR is FNMR at the threshold that admits the fraction fmr of
+// the impostor scores: the paper's way of comparing two scoring methods,
+// each at its own threshold.
+func fnmrAtFMR(b *testing.B, genuine, impostor []float64, fmr float64) float64 {
+	b.Helper()
+	t, err := stats.ThresholdForFMR(impostor, fmr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return stats.FNMRAt(genuine, t)
+}
+
+// scoreAllPairs scores every gallery template against every probe with
+// each matcher: pairs at equal indices are genuine, the rest impostor.
+// genuine[k] and impostor[k] are matcher k's scores.
+func scoreAllPairs(b *testing.B, ms []match.Matcher, gallery, probes []*minutiae.Template) (genuine, impostor [][]float64) {
+	b.Helper()
+	genuine = make([][]float64, len(ms))
+	impostor = make([][]float64, len(ms))
+	for i, g := range gallery {
+		for j, p := range probes {
+			for k, m := range ms {
+				r, err := m.Match(g, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == j {
+					genuine[k] = append(genuine[k], r.Score)
+				} else {
+					impostor[k] = append(impostor[k], r.Score)
+				}
+			}
+		}
+	}
+	return genuine, impostor
+}
+
 // BenchmarkAblationMatcherDiversity contrasts the primary matcher with
-// the simpler baseline on the same cross-device genuine pairs — the
-// "diverse matchers" axis of the paper's further work.
+// the simpler baseline on the same cross-device pairs — the "diverse
+// matchers" axis of the paper's further work. Each matcher's FNMR is
+// read at its own threshold for FMR 1 % over the sub-cohort's
+// cross-subject impostor pairs.
 func BenchmarkAblationMatcherDiversity(b *testing.B) {
 	ds, _ := benchStudy(b)
 	n := ds.NumSubjects()
 	if n > 60 {
 		n = 60
 	}
-	hough := &match.HoughMatcher{}
-	greedy := &match.GreedyMatcher{}
-	var hs, gs []float64
+	var gal, probes []*minutiae.Template
 	for s := 0; s < n; s++ {
-		g := ds.Impression(s, 0, 0).Template
-		p := ds.Impression(s, 1, 0).Template
-		hr, err := hough.Match(g, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gr, err := greedy.Match(g, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hs = append(hs, hr.Score)
-		gs = append(gs, gr.Score)
+		gal = append(gal, ds.Impression(s, 0, 0).Template)
+		probes = append(probes, ds.Impression(s, 1, 0).Template)
 	}
+	matchers := []match.Matcher{&match.HoughMatcher{}, &match.GreedyMatcher{}}
+	genuine, impostor := scoreAllPairs(b, matchers, gal, probes)
 	printArtifact("ablation-matcher", fmt.Sprintf(
-		"Ablation: matcher diversity on D0->D1 genuine pairs (n=%d)\n"+
-			"  Hough (BioEngine-like): mean %.2f, FNMR@7 %.3f\n"+
-			"  Greedy baseline:        mean %.2f, FNMR@7 %.3f",
-		n, stats.Mean(hs), stats.FNMRAt(hs, 7), stats.Mean(gs), stats.FNMRAt(gs, 7)))
+		"Ablation: matcher diversity on D0->D1 (genuine n=%d, impostor n=%d)\n"+
+			"  Hough (BioEngine-like): mean genuine %.2f, FNMR@FMR1%% %.3f\n"+
+			"  Greedy baseline:        mean genuine %.2f, FNMR@FMR1%% %.3f",
+		len(genuine[0]), len(impostor[0]),
+		stats.Mean(genuine[0]), fnmrAtFMR(b, genuine[0], impostor[0], 0.01),
+		stats.Mean(genuine[1]), fnmrAtFMR(b, genuine[1], impostor[1], 0.01)))
+	hough := matchers[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := ds.Impression(i%n, 0, 0).Template
@@ -303,8 +335,11 @@ func BenchmarkAblationMatcherDiversity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCalibration measures how much the Ross–Nadgir TPS
-// calibration recovers on cross-device genuine scores.
+// BenchmarkAblationCalibration measures what the Ross–Nadgir TPS
+// calibration changes on cross-device verification (D0 gallery, D1
+// probes): fitted on half the sub-cohort, read on the other half at
+// equal FMR, each matcher at its own thresholds for FMR 1 % and 0.1 %
+// over the evaluation half's cross-subject impostor pairs.
 func BenchmarkAblationCalibration(b *testing.B) {
 	ds, _ := benchStudy(b)
 	n := ds.NumSubjects()
@@ -320,32 +355,24 @@ func BenchmarkAblationCalibration(b *testing.B) {
 			Probe:   ds.Impression(s, 1, 0).Template,
 		})
 	}
-	cal, err := calib.FitCalibration(base, pairs, calib.CalibrationOptions{})
+	cal, err := calib.FitCalibration(base, pairs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cm := &calib.CalibratedMatcher{Base: base, Cal: cal}
-	var plain, fixed []float64
+	var gal, probes []*minutiae.Template
 	for s := train; s < n; s++ {
-		g := ds.Impression(s, 0, 0).Template
-		p := ds.Impression(s, 1, 0).Template
-		r1, err := base.Match(g, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2, err := cm.Match(g, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plain = append(plain, r1.Score)
-		fixed = append(fixed, r2.Score)
+		gal = append(gal, ds.Impression(s, 0, 0).Template)
+		probes = append(probes, ds.Impression(s, 1, 0).Template)
 	}
+	genuine, impostor := scoreAllPairs(b, []match.Matcher{base, cm}, gal, probes)
 	printArtifact("ablation-calibration", fmt.Sprintf(
-		"Ablation: Ross-Nadgir calibration on D0->D1 (train %d, eval %d)\n"+
-			"  plain:      mean %.2f, FNMR@7 %.3f\n"+
-			"  calibrated: mean %.2f, FNMR@7 %.3f",
-		train, n-train, stats.Mean(plain), stats.FNMRAt(plain, 7),
-		stats.Mean(fixed), stats.FNMRAt(fixed, 7)))
+		"Ablation: Ross-Nadgir calibration on D0->D1 (train %d; eval genuine n=%d, impostor n=%d)\n"+
+			"  plain:      mean genuine %.2f, FNMR@FMR1%% %.3f, FNMR@FMR0.1%% %.3f\n"+
+			"  calibrated: mean genuine %.2f, FNMR@FMR1%% %.3f, FNMR@FMR0.1%% %.3f",
+		train, len(genuine[0]), len(impostor[0]),
+		stats.Mean(genuine[0]), fnmrAtFMR(b, genuine[0], impostor[0], 0.01), fnmrAtFMR(b, genuine[0], impostor[0], 0.001),
+		stats.Mean(genuine[1]), fnmrAtFMR(b, genuine[1], impostor[1], 0.01), fnmrAtFMR(b, genuine[1], impostor[1], 0.001)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := train + i%(n-train)
@@ -485,6 +512,9 @@ func BenchmarkAblationDistortionSweep(b *testing.B) {
 // further-work bullet: using more than one finger per participant to
 // improve the error rates. Cross-device verification (D0 gallery, D1
 // probes) with right index + right middle, fused with the sum rule.
+// Impostor pairs (every gallery subject against every other subject's
+// probes) are fused the same way, and each method's FNMR is read at its
+// own threshold for FMR 1 %.
 func BenchmarkExtensionTwoFingerFusion(b *testing.B) {
 	ds, _ := benchStudy(b)
 	n := ds.NumSubjects()
@@ -495,34 +525,43 @@ func BenchmarkExtensionTwoFingerFusion(b *testing.B) {
 	d1, _ := sensor.ProfileByID("D1")
 	matcher := &match.HoughMatcher{}
 	fingers := []population.Finger{population.RightIndex, population.RightMiddle}
-	var single, fused []float64
-	for s := 0; s < n; s++ {
-		subj := ds.Cohort.Subjects[s]
-		var scores []float64
-		for _, f := range fingers {
-			g, err := d0.CaptureFinger(subj, f, 0, sensor.CaptureOptions{})
+	// Per finger: every subject's D0 gallery and D1 probe, then every
+	// pair's score. Both fingers list their pairs in the same order, so
+	// index i of each is one pair of subjects.
+	var genuine, impostor [2][]float64
+	for f, finger := range fingers {
+		var gal, probes []*minutiae.Template
+		for s := 0; s < n; s++ {
+			subj := ds.Cohort.Subjects[s]
+			g, err := d0.CaptureFinger(subj, finger, 0, sensor.CaptureOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			p, err := d1.CaptureFinger(subj, f, 1, sensor.CaptureOptions{})
+			p, err := d1.CaptureFinger(subj, finger, 1, sensor.CaptureOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := matcher.Match(g.Template, p.Template)
-			if err != nil {
-				b.Fatal(err)
-			}
-			scores = append(scores, res.Score)
+			gal = append(gal, g.Template)
+			probes = append(probes, p.Template)
 		}
-		single = append(single, scores[0])
-		fused = append(fused, calib.FuseSum(scores))
+		gen, imp := scoreAllPairs(b, []match.Matcher{matcher}, gal, probes)
+		genuine[f], impostor[f] = gen[0], imp[0]
 	}
+	fuse := func(byFinger [2][]float64) []float64 {
+		out := make([]float64, len(byFinger[0]))
+		for i := range out {
+			out[i] = calib.FuseSum([]float64{byFinger[0][i], byFinger[1][i]})
+		}
+		return out
+	}
+	fusedGen, fusedImp := fuse(genuine), fuse(impostor)
 	printArtifact("extension-twofinger", fmt.Sprintf(
-		"Extension: two-finger sum-rule fusion, D0 gallery -> D1 probes (n=%d)\n"+
-			"  single finger: mean %.2f, FNMR@7 %.3f\n"+
-			"  two fingers:   mean %.2f, FNMR@7 %.3f",
-		n, stats.Mean(single), stats.FNMRAt(single, 7),
-		stats.Mean(fused), stats.FNMRAt(fused, 7)))
+		"Extension: two-finger sum-rule fusion, D0 gallery -> D1 probes (genuine n=%d, impostor n=%d)\n"+
+			"  single finger: mean genuine %.2f, FNMR@FMR1%% %.3f\n"+
+			"  two fingers:   mean genuine %.2f, FNMR@FMR1%% %.3f",
+		len(genuine[0]), len(impostor[0]),
+		stats.Mean(genuine[0]), fnmrAtFMR(b, genuine[0], impostor[0], 0.01),
+		stats.Mean(fusedGen), fnmrAtFMR(b, fusedGen, fusedImp, 0.01)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		subj := ds.Cohort.Subjects[i%n]

@@ -10,14 +10,12 @@ import (
 // TPS is a 2-D thin-plate spline mapping fitted from control point
 // correspondences. Thin-plate splines are the standard model for the smooth
 // non-rigid distortion introduced by fingerprint sensors (Ross & Nadgir,
-// "A calibration model for fingerprint sensor interoperability", SPIE 2006),
-// and are used here both to *generate* device-characteristic distortion and
-// to *compensate* for it in the calibration extension.
+// "A calibration model for fingerprint sensor interoperability", SPIE 2006);
+// the calibration extension (internal/calib) fits one to undo it.
 type TPS struct {
 	src    []Point    // control points in the source frame
 	wx, wy []float64  // radial basis weights for x and y
 	ax, ay [3]float64 // affine part: a0 + a1·x + a2·y
-	lambda float64
 }
 
 // tpsKernel is the thin-plate radial basis U(r) = r² log r².
@@ -86,10 +84,9 @@ func FitTPS(src, dst []Point, lambda float64) (*TPS, error) {
 		return nil, fmt.Errorf("geom: TPS y solve: %w", err)
 	}
 	t := &TPS{
-		src:    append([]Point(nil), src...),
-		wx:     solX[:n],
-		wy:     solY[:n],
-		lambda: lambda,
+		src: append([]Point(nil), src...),
+		wx:  solX[:n],
+		wy:  solY[:n],
 	}
 	copy(t.ax[:], solX[n:])
 	copy(t.ay[:], solY[n:])

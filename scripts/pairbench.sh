@@ -15,7 +15,15 @@
 # the machine lands on both sides. One untimed warm-up run per side
 # fills the build caches first.
 #
-# Output: every run's end-to-end metrics, then per metric each side's
+# After the warm-up it compares the code layout of the two sides: the
+# text symbols (`go tool nm -n`) of the matchd and fpbench binaries the
+# warm-up built into each side's .bench_build/, the same binaries every
+# timed run executes. Identical text prints "text identical"; otherwise
+# it prints, per side, the address mod 64 of the match kernel's and the
+# index vote's hot functions, since a hot loop that moves across a
+# cache-line or fetch boundary can shift a timing by itself.
+#
+# Output: the layout lines, every run's end-to-end metrics, then per metric each side's
 # median and quartiles, the change's median relative to the ref's, the
 # ref's interquartile range relative to its median (the spread a
 # difference has to exceed), and how many pairs each side won (ties
@@ -78,6 +86,26 @@ echo "pairbench: ref $ref ($(git rev-parse --short "$commit")) vs working tree a
 echo "warm-up (untimed): ref, change"
 run ref "$work/ref" >/dev/null
 run change "$root" >/dev/null
+# Layout of the two sides' binaries; see the header.
+hot='match.(*Session).bind match.(*Session).MatchBound match.(*Session).run match.(*Session).vote match.(*Session).scorePairing index.(*Index).CandidatesAppend'
+text() { go tool nm -n "$1" | awk '$2 == "T" || $2 == "t"'; }
+mod64() { # <nm listing> <symbol>: its address mod 64, or "-" if absent
+	local a
+	a=$(awk -v s="fpinterop/internal/$2" '$3 == s { print $1 }' "$1")
+	if [ -n "$a" ]; then echo $((0x$a % 64)); else echo -; fi
+}
+for bin in matchd fpbench; do
+	text "$work/ref/.bench_build/$bin" >"$work/$bin.ref.nm"
+	text "$root/.bench_build/$bin" >"$work/$bin.change.nm"
+	if cmp -s "$work/$bin.ref.nm" "$work/$bin.change.nm"; then
+		echo "layout: $bin text identical ($(wc -l <"$work/$bin.ref.nm") symbols)"
+		continue
+	fi
+	echo "layout: $bin text differs ($(diff "$work/$bin.ref.nm" "$work/$bin.change.nm" | grep -c '^[<>]') symbol lines); address mod 64, ref / change:"
+	for sym in $hot; do
+		echo "  $sym: $(mod64 "$work/$bin.ref.nm" "$sym") / $(mod64 "$work/$bin.change.nm" "$sym")"
+	done
+done
 echo "pair side order $(cut -d' ' -f1 <<<"$metrics" | tr '\n' ' ')attempted failed"
 for i in $(seq 1 "$pairs"); do
 	if [ $((i % 2)) -eq 1 ]; then
