@@ -49,11 +49,10 @@ type Entry struct {
 type Store struct {
 	mu      sync.RWMutex
 	matcher match.Matcher
-	// hough is non-nil when matcher is the primary HoughMatcher: the
-	// store then scans with pooled zero-allocation match sessions.
-	// Otherwise entries are prepared by the zero HoughMatcher and each
-	// comparison rebuilds its template.
-	hough   *match.HoughMatcher
+	// hough is set when matcher is the primary HoughMatcher: the store
+	// then scans with pooled zero-allocation match sessions. Otherwise
+	// each comparison rebuilds its entry's template.
+	hough   bool
 	entries map[string]*Entry
 	order   []string // insertion order for deterministic iteration
 
@@ -73,7 +72,7 @@ func New(m match.Matcher) *Store {
 	if m == nil {
 		m = &match.HoughMatcher{}
 	}
-	hough, _ := m.(*match.HoughMatcher)
+	_, hough := m.(*match.HoughMatcher)
 	return &Store{matcher: m, hough: hough, entries: make(map[string]*Entry)}
 }
 
@@ -148,21 +147,16 @@ func acquireEntryKeys(e *Entry) *[]uint64 {
 	return keys
 }
 
-// prepare builds the stored form of a validated template: the store's
-// own matcher's preparation, or the zero HoughMatcher's under a custom
-// matcher.
-func (s *Store) prepare(tpl *minutiae.Template) *match.Prepared {
-	m := s.hough
-	if m == nil {
-		m = &match.HoughMatcher{}
-	}
-	return m.Prepare(tpl)
+// prepare builds the stored form of a validated template: the
+// HoughMatcher's preparation, whatever matcher the store searches with.
+func prepare(tpl *minutiae.Template) *match.Prepared {
+	return (&match.HoughMatcher{}).Prepare(tpl)
 }
 
 // derive computes a validated item's derived form. The preparation
 // copies the caller's template; nothing else of it is kept.
 func (s *Store) derive(it Export, indexed bool) derived {
-	d := derived{entry: &Entry{ID: it.ID, DeviceID: it.DeviceID, prep: s.prepare(it.Template)}}
+	d := derived{entry: &Entry{ID: it.ID, DeviceID: it.DeviceID, prep: prepare(it.Template)}}
 	if indexed {
 		d.keys = acquireKeys(it.Template)
 	}
@@ -346,8 +340,8 @@ func (s *Store) VerifyContext(ctx context.Context, id string, probe *minutiae.Te
 	if !ok {
 		return match.Result{}, fmt.Errorf("verify %q: %w", id, ErrNotFound)
 	}
-	if s.hough != nil {
-		return match.MatchPreparedOnce(s.hough, e.prep, probe)
+	if s.hough {
+		return match.MatchPreparedOnce(e.prep, probe)
 	}
 	return s.matcher.Match(e.prep.Template(), probe)
 }
@@ -606,10 +600,10 @@ func (s *Store) matchAll(ctx context.Context, entries []*Entry, probe *minutiae.
 		sessions []*match.Session
 		rebuilt  []minutiae.Template
 	)
-	if s.hough != nil {
+	if s.hough {
 		sessions = make([]*match.Session, workers)
 		for w := range sessions {
-			sess := match.AcquireSession(s.hough)
+			sess := match.AcquireSession()
 			defer sess.Release()
 			sess.Bind(probe)
 			sessions[w] = sess

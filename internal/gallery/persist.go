@@ -144,7 +144,7 @@ func (s *Store) ReplaceAll(entries []Export) error {
 	// analogue of Enroll's derive.
 	par.For(nil, len(built), func(_, i int) error {
 		e := entries[i]
-		built[i] = &Entry{ID: e.ID, DeviceID: e.DeviceID, prep: s.prepare(e.Template)}
+		built[i] = &Entry{ID: e.ID, DeviceID: e.DeviceID, prep: prepare(e.Template)}
 		return nil
 	})
 	byID := make(map[string]*Entry, len(built))

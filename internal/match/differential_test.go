@@ -86,7 +86,7 @@ func quantise(tb testing.TB, tpl *minutiae.Template) *minutiae.Template {
 // latticeTemplate puts minutiae on a 7 px lattice with angles on the
 // 15° rotation-bin edges: matched against itself or a lattice shift of
 // itself the refined transform is exact, so squared distances tie in
-// bulk (49, 98, 196 = DistTol² on the gate) and every angle difference
+// bulk (49, 98, 196 = distTol² on the gate) and every angle difference
 // sits on a bin edge.
 func latticeTemplate(seed uint64, n int, shiftX, shiftY int) *minutiae.Template {
 	src := rng.New(seed)
@@ -193,7 +193,7 @@ func TestSessionMatchesReferenceBitForBit(t *testing.T) {
 	sess := NewSession(m)
 	for _, pair := range diffCorpus(t) {
 		g, p := pair[0], pair[1]
-		want, err := m.referenceMatch(g, p)
+		want, err := referenceMatch(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,32 +219,6 @@ func TestSessionMatchesReferenceBitForBit(t *testing.T) {
 	}
 }
 
-func TestSessionMatchesReferenceNonDefaultParams(t *testing.T) {
-	// Non-default tolerances change bin geometry; identity must hold for
-	// any parameterization, including ones that make every pair vote
-	// into few cells.
-	for _, m := range []*HoughMatcher{
-		{DistTol: 7, AngleTol: 0.2, RotBins: 48, ShiftBin: 8, Candidates: 3},
-		{DistTol: 30, RotBins: 8, ShiftBin: 40, Candidates: 10},
-		{DistTol: 2, ShiftBin: 2},
-		// Pathological parameterizations: a negative ShiftBin flips the
-		// window arithmetic (must fall back to the reference), a
-		// negative DistTol still admits pairs within its magnitude
-		// (grid cells must be sized by |DistTol|).
-		{ShiftBin: -16},
-		{DistTol: -100, ShiftBin: 4},
-	} {
-		sess := NewSession(m)
-		for i := 0; i < 10; i++ {
-			g := syntheticTemplate(uint64(40+i), 30)
-			p := syntheticTemplate(uint64(60+i), 30)
-			want, _ := m.referenceMatch(g, p)
-			got, _ := sess.Match(g, p)
-			sameResult(t, "params", want, got)
-		}
-	}
-}
-
 func TestSessionScratchSurvivesReuse(t *testing.T) {
 	// One long-lived session takes the whole corpus three times over in
 	// shuffled order, alternating its entry points, and must not leak
@@ -257,7 +231,7 @@ func TestSessionScratchSurvivesReuse(t *testing.T) {
 	prepared := make([]*Prepared, len(corpus))
 	for i, pair := range corpus {
 		var err error
-		if want[i], err = m.referenceMatch(pair[0], pair[1]); err != nil {
+		if want[i], err = referenceMatch(pair[0], pair[1]); err != nil {
 			t.Fatal(err)
 		}
 		prepared[i] = m.Prepare(pair[0])
@@ -290,7 +264,7 @@ func TestSessionScratchSurvivesReuse(t *testing.T) {
 		probe := corpus[pi][1]
 		sess.Bind(probe)
 		for _, gi := range shuffled(src, len(corpus)) {
-			want, err := m.referenceMatch(corpus[gi][0], probe)
+			want, err := referenceMatch(corpus[gi][0], probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,31 +293,14 @@ func TestMatchBoundWithoutProbe(t *testing.T) {
 		t.Fatalf("after unbinding: %v", err)
 	}
 	// A pooled session comes back with nothing bound.
-	pooled := AcquireSession(m)
+	pooled := AcquireSession()
 	pooled.Bind(syntheticTemplate(2, 10))
 	pooled.Release()
-	pooled = AcquireSession(m)
+	pooled = AcquireSession()
 	defer pooled.Release()
 	if _, err := pooled.MatchBound(prep); err != ErrNilTemplate {
 		t.Fatalf("pooled session kept its probe: %v", err)
 	}
-}
-
-func TestPreparedParamsMismatchRebuilds(t *testing.T) {
-	// A Prepared built for one parameterization used under another must
-	// produce the session's parameterization, not the preparation's.
-	base := &HoughMatcher{}
-	other := &HoughMatcher{DistTol: 5, ShiftBin: 4}
-	g := syntheticTemplate(11, 30)
-	p := syntheticTemplate(12, 30)
-	prep := base.Prepare(g)
-	sess := NewSession(other)
-	want, _ := other.referenceMatch(g, p)
-	got, err := sess.MatchPrepared(prep, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "mismatched prep", want, got)
 }
 
 func TestSessionSteadyStateZeroAllocs(t *testing.T) {
@@ -387,7 +344,7 @@ func TestAccumulatorOverflowFallsBackToReference(t *testing.T) {
 	p := offsetTemplate(32, 15, 1<<20, 100, 100)
 	m := &HoughMatcher{}
 	sess := NewSession(m)
-	want, err := m.referenceMatch(g, p)
+	want, err := referenceMatch(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +425,7 @@ func FuzzSessionMatchesReference(f *testing.F) {
 			g, p = quantise(t, g), quantise(t, p)
 		}
 		m := &HoughMatcher{}
-		want, err1 := m.referenceMatch(g, p)
+		want, err1 := referenceMatch(g, p)
 		sess := NewSession(m)
 		got, err2 := sess.Match(g, p)
 		if (err1 == nil) != (err2 == nil) {
@@ -499,11 +456,10 @@ func sensorPair(tb testing.TB) (g, p *minutiae.Template) {
 // pair: what a comparison that falls back to it costs.
 func BenchmarkReferenceMatch(b *testing.B) {
 	g, p := sensorPair(b)
-	m := &HoughMatcher{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.referenceMatch(g, p); err != nil {
+		if _, err := referenceMatch(g, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -520,7 +476,7 @@ func TestNonFiniteCoordinatesStayTotal(t *testing.T) {
 		p := syntheticTemplate(62, 20)
 		g.Minutiae[3].X = bad
 		p.Minutiae[5].Angle = bad
-		want, err := m.referenceMatch(g, p)
+		want, err := referenceMatch(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,13 +493,13 @@ func TestNonFiniteCoordinatesStayTotal(t *testing.T) {
 		sameResult(t, "non-finite prepared", want, gotPrep)
 		// A clean pair afterwards proves no scratch corruption.
 		clean := syntheticTemplate(63, 20)
-		want2, _ := m.referenceMatch(clean, p)
+		want2, _ := referenceMatch(clean, p)
 		_ = want2
 		got2, err := sess.Match(clean, syntheticTemplate(64, 20))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want3, _ := m.referenceMatch(clean, syntheticTemplate(64, 20))
+		want3, _ := referenceMatch(clean, syntheticTemplate(64, 20))
 		sameResult(t, "after non-finite", want3, got2)
 	}
 }
@@ -570,7 +526,7 @@ func TestWideWindowPackKeyWrapFallsBack(t *testing.T) {
 	}
 	m := &HoughMatcher{}
 	sess := NewSession(m)
-	want, err := m.referenceMatch(g, p)
+	want, err := referenceMatch(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,59 +535,6 @@ func TestWideWindowPackKeyWrapFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "wide window", want, got)
-}
-
-func TestMisconfiguredMatcherNeverPanics(t *testing.T) {
-	// A matcher built from bad configuration must answer or fail, not take
-	// the process down: every field at a negative, NaN and ±Inf value (the
-	// counts at negatives; {Candidates: -1} and {RotBins: -3} used to
-	// panic in run and configure). Whatever the session path returns is
-	// what the reference returns, and a pooled session that served a
-	// misconfigured matcher serves the default one unharmed.
-	g := syntheticTemplate(71, 30)
-	p := transformTemplate(g, geom.Rigid{Theta: 0.2, T: geom.Point{X: 10, Y: 5}, S: 1})
-	imp := syntheticTemplate(72, 30)
-	var matchers []*HoughMatcher
-	for _, bad := range []float64{-1, -14, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		matchers = append(matchers,
-			&HoughMatcher{DistTol: bad}, &HoughMatcher{AngleTol: bad}, &HoughMatcher{ShiftBin: bad})
-	}
-	for _, bad := range []int{-1, -3, math.MinInt} {
-		matchers = append(matchers, &HoughMatcher{RotBins: bad}, &HoughMatcher{Candidates: bad})
-	}
-	def := &HoughMatcher{}
-	wantDef, err := def.referenceMatch(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range matchers {
-		label := fmt.Sprintf("%+v", *m)
-		sess := NewSession(m)
-		for _, probe := range []*minutiae.Template{p, imp} {
-			want, errWant := m.referenceMatch(g, probe)
-			got, errGot := sess.Match(g, probe)
-			if (errWant == nil) != (errGot == nil) {
-				t.Fatalf("%s: error divergence: %v vs %v", label, errWant, errGot)
-			}
-			if errWant == nil {
-				sameResult(t, label, want, got)
-			}
-			if got, err := sess.MatchPrepared(m.Prepare(g), probe); err == nil && errWant == nil {
-				sameResult(t, label+" prepared", want, got)
-			}
-			if got, err := m.Match(g, probe); err == nil && errWant == nil {
-				sameResult(t, label+" pooled", want, got)
-			}
-		}
-		got, err := def.Match(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "default after "+label, wantDef, got)
-	}
-	if p := (&HoughMatcher{RotBins: -3, Candidates: -1}).params(); p.RotBins != 24 || p.Candidates != 6 {
-		t.Fatalf("non-positive counts resolve to %d bins, %d candidates; want the defaults", p.RotBins, p.Candidates)
-	}
 }
 
 func TestOutOfRangeAnglesStayTotal(t *testing.T) {
@@ -646,7 +549,7 @@ func TestOutOfRangeAnglesStayTotal(t *testing.T) {
 			g := syntheticTemplate(81, 25)
 			p := syntheticTemplate(82, 25)
 			[]*minutiae.Template{g, p}[side].Minutiae[4].Angle = bad
-			want, err := m.referenceMatch(g, p)
+			want, err := referenceMatch(g, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -681,7 +584,7 @@ func TestOversizedTemplateFallsBack(t *testing.T) {
 	if prep.cols != 0 {
 		t.Fatalf("%d minutiae got a %dx%d grid", len(g.Minutiae), prep.cols, prep.rows)
 	}
-	want, err := m.referenceMatch(g, p)
+	want, err := referenceMatch(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,11 +629,11 @@ func TestMatchPreparedOnceDetached(t *testing.T) {
 	var prev, prevCopy Result
 	for i, pair := range diffCorpus(t) {
 		g, p := pair[0], pair[1]
-		want, err := m.referenceMatch(g, p)
+		want, err := referenceMatch(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := MatchPreparedOnce(m, m.Prepare(g), p)
+		got, err := MatchPreparedOnce(m.Prepare(g), p)
 		if err != nil {
 			t.Fatal(err)
 		}

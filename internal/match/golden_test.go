@@ -184,10 +184,10 @@ func BenchmarkScan1k(b *testing.B) {
 // TestPreparedFootprint pins what an enrollment's preparation costs in
 // memory: the benchmark's rss_kb_per_enrollment carries one per
 // enrollment, so a faster grid must not buy its speed with bytes. The
-// bound is this test's own measurement at 97ef5b2 (three float arrays,
-// int32 CSR offsets and items: 2015.0 bytes in 6 allocations).
+// bound is this test's own measurement with the 128-byte Prepared
+// header: 1933.6 bytes in 3 allocations.
 func TestPreparedFootprint(t *testing.T) {
-	const parentBytes, parentAllocs = 2015.0, 6.0
+	const parentBytes, parentAllocs = 1933.6, 3.0
 	enrolled, _ := scanFixture(t, 200, 0)
 	minutiaeTotal := 0
 	for _, tpl := range enrolled {

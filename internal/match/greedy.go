@@ -13,12 +13,13 @@ import (
 // and dominant minutia direction only (no Hough search), then pairs
 // greedily. It is cheaper and measurably weaker than HoughMatcher —
 // exactly the asymmetry diversity studies need.
-type GreedyMatcher struct {
-	// DistTol is the pairing distance tolerance in px (default 16).
-	DistTol float64
-	// AngleTol is the pairing angle tolerance in radians (default 35°).
-	AngleTol float64
-}
+type GreedyMatcher struct{}
+
+// The greedy matcher's pairing tolerances.
+const (
+	greedyDistTol  = 16                 // px
+	greedyAngleTol = 35 * math.Pi / 180 // radians
+)
 
 var _ Matcher = (*GreedyMatcher)(nil)
 
@@ -33,17 +34,9 @@ type greedyScratch struct {
 var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
 
 // Match implements Matcher. It is safe for concurrent use.
-func (m *GreedyMatcher) Match(gallery, probe *minutiae.Template) (Result, error) {
+func (*GreedyMatcher) Match(gallery, probe *minutiae.Template) (Result, error) {
 	if gallery == nil || probe == nil {
 		return Result{}, ErrNilTemplate
-	}
-	distTol := m.DistTol
-	if distTol == 0 {
-		distTol = 16
-	}
-	angleTol := m.AngleTol
-	if angleTol == 0 {
-		angleTol = 35 * math.Pi / 180
 	}
 	ga, pr := gallery.Minutiae, probe.Minutiae
 	if len(ga) == 0 || len(pr) == 0 {
@@ -67,7 +60,6 @@ func (m *GreedyMatcher) Match(gallery, probe *minutiae.Template) (Result, error)
 
 	sc := greedyPool.Get().(*greedyScratch)
 	cands := sc.cands[:0]
-	tol2 := distTol * distTol
 	for j, b := range pr {
 		tx := b.X*c - b.Y*s + tr.T.X
 		ty := b.X*s + b.Y*c + tr.T.Y
@@ -76,7 +68,7 @@ func (m *GreedyMatcher) Match(gallery, probe *minutiae.Template) (Result, error)
 			dx := tx - a.X
 			dy := ty - a.Y
 			d2 := dx*dx + dy*dy
-			if d2 > tol2 || angleDiff(ta, a.Angle) > angleTol {
+			if d2 > greedyDistTol*greedyDistTol || angleDiff(ta, a.Angle) > greedyAngleTol {
 				continue
 			}
 			cands = append(cands, pairCand{d2: d2, g: int32(i), q: int32(j)})
@@ -110,7 +102,7 @@ func (m *GreedyMatcher) Match(gallery, probe *minutiae.Template) (Result, error)
 	if len(pairs) > 0 {
 		res.MeanResidual = sumD / float64(len(pairs))
 	}
-	res.Score = scoreFromPairing(len(pairs), res.MeanResidual, distTol, overlapDenom(gallery, probe, tr))
+	res.Score = scoreFromPairing(len(pairs), res.MeanResidual, greedyDistTol, overlapDenom(gallery, probe, tr))
 	return res, nil
 }
 

@@ -9,51 +9,52 @@ import (
 
 // HoughMatcher is the primary minutiae matcher: a generalized Hough
 // transform over candidate rigid alignments followed by tolerance-gated
-// greedy pairing and one least-squares refinement pass. The zero value is
-// ready to use with production defaults.
+// greedy pairing and one least-squares refinement pass. It has one
+// operating point, the constants below, as the BioEngine it stands in
+// for had; the zero value is the matcher.
 //
 // Match borrows scratch from a shared session pool, so ad-hoc calls stay
 // allocation-light; hot loops that need zero steady-state allocations
 // (gallery scans, study workers, benchmarks) should hold a Session and
 // call Session.Match or Session.MatchPrepared directly.
-type HoughMatcher struct {
-	// DistTol is the pairing distance tolerance in pixels (default 14,
-	// ≈0.7 mm at 500 dpi — under two ridge periods).
-	DistTol float64
-	// AngleTol is the pairing angle tolerance in radians (default 30°).
-	AngleTol float64
-	// RotBins quantizes candidate rotations (default 24 → 15° bins).
-	RotBins int
-	// ShiftBin is the translation accumulator bin size in px (default 16).
-	ShiftBin float64
-	// Candidates is how many top accumulator cells to refine (default 6).
-	Candidates int
-}
+type HoughMatcher struct{}
 
 var _ Matcher = (*HoughMatcher)(nil)
 
-// params resolves the defaults: a zero field means its default, and so
-// does a bin or candidate count that cannot be one (negative) — a
-// misconfigured matcher must not take the process down on its first
-// comparison.
-func (m *HoughMatcher) params() HoughMatcher {
-	p := *m
-	if p.DistTol == 0 {
-		p.DistTol = 14
+// The Hough matcher's operating point.
+const (
+	// distTol is the pairing distance tolerance in pixels (≈0.7 mm at
+	// 500 dpi — under two ridge periods).
+	distTol = 14
+	// angleTol is the pairing angle tolerance in radians (30°).
+	angleTol = math.Pi / 6
+	// rotBins quantizes candidate rotations into 15° bins.
+	rotBins = 24
+	// shiftBin is the translation accumulator bin size in px.
+	shiftBin = 16
+	// invShift scales a translation to its bin.
+	invShift = 1.0 / shiftBin
+	// candidates is how many top accumulator cells are refined.
+	candidates = 6
+)
+
+// rotStep is the width of one rotation bin. It is spelled as the
+// float64 2π divided at float64 precision — the bits a division at run
+// time gives — because the untyped 2*math.Pi/24 is evaluated exactly
+// and rounds 1 ulp higher (0x3fd0c152382d7366, not …7365), which moves
+// pinned scores.
+const rotStep = float64(2*math.Pi) / rotBins
+
+// cosTab and sinTab hold the cosine and sine of every rotation bin's
+// centre.
+var cosTab, sinTab = rotationTables()
+
+func rotationTables() (c, s [rotBins]float64) {
+	for b := range c {
+		theta := (float64(b) + 0.5) * rotStep
+		c[b], s[b] = math.Cos(theta), math.Sin(theta)
 	}
-	if p.AngleTol == 0 {
-		p.AngleTol = math.Pi / 6
-	}
-	if p.RotBins <= 0 {
-		p.RotBins = 24
-	}
-	if p.ShiftBin == 0 {
-		p.ShiftBin = 16
-	}
-	if p.Candidates <= 0 {
-		p.Candidates = 6
-	}
-	return p
+	return c, s
 }
 
 // packKey packs accumulator cell coordinates into one uint64. Translation
@@ -74,7 +75,7 @@ func unpackKey(k uint64) (rot, tx, ty int32) {
 // comes from the shared session pool and the returned pairs are copied
 // out, so the Result stays valid indefinitely.
 func (m *HoughMatcher) Match(gallery, probe *minutiae.Template) (Result, error) {
-	s := AcquireSession(m)
+	s := AcquireSession()
 	res, err := s.Match(gallery, probe)
 	res = detachResult(res)
 	s.Release()

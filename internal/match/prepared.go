@@ -23,10 +23,6 @@ import (
 // use by any number of Sessions. Galleries build one per enrollment so
 // repeated probes against the same template skip the rebuild.
 type Prepared struct {
-	// tol is the DistTol the grid was sized for — the one matcher
-	// parameter a preparation depends on.
-	tol float64
-
 	// pts is the geometry of the template's minutiae, in template order.
 	pts []point
 
@@ -40,8 +36,8 @@ type Prepared struct {
 	// cell offsets and the n entries after them the minutia indices, so
 	// the minutiae of cell c (row-major cells, ascending index within a
 	// cell) are items[grid[c]:grid[c+1]]; the last n entries are the
-	// attributes (see attrs). Cells are wider than 2·|DistTol| on each
-	// axis, so every minutia within DistTol of a point lies in the 2×2
+	// attributes (see attrs). Cells are wider than 2·distTol on each
+	// axis, so every minutia within distTol of a point lies in the 2×2
 	// block of cells whose shared corner is nearest the point. cols == 0
 	// marks a gridless preparation (see layout), whose slab holds the
 	// attributes alone.
@@ -62,15 +58,14 @@ func gridDim(n int) float64 {
 	return math.Floor(math.Sqrt(float64(min(4*n, 15*15))))
 }
 
-// Prepare preprocesses a gallery-side template for repeated matching
-// under this matcher's parameters. The preparation copies what it keeps
-// and holds no reference to tpl.
-func (m *HoughMatcher) Prepare(tpl *minutiae.Template) *Prepared {
+// Prepare preprocesses a gallery-side template for repeated matching.
+// The preparation copies what it keeps and holds no reference to tpl.
+func (*HoughMatcher) Prepare(tpl *minutiae.Template) *Prepared {
 	if tpl == nil {
 		return nil
 	}
 	g := &Prepared{}
-	g.build(m.params().DistTol, tpl)
+	g.build(tpl)
 	return g
 }
 
@@ -112,35 +107,26 @@ func validAngle(a float64) bool {
 
 // build (re)fills g from tpl, reusing g's slabs — Sessions call it on
 // their scratch Prepared to keep the unprepared path allocation-free.
-func (g *Prepared) build(tol float64, tpl *minutiae.Template) {
+func (g *Prepared) build(tpl *minutiae.Template) {
 	ms := tpl.Minutiae
 	g.pts = grow(g.pts, len(ms))
 	for i, m := range ms {
 		g.pts[i] = point{m.X, m.Y, m.Angle}
 	}
 	g.width, g.height, g.dpi = tpl.Width, tpl.Height, tpl.DPI
-	g.index(tol)
+	g.index()
 	attrs := g.attrs()
 	for i, m := range ms {
 		attrs[i] = uint16(m.Kind)<<8 | uint16(m.Quality)
 	}
 }
 
-// rebuild (re)fills g with src's template under another DistTol, as
-// build of src.Template() would, without the template in between.
-func (g *Prepared) rebuild(tol float64, src *Prepared) {
-	g.pts = append(g.pts[:0], src.pts...)
-	g.width, g.height, g.dpi = src.width, src.height, src.dpi
-	g.index(tol)
-	copy(g.attrs(), src.attrs())
-}
-
-// index sizes the slab for g.pts under tol — grid and attributes, or
-// the attributes alone when layout finds no grid — and fills the grid;
-// the caller fills the attributes.
-func (g *Prepared) index(tol float64) {
+// index sizes the slab for g.pts — grid and attributes, or the
+// attributes alone when layout finds no grid — and fills the grid; the
+// caller fills the attributes.
+func (g *Prepared) index() {
 	n := len(g.pts)
-	cells := g.layout(tol)
+	cells := g.layout()
 	if cells == 0 {
 		g.grid = grow(g.grid, n)
 		return
@@ -165,10 +151,9 @@ func (g *Prepared) index(tol float64) {
 	start[0] = 0
 }
 
-// layout sets g's tolerance, bounding box and grid shape from g.pts and
-// returns the grid's cell count, 0 for a gridless preparation.
-func (g *Prepared) layout(tol float64) int {
-	g.tol = tol
+// layout sets g's bounding box and grid shape from g.pts and returns
+// the grid's cell count, 0 for a gridless preparation.
+func (g *Prepared) layout() int {
 	g.cols, g.rows = 0, 0
 	pts := g.pts
 	n := len(pts)
@@ -204,22 +189,20 @@ func (g *Prepared) layout(tol float64) int {
 		return 0
 	}
 
-	// Cell sizes: the pairing tolerance diameter 2·|DistTol| (the 2×2
-	// coverage guarantee — the distance gate compares squared values, so
-	// a negative tolerance still admits pairs within its magnitude) or
-	// the axis's share of the cell budget, whichever is wider, plus a
-	// hair: the margin keeps last-ulp rounding of a cell coordinate from
-	// moving a minutia exactly DistTol away out of the block, and from
-	// adding a cell past the budget.
+	// Cell sizes: the pairing tolerance diameter 2·distTol (the 2×2
+	// coverage guarantee) or the axis's share of the cell budget,
+	// whichever is wider, plus a hair: the margin keeps last-ulp rounding
+	// of a cell coordinate from moving a minutia exactly distTol away out
+	// of the block, and from adding a cell past the budget.
 	dim := gridDim(n)
-	cellX := max(2*math.Abs(tol), (g.maxX-g.minX)/dim)
-	cellY := max(2*math.Abs(tol), (g.maxY-g.minY)/dim)
+	cellX := max(2*distTol, (g.maxX-g.minX)/dim)
+	cellY := max(2*distTol, (g.maxY-g.minY)/dim)
 	cellX += cellX / 1024
 	cellY += cellY / 1024
-	if !(cellX > 0) || !isFinite(cellX) || !(cellY > 0) || !isFinite(cellY) {
-		// Degenerate tolerance (NaN, or zero with a point-like bounding
-		// box): no usable grid; the session falls back to the reference
-		// matcher.
+	if !isFinite(cellX) || !isFinite(cellY) {
+		// A bounding box too wide for float64 (finite coordinates whose
+		// span overflows): no usable grid; the session falls back to the
+		// reference matcher.
 		return 0
 	}
 	g.invCellX = 1 / cellX

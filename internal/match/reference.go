@@ -23,11 +23,10 @@ import (
 // by index — so both implementations here share one comparator and the
 // study score exports remain byte-identical to the prior release on
 // real corpora.
-func (m *HoughMatcher) referenceMatch(gallery, probe *minutiae.Template) (Result, error) {
+func referenceMatch(gallery, probe *minutiae.Template) (Result, error) {
 	if gallery == nil || probe == nil {
 		return Result{}, ErrNilTemplate
 	}
-	p := m.params()
 	ga := gallery.Minutiae
 	pr := probe.Minutiae
 	if len(ga) == 0 || len(pr) == 0 {
@@ -37,15 +36,6 @@ func (m *HoughMatcher) referenceMatch(gallery, probe *minutiae.Template) (Result
 	// --- Vote: every (probe, gallery) pair proposes the rigid transform
 	// that would map the probe minutia exactly onto the gallery one.
 	acc := make(map[uint64]int32, len(ga)*len(pr)/2)
-	rotStep := 2 * math.Pi / float64(p.RotBins)
-	cosTab := make([]float64, p.RotBins)
-	sinTab := make([]float64, p.RotBins)
-	for b := 0; b < p.RotBins; b++ {
-		theta := (float64(b) + 0.5) * rotStep
-		cosTab[b] = math.Cos(theta)
-		sinTab[b] = math.Sin(theta)
-	}
-	invShift := 1 / p.ShiftBin
 	for _, b := range pr {
 		for _, a := range ga {
 			dTheta := a.Angle - b.Angle
@@ -57,8 +47,8 @@ func (m *HoughMatcher) referenceMatch(gallery, probe *minutiae.Template) (Result
 				dTheta -= 2 * math.Pi
 			}
 			rotBin := int32(dTheta / rotStep)
-			if rotBin >= int32(p.RotBins) {
-				rotBin = int32(p.RotBins) - 1
+			if rotBin >= rotBins {
+				rotBin = rotBins - 1
 			}
 			if rotBin < 0 {
 				// Unreachable for finite angles (dTheta is normalized
@@ -77,9 +67,8 @@ func (m *HoughMatcher) referenceMatch(gallery, probe *minutiae.Template) (Result
 	}
 
 	// --- Select the top-K most-voted cells with a single linear scan.
-	nCand := p.Candidates
-	topKeys := make([]uint64, 0, nCand)
-	topVotes := make([]int32, 0, nCand)
+	topKeys := make([]uint64, 0, candidates)
+	topVotes := make([]int32, 0, candidates)
 	for k, v := range acc {
 		pos := -1
 		for i := range topVotes {
@@ -89,11 +78,11 @@ func (m *HoughMatcher) referenceMatch(gallery, probe *minutiae.Template) (Result
 			}
 		}
 		switch {
-		case pos == -1 && len(topVotes) < nCand:
+		case pos == -1 && len(topVotes) < candidates:
 			topKeys = append(topKeys, k)
 			topVotes = append(topVotes, v)
 		case pos >= 0:
-			if len(topVotes) < nCand {
+			if len(topVotes) < candidates {
 				topKeys = append(topKeys, 0)
 				topVotes = append(topVotes, 0)
 			}
@@ -112,17 +101,17 @@ func (m *HoughMatcher) referenceMatch(gallery, probe *minutiae.Template) (Result
 		tr := geom.Rigid{
 			Theta: theta,
 			T: geom.Point{
-				X: (float64(tx) + 0.5) * p.ShiftBin,
-				Y: (float64(ty) + 0.5) * p.ShiftBin,
+				X: (float64(tx) + 0.5) * shiftBin,
+				Y: (float64(ty) + 0.5) * shiftBin,
 			},
 			S: 1,
 		}
-		res := m.referenceScorePairing(gallery, probe, tr, p)
+		res := referenceScorePairing(gallery, probe, tr)
 		// One refinement round: re-estimate the transform from the pairs
 		// and re-pair. Helps recover from coarse accumulator bins.
 		if res.Matched >= 3 {
 			if refined, ok := estimateRigid(gaPts, prPts, res.Pairs); ok {
-				res2 := m.referenceScorePairing(gallery, probe, refined, p)
+				res2 := referenceScorePairing(gallery, probe, refined)
 				if res2.Score > res.Score {
 					res = res2
 				}
@@ -146,11 +135,10 @@ func points(ms []minutiae.Minutia) []point {
 
 // referenceScorePairing pairs minutiae under the transform by scanning
 // every (probe, gallery) combination.
-func (m *HoughMatcher) referenceScorePairing(gallery, probe *minutiae.Template, tr geom.Rigid, p HoughMatcher) Result {
+func referenceScorePairing(gallery, probe *minutiae.Template, tr geom.Rigid) Result {
 	ga, pr := gallery.Minutiae, probe.Minutiae
 	var cands []pairCand
 	c0, s0 := math.Cos(tr.Theta), math.Sin(tr.Theta)
-	tol2 := p.DistTol * p.DistTol
 	for j, b := range pr {
 		tx := b.X*c0 - b.Y*s0 + tr.T.X
 		ty := b.X*s0 + b.Y*c0 + tr.T.Y
@@ -159,10 +147,10 @@ func (m *HoughMatcher) referenceScorePairing(gallery, probe *minutiae.Template, 
 			dx := tx - a.X
 			dy := ty - a.Y
 			d2 := dx*dx + dy*dy
-			if d2 > tol2 {
+			if d2 > distTol*distTol {
 				continue
 			}
-			if angleDiff(ta, a.Angle) > p.AngleTol {
+			if angleDiff(ta, a.Angle) > angleTol {
 				continue
 			}
 			cands = append(cands, pairCand{d2: d2, g: int32(i), q: int32(j)})
@@ -186,6 +174,6 @@ func (m *HoughMatcher) referenceScorePairing(gallery, probe *minutiae.Template, 
 	if len(pairs) > 0 {
 		res.MeanResidual = sumD / float64(len(pairs))
 	}
-	res.Score = scoreFromPairing(len(pairs), res.MeanResidual, p.DistTol, overlapDenom(gallery, probe, tr))
+	res.Score = scoreFromPairing(len(pairs), res.MeanResidual, distTol, overlapDenom(gallery, probe, tr))
 	return res
 }

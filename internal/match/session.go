@@ -32,12 +32,6 @@ const maxAccCells = 1 << 25
 // Result.Pairs is valid only until the session's next match. Callers
 // that retain pairs must copy them (HoughMatcher.Match does).
 type Session struct {
-	p        HoughMatcher // resolved params
-	rotStep  float64
-	invShift float64
-	cosTab   []float64
-	sinTab   []float64
-
 	// The bound probe (see Bind) and everything a comparison needs of
 	// it, computed once per binding.
 	probe *minutiae.Template
@@ -51,17 +45,16 @@ type Session struct {
 	// lookup; rotBox is their bounding box per bin, which bounds the
 	// translations a gallery can vote for in that bin.
 	rot    []xy
-	rotBox []box
+	rotBox [rotBins]box
 
 	// Voting scratch.
-	votes   []int32  // flat accumulator, all-zero between matches
-	touched []int32  // flat indices of the cells voted for this match
-	planes  []plane  // per rotation bin: where its window starts
-	top     []uint64 // bounded min-heap of packed cells, then sorted
+	votes   []int32        // flat accumulator, all-zero between matches
+	touched []int32        // flat indices of the cells voted for this match
+	planes  [rotBins]plane // per rotation bin: where its window starts
+	top     []uint64       // bounded min-heap of packed cells, then sorted
 
-	// Gallery-side scratch: the unprepared path's preparation, a
-	// preparation rebuilt for this session's DistTol, and the template
-	// the reference fallback rebuilds.
+	// Gallery-side scratch: the unprepared path's preparation and the
+	// template the reference fallback rebuilds.
 	scratch    Prepared
 	refGallery minutiae.Template
 
@@ -91,33 +84,21 @@ type pairCand struct {
 	g, q int32
 }
 
-// NewSession returns a dedicated session for the given matcher's
-// parameters (nil means production defaults). Dedicated sessions suit
-// long-lived single-goroutine loops; for ad-hoc concurrent use prefer
-// AcquireSession.
-func NewSession(m *HoughMatcher) *Session {
-	if m == nil {
-		m = &HoughMatcher{}
-	}
-	s := &Session{}
-	s.configure(m.params())
-	return s
+// NewSession returns a dedicated session. Its argument is ignored: the
+// matcher has one operating point, so every session is the same.
+// Dedicated sessions suit long-lived single-goroutine loops; for ad-hoc
+// concurrent use prefer AcquireSession.
+func NewSession(*HoughMatcher) *Session {
+	return &Session{}
 }
 
 var sessionPool = sync.Pool{New: func() any { return &Session{} }}
 
-// AcquireSession borrows a session configured for m from the shared
-// pool, with no probe bound. Return it with Release when done; any
-// Result obtained from it becomes invalid at that point.
-func AcquireSession(m *HoughMatcher) *Session {
-	if m == nil {
-		m = &HoughMatcher{}
-	}
-	s := sessionPool.Get().(*Session)
-	if p := m.params(); s.p != p {
-		s.configure(p)
-	}
-	return s
+// AcquireSession borrows a session from the shared pool, with no probe
+// bound. Return it with Release when done; any Result obtained from it
+// becomes invalid at that point.
+func AcquireSession() *Session {
+	return sessionPool.Get().(*Session)
 }
 
 // maxRetainedCells bounds the accumulator capacity a pooled session
@@ -155,29 +136,12 @@ func detachResult(res Result) Result {
 // gallery template on a pooled session and returns a detached Result
 // that stays valid indefinitely. Hot loops should hold a Session, Bind
 // the probe and call MatchBound directly instead.
-func MatchPreparedOnce(m *HoughMatcher, gallery *Prepared, probe *minutiae.Template) (Result, error) {
-	s := AcquireSession(m)
+func MatchPreparedOnce(gallery *Prepared, probe *minutiae.Template) (Result, error) {
+	s := AcquireSession()
 	res, err := s.MatchPrepared(gallery, probe)
 	res = detachResult(res)
 	s.Release()
 	return res, err
-}
-
-// configure resolves parameters and rebuilds the rotation tables, which
-// unbinds the probe. The accumulator and pairing scratch carry over;
-// they are sized per match.
-func (s *Session) configure(p HoughMatcher) {
-	s.p = p
-	s.probe = nil
-	s.rotStep = 2 * math.Pi / float64(p.RotBins)
-	s.invShift = 1 / p.ShiftBin
-	s.cosTab = grow(s.cosTab, p.RotBins)
-	s.sinTab = grow(s.sinTab, p.RotBins)
-	for b := 0; b < p.RotBins; b++ {
-		theta := (float64(b) + 0.5) * s.rotStep
-		s.cosTab[b] = math.Cos(theta)
-		s.sinTab[b] = math.Sin(theta)
-	}
 }
 
 // Bind makes probe the session's probe for the MatchBound calls that
@@ -216,11 +180,9 @@ func (s *Session) bind(probe *minutiae.Template) {
 
 	// Rotated coordinates and their extent, one rotation bin at a time.
 	// The expressions mirror referenceMatch exactly.
-	rotBins := s.p.RotBins
 	s.rot = grow(s.rot, len(pr)*rotBins)
-	s.rotBox = grow(s.rotBox, rotBins)
 	for rb := range s.rotBox {
-		c, sn := s.cosTab[rb], s.sinTab[rb]
+		c, sn := cosTab[rb], sinTab[rb]
 		bb := box{math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)}
 		for j, b := range s.pts {
 			r := xy{b.x*c - b.y*sn, b.x*sn + b.y*c}
@@ -243,7 +205,7 @@ func (s *Session) Match(gallery, probe *minutiae.Template) (Result, error) {
 		return Result{}, nil
 	}
 	s.bind(probe)
-	s.scratch.build(s.p.DistTol, gallery)
+	s.scratch.build(gallery)
 	return s.run(&s.scratch)
 }
 
@@ -255,19 +217,13 @@ func (s *Session) MatchPrepared(gallery *Prepared, probe *minutiae.Template) (Re
 }
 
 // MatchBound compares a prepared gallery template with the bound probe
-// (ErrNilTemplate when there is none). A preparation built under a
-// different DistTol is rebuilt into session scratch, so the result is
-// always the session's own parameterization.
+// (ErrNilTemplate when there is none).
 func (s *Session) MatchBound(gallery *Prepared) (Result, error) {
 	if gallery == nil || s.probe == nil {
 		return Result{}, ErrNilTemplate
 	}
 	if len(gallery.pts) == 0 || len(s.pts) == 0 {
 		return Result{}, nil
-	}
-	if gallery.tol != s.p.DistTol {
-		s.scratch.rebuild(s.p.DistTol, gallery)
-		gallery = &s.scratch
 	}
 	return s.run(gallery)
 }
@@ -281,17 +237,14 @@ func (s *Session) MatchBound(gallery *Prepared) (Result, error) {
 //
 //fpvet:hotpath
 func (s *Session) run(g *Prepared) (Result, error) {
-	// Irregular probes, gridless preparations (non-finite coordinates,
-	// angles outside [0, 2π)) and non-positive or non-finite bin sizes
-	// (invShift must be a positive finite scale for the window arithmetic
-	// to mean anything) go to the reference matcher, which is total over
+	// Irregular probes and gridless preparations (non-finite
+	// coordinates, angles outside [0, 2π), more minutiae than the grid
+	// indexes) go to the reference matcher, which is total over
 	// arbitrary floats.
-	if !s.regular || g.cols == 0 || !(s.invShift > 0) || !isFinite(s.invShift) {
+	if !s.regular || g.cols == 0 {
 		return s.reference(g)
 	}
 	n, np := len(g.pts), len(s.pts)
-	rotBins := s.p.RotBins
-	invShift := s.invShift
 
 	// --- Accumulator windows, one per rotation bin: a translation is a
 	// gallery coordinate minus a rotated probe coordinate, and rounding
@@ -303,8 +256,7 @@ func (s *Session) run(g *Prepared) (Result, error) {
 	// ordering like the flat index) and non-finite bounds go to the
 	// reference; the conversions below are defined only inside this
 	// guard.
-	s.planes = grow(s.planes, rotBins)
-	planes := s.planes
+	planes := &s.planes
 	txBins, tyBins := 0, 0
 	for rb := range planes {
 		bb := &s.rotBox[rb]
@@ -320,7 +272,7 @@ func (s *Session) run(g *Prepared) (Result, error) {
 		tyBins = max(tyBins, int(tyHi-tyLo)+1)
 	}
 	planeSize := txBins * tyBins
-	if planeSize > maxAccCells || rotBins > maxAccCells/planeSize {
+	if planeSize > maxAccCells/rotBins {
 		return s.reference(g)
 	}
 	cells := rotBins * planeSize
@@ -345,12 +297,11 @@ func (s *Session) run(g *Prepared) (Result, error) {
 	// one word, votes above the complemented index, larger is better
 	// (more votes, then the smaller key), and keys are recovered only for
 	// the survivors.
-	nCand := s.p.Candidates
 	top := s.top[:0]
 	for _, idx := range s.touched[:nt] {
 		w := uint64(votes[idx])<<32 | uint64(^uint32(idx))
 		votes[idx] = 0
-		if len(top) < nCand {
+		if len(top) < candidates {
 			top = append(top, w)
 			siftUp(top, len(top)-1)
 		} else if w > top[0] {
@@ -382,16 +333,16 @@ func (s *Session) run(g *Prepared) (Result, error) {
 		tx := rem/tyBins + int(planes[rot].txMin)
 		ty := rem%tyBins + int(planes[rot].tyMin)
 		tr := geom.Rigid{
-			Theta: (float64(rot) + 0.5) * s.rotStep,
+			Theta: (float64(rot) + 0.5) * rotStep,
 			T: geom.Point{
-				X: (float64(tx) + 0.5) * s.p.ShiftBin,
-				Y: (float64(ty) + 0.5) * s.p.ShiftBin,
+				X: (float64(tx) + 0.5) * shiftBin,
+				Y: (float64(ty) + 0.5) * shiftBin,
 			},
 			S: 1,
 		}
 		// The bin centre's cosine and sine are the table's: same
 		// expression, same bits.
-		res := s.scorePairing(g, tr, s.cosTab[rot], s.sinTab[rot])
+		res := s.scorePairing(g, tr, cosTab[rot], sinTab[rot])
 		// One refinement round: re-estimate the transform from the pairs
 		// and re-pair. Helps recover from coarse accumulator bins.
 		if res.Matched >= 3 {
@@ -418,12 +369,10 @@ func (s *Session) run(g *Prepared) (Result, error) {
 // accumulator forces a reload.
 //
 //fpvet:hotpath
-func (s *Session) vote(g *Prepared, votes, touched []int32, planes []plane, tyBins int) int {
+func (s *Session) vote(g *Prepared, votes, touched []int32, planes *[rotBins]plane, tyBins int) int {
 	const twoPi = 2 * math.Pi
 	gallery := g.pts
-	rotBins := len(planes)
-	rotStep, invShift := s.rotStep, s.invShift
-	lastRot := rotBins - 1
+	const lastRot = rotBins - 1
 	wrap := [2]float64{0, twoPi}
 	nt := 0
 	for j, b := range s.pts {
@@ -471,8 +420,6 @@ func (s *Session) scorePairing(g *Prepared, tr geom.Rigid, c0, s0 float64) Resul
 	fcols, frows := float64(cols+1), float64(rows+1)
 	gw, gh := float64(g.width), float64(g.height)
 	tX, tY, theta := tr.T.X, tr.T.Y, tr.Theta
-	tol2 := s.p.DistTol * s.p.DistTol
-	angleTol := s.p.AngleTol
 
 	cands := s.cands[:0]
 	pIn := 0
@@ -502,7 +449,7 @@ func (s *Session) scorePairing(g *Prepared, tr geom.Rigid, c0, s0 float64) Resul
 				dx := tx - a.x
 				dy := ty - a.y
 				d2 := dx*dx + dy*dy
-				if d2 > tol2 {
+				if d2 > distTol*distTol {
 					continue
 				}
 				if angleDiff(ta, a.angle) > angleTol {
@@ -557,7 +504,7 @@ func (s *Session) scorePairing(g *Prepared, tr geom.Rigid, c0, s0 float64) Resul
 			gIn++
 		}
 	}
-	res.Score = scoreFromPairing(res.Matched, res.MeanResidual, s.p.DistTol, flooredDenom(gIn, pIn, len(gallery), len(probe)))
+	res.Score = scoreFromPairing(res.Matched, res.MeanResidual, distTol, flooredDenom(gIn, pIn, len(gallery), len(probe)))
 	return res
 }
 
@@ -619,6 +566,5 @@ func siftDown(h []uint64, i int) {
 // the oracle on the template g holds, rebuilt into session scratch.
 func (s *Session) reference(g *Prepared) (Result, error) {
 	g.TemplateInto(&s.refGallery)
-	m := s.p
-	return m.referenceMatch(&s.refGallery, s.probe)
+	return referenceMatch(&s.refGallery, s.probe)
 }

@@ -38,20 +38,11 @@ type CaptureOptions struct {
 	// SampleIndex is which sample this is (habituation improves later
 	// samples slightly).
 	SampleIndex int
-	// HabituationGain is the fidelity bonus per prior sample (default
-	// 0.015; the paper lists habituation as a future-work axis).
-	HabituationGain float64
-	// QualityBoost raises the latent fidelity before degradation —
-	// used by recapture policies. Usually zero.
-	QualityBoost float64
 }
 
-func (o CaptureOptions) withDefaults() CaptureOptions {
-	if o.HabituationGain == 0 {
-		o.HabituationGain = 0.015
-	}
-	return o
-}
+// habituationGain is the fidelity bonus per prior sample (the paper
+// lists habituation as a future-work axis).
+const habituationGain = 0.015
 
 // Capture simulates one template-level acquisition of the master print on
 // this device: placement, fidelity realization, systematic + elastic
@@ -61,7 +52,6 @@ func (p *Profile) Capture(master *ridge.Master, traits population.Traits, src *r
 	if master == nil {
 		return nil, fmt.Errorf("sensor: nil master fingerprint")
 	}
-	opts = opts.withDefaults()
 
 	// --- Placement: window centre jitters around the pad centre; poor
 	// cooperation and handheld devices jitter more.
@@ -77,8 +67,7 @@ func (p *Profile) Capture(master *ridge.Master, traits population.Traits, src *r
 	// per-capture condition noise + habituation.
 	skin := 0.45*traits.SkinMoisture + 0.30*traits.RidgeDefinition + 0.25*traits.SkinElasticity
 	phi := 0.15 + 0.62*skin + 0.28*(p.BaseFidelity-0.7)/0.3*0.5
-	phi += float64(opts.SampleIndex) * opts.HabituationGain
-	phi += opts.QualityBoost
+	phi += float64(opts.SampleIndex) * habituationGain
 	phi += src.NormMS(0, 0.07)
 	if p.Ink {
 		phi -= 0.10 // ink smudge/over-rolling penalty beyond BaseFidelity

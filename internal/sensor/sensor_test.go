@@ -267,22 +267,6 @@ func TestHabituationImprovesFidelity(t *testing.T) {
 	}
 }
 
-func TestQualityBoostRaisesFidelity(t *testing.T) {
-	c := testCohort(30)
-	d4, _ := ProfileByID("D4")
-	var plain, boosted float64
-	for _, s := range c.Subjects {
-		a, _ := d4.CaptureSubject(s, 0, CaptureOptions{})
-		src := s.CaptureSource(d4.ID, 0)
-		b, _ := d4.Capture(s.Master(), s.Traits, src, CaptureOptions{QualityBoost: 0.2})
-		plain += a.Fidelity
-		boosted += b.Fidelity
-	}
-	if boosted <= plain {
-		t.Fatal("QualityBoost had no effect")
-	}
-}
-
 func TestCaptureNilMaster(t *testing.T) {
 	d0, _ := ProfileByID("D0")
 	if _, err := d0.Capture(nil, population.Traits{}, rng.New(1), CaptureOptions{}); err == nil {

@@ -150,12 +150,11 @@ func GenerateScores(ds *Dataset) (*ScoreSets, error) {
 	// pooled match session for the whole run: the hot path then does
 	// zero allocations per comparison (only Score is read, so the
 	// session-scoped Result aliasing is safe).
-	hough, _ := cfg.Matcher.(*match.HoughMatcher)
 	var sessions []*match.Session
-	if hough != nil {
+	if _, hough := cfg.Matcher.(*match.HoughMatcher); hough {
 		sessions = make([]*match.Session, par.Workers(len(jobs)))
 		for w := range sessions {
-			sess := match.AcquireSession(hough)
+			sess := match.AcquireSession()
 			defer sess.Release()
 			sessions[w] = sess
 		}
