@@ -210,6 +210,7 @@ func run(args []string) error {
 			Interval: *replicaSyncInterval,
 			Metrics:  reg,
 			Shard:    "local",
+			Logger:   logger,
 		})
 		// Catch up before accepting the first read, so a freshly started
 		// replica never serves an empty gallery against a full primary.

@@ -25,12 +25,12 @@ import (
 	"fpinterop/internal/sensor"
 )
 
-// startReplicaMatchd starts a helper-mode matchd replica with a metrics
-// listener, returning the serve and metrics addresses.
+// startReplicaMatchd starts a helper-mode indexed matchd replica with a
+// metrics listener, returning the serve and metrics addresses.
 func startReplicaMatchd(t *testing.T, primary string) (addr, metricsAddr string) {
 	t.Helper()
 	_, addr, maddr := startMatchdWithMetrics(t,
-		"-addr", "127.0.0.1:0",
+		"-addr", "127.0.0.1:0", "-index",
 		"-replica-of", primary,
 		"-replica-sync-interval", "5ms",
 		"-metrics-addr", "127.0.0.1:0")
@@ -75,7 +75,7 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 	}
 
 	walDir := filepath.Join(t.TempDir(), "wal")
-	pcmd, paddr := startMatchd(t, "-addr", "127.0.0.1:0", "-wal-dir", walDir)
+	pcmd, paddr := startMatchd(t, "-addr", "127.0.0.1:0", "-index", "-wal-dir", walDir)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	pcli, err := matchsvc.DialContext(ctx, paddr)
@@ -210,6 +210,10 @@ func TestReplicaSmokeProcessLevel(t *testing.T) {
 		if !strings.Contains(text, want+"\n") {
 			t.Fatalf("/metrics lacks %q:\n%s", want, text)
 		}
+	}
+	// The restore installed the index the primary shipped.
+	if strings.Contains(text, "replica_index_rebuilds_total{") {
+		t.Fatalf("the replica rebuilt the index the primary shipped:\n%s", text)
 	}
 
 	// Reads outlive the primary: kill it and the replicas keep

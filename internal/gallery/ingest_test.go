@@ -279,7 +279,7 @@ func TestEnrollBatchFailurePositions(t *testing.T) {
 						for _, it := range items[:k] {
 							want = append(want, it.ID)
 						}
-						got, rerr := ReadEntries(savedBytes(t, s))
+						got, _, rerr := ReadEntries(savedBytes(t, s))
 						if rerr != nil {
 							t.Fatal(rerr)
 						}

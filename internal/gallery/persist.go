@@ -96,29 +96,34 @@ func (s *Store) SaveTo(w io.Writer) error {
 // ReadEntries decodes a serialized gallery stream (the SaveTo format)
 // into its entries without touching any store, so WAL recovery can
 // merge a snapshot with replayed log records before building a store
-// from the survivors (ReplaceAll) in one pass. The entries hold no
-// reference to data.
-func ReadEntries(data []byte) ([]Export, error) {
+// from the survivors (ReplaceAll) in one pass. It stops after the last
+// entry the header counts and returns the bytes behind it as rest,
+// unread: a container may carry more after the stream (a replica sync
+// capture appends the primary's index segment), and a reader that
+// wants the entries alone ignores rest — a reader written before a
+// trailing section existed still decodes the entries of a stream that
+// carries one. The entries hold no reference to data.
+func ReadEntries(data []byte) (entries []Export, rest []byte, err error) {
 	r := enc.Reader{Buf: data}
 	if magic := r.Take(len(storeMagic)); r.Err() == nil && [4]byte(magic) != storeMagic {
-		return nil, ErrBadStoreFormat
+		return nil, nil, ErrBadStoreFormat
 	}
 	if v := r.Uint16(); r.Err() == nil && v != storeVersion {
-		return nil, fmt.Errorf("gallery: unsupported store version %d", v)
+		return nil, nil, fmt.Errorf("gallery: unsupported store version %d", v)
 	}
 	// The stream carries no checksum, so the count is only as good as
 	// the bytes behind it: Count refuses one they cannot hold.
 	out := make([]Export, r.Count(enc.EnrollmentMinSize))
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("gallery: read header: %w", err)
+		return nil, nil, fmt.Errorf("gallery: read header: %w", err)
 	}
 	for i := range out {
 		var err error
 		if out[i], err = DecodeExport(&r); err != nil {
-			return nil, fmt.Errorf("gallery: entry %d: %w", i, err)
+			return nil, nil, fmt.Errorf("gallery: entry %d: %w", i, err)
 		}
 	}
-	return out, nil
+	return out, r.Buf, nil
 }
 
 // ReplaceAll swaps the store's contents for the given entries in one
@@ -129,8 +134,23 @@ func ReadEntries(data []byte) ([]Export, error) {
 // copy, and no reference to the entries. On error the store is left
 // untouched.
 func (s *Store) ReplaceAll(entries []Export) error {
+	return s.ReplaceAllWithIndex(entries, nil)
+}
+
+// ReplaceAllWithIndex is ReplaceAll taking the retrieval index from
+// segment (index.AppendSegment's encoding, as a primary ships it)
+// instead of extracting every template's keys to build one: the index
+// is decoded with the store's own index options, and must hold exactly
+// the entries' IDs. It fails, leaving the store untouched, when the
+// store has no index, or with index.ErrBadSegment for bytes the decoder
+// rejects and index.ErrSegmentIDs for a segment of other templates;
+// ReplaceAll then rebuilds. A segment encoded from the same entries
+// votes bit for bit as the index ReplaceAll would build. A nil segment
+// is ReplaceAll.
+func (s *Store) ReplaceAllWithIndex(entries []Export, segment []byte) error {
 	seen := make(map[string]bool, len(entries))
-	for _, e := range entries {
+	order := make([]string, len(entries))
+	for i, e := range entries {
 		if e.Template == nil {
 			return fmt.Errorf("gallery: replace %q: nil template", e.ID)
 		}
@@ -138,6 +158,23 @@ func (s *Store) ReplaceAll(entries []Export) error {
 			return fmt.Errorf("gallery: duplicate id %q in store", e.ID)
 		}
 		seen[e.ID] = true
+		order[i] = e.ID
+	}
+	// The retrieval index must mirror the enrolled set exactly: its
+	// replacement is decoded or bulk-built before the write lock, so
+	// searches keep running on the old contents meanwhile.
+	s.mu.RLock()
+	old := s.idx
+	s.mu.RUnlock()
+	var idx *index.Index
+	if segment != nil {
+		if old == nil {
+			return errors.New("gallery: replace with index: the store has no index")
+		}
+		var err error
+		if idx, err = index.DecodeSegment(old.Options(), segment, order); err != nil {
+			return fmt.Errorf("gallery: shipped index: %w", err)
+		}
 	}
 	built := make([]*Entry, len(entries))
 	// One parallel preparation pass over the whole load — the bulk
@@ -148,19 +185,10 @@ func (s *Store) ReplaceAll(entries []Export) error {
 		return nil
 	})
 	byID := make(map[string]*Entry, len(built))
-	order := make([]string, len(built))
-	for i, e := range built {
+	for _, e := range built {
 		byID[e.ID] = e
-		order[i] = e.ID
 	}
-	// The retrieval index must mirror the enrolled set exactly: its
-	// replacement is bulk-built before the write lock, so searches
-	// keep running on the old contents meanwhile.
-	s.mu.RLock()
-	old := s.idx
-	s.mu.RUnlock()
-	var idx *index.Index
-	if old != nil {
+	if old != nil && idx == nil {
 		var err error
 		if idx, err = buildIndex(old.Options(), order, byID); err != nil {
 			return err
@@ -180,4 +208,17 @@ func (s *Store) ReplaceAll(entries []Export) error {
 	s.order = order
 	s.met.setEnrollments(len(s.entries))
 	return nil
+}
+
+// AppendIndexSegment appends the retrieval index's segment encoding
+// (index.AppendSegment) to dst, or returns dst as it is when the store
+// has no index.
+func (s *Store) AppendIndexSegment(dst []byte) []byte {
+	s.mu.RLock()
+	idx := s.idx
+	s.mu.RUnlock()
+	if idx == nil {
+		return dst
+	}
+	return idx.AppendSegment(dst)
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"fpinterop/internal/index"
 )
 
 // loadFrom replaces s's contents with a serialized gallery the way WAL
@@ -16,7 +18,7 @@ func loadFrom(s *Store, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	entries, err := ReadEntries(data)
+	entries, _, err := ReadEntries(data)
 	if err != nil {
 		return err
 	}
@@ -156,5 +158,80 @@ func TestLoadFromRebuildsIndex(t *testing.T) {
 	}
 	if st, _ := restored.IndexStats(); st.Templates != 20 {
 		t.Fatalf("index accumulated across loads: %+v", st)
+	}
+}
+
+// TestReplaceAllWithIndex installs one store's index segment in another
+// and gets an index that encodes to the same bytes, which a rebuilt one
+// does not; a damaged segment
+// (index.ErrBadSegment), one of other templates (index.ErrSegmentIDs)
+// or a store with no index to take it fails and leaves the store as it
+// was.
+func TestReplaceAllWithIndex(t *testing.T) {
+	s, _, _ := enrolledStore(t, 20, "D0", "D0")
+	if got := s.AppendIndexSegment([]byte("x")); string(got) != "x" {
+		t.Fatalf("a store without an index appended %d bytes", len(got)-1)
+	}
+	if err := s.EnableIndex(IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// A re-enrollment leaves a tombstone and a delta template, so the
+	// segment encodes a merge built aside, in another key order than a
+	// build from the entries gives.
+	e, _ := s.Get("subject-C")
+	if err := s.Remove(e.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Enroll(e.ID, e.DeviceID, e.Template); err != nil {
+		t.Fatal(err)
+	}
+	segment := s.AppendIndexSegment(nil)
+	entries, _, err := ReadEntries(savedBytes(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := New(nil)
+	if err := rebuilt.EnableIndex(IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rebuilt.ReplaceAll(entries); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(rebuilt.AppendIndexSegment(nil), segment) {
+		t.Fatal("a rebuilt index encodes to the shipped bytes: the test cannot tell an installed segment from a rebuild")
+	}
+
+	plain := New(nil)
+	if err := plain.ReplaceAllWithIndex(entries, segment); err == nil || plain.Len() != 0 {
+		t.Fatalf("a store without an index took a segment: err %v, %d entries", err, plain.Len())
+	}
+	restored := New(nil)
+	if err := restored.EnableIndex(IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ReplaceAll(entries[:5]); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		entries []Export
+		segment []byte
+		want    error
+	}{
+		{"damaged", entries, segment[:len(segment)-1], index.ErrBadSegment},
+		{"other templates", entries[1:], segment, index.ErrSegmentIDs},
+	} {
+		if err := restored.ReplaceAllWithIndex(tc.entries, tc.segment); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if st, _ := restored.IndexStats(); restored.Len() != 5 || st.Templates != 5 {
+			t.Fatalf("%s: the failed replace left %d entries and %+v", tc.name, restored.Len(), st)
+		}
+	}
+	if err := restored.ReplaceAllWithIndex(entries, segment); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.AppendIndexSegment(nil); restored.Len() != 20 || !bytes.Equal(got, segment) {
+		t.Fatalf("installed %d entries and an index encoding to %d bytes, want 20 and the %d shipped", restored.Len(), len(got), len(segment))
 	}
 }

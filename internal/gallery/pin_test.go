@@ -71,7 +71,7 @@ func TestReadEntriesRejectsCorruptCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ReadEntries(data)
+	entries, _, err := ReadEntries(data)
 	if err != nil || len(entries) != 3 {
 		t.Fatalf("intact stream: %d entries, %v", len(entries), err)
 	}
@@ -86,7 +86,7 @@ func TestReadEntriesRejectsCorruptCount(t *testing.T) {
 	copy(data[6:10], []byte{0xFF, 0xFF, 0xFF, 0xFF})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = ReadEntries(data)
+	_, _, err = ReadEntries(data)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("corrupt count accepted")

@@ -378,12 +378,33 @@ func (ix *Index) maybeMerge() {
 	}
 }
 
-// merge folds the delta and the base's tombstones into a new base:
-// templates are renumbered densely (base survivors in order, then the
-// delta's) and cut into blocks of 1<<blockShift, each live key's bucket
-// in a block is the base's surviving refs that land there followed by
-// the delta's, and keys nobody holds any more are dropped.
+// merge folds the delta and the base's tombstones into a new base and
+// installs it. Callers hold Index.mu for writing.
 func (ix *Index) merge() {
+	m := ix.mergedSegment()
+	for ref, id := range m.seg.ids {
+		ix.loc[id] = uint32(ref)
+	}
+	ix.tab, ix.slots, ix.base, ix.delta = m.tab, m.slots, m.seg, delta{}
+	ix.churn = 0
+}
+
+// merged is a base built by mergedSegment, with the key table that
+// indexes its buckets.
+type merged struct {
+	tab   keyTable
+	slots []slot
+	seg   *segment
+}
+
+// mergedSegment builds the base a merge installs: templates are
+// renumbered densely (base survivors in order, then the delta's) and
+// cut into blocks of 1<<blockShift, each live key's bucket in a block
+// is the base's surviving refs that land there followed by the delta's,
+// and keys nobody holds any more are dropped. It writes nothing the
+// index holds, so a caller that only reads the result (AppendSegment)
+// needs Index.mu for reading alone.
+func (ix *Index) mergedSegment() merged {
 	old, d := ix.base, &ix.delta
 	n := len(ix.loc)
 	shift := blockShift
@@ -397,7 +418,6 @@ func (ix *Index) merge() {
 	}
 	keep := func(id string, m member) uint32 {
 		ref := uint32(len(seg.ids))
-		ix.loc[id] = ref
 		seg.ids = append(seg.ids, id)
 		seg.members = append(seg.members, m)
 		return ref
@@ -461,8 +481,7 @@ func (ix *Index) merge() {
 			blocks[b].off[len(slots)] = uint32(len(blocks[b].refs))
 		}
 	}
-	ix.tab, ix.slots, ix.base, ix.delta = tab, slots, seg, delta{}
-	ix.churn = 0
+	return merged{tab: tab, slots: slots, seg: seg}
 }
 
 // Candidate is one retrieved template.

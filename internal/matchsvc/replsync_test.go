@@ -99,7 +99,7 @@ func TestSyncSnapshotChunkedTransfer(t *testing.T) {
 		}
 		stream = append(stream, chunk.Data...)
 	}
-	lsn, entries, err := wal.DecodeSnapshot(stream)
+	lsn, entries, _, err := wal.DecodeSnapshot(stream)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // The constructors look for it once; servers whose backend has no log
 // refuse the ops — there is no history to ship.
 type SyncSource interface {
-	SyncSnapshot(resumeLSN uint64) (lsn uint64, data []byte, err error)
+	SyncSnapshot(resumeLSN uint64, offset int64, maxBytes int) (wal.SnapshotChunk, error)
 	SyncTail(afterLSN uint64, maxBytes int) (wal.TailPage, error)
 }
 
@@ -362,24 +362,17 @@ var ops = [numOps]opRow{
 		if err := r.Err(); err != nil {
 			return err
 		}
-		lsn, data, err := s.sync.SyncSnapshot(resumeLSN)
-		if err != nil {
-			return err
-		}
-		if offset > uint64(len(data)) {
-			return fmt.Errorf("matchsvc: snapshot offset %d beyond %d-byte stream", offset, len(data))
-		}
 		max := int(maxBytes)
 		if max <= 0 || max > pageBudget {
 			max = pageBudget
 		}
-		chunk := data[offset:]
-		if len(chunk) > max {
-			chunk = chunk[:max]
+		chunk, err := s.sync.SyncSnapshot(resumeLSN, int64(offset), max)
+		if err != nil {
+			return err
 		}
-		w.Uint64(lsn)
-		w.Uint64(uint64(len(data)))
-		w.Bytes(chunk)
+		w.Uint64(chunk.LSN)
+		w.Uint64(uint64(chunk.Total))
+		w.Bytes(chunk.Data)
 		return nil
 	}},
 

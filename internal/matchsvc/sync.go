@@ -12,20 +12,6 @@ import (
 	"fpinterop/internal/wal"
 )
 
-// SyncSnapshotChunk is one OpSyncSnapshot response: a slice of the
-// primary's serialized snapshot stream.
-type SyncSnapshotChunk struct {
-	// LSN identifies the capture; every chunk of one transfer must
-	// carry the same LSN or the stream being assembled is not a single
-	// consistent snapshot.
-	LSN uint64
-	// Total is the full stream size; the transfer is complete when
-	// offset + len(Data) reaches it.
-	Total int64
-	// Data is the chunk at the requested offset.
-	Data []byte
-}
-
 // SyncSnapshot fetches one snapshot chunk from the primary. resumeLSN
 // 0 starts a fresh transfer (the server captures current state);
 // subsequent chunks pass the LSN of the first response so the whole
@@ -33,16 +19,16 @@ type SyncSnapshotChunk struct {
 // holds it the error wraps wal.ErrSnapshotExpired, and the caller
 // starts over at 0 or tails the log instead. maxBytes <= 0 lets the server pick the largest chunk
 // the frame cap allows.
-func (c *Client) SyncSnapshot(ctx context.Context, resumeLSN uint64, offset int64, maxBytes int) (SyncSnapshotChunk, error) {
+func (c *Client) SyncSnapshot(ctx context.Context, resumeLSN uint64, offset int64, maxBytes int) (wal.SnapshotChunk, error) {
 	fs := acquireFrameScratch()
 	defer releaseFrameScratch(fs)
 	fs.w.Uint64(resumeLSN)
 	fs.w.Uint64(uint64(offset))
 	fs.w.Uint32(uint32(maxBytes))
-	var out SyncSnapshotChunk
+	var out wal.SnapshotChunk
 	err := c.do(ctx, OpSyncSnapshot, fs.w.Buf, func(r *enc.Reader) error {
 		// Data aliases the response frame, which is this response's own.
-		out = SyncSnapshotChunk{LSN: r.Uint64(), Total: int64(r.Uint64()), Data: r.Bytes()}
+		out = wal.SnapshotChunk{LSN: r.Uint64(), Total: int64(r.Uint64()), Data: r.Bytes()}
 		return r.Err()
 	})
 	return out, err

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync/atomic"
 	"time"
 
 	"fpinterop/internal/gallery"
+	"fpinterop/internal/index"
 	"fpinterop/internal/matchsvc"
 	"fpinterop/internal/obs"
 	"fpinterop/internal/wal"
@@ -29,6 +31,9 @@ type FollowerOptions struct {
 	Metrics *obs.Registry
 	// Shard labels the metrics; defaults to "0".
 	Shard string
+	// Logger receives the warning a rejected or mismatched index
+	// segment raises; nil discards it.
+	Logger *slog.Logger
 }
 
 // Follower keeps a local gallery caught up with a WAL-backed primary
@@ -49,6 +54,7 @@ type Follower struct {
 	applied   *obs.Counter
 	restores  *obs.Counter
 	syncFails *obs.Counter
+	rebuilds  *obs.CounterVec
 }
 
 // NewFollower wires a local gallery to a primary reachable through cli.
@@ -60,6 +66,9 @@ func NewFollower(store *gallery.Store, cli *matchsvc.Client, opt FollowerOptions
 	}
 	if opt.Shard == "" {
 		opt.Shard = "0"
+	}
+	if opt.Logger == nil {
+		opt.Logger = slog.New(slog.DiscardHandler)
 	}
 	reg := opt.Metrics
 	if reg == nil {
@@ -74,6 +83,9 @@ func NewFollower(store *gallery.Store, cli *matchsvc.Client, opt FollowerOptions
 		"Full snapshot restores (bootstrap or post-compaction restart).", "shard").With(opt.Shard)
 	f.syncFails = reg.CounterVec("replica_sync_errors_total",
 		"Failed sync rounds in the Run loop.", "shard").With(opt.Shard)
+	f.rebuilds = reg.CounterVec("replica_index_rebuilds_total",
+		"Snapshot restores that rebuilt the index instead of installing the primary's segment, by reason: absent, rejected or mismatch.",
+		"shard", "reason")
 	return f
 }
 
@@ -141,8 +153,8 @@ func (f *Follower) Sync(ctx context.Context) error {
 
 // restore replaces the local gallery with a snapshot from the primary,
 // pulled in chunks under the wire frame cap and loaded in one bulk load
-// (gallery.Store.ReplaceAll). It returns wal.ErrSnapshotExpired when
-// the primary dropped the capture midway.
+// (load). It returns wal.ErrSnapshotExpired when the primary dropped
+// the capture midway.
 func (f *Follower) restore(ctx context.Context) error {
 	first, err := f.cli.SyncSnapshot(ctx, 0, 0, f.opt.MaxBytes)
 	if err != nil {
@@ -160,17 +172,49 @@ func (f *Follower) restore(ctx context.Context) error {
 		}
 		stream = append(stream, chunk.Data...)
 	}
-	_, entries, err := wal.DecodeSnapshot(stream)
+	_, entries, segment, err := wal.DecodeSnapshot(stream)
 	if err != nil {
 		return err
 	}
-	if err := f.store.ReplaceAll(entries); err != nil {
+	if err := f.load(entries, segment); err != nil {
 		return err
 	}
 	f.lsn.Store(first.LSN)
 	f.restores.Inc()
 	f.publishLag()
 	return nil
+}
+
+// load replaces the local gallery with entries. An indexed replica
+// installs the primary's index segment when the capture carries one that
+// decodes and holds exactly those entries, and otherwise rebuilds the
+// index from the templates, counting the restore under the reason:
+// absent (no segment: a primary without an index, or one that predates
+// shipping it), rejected (bytes the decoder refuses) or mismatch
+// (other templates). The last two also log a warning: each costs the
+// key extraction shipping saves.
+func (f *Follower) load(entries []gallery.Export, segment []byte) error {
+	if _, indexed := f.store.IndexStats(); !indexed {
+		return f.store.ReplaceAll(entries)
+	}
+	reason := "absent"
+	if segment != nil {
+		err := f.store.ReplaceAllWithIndex(entries, segment)
+		switch {
+		case err == nil:
+			return nil
+		case errors.Is(err, index.ErrBadSegment):
+			reason = "rejected"
+		case errors.Is(err, index.ErrSegmentIDs):
+			reason = "mismatch"
+		default:
+			return err
+		}
+		f.opt.Logger.Warn("replica: rebuilding the index the primary shipped",
+			"shard", f.opt.Shard, "reason", reason, "err", err)
+	}
+	f.rebuilds.With(f.opt.Shard, reason).Inc()
+	return f.store.ReplaceAll(entries)
 }
 
 // Run polls Sync on the configured interval until ctx is done. Errors

@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,7 +145,7 @@ func sortedExports(t testing.TB, s *gallery.Store) []gallery.Export {
 	if err := s.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out, err := gallery.ReadEntries(buf.Bytes())
+	out, _, err := gallery.ReadEntries(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,13 +364,13 @@ type expireFirstResume struct {
 	fresh   atomic.Int32
 }
 
-func (s *expireFirstResume) SyncSnapshot(resumeLSN uint64) (uint64, []byte, error) {
+func (s *expireFirstResume) SyncSnapshot(resumeLSN uint64, offset int64, maxBytes int) (wal.SnapshotChunk, error) {
 	if resumeLSN == 0 {
 		s.fresh.Add(1)
 	} else if s.expired.CompareAndSwap(false, true) {
-		return 0, nil, wal.ErrSnapshotExpired
+		return wal.SnapshotChunk{}, wal.ErrSnapshotExpired
 	}
-	return s.Store.SyncSnapshot(resumeLSN)
+	return s.Store.SyncSnapshot(resumeLSN, offset, maxBytes)
 }
 
 // TestFollowerRestartsExpiredTransfer: a capture that expires mid-way
@@ -429,29 +432,29 @@ type captureAfterWrite struct {
 	captured chan struct{} // closed once the second capture is taken
 }
 
-func (s *captureAfterWrite) SyncSnapshot(resumeLSN uint64) (uint64, []byte, error) {
+func (s *captureAfterWrite) SyncSnapshot(resumeLSN uint64, offset int64, maxBytes int) (wal.SnapshotChunk, error) {
 	if resumeLSN != 0 {
 		select {
 		case <-s.captured:
 		case <-time.After(10 * time.Second):
 		}
-		lsn, data, err := s.Store.SyncSnapshot(resumeLSN)
+		chunk, err := s.Store.SyncSnapshot(resumeLSN, offset, maxBytes)
 		if errors.Is(err, wal.ErrSnapshotExpired) {
 			s.expired.Add(1)
 		}
-		return lsn, data, err
+		return chunk, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.fresh.Add(1)
 	if err := s.Store.Enroll(fmt.Sprintf("write-%d", n), "D0", s.tpl); err != nil {
-		return 0, nil, err
+		return wal.SnapshotChunk{}, err
 	}
-	lsn, data, err := s.Store.SyncSnapshot(0)
+	chunk, err := s.Store.SyncSnapshot(0, offset, maxBytes)
 	if n == 2 {
 		close(s.captured)
 	}
-	return lsn, data, err
+	return chunk, err
 }
 
 // TestFollowersBootstrapConcurrentlyUnderWrites: two fresh replicas of
@@ -707,4 +710,185 @@ func TestReadOnlyGalleryRefusesWrites(t *testing.T) {
 	}
 	// And the wrapper is what the wire server adapts: a store.
 	var _ matchsvc.Store = ro
+}
+
+// indexedGallery is an empty gallery with a retrieval index.
+func indexedGallery(t *testing.T) *gallery.Store {
+	t.Helper()
+	g := gallery.New(nil)
+	if err := g.EnableIndex(gallery.IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// captureOf reads one whole sync capture from ws.
+func captureOf(t *testing.T, ws *wal.Store) []byte {
+	t.Helper()
+	var data []byte
+	for {
+		chunk, err := ws.SyncSnapshot(0, int64(len(data)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, chunk.Data...)
+		if int64(len(data)) == chunk.Total {
+			return data
+		}
+	}
+}
+
+// fixedCapture is a primary whose sync capture is data, at the store's
+// LSN: a capture another build of the primary might ship, or one
+// damaged in flight.
+type fixedCapture struct {
+	*wal.Store
+	data []byte
+}
+
+func (p *fixedCapture) SyncSnapshot(resumeLSN uint64, offset int64, maxBytes int) (wal.SnapshotChunk, error) {
+	lsn := p.Store.LSN()
+	if resumeLSN != 0 && resumeLSN != lsn {
+		return wal.SnapshotChunk{}, wal.ErrSnapshotExpired
+	}
+	chunk := p.data[offset:]
+	if maxBytes > 0 && len(chunk) > maxBytes {
+		chunk = chunk[:maxBytes]
+	}
+	return wal.SnapshotChunk{LSN: lsn, Total: int64(len(p.data)), Data: chunk}, nil
+}
+
+// TestShippedIndexEqualsRebuilt: an indexed replica installs the index
+// its primary ships and answers every identification as the primary
+// does and as a replica that rebuilt its index does — candidates, score
+// bits, shortlist size, matcher comparisons and index.Stats. Replicas
+// rebuild, counted by reason, when the capture carries no segment (as
+// one written before segments were shipped), a damaged one (rejected),
+// or one of other templates (mismatch); the last two log a warning.
+//
+// The primary reopens from its log, so its index is one built base,
+// then takes three removals and two enrollments: five templates' keys,
+// at most 4,000 postings, stay under the index's merge floor (4,096),
+// so at capture time it holds tombstoned base templates and delta
+// templates, and the shipped segment is a merge built aside. Several
+// blocks are the index package's TestSegmentEqualsBuildMultiBlock: the
+// block size is fixed outside it.
+func TestShippedIndexEqualsRebuilt(t *testing.T) {
+	gal, probes := bulkFixtures(t)
+	dir := t.TempDir()
+	ws, err := wal.Open(dir, indexedGallery(t), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]gallery.Export, len(gal)-2)
+	for i := range items {
+		items[i] = gallery.Export{ID: subjectID(i), DeviceID: "D0", Template: gal[i]}
+	}
+	if err := ws.EnrollBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ws, err = wal.Open(dir, indexedGallery(t), wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	for _, i := range []int{3, 50, 120} {
+		if err := ws.Remove(subjectID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ws.Enroll(subjectID(50), "D1", probes[0]); err != nil {
+		t.Fatal(err)
+	}
+	stale := captureOf(t, ws)
+	n := len(gal) - 1
+	if err := ws.Enroll(subjectID(n), "D0", gal[n]); err != nil {
+		t.Fatal(err)
+	}
+	full := captureOf(t, ws)
+	_, _, segment, err := wal.DecodeSnapshot(full)
+	if err != nil || segment == nil {
+		t.Fatalf("the capture carries no segment (%v)", err)
+	}
+	_, _, staleSegment, err := wal.DecodeSnapshot(stale)
+	if err != nil || staleSegment == nil {
+		t.Fatalf("the stale capture carries no segment (%v)", err)
+	}
+	entries := full[:len(full)-len(segment)]
+	rotten := bytes.Clone(full)
+	rotten[len(rotten)-1] ^= 0xFF // the segment's checksum
+
+	var logged bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&logged, nil))
+	for _, tc := range []struct {
+		name    string
+		primary matchsvc.Store
+		reason  string // "" for an installed segment
+	}{
+		{name: "shipped", primary: ws},
+		{name: "absent", primary: &fixedCapture{Store: ws, data: entries}, reason: "absent"},
+		{name: "rejected", primary: &fixedCapture{Store: ws, data: rotten}, reason: "rejected"},
+		{name: "mismatch", primary: &fixedCapture{Store: ws, data: slices.Concat(entries, staleSegment)}, reason: "mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			replica := indexedGallery(t)
+			f := NewFollower(replica, startPrimary(t, tc.primary), FollowerOptions{Logger: logger})
+			if err := f.Sync(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if f.restores.Value() != 1 || f.applied.Value() != 0 || f.LSN() != ws.LSN() {
+				t.Fatalf("%d restores, %d records applied, lsn %d; want a snapshot bootstrap to %d",
+					f.restores.Value(), f.applied.Value(), f.LSN(), ws.LSN())
+			}
+			for _, reason := range []string{"absent", "rejected", "mismatch"} {
+				want := uint64(0)
+				if reason == tc.reason {
+					want = 1
+				}
+				if got := f.rebuilds.With("0", reason).Value(); got != want {
+					t.Fatalf("replica_index_rebuilds_total{reason=%q} = %d, want %d", reason, got, want)
+				}
+			}
+			warned := strings.Contains(logged.String(), "reason="+tc.reason)
+			if want := tc.reason == "rejected" || tc.reason == "mismatch"; warned != want {
+				t.Fatalf("warning logged %v, want %v:\n%s", warned, want, logged.String())
+			}
+			wantMirror(t, replica, ws)
+			// The primary's tombstones and delta put its keys in
+			// another order than a rebuild does: an installed segment
+			// encodes back to the shipped bytes, a rebuilt index not.
+			if installed := bytes.Equal(replica.AppendIndexSegment(nil), segment); installed != (tc.reason == "") {
+				t.Fatalf("index encodes to the shipped segment: %v, want %v", installed, tc.reason == "")
+			}
+			got, _ := replica.IndexStats()
+			if want, _ := ws.IndexStats(); got != want {
+				t.Fatalf("index.Stats %+v, primary %+v", got, want)
+			}
+			sameRankings(t, tc.name, rankings(t, replica, probes), rankings(t, ws, probes))
+			ctx := context.Background()
+			served := 0
+			for pi, probe := range probes {
+				want, wantStats, err := ws.IdentifyDetailedContext(ctx, probe, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotStats, err := replica.IdentifyDetailedContext(ctx, probe, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotStats != wantStats {
+					t.Fatalf("probe %d: stats %+v, primary %+v", pi, gotStats, wantStats)
+				}
+				sameRankings(t, fmt.Sprintf("indexed, probe %d", pi), [][]gallery.Candidate{got}, [][]gallery.Candidate{want})
+				if gotStats.Indexed {
+					served++
+				}
+			}
+			if served == 0 {
+				t.Fatal("no probe was served from the index shortlist")
+			}
+		})
+	}
 }

@@ -168,7 +168,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	badTemplate[len(badTemplate)-40] ^= 0xFF
 	f.Add(badTemplate)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, entries, err := DecodeSnapshot(data)
+		_, entries, _, err := DecodeSnapshot(data)
 		if err != nil {
 			return
 		}

@@ -55,25 +55,31 @@ func writeSnapshot(path string, lsn uint64, save func(io.Writer) error) error {
 }
 
 // DecodeSnapshot parses a snapshot stream — the on-disk compaction
-// snapshot or the byte-identical capture SyncSnapshot ships to a
-// replica — into the LSN it covers and the gallery entries it holds.
-// The entries hold no reference to data.
-func DecodeSnapshot(data []byte) (lsn uint64, entries []gallery.Export, err error) {
+// snapshot or a capture SyncSnapshot ships to a replica — into the LSN
+// it covers, the gallery entries it holds and the index segment a
+// capture carries behind them (nil when there is none: a disk snapshot,
+// or a primary without an index). The segment is not checked here; the
+// replica that installs it decodes it. The entries hold no reference to
+// data, the segment aliases it.
+func DecodeSnapshot(data []byte) (lsn uint64, entries []gallery.Export, segment []byte, err error) {
 	if len(data) < snapHeaderSize {
-		return 0, nil, fmt.Errorf("wal: read snapshot header: %w", io.ErrUnexpectedEOF)
+		return 0, nil, nil, fmt.Errorf("wal: read snapshot header: %w", io.ErrUnexpectedEOF)
 	}
 	if [4]byte(data[:4]) != snapMagic {
-		return 0, nil, ErrBadSnapshotFormat
+		return 0, nil, nil, ErrBadSnapshotFormat
 	}
 	if v := binary.BigEndian.Uint16(data[4:6]); v != snapVersion {
-		return 0, nil, fmt.Errorf("wal: unsupported snapshot version %d", v)
+		return 0, nil, nil, fmt.Errorf("wal: unsupported snapshot version %d", v)
 	}
 	lsn = binary.BigEndian.Uint64(data[6:])
-	entries, err = gallery.ReadEntries(data[snapHeaderSize:])
+	entries, rest, err := gallery.ReadEntries(data[snapHeaderSize:])
 	if err != nil {
-		return 0, nil, fmt.Errorf("wal: snapshot gallery: %w", err)
+		return 0, nil, nil, fmt.Errorf("wal: snapshot gallery: %w", err)
 	}
-	return lsn, entries, nil
+	if len(rest) > 0 {
+		segment = rest
+	}
+	return lsn, entries, segment, nil
 }
 
 // readSnapshot loads the snapshot at path. A missing file is not an
@@ -87,5 +93,6 @@ func readSnapshot(path string) (lsn uint64, entries []gallery.Export, err error)
 		}
 		return 0, nil, fmt.Errorf("wal: read snapshot %s: %w", path, err)
 	}
-	return DecodeSnapshot(data)
+	lsn, entries, _, err = DecodeSnapshot(data)
+	return lsn, entries, err
 }

@@ -32,13 +32,10 @@ type Options struct {
 
 // RecoveryStats describes what Open reconstructed.
 type RecoveryStats struct {
-	// SnapshotLSN is the LSN the compaction snapshot covered (0 when
-	// no snapshot existed).
-	SnapshotLSN uint64
 	// SnapshotEntries is the number of enrollments in the snapshot.
 	SnapshotEntries int
 	// Replayed is the number of log records applied on top of the
-	// snapshot (records at or below SnapshotLSN are skipped).
+	// snapshot (records the snapshot already covers are skipped).
 	Replayed int
 	// TruncatedBytes counts trailing log bytes discarded because they
 	// failed length or checksum validation; TornTail is set when any
@@ -89,9 +86,15 @@ type Store struct {
 
 	// syncSnapLSN/syncSnapData cache the last snapshot capture served
 	// to a replica, so a multi-chunk transfer reads one consistent
-	// byte stream without re-serializing the gallery per chunk.
-	syncSnapLSN  uint64
-	syncSnapData []byte
+	// byte stream without re-serializing the gallery per chunk. The
+	// data is dropped once its last chunk is served (SyncSnapshot);
+	// syncSnapExact is set while no mutation has been tried since the
+	// capture, so the store still encodes to its bytes. A rolled-back
+	// one restores the state but not its bytes (the gallery's order,
+	// the index's key table).
+	syncSnapLSN   uint64
+	syncSnapData  []byte
+	syncSnapExact bool
 
 	// met is non-nil when Options.Metrics was set; record calls are
 	// nil-safe.
@@ -175,7 +178,6 @@ func Open(dir string, store *gallery.Store, opt Options) (*Store, error) {
 		lsn:        lsn,
 		compactLSN: snapLSN,
 		recovery: RecoveryStats{
-			SnapshotLSN:     snapLSN,
 			SnapshotEntries: snapCount,
 			Replayed:        applied,
 			TruncatedBytes:  info.TruncatedBytes,
@@ -276,6 +278,7 @@ func (s *Store) commit(recs []Record, apply func() (undo func(), err error)) err
 	if s.closed {
 		return errors.New("wal: store closed")
 	}
+	s.syncSnapExact = false
 	undo, err := apply()
 	if err != nil {
 		return err

@@ -2,8 +2,9 @@ package wal
 
 // Replica sync source. A durable store can ship its state to a read
 // replica in two pieces: a consistent snapshot capture (the same FPWS
-// stream compaction writes to disk, serialized into memory) and the
-// log tail above a given LSN. A replica bootstraps from the snapshot,
+// stream compaction writes to disk, serialized into memory, plus the
+// index segment when the gallery has an index) and the log tail above
+// a given LSN. A replica bootstraps from the snapshot,
 // then polls the tail; when compaction has discarded the records it
 // needs, the tail page comes back Truncated and the replica restarts
 // from a fresh snapshot. Both calls run under the store's mutation
@@ -65,34 +66,68 @@ func ApplyRecord(g *gallery.Store, rec Record) error {
 	}
 }
 
-// SyncSnapshot returns a consistent serialized snapshot (FPWS stream)
-// and the LSN it covers. resumeLSN 0 captures fresh state (or reuses
-// the cached capture when nothing mutated since); a non-zero resumeLSN
-// asks for the cached capture at exactly that LSN so a chunked
-// transfer reads one immutable byte stream, and fails with
-// ErrSnapshotExpired when that capture is gone. Callers must treat the
-// returned bytes as read-only — they are shared with later calls.
-func (s *Store) SyncSnapshot(resumeLSN uint64) (lsn uint64, data []byte, err error) {
+// SnapshotChunk is one piece of a sync capture.
+type SnapshotChunk struct {
+	// LSN identifies the capture; every chunk of one transfer must
+	// carry the same LSN or the stream being assembled is not a single
+	// consistent snapshot.
+	LSN uint64
+	// Total is the capture's size; the transfer is complete when
+	// offset + len(Data) reaches it.
+	Total int64
+	// Data is the chunk at the requested offset.
+	Data []byte
+}
+
+// SyncSnapshot returns the chunk at offset, at most maxBytes long (<= 0
+// for the rest), of a consistent capture of the store and the LSN it
+// covers. A capture is the snapshot stream (FPWS, as compaction writes
+// it) followed, when the gallery has an index, by that index's segment
+// (index.AppendSegment): a replica installs it instead of extracting
+// every template's keys again. Disk snapshots carry no segment — a
+// restart rebuilds, and a compaction, which may run every few hundred
+// writes, pays for no encoding.
+//
+// resumeLSN 0 captures fresh state (or reuses the cached capture when
+// nothing mutated since); a non-zero resumeLSN asks for the capture at
+// exactly that LSN, so a chunked transfer reads one immutable byte
+// stream, and fails with ErrSnapshotExpired when that capture is gone.
+// The capture is dropped once its last chunk is served, so a primary
+// holds no segment once its transfers finish; a transfer still reading
+// it gets it made again, byte for byte, as long as no mutation has been
+// tried since. Callers must treat the chunk as read-only — it is shared
+// with later calls.
+func (s *Store) SyncSnapshot(resumeLSN uint64, offset int64, maxBytes int) (SnapshotChunk, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, nil, errors.New("wal: sync snapshot: store closed")
+		return SnapshotChunk{}, errors.New("wal: sync snapshot: store closed")
 	}
-	if resumeLSN != 0 {
-		if s.syncSnapData != nil && s.syncSnapLSN == resumeLSN {
-			return resumeLSN, s.syncSnapData, nil
+	switch {
+	case resumeLSN == 0 && s.syncSnapData != nil && s.syncSnapLSN == s.lsn:
+		// Nothing was committed since the cached capture: reuse it.
+	case resumeLSN == 0, resumeLSN == s.syncSnapLSN && s.syncSnapData == nil && s.syncSnapExact:
+		var buf bytes.Buffer
+		if err := writeSnapshotStream(&buf, s.lsn, s.Store.SaveTo); err != nil {
+			return SnapshotChunk{}, err
 		}
-		return 0, nil, ErrSnapshotExpired
+		s.syncSnapLSN, s.syncSnapData = s.lsn, s.Store.AppendIndexSegment(buf.Bytes())
+		s.syncSnapExact = true
+	case resumeLSN != s.syncSnapLSN || s.syncSnapData == nil:
+		return SnapshotChunk{}, ErrSnapshotExpired
 	}
-	if s.syncSnapData != nil && s.syncSnapLSN == s.lsn {
-		return s.lsn, s.syncSnapData, nil
+	data := s.syncSnapData
+	if offset < 0 || offset > int64(len(data)) {
+		return SnapshotChunk{}, fmt.Errorf("wal: sync snapshot: offset %d beyond %d-byte capture", offset, len(data))
 	}
-	var buf bytes.Buffer
-	if err := writeSnapshotStream(&buf, s.lsn, s.Store.SaveTo); err != nil {
-		return 0, nil, err
+	chunk := data[offset:]
+	if maxBytes > 0 && len(chunk) > maxBytes {
+		chunk = chunk[:maxBytes]
 	}
-	s.syncSnapLSN, s.syncSnapData = s.lsn, buf.Bytes()
-	return s.syncSnapLSN, s.syncSnapData, nil
+	if offset+int64(len(chunk)) == int64(len(data)) {
+		s.syncSnapData = nil
+	}
+	return SnapshotChunk{LSN: s.syncSnapLSN, Total: int64(len(data)), Data: chunk}, nil
 }
 
 // SyncTail returns log records with LSN above afterLSN, stopping once

@@ -3,9 +3,12 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fpinterop/internal/gallery"
+	"fpinterop/internal/index"
 	"fpinterop/internal/minutiae"
 )
 
@@ -54,6 +57,29 @@ func wantSameEntries(t *testing.T, got, want *gallery.Store) {
 	}
 }
 
+// captureAll reads one whole sync capture as a replica does: a fresh
+// chunk, then resumed chunks of at most max bytes at its LSN.
+func captureAll(t *testing.T, s *Store, max int) (uint64, []byte) {
+	t.Helper()
+	first, err := s.SyncSnapshot(0, 0, max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Clone(first.Data)
+	for int64(len(data)) < first.Total {
+		chunk, err := s.SyncSnapshot(first.LSN, int64(len(data)), max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chunk.LSN != first.LSN || chunk.Total != first.Total || len(chunk.Data) == 0 {
+			t.Fatalf("chunk at %d: lsn %d total %d, %d bytes; transfer began at lsn %d total %d",
+				len(data), chunk.LSN, chunk.Total, len(chunk.Data), first.LSN, first.Total)
+		}
+		data = append(data, chunk.Data...)
+	}
+	return first.LSN, data
+}
+
 func TestSyncSnapshotRoundTrip(t *testing.T) {
 	fx := fixtures(t, 6)
 	s := openStore(t, t.TempDir(), Options{})
@@ -63,19 +89,16 @@ func TestSyncSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lsn, data, err := s.SyncSnapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lsn, data := captureAll(t, s, 700)
 	if lsn != s.LSN() {
 		t.Fatalf("snapshot lsn %d, store lsn %d", lsn, s.LSN())
 	}
-	gotLSN, entries, err := DecodeSnapshot(data)
+	gotLSN, entries, segment, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotLSN != lsn {
-		t.Fatalf("decoded lsn %d, want %d", gotLSN, lsn)
+	if gotLSN != lsn || segment != nil {
+		t.Fatalf("decoded lsn %d and a %d-byte segment, want %d and none (the store has no index)", gotLSN, len(segment), lsn)
 	}
 	replica := gallery.New(nil)
 	if err := replica.ReplaceAll(entries); err != nil {
@@ -84,17 +107,146 @@ func TestSyncSnapshotRoundTrip(t *testing.T) {
 	wantSameEntries(t, replica, s.Store)
 
 	// A resumed transfer at the capture's LSN must read the same bytes.
-	lsn2, data2, err := s.SyncSnapshot(lsn)
+	again, err := s.SyncSnapshot(lsn, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn2 != lsn || !bytes.Equal(data, data2) {
+	if again.LSN != lsn || !bytes.Equal(again.Data, data) {
 		t.Fatal("resumed snapshot diverged from the original capture")
 	}
 	// A resume for a capture that never existed is expired, not a
 	// silent fresh capture — the replica must restart deliberately.
-	if _, _, err := s.SyncSnapshot(lsn + 99); !errors.Is(err, ErrSnapshotExpired) {
+	if _, err := s.SyncSnapshot(lsn+99, 0, 0); !errors.Is(err, ErrSnapshotExpired) {
 		t.Fatalf("stale resume: err = %v, want ErrSnapshotExpired", err)
+	}
+	if _, err := s.SyncSnapshot(lsn, int64(len(data))+1, 0); err == nil || errors.Is(err, ErrSnapshotExpired) {
+		t.Fatalf("offset past the capture: err = %v", err)
+	}
+}
+
+// TestSyncSnapshotDropsServedCapture: a capture is not held once its
+// last chunk is served. A transfer still reading it gets the same bytes
+// made again while no mutation has been tried since; after one, even a
+// failed one, the capture is expired.
+func TestSyncSnapshotDropsServedCapture(t *testing.T) {
+	fx := fixtures(t, 5)
+	s := openIndexedStore(t, t.TempDir(), Options{})
+	defer s.Close()
+	for _, e := range fx[:4] {
+		if err := s.Enroll(e.ID, e.DeviceID, e.Template); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lsn, data := captureAll(t, s, 4096)
+	if s.syncSnapData != nil {
+		t.Fatal("the capture is still held after its last chunk was served")
+	}
+	chunk, err := s.SyncSnapshot(lsn, 100, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunk.LSN != lsn || chunk.Total != int64(len(data)) || !bytes.Equal(chunk.Data, data[100:600]) {
+		t.Fatal("a capture made again differs from the one dropped")
+	}
+	if _, err := s.SyncSnapshot(lsn, 600, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove("nobody"); err == nil {
+		t.Fatal("removing an unknown ID succeeded")
+	}
+	if _, err := s.SyncSnapshot(lsn, 0, 0); !errors.Is(err, ErrSnapshotExpired) {
+		t.Fatalf("resume after a failed mutation: err = %v, want ErrSnapshotExpired", err)
+	}
+	if err := s.Enroll(fx[4].ID, fx[4].DeviceID, fx[4].Template); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SyncSnapshot(lsn, 0, 0); !errors.Is(err, ErrSnapshotExpired) {
+		t.Fatalf("resume after a write: err = %v, want ErrSnapshotExpired", err)
+	}
+}
+
+// openIndexedStore opens a durable store over a gallery with an index.
+func openIndexedStore(t testing.TB, dir string, opt Options) *Store {
+	t.Helper()
+	g := gallery.New(nil)
+	if err := g.EnableIndex(gallery.IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSyncCaptureCarriesIndexSegment: an indexed primary's capture is
+// the capture an unindexed one makes of the same history, followed by
+// the index segment, which decodes to the primary's index. The
+// entries-only path a replica built before the segment existed took —
+// the FPWS header, then gallery.ReadEntries with what follows the
+// entries ignored — reads the same entries from it. Disk snapshots
+// carry no segment.
+func TestSyncCaptureCarriesIndexSegment(t *testing.T) {
+	fx := fixtures(t, 8)
+	indexed := openIndexedStore(t, t.TempDir(), Options{})
+	defer indexed.Close()
+	plain := openStore(t, t.TempDir(), Options{})
+	defer plain.Close()
+	for _, s := range []*Store{indexed, plain} {
+		if err := s.EnrollBatch(fx[:6]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Remove(fx[1].ID); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Enroll(fx[6].ID, fx[6].DeviceID, fx[6].Template); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, data := captureAll(t, indexed, 0)
+	_, plainData := captureAll(t, plain, 0)
+	lsn, entries, segment, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != indexed.LSN() || len(segment) == 0 || !bytes.Equal(data[:len(data)-len(segment)], plainData) {
+		t.Fatalf("capture of %d bytes at lsn %d: a %d-byte segment behind the %d bytes an unindexed store captures",
+			len(data), lsn, len(segment), len(plainData))
+	}
+	order := make([]string, len(entries))
+	for i, e := range entries {
+		order[i] = e.ID
+	}
+	ix, err := index.DecodeSegment(index.Options{}, segment, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := indexed.IndexStats(); ix.Stats() != st {
+		t.Fatalf("segment decodes to %+v, primary holds %+v", ix.Stats(), st)
+	}
+
+	old, rest, err := gallery.ReadEntries(data[snapHeaderSize:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rest, segment) || len(old) != len(entries) {
+		t.Fatalf("entries-only path: %d entries and %d bytes after them, want %d and the segment", len(old), len(rest), len(entries))
+	}
+	for i, e := range old {
+		if e.ID != entries[i].ID || e.DeviceID != entries[i].DeviceID || !sameTemplate(e.Template, entries[i].Template) {
+			t.Fatalf("entries-only path: entry %d is %q, DecodeSnapshot's %q", i, e.ID, entries[i].ID)
+		}
+	}
+
+	if err := indexed.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := os.ReadFile(filepath.Join(indexed.dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, diskEntries, diskSegment, err := DecodeSnapshot(disk); err != nil || diskSegment != nil || len(diskEntries) != len(entries) {
+		t.Fatalf("disk snapshot: %d entries and a %d-byte segment (%v); want %d and none", len(diskEntries), len(diskSegment), err, len(entries))
 	}
 }
 
@@ -107,21 +259,15 @@ func TestSyncSnapshotRecapturesAfterMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lsn1, _, err := s.SyncSnapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lsn1, _ := captureAll(t, s, 0)
 	if err := s.Enroll(fx[3].ID, fx[3].DeviceID, fx[3].Template); err != nil {
 		t.Fatal(err)
 	}
-	lsn2, data, err := s.SyncSnapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lsn2, data := captureAll(t, s, 0)
 	if lsn2 != lsn1+1 {
 		t.Fatalf("fresh capture at lsn %d, want %d", lsn2, lsn1+1)
 	}
-	_, entries, err := DecodeSnapshot(data)
+	_, entries, _, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +364,7 @@ func TestSnapshotPlusTailBootstrap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snapLSN, data, err := s.SyncSnapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snapLSN, data := captureAll(t, s, 0)
 	// Mutations land after the capture; the tail carries them.
 	for _, e := range fx[5:] {
 		if err := s.Enroll(e.ID, e.DeviceID, e.Template); err != nil {
@@ -232,7 +375,7 @@ func TestSnapshotPlusTailBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, entries, err := DecodeSnapshot(data)
+	_, entries, _, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func sortedExports(t testing.TB, s *gallery.Store) []gallery.Export {
 	if err := s.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out, err := gallery.ReadEntries(buf.Bytes())
+	out, _, err := gallery.ReadEntries(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +122,10 @@ func TestOpenEmptyDir(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d", s.Len())
 	}
+	// No snapshot existed: it held nothing and covered no LSN.
 	rs := s.Recovery()
-	if rs.Replayed != 0 || rs.TornTail || rs.SnapshotLSN != 0 {
-		t.Fatalf("recovery = %+v", rs)
+	if rs.Replayed != 0 || rs.TornTail || rs.SnapshotEntries != 0 || s.LSN() != 0 {
+		t.Fatalf("recovery = %+v, lsn %d", rs, s.LSN())
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -205,8 +206,10 @@ func TestCompactionResetsLogAndResumes(t *testing.T) {
 	s2 := openStore(t, dir, Options{})
 	defer s2.Close()
 	rs := s2.Recovery()
-	if rs.SnapshotLSN != 4 {
-		t.Fatalf("SnapshotLSN = %d, want 4", rs.SnapshotLSN)
+	// The snapshot covers LSN 4: the records replayed above it are the
+	// last of the store's six.
+	if covered := s2.LSN() - uint64(rs.Replayed); covered != 4 {
+		t.Fatalf("snapshot covers LSN %d (LSN %d, %d replayed), want 4", covered, s2.LSN(), rs.Replayed)
 	}
 	if rs.SnapshotEntries != 4 {
 		t.Fatalf("SnapshotEntries = %d, want 4", rs.SnapshotEntries)
@@ -240,9 +243,10 @@ func TestCrashBetweenSnapshotAndLogReset(t *testing.T) {
 
 	s2 := openStore(t, dir, Options{})
 	defer s2.Close()
+	// The log still holds LSNs 1 to 4, and the snapshot covers them.
 	rs := s2.Recovery()
-	if rs.SnapshotLSN != 4 || rs.Replayed != 0 {
-		t.Fatalf("records at or below the snapshot LSN must be skipped: %+v", rs)
+	if rs.SnapshotEntries != 4 || rs.Replayed != 0 || s2.LSN() != 4 {
+		t.Fatalf("records at or below the snapshot LSN must be skipped: %+v, lsn %d", rs, s2.LSN())
 	}
 	wantIDs(t, s2, fx[0].ID, fx[1].ID, fx[2].ID, fx[3].ID)
 }
@@ -379,7 +383,7 @@ func insertionOrder(t *testing.T, s *Store) []string {
 	if err := s.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := gallery.ReadEntries(buf.Bytes())
+	entries, _, err := gallery.ReadEntries(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
