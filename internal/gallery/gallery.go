@@ -390,12 +390,12 @@ func (s *Store) EnableIndex(opt IndexOptions) error {
 // buildIndex bulk-builds a retrieval index over entries, in order, each
 // template rebuilt into a scratch only for its keys.
 func buildIndex(opt index.Options, order []string, entries map[string]*Entry) (*index.Index, error) {
-	idx, err := index.Build(opt, order, func(i int) []uint64 {
+	idx, err := index.Build(opt, order, func(dst []uint64, i int) []uint64 {
 		tpl := scratchTemplates.Get().(*minutiae.Template)
 		entries[order[i]].prep.TemplateInto(tpl)
-		keys := index.AppendKeys(nil, tpl)
+		dst = index.AppendKeys(dst, tpl)
 		scratchTemplates.Put(tpl)
-		return keys
+		return dst
 	})
 	if err != nil {
 		return nil, fmt.Errorf("gallery: index build: %w", err)

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"math"
 	"testing"
 
+	"fpinterop/internal/minutiae"
 	"fpinterop/internal/population"
 	"fpinterop/internal/rng"
 )
@@ -78,14 +80,28 @@ func TestCandidatesAppendZeroAllocs(t *testing.T) {
 }
 
 // TestTemplateKeysZeroAllocs holds Add's and Remove's key extraction —
-// neighbour selection, triplet dedup, quantization, key dedup — to zero
-// allocations once its scratch is warm: the index keeps no key list.
+// neighbour selection, triplet dedup, the certified key and its exact
+// fallback, key dedup — to zero allocations once its scratch is warm:
+// the index keeps no key list. Besides captures, the templates include
+// a quantised lattice, whose distance ties send triplets to the exact
+// path, and one with a NaN minutia, which the certified path refuses
+// whole.
 func TestTemplateKeysZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; asserted in non-race builds")
 	}
 	cohort := population.NewCohort(rng.New(22), population.CohortOptions{Size: 4})
 	tpls := captureGallery(t, cohort, "D0")
+	grid := &minutiae.Template{}
+	for i, p := range lattice(5, 9) {
+		grid.Minutiae = append(grid.Minutiae, at(p[0], p[1], float64(i)))
+	}
+	if _, unsure := fallbacks(grid.Minutiae); unsure == 0 {
+		t.Fatal("lattice template takes no fallback")
+	}
+	refused := tpls[0].Clone()
+	refused.Minutiae[0].X = math.NaN()
+	tpls = append(tpls, grid, refused)
 	var ks keyScratch
 	extract := func() {
 		for _, tpl := range tpls {

@@ -96,7 +96,7 @@ func segmentEqualsBuild(t *testing.T) (bt blockTrace) {
 		t.Fatalf("decoded index runs with %+v, want the options it was given", decoded.Options())
 	}
 	bt.observe(decoded, decoded.base)
-	rebuilt, err := Build(Options{Fanout: 16}, liveIDs, func(j int) []uint64 { return AppendKeys(nil, tpls[order[j]]) })
+	rebuilt, err := Build(Options{Fanout: 16}, liveIDs, func(dst []uint64, j int) []uint64 { return AppendKeys(dst, tpls[order[j]]) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestDecodedSegmentHeapPerTemplate(t *testing.T) {
 		return per
 	}
 	seg := func() []byte {
-		ix, err := Build(Options{}, ids, func(i int) []uint64 { return keys[i] })
+		ix, err := Build(Options{}, ids, func(dst []uint64, i int) []uint64 { return append(dst, keys[i]...) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +418,7 @@ func TestDecodedSegmentHeapPerTemplate(t *testing.T) {
 	builtPer, decodedPer := math.Inf(1), math.Inf(1)
 	for range 3 {
 		builtPer = min(builtPer, retained(func() *Index {
-			ix, err := Build(Options{}, ids, func(i int) []uint64 { return keys[i] })
+			ix, err := Build(Options{}, ids, func(dst []uint64, i int) []uint64 { return append(dst, keys[i]...) })
 			if err != nil {
 				t.Fatal(err)
 			}

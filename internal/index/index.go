@@ -133,20 +133,40 @@ func New(opt Options) *Index {
 }
 
 // Build returns an index over len(ids) templates, the i-th under
-// ids[i] with keys(i) its keys (AppendKeys of the template, in a list
-// of its own), equal to Adding them to New(opt) one by one: keys runs
-// on par.Ordered's workers, several at once, while the calling
+// ids[i] with keys(dst, i) appending its keys (AppendKeys of the
+// template) to dst, equal to Adding them to New(opt) one by one: keys
+// runs on par.Ordered's workers, several at once, while the calling
 // goroutine adds each template as soon as it and all before it are
 // extracted, and the base segment is laid out once, with no merges on
-// the way. The caller keeps the templates: the index holds none.
-func Build(opt Options, ids []string, keys func(i int) []uint64) (*Index, error) {
+// the way. Each dst is a list the add before it has spent, so a build
+// keeps a few key lists, not one per template. The caller keeps the
+// templates: the index holds none.
+func Build(opt Options, ids []string, keys func(dst []uint64, i int) []uint64) (*Index, error) {
 	ix := New(opt)
 	// Depth 16 keeps a few key lists live at a time, not n; it is
 	// measured in EXPERIMENTS.md, "Replica bootstrap".
-	err := par.Ordered(len(ids), 16, func(i int) ([]uint64, error) {
-		return keys(i), nil
-	}, func(i int, keys []uint64) error {
-		return ix.add(ids[i], keys)
+	const depth = 16
+	// Spent lists go back to the workers through free, which holds as
+	// many as can be in flight (each worker's queue, plus the one it
+	// fills). A channel rather than a sync.Pool: the lists are garbage
+	// once Build returns, not kept for a collection or two.
+	free := make(chan *[]uint64, par.Workers(len(ids))*(depth+1))
+	err := par.Ordered(len(ids), depth, func(i int) (*[]uint64, error) {
+		var buf *[]uint64
+		select {
+		case buf = <-free:
+		default:
+			buf = new([]uint64)
+		}
+		*buf = keys((*buf)[:0], i)
+		return buf, nil
+	}, func(i int, buf *[]uint64) error {
+		err := ix.add(ids[i], *buf)
+		select {
+		case free <- buf:
+		default:
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -561,7 +581,7 @@ func (ix *Index) CandidatesAppend(dst []Candidate, probe *minutiae.Template, fan
 		fanout = ix.opt.Fanout
 	}
 	vs := votePool.Get().(*voteScratch)
-	keys := vs.extract(probe.Minutiae, true)
+	keys := vs.extract(probe.Minutiae, probeKeys)
 	spans, hits := vs.spans[:0], vs.hits[:0]
 	start := len(dst)
 

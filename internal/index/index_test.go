@@ -38,8 +38,8 @@ func captureGallery(t testing.TB, cohort *population.Cohort, deviceID string) []
 func subjectID(i int) string { return fmt.Sprintf("subject-%04d", i) }
 
 // keysFrom is Build's keys argument over a template list.
-func keysFrom(tpls []*minutiae.Template) func(i int) []uint64 {
-	return func(i int) []uint64 { return AppendKeys(nil, tpls[i]) }
+func keysFrom(tpls []*minutiae.Template) func(dst []uint64, i int) []uint64 {
+	return func(dst []uint64, i int) []uint64 { return AppendKeys(dst, tpls[i]) }
 }
 
 // transformTemplate applies a rigid rotation about the origin plus a

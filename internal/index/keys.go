@@ -100,6 +100,166 @@ func features(a, b, c minutiae.Minutia) (triplet, bool) {
 	return t, true
 }
 
+// The certified enrollment path decides a triplet's primary key from
+// squared distances and rotated vertex→centroid vectors, with no atan2,
+// Hypot, angle normalisation or division per triplet. Each decision is
+// taken only when its input clears a margin far larger than the
+// rounding error of either path; otherwise the triplet goes through
+// features and primaryKey, so every key equals theirs bit for bit.
+// DESIGN.md, "Certified enrollment keys", has the bounds.
+const (
+	// sideMargin is the relative margin on squared lengths: an order, a
+	// side limit or a side bin edge is decided only when the two squared
+	// values differ by more than this fraction.
+	sideMargin = 1e-9
+	// angleMargin is the margin, relative to the vertex→centroid
+	// vector's L1 norm, by which the rotated vector must clear an
+	// octant edge.
+	angleMargin = 1e-9
+	// centroidSlack times the template's largest |coordinate| is the
+	// angle test's absolute margin for the centroid: the certified
+	// path's vertex→centroid vector (three times it, never divided) can
+	// stray from three times the exact path's, whose centroid is
+	// rounded after a division, by 6 unit roundoffs (2⁻⁵³) of that
+	// coordinate; 2⁻⁴⁹ is 16.
+	centroidSlack = 0x1p-49
+	// leverFloor is the least absolute margin of the angle test: below
+	// it the rotated components could be subnormal.
+	leverFloor = 1e-200
+	// maxCertCoord and maxCertAngle bound the inputs the certified path
+	// takes (|X|, |Y| and |Angle|); a template with a minutia beyond
+	// them, or with one that is not finite, goes through the exact path
+	// whole.
+	maxCertCoord = 1 << 30
+	maxCertAngle = 64
+)
+
+// sideEdges2[k] is the squared lower edge of side bin k, (16k)², up to
+// the first bin past maxSide.
+var sideEdges2 = func() (e [int(maxSide)/int(sideBin) + 2]float64) {
+	for k := range e {
+		e[k] = float64(k) * sideBin * float64(k) * sideBin
+	}
+	return e
+}()
+
+// vertex is one minutia as the certified path reads it: its position
+// and its ridge direction as a unit vector, computed once per template
+// rather than once per triplet.
+type vertex struct {
+	x, y, cos, sin float64
+}
+
+// newVertex is m as certifiedKey reads it.
+func newVertex(m minutiae.Minutia) vertex {
+	sin, cos := math.Sincos(m.Angle)
+	return vertex{x: m.X, y: m.Y, cos: cos, sin: sin}
+}
+
+// certifiable reports whether m's fields are finite and within the
+// bounds the certified path's error analysis covers.
+func certifiable(m minutiae.Minutia) bool {
+	return math.Abs(m.X) <= maxCertCoord && math.Abs(m.Y) <= maxCertCoord &&
+		math.Abs(m.Angle) <= maxCertAngle
+}
+
+// apart reports whether two squared lengths are certainly in different
+// order whatever either path rounds: they differ by more than
+// sideMargin of their sum.
+//
+//fpvet:hotpath
+func apart(p, q float64) bool {
+	return math.Abs(p-q) > sideMargin*(p+q)
+}
+
+// sideBinOf returns the bin of a side whose squared length is d2 and
+// whether that bin is certain: d2 must clear both squared edges of the
+// bin by sideMargin. d2 lies in [minSide², maxSide²].
+//
+//fpvet:hotpath
+func sideBinOf(d2 float64) (uint64, bool) {
+	k := int(math.Sqrt(d2) * (1 / sideBin))
+	return uint64(k), d2 > sideEdges2[k]*(1+sideMargin) && d2 < sideEdges2[k+1]*(1-sideMargin)
+}
+
+// octantOf returns the angle bin of vertex v of a triangle whose
+// vertex coordinates sum to (sx, sy) — the 45° octant of the ridge
+// angle minus the direction to the centroid — and whether it is
+// certain. The direction's angle is never formed: w, three times the
+// vertex→centroid vector, conjugated and rotated by the ridge angle,
+// has exactly that angle, and its octant follows from the signs of its
+// components and which is larger. Each of the three tests must clear
+// angleMargin·|w|₁ + floor.
+//
+//fpvet:hotpath
+func octantOf(v *vertex, sx, sy, floor float64) (uint64, bool) {
+	wx, wy := sx-3*v.x, sy-3*v.y
+	ux := v.cos*wx + v.sin*wy
+	uy := v.sin*wx - v.cos*wy
+	ax, ay := math.Abs(ux), math.Abs(uy)
+	thr := angleMargin*(math.Abs(wx)+math.Abs(wy)) + floor
+	sure := ax > thr && ay > thr && math.Abs(ax-ay) > thr
+	// Octants by quadrant (uy<0, ux<0) and half (|uy|>|ux|):
+	// 0 1 | 3 2 | 7 6 | 4 5.
+	const table = 0o54672310 // octant of index i in 3-bit digit i
+	i := b2u(uy < 0)<<2 | b2u(ux < 0)<<1 | b2u(ay > ax)
+	return table >> (3 * i) & 7, sure
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// certifiedKey is features followed by primaryKey for the triangle
+// (a, b, c) in ascending template order, decided without trigonometry:
+// ok reports whether the exact path accepts the triangle and key is then
+// its primary key. When sure is false some decision fell inside its
+// margin, and the caller must take the exact path instead. floor is the
+// template's absolute angle margin (keyScratch.floor).
+//
+//fpvet:hotpath
+func certifiedKey(a, b, c *vertex, floor float64) (key uint64, ok, sure bool) {
+	// opp[i] is the squared side opposite vertex i of (a, b, c), as
+	// features' Hypot sees it: the same coordinate differences.
+	opp := [3]float64{sqDist(b, c), sqDist(a, c), sqDist(a, b)}
+	lo := min(opp[0], opp[1], opp[2])
+	hi := max(opp[0], opp[1], opp[2])
+	const min2, max2 = minSide * minSide, maxSide * maxSide
+	if lo < min2*(1-sideMargin) || hi > max2*(1+sideMargin) {
+		return 0, false, true
+	}
+	if lo <= min2*(1+sideMargin) || hi >= max2*(1-sideMargin) ||
+		!apart(opp[0], opp[1]) || !apart(opp[0], opp[2]) || !apart(opp[1], opp[2]) {
+		return 0, false, false
+	}
+	// rank[i] is vertex i's canonical position: how many opposite sides
+	// are longer than its own.
+	g01, g02, g12 := b2u(opp[0] > opp[1]), b2u(opp[0] > opp[2]), b2u(opp[1] > opp[2])
+	rank := [3]uint64{2 - g01 - g02, 1 + g01 - g12, g02 + g12}
+	// The sums the exact path divides by 3 for the centroid, in its
+	// order of addition.
+	sx := a.x + b.x + c.x
+	sy := a.y + b.y + c.y
+	sure = true
+	for i, v := range [3]*vertex{a, b, c} {
+		qs, sideOK := sideBinOf(opp[i])
+		qb, angleOK := octantOf(v, sx, sy, floor)
+		sure = sure && sideOK && angleOK
+		key |= qs<<(34-8*rank[i]) | qb<<(12-6*rank[i])
+	}
+	return key, true, sure
+}
+
+// sqDist is the squared distance between two vertices.
+func sqDist(p, q *vertex) float64 {
+	dx, dy := p.x-q.x, p.y-q.y
+	return dx*dx + dy*dy
+}
+
 // packKey packs six quantized features into one uint64: three 8-bit
 // side bins and three 6-bit angle bins.
 func packKey(qs [3]int, qb [3]int) uint64 {
@@ -189,8 +349,44 @@ func clampInt(v, lo, hi int) int {
 // path and Add reuse them across calls instead of allocating per
 // template.
 type keyScratch struct {
-	keys []uint64
-	seen keyTable // dedup set: triplets during enumeration, then keys
+	keys  []uint64
+	seen  keyTable // dedup set: triplets during enumeration, then keys
+	verts []vertex // the template's minutiae, for certifiedKey
+	floor float64  // certifiedKey's absolute angle margin for them
+}
+
+// keyMode is what extract returns per accepted triplet.
+type keyMode uint8
+
+const (
+	// enrollKeys is the primary key, through certifiedKey with the exact
+	// path as its fallback.
+	enrollKeys keyMode = iota
+	// probeKeys is the multi-probed key set. Multi-probing needs each
+	// feature's position inside its bin, so it always takes the exact
+	// path.
+	probeKeys
+	// exactKeys is the primary key through the exact path alone: the
+	// oracle the certified path is tested and timed against.
+	exactKeys
+)
+
+// loadVertices fills ks.verts and ks.floor from ms and reports whether
+// every minutia is certifiable; when one is not, the whole template
+// takes the exact path.
+func (ks *keyScratch) loadVertices(ms []minutiae.Minutia) bool {
+	verts := ks.verts[:0]
+	reach := 0.0
+	for _, m := range ms {
+		if !certifiable(m) {
+			return false
+		}
+		reach = max(reach, math.Abs(m.X), math.Abs(m.Y))
+		verts = append(verts, newVertex(m))
+	}
+	ks.verts = verts
+	ks.floor = max(leverFloor, centroidSlack*reach)
+	return true
 }
 
 // neighbor is one candidate in a minutia's K-nearest scan.
@@ -210,15 +406,15 @@ func (a neighbor) before(b neighbor) bool {
 // extract enumerates the template's local triplets in deterministic
 // order — each minutia combined with pairs of its neighborK nearest
 // neighbours, deduplicated, capped at maxTriplets accepted — and
-// returns their keys in ks.keys: the primary key per triplet for an
-// enrolled template, the multi-probed key set when probe is true.
-func (ks *keyScratch) extract(ms []minutiae.Minutia, probe bool) []uint64 {
+// returns their keys, as mode says, in ks.keys.
+func (ks *keyScratch) extract(ms []minutiae.Minutia, mode keyMode) []uint64 {
 	keys := ks.keys[:0]
 	n := len(ms)
 	if n < 3 {
 		return keys
 	}
 	ks.seen.reset()
+	certified := mode == enrollKeys && ks.loadVertices(ms)
 	emitted := 0
 	for i := 0; i < n && emitted < maxTriplets; i++ {
 		// The neighborK nearest under (distance, index), kept sorted by
@@ -263,11 +459,20 @@ func (ks *keyScratch) extract(ms []minutiae.Minutia, probe bool) []uint64 {
 				if _, fresh := ks.seen.findOrAdd(uint64(a)<<32 | uint64(b)<<16 | uint64(c)); !fresh {
 					continue
 				}
+				if certified {
+					if key, ok, sure := certifiedKey(&ks.verts[a], &ks.verts[b], &ks.verts[c], ks.floor); sure {
+						if ok {
+							keys = append(keys, key)
+							emitted++
+						}
+						continue
+					}
+				}
 				t, ok := features(ms[a], ms[b], ms[c])
 				if !ok {
 					continue
 				}
-				if probe {
+				if mode == probeKeys {
 					keys = appendProbeKeys(keys, t)
 				} else {
 					keys = append(keys, primaryKey(t))
@@ -286,7 +491,11 @@ func (ks *keyScratch) extract(ms []minutiae.Minutia, probe bool) []uint64 {
 // often one template repeats in it, so one posting per (key, template)
 // is all the index stores. The result aliases ks.keys.
 func (ks *keyScratch) templateKeys(ms []minutiae.Minutia) []uint64 {
-	keys := ks.extract(ms, false)
+	return ks.distinct(ks.extract(ms, enrollKeys))
+}
+
+// distinct drops repeats from keys in place, keeping first occurrences.
+func (ks *keyScratch) distinct(keys []uint64) []uint64 {
 	ks.seen.reset()
 	distinct := keys[:0]
 	for _, k := range keys {
